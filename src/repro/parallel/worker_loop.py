@@ -14,6 +14,11 @@ The loops reproduce the cold spawn topology exactly — worker names (which
 seed the per-worker RNG streams) and seed derivations are identical — so a
 search on a warm pool takes the same decisions as a cold one.
 
+On the processes backend a ``SETUP`` carries the problem as its
+shared-memory handle; a loop resolves it once and keeps it across runs, and
+lets it go (:func:`~repro.pvm.shm.release_shared`) when a ``SETUP`` names a
+different problem.  On the other backends the release is a no-op.
+
 Setup is acknowledged bottom-up: each CLW loop acks its TSW loop after
 installing the setup, the TSW loop acks the master only after all CLW acks
 arrived, and the master starts run traffic only after all TSW acks.  The
@@ -28,6 +33,7 @@ from typing import Dict, List
 
 from .._rng import derive_seed
 from ..errors import ProcessError
+from ..pvm.shm import release_shared
 from .clw import clw_process
 from .messages import ClwSetup, ClwWorkerState, SetupAck, Tags, TswSetup
 from .tsw import tsw_process
@@ -38,6 +44,7 @@ __all__ = ["clw_worker_loop", "tsw_worker_loop"]
 def clw_worker_loop(ctx):
     """Persistent CLW: serve one :func:`clw_process` run per ``SETUP``."""
     runs = 0
+    problem = None
     while True:
         message = yield ctx.recv()
         if message.tag == Tags.POOL_SHUTDOWN:
@@ -45,6 +52,9 @@ def clw_worker_loop(ctx):
         if message.tag != Tags.SETUP:
             continue
         setup: ClwSetup = message.payload
+        if setup.problem is not problem:
+            release_shared(problem)
+            problem = setup.problem
         yield ctx.send(message.src, Tags.SETUP_ACK, SetupAck(worker_name=ctx.name))
         yield from clw_process(
             ctx,
@@ -70,6 +80,7 @@ def tsw_worker_loop(ctx, clws_per_tsw: int):
         clw_pids.append(pid)
 
     runs = 0
+    problem = None
     while True:
         message = yield ctx.recv()
         if message.tag == Tags.POOL_SHUTDOWN:
@@ -79,6 +90,9 @@ def tsw_worker_loop(ctx, clws_per_tsw: int):
         if message.tag != Tags.SETUP:
             continue
         setup: TswSetup = message.payload
+        if setup.problem is not problem:
+            release_shared(problem)
+            problem = setup.problem
         if len(setup.clw_ranges) != len(clw_pids):
             raise ProcessError(
                 f"{ctx.name}: setup ships {len(setup.clw_ranges)} CLW ranges "

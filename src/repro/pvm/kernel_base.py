@@ -25,6 +25,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ProcessError
 from .cluster import ClusterSpec
+from .process import ProcessFunction
 
 __all__ = ["WorkerRecord", "RealKernelBase"]
 
@@ -82,6 +83,15 @@ class RealKernelBase:
                 self._next_machine = (self._next_machine + 1) % self._cluster.num_machines
             machine_index %= self._cluster.num_machines
         return pid, machine_index
+
+    def spawn_local(self, func: ProcessFunction, *args: Any, **kwargs: Any) -> int:
+        """Start a process on a thread of the kernel process.
+
+        Sessions start each run's master this way.  Every process of the
+        thread kernel is already local, so the default is :meth:`spawn`; the
+        processes kernel overrides it.
+        """
+        return self.spawn(func, *args, **kwargs)
 
     def _register(self, record: WorkerRecord) -> None:
         """Publish a fully-built record (its execution vehicle must be ready)."""

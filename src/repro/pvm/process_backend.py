@@ -12,20 +12,28 @@ Execution model
 
 * The kernel lives in the launching process.  Every worker is one OS
   process; it receives its immutable start-up state (identity, machine spec,
-  process function and arguments — including the shared, immutable
-  :class:`~repro.core.protocols.SearchProblem` instance) when it is spawned and
-  never again: steady-state messages carry only solutions.  (A
-  worker-initiated spawn serialises the arguments twice — once through the
-  router queue, once into the child — which is negligible next to the
-  child's interpreter boot.)
-* Each worker owns one ``multiprocessing`` inbox queue.  ``Receive`` pops
+  process function and arguments) when it is spawned and never again:
+  steady-state messages carry only solutions.
+* :meth:`ProcessKernel.spawn_local` runs a process on a thread of the
+  kernel process instead.  The session layer starts each run's master this
+  way, so a run pays no interpreter boot, no ``import repro`` and no problem
+  rebuild for it; the master uses the caller's objects as they are.
+* Everything that crosses a process boundary — spawn calls, messages, exit
+  outcomes — is pickled once by :func:`repro.pvm.shm.dumps`, which writes
+  every shared-memory-exported object (the problem) as its small
+  :class:`~repro.pvm.shm.SharedObjectRef`, wherever it sits in the payload.
+  The kernel exports each distinct object once, on first sight, and keeps
+  the block until shutdown; each worker attaches it once.
+* Each process owns one ``multiprocessing`` inbox queue.  ``Receive`` pops
   from it with the same tag/src filtering as the other backends (messages
   that do not match are buffered locally, preserving arrival order).
-* ``Send``, ``Spawn`` and process exit are *requests* shipped to a single
+* A worker's ``Send``, ``Spawn`` and exit are *requests* shipped to a single
   router queue that a thread in the kernel process drains: sends are
-  delivered to the destination inbox, spawns create a new OS process and the
-  child pid is returned to the requester over a private pipe, exits record
-  the worker's result.
+  forwarded, still pickled, to the destination inbox, spawns create a new OS
+  process and the child pid is returned to the requester over a private
+  pipe, exits record the worker's result.  Child→parent messages skip the
+  router and go straight into the parent's inbox, and a kernel-thread
+  process delivers its messages and spawns directly.
 * ``Compute`` throttles: the driver measures the real time the process body
   spent computing since it was last resumed and sleeps it longer by the
   machine's slowdown factor ``1 / effective_rate - 1`` from the
@@ -35,12 +43,13 @@ Execution model
   every machine of ``homogeneous_cluster``) it is a no-op.
 * ``GetTime`` returns wall-clock seconds since the kernel was created,
   measured against a ``time.time()`` epoch shared with every worker (the
-  monotonic clock is not guaranteed comparable across processes).
+  monotonic clock is not guaranteed comparable across processes).  A message
+  is stamped once, when it is sent.
 
 Everything that crosses a process boundary — :class:`Message` envelopes,
-protocol payloads, syscalls, process functions (by module reference),
-results — must pickle; ``tests/parallel/test_backend_parity.py`` locks this
-in for the whole protocol.
+protocol payloads, process functions (by module reference), results — must
+pickle; ``tests/parallel/test_backend_parity.py`` locks this in for the
+whole protocol.
 """
 
 from __future__ import annotations
@@ -50,8 +59,8 @@ import pickle
 import queue as queue_module
 import threading
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import multiprocessing
 from multiprocessing.connection import Connection
@@ -73,20 +82,33 @@ from .process import (
     Spawn,
     Syscall,
 )
-from .shm import (
-    SharedArrayPack,
-    SharedObjectRef,
-    close_attachments,
-    export_shared,
-    resolve_shared_refs,
-    substitute_shared_refs,
-)
+from .shm import SharedArrayPack, SharedObjectRef, close_attachments, dumps, export_shared
 
 __all__ = ["ProcessKernel"]
 
+#: ``(func, args, kwargs)`` of a process body, as the runtime starts it.
+_Call = Tuple[ProcessFunction, Tuple[Any, ...], Dict[str, Any]]
+
+
+def _check_generator_function(func: ProcessFunction) -> None:
+    if not inspect.isgeneratorfunction(func):
+        raise ProcessError(
+            f"process function {getattr(func, '__name__', func)!r} must be a generator function"
+        )
+
+
+def _outcome(result: Any, error: Optional[BaseException]) -> bytes:
+    """Pickled ``(result, error)``; an unpicklable value becomes a ProcessError."""
+    try:
+        return dumps((result, error))
+    except Exception:  # noqa: BLE001 - any pickling failure degrades the same way
+        value = result if error is None else error
+        degraded = ProcessError(f"unpicklable value could not cross processes: {value!r}")
+        return dumps((None, degraded))
+
 
 # --------------------------------------------------------------------------- #
-# worker side
+# process side
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class _WorkerBootstrap:
@@ -98,9 +120,8 @@ class _WorkerBootstrap:
     machine_index: int
     machine: MachineSpec
     epoch: float
-    func: ProcessFunction
-    args: Tuple[Any, ...]
-    kwargs: Dict[str, Any]
+    #: The process call ``(func, args, kwargs)``, pickled by :func:`dumps`.
+    call: bytes
     #: The parent's inbox queue, inherited at spawn so child→parent messages
     #: (the per-iteration CLW results and TSW reports) skip the router hop
     #: entirely and land in the parent's mailbox with one queue operation.
@@ -108,11 +129,12 @@ class _WorkerBootstrap:
 
 
 class _QueueMailbox:
-    """Tag/source-filtered view of one worker's multiprocessing inbox.
+    """Tag/source-filtered view of one process's multiprocessing inbox.
 
-    Messages popped from the queue that do not match the current filter are
-    buffered locally in arrival order and served to later receives, mirroring
-    the mailbox semantics of the simulator and the thread backend.
+    The inbox holds pickled :class:`Message` objects.  Messages popped from
+    the queue that do not match the current filter are buffered locally in
+    arrival order and served to later receives, mirroring the mailbox
+    semantics of the simulator and the thread backend.
     """
 
     def __init__(self, inbox: Any) -> None:
@@ -128,7 +150,7 @@ class _QueueMailbox:
     def _drain_nowait(self) -> None:
         while True:
             try:
-                self._buffer.append(self._inbox.get_nowait())
+                self._buffer.append(pickle.loads(self._inbox.get_nowait()))
             except queue_module.Empty:
                 return
 
@@ -150,7 +172,7 @@ class _QueueMailbox:
                     return None
                 wait_for = min(wait_for, 1.0)
             try:
-                self._buffer.append(self._inbox.get(timeout=wait_for))
+                self._buffer.append(pickle.loads(self._inbox.get(timeout=wait_for)))
             except queue_module.Empty:
                 continue
             found = self._scan(tag, src)
@@ -158,53 +180,95 @@ class _QueueMailbox:
                 return found
 
 
-def _ensure_picklable(value: Any) -> Tuple[Any, Optional[BaseException]]:
-    """Pass ``value`` through if it pickles, else substitute a ProcessError."""
-    try:
-        pickle.dumps(value)
-        return value, None
-    except Exception:  # noqa: BLE001 - any pickling failure degrades the same way
-        return None, ProcessError(f"unpicklable value could not cross processes: {value!r}")
+class _RouterPort:
+    """Outbound side of a worker OS process: the router queue and pipes."""
+
+    def __init__(self, bootstrap: _WorkerBootstrap, router: Any, control: Connection) -> None:
+        self._bootstrap = bootstrap
+        self._router = router
+        self._control = control
+
+    def send(self, message: Message) -> None:
+        blob = dumps(message)
+        if self._bootstrap.parent_inbox is not None and message.dst == self._bootstrap.parent:
+            # fast path: the hot upward messages go straight into the
+            # parent's mailbox (one queue hop instead of two + a router
+            # thread wake-up)
+            self._bootstrap.parent_inbox.put(blob)
+        else:
+            self._router.put(("send", message.dst, blob))
+
+    def spawn(self, syscall: Spawn) -> int:
+        _check_generator_function(syscall.func)
+        call = dumps((syscall.func, syscall.args, syscall.kwargs))
+        self._router.put(
+            ("spawn", self._bootstrap.pid, call, syscall.machine_index, syscall.name)
+        )
+        kind, payload = self._control.recv()
+        if kind != "spawned":
+            raise ProcessError(f"spawn failed in kernel process: {payload}")
+        return payload
+
+    def exit(self, result: Any, error: Optional[BaseException]) -> None:
+        self._router.put(("exit", self._bootstrap.pid, _outcome(result, error)))
+        close_attachments()
+
+
+class _KernelPort:
+    """Outbound side of a process on a thread of the kernel process."""
+
+    def __init__(self, kernel: "ProcessKernel", record: "_ProcessRecord") -> None:
+        self._kernel = kernel
+        self._record = record
+
+    def send(self, message: Message) -> None:
+        self._kernel._deliver(message.dst, self._kernel._dumps(message))
+
+    def spawn(self, syscall: Spawn) -> int:
+        return self._kernel.spawn(
+            syscall.func,
+            *syscall.args,
+            machine_index=syscall.machine_index,
+            name=syscall.name,
+            parent=self._record.pid,
+            **syscall.kwargs,
+        )
+
+    def exit(self, result: Any, error: Optional[BaseException]) -> None:
+        record = self._record
+        record.result, record.error = result, error
+        record.finished = True
+        record.done.set()
 
 
 class _WorkerRuntime:
-    """Syscall interpreter running inside one worker OS process."""
+    """Syscall interpreter of one process body, on a worker OS process or a
+    thread of the kernel process; ``port`` carries its sends, spawns and exit."""
 
     def __init__(
-        self, bootstrap: _WorkerBootstrap, router: Any, inbox: Any, control: Connection
+        self,
+        context: ProcessContext,
+        epoch: float,
+        inbox: Any,
+        port: _RouterPort | _KernelPort,
     ) -> None:
-        self._bootstrap = bootstrap
-        self._router = router
+        self._context = context
+        self._epoch = epoch
         self._mailbox = _QueueMailbox(inbox)
-        self._control = control
+        self._port = port
         # extra wall-clock seconds slept per second of real compute
-        self._slowdown = max(0.0, 1.0 / bootstrap.machine.effective_rate - 1.0)
+        self._slowdown = max(0.0, 1.0 / context.machine.effective_rate - 1.0)
 
     @property
     def _now(self) -> float:
-        return time.time() - self._bootstrap.epoch
+        return time.time() - self._epoch
 
-    def run(self) -> None:
-        bootstrap = self._bootstrap
-        context = ProcessContext(
-            pid=bootstrap.pid,
-            parent=bootstrap.parent,
-            name=bootstrap.name,
-            machine_index=bootstrap.machine_index,
-            machine=bootstrap.machine,
-        )
+    def run(self, load_call: Callable[[], _Call]) -> None:
         result: Any = None
         error: Optional[BaseException] = None
         try:
-            # shared-memory handles arrive in place of large immutable
-            # arguments (e.g. the shared SearchProblem); attach and rebuild
-            args = resolve_shared_refs(bootstrap.args)
-            generator = bootstrap.func(context, *args, **bootstrap.kwargs)
-            if not hasattr(generator, "send"):
-                raise ProcessError(
-                    f"process function {getattr(bootstrap.func, '__name__', bootstrap.func)!r} "
-                    "must be a generator function"
-                )
+            func, args, kwargs = load_call()
+            generator = func(self._context, *args, **kwargs)
             value: Any = None
             resumed_at = time.perf_counter()
             while True:
@@ -216,15 +280,9 @@ class _WorkerRuntime:
                 computed = time.perf_counter() - resumed_at
                 value = self._handle(syscall, computed)
                 resumed_at = time.perf_counter()
-        except BaseException as exc:  # noqa: BLE001 - shipped to the kernel process
+        except BaseException as exc:  # noqa: BLE001 - reported through the port
             error = exc
-        if error is None:
-            result, error = _ensure_picklable(result)
-        else:
-            error, degraded = _ensure_picklable(error)
-            error = error if degraded is None else degraded
-        self._router.put(("exit", bootstrap.pid, result, error))
-        close_attachments()
+        self._port.exit(result, error)
 
     def _handle(self, syscall: Syscall, computed_seconds: float) -> Any:
         if isinstance(syscall, Compute):
@@ -240,25 +298,17 @@ class _WorkerRuntime:
             return self._now
         if isinstance(syscall, Send):
             now = self._now
-            message = Message(
-                src=self._bootstrap.pid,
-                dst=syscall.dst,
-                tag=syscall.tag,
-                payload=syscall.payload,
-                size_bytes=estimate_payload_bytes(syscall.payload),
-                send_time=now,
-                arrival_time=now,
+            self._port.send(
+                Message(
+                    src=self._context.pid,
+                    dst=syscall.dst,
+                    tag=syscall.tag,
+                    payload=syscall.payload,
+                    size_bytes=estimate_payload_bytes(syscall.payload),
+                    send_time=now,
+                    arrival_time=now,
+                )
             )
-            if (
-                self._bootstrap.parent_inbox is not None
-                and syscall.dst == self._bootstrap.parent
-            ):
-                # fast path: the hot upward messages go straight into the
-                # parent's mailbox (one queue hop instead of two + a router
-                # thread wake-up)
-                self._bootstrap.parent_inbox.put(message)
-            else:
-                self._router.put(("send", message))
             return None
         if isinstance(syscall, Receive):
             return self._mailbox.get(
@@ -268,14 +318,7 @@ class _WorkerRuntime:
                 timeout=syscall.timeout,
             )
         if isinstance(syscall, Spawn):
-            # a shared-memory-backed argument (the problem a TSW hands its
-            # CLWs) goes back on the wire as its tiny ref, not a re-pickle
-            syscall = replace(syscall, args=substitute_shared_refs(syscall.args))
-            self._router.put(("spawn", self._bootstrap.pid, syscall))
-            kind, payload = self._control.recv()
-            if kind != "spawned":
-                raise ProcessError(f"spawn failed in kernel process: {payload}")
-            return payload
+            return self._port.spawn(syscall)
         raise ProcessError(f"unsupported syscall {syscall!r}")
 
 
@@ -283,7 +326,17 @@ def _worker_main(
     bootstrap: _WorkerBootstrap, router: Any, inbox: Any, control: Connection
 ) -> None:
     """Entry point of every worker OS process."""
-    _WorkerRuntime(bootstrap, router, inbox, control).run()
+    context = ProcessContext(
+        pid=bootstrap.pid,
+        parent=bootstrap.parent,
+        name=bootstrap.name,
+        machine_index=bootstrap.machine_index,
+        machine=bootstrap.machine,
+    )
+    runtime = _WorkerRuntime(
+        context, bootstrap.epoch, inbox, _RouterPort(bootstrap, router, control)
+    )
+    runtime.run(lambda: pickle.loads(bootstrap.call))
 
 
 # --------------------------------------------------------------------------- #
@@ -291,6 +344,7 @@ def _worker_main(
 # --------------------------------------------------------------------------- #
 @dataclass
 class _ProcessRecord(WorkerRecord):
+    #: The worker's OS process, or ``None`` for a kernel-thread process.
     process: Optional[multiprocessing.process.BaseProcess] = None
     inbox: Any = None
     control: Optional[Connection] = None  # kernel-side end of the spawn-reply pipe
@@ -361,38 +415,70 @@ class ProcessKernel(RealKernelBase):
         **kwargs: Any,
     ) -> int:
         """Start a process in its own OS process and return its pid."""
-        if self._closed:
-            raise ProcessError("kernel has been shut down")
-        if not inspect.isgeneratorfunction(func):
-            raise ProcessError(
-                f"process function {getattr(func, '__name__', func)!r} must be a generator function"
-            )
-        pid, machine_index = self._allocate(machine_index)
-        args = self._share_large_args(args)
-        record = _ProcessRecord(
-            pid=pid, name=name or f"proc{pid}", parent=parent, machine_index=machine_index
+        _check_generator_function(func)
+        return self._spawn_call(
+            self._dumps((func, args, kwargs)),
+            machine_index=machine_index,
+            name=name,
+            parent=parent,
         )
-        record.inbox = self._mp.Queue()
+
+    def spawn_local(
+        self,
+        func: ProcessFunction,
+        *args: Any,
+        machine_index: Optional[int] = None,
+        name: str = "",
+        parent: Optional[int] = None,
+        **kwargs: Any,
+    ) -> int:
+        """Start a process on a thread of the kernel process; return its pid.
+
+        The process gets the caller's arguments as they are — no pickling,
+        no shared-memory attach — and pays no interpreter start.  It talks
+        to the OS-process workers through the same inboxes, and its own
+        sends and spawns skip the router.
+        """
+        _check_generator_function(func)
+        record = self._new_record(machine_index, name, parent)
+        context = ProcessContext(
+            pid=record.pid,
+            parent=parent,
+            name=record.name,
+            machine_index=record.machine_index,
+            machine=self._cluster.machine(record.machine_index),
+        )
+        runtime = _WorkerRuntime(context, self._epoch, record.inbox, _KernelPort(self, record))
+        thread = threading.Thread(
+            target=runtime.run,
+            args=(lambda: (func, args, kwargs),),
+            name=record.name,
+            daemon=True,
+        )
+        self._register_and_start(record, thread.start)
+        return record.pid
+
+    def _spawn_call(
+        self, call: bytes, *, machine_index: Optional[int], name: str, parent: Optional[int]
+    ) -> int:
+        """Start an OS process running a :func:`dumps`-pickled call."""
+        record = self._new_record(machine_index, name, parent)
         kernel_conn, worker_conn = self._mp.Pipe()
         record.control = kernel_conn
         parent_inbox = None
         if parent is not None:
             try:
-                parent_record = self._record(parent)
+                parent_inbox = self._record(parent).inbox
             except ProcessError:
-                parent_record = None
-            if isinstance(parent_record, _ProcessRecord):
-                parent_inbox = parent_record.inbox
+                pass
         bootstrap = _WorkerBootstrap(
-            pid=pid,
+            pid=record.pid,
             name=record.name,
             parent=parent,
-            machine_index=machine_index,
-            machine=self._cluster.machine(machine_index),
+            machine_index=record.machine_index,
+            machine=self._cluster.machine(record.machine_index),
             epoch=self._epoch,
-            func=func,
-            args=args,
-            kwargs=dict(kwargs),
+            call=call,
             parent_inbox=parent_inbox,
         )
         process = self._mp.Process(
@@ -407,7 +493,20 @@ class ProcessKernel(RealKernelBase):
         # started and exited).
         self._register_and_start(record, process.start)
         worker_conn.close()  # the worker holds its own handle now
-        return pid
+        return record.pid
+
+    def _new_record(
+        self, machine_index: Optional[int], name: str, parent: Optional[int]
+    ) -> _ProcessRecord:
+        """A record with a fresh pid and inbox, not yet registered."""
+        if self._closed:
+            raise ProcessError("kernel has been shut down")
+        pid, machine_index = self._allocate(machine_index)
+        record = _ProcessRecord(
+            pid=pid, name=name or f"proc{pid}", parent=parent, machine_index=machine_index
+        )
+        record.inbox = self._mp.Queue()
+        return record
 
     def post(self, dst: int, tag: str, payload: Any = None) -> None:
         """Inject a message into a worker's inbox from outside any process.
@@ -423,47 +522,53 @@ class ProcessKernel(RealKernelBase):
             return
         now = self.now
         record.inbox.put(
-            Message(
-                src=0,
-                dst=dst,
-                tag=tag,
-                payload=payload,
-                size_bytes=estimate_payload_bytes(payload),
-                send_time=now,
-                arrival_time=now,
+            self._dumps(
+                Message(
+                    src=0,
+                    dst=dst,
+                    tag=tag,
+                    payload=payload,
+                    size_bytes=estimate_payload_bytes(payload),
+                    send_time=now,
+                    arrival_time=now,
+                )
             )
         )
 
-    def _share_large_args(self, args: Tuple[Any, ...]) -> Tuple[Any, ...]:
-        """Replace shm-exportable arguments with shared-memory refs.
+    def _deliver(self, dst: int, blob: bytes) -> None:
+        """Put a pickled message into ``dst``'s inbox (unknown pids: dropped)."""
+        try:
+            record = self._record(dst)
+        except ProcessError:
+            return  # message to a pid this kernel never spawned
+        assert isinstance(record, _ProcessRecord)
+        record.inbox.put(blob)
 
-        Each distinct object is exported once per kernel; every spawn after
-        the first ships the same tiny handle.  Worker-initiated spawns arrive
-        with refs already substituted by the worker runtime and pass through
-        untouched.
+    def _dumps(self, obj: Any) -> bytes:
+        """:func:`dumps` with this kernel's shared-memory exports."""
+        return dumps(obj, self._share)
+
+    def _share(self, obj: Any) -> Optional[SharedObjectRef]:
+        """The ref of a shm-exportable object, exported on first sight.
+
+        Each distinct object is exported once per kernel and its block is
+        kept until :meth:`shutdown`; every later crossing ships the same
+        small handle.
         """
-        shared = []
-        for value in args:
-            if isinstance(value, SharedObjectRef) or not hasattr(value, "__shm_export__"):
-                shared.append(value)
-                continue
-            # check-then-export under the lock: the user thread and the
-            # router thread (worker-initiated spawns) may race on the same
-            # object, and a double export would duplicate the shared block
-            with self._lock:
-                entry = self._shm_refs.get(id(value))
-                if entry is None:
-                    exported = export_shared(value)
-                    if exported is None:  # pragma: no cover - checked above
-                        shared.append(value)
-                        continue
-                    ref, pack = exported
-                    self._shm_refs[id(value)] = (value, ref)
-                    self._shm_packs.append(pack)
-                else:
-                    ref = entry[1]
-            shared.append(ref)
-        return tuple(shared)
+        if not hasattr(type(obj), "__shm_export__"):
+            return None
+        # check-then-export under the lock: a kernel-thread process and the
+        # caller's thread may race on the same object, and a double export
+        # would duplicate the shared block
+        with self._lock:
+            entry = self._shm_refs.get(id(obj))
+            if entry is None:
+                if self._closed:  # shutdown would never unlink the block
+                    raise ProcessError("kernel has been shut down")
+                ref, pack = export_shared(obj)
+                entry = self._shm_refs[id(obj)] = (obj, ref)
+                self._shm_packs.append(pack)
+        return entry[1]
 
     def _mark_unrunnable(self, record: WorkerRecord) -> None:
         assert isinstance(record, _ProcessRecord)
@@ -574,7 +679,8 @@ class ProcessKernel(RealKernelBase):
             time.sleep(0.05)
 
     def _wait_record(self, record: WorkerRecord, timeout: Optional[float]) -> bool:
-        assert isinstance(record, _ProcessRecord) and record.process is not None
+        assert isinstance(record, _ProcessRecord)
+        process = record.process  # None for a kernel-thread process
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             if deadline is None:
@@ -585,10 +691,10 @@ class ProcessKernel(RealKernelBase):
             if record.done.wait(wait_for):
                 # Reap the OS process — unless it never started (spawn
                 # failure), where join() would assert.
-                if record.process.is_alive() or record.process.exitcode is not None:
-                    record.process.join(timeout=5.0)
+                if process is not None and (process.is_alive() or process.exitcode is not None):
+                    process.join(timeout=5.0)
                 return True
-            if not record.process.is_alive() and record.process.exitcode is not None:
+            if process is not None and not process.is_alive() and process.exitcode is not None:
                 # Started and exited (exitcode None would mean the spawn is
                 # still mid-flight): give the router time to drain a final
                 # exit message — on a loaded machine it can lag well behind
@@ -599,7 +705,7 @@ class ProcessKernel(RealKernelBase):
                 elif now - record.death_detected_at >= self.death_report_grace:
                     record.error = ProcessError(
                         f"process {record.name!r} died without reporting "
-                        f"(exitcode {record.process.exitcode})"
+                        f"(exitcode {process.exitcode})"
                     )
                     record.finished = True
                     record.done.set()
@@ -619,7 +725,7 @@ class ProcessKernel(RealKernelBase):
                 continue
             except (EOFError, OSError):
                 return
-            except Exception:  # noqa: BLE001 - e.g. a payload that fails to *un*pickle
+            except Exception:  # noqa: BLE001 - e.g. a request that fails to *un*pickle
                 if self._closed:
                     return
                 continue
@@ -635,31 +741,21 @@ class ProcessKernel(RealKernelBase):
     def _dispatch(self, item: Tuple[Any, ...]) -> None:
         kind = item[0]
         if kind == "send":
-            _, message = item
-            try:
-                dst = self._record(message.dst)
-            except ProcessError:
-                return  # message to a pid this kernel never spawned: drop
-            assert isinstance(dst, _ProcessRecord)
-            dst.inbox.put(replace(message, arrival_time=self.now))
+            _, dst, blob = item
+            self._deliver(dst, blob)  # forwarded still pickled
         elif kind == "spawn":
-            _, requester_pid, syscall = item
+            _, requester_pid, call, machine_index, name = item
             requester = self._record(requester_pid)
             assert isinstance(requester, _ProcessRecord) and requester.control is not None
             try:
-                child = self.spawn(
-                    syscall.func,
-                    *syscall.args,
-                    machine_index=syscall.machine_index,
-                    name=syscall.name,
-                    parent=requester_pid,
-                    **syscall.kwargs,
+                child = self._spawn_call(
+                    call, machine_index=machine_index, name=name, parent=requester_pid
                 )
                 requester.control.send(("spawned", child))
             except Exception as error:  # noqa: BLE001 - reported to the requester
                 requester.control.send(("spawn-error", repr(error)))
         elif kind == "exit":
-            _, pid, result, error = item
+            _, pid, outcome = item
             record = self._record(pid)
             assert isinstance(record, _ProcessRecord)
             if record.finished and record.death_detected_at is None:
@@ -669,17 +765,19 @@ class ProcessKernel(RealKernelBase):
             # A genuine exit message overrides a *synthesized*
             # died-without-reporting error — the router was merely slow to
             # drain it, and the worker's real result is strictly better.
-            record.result = result
-            record.error = error
+            record.result, record.error = pickle.loads(outcome)
             record.finished = True
             record.done.set()
 
     # ------------------------------------------------------------------ #
     def shutdown(self) -> None:
-        """Stop the router thread and reap every worker process."""
+        """Stop the router thread, reap every worker process, unlink the
+        shared blocks.  A kernel-thread process still running loses its
+        inbox and ends with an error."""
         if self._closed:
             return
-        self._closed = True
+        with self._lock:
+            self._closed = True
         self._router_queue.put(None)
         self._router_thread.join(timeout=10.0)
         if self._monitor_thread is not None:

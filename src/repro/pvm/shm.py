@@ -1,12 +1,9 @@
 """Shared-memory shipment of large immutable objects to worker processes.
 
-The multiprocessing backend originally pickled the whole shared problem
-description (e.g. the placement domain's
-:class:`~repro.problems.placement.PlacementProblem`) into every spawned
-worker — hundreds of kilobytes of netlist CSR structure, coordinate tables
-and Python cell/net objects per process, twice per worker-initiated spawn
-(once through the router queue, once into the child).  The problem data is
-immutable, so this module ships it once instead:
+The problem description (e.g. the placement domain's
+:class:`~repro.problems.placement.PlacementProblem`) is immutable and large:
+netlist CSR structure, coordinate tables and Python cell/net objects.  On the
+processes backend it therefore never travels as a pickle:
 
 * :class:`SharedArrayPack` copies a set of named NumPy arrays into one
   ``multiprocessing.shared_memory`` block (created by the kernel process,
@@ -16,29 +13,38 @@ immutable, so this module ships it once instead:
   a module-level ``restore`` function that rebuilds the object *around* the
   attached arrays (zero-copy: the rebuilt object's hot arrays are views into
   the shared block);
-* :func:`resolve_shared_refs` swaps refs back into live objects on the worker
-  side, caching per block so a TSW and the CLWs it spawns inside the same
-  process tree attach at most once per process.
+* :func:`dumps` is the transport pickler of the processes backend.  Every
+  spawn call, message and exit outcome goes through it, and it writes each
+  shared object as its ref, wherever the object sits in the payload;
+* :func:`resolve_shared_ref` is what unpickling a ref calls.  It attaches
+  the block and rebuilds the object once per process; later refs to the same
+  block return the cached object, and :func:`release_shared` drops it.
 
 Objects opt in by implementing ``__shm_export__() -> (arrays, meta,
-restore)``; anything else passes through spawn untouched.
+restore)``.  The default pickler is not involved, so ``pickle.dumps`` of a
+shared object (a session checkpoint, say) stays a full, self-contained
+pickle.
 """
 
 from __future__ import annotations
 
 import importlib
+import io
+import pickle
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "SharedArrayPack",
     "SharedObjectRef",
+    "dumps",
     "export_shared",
-    "resolve_shared_refs",
-    "substitute_shared_refs",
+    "release_shared",
+    "resolve_shared_ref",
+    "shared_ref_of",
 ]
 
 
@@ -148,9 +154,10 @@ def attach_arrays(
 ) -> Tuple[Dict[str, np.ndarray], shared_memory.SharedMemory]:
     """Attach a block and materialise read-only views of its arrays.
 
-    The returned :class:`SharedMemory` object must stay referenced as long as
-    the views are in use (the views hold a reference to its buffer, but the
-    mapping must be closed explicitly at process exit).
+    The returned :class:`SharedMemory` object must stay referenced, and
+    open, as long as the views are in use: the views keep the ``mmap`` object
+    alive but not the mapping, which closing the block (or collecting it)
+    unmaps under them.
     """
     block = _attach_block(block_name)
     arrays: Dict[str, np.ndarray] = {}
@@ -196,14 +203,50 @@ def export_shared(obj: Any) -> Optional[Tuple[SharedObjectRef, SharedArrayPack]]
 
 
 # ------------------------------------------------------------------ #
-# worker side
+# transport
+# ------------------------------------------------------------------ #
+class _SharingPickler(pickle.Pickler):
+    """Pickler that writes every object ``share`` knows as its ref."""
+
+    def __init__(self, file: io.BytesIO, share: Callable[[Any], Optional[SharedObjectRef]]):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._share = share
+
+    def reducer_override(self, obj: Any) -> Any:
+        # never called for None, bools, exact ints, floats, strings, bytes
+        # and containers, so plain data costs nothing extra
+        ref = self._share(obj)
+        if ref is None:
+            return NotImplemented
+        return resolve_shared_ref, (ref,)
+
+
+def dumps(obj: Any, share: Optional[Callable[[Any], Optional[SharedObjectRef]]] = None) -> bytes:
+    """Pickle ``obj`` for another process, shared objects as their refs.
+
+    ``share(obj)`` returns the ref of a shared object, or ``None`` to pickle
+    it normally; the default knows the objects this process resolved.
+    Plain ``pickle.loads`` reads the result back.
+    """
+    buffer = io.BytesIO()
+    _SharingPickler(buffer, share or shared_ref_of).dump(obj)
+    return buffer.getvalue()
+
+
+# ------------------------------------------------------------------ #
+# receiving side
 # ------------------------------------------------------------------ #
 #: Per-process cache: block name → (restored object, attached block).  A TSW
-#: worker resolving the problem and then spawning CLWs reuses one attachment.
+#: worker resolving the problem and then spawning CLWs reuses one attachment,
+#: and a warm worker loop attaches once for all the runs on one problem.
 _RESOLVED: Dict[str, Tuple[Any, shared_memory.SharedMemory]] = {}
-#: Reverse map for worker-initiated spawns: id(object) → its ref, so the
-#: object is substituted back to the tiny ref instead of re-pickled.
+#: Reverse map: id(object) → its ref, so the object goes back on the wire as
+#: the ref instead of a re-pickle.
 _REVERSE: Dict[int, SharedObjectRef] = {}
+#: Blocks of released objects.  Closing a block unmaps it even under live
+#: NumPy views (a view keeps the ``mmap`` object, not the mapping), and views
+#: of a released object may outlive it, so these stay open until exit.
+_RELEASED: List[shared_memory.SharedMemory] = []
 
 
 def _restore_callable(spec: str):
@@ -214,34 +257,41 @@ def _restore_callable(spec: str):
     return target
 
 
-def resolve_shared_refs(values: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """Replace every :class:`SharedObjectRef` in ``values`` with its object."""
-    resolved = []
-    for value in values:
-        if isinstance(value, SharedObjectRef):
-            cached = _RESOLVED.get(value.block_name)
-            if cached is None:
-                arrays, block = attach_arrays(value.block_name, value.entries)
-                obj = _restore_callable(value.restore)(arrays, value.meta)
-                _RESOLVED[value.block_name] = (obj, block)
-                _REVERSE[id(obj)] = value
-                cached = (obj, block)
-            resolved.append(cached[0])
-        else:
-            resolved.append(value)
-    return tuple(resolved)
+def resolve_shared_ref(ref: SharedObjectRef) -> Any:
+    """The object behind ``ref``: attached and rebuilt once per process."""
+    cached = _RESOLVED.get(ref.block_name)
+    if cached is None:
+        arrays, block = attach_arrays(ref.block_name, ref.entries)
+        obj = _restore_callable(ref.restore)(arrays, ref.meta)
+        cached = _RESOLVED[ref.block_name] = (obj, block)
+        _REVERSE[id(obj)] = ref
+    return cached[0]
 
 
-def substitute_shared_refs(values: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """Replace known shared objects with their refs (worker-initiated spawns)."""
-    return tuple(_REVERSE.get(id(value), value) for value in values)
+def shared_ref_of(obj: Any) -> Optional[SharedObjectRef]:
+    """The ref ``obj`` was resolved from in this process, if any."""
+    return _REVERSE.get(id(obj))
+
+
+def release_shared(obj: Any) -> None:
+    """Forget a resolved object; a no-op for anything else.
+
+    The cache lets go of the object, so it is freed once its last user
+    drops it, and the next ref to its block attaches and rebuilds afresh.
+    The block itself stays attached until the process exits.
+    """
+    ref = _REVERSE.pop(id(obj), None)
+    if ref is not None:
+        _RELEASED.append(_RESOLVED.pop(ref.block_name)[1])
 
 
 def close_attachments() -> None:
     """Close every block this process attached (worker exit)."""
-    while _RESOLVED:
-        _name, (obj, block) = _RESOLVED.popitem()
-        _REVERSE.pop(id(obj), None)
+    blocks = _RELEASED + [block for _obj, block in _RESOLVED.values()]
+    _RESOLVED.clear()
+    _REVERSE.clear()
+    _RELEASED.clear()
+    for block in blocks:
         try:
             block.close()
         except Exception:  # noqa: BLE001 - exit-path cleanup is best-effort

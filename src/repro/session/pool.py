@@ -5,10 +5,17 @@ kernel (any backend) plus one persistent
 :func:`~repro.parallel.worker_loop.tsw_worker_loop` process per TSW — each
 owning its CLW loops — and serves any number of consecutive master runs
 against them.  A warm run ships the problem and parameters in ``SETUP``
-messages instead of respawning processes, which on the real processes
-backend skips OS-process startup entirely and reuses the kernel's
-shared-memory exports (the kernel dedupes exports by object identity, so a
-repeated problem object ships as a tiny handle).
+messages instead of respawning the loops.
+
+On the processes backend a warm run starts no OS process at all: the master
+runs on a thread of the kernel process (the caller's) and uses the caller's
+problem object, and each ``SETUP`` carries the problem as its small
+shared-memory handle, on both hops.  The kernel exports each distinct
+problem object once, when it first crosses, and holds the block until the
+pool closes; each loop attaches it once and keeps it for every run on that
+problem, releasing it when a ``SETUP`` names a different one.  So reuse one
+problem object for consecutive runs: rebuilding an equal problem per run
+exports (and pins) one more block each time.
 """
 
 from __future__ import annotations
@@ -61,7 +68,8 @@ def make_kernel(
 
 
 def _pool_shutdown_process(ctx, pids):
-    """One-shot process that tells every persistent worker loop to exit."""
+    """One-shot simulated process that tells every persistent loop to exit
+    (the simulated kernel has no outside mailbox access)."""
     for pid in pids:
         yield ctx.send(pid, Tags.POOL_SHUTDOWN)
 
@@ -315,7 +323,7 @@ class WorkerPool:
             result = self.kernel.result_of(pid)
             result.fault_events[:0] = repair_events
             return result, stats, self.kernel.now
-        pid = self.kernel.spawn(
+        pid = self.kernel.spawn_local(
             master_process,
             problem,
             params,
@@ -370,9 +378,8 @@ class WorkerPool:
             )
             self.kernel.run(allow_blocked=True)
         else:
-            self.kernel.spawn(
-                _pool_shutdown_process, list(self._tsw_pids), name="pool-shutdown"
-            )
+            for pid in self._tsw_pids:
+                self.kernel.post(pid, Tags.POOL_SHUTDOWN)
             self.kernel.join_all(timeout=join_timeout)
             self.kernel.shutdown()
 

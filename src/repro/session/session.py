@@ -257,7 +257,7 @@ class SearchSession:
         else:
             kernel = make_kernel(self.backend, self.cluster)
             try:
-                pid = kernel.spawn(
+                pid = kernel.spawn_local(
                     master_process,
                     self.problem,
                     self.params,

@@ -6,6 +6,7 @@ to the workers by pickled module reference.
 
 from __future__ import annotations
 
+import pickle
 import queue as queue_module
 import time
 
@@ -47,6 +48,14 @@ def fan_out_parent(ctx, count):
         message = yield ctx.recv(tag="result")
         total += message.payload
     return total
+
+
+def local_parent(ctx, token):
+    """Runs on a kernel thread: spawns an OS-process child, echoes through it."""
+    child_pid = yield ctx.spawn(echo_child, name="child")
+    yield ctx.send(child_pid, "ping", 1)
+    reply = yield ctx.recv(tag="pong")
+    return token, reply.payload
 
 
 def probing_proc(ctx):
@@ -98,6 +107,19 @@ class TestProcessKernel:
             # join must pick it up too.
             kernel.join_all(timeout=60.0)
             assert kernel.result_of(pid) == 2
+
+    def test_spawn_local_runs_on_a_kernel_thread(self):
+        token = lambda: None  # noqa: E731 - unpicklable on purpose
+        with make_kernel() as kernel:
+            pid = kernel.spawn_local(local_parent, token, name="local")
+            kernel.join_all(timeout=60.0)
+            # arguments and result are the caller's objects, never pickled
+            got, pong = kernel.result_of(pid)
+            assert got is token
+            assert pong == 2
+            (child,) = kernel.child_pids(pid)
+            assert kernel._records[pid].process is None
+            assert kernel._records[child].process is not None
 
     def test_fan_out_fan_in(self):
         with make_kernel() as kernel:
@@ -179,10 +201,13 @@ class TestQueueMailbox:
     """Filter semantics of the worker-side mailbox (no processes involved)."""
 
     @staticmethod
-    def message(src: int, tag: str, payload=None) -> Message:
-        return Message(
-            src=src, dst=9, tag=tag, payload=payload, size_bytes=8,
-            send_time=0.0, arrival_time=0.0,
+    def message(src: int, tag: str, payload=None) -> bytes:
+        """A message as it sits in an inbox: pickled."""
+        return pickle.dumps(
+            Message(
+                src=src, dst=9, tag=tag, payload=payload, size_bytes=8,
+                send_time=0.0, arrival_time=0.0,
+            )
         )
 
     def test_non_matching_messages_are_buffered_in_order(self):

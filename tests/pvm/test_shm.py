@@ -8,7 +8,10 @@ block (zero copies).
 
 from __future__ import annotations
 
+import mmap
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,11 +19,18 @@ import pytest
 from repro.parallel import PlacementProblem
 from repro.problems.placement import restore_shared_problem
 from repro.placement import load_benchmark
+from repro.pvm import homogeneous_cluster
+from repro.pvm.process_backend import ProcessKernel
 from repro.pvm.shm import (
     SharedArrayPack,
     SharedObjectRef,
     attach_arrays,
+    close_attachments,
+    dumps,
     export_shared,
+    release_shared,
+    resolve_shared_ref,
+    shared_ref_of,
 )
 
 
@@ -29,16 +39,36 @@ def problem():
     return PlacementProblem.from_netlist(load_benchmark("c532"), reference_seed=0)
 
 
+def views_shared_memory(array: np.ndarray) -> bool:
+    """Whether ``array`` is a zero-copy view of a mapped shared block."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, mmap.mmap)
+
+
 def shm_probe_process(ctx, prob):
     """Worker body (module-level so the spawn context can pickle it).
 
     Returns whether the problem arrived shared-memory backed plus a cost
     computed through it, proving the restored object is fully functional.
     """
-    shared_backed = prob.netlist.flat_members.base is not None
+    shared_backed = views_shared_memory(prob.netlist.flat_members)
     cost = prob.make_evaluator(prob.random_solution(1)).cost()
     return shared_backed, float(cost)
     yield  # pragma: no cover - makes this a generator function
+
+
+def shm_message_probe(ctx, prob):
+    """Receive the problem in two messages after getting it as a spawn
+    argument; report whether it is shared-memory backed and one object."""
+    first = (yield ctx.recv(tag="problem")).payload
+    second = (yield ctx.recv(tag="problem")).payload
+    received = first["problem"]
+    return (
+        views_shared_memory(received.netlist.flat_members),
+        received is second["problem"] is prob,
+    )
 
 
 class TestSharedArrayPack:
@@ -155,9 +185,6 @@ class TestSharedProblem:
 
     def test_process_kernel_exports_once_per_problem(self, problem):
         """Spawning several workers with the same problem shares one block."""
-        from repro.pvm import homogeneous_cluster
-        from repro.pvm.process_backend import ProcessKernel
-
         kernel = ProcessKernel(homogeneous_cluster(2))
         try:
             pids = [
@@ -173,3 +200,101 @@ class TestSharedProblem:
             assert len(kernel._shm_packs) == 1  # one export serves every spawn
         finally:
             kernel.shutdown()
+
+
+class TestTransport:
+    """The processes backend pickles everything through ``shm.dumps``."""
+
+    def test_nested_shared_object_travels_as_its_ref(self, problem):
+        ref, pack = export_shared(problem)
+        try:
+            blob = dumps({"setup": [problem, 3]}, lambda obj: ref if obj is problem else None)
+            assert len(blob) < len(pickle.dumps(problem)) / 4
+            payload = pickle.loads(blob)  # resolves the ref in this process
+            restored = payload["setup"][0]
+            assert payload["setup"][1] == 3
+            assert views_shared_memory(restored.netlist.flat_members)
+            assert shared_ref_of(restored) == ref
+            # a resolved object goes back on the wire as its ref again
+            assert pickle.loads(dumps([restored]))[0] is restored
+            del payload, restored
+        finally:
+            close_attachments()
+            pack.close()
+            pack.unlink()
+
+    def test_resolved_once_and_released(self, problem):
+        ref, pack = export_shared(problem)
+        try:
+            first = resolve_shared_ref(ref)
+            assert resolve_shared_ref(ref) is first
+            expected = problem.make_evaluator(problem.random_solution(2)).cost()
+            release_shared(first)
+            assert shared_ref_of(first) is None
+            # a released object stays usable (its block is still mapped) ...
+            assert first.make_evaluator(first.random_solution(2)).cost() == expected
+            # ... and the next ref to its block rebuilds afresh
+            second = resolve_shared_ref(ref)
+            assert second is not first
+            assert second.make_evaluator(second.random_solution(2)).cost() == expected
+            release_shared(problem)  # never resolved here: a no-op
+            assert shared_ref_of(second) == ref
+            del first, second
+        finally:
+            close_attachments()
+            pack.close()
+            pack.unlink()
+
+    def test_messages_and_spawn_args_share_one_attachment(self, problem):
+        kernel = ProcessKernel(homogeneous_cluster(2))
+        try:
+            pid = kernel.spawn(shm_message_probe, problem, name="probe")
+            kernel.post(pid, "problem", {"problem": problem})
+            kernel.post(pid, "problem", {"problem": problem})
+            kernel.join(pid, timeout=120.0)
+            shared_backed, one_object = kernel.result_of(pid)
+            assert shared_backed
+            assert one_object
+            assert len(kernel._shm_packs) == 1
+        finally:
+            kernel.shutdown()
+
+    def test_concurrent_first_crossings_export_once(self, problem):
+        """The master thread and the caller may both be first to send the
+        problem; the kernel must still export it exactly once."""
+        kernel = ProcessKernel(homogeneous_cluster(2))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            barrier = threading.Barrier(8)
+            refs = []
+
+            def cross():
+                barrier.wait(timeout=30.0)
+                refs.append(kernel._share(problem))
+
+            threads = [threading.Thread(target=cross) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(refs) == 8
+            assert len({ref.block_name for ref in refs}) == 1
+            assert len(kernel._shm_packs) == 1
+        finally:
+            sys.setswitchinterval(interval)
+            kernel.shutdown()
+
+    def test_plain_pickle_stays_self_contained(self, problem):
+        kernel = ProcessKernel(homogeneous_cluster(2))
+        try:
+            pid = kernel.spawn(shm_probe_process, problem, name="probe")
+            kernel.join(pid, timeout=120.0)
+            assert len(kernel._shm_packs) == 1  # the problem is exported now
+            blob = pickle.dumps(problem)
+        finally:
+            kernel.shutdown()  # unlinks the block
+        restored = pickle.loads(blob)
+        assert not views_shared_memory(restored.netlist.flat_members)
+        assert restored.netlist.stats().as_dict() == problem.netlist.stats().as_dict()
