@@ -382,12 +382,8 @@ def _sessions_inspect(paths: Sequence[str]) -> int:
     for path in paths:
         state = SessionState.load(path)
         run_state = state.run_state
-        workers = (
-            int(getattr(run_state, "num_workers", 0) or 0)
-            if run_state is not None
-            else 0
-        ) or int(state.params.num_tsws)
-        drained = tuple(getattr(run_state, "drained_workers", ()) or ()) if run_state else ()
+        workers = run_state.num_workers if run_state is not None else state.params.num_tsws
+        drained = tuple(run_state.drained_workers) if run_state is not None else ()
         print(f"{path}: {state.problem.name} [{state.backend}]")
         print(
             f"  topology: {workers} worker slot(s), "

@@ -138,7 +138,7 @@ def clw_process(
         if message.tag != Tags.CLW_TASK:
             continue
         task: ClwTask = message.payload
-        if getattr(task, "cell_range", None) is not None:
+        if task.cell_range is not None:
             # elastic re-assignment: a CLW died and the TSW re-partitioned
             # its ranges over the survivors
             cell_range = task.cell_range

@@ -19,7 +19,7 @@ SyncMode = Literal["heterogeneous", "homogeneous"]
 class FaultPolicy:
     """How the master survives and adapts to worker failure mid-run.
 
-    With a policy enabled the master (and each TSW, toward its CLWs) tracks
+    With a policy set the master (and each TSW, toward its CLWs) tracks
     per-worker report deadlines and death notices instead of trusting every
     worker to answer: a worker that misses ``max_missed_deadlines + 1``
     deadlines — or whose backend reports it dead — is declared dead, its
@@ -66,7 +66,6 @@ class FaultPolicy:
     limplock_rounds: int = 2
     min_iteration_share: float = 0.25
     throughput_smoothing: float = 0.5
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         for label, value in (
@@ -168,11 +167,8 @@ class ParallelSearchParams:
 
     @property
     def fault_enabled(self) -> bool:
-        """Whether a fault policy is present and switched on."""
-        # getattr: params pickled before this field existed restore without
-        # the slot — treat them as fault-less rather than crash
-        fault = getattr(self, "fault", None)
-        return fault is not None and fault.enabled
+        """Whether a fault policy is set (``fault=None`` is the off switch)."""
+        return self.fault is not None
 
     def __post_init__(self) -> None:
         if self.num_tsws < 1:
@@ -189,7 +185,7 @@ class ParallelSearchParams:
             raise ParallelSearchError(
                 f"report_fraction must be in (0, 1], got {self.report_fraction}"
             )
-        hints = getattr(self, "worker_speed_hints", None)
+        hints = self.worker_speed_hints
         if hints is not None:
             hints = tuple(float(h) for h in hints)
             if len(hints) != self.num_tsws:

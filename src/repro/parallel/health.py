@@ -1,13 +1,14 @@
-"""Master-side worker health ledger: liveness, deadlines and throughput.
+"""Worker health ledger: liveness, deadlines and throughput.
 
-The fault-tolerant master keeps one :class:`HealthLedger` over its TSWs (and
-each TSW keeps one over its CLWs): every report updates an EWMA of the
-worker's *observed* per-round throughput, every missed deadline increments a
-strike counter, and a death — by strike-out or by backend obituary — flips
-the worker's ``alive`` bit.  The ledger is pure bookkeeping driven by times
-the caller passes in (virtual on the simulated backend, wall-clock on the
-real ones), so the same code is bit-deterministic under the simulator and
-its state serialises into run checkpoints.
+In fault mode every :class:`~repro.parallel.coordinator.Coordinator` keeps
+one :class:`HealthLedger` over its children — the master's over its TSWs,
+each TSW's over its CLWs: every missed deadline increments a strike counter,
+and a death — by strike-out or by backend obituary — flips the worker's
+``alive`` bit.  The master also folds every TSW report into an EWMA of the
+worker's *observed* per-round throughput.  The ledger is pure bookkeeping
+driven by times the caller passes in (virtual on the simulated backend,
+wall-clock on the real ones), so the same code is bit-deterministic under
+the simulator and its state serialises into run checkpoints.
 
 Throughput observations feed two decisions:
 
@@ -259,8 +260,7 @@ class HealthLedger:
         ``revive`` resets every non-drained worker to alive: deaths are
         per-epoch facts (a cold resume respawns all workers; a pool resume
         repairs dead loops first), while throughput history — and graceful
-        retirements — are worth keeping.  Accepts the pre-elasticity
-        8-element rows (no ``drained`` flag) for old checkpoints.
+        retirements — are worth keeping.
         """
         for row in state:
             key = row[0]
@@ -276,8 +276,8 @@ class HealthLedger:
                 worker.rounds_reported,
                 worker.slow_streak,
                 worker.limplocked,
-            ) = row[:8]
-            worker.drained = bool(row[8]) if len(row) > 8 else False
+                worker.drained,
+            ) = row
             if revive:
                 worker.alive = not worker.drained
                 worker.missed_deadlines = 0

@@ -3,7 +3,7 @@
 The master
 
 1. creates the initial solution and the reference objective vector,
-2. spawns the TSWs and hands every one the *same* initial solution,
+2. starts the TSWs and hands every one the *same* initial solution,
 3. runs ``global_iterations`` rounds: broadcast the incumbent best solution
    (plus its tabu list), collect one result per TSW — interrupting the slow
    ones according to the synchronisation policy — and adopt the best,
@@ -11,33 +11,39 @@ The master
    objectives, and the best-cost-versus-virtual-time trace the heterogeneity
    experiment (Figure 11) plots.
 
-The session layer (PR 7) extends this into a *resumable* process: the round
-loop can be entered at any global iteration from a harvested
-:class:`MasterRunState`, capped after ``max_rounds`` rounds, or paused by a
-``CANCEL`` message — in all three cases the master harvests the full worker
-subtree state (master → TSW → CLW) before stopping the workers, and returns
-an *incomplete* :class:`MasterResult` whose ``run_state`` resumes the run
-bit-identically.  Workers are acquired either by spawning (cold start and
-checkpoint restore) or by shipping ``SETUP`` messages to the persistent
-worker loops of a warm :class:`~repro.session.WorkerPool`.
+Everything per-TSW — the roster, range assignment, delta residents, health
+ledger, deadlines, the ``SETUP`` handshake and the harvest — lives in the
+:class:`~repro.parallel.coordinator.Coordinator` the master shares with every
+TSW (which runs one over its CLWs).  This body keeps only the search step:
+the initial solution, admissions and drains at the round boundary, adopting
+the best report, the per-round records and the run state.
+
+The process is *resumable*: the round loop can be entered at any global
+iteration from a harvested :class:`MasterRunState`, capped after
+``max_rounds`` rounds, or paused by a ``CANCEL`` message — in all three cases
+the master harvests the full worker subtree state (master → TSW → CLW) before
+stopping the workers, and returns an *incomplete* :class:`MasterResult` whose
+``run_state`` resumes the run bit-identically.  TSWs are either spawned (cold
+start and checkpoint restore) or set up on the persistent worker loops of a
+warm :class:`~repro.session.WorkerPool`.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .._rng import derive_seed
 from ..core.protocols import SearchProblem
 from ..metrics.trace import FaultEvent, best_so_far_envelope
-from ..tabu.candidate import partition_cells, partition_cells_weighted
+from ..tabu.candidate import partition_cells
 from .config import ParallelSearchParams
-from .delta import DeltaEncoder, decode_solution, swap_list_between
-from .health import HealthLedger
-from .messages import GlobalStart, ReportNow, Tags, TswResult, TswSetup, TswWorkerState
+from .coordinator import Coordinator
+from .delta import decode_solution, swap_list_between
+from .messages import GlobalStart, Tags, TswResult, TswSetup, TswWorkerState
 from .sync import SyncPolicy
 from .tsw import tsw_process
 
@@ -98,8 +104,7 @@ class MasterRunState:
     fault_events: List[FaultEvent] = field(default_factory=list)
     # --- elasticity (PR 10) -------------------------------------------------
     #: Total worker indices ever allocated (initial topology + mid-run
-    #: admissions).  ``0`` on pre-elasticity checkpoints means "use
-    #: ``params.num_tsws``".
+    #: admissions).
     num_workers: int = 0
     #: Live range assignment at pause, keyed by ``tsw_index``.  A resume of a
     #: grown/drained topology must restore these exactly — re-deriving them
@@ -179,8 +184,8 @@ def master_process(
         Pids of persistent TSW worker loops (one per TSW, in ``tsw_index``
         order) to configure via ``SETUP`` instead of spawning fresh workers.
     """
-    sync = SyncPolicy(mode=params.sync_mode, report_fraction=params.report_fraction)
     num_cells = problem.num_cells
+    fault = params.fault
 
     # ---- initial solution and reference cost ------------------------------
     if resume_state is None:
@@ -231,215 +236,85 @@ def master_process(
     # the retired indices, and the live range assignment, which must be
     # restored exactly — re-deriving ranges from worker counts would diverge
     # from the admission-time re-partition.
-    initial_workers = params.num_tsws
-    drained_indices: Set[int] = set()
-    if resume_state is not None:
-        initial_workers = int(getattr(resume_state, "num_workers", 0) or params.num_tsws)
-        drained_indices = {
-            int(index) for index in (getattr(resume_state, "drained_workers", ()) or ())
-        }
     clw_ranges = partition_cells(
         num_cells, params.clws_per_tsw, scheme=params.clw_partition_scheme, label_prefix="clw"
     )
-    saved_ranges = (
-        getattr(resume_state, "assigned_ranges", None) if resume_state is not None else None
-    )
-    if saved_ranges:
-        assigned_range: Dict[int, Any] = {int(k): v for k, v in saved_ranges.items()}
-    else:
-        # fresh start, or a pre-elasticity checkpoint: positional partition
-        assigned_range = dict(
-            enumerate(
-                partition_cells(
-                    num_cells,
-                    initial_workers,
-                    scheme=params.tsw_partition_scheme,
-                    label_prefix="tsw",
-                )
-            )
+    hint_map: Dict[int, float] = dict(enumerate(params.worker_speed_hints or ()))
+    if resume_state is None:
+        next_worker_index = params.num_tsws
+        tsw_ranges = partition_cells(
+            num_cells, next_worker_index, scheme=params.tsw_partition_scheme, label_prefix="tsw"
         )
-    for index in drained_indices:
-        assigned_range.pop(index, None)
-    shipped_range: Dict[int, Any] = dict(assigned_range)  # shipped at startup
-
-    worker_states_by_index: Dict[int, TswWorkerState] = {}
+        ranges = dict(enumerate(tsw_ranges))
+    else:
+        next_worker_index = int(resume_state.num_workers)
+        ranges = resume_state.assigned_ranges
+        hint_map.update(resume_state.speed_hints or {})
+    coord = Coordinator(
+        ctx,
+        sync=SyncPolicy(mode=params.sync_mode, report_fraction=params.report_fraction),
+        fault=fault,
+        deadline=fault.round_deadline if fault is not None else 0.0,
+        prefix="tsw",
+        num_cells=num_cells,
+        scheme=params.tsw_partition_scheme,
+        ranges=ranges,
+        task_tag=Tags.GLOBAL_START,
+        result_tag=Tags.TSW_RESULT,
+        round_of=lambda result: result.global_iteration,
+        resend_ships_range=True,
+        ledger_keys=list(range(next_worker_index)),
+        speed_hints=hint_map or None,
+    )
+    coord.time_offset = time_offset
+    worker_states: Dict[int, TswWorkerState] = {}
     if resume_state is not None:
-        worker_states_by_index = {s.tsw_index: s for s in resume_state.worker_states}
+        coord.drained.update(resume_state.drained_workers)
+        coord.encoder.install_residents(resume_state.master_residents)
+        if coord.ledger is not None and resume_state.health is not None:
+            coord.ledger.install_state(resume_state.health, revive=True)
+        worker_states = {state.tsw_index: state for state in resume_state.worker_states}
 
-    spawn_indices = [i for i in range(initial_workers) if i not in drained_indices]
+    def launch(index: int, loop_pid: Optional[int], machine: Optional[int] = None):
+        """Start TSW ``index``: SETUP a warm pool loop, or spawn a process."""
+        setup = TswSetup(
+            problem=problem,
+            params=params,
+            tsw_index=index,
+            tsw_range=coord.ranges[index],
+            clw_ranges=tuple(clw_ranges),
+            seed=derive_seed(params.seed, "tsw", index),
+            initial_state=worker_states.get(index),
+        )
+        if loop_pid is not None:
+            return coord.setup(index, loop_pid, setup)
+        return coord.spawn(
+            index,
+            tsw_process,
+            problem,
+            params,
+            index,
+            setup.tsw_range,
+            list(clw_ranges),
+            setup.seed,
+            name=f"tsw{index}",
+            machine_index=machine,
+            initial_state=setup.initial_state,
+        )
+
     # A grown pool may hold more loops than the base topology (the extras
     # idle until admitted or resumed into a grown roster) — only *too few*
-    # loops is a misconfiguration.
+    # loops is a misconfiguration.  A resumed roster grown past the pool's
+    # loop count spawns the overflow.
     if pool_pids is not None and resume_state is None and len(pool_pids) < params.num_tsws:
         raise ValueError(
             f"pool provides {len(pool_pids)} TSW loops, params want {params.num_tsws}"
         )
-    pool_loop_pids = list(pool_pids) if pool_pids is not None else []
-    tsw_pids: List[int] = []
-    pid_of_index: Dict[int, int] = {}
-    index_of_pid: Dict[int, int] = {}
-    setup_sent: Set[int] = set()
-    for slot, tsw_index in enumerate(spawn_indices):
-        if slot < len(pool_loop_pids):
-            # Warm pool loop: ship a SETUP and wait for the ack before any
-            # run traffic (the explicit handshake beats the simulated
-            # network's size-dependent message latency).
-            pid = pool_loop_pids[slot]
-            yield ctx.send(
-                pid,
-                Tags.SETUP,
-                TswSetup(
-                    problem=problem,
-                    params=params,
-                    tsw_index=tsw_index,
-                    tsw_range=assigned_range[tsw_index],
-                    clw_ranges=tuple(clw_ranges),
-                    seed=derive_seed(params.seed, "tsw", tsw_index),
-                    initial_state=worker_states_by_index.get(tsw_index),
-                ),
-            )
-            setup_sent.add(pid)
-        else:
-            # Cold spawn — also the overflow path when a resumed roster has
-            # grown past the pool's loop count.
-            pid = yield ctx.spawn(
-                tsw_process,
-                problem,
-                params,
-                tsw_index,
-                assigned_range[tsw_index],
-                list(clw_ranges),
-                derive_seed(params.seed, "tsw", tsw_index),
-                name=f"tsw{tsw_index}",
-                initial_state=worker_states_by_index.get(tsw_index),
-            )
-        tsw_pids.append(pid)
-        pid_of_index[tsw_index] = pid
-        index_of_pid[pid] = tsw_index
-    awaiting_acks = bool(setup_sent)
-
-    # ---- fault mode: health ledger and elastic topology bookkeeping --------
-    fault = params.fault if params.fault_enabled else None
-    fault_events: List[FaultEvent] = []
-    dead_pids: Set[int] = set()
-    retired_pids: Set[int] = set()
-    admitted_indices: List[int] = []
-    drained_this_run: List[int] = []
-    pending_admits: List[Any] = []
-    pending_drains: List[Any] = []
-    next_worker_index = initial_workers
-    ledger: Optional[HealthLedger] = None
-    if fault is not None:
-        hints = getattr(params, "worker_speed_hints", None)
-        hint_map: Dict[int, float] = dict(enumerate(hints)) if hints is not None else {}
-        saved_hints = (
-            getattr(resume_state, "speed_hints", None) if resume_state is not None else None
-        )
-        if saved_hints:
-            hint_map.update({int(k): float(v) for k, v in saved_hints.items()})
-        ledger = HealthLedger(
-            fault,
-            list(range(initial_workers)),
-            speed_hints=hint_map or None,
-        )
-        if resume_state is not None and getattr(resume_state, "health", None) is not None:
-            ledger.install_state(resume_state.health, revive=True)
-
-    def _note_event(kind: str, index: int, detail: str = "", at: float = 0.0) -> None:
-        fault_events.append(
-            FaultEvent(time=float(at), kind=kind, worker=f"tsw{index}", detail=detail)
-        )
-
-    def _declare_dead(pid: int, reason: str, at: float) -> None:
-        """Mark a TSW dead and re-partition its range over the survivors."""
-        index = index_of_pid[pid]
-        dead_pids.add(pid)
-        ledger.mark_dead(index)
-        encoder.invalidate(pid)
-        _note_event("worker-dead", index, reason, at)
-        survivors = [
-            index_of_pid[p] for p in tsw_pids if p not in dead_pids and p not in retired_pids
-        ]
-        if not survivors:
-            return
-        weights = ledger.throughput_weights(survivors) if fault.rebalance else None
-        if weights is not None:
-            new_ranges = partition_cells_weighted(
-                num_cells,
-                weights,
-                scheme=params.tsw_partition_scheme,
-                label_prefix="tsw",
-            )
-        else:
-            new_ranges = partition_cells(
-                num_cells,
-                len(survivors),
-                scheme=params.tsw_partition_scheme,
-                label_prefix="tsw",
-            )
-        for new_range, survivor in zip(new_ranges, survivors):
-            assigned_range[survivor] = new_range
-        _note_event(
-            "range-reassigned",
-            index,
-            f"range split over {len(survivors)} survivor(s)",
-            at,
-        )
-
-    # Per-TSW resident tracking: broadcasts go out as swap-list deltas
-    # against each TSW's previously *reported* solution (what it keeps
-    # resident after normalising), falling back to full shipment on first
-    # contact, after a needs_full NACK, or when the searches diverged.
-    encoder = DeltaEncoder()
-    if resume_state is not None:
-        encoder.install_residents(
-            {
-                pid_of_index[int(index)]: entry
-                for index, entry in resume_state.master_residents.items()
-                if int(index) in pid_of_index
-            }
-        )
-
-    cancel_seen = False
-    if awaiting_acks:
-        # Warm pool: wait for every SETUP ack before any run traffic (the
-        # explicit handshake beats the simulated network's size-dependent
-        # message latency).
-        acked: Set[int] = set()
-        if fault is None:
-            while len(acked) < len(setup_sent):
-                ack = yield ctx.recv(tag=Tags.SETUP_ACK)
-                acked.add(ack.src)
-        else:
-            # A loop that dies before acking must not wedge the handshake:
-            # give the ack round one deadline and strike silent loops out up
-            # front, so the run starts degraded instead of never starting.
-            ack_deadline = float((yield ctx.now())) + fault.round_deadline
-            while setup_sent - acked - dead_pids:
-                now = yield ctx.now()
-                remaining = ack_deadline - float(now)
-                if remaining <= 0:
-                    for pid in sorted(setup_sent - acked - dead_pids):
-                        _declare_dead(pid, "no setup ack", float(now) + time_offset)
-                    break
-                reply = yield ctx.recv_timeout(remaining)
-                if reply is None:
-                    continue
-                if reply.tag == Tags.SETUP_ACK:
-                    acked.add(reply.src)
-                elif reply.tag == Tags.WORKER_DOWN:
-                    down_pid = getattr(reply.payload, "pid", None)
-                    if down_pid in index_of_pid and down_pid not in dead_pids:
-                        at = yield ctx.now()
-                        reason = getattr(reply.payload, "reason", "") or "backend obituary"
-                        _declare_dead(down_pid, reason, float(at) + time_offset)
-                elif reply.tag == Tags.CANCEL:
-                    # honoured at the first global-iteration boundary
-                    cancel_seen = True
-                elif reply.tag == Tags.ADMIT:
-                    pending_admits.append(reply.payload)
-                elif reply.tag == Tags.DRAIN:
-                    pending_drains.append(reply.payload)
+    loops = list(pool_pids or ())
+    spawn_indices = [i for i in range(next_worker_index) if i not in coord.drained]
+    for slot, index in enumerate(spawn_indices):
+        yield from launch(index, loops[slot] if slot < len(loops) else None)
+    yield from coord.await_acks()
 
     # ---- global iterations --------------------------------------------------
     stop_round = params.global_iterations
@@ -449,8 +324,12 @@ def master_process(
     cancelled = False
     all_dead = False
     for global_iteration in range(start_round, stop_round):
+        # CANCEL, ADMIT and DRAIN scooped by the coordinator's untagged
+        # receives are honoured here, at the boundary, like the probes
+        scooped = coord.inbox
+        coord.inbox = []
         cancel = yield ctx.probe(tag=Tags.CANCEL)
-        if cancel is not None or cancel_seen:
+        if cancel is not None or any(m.tag == Tags.CANCEL for m in scooped):
             cancelled = True
             break
 
@@ -460,380 +339,117 @@ def master_process(
         # *processed* here, at the global-iteration boundary, where every
         # worker is idle and its last report is already folded in — that is
         # what makes the grown topology deterministic under the simulator.
-        while True:
-            request = yield ctx.probe(tag=Tags.DRAIN)
-            if request is None:
-                break
-            pending_drains.append(request.payload)
-        while True:
-            request = yield ctx.probe(tag=Tags.ADMIT)
-            if request is None:
-                break
-            pending_admits.append(request.payload)
-        if pending_drains or pending_admits:
+        drains = [m.payload for m in scooped if m.tag == Tags.DRAIN]
+        admits = [m.payload for m in scooped if m.tag == Tags.ADMIT]
+        for tag, requests in ((Tags.DRAIN, drains), (Tags.ADMIT, admits)):
+            while True:
+                request = yield ctx.probe(tag=tag)
+                if request is None:
+                    break
+                requests.append(request.payload)
+        if drains or admits:
             boundary_at = yield ctx.now()
-            boundary_at = float(boundary_at) + time_offset
-            by_name = {f"tsw{index}": index for index in pid_of_index}
-            for spec in pending_drains:
-                index = by_name.get(getattr(spec, "name", ""))
-                if index is None:
-                    continue
-                pid = pid_of_index[index]
-                if pid in dead_pids or pid in retired_pids:
-                    continue
+            for spec in drains:
                 # Graceful retirement: the worker's current range is finished
                 # (boundary semantics — its report for the previous round is
                 # already adopted), so harvest is complete; no strike.
-                retired_pids.add(pid)
-                drained_indices.add(index)
-                drained_this_run.append(index)
-                if ledger is not None:
-                    ledger.mark_drained(index)
-                encoder.invalidate(pid)
-                assigned_range.pop(index, None)
-                shipped_range.pop(index, None)
-                _note_event(
-                    "worker-drained", index, "graceful drain (no strike)", boundary_at
-                )
-                yield ctx.send(pid, Tags.STOP)
+                for index in coord.live_indices():
+                    if f"tsw{index}" == spec.name:
+                        yield from coord.drain(index, boundary_at)
             # (index, pool loop pid or None, speed hint, machine pin)
             new_workers: List[Tuple[int, Optional[int], Optional[float], Optional[int]]] = []
-            for spec in pending_admits:
-                admit_pids = list(getattr(spec, "pids", ()) or ())
-                if admit_pids:
-                    admit_hints = list(getattr(spec, "speed_hints", ()) or ())
-                    admit_hints += [None] * (len(admit_pids) - len(admit_hints))
-                    for loop_pid, hint in zip(admit_pids, admit_hints):
+            for spec in admits:
+                if spec.pids:
+                    hints = list(spec.speed_hints) + [None] * len(spec.pids)
+                    for loop_pid, hint in zip(spec.pids, hints):
                         new_workers.append((next_worker_index, loop_pid, hint, None))
                         next_worker_index += 1
                 else:
-                    count = max(1, int(getattr(spec, "count", 1) or 1))
-                    hint = getattr(spec, "speed_hint", None)
-                    machine = getattr(spec, "machine", None)
-                    for _ in range(count):
-                        new_workers.append((next_worker_index, None, hint, machine))
+                    for _ in range(max(1, spec.count)):
+                        new_workers.append(
+                            (next_worker_index, None, spec.speed_hint, spec.machine)
+                        )
                         next_worker_index += 1
-            pending_admits = []
-            pending_drains = []
-            for index, _loop_pid, hint, _machine in new_workers:
-                if ledger is not None:
-                    ledger.add_worker(index, speed_hint=hint)
+            if coord.ledger is not None:
+                for index, _loop_pid, hint, _machine in new_workers:
+                    coord.ledger.add_worker(index, speed_hint=hint)
             # One re-partition over the final roster (survivors + admitted).
             # Admitted workers have no throughput observations yet, so the
             # weighted split only kicks in once everyone has reported.
-            survivors = sorted(
-                index_of_pid[p]
-                for p in tsw_pids
-                if p not in dead_pids and p not in retired_pids
-            )
-            roster = survivors + [entry[0] for entry in new_workers]
+            roster = coord.live_indices() + [entry[0] for entry in new_workers]
             if roster:
-                weights = (
-                    ledger.throughput_weights(roster)
-                    if ledger is not None and fault.rebalance
-                    else None
-                )
-                if weights is not None:
-                    new_ranges = partition_cells_weighted(
-                        num_cells,
-                        weights,
-                        scheme=params.tsw_partition_scheme,
-                        label_prefix="tsw",
-                    )
-                else:
-                    new_ranges = partition_cells(
-                        num_cells,
-                        len(roster),
-                        scheme=params.tsw_partition_scheme,
-                        label_prefix="tsw",
-                    )
-                for new_range, index in zip(new_ranges, roster):
-                    assigned_range[index] = new_range
-                _note_event(
+                coord.repartition(roster)
+                coord.note(
                     "range-reassigned",
                     -1,
                     f"ranges re-partitioned over {len(roster)} worker(s)",
                     boundary_at,
                 )
-            admit_acks_expected: Set[int] = set()
             for index, loop_pid, hint, machine in new_workers:
-                if loop_pid is not None:
-                    yield ctx.send(
-                        loop_pid,
-                        Tags.SETUP,
-                        TswSetup(
-                            problem=problem,
-                            params=params,
-                            tsw_index=index,
-                            tsw_range=assigned_range[index],
-                            clw_ranges=tuple(clw_ranges),
-                            seed=derive_seed(params.seed, "tsw", index),
-                            initial_state=None,
-                        ),
-                    )
-                    admit_acks_expected.add(loop_pid)
-                    pid = loop_pid
-                else:
-                    pid = yield ctx.spawn(
-                        tsw_process,
-                        problem,
-                        params,
-                        index,
-                        assigned_range[index],
-                        list(clw_ranges),
-                        derive_seed(params.seed, "tsw", index),
-                        name=f"tsw{index}",
-                        machine_index=machine,
-                        initial_state=None,
-                    )
-                tsw_pids.append(pid)
-                pid_of_index[index] = pid
-                index_of_pid[pid] = index
-                shipped_range[index] = assigned_range[index]
-                admitted_indices.append(index)
+                yield from launch(index, loop_pid, machine)
                 detail = "admitted mid-run"
                 if hint is not None:
                     detail += f" (speed hint {float(hint):g})"
-                _note_event("worker-admitted", index, detail, boundary_at)
-            if admit_acks_expected:
-                # SETUP/SETUP_ACK handshake with the pool-grown loops, fault-
-                # aware like the startup handshake.
-                acked_new: Set[int] = set()
-                if fault is None:
-                    while len(acked_new) < len(admit_acks_expected):
-                        ack = yield ctx.recv(tag=Tags.SETUP_ACK)
-                        acked_new.add(ack.src)
-                else:
-                    ack_deadline = float((yield ctx.now())) + fault.round_deadline
-                    while admit_acks_expected - acked_new - dead_pids:
-                        now = yield ctx.now()
-                        remaining = ack_deadline - float(now)
-                        if remaining <= 0:
-                            for pid in sorted(admit_acks_expected - acked_new - dead_pids):
-                                _declare_dead(pid, "no setup ack", float(now) + time_offset)
-                            break
-                        reply = yield ctx.recv_timeout(remaining)
-                        if reply is None:
-                            continue
-                        if reply.tag == Tags.SETUP_ACK:
-                            acked_new.add(reply.src)
-                        elif reply.tag == Tags.WORKER_DOWN:
-                            down_pid = getattr(reply.payload, "pid", None)
-                            if down_pid in index_of_pid and down_pid not in dead_pids:
-                                at = yield ctx.now()
-                                reason = (
-                                    getattr(reply.payload, "reason", "") or "backend obituary"
-                                )
-                                _declare_dead(down_pid, reason, float(at) + time_offset)
-                        elif reply.tag == Tags.CANCEL:
-                            cancel_seen = True
-                        elif reply.tag == Tags.ADMIT:
-                            pending_admits.append(reply.payload)
-                        elif reply.tag == Tags.DRAIN:
-                            pending_drains.append(reply.payload)
+                coord.note("worker-admitted", index, detail, boundary_at)
+            yield from coord.await_acks()
 
-        participants = [
-            pid for pid in tsw_pids if pid not in dead_pids and pid not in retired_pids
-        ]
-        if not participants:
+        if not coord.live():
             now = yield ctx.now()
-            _note_event(
-                "all-workers-dead", -1, "no survivors left", float(now) + time_offset
-            )
+            coord.note("all-workers-dead", -1, "no survivors left", now)
             all_dead = True
             break
         broadcast_solution = best_solution.copy()
-        for pid in participants:
-            payload = encoder.encode(pid, broadcast_solution, version=global_iteration)
-            index = index_of_pid[pid]
-            range_update = None
-            budget_update = None
-            # Re-partitions (deaths, drains, admissions) must reach the
-            # survivors whatever the mode — identity check, so an unchanged
-            # range ships nothing.
-            if assigned_range[index] is not shipped_range[index]:
-                range_update = assigned_range[index]
-            if fault is not None:
-                budget = ledger.iteration_budget(index, params.tabu.local_iterations)
-                if budget != params.tabu.local_iterations:
-                    budget_update = budget
-            yield ctx.send(
-                pid,
-                Tags.GLOBAL_START,
-                GlobalStart(
-                    global_iteration=global_iteration,
-                    solution=payload,
-                    tabu_payload=best_tabu_payload,
-                    tsw_range=range_update,
-                    local_iterations=budget_update,
-                ),
-            )
-            if range_update is not None:
-                shipped_range[index] = range_update
 
-        pending: Set[int] = set(participants)
-        results: List[TswResult] = []
+        def task(payload, cell_range, budget):
+            return GlobalStart(
+                global_iteration=global_iteration,
+                solution=payload,
+                tabu_payload=best_tabu_payload,
+                tsw_range=cell_range,
+                local_iterations=budget,
+            )
+
         decoded_solutions: Dict[int, np.ndarray] = {}
-        interrupt_sent = False
-        round_start = None
-        deadline = None
-        if fault is not None:
-            round_start = yield ctx.now()
-            deadline = float(round_start) + fault.round_deadline
-        while pending:
-            if fault is None:
-                reply = yield ctx.recv(tag=Tags.TSW_RESULT)
-            else:
-                now = yield ctx.now()
-                remaining = deadline - float(now)
-                if remaining <= 0:
-                    # deadline elapsed: forgive with a full re-broadcast, or
-                    # strike the worker out and re-partition its range
-                    struck: List[int] = []
-                    for pid in sorted(pending):
-                        index = index_of_pid[pid]
-                        if ledger.register_miss(index):
-                            struck.append(pid)
-                            continue
-                        encoder.invalidate(pid)
-                        payload = encoder.encode(
-                            pid, broadcast_solution, version=global_iteration
-                        )
-                        _note_event(
-                            "deadline-resend", index, at=float(now) + time_offset
-                        )
-                        yield ctx.send(
-                            pid,
-                            Tags.GLOBAL_START,
-                            GlobalStart(
-                                global_iteration=global_iteration,
-                                solution=payload,
-                                tabu_payload=best_tabu_payload,
-                                tsw_range=assigned_range[index],
-                            ),
-                        )
-                        shipped_range[index] = assigned_range[index]
-                    for pid in struck:
-                        pending.discard(pid)
-                        _declare_dead(
-                            pid,
-                            "missed report deadline",
-                            float(now) + time_offset,
-                        )
-                    deadline = float((yield ctx.now())) + fault.round_deadline
-                    continue
-                reply = yield ctx.recv_timeout(remaining)
-                if reply is None:
-                    continue
-                if reply.tag == Tags.WORKER_DOWN:
-                    down_pid = getattr(reply.payload, "pid", None)
-                    if down_pid in index_of_pid and down_pid not in dead_pids:
-                        pending.discard(down_pid)
-                        reason = getattr(reply.payload, "reason", "") or "backend obituary"
-                        at = yield ctx.now()
-                        _declare_dead(down_pid, reason, float(at) + time_offset)
-                    continue
-                if reply.tag == Tags.CANCEL:
-                    # scooped by the untagged receive — honoured at the next
-                    # global-iteration boundary, like the probe
-                    cancel_seen = True
-                    continue
-                if reply.tag == Tags.ADMIT:
-                    # scooped by the untagged receive — processed at the next
-                    # global-iteration boundary
-                    pending_admits.append(reply.payload)
-                    continue
-                if reply.tag == Tags.DRAIN:
-                    pending_drains.append(reply.payload)
-                    continue
-                if reply.tag != Tags.TSW_RESULT:
-                    continue
-            result: TswResult = reply.payload
-            # Account for the sender *before* the staleness check: under a
-            # truly asynchronous backend a late or duplicate report from an
-            # earlier iteration may be the only message this TSW sends this
-            # round, and skipping the discard would wedge the collect loop
-            # forever (tests/parallel/test_stale_results.py).
-            pending.discard(reply.src)
-            if result.global_iteration != global_iteration:
-                # stale: sender accounted for, result ignored; its resident
-                # state is no longer trustworthy
-                encoder.invalidate(reply.src)
-                continue
-            if result.needs_full:
-                # the TSW could not apply the delta — re-broadcast in full
-                encoder.invalidate(reply.src)
-                payload = encoder.encode(
-                    reply.src, broadcast_solution, version=global_iteration
-                )
-                yield ctx.send(
-                    reply.src,
-                    Tags.GLOBAL_START,
-                    GlobalStart(
-                        global_iteration=global_iteration,
-                        solution=payload,
-                        tabu_payload=best_tabu_payload,
-                    ),
-                )
-                pending.add(reply.src)
-                if fault is not None:
-                    deadline = float((yield ctx.now())) + fault.round_deadline
-                continue
-            if any(r.tsw_index == result.tsw_index for r in results):
-                encoder.invalidate(reply.src)
-                continue  # duplicate of an already-recorded result
+
+        def accept(index: int, result: TswResult) -> bool:
             decoded = decode_solution(
-                result.best_solution,
-                broadcast_solution,
-                expected_base_version=global_iteration,
+                result.best_solution, broadcast_solution, expected_base_version=global_iteration
             )
             if decoded is None:
-                # undecodable report: ignore it, and ship this TSW a full
-                # solution next round
-                encoder.invalidate(reply.src)
-                continue
-            decoded_solutions[result.tsw_index] = decoded
+                # undecodable report: ship this TSW a full solution next round
+                return False
+            decoded_solutions[index] = decoded
             # after reporting, the TSW normalises onto its reported best —
             # record it so the next broadcast can be a delta
-            encoder.set_resident(reply.src, global_iteration, decoded)
-            results.append(result)
-            if time_offset:
-                worker_points.extend(
-                    (float(t) + time_offset, float(c)) for t, c in result.trace
-                )
-            else:
-                worker_points.extend(result.trace)
-            if (
-                sync.is_heterogeneous
-                and not interrupt_sent
-                and pending
-                and sync.should_interrupt(len(results), len(participants))
-            ):
-                for pid in pending:
-                    yield ctx.send(pid, Tags.REPORT_NOW, ReportNow(round_id=global_iteration))
-                interrupt_sent = True
+            coord.encoder.set_resident(index, global_iteration, decoded)
+            worker_points.extend((float(t) + time_offset, float(c)) for t, c in result.trace)
+            return True
 
-        # Arrival order is nondeterministic on the real backends; order the
-        # round's results by worker index so everything downstream (records,
-        # cost ties) is independent of message timing.
-        results.sort(key=lambda r: r.tsw_index)
+        yield from coord.broadcast(
+            global_iteration,
+            broadcast_solution,
+            task,
+            budget_base=params.tabu.local_iterations,
+        )
+        if coord.ledger is not None:
+            round_start = yield ctx.now()
+        results: List[TswResult] = yield from coord.collect(
+            global_iteration, broadcast_solution, task, accept
+        )
 
-        if fault is not None:
+        if coord.ledger is not None:
             # fold this round's reports into the throughput ledger and note
             # any fresh limplock transitions
             round_end = yield ctx.now()
             elapsed = float(round_end) - float(round_start)
-            limplocked_before = set(ledger.limplocked_keys())
+            limplocked_before = set(coord.ledger.limplocked_keys())
             for result in results:
-                ledger.record_report(result.tsw_index, result.evaluations, elapsed)
-            for index in ledger.limplocked_keys():
+                coord.ledger.record_report(result.tsw_index, result.evaluations, elapsed)
+            for index in coord.ledger.limplocked_keys():
                 if index not in limplocked_before:
-                    rate = ledger.rate_of(index)
-                    _note_event(
-                        "limplock",
-                        index,
-                        f"observed rate {rate:.1f} evals/s",
-                        float(round_end) + time_offset,
+                    rate = coord.ledger.rate_of(index)
+                    coord.note(
+                        "limplock", index, f"observed rate {rate:.1f} evals/s", round_end
                     )
 
         # Adopt the best reported solution.  The master re-evaluates the
@@ -896,48 +512,7 @@ def master_process(
     run_state: Optional[MasterRunState] = None
     if not complete:
         # ---- harvest the worker subtree before stopping anyone ------------
-        # Only reached at a global-iteration boundary: every worker is idle
-        # at the top of its receive loop, no run traffic is in flight.
-        harvested: Dict[int, TswWorkerState] = {}
-        if fault is None:
-            # retired (drained) loops already got their STOP and are parked
-            # idle — a STATE_REQUEST to them would be consumed and ignored,
-            # wedging this loop
-            active = [pid for pid in tsw_pids if pid not in retired_pids]
-            for pid in active:
-                yield ctx.send(pid, Tags.STATE_REQUEST)
-            while len(harvested) < len(active):
-                reply = yield ctx.recv(tag=Tags.STATE_REPLY)
-                tsw_state: TswWorkerState = reply.payload
-                harvested[tsw_state.tsw_index] = tsw_state
-        else:
-            # harvest only the survivors, and survive a worker dying during
-            # the harvest itself (a resume revives it from the others)
-            awaiting = {
-                pid for pid in tsw_pids if pid not in dead_pids and pid not in retired_pids
-            }
-            for pid in sorted(awaiting):
-                yield ctx.send(pid, Tags.STATE_REQUEST)
-            while awaiting:
-                reply = yield ctx.recv_timeout(fault.round_deadline)
-                now = yield ctx.now()
-                if reply is None:
-                    for pid in sorted(awaiting):
-                        _declare_dead(pid, "no state reply", float(now) + time_offset)
-                    break
-                if reply.tag == Tags.WORKER_DOWN:
-                    down_pid = getattr(reply.payload, "pid", None)
-                    if down_pid in awaiting:
-                        awaiting.discard(down_pid)
-                        reason = getattr(reply.payload, "reason", "") or "backend obituary"
-                        _declare_dead(down_pid, reason, float(now) + time_offset)
-                    continue
-                if reply.tag == Tags.CANCEL:
-                    continue  # already pausing
-                if reply.tag != Tags.STATE_REPLY:
-                    continue
-                harvested[reply.payload.tsw_index] = reply.payload
-                awaiting.discard(reply.src)
+        harvested = yield from coord.harvest(coord.deadline if fault is not None else None)
         pause_time = yield ctx.now()
         run_state = MasterRunState(
             next_iteration=next_round,
@@ -947,32 +522,27 @@ def master_process(
             initial_cost=float(initial_cost),
             evaluator_assignment=evaluator.snapshot(),
             evaluator_state=pickle.dumps(evaluator.save_state(), protocol=4),
-            master_residents={
-                index_of_pid[pid]: entry
-                for pid, entry in encoder.export_residents().items()
-                if pid in index_of_pid
-            },
+            master_residents=coord.encoder.export_residents(),
             master_trace=list(master_trace),
             worker_points=list(worker_points),
             global_records=list(global_records),
             total_tsw_evaluations=int(total_tsw_evaluations),
             worker_states=tuple(harvested[i] for i in sorted(harvested)),
             clock_base=float(pause_time) + time_offset,
-            health=(ledger.export_state() if ledger is not None else None),
-            fault_events=list(fault_events),
+            health=(coord.ledger.export_state() if coord.ledger is not None else None),
+            fault_events=list(coord.events),
             num_workers=next_worker_index,
-            assigned_ranges=dict(assigned_range),
-            drained_workers=tuple(sorted(drained_indices)),
-            speed_hints=(ledger.export_hints() or None) if ledger is not None else None,
+            assigned_ranges=dict(coord.ranges),
+            drained_workers=tuple(sorted(coord.drained)),
+            speed_hints=(
+                (coord.ledger.export_hints() or None) if coord.ledger is not None else None
+            ),
         )
 
     # ---- shutdown ------------------------------------------------------------
     # Under a warm pool the STOP only ends the *inner* worker bodies; the
-    # persistent loops return to idle and await the next SETUP.  Drained
-    # workers were already stopped at their retirement boundary.
-    for pid in tsw_pids:
-        if pid not in retired_pids:
-            yield ctx.send(pid, Tags.STOP)
+    # persistent loops return to idle and await the next SETUP.
+    yield from coord.stop()
 
     if complete:
         # exact objectives of the final best solution
@@ -988,6 +558,9 @@ def master_process(
     # into one best-so-far envelope sorted by time.
     envelope = list(best_so_far_envelope(master_trace + worker_points))
 
+    def named(kind: str) -> Tuple[str, ...]:
+        return tuple(event.worker for event in coord.events if event.kind == kind)
+
     return MasterResult(
         best_cost=float(best_cost),
         best_objectives=best_objectives,
@@ -999,12 +572,10 @@ def master_process(
         total_tsw_evaluations=total_tsw_evaluations,
         complete=complete,
         run_state=run_state,
-        fault_events=fault_events,
-        dead_workers=tuple(
-            f"tsw{index}" for index in sorted(index_of_pid[pid] for pid in dead_pids)
-        ),
-        admitted_workers=tuple(f"tsw{index}" for index in admitted_indices),
-        drained_workers=tuple(f"tsw{index}" for index in drained_this_run),
+        fault_events=coord.events,
+        dead_workers=tuple(f"tsw{index}" for index in sorted(coord.dead)),
+        admitted_workers=named("worker-admitted"),
+        drained_workers=named("worker-drained"),
         num_workers=next_worker_index,
-        health=(ledger.export_state() if ledger is not None else None),
+        health=(coord.ledger.export_state() if coord.ledger is not None else None),
     )

@@ -14,38 +14,34 @@ over its private copy of the solution.  Per global iteration it
    finishing all local iterations or as soon as the master requests an early
    report.
 
-Solution state is *resident* on every hop of this process:
-
-* **master → TSW** — the broadcast arrives as a
-  :class:`~repro.parallel.delta.SolutionPayload` whose delta form applies to
-  the solution this TSW *reported* last round; after reporting, the TSW
-  normalises its evaluator onto that reported best, so both ends track the
-  same base.  A mismatch is answered with a ``needs_full``
-  :class:`~repro.parallel.messages.TswResult` and the master re-broadcasts in
-  full.
-* **TSW → CLW** — each local iteration's task ships the delta between the
-  CLW's resident solution (the previous task base) and the current one —
-  usually just the previously accepted compound move, or nothing at all when
-  the iteration stalled.  A CLW ``needs_full`` NACK triggers a full re-send
-  of the same task.
-* **TSW → master** — the report ships the best solution as a delta against
-  this round's broadcast, which the master retains.
+The CLWs are driven by the same
+:class:`~repro.parallel.coordinator.Coordinator` the master runs over the
+TSWs: it owns the CLW roster, their ranges and resident task solutions (each
+task ships the delta since the CLW's previous task, usually one accepted
+compound move), and in fault mode the CLW health ledger and deadlines.  The
+master → TSW hop is resident too: the broadcast's delta applies to the
+solution this TSW *reported* last round, because after reporting the TSW
+normalises its evaluator onto that best (the report itself is a delta
+against the broadcast).  A delta it cannot apply is answered with a
+``needs_full`` :class:`~repro.parallel.messages.TswResult`, and the master
+re-broadcasts in full.
 """
 
 from __future__ import annotations
 
 import pickle
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .._rng import derive_seed
 from ..core.protocols import SearchProblem
-from ..tabu.candidate import CellRange, partition_cells
+from ..tabu.candidate import CellRange
 from ..tabu.moves import CompoundMove, SwapMove
 from ..tabu.search import TabuSearch
 from .clw import clw_process
 from .config import ParallelSearchParams
+from .coordinator import Coordinator
 from .delta import DeltaEncoder, ResidentSolution, as_payload, solution_crc, swap_list_between
 from .messages import (
     ClwResult,
@@ -125,57 +121,48 @@ def tsw_process(
     ``clw_pids`` reuses already-running CLWs instead of spawning fresh ones —
     the warm-pool path; their order must match ``clw_ranges``.
     """
-    sync = SyncPolicy(mode=params.sync_mode, report_fraction=params.report_fraction)
     if master_pid is None:
         master_pid = ctx.parent
+    fault = params.fault
+    coord = Coordinator(
+        ctx,
+        sync=SyncPolicy(mode=params.sync_mode, report_fraction=params.report_fraction),
+        fault=fault,
+        deadline=fault.clw_deadline if fault is not None else 0.0,
+        prefix="clw",
+        num_cells=problem.num_cells,
+        scheme=params.clw_partition_scheme,
+        ranges=dict(enumerate(clw_ranges)),
+        task_tag=Tags.CLW_TASK,
+        result_tag=Tags.CLW_RESULT,
+        round_of=lambda result: result.round_id,
+        resend_ships_range=False,
+        ledger_keys=list(range(len(clw_ranges))),
+    )
 
     # ---- spawn (or adopt) the candidate-list workers ---------------------
-    clw_states_by_index: Dict[int, ClwWorkerState] = {}
+    clw_states: Dict[int, ClwWorkerState] = {}
     if initial_state is not None:
-        clw_states_by_index = {s.clw_index: s for s in initial_state.clw_states}
-    if clw_pids is None:
-        clw_pids = []
-        for clw_index, clw_range in enumerate(clw_ranges):
-            pid = yield ctx.spawn(
-                clw_process,
-                problem,
-                params.tabu,
-                clw_range,
-                clw_index,
-                derive_seed(seed, "tsw", tsw_index, "clw", clw_index),
-                name=f"tsw{tsw_index}.clw{clw_index}",
-                initial_state=clw_states_by_index.get(clw_index),
-            )
-            clw_pids.append(pid)
-    clw_index_of = {pid: index for index, pid in enumerate(clw_pids)}
-
-    # ---- fault mode: CLW liveness and elastic range bookkeeping ----------
-    fault = params.fault if params.fault_enabled else None
-    alive_clws: Set[int] = set(clw_pids)
-    clw_range_of: Dict[int, CellRange] = dict(enumerate(clw_ranges))
-    range_dirty: Set[int] = set()  # CLW indices whose new range must ship
-    clw_missed: Dict[int, int] = {}
-
-    def _drop_clw(pid: int) -> None:
-        """Remove a dead CLW and re-partition its range over the survivors."""
-        alive_clws.discard(pid)
-        survivors = [clw_index_of[p] for p in clw_pids if p in alive_clws]
-        if not survivors:
-            return
-        new_ranges = partition_cells(
-            problem.num_cells,
-            len(survivors),
-            scheme=params.clw_partition_scheme,
-            label_prefix="clw",
+        clw_states = {s.clw_index: s for s in initial_state.clw_states}
+    for clw_index, clw_range in enumerate(clw_ranges):
+        if clw_pids is not None:
+            coord.enlist(clw_index, clw_pids[clw_index])
+            continue
+        yield from coord.spawn(
+            clw_index,
+            clw_process,
+            problem,
+            params.tabu,
+            clw_range,
+            clw_index,
+            derive_seed(seed, "tsw", tsw_index, "clw", clw_index),
+            name=f"tsw{tsw_index}.clw{clw_index}",
+            initial_state=clw_states.get(clw_index),
         )
-        for new_range, index in zip(new_ranges, survivors):
-            clw_range_of[index] = new_range
-            range_dirty.add(index)
 
     evaluator = None
     search: Optional[TabuSearch] = None
     resident = ResidentSolution()  # what we hold vs the master's broadcasts
-    clw_encoder = DeltaEncoder()  # what each CLW holds resident
     master_encoder = DeltaEncoder()  # what the master knows about us
     round_counter = 0
     global_iterations_done = 0
@@ -198,7 +185,7 @@ def tsw_process(
         search.install_state(initial_state.search_state)
         resident.version = int(initial_state.resident_version)
         master_encoder.install_residents(initial_state.master_residents)
-        clw_encoder.install_residents(initial_state.clw_residents)
+        coord.encoder.install_residents(initial_state.clw_residents)
         round_counter = int(initial_state.round_counter)
         global_iterations_done = int(initial_state.global_iterations_done)
         local_iterations_done = int(initial_state.local_iterations_done)
@@ -207,22 +194,16 @@ def tsw_process(
     while True:
         message = yield ctx.recv()
         if message.tag == Tags.STOP:
-            for pid in clw_pids:
-                yield ctx.send(pid, Tags.STOP)
+            yield from coord.stop()
             break
         if message.tag == Tags.REPORT_NOW:
             continue  # stale: we already reported for that iteration
         if message.tag == Tags.STATE_REQUEST:
-            # Harvest for a checkpoint: fan the request out to the CLWs,
-            # collect their states, and reply with the full subtree.  Only
-            # sent at a global-iteration boundary, when everyone is idle.
-            replies: Dict[int, ClwWorkerState] = {}
-            for pid in clw_pids:
-                yield ctx.send(pid, Tags.STATE_REQUEST)
-            while len(replies) < len(clw_pids):
-                reply = yield ctx.recv(tag=Tags.STATE_REPLY)
-                clw_state: ClwWorkerState = reply.payload
-                replies[clw_state.clw_index] = clw_state
+            # Harvest for a checkpoint: collect the live CLWs' states and
+            # reply with the full subtree.  Only sent at a global-iteration
+            # boundary, when everyone is idle; the master's harvest deadline
+            # bounds the wait.
+            replies = yield from coord.harvest()
             state = TswWorkerState(
                 tsw_index=tsw_index,
                 search_state=(search.export_state() if search is not None else None),
@@ -237,7 +218,7 @@ def tsw_process(
                 evaluations=(evaluator.evaluations if evaluator is not None else 0),
                 resident_version=resident.version,
                 master_residents=master_encoder.export_residents(),
-                clw_residents=clw_encoder.export_residents(),
+                clw_residents=coord.encoder.export_residents(),
                 round_counter=round_counter,
                 global_iterations_done=global_iterations_done,
                 local_iterations_done=local_iterations_done,
@@ -248,72 +229,62 @@ def tsw_process(
             continue
         if message.tag == Tags.WORKER_DOWN:
             # backend obituary for one of our CLWs, delivered between rounds
-            down_pid = getattr(message.payload, "pid", None)
-            if fault is not None and down_pid in alive_clws:
-                _drop_clw(down_pid)
+            yield from coord.obituary(message)
             continue
         if message.tag != Tags.GLOBAL_START:
             continue
         start: GlobalStart = message.payload
         # elastic re-assignment: the master re-partitioned TSW ranges over
         # the survivors and shipped us a new diversification range
-        new_tsw_range = getattr(start, "tsw_range", None)
-        if new_tsw_range is not None:
-            tsw_range = new_tsw_range
+        if start.tsw_range is not None:
+            tsw_range = start.tsw_range
             if search is not None:
-                search.set_cell_range(new_tsw_range)
+                search.set_cell_range(start.tsw_range)
         payload = as_payload(start.solution, version=start.global_iteration)
 
         # ---- adopt the master's solution (and its tabu list) -------------
+        # (a delta this TSW cannot apply is NACKed with a needs_full report)
+        adopted = True
         if evaluator is None:
-            if not payload.is_full:
-                yield ctx.send(
-                    master_pid,
-                    Tags.TSW_RESULT,
-                    _needs_full_result(tsw_index, start.global_iteration),
+            adopted = payload.is_full
+            if adopted:
+                evaluator = problem.make_evaluator(payload.full_solution())
+                search = TabuSearch(
+                    evaluator,
+                    params.tabu,
+                    cell_range=tsw_range,
+                    seed=derive_seed(seed, "tsw-search", tsw_index),
                 )
-                continue
-            solution = payload.full_solution()
-            evaluator = problem.make_evaluator(solution)
-            search = TabuSearch(
-                evaluator,
-                params.tabu,
-                cell_range=tsw_range,
-                seed=derive_seed(seed, "tsw-search", tsw_index),
-            )
-            yield ctx.compute(problem.install_work_units(), label="install")
+                yield ctx.compute(problem.install_work_units(), label="install")
         else:
             plan, data = resident.plan(payload)
-            if plan == "mismatch":
-                yield ctx.send(
-                    master_pid,
-                    Tags.TSW_RESULT,
-                    _needs_full_result(tsw_index, start.global_iteration),
-                )
-                continue
+            adopted = plan != "mismatch"
             if plan == "full":
                 search.adopt_solution(data)
                 yield ctx.compute(problem.install_work_units(), label="install")
-            elif data.shape[0]:
+            elif adopted and data.shape[0]:
                 # apply on the evaluator only and verify the checksum BEFORE
                 # the search records anything — a wrong-base delta must not
                 # pollute the best-solution tracking
                 evaluator.apply_swaps(data, exact_timing=True)
-                if solution_crc(evaluator.snapshot()) != payload.target_crc:
-                    resident.version = -1
-                    yield ctx.send(
-                        master_pid,
-                        Tags.TSW_RESULT,
-                        _needs_full_result(tsw_index, start.global_iteration),
+                adopted = solution_crc(evaluator.snapshot()) == payload.target_crc
+                if adopted:
+                    search.note_best()
+                    yield ctx.compute(
+                        problem.adopt_work_units(int(data.shape[0])), label="install"
                     )
-                    continue
-                search.note_best()
-                yield ctx.compute(
-                    problem.adopt_work_units(int(data.shape[0])), label="install"
-                )
+                else:
+                    resident.version = -1
             # empty delta: the incumbent did not change — nothing to install
             # (the post-report normalisation left the evaluator in the same
             # exactly-refreshed state a full install would produce)
+        if not adopted:
+            yield ctx.send(
+                master_pid,
+                Tags.TSW_RESULT,
+                _needs_full_result(tsw_index, start.global_iteration),
+            )
+            continue
         resident.adopted(payload)
         # the master knows exactly what we hold now: this round's broadcast
         master_encoder.set_resident(
@@ -336,130 +307,20 @@ def tsw_process(
         local_trace = []
         # limplock shrinking (fault mode only): the master may ship a smaller
         # per-round budget sized from this worker's observed throughput
-        budget = getattr(start, "local_iterations", None)
+        budget = start.local_iterations
         if budget is None:
             budget = params.tabu.local_iterations
         for _ in range(budget):
             round_counter += 1
             solution = evaluator.snapshot()
-            active = [pid for pid in clw_pids if pid in alive_clws]
-            pending: Set[int] = set(active)
-            for pid in active:
-                index = clw_index_of[pid]
-                task_payload = clw_encoder.encode(index, solution, version=round_counter)
-                yield ctx.send(
-                    pid,
-                    Tags.CLW_TASK,
-                    ClwTask(
-                        round_id=round_counter,
-                        solution=task_payload,
-                        cell_range=(clw_range_of[index] if index in range_dirty else None),
-                    ),
-                )
-                range_dirty.discard(index)
-            results: List[ClwResult] = []
-            interrupt_sent = False
-            stashed_report = None
-            deadline = None
-            if fault is not None:
-                deadline = (yield ctx.now()) + fault.clw_deadline
-            while pending:
-                if fault is None:
-                    reply = yield ctx.recv(tag=Tags.CLW_RESULT)
-                else:
-                    now = yield ctx.now()
-                    remaining = deadline - now
-                    if remaining <= 0:
-                        # deadline elapsed: forgive with a full re-send, or
-                        # strike the worker out and re-partition its range
-                        struck: List[int] = []
-                        for pid in sorted(pending):
-                            index = clw_index_of[pid]
-                            clw_missed[index] = clw_missed.get(index, 0) + 1
-                            if clw_missed[index] > fault.max_missed_deadlines:
-                                struck.append(pid)
-                                continue
-                            clw_encoder.invalidate(index)
-                            task_payload = clw_encoder.encode(
-                                index, solution, version=round_counter
-                            )
-                            yield ctx.send(
-                                pid,
-                                Tags.CLW_TASK,
-                                ClwTask(
-                                    round_id=round_counter,
-                                    solution=task_payload,
-                                    cell_range=clw_range_of[index],
-                                ),
-                            )
-                        for pid in struck:
-                            pending.discard(pid)
-                            _drop_clw(pid)
-                        deadline = (yield ctx.now()) + fault.clw_deadline
-                        continue
-                    reply = yield ctx.recv_timeout(remaining)
-                    if reply is None:
-                        continue
-                    if reply.tag == Tags.WORKER_DOWN:
-                        down_pid = getattr(reply.payload, "pid", None)
-                        if down_pid in alive_clws:
-                            pending.discard(down_pid)
-                            _drop_clw(down_pid)
-                        continue
-                    if reply.tag == Tags.REPORT_NOW:
-                        # the master's early-report request, scooped by the
-                        # untagged receive — honoured at the probe point below
-                        stashed_report = reply
-                        continue
-                    if reply.tag != Tags.CLW_RESULT:
-                        continue
-                result: ClwResult = reply.payload
-                # Discard the sender before the staleness check — a late or
-                # duplicate result from an earlier round must still release
-                # its CLW from `pending`, or an asynchronous backend wedges
-                # here (tests/parallel/test_stale_results.py).
-                pending.discard(reply.src)
-                if result.round_id != round_counter:
-                    # stale: sender accounted for, result ignored; its
-                    # resident state is no longer trustworthy
-                    clw_encoder.invalidate(result.clw_index)
-                    continue
-                if result.needs_full:
-                    # the CLW could not apply the delta — re-send in full
-                    clw_encoder.invalidate(result.clw_index)
-                    task_payload = clw_encoder.encode(
-                        result.clw_index, solution, version=round_counter
-                    )
-                    yield ctx.send(
-                        reply.src,
-                        Tags.CLW_TASK,
-                        ClwTask(round_id=round_counter, solution=task_payload),
-                    )
-                    pending.add(reply.src)
-                    if fault is not None:
-                        deadline = (yield ctx.now()) + fault.clw_deadline
-                    continue
-                if any(r.clw_index == result.clw_index for r in results):
-                    # duplicate of an already-recorded result: a double-report
-                    # means the CLW's resident state can no longer be trusted
-                    clw_encoder.invalidate(result.clw_index)
-                    continue
-                if fault is not None:
-                    clw_missed[result.clw_index] = 0
-                results.append(result)
-                if (
-                    sync.is_heterogeneous
-                    and not interrupt_sent
-                    and pending
-                    and sync.should_interrupt(len(results), len(active))
-                ):
-                    for pid in pending:
-                        yield ctx.send(pid, Tags.REPORT_NOW, ReportNow(round_id=round_counter))
-                    interrupt_sent = True
 
-            # Arrival order is nondeterministic on the real backends; order by
-            # CLW index so candidate tie-breaking is timing-independent.
-            results.sort(key=lambda r: r.clw_index)
+            def task(payload, cell_range, _budget):
+                return ClwTask(round_id=round_counter, solution=payload, cell_range=cell_range)
+
+            yield from coord.broadcast(round_counter, solution, task)
+            results: List[ClwResult] = yield from coord.collect(
+                round_counter, solution, task
+            )
             candidates = [_result_to_candidate(result) for result in results]
             evals_before = evaluator.evaluations
             search.consider_candidates(candidates)
@@ -469,8 +330,11 @@ def tsw_process(
             now = yield ctx.now()
             local_trace.append((float(now), float(search.best_cost)))
 
-            # Did the master ask us to cut this global iteration short?
-            request = stashed_report
+            # Did the master ask us to cut this global iteration short?  (A
+            # request scooped by the fault-mode collect sits in the inbox.)
+            scooped = [m for m in coord.inbox if m.tag == Tags.REPORT_NOW]
+            coord.inbox = []
+            request = scooped[-1] if scooped else None
             if request is None:
                 request = yield ctx.probe(tag=Tags.REPORT_NOW)
             if request is not None:

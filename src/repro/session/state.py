@@ -45,7 +45,7 @@ __all__ = [
 #: First bytes of every checkpoint artifact ("Repro Tabu Session State").
 MAGIC = b"RTSS"
 #: Bumped whenever the pickled payload layout changes incompatibly.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _HEADER = struct.Struct("<4sI")
 
@@ -118,8 +118,7 @@ class SessionState:
             backend=payload["backend"],
             run_state=payload["run_state"],
             complete=bool(payload["complete"]),
-            # absent on pre-elasticity artifacts (same schema version)
-            topology_events=tuple(payload.get("topology_events", ())),
+            topology_events=tuple(payload["topology_events"]),
         )
 
     def save(self, path: Union[str, Path]) -> Path:

@@ -95,6 +95,27 @@ class TestLedgerThroughTheArtifact:
         assert len(result.global_records[-1].received_costs) == NUM_TSWS
 
 
+class TestPauseAfterClwDeath:
+    def test_harvest_skips_the_dead_clw_and_keeps_its_tsw(self, problem):
+        # tsw0 loses a CLW in round 2; the pause after round 3 must harvest
+        # tsw0 from its surviving CLW instead of waiting on the dead one
+        plan = FaultPlan(kills=(KillWorker(at=0.08, name="tsw0.clw1"),))
+        session = SearchSession(
+            problem=problem, params=fault_params(), fault_plan=plan
+        )
+        session.step(3)
+        state = SessionState.from_bytes(session.checkpoint().to_bytes())
+        run_state = state.run_state
+        assert "worker-dead" not in [e.kind for e in run_state.fault_events]
+        states = {s.tsw_index: s for s in run_state.worker_states}
+        assert sorted(states) == list(range(NUM_TSWS))
+        assert [c.clw_index for c in states[0].clw_states] == [0]
+        cells = sorted(c for r in run_state.assigned_ranges.values() for c in r.cells)
+        assert cells == list(range(problem.num_cells))
+        result = SearchSession.restore(state).run()
+        assert result.complete
+
+
 class TestKillAfterResume:
     def test_kill_after_resume_matches_uninterrupted(self, problem):
         # Uninterrupted: the kill at t=0.16 lands mid-round-3.

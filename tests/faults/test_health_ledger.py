@@ -159,11 +159,3 @@ class TestElasticity:
         fresh.install_state(state, revive=False)
         assert fresh.drained_keys() == [2]
         assert fresh.export_state() == state
-
-    def test_install_accepts_pre_elasticity_eight_element_rows(self):
-        # checkpoints written before the drained flag existed have 8-tuples
-        old_rows = tuple(row[:8] for row in make_ledger().export_state())
-        fresh = make_ledger()
-        fresh.install_state(old_rows, revive=False)
-        assert fresh.drained_keys() == []
-        assert fresh.alive_keys() == [0, 1, 2]

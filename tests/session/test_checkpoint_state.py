@@ -75,10 +75,13 @@ class TestCodecValidation:
             SessionState.from_bytes(blob)
 
     def test_rejects_future_schema_version(self, paused_state):
+        # version 1 predates the required elastic topology fields; a newer
+        # version is unknown to this build
         payload = paused_state.to_bytes()[8:]
-        blob = struct.pack("<4sI", MAGIC, SCHEMA_VERSION + 1) + payload
-        with pytest.raises(SessionError, match="schema version"):
-            SessionState.from_bytes(blob)
+        for version in (1, SCHEMA_VERSION + 1):
+            blob = struct.pack("<4sI", MAGIC, version) + payload
+            with pytest.raises(SessionError, match="schema version"):
+                SessionState.from_bytes(blob)
 
     def test_load_rejects_non_checkpoint_file(self, tmp_path):
         target = tmp_path / "junk.rtss"
