@@ -24,7 +24,8 @@ on that machinery:
 Results are written to ``BENCH_elastic.json`` (override with the
 ``BENCH_ELASTIC_JSON`` env var); CI uploads the file per run.
 
-Run it directly (the spawn context requires the ``__main__`` guard)::
+Run it directly (worker processes re-import it, hence the ``__main__``
+guard)::
 
     PYTHONPATH=src python benchmarks/bench_elastic_scaling.py
 """

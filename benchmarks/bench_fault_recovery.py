@@ -21,7 +21,8 @@ benchmark puts numbers on that machinery:
 Results are written to ``BENCH_faults.json`` (override with the
 ``BENCH_FAULTS_JSON`` env var); CI uploads the file per run.
 
-Run it directly (the spawn context requires the ``__main__`` guard)::
+Run it directly (worker processes re-import it, hence the ``__main__``
+guard)::
 
     PYTHONPATH=src python benchmarks/bench_fault_recovery.py
 """

@@ -40,7 +40,8 @@ Results land in ``BENCH_large.json`` (override with ``BENCH_LARGE_JSON``);
 CI uploads the file per run.  Enforced bars are retried once against runner
 noise.
 
-Run it directly (the spawn context requires the ``__main__`` guard)::
+Run it directly (worker processes re-import it, hence the ``__main__``
+guard)::
 
     PYTHONPATH=src python benchmarks/bench_large_instances.py
 """

@@ -32,7 +32,8 @@ bars (each overridable by env var, retried once against runner noise):
   window so machine throttling cancels) <= 5 ms/iter
   (``REPRO_PROTOCOL_OVERHEAD_BAR_MS``, enforced on every runner)
 
-Run it directly (the spawn context requires the ``__main__`` guard)::
+Run it directly (worker processes re-import it, hence the ``__main__``
+guard)::
 
     PYTHONPATH=src python benchmarks/bench_protocol_overhead.py
 """

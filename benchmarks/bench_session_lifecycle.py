@@ -35,7 +35,8 @@ Environment knobs:
 * ``REPRO_SESSION_REPEATS`` — cold/warm runs measured (default ``3``)
 * ``REPRO_SESSION_BAR``     — warm-vs-cold speedup bar (default ``3.0``)
 
-Run it directly (the spawn context requires the ``__main__`` guard)::
+Run it directly (worker processes re-import it, hence the ``__main__``
+guard)::
 
     PYTHONPATH=src python benchmarks/bench_session_lifecycle.py
 """

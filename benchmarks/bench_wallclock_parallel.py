@@ -39,7 +39,8 @@ Environment knobs:
 * ``REPRO_WALLCLOCK_ITERS`` — iterations per search path (default ``600``)
 * ``REPRO_WALLCLOCK_BAR``   — 4-TSW speedup bar (default ``3.0``)
 
-Run it directly (the spawn context requires the ``__main__`` guard)::
+Run it directly (worker processes re-import it, hence the ``__main__``
+guard)::
 
     PYTHONPATH=src python benchmarks/bench_wallclock_parallel.py
 """

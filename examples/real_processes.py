@@ -10,8 +10,9 @@ machine the processes run should finish its (N times larger) total search
 workload in far less than N times the simulated-equivalent serial time; see
 ``benchmarks/bench_wallclock_parallel.py`` for the measured speedup curve.
 
-The ``multiprocessing`` spawn context re-imports this module in every worker,
-so everything must live under the ``__main__`` guard.
+Every worker process, forked from the ``multiprocessing`` fork server or
+spawned, re-imports this module, so everything must live under the
+``__main__`` guard.
 
 Run it with::
 

@@ -2,18 +2,29 @@
 
 The :class:`ProcessKernel` runs the *same* generator-based master/TSW/CLW
 process code as the simulator and the thread backend, but on real OS
-processes created with the ``multiprocessing`` *spawn* context — so the
-batched numpy work inside every worker runs on its own core, outside the
-GIL.  This is the backend that turns the paper's claim into measurable
-wall-clock speedup (see ``benchmarks/bench_wallclock_parallel.py``).
+processes — so the batched numpy work inside every worker runs on its own
+core, outside the GIL.  This is the backend that turns the paper's claim
+into measurable wall-clock speedup (see
+``benchmarks/bench_wallclock_parallel.py``).
 
 Execution model
 ---------------
 
-* The kernel lives in the launching process.  Every worker is one OS
-  process; it receives its immutable start-up state (identity, machine spec,
-  process function and arguments) when it is spawned and never again:
-  steady-state messages carry only solutions.
+* The kernel lives in the launching process (the driver).  Every worker is
+  one OS process; it receives its immutable start-up state (identity,
+  machine spec, process function and arguments) when it is spawned and
+  never again: steady-state messages carry only solutions.
+* Workers fork from the driver's ``multiprocessing`` fork server, one helper
+  process that imports the worker modules (:data:`_PRELOAD`) once and lives
+  until the driver exits; every kernel of the driver shares it.  A worker
+  therefore starts in tens of milliseconds instead of paying a fresh
+  interpreter and ``import repro``.  Where the platform has no fork server,
+  workers start with ``spawn``.  Like a spawned one, a forked worker runs the
+  driver's ``__main__`` module again (as ``__mp_main__``), so scripts keep
+  their ``if __name__ == "__main__"`` guard.
+* A worker gets the driver's environment as of its spawn, not the server's.
+  Only what is read at import follows the environment the server started
+  with: ``REPRO_JIT``.
 * :meth:`ProcessKernel.spawn_local` runs a process on a thread of the
   kernel process instead.  The session layer starts each run's master this
   way, so a run pays no interpreter boot, no ``import repro`` and no problem
@@ -55,11 +66,13 @@ whole protocol.
 from __future__ import annotations
 
 import inspect
+import os
 import pickle
 import queue as queue_module
 import threading
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import multiprocessing
@@ -88,6 +101,42 @@ __all__ = ["ProcessKernel"]
 
 #: ``(func, args, kwargs)`` of a process body, as the runtime starts it.
 _Call = Tuple[ProcessFunction, Tuple[Any, ...], Dict[str, Any]]
+
+#: Modules the fork server imports once for all its workers: the worker
+#: bodies and the domains' shared-memory restore functions.
+_PRELOAD = [
+    "repro.parallel.worker_loop",
+    "repro.problems.placement",
+    "repro.problems.qap.evaluator",
+]
+#: Serialises fork-server starts: their ``PYTHONPATH`` edit is process-wide.
+_FORK_SERVER_LOCK = threading.Lock()
+
+
+def _worker_context() -> multiprocessing.context.BaseContext:
+    """The context workers start from: the preloaded fork server, running
+    once this returns, or ``spawn`` where the platform has no fork server."""
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    from multiprocessing import forkserver
+
+    context = multiprocessing.get_context("forkserver")
+    with _FORK_SERVER_LOCK:
+        context.set_forkserver_preload(_PRELOAD)
+        # The server does not apply the driver's sys.path before preloading,
+        # so a ``repro`` found only through a runtime sys.path insert would
+        # fail to preload, silently; its import root goes on the PYTHONPATH.
+        import_root = str(Path(__file__).resolve().parents[2])
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (import_root, saved)))
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
+    return context
 
 
 def _check_generator_function(func: ProcessFunction) -> None:
@@ -122,6 +171,9 @@ class _WorkerBootstrap:
     epoch: float
     #: The process call ``(func, args, kwargs)``, pickled by :func:`dumps`.
     call: bytes
+    #: The driver's ``os.environ`` at spawn; a forked worker would otherwise
+    #: see the fork server's.
+    environ: Dict[str, str]
     #: The parent's inbox queue, inherited at spawn so child→parent messages
     #: (the per-iteration CLW results and TSW reports) skip the router hop
     #: entirely and land in the parent's mailbox with one queue operation.
@@ -326,6 +378,8 @@ def _worker_main(
     bootstrap: _WorkerBootstrap, router: Any, inbox: Any, control: Connection
 ) -> None:
     """Entry point of every worker OS process."""
+    os.environ.clear()
+    os.environ.update(bootstrap.environ)
     context = ProcessContext(
         pid=bootstrap.pid,
         parent=bootstrap.parent,
@@ -369,7 +423,6 @@ class ProcessKernel(RealKernelBase):
         self,
         cluster: ClusterSpec,
         *,
-        start_method: str = "spawn",
         failure_grace: float = 10.0,
         death_report_grace: float = 10.0,
         death_notify_grace: float = 0.5,
@@ -385,7 +438,7 @@ class ProcessKernel(RealKernelBase):
         #: router to drain a *clean* exit message, short enough that the
         #: master learns of a crash well before any round deadline.
         self.death_notify_grace = death_notify_grace
-        self._mp = multiprocessing.get_context(start_method)
+        self._mp = _worker_context()
         self._epoch = time.time()
         self._router_queue = self._mp.Queue()
         self._closed = False
@@ -479,6 +532,7 @@ class ProcessKernel(RealKernelBase):
             machine=self._cluster.machine(record.machine_index),
             epoch=self._epoch,
             call=call,
+            environ=dict(os.environ),
             parent_inbox=parent_inbox,
         )
         process = self._mp.Process(

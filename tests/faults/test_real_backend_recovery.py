@@ -4,7 +4,7 @@ On the processes backend deaths are *real*: ``terminate_worker`` sends
 SIGTERM, the kernel's monitor thread notices the exit and posts a
 ``WORKER_DOWN`` obituary to the registered death listener, and the
 fault-tolerant master completes the run degraded.  (Process bodies live at
-module level because the spawn context ships them by pickled reference.)
+module level because the kernel ships them by pickled reference.)
 """
 
 from __future__ import annotations

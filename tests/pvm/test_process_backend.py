@@ -1,17 +1,24 @@
 """Unit tests for the real-OS-process backend running the same process code.
 
-The process bodies live at module level because the spawn context ships them
-to the workers by pickled module reference.
+The process bodies live at module level because the kernel ships them to
+the workers by pickled module reference.
 """
 
 from __future__ import annotations
 
+import json
+import multiprocessing
+import os
 import pickle
 import queue as queue_module
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ProcessError
 from repro.pvm import ProcessKernel, homogeneous_cluster
 from repro.pvm.message import Message
@@ -19,7 +26,7 @@ from repro.pvm.process_backend import _QueueMailbox
 
 
 # --------------------------------------------------------------------------- #
-# process bodies (must be module-level for the spawn context)
+# process bodies (must be module-level to pickle by reference)
 # --------------------------------------------------------------------------- #
 def echo_child(ctx):
     message = yield ctx.recv(tag="ping")
@@ -93,6 +100,11 @@ def stuck_proc(ctx):
 
 def not_a_generator(ctx):
     return 1
+
+
+def environ_proc(ctx, name):
+    return os.environ.get(name)
+    yield  # pragma: no cover - makes this a generator function
 
 
 def make_kernel() -> ProcessKernel:
@@ -195,6 +207,59 @@ class TestProcessKernel:
         kernel.shutdown()
         with pytest.raises(ProcessError, match="shut down"):
             kernel.spawn(sleeper_proc, 0.0)
+
+
+#: A driver script run in a fresh interpreter: ``repro`` is importable only
+#: through its runtime sys.path insert, as in ``perfbench/run.py``.
+FRESH_DRIVER = """
+import json, os, sys
+sys.path.insert(0, {src!r})
+
+from repro.pvm import ProcessKernel, homogeneous_cluster
+
+
+def parent_pid(ctx):
+    return os.getppid()
+    yield
+
+
+if __name__ == "__main__":
+    with ProcessKernel(homogeneous_cluster(2)) as kernel:
+        pid = kernel.spawn(parent_pid)
+        kernel.join(pid, timeout=60.0)
+        ppid = kernel.result_of(pid)
+        cmdline = open(f"/proc/{{ppid}}/cmdline", "rb").read().decode()
+        maps = open(f"/proc/{{ppid}}/maps").read()
+    print(json.dumps({{"cmdline": cmdline, "numpy": "_multiarray_umath" in maps}}))
+"""
+
+
+class TestForkServer:
+    @pytest.mark.skipif(
+        not Path("/proc/self/maps").exists()
+        or "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="needs /proc and a multiprocessing fork server",
+    )
+    def test_workers_fork_from_a_server_that_preloaded_numpy(self, tmp_path):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        script = tmp_path / "driver.py"
+        script.write_text(FRESH_DRIVER.format(src=src))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, str(script)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        parent = json.loads(done.stdout.splitlines()[-1])
+        assert "multiprocessing.forkserver" in parent["cmdline"]
+        assert parent["numpy"], "the fork server did not preload the worker modules"
+
+    def test_worker_sees_the_driver_environment_at_its_spawn(self, monkeypatch):
+        with make_kernel() as kernel:  # the fork server is running from here on
+            monkeypatch.setenv("PVM_TEST_SPAWN_ENV", "set-after-server-start")
+            pid = kernel.spawn(environ_proc, "PVM_TEST_SPAWN_ENV")
+            kernel.join(pid, timeout=60.0)
+            assert kernel.result_of(pid) == "set-after-server-start"
 
 
 class TestQueueMailbox:

@@ -48,7 +48,7 @@ def views_shared_memory(array: np.ndarray) -> bool:
 
 
 def shm_probe_process(ctx, prob):
-    """Worker body (module-level so the spawn context can pickle it).
+    """Worker body (module-level so the kernel can pickle it by reference).
 
     Returns whether the problem arrived shared-memory backed plus a cost
     computed through it, proving the restored object is fully functional.
