@@ -2,8 +2,10 @@
 
 Every benchmark regenerates one figure of the paper on the simulated
 twelve-machine cluster, prints the series the paper plots and writes it to
-``benchmarks/results/<figure>.txt`` so the numbers quoted in EXPERIMENTS.md
-can be re-derived with a single ``pytest benchmarks/ --benchmark-only`` run.
+``benchmarks/results/<figure>.txt``, so every figure's numbers can be
+re-derived with a single ``pytest benchmarks/ --benchmark-only`` run.  CI runs
+the seven figure benchmarks at quick scale and uploads those files as the
+``figure-results`` artifact.
 
 The amount of work is controlled by the ``REPRO_EXPERIMENT_SCALE`` environment
 variable (``quick`` — the default, a few minutes for the whole suite — or

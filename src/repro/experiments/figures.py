@@ -4,8 +4,9 @@ Each ``figN_*`` function runs the corresponding experiment on the simulated
 heterogeneous cluster and returns a :class:`FigureResult` holding both the raw
 data and a formatted text rendition of the series the paper plots.  The
 benchmark harness (``benchmarks/``) calls these functions — one per figure —
-and prints their output; EXPERIMENTS.md records representative results next to
-the paper's qualitative findings.
+prints their output and writes it to ``benchmarks/results/<figure>.txt``; CI
+runs all seven at quick scale and uploads those files as the
+``figure-results`` artifact.
 
 All functions accept an :class:`~repro.experiments.harness.ExperimentScale`
 (defaulting to the scale selected by ``REPRO_EXPERIMENT_SCALE``) and a seed so

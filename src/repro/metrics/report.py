@@ -3,7 +3,9 @@
 The benchmark harness prints the same rows/series the paper's figures show.
 These helpers format aligned text tables and simple series without pulling in
 any plotting dependency (the environment is offline); the output is meant to
-be diffed, eyeballed and copied into EXPERIMENTS.md.
+be diffed and eyeballed.  The figure benchmarks write it to
+``benchmarks/results/<figure>.txt``, which CI uploads as the
+``figure-results`` artifact.
 """
 
 from __future__ import annotations

@@ -19,10 +19,21 @@ re-evaluating the cached path with the hypothetical positions — a standard
 path-based surrogate: exact for moves touching the cached path, optimistic
 otherwise.  The exact analysis is re-run when moves are committed (with a
 configurable refresh interval) so the surrogate never drifts far.
+
+Everything the analysis derives from the netlist alone (kind masks, fan-in,
+topological order, level schedule, flat edge lists) is a
+:class:`TimingGraph`, built once per netlist object per process by
+:func:`timing_graph` and shared by every :class:`TimingAnalyzer` of that
+netlist.  Every run's master, TSW and CLW build an evaluator, and at 10k
+cells the graph was most of that build.  Each analyzer keeps its own
+scratch buffers, because evaluators sharing one problem may analyze at the
+same time on different threads.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -34,7 +45,10 @@ from .cell import CellKind
 from .netlist import Netlist
 from .solution import Placement
 
-__all__ = ["TimingModel", "TimingResult", "TimingAnalyzer", "TimingState"]
+__all__ = [
+    "TimingModel", "TimingResult", "TimingGraph", "timing_graph", "TimingAnalyzer",
+    "TimingState",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,153 +87,217 @@ class TimingResult:
         return len(self.critical_path)
 
 
+@dataclass(frozen=True, eq=False)
+class TimingGraph:
+    """Everything static timing analysis derives from the netlist alone.
+
+    Built by :func:`timing_graph` once per netlist object per process and
+    shared by every :class:`TimingAnalyzer` of that netlist, so it is
+    immutable: sequences are tuples and every array is read-only.  It reads
+    neither a placement nor a :class:`TimingModel`, and it holds no
+    reference to its netlist, so the cache entry dies with the netlist.
+    """
+
+    #: Kind masks: timing start points, timing endpoints, flip-flops.
+    is_start: np.ndarray
+    is_end: np.ndarray
+    is_seq: np.ndarray
+    #: Propagating fan-in of every cell (empty for start points).
+    prop_fanin: Tuple[Tuple[int, ...], ...]
+    #: Endpoint fan-in of every cell (empty unless it is an endpoint).
+    end_fanin: Tuple[Tuple[int, ...], ...]
+    topo_order: Tuple[int, ...]
+    #: Intrinsic cell delays, as an array and as Python floats.
+    delays: np.ndarray
+    delays_list: Tuple[float, ...]
+    #: One ``(cells, flat fan-in, segment starts, cell delays, edge slice)``
+    #: entry per topological level above 0.
+    level_schedule: Tuple[tuple, ...]
+    #: Every propagating edge in level order: driver and sink.
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+    #: ``(cell, fan-in)`` in edge order, for the scalar propagation loop.
+    scalar_schedule: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    #: Endpoint CSR: every endpoint fan-in driver and, aligned, its endpoint.
+    end_flat: np.ndarray
+    ends_rep: np.ndarray
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _build_graph(netlist: Netlist) -> TimingGraph:
+    """Derive the :class:`TimingGraph` of ``netlist`` (uncached)."""
+    n = netlist.num_cells
+    kinds = [cell.kind for cell in netlist.cells]
+    is_start = np.array([k.is_timing_start for k in kinds], dtype=bool)
+    is_end = np.array([k.is_timing_end for k in kinds], dtype=bool)
+    is_seq = np.array([k is CellKind.SEQUENTIAL for k in kinds], dtype=bool)
+
+    # Propagating fan-in: for every cell, the drivers whose arrival feeds
+    # its own arrival.  Sequential cells do not propagate their fan-in
+    # (paths end at their D input); their own arrival is just clk-to-Q.
+    prop_fanin = tuple(() if is_start[c] else netlist.fanin(c) for c in range(n))
+    # Endpoint fan-in: data inputs of sequential cells and primary outputs.
+    # (For primary outputs this is the same as the propagating fan-in.)
+    end_fanin = tuple(netlist.fanin(c) if is_end[c] else () for c in range(n))
+
+    # Kahn topological sort over propagating edges.
+    indegree = np.array([len(f) for f in prop_fanin], dtype=np.int64)
+    consumers: List[List[int]] = [[] for _ in range(n)]
+    for c in range(n):
+        for d in prop_fanin[c]:
+            consumers[d].append(c)
+    queue = deque(int(c) for c in np.flatnonzero(indegree == 0))
+    order: List[int] = []
+    remaining = indegree.copy()
+    while queue:
+        c = queue.popleft()
+        order.append(c)
+        for consumer in consumers[c]:
+            remaining[consumer] -= 1
+            if remaining[consumer] == 0:
+                queue.append(consumer)
+    if len(order) != n:
+        raise CostModelError(
+            f"netlist {netlist.name!r}: combinational cycle detected; "
+            "static timing analysis requires an acyclic combinational graph"
+        )
+    delays = netlist.cell_delays
+
+    # Group cells into topological *levels* for the vectorised STA: all
+    # cells of one level depend only on strictly earlier levels, so a whole
+    # level's arrival times are one segmented gather/reduce instead of a
+    # Python loop over cells.
+    level = np.zeros(n, dtype=np.int64)
+    for c in order:
+        fanin = prop_fanin[c]
+        if fanin:
+            level[c] = 1 + max(int(level[d]) for d in fanin)
+    # One flat edge list over all levels: the geometric edge delays are
+    # arrival-independent, so one vectorised pass prices every edge up
+    # front and the sequential per-level work shrinks to a gather, an add
+    # and a segmented max.
+    schedule = []
+    max_level = int(level.max()) if n else 0
+    edge_cursor = 0
+    all_flat: List[np.ndarray] = []
+    all_rep: List[np.ndarray] = []
+    for lvl in range(1, max_level + 1):
+        cells = np.flatnonzero(level == lvl)
+        counts = np.array([len(prop_fanin[c]) for c in cells], dtype=np.int64)
+        flat = np.concatenate(
+            [np.asarray(prop_fanin[c], dtype=np.int64) for c in cells]
+        ) if cells.size else np.zeros(0, dtype=np.int64)
+        starts = np.zeros(cells.size, dtype=np.int64)
+        if cells.size:
+            np.cumsum(counts[:-1], out=starts[1:])
+        edge_slice = slice(edge_cursor, edge_cursor + flat.size)
+        edge_cursor += flat.size
+        all_flat.append(flat)
+        all_rep.append(np.repeat(cells, counts))
+        schedule.append((
+            _read_only(cells), _read_only(flat), _read_only(starts),
+            _read_only(delays[cells]), edge_slice,
+        ))
+    edge_src = np.concatenate(all_flat) if all_flat else np.zeros(0, dtype=np.int64)
+    edge_dst = np.concatenate(all_rep) if all_rep else np.zeros(0, dtype=np.int64)
+    # Scalar propagation schedule, aligned with the flat edge order: for
+    # the paper-sized circuits a tight Python loop over *pre-vectorised*
+    # edge delays beats per-level NumPy dispatch (tens of levels with a
+    # handful of cells each); big flat circuits flip the other way.
+    scalar_schedule = tuple(
+        (int(c), prop_fanin[c])
+        for cells, _flat, _starts, _delays, _sl in schedule
+        for c in cells
+    )
+    # Endpoint CSR: data arrivals at POs / flip-flop D inputs.  Endpoints
+    # are visited in index order and their fan-in in netlist order —
+    # matching the reference loop so that first-maximum tie-breaking is
+    # identical.
+    end_cells = [c for c in np.flatnonzero(is_end) if end_fanin[c]]
+    if end_cells:
+        end_counts = np.array([len(end_fanin[c]) for c in end_cells], dtype=np.int64)
+        end_flat = np.concatenate(
+            [np.asarray(end_fanin[c], dtype=np.int64) for c in end_cells]
+        )
+    else:
+        end_counts = np.zeros(0, dtype=np.int64)
+        end_flat = np.zeros(0, dtype=np.int64)
+    ends_rep = np.repeat(np.asarray(end_cells, dtype=np.int64), end_counts)
+    return TimingGraph(
+        is_start=_read_only(is_start),
+        is_end=_read_only(is_end),
+        is_seq=_read_only(is_seq),
+        prop_fanin=prop_fanin,
+        end_fanin=end_fanin,
+        topo_order=tuple(order),
+        delays=delays,
+        delays_list=tuple(float(d) for d in delays),
+        level_schedule=tuple(schedule),
+        edge_src=_read_only(edge_src),
+        edge_dst=_read_only(edge_dst),
+        scalar_schedule=scalar_schedule,
+        end_flat=_read_only(end_flat),
+        ends_rep=_read_only(ends_rep),
+    )
+
+
+#: Netlist object → its graph.  Weak keys: an entry dies with its netlist
+#: (a warm pool that switches problems drops the old graph), and nothing is
+#: stored on the netlist, so no graph rides in a pickle of it.
+_GRAPHS: "weakref.WeakKeyDictionary[Netlist, TimingGraph]" = weakref.WeakKeyDictionary()
+_GRAPHS_LOCK = threading.Lock()
+
+
+def timing_graph(netlist: Netlist) -> TimingGraph:
+    """The shared :class:`TimingGraph` of ``netlist``, built on first use.
+
+    Memoised per netlist object for the life of the process: every run's
+    master, TSW and CLW build an evaluator, and on the threads backend and
+    the simulator they all share one problem object, as a warm worker
+    shares its problem across runs.  The build runs under the cache lock,
+    so threads asking at once build it once.
+    """
+    with _GRAPHS_LOCK:
+        graph = _GRAPHS.get(netlist)
+        if graph is None:
+            graph = _GRAPHS[netlist] = _build_graph(netlist)
+        return graph
+
+
 class TimingAnalyzer:
     """Exact static timing analysis for a fixed netlist.
 
     The netlist connectivity never changes during placement, so the
-    topological order, endpoint set and fan-in structure are computed once at
-    construction; only the geometric wire delays depend on the placement.
+    topological order, endpoint set, fan-in structure and level schedule
+    come from the netlist's shared :class:`TimingGraph`, built once per
+    netlist object per process; only the geometric wire delays depend on
+    the placement.  The scratch buffers :meth:`analyze` writes belong to
+    the analyzer: the threads backend and the simulator run many evaluators
+    on one problem, and threads can interleave inside :meth:`analyze`, so
+    shared scratch would let one analysis overwrite another's.
     """
 
     def __init__(self, netlist: Netlist, model: TimingModel | None = None) -> None:
         self._netlist = netlist
         self._model = model or TimingModel()
-        self._build_static_structure()
-
-    def _build_static_structure(self) -> None:
-        netlist = self._netlist
-        n = netlist.num_cells
-        kinds = [cell.kind for cell in netlist.cells]
-        self._is_start = np.array([k.is_timing_start for k in kinds], dtype=bool)
-        self._is_end = np.array([k.is_timing_end for k in kinds], dtype=bool)
-        self._is_pi = np.array([k is CellKind.PRIMARY_INPUT for k in kinds], dtype=bool)
-        self._is_seq = np.array([k is CellKind.SEQUENTIAL for k in kinds], dtype=bool)
-
-        # Propagating fan-in: for every cell, the drivers whose arrival feeds
-        # its own arrival.  Sequential cells do not propagate their fan-in
-        # (paths end at their D input); their own arrival is just clk-to-Q.
-        fanin: List[Tuple[int, ...]] = []
-        for c in range(n):
-            if self._is_start[c]:
-                fanin.append(())
-            else:
-                fanin.append(netlist.fanin(c))
-        self._prop_fanin = tuple(fanin)
-
-        # Endpoint fan-in: data inputs of sequential cells and primary outputs.
-        # (For primary outputs this is the same as the propagating fan-in.)
-        self._end_fanin = tuple(
-            netlist.fanin(c) if self._is_end[c] else () for c in range(n)
-        )
-
-        # Kahn topological sort over propagating edges.
-        indegree = np.array([len(f) for f in self._prop_fanin], dtype=np.int64)
-        consumers: List[List[int]] = [[] for _ in range(n)]
-        for c in range(n):
-            for d in self._prop_fanin[c]:
-                consumers[d].append(c)
-        queue = deque(int(c) for c in np.flatnonzero(indegree == 0))
-        order: List[int] = []
-        remaining = indegree.copy()
-        while queue:
-            c = queue.popleft()
-            order.append(c)
-            for consumer in consumers[c]:
-                remaining[consumer] -= 1
-                if remaining[consumer] == 0:
-                    queue.append(consumer)
-        if len(order) != n:
-            raise CostModelError(
-                f"netlist {netlist.name!r}: combinational cycle detected; "
-                "static timing analysis requires an acyclic combinational graph"
-            )
-        self._topo_order = tuple(order)
-        self._delays = netlist.cell_delays
-        self._build_level_schedule()
-
-    def _build_level_schedule(self) -> None:
-        """Group cells into topological *levels* for the vectorised STA.
-
-        All cells of one level depend only on strictly earlier levels, so a
-        whole level's arrival times can be computed with one segmented
-        gather/reduce instead of a Python loop over cells.  The schedule is
-        placement-independent and built once.
-        """
-        n = self._netlist.num_cells
-        level = np.zeros(n, dtype=np.int64)
-        for c in self._topo_order:
-            fanin = self._prop_fanin[c]
-            if fanin:
-                level[c] = 1 + max(int(level[d]) for d in fanin)
-        # One flat edge list over all levels: the geometric edge delays are
-        # arrival-independent, so one vectorised pass prices every edge up
-        # front and the sequential per-level work shrinks to a gather, an add
-        # and a segmented max.
-        schedule = []
-        max_level = int(level.max()) if n else 0
-        edge_cursor = 0
-        all_flat: List[np.ndarray] = []
-        all_rep: List[np.ndarray] = []
-        for lvl in range(1, max_level + 1):
-            cells = np.flatnonzero(level == lvl)
-            counts = np.array([len(self._prop_fanin[c]) for c in cells], dtype=np.int64)
-            flat = np.concatenate(
-                [np.asarray(self._prop_fanin[c], dtype=np.int64) for c in cells]
-            ) if cells.size else np.zeros(0, dtype=np.int64)
-            starts = np.zeros(cells.size, dtype=np.int64)
-            if cells.size:
-                np.cumsum(counts[:-1], out=starts[1:])
-            edge_slice = slice(edge_cursor, edge_cursor + flat.size)
-            edge_cursor += flat.size
-            all_flat.append(flat)
-            all_rep.append(np.repeat(cells, counts))
-            schedule.append((cells, flat, starts, self._delays[cells], edge_slice))
-        self._level_schedule = tuple(schedule)
-        self._edge_src = (
-            np.concatenate(all_flat) if all_flat else np.zeros(0, dtype=np.int64)
-        )
-        self._edge_dst = (
-            np.concatenate(all_rep) if all_rep else np.zeros(0, dtype=np.int64)
-        )
-        # Scalar propagation schedule, aligned with the flat edge order: for
-        # the paper-sized circuits a tight Python loop over *pre-vectorised*
-        # edge delays beats per-level NumPy dispatch (tens of levels with a
-        # handful of cells each); big flat circuits flip the other way.
-        self._scalar_schedule = tuple(
-            (int(c), self._prop_fanin[c])
-            for cells, _flat, _starts, _delays, _sl in schedule
-            for c in cells
-        )
-        self._delays_list = [float(d) for d in self._delays]
+        self._graph = timing_graph(netlist)
+        # Per analyzer, so a test can force either path on one analyzer;
         # crossover measured on the paper circuits: ~2k edges
-        self._use_scalar_propagation = self._edge_src.size < 2048
-        # Endpoint CSR: data arrivals at POs / flip-flop D inputs.  Endpoints
-        # are visited in index order and their fan-in in netlist order —
-        # matching the reference loop so that first-maximum tie-breaking is
-        # identical.
-        end_cells = [c for c in np.flatnonzero(self._is_end) if self._end_fanin[c]]
-        self._end_cells = np.asarray(end_cells, dtype=np.int64)
-        if end_cells:
-            self._end_counts = np.array(
-                [len(self._end_fanin[c]) for c in end_cells], dtype=np.int64
-            )
-            self._end_flat = np.concatenate(
-                [np.asarray(self._end_fanin[c], dtype=np.int64) for c in end_cells]
-            )
-        else:
-            self._end_counts = np.zeros(0, dtype=np.int64)
-            self._end_flat = np.zeros(0, dtype=np.int64)
-        # Static endpoint replication (used to be rebuilt on every analyze).
-        self._ends_rep = np.repeat(self._end_cells, self._end_counts)
+        self._use_scalar_propagation = self._graph.edge_src.size < 2048
         # Reusable scratch buffers for analyze(): allocated once on first
         # use, so a steady-state STA allocates O(1) fresh memory per call
         # (only the returned arrival copy) instead of O(cells + edges).
         self._scratch: dict | None = None
 
     def _make_scratch(self) -> dict:
+        graph = self._graph
         num_cells = self._netlist.num_cells
-        num_edges = self._edge_src.size
-        num_ends = self._end_flat.size
+        num_edges = graph.edge_src.size
+        num_ends = graph.end_flat.size
         return {
             "x": np.empty(num_cells, dtype=np.float64),
             "y": np.empty(num_cells, dtype=np.float64),
@@ -232,7 +310,7 @@ class TimingAnalyzer:
                     np.empty(flat.size, dtype=np.float64),
                     np.empty(cells.size, dtype=np.float64),
                 )
-                for cells, flat, _starts, _delays, _sl in self._level_schedule
+                for cells, flat, _starts, _delays, _sl in graph.level_schedule
             ),
             "end_a": np.empty(num_ends, dtype=np.float64),
             "end_b": np.empty(num_ends, dtype=np.float64),
@@ -249,6 +327,11 @@ class TimingAnalyzer:
         """Interconnect delay model."""
         return self._model
 
+    @property
+    def graph(self) -> TimingGraph:
+        """The netlist's shared, read-only timing graph."""
+        return self._graph
+
     def wire_delay(self, x: np.ndarray, y: np.ndarray, driver: int, sink: int) -> float:
         """Interconnect delay between two cells given coordinate arrays."""
         dist = abs(float(x[driver] - x[sink])) + abs(float(y[driver] - y[sink]))
@@ -259,7 +342,7 @@ class TimingAnalyzer:
         """Run an exact STA under ``placement`` and extract the critical path.
 
         Arrival times are propagated one topological *level* at a time with
-        segmented NumPy reductions (see :meth:`_build_level_schedule`) —
+        segmented NumPy reductions (the graph's level schedule) —
         numerically identical to :meth:`analyze_reference` including
         first-maximum tie-breaking, but an order of magnitude faster on the
         paper circuits.  This is the cost that dominates installing a received
@@ -268,6 +351,7 @@ class TimingAnalyzer:
         steady-state call allocates only the returned arrival copy — at 10k
         cells that is ~80 KB instead of several MB per STA.
         """
+        graph = self._graph
         scratch = self._scratch
         if scratch is None:
             scratch = self._scratch = self._make_scratch()
@@ -280,15 +364,15 @@ class TimingAnalyzer:
         wpu = self._model.wire_delay_per_unit
         # all propagating edge delays in one vectorised pass
         edge_delay = scratch["edge_delay"]
-        if self._edge_src.size:
+        if graph.edge_src.size:
             tmp = scratch["edge_tmp"]
             tmp2 = scratch["edge_tmp2"]
-            np.take(x, self._edge_src, out=edge_delay)
-            np.take(x, self._edge_dst, out=tmp)
+            np.take(x, graph.edge_src, out=edge_delay)
+            np.take(x, graph.edge_dst, out=tmp)
             np.subtract(edge_delay, tmp, out=edge_delay)
             np.abs(edge_delay, out=edge_delay)
-            np.take(y, self._edge_src, out=tmp)
-            np.take(y, self._edge_dst, out=tmp2)
+            np.take(y, graph.edge_src, out=tmp)
+            np.take(y, graph.edge_dst, out=tmp2)
             np.subtract(tmp, tmp2, out=tmp)
             np.abs(tmp, out=tmp)
             np.add(edge_delay, tmp, out=edge_delay)
@@ -296,11 +380,11 @@ class TimingAnalyzer:
         # Cells without propagating fan-in arrive at their intrinsic delay;
         # every later level overwrites its own cells.
         if self._use_scalar_propagation:
-            delays_list = self._delays_list
-            arr = delays_list.copy()
+            delays_list = graph.delays_list
+            arr = list(delays_list)
             ed = edge_delay.tolist()
             index = 0
-            for c, fanin in self._scalar_schedule:
+            for c, fanin in graph.scalar_schedule:
                 best = -np.inf
                 for d in fanin:
                     t = arr[d] + ed[index]
@@ -311,9 +395,9 @@ class TimingAnalyzer:
             arrival = np.asarray(arr, dtype=np.float64)
         else:
             arrival = scratch["arrival"]
-            arrival[:] = self._delays
+            arrival[:] = graph.delays
             for (cells, flat, starts, cell_delays, edge_slice), (t_buf, red_buf) in zip(
-                self._level_schedule, scratch["levels"]
+                graph.level_schedule, scratch["levels"]
             ):
                 np.take(arrival, flat, out=t_buf)
                 np.add(t_buf, edge_delay[edge_slice], out=t_buf)
@@ -327,28 +411,28 @@ class TimingAnalyzer:
         critical_delay = 0.0
         critical_end = -1
         critical_end_pred = -1
-        if self._end_flat.size:
-            ends_rep = self._ends_rep
+        if graph.end_flat.size:
+            ends_rep = graph.ends_rep
             end_t = scratch["end_a"]
             end_tmp = scratch["end_b"]
             end_tmp2 = scratch["end_c"]
-            np.take(x, self._end_flat, out=end_t)
+            np.take(x, graph.end_flat, out=end_t)
             np.take(x, ends_rep, out=end_tmp)
             np.subtract(end_t, end_tmp, out=end_t)
             np.abs(end_t, out=end_t)
-            np.take(y, self._end_flat, out=end_tmp)
+            np.take(y, graph.end_flat, out=end_tmp)
             np.take(y, ends_rep, out=end_tmp2)
             np.subtract(end_tmp, end_tmp2, out=end_tmp)
             np.abs(end_tmp, out=end_tmp)
             np.add(end_t, end_tmp, out=end_t)
             np.multiply(end_t, wpu, out=end_t)
-            np.take(arrival, self._end_flat, out=end_tmp)
+            np.take(arrival, graph.end_flat, out=end_tmp)
             np.add(end_t, end_tmp, out=end_t)
             imax = int(np.argmax(end_t))
             if float(end_t[imax]) > 0.0:
                 critical_delay = float(end_t[imax])
                 critical_end = int(ends_rep[imax])
-                critical_end_pred = int(self._end_flat[imax])
+                critical_end_pred = int(graph.end_flat[imax])
 
         # Backtrack the critical path: the predecessor of a path cell is its
         # first fan-in attaining the arrival maximum, exactly the reference
@@ -362,7 +446,7 @@ class TimingAnalyzer:
             cursor = critical_end_pred
             while cursor >= 0:
                 path.append(cursor)
-                fanin = self._prop_fanin[cursor]
+                fanin = graph.prop_fanin[cursor]
                 if not fanin:
                     break
                 xc = float(x[cursor])
@@ -386,7 +470,7 @@ class TimingAnalyzer:
             cursor = critical_end_pred
             while cursor >= 0:
                 path.append(cursor)
-                fanin = self._prop_fanin[cursor]
+                fanin = graph.prop_fanin[cursor]
                 if not fanin:
                     break
                 xc = x_list[cursor]
@@ -415,15 +499,16 @@ class TimingAnalyzer:
         test drives both over random placements and asserts identical arrival
         times, critical delay and critical path.
         """
+        graph = self._graph
         x = placement.cell_x()
         y = placement.cell_y()
         n = self._netlist.num_cells
         arrival = np.zeros(n, dtype=np.float64)
         best_pred = np.full(n, -1, dtype=np.int64)
         wpu = self._model.wire_delay_per_unit
-        delays = self._delays
-        for c in self._topo_order:
-            fanin = self._prop_fanin[c]
+        delays = graph.delays
+        for c in graph.topo_order:
+            fanin = graph.prop_fanin[c]
             if fanin:
                 best = -np.inf
                 pred = -1
@@ -444,8 +529,8 @@ class TimingAnalyzer:
         critical_delay = 0.0
         critical_end = -1
         critical_end_pred = -1
-        for c in np.flatnonzero(self._is_end):
-            fanin = self._end_fanin[c]
+        for c in np.flatnonzero(graph.is_end):
+            fanin = graph.end_fanin[c]
             if not fanin:
                 continue
             xc = x[c]
@@ -507,13 +592,14 @@ class TimingAnalyzer:
         """
         if len(path) < 2:
             return 0.0
-        delays = self._delays_list
+        graph = self._graph
+        delays = graph.delays_list
         total = 0.0
         for idx, cell in enumerate(path):
             is_last = idx == len(path) - 1
-            if is_last and self._is_end[cell] and not self._is_start[cell]:
+            if is_last and graph.is_end[cell] and not graph.is_start[cell]:
                 continue  # PO endpoint: no intrinsic delay after arrival
-            if is_last and self._is_seq[cell]:
+            if is_last and graph.is_seq[cell]:
                 continue  # flip-flop D input endpoint
             total += delays[cell]
         return total

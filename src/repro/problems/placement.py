@@ -84,8 +84,12 @@ class PlacementProblem:
     ) -> CostEvaluator:
         """Build a private evaluator for a worker, bound to ``cell_to_slot``.
 
-        Every worker calls this once at start-up; afterwards new solutions are
-        installed through :meth:`CostEvaluator.install_solution`.
+        Every run's master, each TSW and each CLW call this on first contact
+        (five calls in a warm 2×1 run, three of them one after another on
+        the run's critical path); afterwards new solutions are installed
+        through :meth:`CostEvaluator.install_solution`.  The netlist's timing
+        graph is built by the first call in a process and shared by the
+        rest (:func:`repro.placement.timing.timing_graph`).
         """
         placement = Placement(self.layout, np.asarray(cell_to_slot, dtype=np.int64))
         return CostEvaluator(

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import pickle
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,7 +21,9 @@ from repro.placement import (
     load_benchmark,
     random_placement,
 )
+from repro.placement import timing
 from repro.placement.timing import TimingAnalyzer, TimingModel, TimingState
+from repro.problems.placement import PlacementProblem
 
 
 class TestTimingModel:
@@ -149,3 +158,113 @@ class TestTimingState:
         placement = random_placement(layout, seed=0)
         with pytest.raises(CostModelError):
             TimingState(placement, TimingAnalyzer(netlist), refresh_interval=0)
+
+
+def _arrays_of(value):
+    """Every ndarray inside ``value``, descending into tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays_of(item)
+
+
+@pytest.fixture()
+def build_counter(monkeypatch):
+    """The netlists `_build_graph` is called for, in call order."""
+    built = []
+    build = timing._build_graph
+
+    def counting_build(netlist):
+        built.append(netlist)
+        return build(netlist)
+
+    monkeypatch.setattr(timing, "_build_graph", counting_build)
+    return built
+
+
+class TestSharedGraph:
+    def test_evaluators_of_one_problem_build_the_graph_once(self, build_counter):
+        problem = PlacementProblem.from_netlist(load_benchmark("mini64", use_cache=False))
+        solution = problem.random_solution(seed=1)
+        first = problem.make_evaluator(solution)
+        second = problem.make_evaluator(solution)
+        # from_netlist's reference evaluator built it; the others reuse it
+        assert build_counter == [problem.netlist]
+        assert first._timing.analyzer.graph is second._timing.analyzer.graph
+        assert first._timing.analyzer is not second._timing.analyzer
+
+    def test_threads_build_one_graph_and_keep_their_own_scratch(self, build_counter):
+        """More analyzing threads than cores, on one fresh big2k netlist.
+
+        They race to build the graph (the cache lock lets one build it),
+        then analyze different placements, switching threads inside
+        ``analyze``; every result must equal the serial one.
+        """
+        netlist = load_benchmark("big2k", use_cache=False)
+        layout = Layout(netlist)
+        num_threads, rounds = 4, 20
+        placements = [random_placement(layout, seed=11 + i) for i in range(num_threads)]
+        analyzers = [None] * num_threads
+        results = [[] for _ in range(num_threads)]
+        barrier = threading.Barrier(num_threads, timeout=30)
+
+        def work(index):
+            barrier.wait()
+            analyzers[index] = analyzer = TimingAnalyzer(netlist)
+            for _ in range(rounds):
+                results[index].append(analyzer.analyze(placements[index]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(num_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert build_counter == [netlist]
+        assert all(analyzer.graph is analyzers[0].graph for analyzer in analyzers)
+        assert not analyzers[0]._use_scalar_propagation  # the scratch-backed path
+        for index, placement in enumerate(placements):
+            expected = TimingAnalyzer(netlist).analyze(placement)
+            # a thread that raised left fewer results behind
+            assert len(results[index]) == rounds
+            for result in results[index]:
+                assert result.critical_delay == expected.critical_delay
+                assert result.critical_path == expected.critical_path
+                assert np.array_equal(result.arrival, expected.arrival)
+
+    def test_every_graph_array_is_read_only(self):
+        graph = timing.timing_graph(load_benchmark("c532"))
+        arrays = [
+            array
+            for field in dataclasses.fields(graph)
+            for array in _arrays_of(getattr(graph, field.name))
+        ]
+        # masks, delays, edge lists, endpoint CSR and four arrays per level
+        assert len(arrays) >= 8 + 4 * len(graph.level_schedule)
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_building_evaluators_leaves_the_problem_pickle_unchanged(self):
+        problem = PlacementProblem.from_netlist(load_benchmark("mini64", use_cache=False))
+        before = pickle.dumps(problem)
+        solution = problem.random_solution(seed=2)
+        evaluators = [problem.make_evaluator(solution) for _ in range(2)]
+        evaluators[0].exact_cost()  # runs an STA on the shared graph
+        assert pickle.dumps(problem) == before
+
+    def test_graph_dies_with_its_netlist(self):
+        netlist = load_benchmark("mini64", use_cache=False)
+        analyzer = TimingAnalyzer(netlist)
+        analyzer.analyze(random_placement(Layout(netlist), seed=0))
+        graph = weakref.ref(analyzer.graph)
+        del netlist, analyzer
+        gc.collect()
+        assert graph() is None

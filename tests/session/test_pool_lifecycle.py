@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from multiprocessing import shared_memory
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 from repro.core.registry import get_domain
 from repro.errors import SessionError
 from repro.parallel import ParallelSearchParams
+from repro.placement import load_benchmark, timing
 from repro.session import SearchSession, SessionState, WorkerPool, make_kernel
 from repro.pvm import SimKernel, homogeneous_cluster
 from repro.tabu import TabuSearchParams
@@ -105,6 +108,41 @@ class TestWarmPool:
                 problem=problem, params=quick_params(), backend="threads", pool=pool
             )
             assert session.backend == pool.backend == "simulated"
+
+    def test_second_run_builds_no_timing_graph(self, problem, monkeypatch):
+        built, looked_up = [], []
+        build, lookup = timing._build_graph, timing.timing_graph
+        monkeypatch.setattr(timing, "_build_graph", lambda n: built.append(n) or build(n))
+        monkeypatch.setattr(
+            timing, "timing_graph", lambda n: looked_up.append(n) or lookup(n)
+        )
+        params = quick_params()
+        with WorkerPool(
+            NUM_TSWS, CLWS_PER_TSW, cluster=homogeneous_cluster(6)
+        ) as pool:
+            SearchSession(problem=problem, params=params, pool=pool).run()
+            built.clear()
+            looked_up.clear()
+            SearchSession(problem=problem, params=params, pool=pool).run()
+        # the master, every TSW and every CLW built an evaluator ...
+        assert len(looked_up) >= 1 + NUM_TSWS * (1 + CLWS_PER_TSW)
+        assert all(netlist is problem.netlist for netlist in looked_up)
+        # ... around the graph that was already there
+        assert built == []
+
+    def test_switching_problems_frees_the_old_graph(self, problem):
+        netlist = load_benchmark("tiny16", use_cache=False)
+        old = get_domain("placement").build_problem(netlist, reference_seed=7)
+        graph = weakref.ref(timing.timing_graph(netlist))
+        params = quick_params()
+        with WorkerPool(
+            NUM_TSWS, CLWS_PER_TSW, cluster=homogeneous_cluster(6)
+        ) as pool:
+            SearchSession(problem=old, params=params, pool=pool).run()
+            del old, netlist
+            SearchSession(problem=problem, params=params, pool=pool).run()
+            gc.collect()
+            assert graph() is None
 
 
 class TestWarmPoolThreads:
