@@ -8,8 +8,9 @@ makes wall-clock speedups of a pure-Python thread pool meaningless.
 
 This example demonstrates that the *process code itself* is backend-agnostic:
 the identical generator-based master, TSW and CLW bodies run unchanged on the
-:class:`~repro.pvm.ThreadKernel`, exchanging messages through real
-thread-safe mailboxes.  Compare the solution quality (equivalent) and note
+:class:`~repro.pvm.ThreadKernel` — the processes kernel with every process
+on a thread of this one, exchanging messages by reference through real
+thread-safe inboxes.  Compare the solution quality (equivalent) and note
 that the wall-clock times should *not* be interpreted as speedup.  For real
 multi-core speedups see ``examples/real_processes.py`` and the
 ``processes`` backend.

@@ -8,9 +8,8 @@ host↔device movement plus pooled scratch buffers
 the import-boundary suite enforces it — they hold an
 :class:`ArrayBackend` and pass backend-space arrays into the kernels.
 
-Gating mirrors the numba JIT hooks: cupy is optional, ``REPRO_DEVICE=cpu``
-is the escape hatch, an unavailable ``cuda`` only fails when explicitly
-requested, and under NumPy the kernels run the identical shipped code the
+Gating: cupy is optional, ``REPRO_DEVICE=cpu`` is the escape hatch, an
+unavailable ``cuda`` only fails when explicitly requested, and under NumPy the kernels run the identical shipped code the
 CUDA path uses (parity is proven in CI without a GPU; only the glue is
 device-conditional).
 """

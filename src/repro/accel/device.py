@@ -1,14 +1,13 @@
 """Device probing and array-module selection (``xp`` = numpy | cupy).
 
-The accelerator layer is gated exactly like the numba JIT hooks in
-:mod:`repro.placement._kernels`: `CuPy <https://cupy.dev>`__ is an
-**optional** dependency — the base environment does not ship it and nothing
-here may fail when it is absent.  Selection runs through three levels, most
+`CuPy <https://cupy.dev>`__ is an **optional** dependency of the
+accelerator layer — the base environment does not ship it and nothing here
+may fail when it is absent.  Selection runs through three levels, most
 specific first:
 
 1. an explicit ``device=`` knob on an evaluator / backend constructor;
 2. the ``REPRO_DEVICE`` environment variable (``auto`` | ``cpu`` | ``cuda``;
-   ``cpu`` is the bisection escape hatch mirroring ``REPRO_JIT=0``);
+   ``cpu`` is the escape hatch, e.g. to rule the device out when bisecting);
 3. a capability probe: ``cuda`` when cupy imports *and* at least one CUDA
    device answers, ``cpu`` otherwise.
 

@@ -13,7 +13,7 @@ parity suites in ``tests/accel`` pin this against frozen reference copies).
 Two sub-steps are backend-divergent by nature and are isolated behind
 explicit seams rather than hidden in the flow:
 
-* the CSR shared-net membership test has a numba-aware CPU twin
+* the CSR shared-net membership test has a CPU twin
   (:func:`repro.placement._kernels.shared_net_mask`, passed in by the
   caller) and a generic ``searchsorted`` path that runs under cupy;
 * the segment-reduce fallback for vacated bbox edges relies on
@@ -180,8 +180,8 @@ def _shared_net_mask_generic(xp, sorted_keys, query_keys):
     """Membership of each query key in a sorted key array (any backend).
 
     The same ``searchsorted`` + gather-and-compare pipeline as the NumPy
-    twin in :mod:`repro.placement._kernels`; used under cupy, where the
-    numba-jitted CPU variant cannot run.
+    twin in :mod:`repro.placement._kernels`; used under cupy, where that
+    host function cannot run.
     """
     pos = xp.searchsorted(sorted_keys, query_keys)
     xp.minimum(pos, sorted_keys.size - 1, out=pos)

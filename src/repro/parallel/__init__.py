@@ -38,11 +38,10 @@ from .tsw import tsw_process
 
 
 def __getattr__(name):
-    # Lazy legacy re-export: ``from repro.parallel import PlacementProblem``
-    # keeps working, but the engine package itself stays free of static
-    # problem-domain imports (tests/core/test_import_boundaries.py) and the
-    # deprecation warning of ``repro.parallel.problem`` fires only when the
-    # legacy name is actually used.
+    # Lazy re-export: ``from repro.parallel import PlacementProblem`` keeps
+    # working, but the engine package itself stays free of static
+    # problem-domain imports (tests/core/test_import_boundaries.py); the
+    # placement domain is imported only when the name is actually used.
     if name == "PlacementProblem":
         from ..problems.placement import PlacementProblem
 

@@ -29,7 +29,6 @@ submission — lives on the session API.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, List, Literal, Optional, Tuple
 
@@ -52,8 +51,7 @@ class ParallelSearchResult:
     """Everything a parallel-tabu-search run produced."""
 
     #: Name of the problem instance (a circuit for placement, a QAP
-    #: instance name otherwise).  Renamed from ``circuit`` when the core
-    #: went multi-domain; the old name survives as a deprecated alias.
+    #: instance name otherwise).
     instance: str
     params: ParallelSearchParams
     best_cost: float
@@ -77,16 +75,6 @@ class ParallelSearchResult:
     #: Fault incidents (:class:`~repro.metrics.trace.FaultEvent`) observed
     #: across the producing session's epochs; empty without a fault policy.
     fault_events: List[Any] = field(default_factory=list)
-
-    @property
-    def circuit(self) -> str:
-        """Deprecated alias of :attr:`instance` (pre-multi-domain name)."""
-        warnings.warn(
-            "ParallelSearchResult.circuit is deprecated; use .instance",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.instance
 
     @property
     def improvement(self) -> float:

@@ -1,73 +1,24 @@
-"""Optional numba-jitted variants of the swap-delta inner loops.
+"""NumPy kernels for the two scalar-ish inner loops of the swap-delta kernel.
 
-The batched wirelength kernel has two scalar-ish inner loops that NumPy can
-only express as multi-pass array pipelines: the CSR shared-net membership
-test (a binary search per flat ``(pair, net)`` item) and the segment-reduce
-fallback for vacated bbox edges.  When `numba <https://numba.pydata.org>`__
-is importable, this module exposes ``@njit``-compiled single-pass versions
-of both; otherwise the NumPy implementations are used.  Selection is
-automatic at import time — the kernels' *values* are identical either way,
-only the execution strategy differs, so the trajectory-identity suite holds
-regardless of which path is active.
-
-numba is an **optional** dependency: the base environment does not ship it
-and nothing here may fail when it is absent.  Set ``REPRO_JIT=0`` to force
-the NumPy path even when numba is installed (e.g. to rule the JIT out when
-bisecting a perf regression).
+The batched wirelength kernel has two inner loops that NumPy can only
+express as multi-pass array pipelines: the CSR shared-net membership test (a
+binary search per flat ``(pair, net)`` item) and the segment-reduce fallback
+for vacated bbox edges.  This module holds both, as single functions the
+wirelength state and the accelerator dispatch layer call.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "HAVE_NUMBA",
-    "jit_enabled",
-    "shared_net_mask",
-    "shared_net_mask_numpy",
-    "fallback_bbox_reduce",
-]
-
-
-def _jit_requested(value: str | None = None) -> bool:
-    """Whether the environment asks for the JIT path (``REPRO_JIT``, default on)."""
-    raw = os.environ.get("REPRO_JIT", "1") if value is None else value
-    return raw.strip().lower() not in ("0", "false", "off", "no")
-
-
-HAVE_NUMBA = False
-if _jit_requested():
-    try:  # pragma: no cover - exercised only where numba is installed
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        pass
-
-if not HAVE_NUMBA:
-
-    def njit(*args, **kwargs):  # noqa: D103 - no-op stand-in for numba.njit
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-def jit_enabled() -> bool:
-    """Whether the jitted kernel variants are active in this process."""
-    return HAVE_NUMBA
+__all__ = ["shared_net_mask", "fallback_bbox_reduce"]
 
 
 # ---------------------------------------------------------------------- #
 # CSR shared-net membership
 # ---------------------------------------------------------------------- #
-def shared_net_mask_numpy(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
-    """Membership of each query key in a sorted key array (NumPy path).
+def shared_net_mask(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
+    """Membership of each query key in a sorted key array.
 
     ``sorted_keys`` is the globally sorted ``cell * num_nets + net`` encoding
     of the cell→net incidence; a query key is present iff that cell sits on
@@ -82,35 +33,10 @@ def shared_net_mask_numpy(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np
     return out
 
 
-@njit(cache=True)
-def _shared_net_mask_jit(sorted_keys, query_keys):  # pragma: no cover - numba
-    out = np.empty(query_keys.size, dtype=np.bool_)
-    n = sorted_keys.size
-    for i in range(query_keys.size):
-        key = query_keys[i]
-        lo = 0
-        hi = n
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if sorted_keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        out[i] = lo < n and sorted_keys[lo] == key
-    return out
-
-
-def shared_net_mask(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
-    """Membership of each query key in ``sorted_keys`` (auto-selected path)."""
-    if HAVE_NUMBA and sorted_keys.size and query_keys.size:
-        return _shared_net_mask_jit(sorted_keys, query_keys)
-    return shared_net_mask_numpy(sorted_keys, query_keys)
-
-
 # ---------------------------------------------------------------------- #
 # segment-reduce fallback for vacated bbox edges
 # ---------------------------------------------------------------------- #
-def fallback_bbox_reduce_numpy(
+def fallback_bbox_reduce(
     members: np.ndarray,
     counts: np.ndarray,
     moved: np.ndarray,
@@ -124,8 +50,8 @@ def fallback_bbox_reduce_numpy(
 
     For each segment ``s`` (one net of one trial swap), scan its ``counts[s]``
     members with the moved pin at ``(to_x[s], to_y[s])`` and every other pin
-    at its placed coordinate; returns the four bbox edge arrays.  NumPy path:
-    masked substitution plus four ``reduceat`` passes.
+    at its placed coordinate; returns the four bbox edge arrays.  Masked
+    substitution plus four ``reduceat`` passes.
     """
     moved_rep = np.repeat(moved, counts)
     mx = np.where(members == moved_rep, np.repeat(to_x, counts), slot_x[cts[members]])
@@ -137,67 +63,4 @@ def fallback_bbox_reduce_numpy(
         np.maximum.reduceat(mx, starts),
         np.minimum.reduceat(my, starts),
         np.maximum.reduceat(my, starts),
-    )
-
-
-@njit(cache=True)
-def _fallback_bbox_reduce_jit(  # pragma: no cover - numba
-    members, counts, moved, to_x, to_y, cts, slot_x, slot_y
-):
-    num = counts.size
-    x_min = np.empty(num, dtype=np.float64)
-    x_max = np.empty(num, dtype=np.float64)
-    y_min = np.empty(num, dtype=np.float64)
-    y_max = np.empty(num, dtype=np.float64)
-    cursor = 0
-    for s in range(num):
-        mv = moved[s]
-        tx = to_x[s]
-        ty = to_y[s]
-        lo_x = np.inf
-        hi_x = -np.inf
-        lo_y = np.inf
-        hi_y = -np.inf
-        for _ in range(counts[s]):
-            m = members[cursor]
-            cursor += 1
-            if m == mv:
-                x = tx
-                y = ty
-            else:
-                slot = cts[m]
-                x = slot_x[slot]
-                y = slot_y[slot]
-            if x < lo_x:
-                lo_x = x
-            if x > hi_x:
-                hi_x = x
-            if y < lo_y:
-                lo_y = y
-            if y > hi_y:
-                hi_y = y
-        x_min[s] = lo_x
-        x_max[s] = hi_x
-        y_min[s] = lo_y
-        y_max[s] = hi_y
-    return x_min, x_max, y_min, y_max
-
-
-def fallback_bbox_reduce(
-    members: np.ndarray,
-    counts: np.ndarray,
-    moved: np.ndarray,
-    to_x: np.ndarray,
-    to_y: np.ndarray,
-    cts: np.ndarray,
-    slot_x: np.ndarray,
-    slot_y: np.ndarray,
-):
-    """Exact fallback-segment bboxes (auto-selected path, see the NumPy twin)."""
-    if HAVE_NUMBA and counts.size:
-        return _fallback_bbox_reduce_jit(
-            members, counts, moved, to_x, to_y, cts, slot_x, slot_y
-        )
-    return fallback_bbox_reduce_numpy(
-        members, counts, moved, to_x, to_y, cts, slot_x, slot_y
     )

@@ -235,8 +235,8 @@ class WirelengthState:
             WirelengthState._logged_modes.add(mode)
             logger.info(
                 "wirelength shared-net detection: %s path selected "
-                "(first instance: %d cells x %d nets, jit=%s)",
-                mode, num_cells, num_nets, _kernels.jit_enabled(),
+                "(first instance: %d cells x %d nets)",
+                mode, num_cells, num_nets,
             )
         self.rebuild()
 

@@ -1,11 +1,12 @@
-"""PVM-like substrate: heterogeneous cluster, message passing and three kernels.
+"""PVM-like substrate: heterogeneous cluster, message passing and two kernels.
 
 The default kernel is the deterministic discrete-event simulator
-(:class:`~repro.pvm.simulator.SimKernel`); a real-thread kernel
-(:class:`~repro.pvm.threads_backend.ThreadKernel`) runs the same process code
-on OS threads (GIL-bound, demonstration only), and a real-process kernel
-(:class:`~repro.pvm.process_backend.ProcessKernel`) runs it on OS processes
-for true multi-core wall-clock speedups.
+(:class:`~repro.pvm.simulator.SimKernel`).  The real kernel
+(:class:`~repro.pvm.process_backend.ProcessKernel`) runs the same process
+code on OS processes for true multi-core wall-clock speedups; its
+:class:`~repro.pvm.process_backend.ThreadKernel` mode runs every process on
+a thread of the calling process instead (GIL-bound: no speedup, but one
+address space and no serialisation).
 """
 
 from .cluster import ClusterSpec, heterogeneous_cluster, homogeneous_cluster, paper_cluster
@@ -35,9 +36,8 @@ from .process import (
     Spawn,
     Syscall,
 )
-from .process_backend import ProcessKernel
+from .process_backend import ProcessKernel, ThreadKernel
 from .simulator import ProcessInfo, ProcessState, SimKernel, SimStats
-from .threads_backend import ThreadKernel
 
 __all__ = [
     "ClusterSpec",

@@ -12,7 +12,8 @@ Every interaction with the outside world is expressed by *yielding a syscall
 object* built by the :class:`ProcessContext`; the kernel interprets the
 syscall and resumes the generator with the result.  This mirrors how a PVM
 program calls ``pvm_send`` / ``pvm_recv``, but lets a deterministic
-discrete-event kernel (or a real-thread kernel) supply the semantics.
+discrete-event kernel (or the real kernel, on OS processes or threads)
+supply the semantics.
 
 The context also exposes the process id, the parent id and the machine the
 process landed on — the pieces of ``pvm_mytid`` / ``pvm_parent`` the paper's

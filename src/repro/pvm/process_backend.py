@@ -1,11 +1,12 @@
-"""Real-OS-process execution backend: true multi-core parallelism.
+"""The real-execution kernel: OS processes, or threads of the kernel process.
 
 The :class:`ProcessKernel` runs the *same* generator-based master/TSW/CLW
-process code as the simulator and the thread backend, but on real OS
-processes — so the batched numpy work inside every worker runs on its own
-core, outside the GIL.  This is the backend that turns the paper's claim
-into measurable wall-clock speedup (see
-``benchmarks/bench_wallclock_parallel.py``).
+process code as the simulator, but on real OS processes — so the batched
+numpy work inside every worker runs on its own core, outside the GIL.  This
+is the backend that turns the paper's claim into measurable wall-clock
+speedup (see ``benchmarks/bench_wallclock_parallel.py``).  The
+:class:`ThreadKernel` is the same kernel with every spawn local: each
+process runs on a thread of the kernel process.
 
 Execution model
 ---------------
@@ -23,21 +24,27 @@ Execution model
   driver's ``__main__`` module again (as ``__mp_main__``), so scripts keep
   their ``if __name__ == "__main__"`` guard.
 * A worker gets the driver's environment as of its spawn, not the server's.
-  Only what is read at import follows the environment the server started
-  with: ``REPRO_JIT``.
 * :meth:`ProcessKernel.spawn_local` runs a process on a thread of the
-  kernel process instead.  The session layer starts each run's master this
-  way, so a run pays no interpreter boot, no ``import repro`` and no problem
-  rebuild for it; the master uses the caller's objects as they are.
+  kernel process instead, through the same syscall interpreter, inboxes and
+  join logic.  The session layer starts each run's master this way, so a run
+  pays no interpreter boot, no ``import repro`` and no problem rebuild for
+  it; the master uses the caller's objects as they are.
+* :class:`ThreadKernel` starts every process this way.  Its inboxes hold
+  :class:`Message` objects by reference: nothing is pickled, and every
+  process holds the caller's objects (the problem included).  It never
+  starts an OS process, so it creates no fork server, router thread or
+  ``multiprocessing`` object: a kernel starts those when it first needs a
+  ``multiprocessing`` inbox or an OS spawn.
 * Everything that crosses a process boundary — spawn calls, messages, exit
   outcomes — is pickled once by :func:`repro.pvm.shm.dumps`, which writes
   every shared-memory-exported object (the problem) as its small
   :class:`~repro.pvm.shm.SharedObjectRef`, wherever it sits in the payload.
   The kernel exports each distinct object once, on first sight, and keeps
   the block until shutdown; each worker attaches it once.
-* Each process owns one ``multiprocessing`` inbox queue.  ``Receive`` pops
-  from it with the same tag/src filtering as the other backends (messages
-  that do not match are buffered locally, preserving arrival order).
+* Each process owns one inbox queue (a ``multiprocessing`` queue of pickled
+  messages on the processes kernel).  ``Receive`` pops from it with the same
+  tag/src filtering as the simulator (messages that do not match are
+  buffered locally, preserving arrival order).
 * A worker's ``Send``, ``Spawn`` and exit are *requests* shipped to a single
   router queue that a thread in the kernel process drains: sends are
   forwarded, still pickled, to the destination inbox, spawns create a new OS
@@ -45,13 +52,18 @@ Execution model
   pipe, exits record the worker's result.  Child→parent messages skip the
   router and go straight into the parent's inbox, and a kernel-thread
   process delivers its messages and spawns directly.
-* ``Compute`` throttles: the driver measures the real time the process body
+* A death is announced with a ``worker_down`` notice to the process's parent
+  and to the registered death listener: a kernel-thread process that ends
+  with an error announces itself, and a monitor thread announces an OS
+  process that exits without reporting.
+* ``Compute`` throttles: the runtime measures the real time the process body
   spent computing since it was last resumed and sleeps it longer by the
   machine's slowdown factor ``1 / effective_rate - 1`` from the
   :class:`~repro.pvm.cluster.ClusterSpec` — a machine of speed 0.5 takes
   twice the reference wall-clock time, emulating the paper's heterogeneous
-  LAN on homogeneous hardware.  On the reference machines (rate 1.0, e.g.
-  every machine of ``homogeneous_cluster``) it is a no-op.
+  LAN on homogeneous hardware.  This holds on both kernels.  On the
+  reference machines (rate 1.0, e.g. every machine of
+  ``homogeneous_cluster``) it is a no-op.
 * ``GetTime`` returns wall-clock seconds since the kernel was created,
   measured against a ``time.time()`` epoch shared with every worker (the
   monotonic clock is not guaranteed comparable across processes).  A message
@@ -66,6 +78,7 @@ whole protocol.
 from __future__ import annotations
 
 import inspect
+import itertools
 import os
 import pickle
 import queue as queue_module
@@ -81,7 +94,6 @@ from multiprocessing.connection import Connection
 from ..errors import ProcessError
 from .cluster import ClusterSpec
 from .faults import WORKER_DOWN_TAG, WorkerDown
-from .kernel_base import RealKernelBase, WorkerRecord
 from .machine import MachineSpec
 from .message import Message, estimate_payload_bytes
 from .process import (
@@ -97,7 +109,7 @@ from .process import (
 )
 from .shm import SharedArrayPack, SharedObjectRef, close_attachments, dumps, export_shared
 
-__all__ = ["ProcessKernel"]
+__all__ = ["ProcessKernel", "ThreadKernel"]
 
 #: ``(func, args, kwargs)`` of a process body, as the runtime starts it.
 _Call = Tuple[ProcessFunction, Tuple[Any, ...], Dict[str, Any]]
@@ -181,12 +193,13 @@ class _WorkerBootstrap:
 
 
 class _QueueMailbox:
-    """Tag/source-filtered view of one process's multiprocessing inbox.
+    """Tag/source-filtered view of one process's inbox queue.
 
-    The inbox holds pickled :class:`Message` objects.  Messages popped from
-    the queue that do not match the current filter are buffered locally in
-    arrival order and served to later receives, mirroring the mailbox
-    semantics of the simulator and the thread backend.
+    The inbox holds :class:`Message` objects: pickled (``bytes``) in a
+    ``multiprocessing`` queue, or by reference in a thread kernel's queue.
+    Messages popped from the queue that do not match the current filter are
+    buffered locally in arrival order and served to later receives,
+    mirroring the mailbox semantics of the simulator.
     """
 
     def __init__(self, inbox: Any) -> None:
@@ -199,10 +212,13 @@ class _QueueMailbox:
                 return self._buffer.pop(index)
         return None
 
+    def _take(self, item: Any) -> None:
+        self._buffer.append(pickle.loads(item) if isinstance(item, bytes) else item)
+
     def _drain_nowait(self) -> None:
         while True:
             try:
-                self._buffer.append(pickle.loads(self._inbox.get_nowait()))
+                self._take(self._inbox.get_nowait())
             except queue_module.Empty:
                 return
 
@@ -224,7 +240,7 @@ class _QueueMailbox:
                     return None
                 wait_for = min(wait_for, 1.0)
             try:
-                self._buffer.append(pickle.loads(self._inbox.get(timeout=wait_for)))
+                self._take(self._inbox.get(timeout=wait_for))
             except queue_module.Empty:
                 continue
             found = self._scan(tag, src)
@@ -274,7 +290,7 @@ class _KernelPort:
         self._record = record
 
     def send(self, message: Message) -> None:
-        self._kernel._deliver(message.dst, self._kernel._dumps(message))
+        self._kernel._deliver(message.dst, self._kernel._wire(message))
 
     def spawn(self, syscall: Spawn) -> int:
         return self._kernel.spawn(
@@ -287,10 +303,12 @@ class _KernelPort:
         )
 
     def exit(self, result: Any, error: Optional[BaseException]) -> None:
-        record = self._record
-        record.result, record.error = result, error
-        record.finished = True
-        record.done.set()
+        self._kernel._finish(self._record, result, error)
+        if error is not None:
+            # Every error of a kernel-thread process lands here, so it can
+            # announce its own death; an OS process that dies without
+            # reporting is left to the death monitor.
+            self._kernel._post_obituary(self._record, f"{type(error).__name__}: {error}")
 
 
 class _WorkerRuntime:
@@ -397,7 +415,16 @@ def _worker_main(
 # kernel side
 # --------------------------------------------------------------------------- #
 @dataclass
-class _ProcessRecord(WorkerRecord):
+class _ProcessRecord:
+    """Book-keeping for one process, on an OS process or a kernel thread."""
+
+    pid: int
+    name: str
+    parent: Optional[int]
+    machine_index: int
+    result: Any = None
+    error: Optional[BaseException] = None
+    finished: bool = False
     #: The worker's OS process, or ``None`` for a kernel-thread process.
     process: Optional[multiprocessing.process.BaseProcess] = None
     inbox: Any = None
@@ -409,14 +436,13 @@ class _ProcessRecord(WorkerRecord):
     death_detected_at: Optional[float] = None
 
 
-class ProcessKernel(RealKernelBase):
+class ProcessKernel:
     """Run generator-based processes on real OS processes (wall-clock time).
 
-    Shares spawn/join/result semantics with
-    :class:`~repro.pvm.threads_backend.ThreadKernel` through
-    :class:`~repro.pvm.kernel_base.RealKernelBase`.  Call :meth:`shutdown`
-    (or use the kernel as a context manager) when done so the router thread
-    and any straggler processes are reaped.
+    Owns pid allocation, round-robin machine placement, the record table and
+    the join and result semantics of every process, whichever vehicle runs
+    it.  Call :meth:`shutdown` (or use the kernel as a context manager) when
+    done so the router thread and any straggler processes are reaped.
     """
 
     def __init__(
@@ -427,7 +453,19 @@ class ProcessKernel(RealKernelBase):
         death_report_grace: float = 10.0,
         death_notify_grace: float = 0.5,
     ) -> None:
-        super().__init__(cluster, failure_grace=failure_grace)
+        if failure_grace < 0:
+            raise ProcessError(f"failure_grace must be >= 0, got {failure_grace}")
+        self._cluster = cluster
+        self._records: Dict[int, _ProcessRecord] = {}
+        self._next_pid = itertools.count(1)
+        self._next_machine = 0
+        self._lock = threading.Lock()
+        #: Once any worker has finished with an error, how long join_all keeps
+        #: waiting for the rest before aborting — a dead worker usually means
+        #: the survivors are blocked on messages that will never arrive, and
+        #: burning the whole deadline (an hour by default in the runner) just
+        #: delays the real diagnosis.
+        self.failure_grace = failure_grace
         #: How long a dead (exited) process gets to have its final exit
         #: message drained by the router before being declared
         #: dead-without-reporting.  The clock persists on the record, so
@@ -438,24 +476,52 @@ class ProcessKernel(RealKernelBase):
         #: router to drain a *clean* exit message, short enough that the
         #: master learns of a crash well before any round deadline.
         self.death_notify_grace = death_notify_grace
-        self._mp = _worker_context()
+        self._death_listener: Optional[int] = None
         self._epoch = time.time()
-        self._router_queue = self._mp.Queue()
         self._closed = False
         self._monitor_thread: Optional[threading.Thread] = None
+        # The OS runtime: worker start context, router queue and thread,
+        # started on first use (see _os_context).
+        self._start_lock = threading.Lock()
+        self._mp: Optional[multiprocessing.context.BaseContext] = None
+        self._router_queue: Any = None
+        self._router_thread: Optional[threading.Thread] = None
+        #: Every ``multiprocessing`` queue made (router, inboxes), closed at shutdown.
+        self._mp_queues: List[Any] = []
         # shared-memory exports: id(object) -> (object, ref) — the object is
         # kept referenced so its id cannot be recycled — plus packs to unlink
         self._shm_refs: Dict[int, Tuple[Any, SharedObjectRef]] = {}
         self._shm_packs: List[SharedArrayPack] = []
-        self._router_thread = threading.Thread(
-            target=self._route, name="pvm-router", daemon=True
-        )
-        self._router_thread.start()
+
+    @property
+    def cluster(self) -> ClusterSpec:
+        """The cluster description this kernel was built for."""
+        return self._cluster
 
     @property
     def now(self) -> float:
         """Wall-clock seconds since the kernel was created."""
         return time.time() - self._epoch
+
+    def _os_context(self) -> multiprocessing.context.BaseContext:
+        """The context OS workers start from.
+
+        The first call starts the fork server, the router queue and the
+        router thread, so a kernel that never needs them creates none.
+        """
+        with self._start_lock:
+            if self._mp is None:
+                if self._closed:
+                    raise ProcessError("kernel has been shut down")
+                context = _worker_context()
+                self._router_queue = context.Queue()
+                self._mp_queues.append(self._router_queue)
+                self._router_thread = threading.Thread(
+                    target=self._route, name="pvm-router", daemon=True
+                )
+                self._router_thread.start()
+                self._mp = context
+            return self._mp
 
     # ------------------------------------------------------------------ #
     def spawn(
@@ -516,7 +582,8 @@ class ProcessKernel(RealKernelBase):
     ) -> int:
         """Start an OS process running a :func:`dumps`-pickled call."""
         record = self._new_record(machine_index, name, parent)
-        kernel_conn, worker_conn = self._mp.Pipe()
+        mp = self._os_context()
+        kernel_conn, worker_conn = mp.Pipe()
         record.control = kernel_conn
         parent_inbox = None
         if parent is not None:
@@ -535,7 +602,7 @@ class ProcessKernel(RealKernelBase):
             environ=dict(os.environ),
             parent_inbox=parent_inbox,
         )
-        process = self._mp.Process(
+        process = mp.Process(
             target=_worker_main,
             args=(bootstrap, self._router_queue, record.inbox, worker_conn),
             name=record.name,
@@ -552,16 +619,70 @@ class ProcessKernel(RealKernelBase):
     def _new_record(
         self, machine_index: Optional[int], name: str, parent: Optional[int]
     ) -> _ProcessRecord:
-        """A record with a fresh pid and inbox, not yet registered."""
+        """A record with a fresh pid, a placement and an inbox, not yet registered."""
         if self._closed:
             raise ProcessError("kernel has been shut down")
-        pid, machine_index = self._allocate(machine_index)
+        with self._lock:
+            pid = next(self._next_pid)
+            if machine_index is None:
+                machine_index = self._next_machine
+                self._next_machine = (self._next_machine + 1) % self._cluster.num_machines
+            machine_index %= self._cluster.num_machines
         record = _ProcessRecord(
             pid=pid, name=name or f"proc{pid}", parent=parent, machine_index=machine_index
         )
-        record.inbox = self._mp.Queue()
+        record.inbox = self._new_inbox()
         return record
 
+    def _new_inbox(self) -> Any:
+        """A process's inbox: a ``multiprocessing`` queue, which worker OS
+        processes can write to."""
+        inbox = self._os_context().Queue()
+        self._mp_queues.append(inbox)
+        return inbox
+
+    def _register_and_start(self, record: _ProcessRecord, start: Callable[[], None]) -> None:
+        """Publish the record, then launch its execution vehicle.
+
+        Registration comes first because the new process (and its
+        descendants) may address this pid — children send to ``ctx.parent``
+        the moment they run.  On launch failure the record is finished with
+        the error so join_all never waits on a process that will never run.
+        """
+        with self._lock:
+            self._records[record.pid] = record
+        try:
+            start()
+        except BaseException as error:
+            self._finish(record, None, error)
+            raise
+
+    def _record(self, pid: int) -> _ProcessRecord:
+        try:
+            return self._records[pid]
+        except KeyError:
+            raise ProcessError(f"unknown process id {pid}") from None
+
+    @staticmethod
+    def _finish(record: _ProcessRecord, result: Any, error: Optional[BaseException]) -> None:
+        """Record a process's outcome and wake everything waiting on it."""
+        record.result, record.error = result, error
+        record.finished = True
+        record.done.set()
+
+    def _finish_hard_death(self, record: _ProcessRecord) -> None:
+        """Finish the record of an OS process that exited without reporting."""
+        assert record.process is not None
+        self._finish(
+            record,
+            None,
+            ProcessError(
+                f"process {record.name!r} died without reporting "
+                f"(exitcode {record.process.exitcode})"
+            ),
+        )
+
+    # ------------------------------------------------------------------ #
     def post(self, dst: int, tag: str, payload: Any = None) -> None:
         """Inject a message into a worker's inbox from outside any process.
 
@@ -571,12 +692,11 @@ class ProcessKernel(RealKernelBase):
         finished worker are dropped, mirroring send semantics.
         """
         record = self._record(dst)
-        assert isinstance(record, _ProcessRecord)
-        if record.finished or record.inbox is None:
+        if record.finished:
             return
         now = self.now
         record.inbox.put(
-            self._dumps(
+            self._wire(
                 Message(
                     src=0,
                     dst=dst,
@@ -589,14 +709,17 @@ class ProcessKernel(RealKernelBase):
             )
         )
 
-    def _deliver(self, dst: int, blob: bytes) -> None:
-        """Put a pickled message into ``dst``'s inbox (unknown pids: dropped)."""
+    def _deliver(self, dst: int, item: Any) -> None:
+        """Put an inbox item into ``dst``'s inbox (unknown pids: dropped)."""
         try:
             record = self._record(dst)
         except ProcessError:
             return  # message to a pid this kernel never spawned
-        assert isinstance(record, _ProcessRecord)
-        record.inbox.put(blob)
+        record.inbox.put(item)
+
+    def _wire(self, message: Message) -> Any:
+        """What an inbox holds of ``message``: its :func:`dumps` pickle."""
+        return self._dumps(message)
 
     def _dumps(self, obj: Any) -> bytes:
         """:func:`dumps` with this kernel's shared-memory exports."""
@@ -624,14 +747,16 @@ class ProcessKernel(RealKernelBase):
                 self._shm_packs.append(pack)
         return entry[1]
 
-    def _mark_unrunnable(self, record: WorkerRecord) -> None:
-        assert isinstance(record, _ProcessRecord)
-        record.done.set()
-
+    # ------------------------------------------------------------------ #
+    # liveness
+    # ------------------------------------------------------------------ #
     def worker_dead(self, pid: int) -> bool:
-        """Finished, or the OS process has an exit code (hard death)."""
+        """Finished, or the OS process has an exit code (hard death).
+
+        Used by pool repair to find persistent loops that need respawning;
+        the exit code reports a hard death before any join observes it.
+        """
         record = self._record(pid)
-        assert isinstance(record, _ProcessRecord)
         if record.finished:
             return True
         process = record.process
@@ -640,13 +765,12 @@ class ProcessKernel(RealKernelBase):
     def terminate_worker(self, pid: int) -> bool:
         """Hard-kill one worker OS process (failure injection for tests).
 
-        Returns whether a live process was actually signalled.  The death
-        monitor / deadline tracking then observe the death exactly as they
-        would a real crash.
+        Returns whether a live process was actually signalled; a
+        kernel-thread process cannot be killed.  The death monitor /
+        deadline tracking then observe the death exactly as they would a
+        real crash.
         """
-        record = self._record(pid)
-        assert isinstance(record, _ProcessRecord)
-        process = record.process
+        process = self._record(pid).process
         if process is None or not process.is_alive():
             return False
         process.terminate()
@@ -662,7 +786,6 @@ class ProcessKernel(RealKernelBase):
         router still overrides the synthesized error.
         """
         record = self._record(pid)
-        assert isinstance(record, _ProcessRecord)
         if record.finished:
             return True
         process = record.process
@@ -671,22 +794,41 @@ class ProcessKernel(RealKernelBase):
         process.join(timeout=5.0)
         if record.death_detected_at is None:
             record.death_detected_at = time.monotonic()
-        record.error = ProcessError(
-            f"process {record.name!r} died without reporting "
-            f"(exitcode {process.exitcode})"
-        )
-        record.finished = True
-        record.done.set()
+        self._finish_hard_death(record)
         return True
 
+    def child_pids(self, pid: int) -> list:
+        """Pids of the direct children of ``pid`` in the spawn tree.
+
+        Pool repair uses this to find the orphaned CLW loops of a dead
+        persistent TSW loop (their parent edge survives the parent's death).
+        """
+        with self._lock:
+            return [r.pid for r in self._records.values() if r.parent == pid]
+
     def notify_deaths_to(self, pid: Optional[int]) -> None:
-        """Register a death listener and start the exit-code monitor."""
-        super().notify_deaths_to(pid)
+        """Register (or clear) the pid that receives ``worker_down`` notices,
+        and start the exit-code monitor."""
+        with self._lock:
+            self._death_listener = pid
         if pid is not None and self._monitor_thread is None and not self._closed:
             self._monitor_thread = threading.Thread(
                 target=self._monitor_deaths, name="pvm-death-monitor", daemon=True
             )
             self._monitor_thread.start()
+
+    def _post_obituary(self, record: _ProcessRecord, reason: str) -> None:
+        """Post a ``worker_down`` notice to the parent and the death listener."""
+        payload = WorkerDown(pid=record.pid, name=record.name, reason=reason)
+        with self._lock:
+            listener = self._death_listener
+        for target in {record.parent, listener}:
+            if target is None or target == record.pid:
+                continue
+            try:
+                self.post(target, WORKER_DOWN_TAG, payload)
+            except Exception:  # noqa: BLE001 - a closed inbox must not stop the notice
+                continue
 
     def _monitor_deaths(self) -> None:
         """Poll worker exit codes; post ``worker_down`` for hard deaths.
@@ -700,9 +842,7 @@ class ProcessKernel(RealKernelBase):
         while not self._closed:
             with self._lock:
                 records = list(self._records.values())
-                listener = self._death_listener
             for record in records:
-                assert isinstance(record, _ProcessRecord)
                 pid = record.pid
                 if pid in notified or record.finished:
                     suspect_since.pop(pid, None)
@@ -718,22 +858,22 @@ class ProcessKernel(RealKernelBase):
                 if record.finished:  # exit message landed during the grace
                     continue
                 notified.add(pid)
-                payload = WorkerDown(
-                    pid=pid,
-                    name=record.name,
-                    reason=f"process exited (exitcode {process.exitcode})",
+                self._post_obituary(
+                    record, f"process exited (exitcode {process.exitcode})"
                 )
-                for target in {record.parent, listener}:
-                    if target is None or target == pid:
-                        continue
-                    try:
-                        self.post(target, WORKER_DOWN_TAG, payload)
-                    except Exception:  # noqa: BLE001 - a closed inbox must not kill the monitor
-                        continue
             time.sleep(0.05)
 
-    def _wait_record(self, record: WorkerRecord, timeout: Optional[float]) -> bool:
-        assert isinstance(record, _ProcessRecord)
+    # ------------------------------------------------------------------ #
+    # join / results
+    # ------------------------------------------------------------------ #
+    def join(self, pid: int, timeout: Optional[float] = None) -> None:
+        """Wait for a process to finish."""
+        record = self._record(pid)
+        if not self._wait_record(record, timeout):
+            raise ProcessError(f"process {record.name!r} did not finish within {timeout} s")
+
+    def _wait_record(self, record: _ProcessRecord, timeout: Optional[float]) -> bool:
+        """Wait for one process to finish; return ``False`` on timeout."""
         process = record.process  # None for a kernel-thread process
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
@@ -757,15 +897,74 @@ class ProcessKernel(RealKernelBase):
                 if record.death_detected_at is None:
                     record.death_detected_at = now
                 elif now - record.death_detected_at >= self.death_report_grace:
-                    record.error = ProcessError(
-                        f"process {record.name!r} died without reporting "
-                        f"(exitcode {process.exitcode})"
-                    )
-                    record.finished = True
-                    record.done.set()
+                    self._finish_hard_death(record)
                     return True
             if deadline is not None and time.monotonic() >= deadline:
                 return False
+
+    def join_all(self, timeout: Optional[float] = None) -> None:
+        """Wait for every spawned process — including ones spawned meanwhile.
+
+        Workers spawn other workers (master → TSWs → CLWs, all after
+        ``join_all`` was entered), so a snapshot of the record table would
+        miss some; the loop re-scans until a pass finds no unfinished
+        record.  ``timeout`` is one overall deadline for the whole
+        operation, not a per-worker allowance.  If a worker has *failed* and
+        the others do not wind down within :attr:`failure_grace` seconds, the
+        join aborts with that worker's error instead of waiting out the
+        deadline.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        failed: Optional[_ProcessRecord] = None
+        failure_deadline: Optional[float] = None
+        while True:
+            with self._lock:
+                records = list(self._records.values())
+            unfinished = [record for record in records if not record.finished]
+            if not unfinished:
+                return
+            if failed is None:
+                failed = next(
+                    (r for r in records if r.finished and r.error is not None), None
+                )
+                if failed is not None:
+                    failure_deadline = time.monotonic() + self.failure_grace
+            now = time.monotonic()
+            if deadline is not None and now >= deadline:
+                shown = [f"{r.name!r} (pid {r.pid})" for r in unfinished[:8]]
+                if len(unfinished) > len(shown):
+                    shown.append(f"+{len(unfinished) - len(shown)} more")
+                raise ProcessError(
+                    f"join_all deadline of {timeout} s elapsed with "
+                    f"{len(unfinished)} process(es) still running: "
+                    f"{', '.join(shown)}"
+                )
+            if failure_deadline is not None and now >= failure_deadline:
+                assert failed is not None
+                raise ProcessError(
+                    f"process {failed.name!r} failed while {len(unfinished)} "
+                    f"process(es) were still running; aborting the join"
+                ) from failed.error
+            # Wait in short slices so newly-failed workers are noticed
+            # promptly even while blocked on a long-running one, and poll
+            # every other unfinished record so a silently-died worker is
+            # detected no matter where it sits in the table.
+            slice_end = now + 0.5
+            for candidate in (deadline, failure_deadline):
+                if candidate is not None:
+                    slice_end = min(slice_end, candidate)
+            self._wait_record(unfinished[0], max(0.0, slice_end - now))
+            for record in unfinished[1:]:
+                self._wait_record(record, 0.0)
+
+    def result_of(self, pid: int) -> Any:
+        """Return value of a finished process."""
+        record = self._record(pid)
+        if record.error is not None:
+            raise ProcessError(f"process {record.name!r} failed") from record.error
+        if not record.finished:
+            raise ProcessError(f"process {record.name!r} has not finished")
+        return record.result
 
     # ------------------------------------------------------------------ #
     def _route(self) -> None:
@@ -800,7 +999,7 @@ class ProcessKernel(RealKernelBase):
         elif kind == "spawn":
             _, requester_pid, call, machine_index, name = item
             requester = self._record(requester_pid)
-            assert isinstance(requester, _ProcessRecord) and requester.control is not None
+            assert requester.control is not None
             try:
                 child = self._spawn_call(
                     call, machine_index=machine_index, name=name, parent=requester_pid
@@ -811,7 +1010,6 @@ class ProcessKernel(RealKernelBase):
         elif kind == "exit":
             _, pid, outcome = item
             record = self._record(pid)
-            assert isinstance(record, _ProcessRecord)
             if record.finished and record.death_detected_at is None:
                 # Already marked by something other than hard-death detection
                 # (e.g. a spawn failure): keep the first outcome.
@@ -819,40 +1017,62 @@ class ProcessKernel(RealKernelBase):
             # A genuine exit message overrides a *synthesized*
             # died-without-reporting error — the router was merely slow to
             # drain it, and the worker's real result is strictly better.
-            record.result, record.error = pickle.loads(outcome)
-            record.finished = True
-            record.done.set()
+            self._finish(record, *pickle.loads(outcome))
 
     # ------------------------------------------------------------------ #
     def shutdown(self) -> None:
         """Stop the router thread, reap every worker process, unlink the
-        shared blocks.  A kernel-thread process still running loses its
-        inbox and ends with an error."""
+        shared blocks.  A kernel-thread process still running on a
+        ``multiprocessing`` inbox loses it and ends with an error; on a
+        thread kernel's inbox it keeps running (a thread cannot be stopped)."""
         if self._closed:
             return
         with self._lock:
             self._closed = True
-        self._router_queue.put(None)
-        self._router_thread.join(timeout=10.0)
+        with self._start_lock:
+            router = self._router_thread
+        if router is not None:
+            self._router_queue.put(None)
+            router.join(timeout=10.0)
         if self._monitor_thread is not None:
             self._monitor_thread.join(timeout=5.0)
             self._monitor_thread = None
         with self._lock:
             records = list(self._records.values())
         for record in records:
-            assert isinstance(record, _ProcessRecord)
             if record.process is not None and record.process.is_alive():
                 record.process.terminate()
                 record.process.join(timeout=5.0)
             if record.control is not None:
                 record.control.close()
-            if record.inbox is not None:
-                record.inbox.cancel_join_thread()
-                record.inbox.close()
-        self._router_queue.cancel_join_thread()
-        self._router_queue.close()
+        for mp_queue in self._mp_queues:
+            mp_queue.cancel_join_thread()
+            mp_queue.close()
         for pack in self._shm_packs:
             pack.close()
             pack.unlink()
         self._shm_packs.clear()
         self._shm_refs.clear()
+
+    def __enter__(self) -> "ProcessKernel":
+        return self
+
+    def __exit__(self, *_exc: Any) -> None:
+        self.shutdown()
+
+
+class ThreadKernel(ProcessKernel):
+    """The same kernel with every spawn local: each process runs on a thread
+    of the kernel process and messages travel by reference, so every process
+    holds the caller's objects.  The GIL serialises the process bodies: its
+    wall clock is no multi-core speedup measurement."""
+
+    def spawn(self, func: ProcessFunction, *args: Any, **kwargs: Any) -> int:
+        """Start a process on a thread of the kernel process; return its pid."""
+        return self.spawn_local(func, *args, **kwargs)
+
+    def _new_inbox(self) -> Any:
+        return queue_module.SimpleQueue()
+
+    def _wire(self, message: Message) -> Any:
+        return message

@@ -32,9 +32,8 @@ from ..parallel.messages import Tags
 from ..parallel.worker_loop import tsw_worker_loop
 from ..pvm.cluster import ClusterSpec, paper_cluster
 from ..pvm.faults import AdmitWorkers, DrainWorker, FaultPlan
-from ..pvm.process_backend import ProcessKernel
+from ..pvm.process_backend import ProcessKernel, ThreadKernel
 from ..pvm.simulator import ProcessState, SimKernel, SimStats
-from ..pvm.threads_backend import ThreadKernel
 
 __all__ = ["make_kernel", "WorkerPool"]
 
@@ -147,30 +146,11 @@ class WorkerPool:
         if self._closed:
             raise SessionError("worker pool is closed")
         respawned: List[int] = []
-        reap = getattr(self.kernel, "reap_worker", None)
-        terminate = getattr(self.kernel, "terminate_worker", None)
         for index in range(len(self._tsw_pids)):
             if not self.worker_dead(index):
                 continue
-            dead_pid = self._tsw_pids[index]
-            if reap is not None:
-                # take the orphaned CLW-loop subtree down with the dead loop,
-                # then finalize every record so join_all will not wait on them
-                doomed = [dead_pid]
-                frontier = list(self.kernel.child_pids(dead_pid))
-                while frontier:
-                    child = frontier.pop()
-                    doomed.append(child)
-                    frontier.extend(self.kernel.child_pids(child))
-                if terminate is not None:
-                    for pid in doomed[1:]:
-                        terminate(pid)
-                deadline = time.monotonic() + 5.0
-                remaining = list(doomed)
-                while remaining and time.monotonic() < deadline:
-                    remaining = [pid for pid in remaining if not reap(pid)]
-                    if remaining:
-                        time.sleep(0.05)
+            if not self.is_simulated:
+                self._retire_subtree(self._tsw_pids[index])
             self._tsw_pids[index] = self.kernel.spawn(
                 tsw_worker_loop, self.clws_per_tsw, name=f"tsw{index}"
             )
@@ -187,6 +167,40 @@ class WorkerPool:
             # let the fresh loops spawn their CLW loops and park
             self.kernel.run(allow_blocked=True)
         return respawned
+
+    def _retire_subtree(self, dead_pid: int) -> None:
+        """Take a dead loop's orphaned CLW-loop subtree down with it, and
+        finalize every record so ``join_all`` will not wait on them.
+
+        The orphans are shut down first: ``STOP`` ends a run one may still
+        be in, then ``POOL_SHUTDOWN`` ends the loop.  A kernel-thread loop
+        can be neither terminated nor reaped, so this is the only way to
+        finish it.  Only the OS processes still running a grace later are
+        terminated, then every record is reaped.
+        """
+        orphans: List[int] = []
+        frontier = list(self.kernel.child_pids(dead_pid))
+        while frontier:
+            child = frontier.pop()
+            orphans.append(child)
+            frontier.extend(self.kernel.child_pids(child))
+        for pid in orphans:
+            self.kernel.post(pid, Tags.STOP)
+            self.kernel.post(pid, Tags.POOL_SHUTDOWN)
+        remaining = self._reap([dead_pid, *orphans], grace=1.0)
+        for pid in remaining:
+            self.kernel.terminate_worker(pid)
+        self._reap(remaining, grace=5.0)
+
+    def _reap(self, pids: List[int], *, grace: float) -> List[int]:
+        """Reap ``pids`` until all are finished or ``grace`` seconds pass;
+        return the ones still unfinished."""
+        deadline = time.monotonic() + grace
+        while True:
+            pids = [pid for pid in pids if not self.kernel.reap_worker(pid)]
+            if not pids or time.monotonic() >= deadline:
+                return pids
+            time.sleep(0.01)
 
     # ------------------------------------------------------------------ #
     def grow(
@@ -240,7 +254,7 @@ class WorkerPool:
             self.kernel.run(allow_blocked=True)
         with self._lock:
             master = self._active_master_pid
-        if master is not None and hasattr(self.kernel, "post"):
+        if master is not None and not self.is_simulated:
             self.kernel.post(
                 master,
                 Tags.ADMIT,
@@ -263,7 +277,7 @@ class WorkerPool:
             raise SessionError(f"drain: no TSW loop with index {index}")
         with self._lock:
             master = self._active_master_pid
-        if master is None or not hasattr(self.kernel, "post"):
+        if master is None or self.is_simulated:
             return False
         self.kernel.post(master, Tags.DRAIN, DrainWorker(at=0.0, name=f"tsw{index}"))
         return True
@@ -358,7 +372,7 @@ class WorkerPool:
         """
         with self._lock:
             pid = self._active_master_pid
-        if pid is None or not hasattr(self.kernel, "post"):
+        if pid is None or self.is_simulated:
             return False
         self.kernel.post(pid, Tags.CANCEL)
         return True

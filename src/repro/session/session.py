@@ -408,10 +408,9 @@ class SearchSession:
             active = self._active
         if self.pool is not None:
             self.pool.post_cancel()
-        elif active is not None:
+        elif active is not None and self.backend != "simulated":
             kernel, pid = active
-            if hasattr(kernel, "post"):
-                kernel.post(pid, Tags.CANCEL)
+            kernel.post(pid, Tags.CANCEL)
 
     def result(self, timeout: Optional[float] = None):
         """Wait for the background driver and return the packaged result."""

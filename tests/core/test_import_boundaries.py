@@ -8,13 +8,11 @@ every module of those packages and fails on any import that resolves into
 ``repro.placement`` (or ``repro.problems.*``, which would be the same leak
 through the new layering).
 
-Two sanctioned exceptions keep legacy import paths alive:
-
-* ``repro.parallel.problem`` — the deprecated shim re-exporting
-  ``PlacementProblem`` from its new home in ``repro.problems.placement``;
-* ``repro.parallel.__init__`` — a lazy ``__getattr__`` re-export of the
-  same legacy name (``from repro.parallel import PlacementProblem``), so
-  the domain module is only touched when the alias is actually used.
+One sanctioned exception keeps a legacy import path alive:
+``repro.parallel.__init__`` — a lazy ``__getattr__`` re-export of
+``PlacementProblem`` from ``repro.problems.placement`` (``from
+repro.parallel import PlacementProblem``), so the domain module is only
+touched when the alias is actually used.
 
 The accelerator dispatch layer (``repro.accel``) is engine code too — it
 may not import problem domains (domain callables are passed *into* its
@@ -36,8 +34,8 @@ SRC_ROOT = Path(repro.__file__).resolve().parent.parent  # .../src
 ENGINE_PACKAGES = ("repro/tabu", "repro/parallel", "repro/session", "repro/accel")
 #: Module prefixes the engine must not import (domain implementations).
 FORBIDDEN_PREFIXES = ("repro.placement", "repro.problems")
-#: The compatibility shims keep old import paths alive by design.
-ALLOWED_SHIMS = {"repro/parallel/problem.py", "repro/parallel/__init__.py"}
+#: The compatibility shim keeps an old import path alive by design.
+ALLOWED_SHIMS = {"repro/parallel/__init__.py"}
 
 
 def engine_modules():

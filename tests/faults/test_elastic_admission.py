@@ -307,23 +307,17 @@ class TestThreadsPoolElasticity:
 
 
 class TestProcessesPoolElasticity:
-    def test_grow_mid_run_admits_and_contributes(self, problem):
+    def test_grow_mid_run_admits_and_contributes(self, problem, after_first_round):
         with WorkerPool(2, 1, backend="processes") as pool:
             pool.kernel.death_report_grace = 0.5
             pool.kernel.death_notify_grace = 0.3
             grown = []
-            timer = threading.Timer(
-                1.0, lambda: grown.extend(pool.grow(1, speed_hints=[1.0]))
+            after_first_round(lambda: grown.extend(pool.grow(1, speed_hints=[1.0])))
+            result, _, _ = pool.run_master(
+                problem,
+                elastic_pool_params(global_iterations=40),
+                join_timeout=120.0,
             )
-            timer.start()
-            try:
-                result, _, _ = pool.run_master(
-                    problem,
-                    elastic_pool_params(global_iterations=40),
-                    join_timeout=120.0,
-                )
-            finally:
-                timer.cancel()
             assert result.complete
             assert len(grown) == 1
             assert result.admitted_workers == ("tsw2",)

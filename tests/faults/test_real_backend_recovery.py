@@ -3,19 +3,21 @@
 On the processes backend deaths are *real*: ``terminate_worker`` sends
 SIGTERM, the kernel's monitor thread notices the exit and posts a
 ``WORKER_DOWN`` obituary to the registered death listener, and the
-fault-tolerant master completes the run degraded.  (Process bodies live at
-module level because the kernel ships them by pickled reference.)
+fault-tolerant master completes the run degraded.  On the threads backend a
+crashing loop announces its own death, and its orphaned loops can only be
+shut down by message.  (Process bodies live at module level because the
+kernel ships them by pickled reference.)
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
 import pytest
 
 from repro.errors import ProcessError
 from repro.parallel import FaultPolicy, ParallelSearchParams
+from repro.parallel.messages import Tags
 from repro.pvm import ProcessKernel, ThreadKernel, homogeneous_cluster
 from repro.pvm.faults import WORKER_DOWN_TAG
 from repro.session import SearchSession, WorkerPool
@@ -110,22 +112,14 @@ def pool_params(**overrides) -> ParallelSearchParams:
 
 
 class TestProcessesPoolRecovery:
-    def test_mid_run_kill_completes_degraded_then_repairs(self, problem):
+    def test_mid_run_kill_completes_degraded_then_repairs(self, problem, after_first_round):
         with WorkerPool(NUM_TSWS, 1, backend="processes") as pool:
             pool.kernel.death_report_grace = 0.5
             pool.kernel.death_notify_grace = 0.3
             victim = pool.tsw_pids[1]
             killed = []
-            killer = threading.Timer(
-                1.0, lambda: killed.append(pool.kernel.terminate_worker(victim))
-            )
-            killer.start()
-            try:
-                result, _, _ = pool.run_master(
-                    problem, pool_params(), join_timeout=120.0
-                )
-            finally:
-                killer.cancel()
+            after_first_round(lambda: killed.append(pool.kernel.terminate_worker(victim)))
+            result, _, _ = pool.run_master(problem, pool_params(), join_timeout=120.0)
             assert killed == [True]
             assert result.complete
             assert result.dead_workers == ("tsw1",)
@@ -151,6 +145,47 @@ class TestProcessesPoolRecovery:
             assert [e.worker for e in respawns] == ["tsw1"]
         # context exit: close() succeeded — the dead loop's records were
         # reaped, so join_all did not wedge on them
+
+
+class TestThreadsPoolRepair:
+    def test_repair_shuts_the_crashed_loops_orphans_down(self):
+        pool = WorkerPool(2, 1, backend="threads", cluster=homogeneous_cluster(4))
+        try:
+            victim = pool.tsw_pids[0]
+            pool.kernel.post(victim, Tags.SETUP, object())  # malformed: the loop crashes
+            deadline = time.monotonic() + 30.0
+            while not pool.worker_dead(0):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            subtree = [victim, *pool.kernel.child_pids(victim)]
+            assert len(subtree) == 2  # the loop and its CLW loop
+
+            start = time.monotonic()
+            assert pool.repair() == [0]
+            assert time.monotonic() - start < 1.0
+            for pid in subtree:
+                pool.kernel.join(pid, timeout=0.0)  # raises if still running
+        finally:
+            # the orphaned CLW loop is finished, so the join does not abort
+            # on the crashed loop's error
+            pool.close(join_timeout=30.0)
+
+
+class TestProcessesPoolRepair:
+    def test_repair_shuts_the_crashed_loops_orphans_down_cleanly(self):
+        with WorkerPool(2, 1, backend="processes", cluster=homogeneous_cluster(4)) as pool:
+            victim = pool.tsw_pids[0]
+            pool.kernel.post(victim, Tags.SETUP, object())  # malformed: the loop crashes
+            deadline = time.monotonic() + 30.0
+            while not pool.worker_dead(0):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            (orphan,) = pool.kernel.child_pids(victim)
+
+            assert pool.repair() == [0]
+            # asked to shut down, not terminated: the orphaned CLW loop
+            # left its loop and reported its (zero) served runs
+            assert pool.kernel.result_of(orphan) == 0
 
 
 class TestProcessesCancelMidRound:

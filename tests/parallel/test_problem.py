@@ -2,34 +2,11 @@
 
 from __future__ import annotations
 
-import importlib
-import sys
-import warnings
-
 import numpy as np
 import pytest
 
 from repro.parallel import PlacementProblem
 from repro.placement import CostModelParams, load_benchmark
-
-
-class TestDeprecatedShim:
-    def test_importing_the_shim_module_warns(self):
-        # the legacy module re-exports PlacementProblem from its new home in
-        # repro.problems.placement; importing it must warn, once per import
-        sys.modules.pop("repro.parallel.problem", None)
-        with pytest.warns(DeprecationWarning, match="repro.parallel.problem"):
-            importlib.import_module("repro.parallel.problem")
-
-    def test_shim_reexports_the_real_class(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            sys.modules.pop("repro.parallel.problem", None)
-            shim = importlib.import_module("repro.parallel.problem")
-        from repro.problems.placement import PlacementProblem as canonical
-
-        assert shim.PlacementProblem is canonical
-        assert PlacementProblem is canonical  # the lazy package alias too
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +15,11 @@ def problem():
 
 
 class TestPlacementProblem:
+    def test_package_alias_is_the_placement_domain_class(self):
+        from repro.problems.placement import PlacementProblem as canonical
+
+        assert PlacementProblem is canonical
+
     def test_reference_matches_layout_and_netlist(self, problem):
         assert problem.num_cells == 64
         assert problem.layout.netlist is problem.netlist

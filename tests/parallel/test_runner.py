@@ -39,11 +39,6 @@ class TestRunnerBasics:
         assert result.virtual_runtime > 0
         assert result.instance == CIRCUIT
 
-    def test_circuit_is_a_deprecated_alias_of_instance(self, netlist):
-        result = run_parallel_search(netlist, quick_params())
-        with pytest.warns(DeprecationWarning, match="circuit is deprecated"):
-            assert result.circuit == result.instance
-
     def test_best_solution_is_a_valid_assignment(self, netlist):
         result = run_parallel_search(netlist, quick_params())
         solution = result.best_solution

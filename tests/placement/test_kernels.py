@@ -1,39 +1,12 @@
-"""Unit tests for the optional-JIT kernel module (:mod:`repro.placement._kernels`).
-
-The NumPy implementations are the reference semantics; the jitted variants
-(exercised only where numba is installed — the base environment does not
-ship it) must agree bit-for-bit.
-"""
+"""Unit tests for the inner-loop kernels of :mod:`repro.placement._kernels`,
+against brute-force references."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.placement import _kernels
-from repro.placement._kernels import (
-    HAVE_NUMBA,
-    _jit_requested,
-    fallback_bbox_reduce,
-    fallback_bbox_reduce_numpy,
-    jit_enabled,
-    shared_net_mask,
-    shared_net_mask_numpy,
-)
-
-
-class TestJitSelection:
-    def test_jit_requested_parsing(self):
-        for raw in ("0", "false", "False", "OFF", "no", " 0 "):
-            assert not _jit_requested(raw)
-        for raw in ("1", "true", "yes", "on", "", "anything"):
-            assert _jit_requested(raw)
-
-    def test_default_is_on(self):
-        assert _jit_requested(None) in (True, False)  # env-dependent, no crash
-
-    def test_jit_enabled_matches_have_numba(self):
-        assert jit_enabled() == HAVE_NUMBA
+from repro.placement._kernels import fallback_bbox_reduce, shared_net_mask
 
 
 class TestSharedNetMask:
@@ -48,13 +21,12 @@ class TestSharedNetMask:
         # include guaranteed hits and the extremes
         queries = np.concatenate([queries, sorted_keys[:50], sorted_keys[-1:]])
         want = self._brute(sorted_keys, queries)
-        assert np.array_equal(shared_net_mask_numpy(sorted_keys, queries), want)
         assert np.array_equal(shared_net_mask(sorted_keys, queries), want)
 
     def test_query_beyond_last_key(self):
         sorted_keys = np.array([2, 5, 9], dtype=np.int64)
         queries = np.array([9, 10, 10**12], dtype=np.int64)
-        got = shared_net_mask_numpy(sorted_keys, queries)
+        got = shared_net_mask(sorted_keys, queries)
         assert got.tolist() == [True, False, False]
 
     def test_empty_inputs(self):
@@ -106,29 +78,5 @@ class TestFallbackBboxReduce:
     def test_matches_brute_force(self, seed):
         case = _bbox_case(seed, num_segments=25)
         want = self._brute(*case)
-        for got in (fallback_bbox_reduce_numpy(*case), fallback_bbox_reduce(*case)):
-            for got_arr, want_arr in zip(got, want):
-                assert np.array_equal(got_arr, want_arr)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestJitParity:
-    """Bit-parity of the jitted kernels against the NumPy reference."""
-
-    def test_shared_net_mask_parity(self):
-        rng = np.random.default_rng(11)
-        sorted_keys = np.unique(rng.integers(0, 50_000, size=2000).astype(np.int64))
-        queries = np.concatenate(
-            [rng.integers(0, 50_000, size=5000).astype(np.int64), sorted_keys[::7]]
-        )
-        assert np.array_equal(
-            _kernels._shared_net_mask_jit(sorted_keys, queries),
-            shared_net_mask_numpy(sorted_keys, queries),
-        )
-
-    def test_fallback_bbox_parity(self):
-        case = _bbox_case(9, num_segments=200)
-        got = _kernels._fallback_bbox_reduce_jit(*case)
-        want = fallback_bbox_reduce_numpy(*case)
-        for got_arr, want_arr in zip(got, want):
+        for got_arr, want_arr in zip(fallback_bbox_reduce(*case), want):
             assert np.array_equal(got_arr, want_arr)

@@ -20,7 +20,8 @@ import pytest
 
 import repro
 from repro.errors import ProcessError
-from repro.pvm import ProcessKernel, homogeneous_cluster
+from repro.pvm import ClusterSpec, MachineSpec, ProcessKernel, ThreadKernel, homogeneous_cluster
+from repro.pvm.faults import WORKER_DOWN_TAG
 from repro.pvm.message import Message
 from repro.pvm.process_backend import _QueueMailbox
 
@@ -105,6 +106,18 @@ def not_a_generator(ctx):
 def environ_proc(ctx, name):
     return os.environ.get(name)
     yield  # pragma: no cover - makes this a generator function
+
+
+def clock_proc(ctx):
+    now = yield ctx.now()
+    return now
+
+
+def notice_listener(ctx):
+    notice = yield ctx.recv_timeout(30.0, tag=WORKER_DOWN_TAG)
+    if notice is None:
+        return None
+    return (notice.payload.name, notice.payload.reason)
 
 
 def make_kernel() -> ProcessKernel:
@@ -208,6 +221,28 @@ class TestProcessKernel:
         with pytest.raises(ProcessError, match="shut down"):
             kernel.spawn(sleeper_proc, 0.0)
 
+    def test_clock_starts_at_construction_not_at_first_spawn(self):
+        kernel = make_kernel()
+        try:
+            time.sleep(0.2)
+            # the first OS spawn starts the worker runtime; the workers'
+            # clock still counts from the kernel's construction
+            pid = kernel.spawn(clock_proc)
+            kernel.join(pid, timeout=60.0)
+            assert 0.2 <= kernel.result_of(pid) <= kernel.now
+        finally:
+            kernel.shutdown()
+
+    def test_kernel_thread_crash_is_announced_to_the_death_listener(self):
+        with make_kernel() as kernel:
+            listener = kernel.spawn(notice_listener, name="listener")
+            kernel.notify_deaths_to(listener)
+            kernel.spawn_local(failing_proc, name="local-crasher")
+            kernel.join(listener, timeout=60.0)
+            name, reason = kernel.result_of(listener)
+            assert name == "local-crasher"
+            assert "kaput" in reason
+
 
 #: A driver script run in a fresh interpreter: ``repro`` is importable only
 #: through its runtime sys.path insert, as in ``perfbench/run.py``.
@@ -260,6 +295,108 @@ class TestForkServer:
             pid = kernel.spawn(environ_proc, "PVM_TEST_SPAWN_ENV")
             kernel.join(pid, timeout=60.0)
             assert kernel.result_of(pid) == "set-after-server-start"
+
+
+FRESH_THREADS_RUN = """\
+import json, os, sys
+sys.path.insert(0, {src!r})
+
+from repro import (
+    ParallelSearchParams, TabuSearchParams, homogeneous_cluster, load_benchmark,
+    run_parallel_search,
+)
+
+if __name__ == "__main__":
+    params = ParallelSearchParams(
+        num_tsws=2, clws_per_tsw=1, global_iterations=2, sync_mode="homogeneous",
+        tabu=TabuSearchParams(local_iterations=3), seed=3,
+    )
+    result = run_parallel_search(
+        load_benchmark("mini64"), params, backend="threads", cluster=homogeneous_cluster(4)
+    )
+    children = []
+    for task in os.listdir("/proc/self/task"):
+        try:
+            children += open(f"/proc/self/task/{{task}}/children").read().split()
+        except FileNotFoundError:  # a thread that ended since the listing
+            pass
+    print(json.dumps({{"children": children, "improved": result.best_cost < result.initial_cost}}))
+"""
+
+
+class TestThreadKernel:
+    """The processes kernel with every spawn local."""
+
+    @pytest.mark.skipif(
+        not Path(f"/proc/self/task/{os.getpid()}/children").exists(),
+        reason="needs /proc/<pid>/task/<tid>/children",
+    )
+    def test_threads_run_starts_no_process_and_no_multiprocessing_object(self, tmp_path):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        script = tmp_path / "threads_run.py"
+        script.write_text(FRESH_THREADS_RUN.format(src=src))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, str(script)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["improved"]
+        # no fork server, no resource tracker, no worker: no child at all
+        assert report["children"] == []
+        assert "resource_tracker" not in done.stderr
+
+    def test_messages_travel_by_reference(self):
+        payload = [lambda: None]  # unpicklable: a pickled message would fail
+
+        def child(ctx):
+            message = yield ctx.recv(tag="obj")
+            return message.payload
+
+        def parent(ctx):
+            pid = yield ctx.spawn(child, name="child")
+            yield ctx.send(pid, "obj", payload)
+            return pid
+
+        kernel = ThreadKernel(homogeneous_cluster(2))
+        parent_pid = kernel.spawn(parent, name="parent")
+        kernel.join_all(timeout=10.0)
+        assert kernel.result_of(kernel.result_of(parent_pid)) is payload
+
+    def test_compute_is_throttled_by_the_machine_slowdown(self):
+        slow = ClusterSpec(machines=(MachineSpec("slow", speed_factor=0.25),))
+
+        def busy(ctx):
+            start = time.perf_counter()
+            while time.perf_counter() - start < 0.02:
+                pass
+            yield ctx.compute(1.0)
+            return time.perf_counter() - start
+
+        kernel = ThreadKernel(slow)
+        pid = kernel.spawn(busy)
+        kernel.join(pid, timeout=10.0)
+        # >= 0.02 s of compute, then slept 3x longer (slowdown 1/0.25 - 1)
+        assert kernel.result_of(pid) >= 0.08
+
+    def test_crash_is_announced_to_the_parent(self):
+        def parent(ctx):
+            yield ctx.spawn(failing_proc, name="crasher")
+            return (yield from notice_listener(ctx))
+
+        kernel = ThreadKernel(homogeneous_cluster(2))
+        pid = kernel.spawn(parent, name="parent")
+        kernel.join(pid, timeout=60.0)
+        name, reason = kernel.result_of(pid)
+        assert name == "crasher"
+        assert "kaput" in reason
+
+    def test_spawn_after_shutdown_rejected(self):
+        kernel = ThreadKernel(homogeneous_cluster(2))
+        kernel.shutdown()
+        with pytest.raises(ProcessError, match="shut down"):
+            kernel.spawn(sleeper_proc, 0.0)
 
 
 class TestQueueMailbox:

@@ -109,7 +109,8 @@ class TestWarmPool:
             )
             assert session.backend == pool.backend == "simulated"
 
-    def test_second_run_builds_no_timing_graph(self, problem, monkeypatch):
+    @pytest.mark.parametrize("backend", ["simulated", "threads"])
+    def test_second_run_builds_no_timing_graph(self, problem, monkeypatch, backend):
         built, looked_up = [], []
         build, lookup = timing._build_graph, timing.timing_graph
         monkeypatch.setattr(timing, "_build_graph", lambda n: built.append(n) or build(n))
@@ -118,13 +119,14 @@ class TestWarmPool:
         )
         params = quick_params()
         with WorkerPool(
-            NUM_TSWS, CLWS_PER_TSW, cluster=homogeneous_cluster(6)
+            NUM_TSWS, CLWS_PER_TSW, backend=backend, cluster=homogeneous_cluster(6)
         ) as pool:
             SearchSession(problem=problem, params=params, pool=pool).run()
             built.clear()
             looked_up.clear()
             SearchSession(problem=problem, params=params, pool=pool).run()
-        # the master, every TSW and every CLW built an evaluator ...
+        # the master, every TSW and every CLW built an evaluator on the
+        # caller's problem object (threads: messages travel by reference) ...
         assert len(looked_up) >= 1 + NUM_TSWS * (1 + CLWS_PER_TSW)
         assert all(netlist is problem.netlist for netlist in looked_up)
         # ... around the graph that was already there
