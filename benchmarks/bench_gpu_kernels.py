@@ -8,7 +8,7 @@ runs on cupy.  The CI bar guards the refactor's core promise: **on the CPU
 path the dispatch layer is free** —
 
 * **dispatch tax <= 1.1x** — the shipped evaluator kernel versus the frozen
-  pre-dispatch reference (``deltas_for_swaps_reference``) on c532 (dense
+  pre-dispatch reference (``tests/oracles/kernels.py``) on c532 (dense
   incidence), big10k (CSR incidence) and rand256 QAP; overridable with
   ``REPRO_GPU_DISPATCH_TAX``.
 
@@ -36,13 +36,14 @@ import numpy as np
 from repro.accel import cuda_available, cuda_unavailable_reason
 from repro.core import get_domain
 from repro.placement import Layout, load_benchmark, random_placement
-from repro.placement.wirelength import (
-    WirelengthState,
-    deltas_for_swaps_reference as wirelength_reference,
-)
-from repro.problems.qap.evaluator import (
-    deltas_for_swaps_reference as qap_reference,
-)
+from repro.placement.wirelength import WirelengthState
+
+# The frozen references live with the tests that pin the shipped kernels.
+_TESTS_DIR = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.insert(0, _TESTS_DIR)
+
+from oracles.kernels import qap_reference, wirelength_reference  # noqa: E402
 
 PAIRS_PER_STEP = 256
 SEED = 2003

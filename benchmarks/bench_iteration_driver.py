@@ -12,7 +12,8 @@ measures the result and guards it:
 
 * **ms/iteration** — serial tabu iterations at the heavy reference workload
   (m = 256 candidate pairs per step, full depth d = 6, no early accept) for
-  both the vectorized and the reference (dict oracle) driver;
+  both the shipped driver and the reference (dict oracle) driver of
+  ``tests/oracles/tabu.py`` (informational);
 * **driver-overhead ratio** — iteration time divided by the pure
   batch-evaluation time of the same trial volume (d standalone 256-pair
   ``evaluate_swaps_batch`` calls).  A ratio near 1 means the driver adds
@@ -55,6 +56,13 @@ from repro import (
 from repro.core import get_domain
 from repro.parallel import build_problem
 
+# The reference driver lives with the tests that pin the shipped one.
+_TESTS_DIR = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.insert(0, _TESTS_DIR)
+
+from oracles.tabu import ReferenceTabuSearch  # noqa: E402
+
 PAIRS_PER_STEP = 256
 MOVE_DEPTH = 6
 SEED = 2003
@@ -65,21 +73,20 @@ OVERHEAD_RATIO_BAR = float(os.environ.get("REPRO_DRIVER_OVERHEAD_RATIO", "3"))
 OUTPUT = Path(os.environ.get("BENCH_DRIVER_JSON", "BENCH_driver.json"))
 
 
-def _tabu_params(driver: str, iterations: int) -> TabuSearchParams:
+def _tabu_params(iterations: int) -> TabuSearchParams:
     return TabuSearchParams(
         local_iterations=iterations,
         pairs_per_step=PAIRS_PER_STEP,
         move_depth=MOVE_DEPTH,
         early_accept=False,
-        driver=driver,
     )
 
 
-def _ms_per_iteration(problem, driver: str) -> float:
+def _ms_per_iteration(problem, search_cls) -> float:
     evaluator = problem.make_evaluator(problem.random_solution(SEED))
-    search = TabuSearch(
+    search = search_cls(
         evaluator,
-        _tabu_params(driver, WARMUP_ITERATIONS + MEASURED_ITERATIONS),
+        _tabu_params(WARMUP_ITERATIONS + MEASURED_ITERATIONS),
         seed=SEED,
     )
     search.run(TerminationCriteria(max_iterations=WARMUP_ITERATIONS), record_trace=False)
@@ -137,8 +144,8 @@ def _rewind_ms(problem) -> dict:
 
 
 def measure_instance(name: str, problem) -> dict:
-    vectorized_ms = _ms_per_iteration(problem, "vectorized")
-    reference_ms = _ms_per_iteration(problem, "reference")
+    vectorized_ms = _ms_per_iteration(problem, TabuSearch)
+    reference_ms = _ms_per_iteration(problem, ReferenceTabuSearch)
     batch_ms = _batch_eval_ms(problem)
     result = {
         "instance": name,

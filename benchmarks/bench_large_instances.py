@@ -93,7 +93,6 @@ def _tabu_params(iterations: int) -> TabuSearchParams:
         pairs_per_step=PAIRS_PER_STEP,
         move_depth=MOVE_DEPTH,
         early_accept=False,
-        driver="vectorized",
     )
 
 

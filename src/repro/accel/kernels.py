@@ -8,7 +8,8 @@ evaluators stage their device-resident state (matrices, incidence,
 bbox caches) and call in; under the CPU backend every array *is* the host
 array and the operations below are exactly the NumPy pipelines the direct
 kernels used — same operations, same order, bit-identical results (the
-parity suites in ``tests/accel`` pin this against frozen reference copies).
+parity suites in ``tests/accel`` pin this against the frozen reference
+copies in ``tests/oracles/kernels.py``).
 
 Two sub-steps are backend-divergent by nature and are isolated behind
 explicit seams rather than hidden in the flow:
@@ -50,9 +51,9 @@ def masked_argmin(costs, mask=None) -> int:
     With no mask — or with *every* candidate masked out — the overall
     argmin wins: the compound-move builder must always commit something,
     and the driver's move-level tabu check still guards final acceptance.
-    Ties break toward the first minimum (``argmin`` semantics), matching
-    the reference driver's strict-less scalar loop.  Runs under whichever
-    array module produced ``costs``.
+    Ties break toward the first minimum (``argmin`` semantics), as a
+    strict-less scalar scan would.  Runs under whichever array module
+    produced ``costs``.
     """
     xp = module_for(costs)
     if mask is None or not bool(mask.any()):

@@ -79,8 +79,8 @@ class SwapEvaluator(Protocol):
         ``n`` scalar trials, computed in one vectorised pass.  Nothing is
         mutated.  An empty batch returns an empty ``float64`` array.
 
-        **Mask-aware batch contract** (what the vectorized iteration driver
-        builds on): the result is always a dense ``float64`` array aligned
+        **Mask-aware batch contract** (what the tabu iteration driver builds
+        on): the result is always a dense ``float64`` array aligned
         with ``pairs``, so the driver can combine it element-wise with a
         tabu/aspiration admissibility mask and select the best admissible
         swap via ``argmin`` without consulting the evaluator again.  Scoring

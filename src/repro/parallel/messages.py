@@ -105,7 +105,7 @@ class GlobalStart:
 
     global_iteration: int
     solution: Union[np.ndarray, SolutionPayload]
-    #: Tabu list associated with the solution (``TabuList.to_payload()``), or
+    #: Tabu list associated with the solution (``ArrayTabuList.to_payload()``), or
     #: ``None`` for the very first iteration.
     tabu_payload: Optional[tuple] = None
     #: Elastic re-assignment (fault mode only): a new diversification /

@@ -343,7 +343,8 @@ class TimingAnalyzer:
 
         Arrival times are propagated one topological *level* at a time with
         segmented NumPy reductions (the graph's level schedule) —
-        numerically identical to :meth:`analyze_reference` including
+        numerically identical to the scalar reference STA
+        (``sta_reference`` in ``tests/oracles/kernels.py``) including
         first-maximum tie-breaking, but an order of magnitude faster on the
         paper circuits.  This is the cost that dominates installing a received
         solution, so the parallel protocol's per-hop overhead rides on it.
@@ -485,70 +486,6 @@ class TimingAnalyzer:
                         best = t_d
                         pred = d
                 cursor = pred
-            path.reverse()
-        return TimingResult(
-            critical_delay=float(critical_delay),
-            arrival=arrival,
-            critical_path=tuple(path),
-        )
-
-    def analyze_reference(self, placement: Placement) -> TimingResult:
-        """Reference scalar STA (the pre-vectorisation implementation).
-
-        Kept as the correctness oracle for :meth:`analyze`: the equivalence
-        test drives both over random placements and asserts identical arrival
-        times, critical delay and critical path.
-        """
-        graph = self._graph
-        x = placement.cell_x()
-        y = placement.cell_y()
-        n = self._netlist.num_cells
-        arrival = np.zeros(n, dtype=np.float64)
-        best_pred = np.full(n, -1, dtype=np.int64)
-        wpu = self._model.wire_delay_per_unit
-        delays = graph.delays
-        for c in graph.topo_order:
-            fanin = graph.prop_fanin[c]
-            if fanin:
-                best = -np.inf
-                pred = -1
-                xc = x[c]
-                yc = y[c]
-                for d in fanin:
-                    t = arrival[d] + wpu * (abs(x[d] - xc) + abs(y[d] - yc))
-                    if t > best:
-                        best = t
-                        pred = d
-                arrival[c] = best + delays[c]
-                best_pred[c] = pred
-            else:
-                arrival[c] = delays[c]
-
-        # Data arrival at endpoints: max over endpoint fan-in of
-        # arrival(driver) + wire(driver, endpoint).
-        critical_delay = 0.0
-        critical_end = -1
-        critical_end_pred = -1
-        for c in np.flatnonzero(graph.is_end):
-            fanin = graph.end_fanin[c]
-            if not fanin:
-                continue
-            xc = x[c]
-            yc = y[c]
-            for d in fanin:
-                t = arrival[d] + wpu * (abs(x[d] - xc) + abs(y[d] - yc))
-                if t > critical_delay:
-                    critical_delay = float(t)
-                    critical_end = int(c)
-                    critical_end_pred = int(d)
-
-        path: List[int] = []
-        if critical_end >= 0:
-            path.append(critical_end)
-            cursor = critical_end_pred
-            while cursor >= 0:
-                path.append(cursor)
-                cursor = int(best_pred[cursor])
             path.reverse()
         return TimingResult(
             critical_delay=float(critical_delay),

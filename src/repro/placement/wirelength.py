@@ -26,7 +26,6 @@ hottest code path of the whole reproduction: every CLW trial swap lands here.
 from __future__ import annotations
 
 import logging
-import os
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -41,7 +40,6 @@ __all__ = [
     "net_hpwl",
     "net_bboxes",
     "WirelengthState",
-    "deltas_for_swaps_reference",
 ]
 
 logger = logging.getLogger(__name__)
@@ -128,26 +126,6 @@ def net_bboxes(
     return x_min, x_max, y_min, y_max, n_x_min, n_x_max, n_y_min, n_y_max
 
 
-def _shrink_min(cur: np.ndarray, support: np.ndarray, frm: np.ndarray, to: np.ndarray):
-    """Fast-path new minimum after one pin moves ``frm → to``.
-
-    Returns ``(new_min, needs_fallback)``.  The fast path is exact except when
-    the moving pin was the *only* support of the current minimum and it lands
-    strictly inside the box — then the true new minimum lies somewhere among
-    the remaining pins and a segment reduce is required.
-    """
-    new = np.minimum(cur, to)
-    fallback = (frm == cur) & (support <= 1) & (to > cur)
-    return new, fallback
-
-
-def _shrink_max(cur: np.ndarray, support: np.ndarray, frm: np.ndarray, to: np.ndarray):
-    """Fast-path new maximum after one pin moves ``frm → to`` (see _shrink_min)."""
-    new = np.maximum(cur, to)
-    fallback = (frm == cur) & (support <= 1) & (to < cur)
-    return new, fallback
-
-
 class WirelengthState:
     """Incremental HPWL cache bound to one :class:`Placement`.
 
@@ -201,7 +179,7 @@ class WirelengthState:
         self._commit_lists: tuple | None = None
         num_cells = placement.num_cells
         num_nets = self._netlist.num_nets
-        mode = incidence if incidence is not None else os.environ.get("REPRO_INCIDENCE", "auto")
+        mode = "auto" if incidence is None else incidence
         if mode not in ("auto", "dense", "csr"):
             raise ValueError(
                 f"incidence mode must be 'auto', 'dense' or 'csr', got {mode!r}"
@@ -422,7 +400,8 @@ class WirelengthState:
         :func:`repro.accel.kernels.hpwl_batch_deltas`, the xp-generic kernel
         shared with the cuda backend.  Under NumPy it executes the identical
         operations in the identical order as the direct kernel it replaced
-        (pinned bit-identical against :func:`deltas_for_swaps_reference`);
+        (pinned bit-identical against its frozen copy,
+        ``wirelength_reference`` in ``tests/oracles/kernels.py``);
         the segment-reduce fallback of step 4 always reduces on the host
         (cupy has no ``reduceat``) — it is rare by construction.
         """
@@ -671,86 +650,3 @@ class WirelengthState:
         self._n_y_max[nets] = n_y_max
         if self._xb.is_cuda:  # pragma: no cover - cupy only
             self._device_sync(nets)
-
-
-# ---------------------------------------------------------------------- #
-# frozen reference kernel
-# ---------------------------------------------------------------------- #
-def deltas_for_swaps_reference(
-    state: WirelengthState, cells_a, cells_b
-) -> np.ndarray:
-    """The pre-dispatch direct NumPy HPWL batch kernel, frozen verbatim.
-
-    The kernel body :meth:`WirelengthState.deltas_for_swaps` shipped before
-    the accel layer existed, kept as the bit-identity oracle for the
-    backend-parameterised contract battery and as the dispatch-tax baseline
-    of ``benchmarks/bench_gpu_kernels.py``.  Reads the state's host-side
-    caches directly and never touches the accel layer.
-    """
-    a = np.atleast_1d(np.asarray(cells_a, dtype=np.int64))
-    b = np.atleast_1d(np.asarray(cells_b, dtype=np.int64))
-    if a.shape != b.shape:
-        raise ValueError(f"cells_a and cells_b must match, got {a.shape} vs {b.shape}")
-    num_pairs = int(a.size)
-    out = np.zeros(num_pairs, dtype=np.float64)
-    netlist = state._netlist
-    if num_pairs == 0 or netlist.num_nets == 0:
-        return out
-
-    cts = state._placement.cell_to_slot
-    slot_x = state._layout.slot_x
-    slot_y = state._layout.slot_y
-    ax = slot_x[cts[a]]
-    ay = slot_y[cts[a]]
-    bx = slot_x[cts[b]]
-    by = slot_y[cts[b]]
-
-    # --- step 1: flat (pair, net) items for both endpoints ------------- #
-    nets_a, deg_a = netlist.nets_of_cells_flat(a)
-    nets_b, deg_b = netlist.nets_of_cells_flat(b)
-    pair_ids = np.arange(num_pairs, dtype=np.int64)
-    pair = np.concatenate([np.repeat(pair_ids, deg_a), np.repeat(pair_ids, deg_b)])
-    net = np.concatenate([nets_a, nets_b])
-    moved = np.concatenate([np.repeat(a, deg_a), np.repeat(b, deg_b)])
-    from_x = np.concatenate([np.repeat(ax, deg_a), np.repeat(bx, deg_b)])
-    from_y = np.concatenate([np.repeat(ay, deg_a), np.repeat(by, deg_b)])
-    to_x = np.concatenate([np.repeat(bx, deg_a), np.repeat(ax, deg_b)])
-    to_y = np.concatenate([np.repeat(by, deg_a), np.repeat(ay, deg_b)])
-    if net.size == 0:
-        return out
-
-    # --- step 2: neutralise self-swaps and shared nets ----------------- #
-    active = (a != b)[pair]
-    other = np.concatenate([np.repeat(b, deg_a), np.repeat(a, deg_b)])
-    if state._incidence is not None:
-        active &= ~state._incidence[other, net]
-    else:  # sparse path: binary search of the sorted incidence keys
-        keys = other * np.int64(netlist.num_nets) + net
-        active &= ~_kernels.shared_net_mask(state._csr_keys, keys)
-    if not active.any():
-        return out
-
-    # --- step 3: O(1) bbox-edge updates from the cache ----------------- #
-    new_x_min, fb_x_min = _shrink_min(state._x_min[net], state._n_x_min[net], from_x, to_x)
-    new_x_max, fb_x_max = _shrink_max(state._x_max[net], state._n_x_max[net], from_x, to_x)
-    new_y_min, fb_y_min = _shrink_min(state._y_min[net], state._n_y_min[net], from_y, to_y)
-    new_y_max, fb_y_max = _shrink_max(state._y_max[net], state._n_y_max[net], from_y, to_y)
-
-    # --- step 4: segment-reduce fallback for vacated edges ------------- #
-    fallback = (fb_x_min | fb_x_max | fb_y_min | fb_y_max) & active
-    if fallback.any():
-        idx = np.flatnonzero(fallback)
-        members, counts = netlist.net_members_of(net[idx])
-        fb_x_lo, fb_x_hi, fb_y_lo, fb_y_hi = _kernels.fallback_bbox_reduce(
-            members, counts, moved[idx], to_x[idx], to_y[idx], cts, slot_x, slot_y
-        )
-        new_x_min[idx] = fb_x_lo
-        new_x_max[idx] = fb_x_hi
-        new_y_min[idx] = fb_y_lo
-        new_y_max[idx] = fb_y_hi
-
-    new_hpwl = (new_x_max - new_x_min) + (new_y_max - new_y_min)
-    per_item = netlist.net_weights[net] * (new_hpwl - state._per_net[net])
-    per_item *= active  # zero the contributions of masked items
-    out[:] = np.bincount(pair, weights=per_item, minlength=num_pairs)
-    return out

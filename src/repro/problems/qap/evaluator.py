@@ -44,7 +44,6 @@ __all__ = [
     "QAPObjectives",
     "QAPEvaluator",
     "QAPProblem",
-    "deltas_for_swaps_reference",
     "restore_shared_qap",
 ]
 
@@ -249,10 +248,9 @@ class QAPEvaluator:
         the xp-generic kernel shared with the cuda backend, staged through
         the backend's pooled scratch packs (:meth:`_scratch_for`).  Under
         NumPy the operations and reduction order are exactly the direct
-        kernel's, pinned bit-identical against
-        :func:`deltas_for_swaps_reference`; on cuda only the sampled pair
-        indices go up and the O(m) deltas come down.  Self-pairs get a
-        zero delta.
+        kernel's, pinned bit-identical against its frozen copy
+        (``qap_reference`` in ``tests/oracles/kernels.py``); on cuda only the
+        sampled pair indices go up and the O(m) deltas come down.  Self-pairs get a zero delta.
         """
         a = np.asarray(cells_a, dtype=np.int64)
         b = np.asarray(cells_b, dtype=np.int64)
@@ -519,76 +517,3 @@ def restore_shared_qap(arrays, meta) -> QAPProblem:
 def _random_assignment(instance: QAPInstance, *, seed: int) -> np.ndarray:
     rng = make_rng(seed, "qap-initial", instance.name)
     return rng.permutation(instance.n).astype(np.int64)
-
-
-# ---------------------------------------------------------------------- #
-# frozen reference kernel
-# ---------------------------------------------------------------------- #
-def deltas_for_swaps_reference(
-    evaluator: QAPEvaluator,
-    cells_a: np.ndarray,
-    cells_b: np.ndarray,
-    scratch: Optional[Tuple[np.ndarray, ...]] = None,
-) -> np.ndarray:
-    """The pre-dispatch direct NumPy swap-delta kernel, frozen verbatim.
-
-    This is the kernel body :meth:`QAPEvaluator.deltas_for_swaps` shipped
-    before the accel layer existed, kept as the bit-identity oracle: the
-    backend-parameterised contract battery pins the xp-generic kernel
-    against it under NumPy, and ``benchmarks/bench_gpu_kernels.py`` uses it
-    as the dispatch-tax baseline.  It reads the evaluator's host-side state
-    directly and never touches the accel layer.  Pass ``scratch`` (four
-    ``(m, n)`` float64 buffers) to measure steady-state cost; omitted, the
-    buffers are allocated fresh.
-    """
-    a = np.asarray(cells_a, dtype=np.int64)
-    b = np.asarray(cells_b, dtype=np.int64)
-    if a.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    flow = evaluator.instance.flow
-    dist = evaluator.instance.distance
-    p = evaluator.assignment
-    ra = p[a]
-    rb = p[b]
-
-    if scratch is None:
-        shape = (int(a.size), evaluator.instance.n)
-        scratch = tuple(np.empty(shape, dtype=np.float64) for _ in range(4))
-    buf0, buf1, buf2, buf3 = scratch
-    # row sums: sum_k (F[a,k] - F[b,k]) * (D[rb,p(k)] - D[ra,p(k)])
-    np.take(flow, a, axis=0, out=buf0)
-    np.take(flow, b, axis=0, out=buf1)
-    np.subtract(buf0, buf1, out=buf0)                            # flow rows
-    np.take(dist, rb, axis=0, out=buf1)
-    np.take(buf1, p, axis=1, out=buf2)
-    np.take(dist, ra, axis=0, out=buf1)
-    np.take(buf1, p, axis=1, out=buf3)
-    np.subtract(buf2, buf3, out=buf2)                            # dist rows
-    row_sum = np.einsum("ij,ij->i", buf0, buf2)
-    if evaluator._symmetric:
-        # F = F^T and D = D^T make the column sums equal to the row sums
-        # term-by-term — same values reduced in the same order
-        col_sum = row_sum.copy()
-    else:
-        # column sums: sum_k (F[k,a] - F[k,b]) * (D[p(k),rb] - D[p(k),ra])
-        flow_cols = (flow[:, a] - flow[:, b]).T                      # (m, n)
-        dist_cols = (dist[np.ix_(p, rb)] - dist[np.ix_(p, ra)]).T    # (m, n)
-        col_sum = np.einsum("ij,ij->i", flow_cols, dist_cols)
-
-    # the k = a and k = b terms do not belong in the sums above ...
-    f_aa, f_ab = flow[a, a], flow[a, b]
-    f_ba, f_bb = flow[b, a], flow[b, b]
-    d_aa, d_ab = dist[ra, ra], dist[ra, rb]
-    d_ba, d_bb = dist[rb, ra], dist[rb, rb]
-    row_sum -= (f_aa - f_ba) * (d_ba - d_aa) + (f_ab - f_bb) * (d_bb - d_ab)
-    col_sum -= (f_aa - f_ab) * (d_ab - d_aa) + (f_ba - f_bb) * (d_bb - d_ba)
-    # ... they enter exactly once as the four corner terms instead
-    corners = (
-        f_aa * (d_bb - d_aa)
-        + f_bb * (d_aa - d_bb)
-        + f_ab * (d_ba - d_ab)
-        + f_ba * (d_ab - d_ba)
-    )
-    deltas = row_sum + col_sum + corners
-    deltas[a == b] = 0.0
-    return deltas

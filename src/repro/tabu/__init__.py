@@ -10,7 +10,6 @@ from .attributes import (
     AttributeScheme,
     MoveAttribute,
     pair_attribute_indices,
-    swap_attributes,
 )
 from .candidate import (
     CellRange,
@@ -37,7 +36,7 @@ from .search import (
     TabuSearchState,
     make_aspiration,
 )
-from .tabu_list import ArrayTabuList, FrequencyMemory, TabuList, make_tabu_list
+from .tabu_list import ArrayTabuList, FrequencyMemory
 from .termination import TerminationCriteria
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "NoAspiration",
     "AttributeScheme",
     "MoveAttribute",
-    "swap_attributes",
     "pair_attribute_indices",
     "CellRange",
     "collision_probability",
@@ -70,8 +68,6 @@ __all__ = [
     "TabuSearchState",
     "make_aspiration",
     "FrequencyMemory",
-    "TabuList",
     "ArrayTabuList",
-    "make_tabu_list",
     "TerminationCriteria",
 ]

@@ -10,8 +10,8 @@ For the cell-placement swap move two natural attribute schemes exist:
 * ``CELL`` — each moved cell individually; more aggressive, forbids touching
   a recently moved cell at all.
 
-Both are value objects usable as dictionary keys.  The array-backed tabu
-list additionally addresses attributes by a dense integer *index* —
+A :class:`MoveAttribute` names one attribute in a tabu list's payload.  The
+array-backed tabu list addresses attributes by a dense integer *index* —
 ``lo * num_cells + hi`` for pairs, the cell itself for cells — computed in
 bulk for whole candidate batches by :func:`pair_attribute_indices`.  The
 same ``num_cells``-strided code space would accommodate a future cell×slot
@@ -29,7 +29,6 @@ import numpy as np
 __all__ = [
     "AttributeScheme",
     "MoveAttribute",
-    "swap_attributes",
     "pair_attribute_indices",
 ]
 
@@ -64,15 +63,6 @@ class MoveAttribute:
     def cell(cls, cell: int) -> "MoveAttribute":
         """Attribute representing a single moved cell."""
         return cls(kind="cell", key=(cell,))
-
-
-def swap_attributes(
-    cell_a: int, cell_b: int, scheme: AttributeScheme = AttributeScheme.PAIR
-) -> Tuple[MoveAttribute, ...]:
-    """Attributes contributed by swapping ``cell_a`` and ``cell_b``."""
-    if scheme is AttributeScheme.PAIR:
-        return (MoveAttribute.pair(cell_a, cell_b),)
-    return (MoveAttribute.cell(cell_a), MoveAttribute.cell(cell_b))
 
 
 def pair_attribute_indices(pairs: np.ndarray, num_cells: int) -> np.ndarray:

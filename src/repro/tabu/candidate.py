@@ -198,7 +198,7 @@ def sample_candidate_pairs(
         raise TabuSearchError("need at least two cells to form a swap pair")
     # Scalar, interleaved draws (first, second, first, second, ...): the
     # historical sampling order, kept for components that still want it.
-    # The iteration drivers use :func:`sample_candidate_pairs_array`, whose
+    # The tabu search uses :func:`sample_candidate_pairs_array`, whose
     # two bulk draws replace the 2*count scalar generator calls that used to
     # dominate the per-iteration driver cost.
     pairs: List[Tuple[int, int]] = []
@@ -224,8 +224,8 @@ def sample_candidate_pairs_array(
     whole batch is drawn with two generator calls instead of ``2 * count``
     scalar ones (the scalar draws used to be the single largest cost of a
     tabu iteration).  The bulk draws consume the bit stream differently from
-    the scalar sampler, so the two are *not* trajectory-compatible; both
-    iteration drivers use this one.
+    the scalar sampler, so the two are *not* trajectory-compatible; the
+    tabu search uses this one.
 
     ``range_cells`` is the worker range as an array (precomputed once per
     search, not per step).

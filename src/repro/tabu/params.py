@@ -28,11 +28,7 @@ class TabuSearchParams:
       global iteration.
 
     Attributes not in the paper but exposed for ablations: the attribute
-    scheme, the early-accept flag, the aspiration margin and the iteration
-    ``driver`` — ``"vectorized"`` (array-backed tabu memory, fused candidate
-    scoring, copy-light accepts) or ``"reference"`` (the dict-based oracle
-    driver that walks the identical trajectory with per-attribute Python
-    bookkeeping; kept for the trajectory-identity suite and debugging).
+    scheme, the early-accept flag and the aspiration margin.
     """
 
     tabu_tenure: int = 7
@@ -44,7 +40,6 @@ class TabuSearchParams:
     attribute_scheme: AttributeScheme = AttributeScheme.PAIR
     aspiration: Literal["best", "improvement", "none"] = "best"
     aspiration_margin: float = 0.0
-    driver: Literal["vectorized", "reference"] = "vectorized"
 
     def __post_init__(self) -> None:
         if self.tabu_tenure < 0:
@@ -59,14 +54,16 @@ class TabuSearchParams:
             raise TabuSearchError(
                 f"diversification_depth must be >= 0, got {self.diversification_depth}"
             )
+        if not isinstance(self.attribute_scheme, AttributeScheme):
+            raise TabuSearchError(
+                f"attribute_scheme must be an AttributeScheme, got {self.attribute_scheme!r}"
+            )
         if self.aspiration not in ("best", "improvement", "none"):
             raise TabuSearchError(f"unknown aspiration criterion {self.aspiration!r}")
         if not (0.0 <= self.aspiration_margin < 1.0):
             raise TabuSearchError(
                 f"aspiration_margin must be in [0, 1), got {self.aspiration_margin}"
             )
-        if self.driver not in ("vectorized", "reference"):
-            raise TabuSearchError(f"unknown iteration driver {self.driver!r}")
 
     def with_(self, **changes) -> "TabuSearchParams":
         """Return a copy with the given fields replaced."""

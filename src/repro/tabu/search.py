@@ -21,13 +21,11 @@ domain's) through tabu-search iterations:
    *jumped to* via the end-state snapshot the builder left behind instead of
    re-committing every swap.
 
-Two interchangeable iteration drivers implement these semantics
-(``TabuSearchParams.driver``): the default ``"vectorized"`` driver runs on
-the array-backed :class:`~repro.tabu.tabu_list.ArrayTabuList` with masked
-batch selection, while the ``"reference"`` driver performs the identical
-algorithm with the dictionary tabu memory and per-attribute Python loops —
-seeded runs of the two walk bit-identical trajectories (enforced by
-``tests/tabu/test_driver_identity.py``).
+The memory is the array-backed :class:`~repro.tabu.tabu_list.ArrayTabuList`
+with masked batch selection.  The test suite keeps a reference driver
+(``tests/oracles/tabu.py``: the dictionary tabu memory, per-range step-1
+scoring and scalar aspiration calls); seeded runs of the two walk
+bit-identical trajectories (enforced by ``tests/tabu/test_driver_identity.py``).
 
 The same class is reused inside the parallel Tabu Search Workers, where the
 candidate compound moves come from remote CLWs instead of being generated
@@ -56,7 +54,7 @@ from .candidate import CellRange, full_range, sample_candidate_pairs_array
 from .diversification import diversify
 from .moves import CompoundMove, CompoundMoveBuilder
 from .params import TabuSearchParams
-from .tabu_list import ArrayTabuList, FrequencyMemory, TabuList, make_tabu_list
+from .tabu_list import ArrayTabuList, FrequencyMemory
 from .termination import TerminationCriteria
 
 __all__ = [
@@ -170,11 +168,8 @@ class TabuSearch:
             self._candidate_ranges = tuple([self._range] * candidate_moves)
         self._range_arrays = tuple(r.as_array() for r in self._candidate_ranges)
         self._rng = make_rng(seed, "tabu-search", evaluator.instance_name)
-        self._vectorized = self._params.driver == "vectorized"
         self._scheme = self._params.attribute_scheme
-        self._tabu = make_tabu_list(
-            self._params.tabu_tenure, evaluator.num_cells, vectorized=self._vectorized
-        )
+        self._tabu = ArrayTabuList(self._params.tabu_tenure, evaluator.num_cells)
         self._frequency = FrequencyMemory(evaluator.num_cells)
         self._aspiration = make_aspiration(self._params)
         self._iteration = 0
@@ -214,7 +209,7 @@ class TabuSearch:
 
     @property
     def tabu_list(self):
-        """Short-term memory (:class:`TabuList` or :class:`ArrayTabuList`)."""
+        """Short-term memory (:class:`ArrayTabuList`)."""
         return self._tabu
 
     @property
@@ -291,18 +286,13 @@ class TabuSearch:
         The paper's protocol ships the incumbent's tabu list together with
         the solution; this is the public hook for it — backends must not
         reach into the search's internals.  ``payload`` is
-        ``to_payload()`` output of either memory implementation; ``tenure``
-        defaults to the search's configured ``tabu_tenure``.  The installed
-        list matches this search's driver (the wire format is shared), and
-        is returned.
+        :meth:`ArrayTabuList.to_payload` output; ``tenure`` defaults to the
+        search's configured ``tabu_tenure``.  The installed list is returned.
         """
         effective_tenure = self._params.tabu_tenure if tenure is None else tenure
-        if isinstance(self._tabu, ArrayTabuList):
-            self._tabu = ArrayTabuList.from_payload(
-                payload, effective_tenure, self._evaluator.num_cells
-            )
-        else:
-            self._tabu = TabuList.from_payload(payload, effective_tenure)
+        self._tabu = ArrayTabuList.from_payload(
+            payload, effective_tenure, self._evaluator.num_cells
+        )
         return self._tabu
 
     def export_state(self) -> TabuSearchState:
@@ -376,49 +366,47 @@ class TabuSearch:
 
         Handed to the compound-move builders so tabu filtering happens
         *inside* the candidate scoring pass — the builder's argmin then
-        selects the best admissible swap directly.  Both drivers compute the
-        same mask; the vectorized one via an expiry-vector gather and an
-        array aspiration compare, the reference one via the dict memory's
-        per-attribute loop and scalar aspiration calls.
+        selects the best admissible swap directly.  The mask is one
+        expiry-vector gather plus one array aspiration compare.
         """
         tabu = self._tabu
         scheme = self._scheme
         aspiration = self._aspiration
-        if self._vectorized:
-            def admissible(pairs: np.ndarray, costs: np.ndarray) -> Optional[np.ndarray]:
-                mask = tabu.is_tabu_mask(pairs, iteration, scheme)
-                if not mask.any():
-                    return None
-                return fuse_admissible(
-                    mask, aspiration.permits_batch(costs, current_cost, best_cost)
-                )
-        else:
-            def admissible(pairs: np.ndarray, costs: np.ndarray) -> Optional[np.ndarray]:
-                mask = tabu.is_tabu_mask(pairs, iteration, scheme)
-                if not mask.any():
-                    return None
-                permitted = np.fromiter(
-                    (
-                        aspiration.permits(float(cost), current_cost, best_cost)
-                        for cost in costs
-                    ),
-                    dtype=bool,
-                    count=len(costs),
-                )
-                return ~mask | permitted
+
+        def admissible(pairs: np.ndarray, costs: np.ndarray) -> Optional[np.ndarray]:
+            mask = tabu.is_tabu_mask(pairs, iteration, scheme)
+            if not mask.any():
+                return None
+            return fuse_admissible(
+                mask, aspiration.permits_batch(costs, current_cost, best_cost)
+            )
+
         return admissible
+
+    def _score_first_steps(self, first_pairs: List[np.ndarray]) -> List[np.ndarray]:
+        """Trial costs of every range's step-1 pairs, in range order.
+
+        Every range starts from the same solution, so the trials are
+        independent and all ranges are scored in one fused batch call
+        before the candidates' states diverge.
+        """
+        pairs_per_step = self._params.pairs_per_step
+        fused = self._evaluator.evaluate_swaps_batch(np.concatenate(first_pairs))
+        return [
+            fused[k * pairs_per_step : (k + 1) * pairs_per_step]
+            for k in range(len(first_pairs))
+        ]
 
     def _build_candidates(self) -> Tuple[List[CompoundMove], List[object]]:
         """Generate candidate compound moves plus their end-state tokens.
 
-        The step-1 candidate pairs of *every* range are drawn up front and —
-        under the vectorized driver — scored in one fused batch call (every
-        range starts from the same solution, so the trials are independent).
-        Each candidate is built with per-step tabu/aspiration filtering,
-        its end state is captured as a cheap snapshot, and the evaluator is
-        rewound to the common start with a state restore.  The returned end
-        states let the accept path *jump* onto the winning candidate instead
-        of re-committing its swaps (copy-light rewinds both ways).
+        The step-1 candidate pairs of *every* range are drawn up front and
+        scored together (:meth:`_score_first_steps`).  Each candidate is
+        built with per-step tabu/aspiration filtering, its end state is
+        captured as a cheap snapshot, and the evaluator is rewound to the
+        common start with a state restore.  The returned end states let the
+        accept path *jump* onto the winning candidate instead of
+        re-committing its swaps (copy-light rewinds both ways).
         """
         evaluator = self._evaluator
         params = self._params
@@ -435,15 +423,7 @@ class TabuSearch:
             sample_candidate_pairs_array(range_array, num_cells, pairs_per_step, rng)
             for range_array in self._range_arrays
         ]
-        if self._vectorized and num_candidates > 1:
-            # one fused scoring pass before the candidates' states diverge
-            fused = evaluator.evaluate_swaps_batch(np.concatenate(first_pairs))
-            first_costs = [
-                fused[k * pairs_per_step : (k + 1) * pairs_per_step]
-                for k in range(num_candidates)
-            ]
-        else:
-            first_costs = [evaluator.evaluate_swaps_batch(p) for p in first_pairs]
+        first_costs = self._score_first_steps(first_pairs)
 
         start_state = evaluator.save_state()
         candidates: List[CompoundMove] = []

@@ -1,28 +1,21 @@
 """Short-term and long-term tabu memory.
 
-Two interchangeable short-term memories implement the paper's Figure 1
-semantics (a move is *tabu* while any of its attributes is still active):
+:class:`ArrayTabuList` is the short-term memory of the paper's Figure 1 (a
+move is *tabu* while any of its attributes is still active): one int64
+expiry store per attribute kind, keyed by the dense attribute index
+(``lo * num_cells + hi`` for pair attributes, the cell index for cell
+attributes).  Below ``ARRAY_TABU_MAX_CELLS`` the pair store is a dense
+vector; above it, an exact-key open-addressed hash table with the same keys
+(O(live) memory for 10k+-cell instances).  Either way ``is_tabu_mask``
+answers a whole candidate batch with one vectorised probe, ``record_pairs``
+records a whole compound move in one pass, and expiry is *lazy* — a stale
+entry simply compares as not-tabu.
 
-* :class:`TabuList` — the dictionary **reference oracle**: attributes are
-  hashable :class:`~repro.tabu.attributes.MoveAttribute` keys mapping to the
-  iteration at which their tabu status expires.  Expiry sweeping is
-  amortised O(1) per iteration via per-expiry buckets (at most ``tenure``
-  distinct expiry values are ever live, so a sweep touches only the buckets
-  that actually lapsed instead of rescanning the whole live list).
-* :class:`ArrayTabuList` — the **vectorized** memory used by the fast
-  iteration driver: one int64 expiry store per attribute kind, keyed by the
-  dense attribute index (``lo * num_cells + hi`` for pair attributes, the
-  cell index for cell attributes).  Below ``ARRAY_TABU_MAX_CELLS`` the pair
-  store is a dense vector; above it, an exact-key open-addressed hash table
-  with the same keys (O(live) memory for 10k+-cell instances).  Either way
-  ``is_tabu_mask`` answers a whole candidate batch with one vectorised
-  probe, ``record_pairs`` records a whole compound move in one pass, and
-  expiry is *lazy* — a stale entry simply compares as not-tabu.
-
-Both expose the same driver-facing surface (``record_pairs`` /
-``is_tabu_pairs`` / ``is_tabu_mask`` / ``expire`` / ``to_payload``), which
-is what lets the trajectory-identity suite drive the two implementations
-through identical search runs.
+The test suite keeps a dictionary oracle (``tests/oracles/tabu.py``) with
+the same search-facing surface (``record_pairs`` / ``is_tabu_pairs`` /
+``is_tabu_mask`` / ``expire`` / ``to_payload``), which is what lets the
+trajectory-identity suite drive the two memories through identical search
+runs.
 
 :class:`FrequencyMemory` is the long-term memory used by diversification: it
 counts how often every cell has been moved, so the diversification step can
@@ -32,21 +25,21 @@ push rarely moved cells to new locations (Kelly-style diversification).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import TabuSearchError
-from .attributes import AttributeScheme, MoveAttribute, pair_attribute_indices, swap_attributes
+from .attributes import AttributeScheme, MoveAttribute, pair_attribute_indices
 
-__all__ = ["TabuList", "ArrayTabuList", "FrequencyMemory", "make_tabu_list"]
+__all__ = ["ArrayTabuList", "FrequencyMemory"]
 
 #: Largest instance for which the dense pair-expiry vector is allocated
 #: (``num_cells**2`` int64 entries — 128 MiB at the cap).  Beyond it the
 #: pair attributes live in :class:`_HashedPairTable`, an exact-key
 #: open-addressed expiry table whose memory is O(live attributes) instead
-#: of O(num_cells**2) — the vectorized driver keeps its array memory at any
-#: instance size.
+#: of O(num_cells**2) — the search keeps its array memory at any instance
+#: size.
 ARRAY_TABU_MAX_CELLS = 4096
 
 
@@ -128,19 +121,6 @@ class _HashedPairTable:
         for key in keys.tolist():
             self.store(key, expiry, floor)
 
-    def get(self, key: int) -> int:
-        """Expiry recorded for ``key`` (0 when absent)."""
-        key = int(key)
-        mask = self.capacity - 1
-        pos = self._slot_of(key)
-        while True:
-            stored = int(self._keys[pos])
-            if stored == key:
-                return int(self._expiry[pos])
-            if stored == -1:
-                return 0
-            pos = (pos + 1) & mask
-
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Expiry of every query key (0 when absent) — vectorised batch probe.
 
@@ -186,146 +166,10 @@ class _HashedPairTable:
         self._used = 0
 
 
-class TabuList:
-    """Attribute-based short-term memory with a fixed tenure (dict oracle).
-
-    Parameters
-    ----------
-    tenure:
-        Number of iterations an attribute stays tabu after being recorded.
-    """
-
-    def __init__(self, tenure: int) -> None:
-        if tenure < 0:
-            raise TabuSearchError(f"tabu tenure must be non-negative, got {tenure}")
-        self._tenure = tenure
-        self._expiry: Dict[MoveAttribute, int] = {}
-        # expiry value -> attributes recorded with that expiry; an attribute
-        # re-recorded later stays in its old bucket but the sweep checks the
-        # dict before dropping it, so stale bucket entries are harmless.
-        self._buckets: Dict[int, List[MoveAttribute]] = {}
-
-    @property
-    def tenure(self) -> int:
-        """Configured tenure (iterations an attribute remains tabu)."""
-        return self._tenure
-
-    def __len__(self) -> int:
-        return len(self._expiry)
-
-    def __contains__(self, attribute: MoveAttribute) -> bool:
-        return attribute in self._expiry
-
-    def __iter__(self) -> Iterator[MoveAttribute]:
-        return iter(self._expiry)
-
-    def record(self, attributes: Iterable[MoveAttribute], iteration: int) -> None:
-        """Mark ``attributes`` tabu until ``iteration + tenure``."""
-        if self._tenure == 0:
-            return
-        expiry = iteration + self._tenure
-        bucket = self._buckets.setdefault(expiry, [])
-        for attr in attributes:
-            self._expiry[attr] = expiry
-            bucket.append(attr)
-
-    def is_tabu(self, attributes: Iterable[MoveAttribute], iteration: int) -> bool:
-        """Whether any attribute is still tabu at ``iteration``."""
-        for attr in attributes:
-            expiry = self._expiry.get(attr)
-            if expiry is not None and iteration < expiry:
-                return True
-        return False
-
-    # ------------------------------------------------------------------ #
-    # pair-batch surface shared with ArrayTabuList
-    # ------------------------------------------------------------------ #
-    def record_pairs(
-        self,
-        pairs: np.ndarray,
-        iteration: int,
-        scheme: AttributeScheme = AttributeScheme.PAIR,
-    ) -> None:
-        """Record every swap pair of an accepted move under ``scheme``."""
-        if self._tenure == 0:
-            return
-        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        for cell_a, cell_b in arr.tolist():
-            self.record(swap_attributes(cell_a, cell_b, scheme), iteration)
-
-    def is_tabu_mask(
-        self,
-        pairs: np.ndarray,
-        iteration: int,
-        scheme: AttributeScheme = AttributeScheme.PAIR,
-    ) -> np.ndarray:
-        """Per-pair tabu status of a candidate batch (reference loop)."""
-        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        mask = np.zeros(arr.shape[0], dtype=bool)
-        for k, (cell_a, cell_b) in enumerate(arr.tolist()):
-            mask[k] = self.is_tabu(swap_attributes(cell_a, cell_b, scheme), iteration)
-        return mask
-
-    def is_tabu_pairs(
-        self,
-        pairs: np.ndarray,
-        iteration: int,
-        scheme: AttributeScheme = AttributeScheme.PAIR,
-    ) -> bool:
-        """Whether *any* pair of a move is tabu at ``iteration``."""
-        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        for cell_a, cell_b in arr.tolist():
-            if self.is_tabu(swap_attributes(cell_a, cell_b, scheme), iteration):
-                return True
-        return False
-
-    def expire(self, iteration: int) -> int:
-        """Drop attributes whose tenure has elapsed; returns how many were dropped.
-
-        Amortised O(dropped): only the expiry buckets that actually lapsed
-        are visited (at most ``tenure + 1`` distinct expiry values can ever
-        be pending), instead of rescanning every live attribute per call.
-        """
-        lapsed = [expiry for expiry in self._buckets if expiry <= iteration]
-        removed = 0
-        for expiry in lapsed:
-            for attr in self._buckets.pop(expiry):
-                if self._expiry.get(attr) == expiry:
-                    del self._expiry[attr]
-                    removed += 1
-        return removed
-
-    def clear(self) -> None:
-        """Forget everything (used when a TSW adopts a new global best)."""
-        self._expiry.clear()
-        self._buckets.clear()
-
-    # ------------------------------------------------------------------ #
-    # serialisation — the paper's master/TSW protocol ships the tabu list
-    # together with the best solution.
-    # ------------------------------------------------------------------ #
-    def to_payload(self) -> Tuple[Tuple[str, Tuple[int, ...], int], ...]:
-        """Serialisable snapshot ``((kind, key, expiry), ...)``."""
-        return tuple((attr.kind, attr.key, expiry) for attr, expiry in self._expiry.items())
-
-    @classmethod
-    def from_payload(
-        cls, payload: Iterable[Tuple[str, Tuple[int, ...], int]], tenure: int
-    ) -> "TabuList":
-        """Rebuild a tabu list from :meth:`to_payload` output."""
-        instance = cls(tenure)
-        for kind, key, expiry in payload:
-            attr = MoveAttribute(kind=kind, key=tuple(key))
-            expiry = int(expiry)
-            instance._expiry[attr] = expiry
-            instance._buckets.setdefault(expiry, []).append(attr)
-        return instance
-
-
 class ArrayTabuList:
     """Array-backed short-term memory: expiry vectors per attribute kind.
 
-    The vectorized iteration driver's memory.  Pair attributes live in a
+    The tabu search's short-term memory.  Pair attributes live in a
     dense ``num_cells**2`` int64 vector indexed by
     :func:`~repro.tabu.attributes.pair_attribute_indices` while that vector
     is affordable (``num_cells <= ARRAY_TABU_MAX_CELLS``) and in an
@@ -355,13 +199,8 @@ class ArrayTabuList:
         self._pair: Optional[np.ndarray] = None  # (num_cells**2,) expiry
         self._pair_table: Optional[_HashedPairTable] = None
         self._cell: Optional[np.ndarray] = None  # (num_cells,) expiry
-        # Attributes outside the dense pair/cell index space (foreign kinds
-        # arriving over the wire from experimental schemes) fall back to a
-        # plain dict — the mask paths never consult it, but payload
-        # round-trips and attribute-level queries stay lossless.
-        self._extra: Dict[MoveAttribute, int] = {}
         # Every index ever recorded per kind: keeps the live-set views
-        # (len/payload/iter — the TSW report path serialises per global
+        # (len/payload — the TSW report path serialises per global
         # iteration) O(recorded) instead of scanning the num_cells**2 vector.
         self._pair_touched: set = set()
         self._cell_touched: set = set()
@@ -467,64 +306,6 @@ class ArrayTabuList:
         """Whether *any* pair of a move is tabu at ``iteration``."""
         return bool(self.is_tabu_mask(pairs, iteration, scheme).any())
 
-    # ------------------------------------------------------------------ #
-    # attribute-level compatibility surface
-    # ------------------------------------------------------------------ #
-    def _index_of(self, attribute: MoveAttribute) -> Optional[Tuple[str, int]]:
-        """Dense index of an attribute, or ``None`` for the overflow dict."""
-        key = attribute.key
-        if (
-            attribute.kind == "pair"
-            and len(key) == 2
-            and all(0 <= k < self._num_cells for k in key)
-        ):
-            lo, hi = (key[0], key[1]) if key[0] <= key[1] else (key[1], key[0])
-            return "pair", lo * self._num_cells + hi
-        if attribute.kind == "cell" and len(key) == 1 and 0 <= key[0] < self._num_cells:
-            return "cell", key[0]
-        return None
-
-    def record(self, attributes: Iterable[MoveAttribute], iteration: int) -> None:
-        """Mark ``attributes`` tabu until ``iteration + tenure``."""
-        self._note(iteration)
-        if self._tenure == 0:
-            return
-        expiry = iteration + self._tenure
-        for attr in attributes:
-            slot = self._index_of(attr)
-            if slot is None:
-                self._extra[attr] = expiry
-                continue
-            kind, index = slot
-            if kind == "pair":
-                self._store_pair_indices(np.asarray([index], dtype=np.int64), expiry)
-            else:
-                self._cell_vector()[index] = expiry
-                self._cell_touched.add(index)
-
-    def _pair_expiry_at(self, index: int) -> int:
-        """Recorded expiry of one pair index under the active layout (0 = none)."""
-        if self._dense_pairs:
-            return int(self._pair[index]) if self._pair is not None else 0
-        return self._pair_table.get(index) if self._pair_table is not None else 0
-
-    def is_tabu(self, attributes: Iterable[MoveAttribute], iteration: int) -> bool:
-        """Whether any attribute is still tabu at ``iteration``."""
-        for attr in attributes:
-            slot = self._index_of(attr)
-            if slot is None:
-                expiry = self._extra.get(attr)
-                if expiry is not None and iteration < expiry:
-                    return True
-                continue
-            kind, index = slot
-            if kind == "pair":
-                if iteration < self._pair_expiry_at(index):
-                    return True
-            elif self._cell is not None and iteration < int(self._cell[index]):
-                return True
-        return False
-
     def expire(self, iteration: int) -> int:
         """Lazy expiry: nothing to sweep — stale entries compare as not tabu."""
         self._note(iteration)
@@ -538,7 +319,6 @@ class ArrayTabuList:
             self._pair_table.clear()
         if self._cell is not None:
             self._cell[:] = 0
-        self._extra.clear()
         self._pair_touched.clear()
         self._cell_touched.clear()
 
@@ -568,9 +348,6 @@ class ArrayTabuList:
                     items.append((MoveAttribute.cell(index), expiry))
                 else:
                     self._cell_touched.discard(index)
-        for attr, expiry in self._extra.items():
-            if expiry > self._last_iteration:
-                items.append((attr, expiry))
         return items
 
     def __len__(self) -> int:
@@ -583,27 +360,13 @@ class ArrayTabuList:
         if self._cell is not None:
             last = self._last_iteration
             live += sum(1 for index in self._cell_touched if int(self._cell[index]) > last)
-        live += sum(1 for expiry in self._extra.values() if expiry > self._last_iteration)
         return live
-
-    def __contains__(self, attribute: MoveAttribute) -> bool:
-        slot = self._index_of(attribute)
-        if slot is None:
-            return self._extra.get(attribute, 0) > self._last_iteration
-        kind, index = slot
-        if kind == "pair":
-            return self._pair_expiry_at(index) > self._last_iteration
-        return self._cell is not None and int(self._cell[index]) > self._last_iteration
-
-    def __iter__(self) -> Iterator[MoveAttribute]:
-        return iter(attr for attr, _expiry in self._live_items())
 
     def to_payload(self) -> Tuple[Tuple[str, Tuple[int, ...], int], ...]:
         """Serialisable snapshot ``((kind, key, expiry), ...)`` of live entries.
 
         Entries come out in deterministic (kind, index) order; receivers
-        treat the payload as a set, so ordering differences from the dict
-        implementation (insertion order) are immaterial on the wire.
+        treat the payload as a set.
         """
         return tuple((attr.kind, attr.key, expiry) for attr, expiry in self._live_items())
 
@@ -614,16 +377,16 @@ class ArrayTabuList:
         tenure: int,
         num_cells: int,
     ) -> "ArrayTabuList":
-        """Rebuild an array tabu list from :meth:`to_payload` output."""
+        """Rebuild an array tabu list from :meth:`to_payload` output.
+
+        Payloads also arrive from checkpoints on disk, so an entry outside
+        the attribute space — an unknown kind, or a key outside
+        ``num_cells`` — raises :class:`TabuSearchError`.
+        """
         instance = cls(tenure, num_cells)
         for kind, key, expiry in payload:
-            attr = MoveAttribute(kind=kind, key=tuple(key))
-            slot = instance._index_of(attr)
-            if slot is None:
-                instance._extra[attr] = int(expiry)
-                continue
-            kind_name, index = slot
-            if kind_name == "pair":
+            index = instance._index_of(kind, tuple(key))
+            if kind == "pair":
                 instance._store_pair_indices(
                     np.asarray([index], dtype=np.int64), int(expiry)
                 )
@@ -632,19 +395,17 @@ class ArrayTabuList:
                 instance._cell_touched.add(index)
         return instance
 
-
-def make_tabu_list(tenure: int, num_cells: int, *, vectorized: bool):
-    """Build the short-term memory matching the selected iteration driver.
-
-    The vectorized driver always gets an :class:`ArrayTabuList` — dense
-    pair vector up to ``ARRAY_TABU_MAX_CELLS`` cells, the exact-key hashed
-    pair table beyond (so 10k-cell instances keep vectorised batch masks
-    instead of falling back to the dict loop).  The reference driver gets
-    the dict oracle.
-    """
-    if vectorized:
-        return ArrayTabuList(tenure, num_cells)
-    return TabuList(tenure)
+    def _index_of(self, kind: str, key: Tuple[int, ...]) -> int:
+        """Dense index of one payload entry, rejecting entries outside the space."""
+        n = self._num_cells
+        if kind == "pair" and len(key) == 2 and all(0 <= k < n for k in key):
+            lo, hi = (key[0], key[1]) if key[0] <= key[1] else (key[1], key[0])
+            return lo * n + hi
+        if kind == "cell" and len(key) == 1 and 0 <= key[0] < n:
+            return key[0]
+        raise TabuSearchError(
+            f"tabu payload entry {kind!r} {key!r} is outside the {n}-cell attribute space"
+        )
 
 
 class FrequencyMemory:

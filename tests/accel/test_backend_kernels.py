@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.kernels import qap_reference, wirelength_reference
 from repro.accel import (
     ArrayBackend,
     cuda_available,
@@ -22,11 +23,8 @@ from repro.accel import (
 )
 from repro.metrics import TransferStats
 from repro.placement import Layout, Placement, load_benchmark, random_placement
-from repro.placement.wirelength import WirelengthState, deltas_for_swaps_reference
-from repro.problems.qap.evaluator import (
-    QAPEvaluator,
-    deltas_for_swaps_reference as qap_reference,
-)
+from repro.placement.wirelength import WirelengthState
+from repro.problems.qap.evaluator import QAPEvaluator
 from repro.problems.qap.instance import QAPInstance
 
 
@@ -190,7 +188,7 @@ class TestWirelengthKernelParity:
         state, a, b = self._state_and_pairs(incidence)
         assert state.incidence_mode == incidence
         shipped = state.deltas_for_swaps(a, b)
-        oracle = deltas_for_swaps_reference(state, a, b)
+        oracle = wirelength_reference(state, a, b)
         assert np.array_equal(shipped, oracle)
         assert np.all(shipped[a == b] == 0.0)
 
@@ -203,7 +201,7 @@ class TestWirelengthKernelParity:
             placement.swap_cells(i, j)
             state.commit_swap(i, j)
         shipped = state.deltas_for_swaps(a, b)
-        oracle = deltas_for_swaps_reference(state, a, b)
+        oracle = wirelength_reference(state, a, b)
         assert np.array_equal(shipped, oracle)
 
     def test_cpu_state_reports_zero_traffic(self):
@@ -258,7 +256,7 @@ class TestCudaBackend:  # pragma: no cover - requires a GPU
         a, b = np.meshgrid(np.arange(n), np.arange(n))
         np.testing.assert_allclose(
             shipped.deltas_for_swaps(a.ravel(), b.ravel()),
-            deltas_for_swaps_reference(oracle, a.ravel(), b.ravel()),
+            wirelength_reference(oracle, a.ravel(), b.ravel()),
             atol=2e-2,
             rtol=0.0,
         )

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from oracles.kernels import qap_reference, wirelength_reference
 from repro import (
     ParallelSearchParams,
     TabuSearch,
@@ -85,18 +86,10 @@ BACKENDS = [
 def _inject_reference_kernel(evaluator, domain: str) -> None:
     """Route the evaluator's batch deltas through the frozen direct kernel."""
     if domain == "qap":
-        from repro.problems.qap.evaluator import deltas_for_swaps_reference
-
-        evaluator.deltas_for_swaps = (
-            lambda a, b: deltas_for_swaps_reference(evaluator, a, b)
-        )
+        evaluator.deltas_for_swaps = lambda a, b: qap_reference(evaluator, a, b)
     else:
-        from repro.placement.wirelength import deltas_for_swaps_reference
-
         state = evaluator._wirelength
-        state.deltas_for_swaps = (
-            lambda a, b: deltas_for_swaps_reference(state, a, b)
-        )
+        state.deltas_for_swaps = lambda a, b: wirelength_reference(state, a, b)
 
 
 def make_backend_evaluator(problem, domain: str, backend: str, *, seed: int = 3):

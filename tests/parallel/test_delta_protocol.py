@@ -184,7 +184,7 @@ def test_delta_adopt_matches_full_install_with_tabu_state(circuit):
     full_eval = prob.make_evaluator(base)
     full_search = TabuSearch(full_eval, TabuSearchParams(), seed=3)
 
-    tabu_payload = (("swap", (1, 2), 5), ("swap", (3, 4), 9))
+    tabu_payload = (("pair", (1, 2), 5), ("pair", (3, 4), 9))
     current = base
     for round_index in range(3):
         target = random_swapped(current, int(rng.integers(1, 12)), rng)

@@ -51,10 +51,6 @@ class TestModeSelection:
         assert WirelengthState(big2k_placement, incidence="dense").incidence_mode == "dense"
         assert WirelengthState(big2k_placement, incidence="csr").incidence_mode == "csr"
 
-    def test_env_override(self, big2k_placement, monkeypatch):
-        monkeypatch.setenv("REPRO_INCIDENCE", "csr")
-        assert WirelengthState(big2k_placement).incidence_mode == "csr"
-
     def test_invalid_mode_rejected(self, big2k_placement):
         with pytest.raises(ValueError):
             WirelengthState(big2k_placement, incidence="sparse")

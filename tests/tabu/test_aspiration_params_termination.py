@@ -61,6 +61,7 @@ class TestTabuSearchParams:
             {"diversification_depth": -1},
             {"aspiration": "bogus"},
             {"aspiration_margin": 1.5},
+            {"attribute_scheme": "pair"},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):

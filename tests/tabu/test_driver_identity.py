@@ -1,12 +1,13 @@
-"""Trajectory identity of the vectorized and reference iteration drivers.
+"""Trajectory identity of the shipped and reference iteration drivers.
 
-The ``"vectorized"`` driver (array-backed tabu memory, fused step-1 scoring,
-masked selection, end-state accepts) and the ``"reference"`` driver (dict
-tabu memory, per-attribute Python loops) implement the *same* algorithm; a
-seeded run of the two must walk bit-identical trajectories — same costs,
-same accepted moves, same tabu states — on every domain, serially and on
-the simulated parallel backend.  This suite is the oracle that keeps the
-fast driver honest.
+:class:`~repro.tabu.search.TabuSearch` (array-backed tabu memory, fused
+step-1 scoring, masked selection, end-state accepts) and the reference
+driver :class:`oracles.tabu.ReferenceTabuSearch` (dict tabu memory,
+per-attribute Python loops, scalar aspiration calls) implement the *same*
+algorithm; a seeded run of the two must walk bit-identical trajectories —
+same costs, same accepted moves, same tabu states — on every domain,
+serially and on the simulated parallel backend.  This suite is the oracle
+that keeps the fast driver honest.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import repro.parallel.tsw as tsw_module
+from oracles.tabu import ReferenceTabuSearch
 from repro import (
     ParallelSearchParams,
     TabuSearch,
@@ -61,13 +64,15 @@ def _payload_set(search: TabuSearch):
     return set(search.tabu_list.to_payload())
 
 
-def _walk(problem, tabu_params: TabuSearchParams, *, iterations: int, ranges=None):
+def _walk(
+    problem, search_cls, tabu_params: TabuSearchParams, *, iterations: int, ranges=None
+):
     """Step a search manually, recording the full per-iteration trajectory."""
     evaluator = problem.make_evaluator(problem.random_solution(seed=9))
     kwargs = {}
     if ranges is not None:
         kwargs = dict(candidate_moves=len(ranges), candidate_ranges=ranges)
-    search = TabuSearch(evaluator, tabu_params, seed=5, **kwargs)
+    search = search_cls(evaluator, tabu_params, seed=5, **kwargs)
     trajectory = []
     for _ in range(iterations):
         result = search.step()
@@ -89,17 +94,12 @@ def _walk(problem, tabu_params: TabuSearchParams, *, iterations: int, ranges=Non
 
 
 def _assert_identical(problem, params_kwargs, *, iterations: int, ranges=None):
+    params = TabuSearchParams(**params_kwargs)
     vec_search, vec_traj = _walk(
-        problem,
-        TabuSearchParams(driver="vectorized", **params_kwargs),
-        iterations=iterations,
-        ranges=ranges,
+        problem, TabuSearch, params, iterations=iterations, ranges=ranges
     )
     ref_search, ref_traj = _walk(
-        problem,
-        TabuSearchParams(driver="reference", **params_kwargs),
-        iterations=iterations,
-        ranges=ranges,
+        problem, ReferenceTabuSearch, params, iterations=iterations, ranges=ranges
     )
     assert vec_traj == ref_traj
     assert vec_search.best_cost == ref_search.best_cost
@@ -175,16 +175,14 @@ class TestSerialIdentity:
 
 class TestRunIdentity:
     def test_run_traces_are_identical(self, problem):
-        def run(driver):
+        def run(search_cls):
             evaluator = problem.make_evaluator(problem.random_solution(seed=9))
-            search = TabuSearch(
-                evaluator,
-                TabuSearchParams(pairs_per_step=4, move_depth=2, driver=driver),
-                seed=5,
+            search = search_cls(
+                evaluator, TabuSearchParams(pairs_per_step=4, move_depth=2), seed=5
             )
             return search.run(TerminationCriteria(max_iterations=20))
 
-        vec, ref = run("vectorized"), run("reference")
+        vec, ref = run(TabuSearch), run(ReferenceTabuSearch)
         assert vec.trace == ref.trace
         assert vec.best_cost == ref.best_cost
         assert vec.evaluations == ref.evaluations
@@ -192,24 +190,27 @@ class TestRunIdentity:
 
 
 class TestSimulatedParallelIdentity:
-    def _params(self, driver: str) -> ParallelSearchParams:
-        return ParallelSearchParams(
-            num_tsws=2,
-            clws_per_tsw=2,
-            global_iterations=2,
-            tabu=TabuSearchParams(
-                local_iterations=4, pairs_per_step=3, move_depth=2, driver=driver
-            ),
-            seed=77,
-        )
+    PARAMS = ParallelSearchParams(
+        num_tsws=2,
+        clws_per_tsw=2,
+        global_iterations=2,
+        tabu=TabuSearchParams(local_iterations=4, pairs_per_step=3, move_depth=2),
+        seed=77,
+    )
 
-    def test_parallel_runs_are_identical(self, problem):
-        vec = run_parallel_search(
-            problem=problem, params=self._params("vectorized"), backend="simulated"
-        )
-        ref = run_parallel_search(
-            problem=problem, params=self._params("reference"), backend="simulated"
-        )
+    def test_parallel_runs_are_identical(self, problem, monkeypatch):
+        """The TSWs run the reference driver; CLWs hold no tabu list."""
+        built = []
+
+        class CountedReference(ReferenceTabuSearch):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        vec = run_parallel_search(problem=problem, params=self.PARAMS, backend="simulated")
+        monkeypatch.setattr(tsw_module, "TabuSearch", CountedReference)
+        ref = run_parallel_search(problem=problem, params=self.PARAMS, backend="simulated")
+        assert len(built) == self.PARAMS.num_tsws
         assert vec.best_cost == ref.best_cost
         assert np.array_equal(vec.best_solution, ref.best_solution)
         assert vec.trace == ref.trace

@@ -5,16 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.tabu import TabuList, swap_attributes
 from repro.errors import TabuSearchError
 from repro.tabu import (
     ArrayTabuList,
     AttributeScheme,
     FrequencyMemory,
     MoveAttribute,
-    TabuList,
-    make_tabu_list,
     pair_attribute_indices,
-    swap_attributes,
 )
 from repro.tabu.tabu_list import ARRAY_TABU_MAX_CELLS
 
@@ -176,33 +174,20 @@ class TestArrayTabuList:
         assert set(back.to_payload()) == set(dict_list.to_payload())
         assert back.is_tabu(swap_attributes(2, 1), iteration=5)
 
-    def test_foreign_attribute_kinds_survive_round_trip(self):
-        payload = (("swap", (1, 2), 5), ("region", (3,), 9))
-        array_list = ArrayTabuList.from_payload(payload, 4, 10)
-        assert set(array_list.to_payload()) == set(payload)
-        assert MoveAttribute(kind="swap", key=(1, 2)) in array_list
-        assert array_list.is_tabu([MoveAttribute(kind="swap", key=(1, 2))], 4)
-        assert not array_list.is_tabu([MoveAttribute(kind="swap", key=(1, 2))], 5)
-        # mask queries never consult foreign kinds
-        assert not array_list.is_tabu_mask(np.array([[1, 2]]), 4).any()
+    @pytest.mark.parametrize(
+        "entry", [("swap", (1, 2), 5), ("pair", (3, 10), 5), ("cell", (12,), 5)]
+    )
+    def test_payload_entry_outside_attribute_space_rejected(self, entry):
+        """Payloads also come from checkpoints on disk: an unknown kind or a
+        key outside ``num_cells`` must not be kept where no mask looks."""
+        with pytest.raises(TabuSearchError):
+            ArrayTabuList.from_payload((entry,), 4, 10)
 
-    def test_attribute_level_compat_surface(self):
-        tabu = ArrayTabuList(4, 10)
-        attr = MoveAttribute.pair(1, 2)
-        tabu.record([attr], iteration=0)
-        assert attr in tabu
-        assert list(tabu) == [attr]
-        tabu.clear()
-        assert len(tabu) == 0
-
-    def test_make_tabu_list_selects_backend(self):
-        assert isinstance(make_tabu_list(5, 100, vectorized=True), ArrayTabuList)
-        assert isinstance(make_tabu_list(5, 100, vectorized=False), TabuList)
-        # above the dense cap the vectorized backend stays array-based and
-        # switches its pair store to the hashed layout internally
-        oversized = ARRAY_TABU_MAX_CELLS + 1
-        big = make_tabu_list(5, oversized, vectorized=True)
-        assert isinstance(big, ArrayTabuList)
+    def test_pair_layout_dense_up_to_cap_hashed_above(self):
+        assert ArrayTabuList(5, ARRAY_TABU_MAX_CELLS)._dense_pairs
+        # above the dense cap the list switches its pair store to the
+        # hashed layout internally
+        big = ArrayTabuList(5, ARRAY_TABU_MAX_CELLS + 1)
         assert not big._dense_pairs
 
 
@@ -284,15 +269,6 @@ class TestHashedPairBackend:
         hashed.clear()
         assert len(hashed) == 0
         assert not hashed.is_tabu_mask(pairs, 6).any()
-
-    def test_attribute_surface(self):
-        hashed = ArrayTabuList(4, self.NUM_CELLS)
-        attr = MoveAttribute.pair(4500, 5999)
-        hashed.record([attr], iteration=0)
-        assert attr in hashed
-        assert hashed.is_tabu([attr], 3)
-        assert not hashed.is_tabu([attr], 4)
-        assert list(hashed) == [attr]
 
     def test_stale_pruning_bounds_capacity(self):
         from repro.tabu.tabu_list import _HashedPairTable
