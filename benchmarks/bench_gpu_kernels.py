@@ -1,22 +1,18 @@
 #!/usr/bin/env python
-"""Dispatch-tax benchmark for the ``repro.accel`` xp-generic kernels.
+"""Dispatch-tax benchmark for the ``repro.accel`` kernels.
 
 The hot kernels (QAP batched swap deltas, the placement dense/CSR batched
 wirelength kernel) used to be direct NumPy code inside their evaluators;
-they now route through the array-module dispatch layer so the same source
-runs on cupy.  The CI bar guards the refactor's core promise: **on the CPU
-path the dispatch layer is free** —
+they now live in :mod:`repro.accel` and the evaluators call into them.  The
+CI bar guards that calling through the kernel module is free —
 
 * **dispatch tax <= 1.1x** — the shipped evaluator kernel versus the frozen
-  pre-dispatch reference (``tests/oracles/kernels.py``) on c532 (dense
+  direct reference (``tests/oracles/kernels.py``) on c532 (dense
   incidence), big10k (CSR incidence) and rand256 QAP; overridable with
   ``REPRO_GPU_DISPATCH_TAX``.
 
-When a CUDA device is present (it never is on the CPU-only CI runners) the
-same batches run on the cupy path and report informational timings plus the
-transfer-byte accounting; without one the GPU section records why it was
-skipped.  Results land in ``BENCH_gpu.json`` (override with the
-``BENCH_GPU_JSON`` env var); the bar retries once against runner noise.
+Results land in ``BENCH_gpu.json`` (override with the ``BENCH_GPU_JSON``
+env var); the bar retries once against runner noise.
 
 Run it directly::
 
@@ -33,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.accel import cuda_available, cuda_unavailable_reason
 from repro.core import get_domain
 from repro.placement import Layout, load_benchmark, random_placement
 from repro.placement.wirelength import WirelengthState
@@ -69,69 +64,52 @@ def _pairs(num_cells: int, rng: np.random.Generator):
     return a, b
 
 
-def _wirelength_case(circuit: str, device: str) -> dict:
+def _wirelength_case(circuit: str) -> dict:
     placement = random_placement(Layout(load_benchmark(circuit)), seed=SEED)
-    state = WirelengthState(placement, device=device)
+    state = WirelengthState(placement)
     a, b = _pairs(placement.num_cells, np.random.default_rng(7))
 
     shipped_us = _time_us(lambda: state.deltas_for_swaps(a, b))
-    case = {
+    reference_us = _time_us(lambda: wirelength_reference(state, a, b))
+    return {
         "circuit": circuit,
         "num_cells": placement.num_cells,
         "incidence_mode": state.incidence_mode,
         "batch_size": PAIRS_PER_STEP,
         "shipped_us": shipped_us,
+        "reference_us": reference_us,
+        "dispatch_tax": shipped_us / reference_us,
     }
-    if device == "cpu":
-        reference_us = _time_us(lambda: wirelength_reference(state, a, b))
-        case["reference_us"] = reference_us
-        case["dispatch_tax"] = shipped_us / reference_us
-    else:  # pragma: no cover - requires a GPU
-        case["transfer"] = state.transfer_stats().as_dict()
-    return case
 
 
-def _qap_case(device: str) -> dict:
+def _qap_case() -> dict:
     problem = get_domain("qap").build_problem("rand256", reference_seed=0)
-    evaluator = problem.make_evaluator(problem.random_solution(SEED), device=device)
+    evaluator = problem.make_evaluator(problem.random_solution(SEED))
     a, b = _pairs(problem.instance.n, np.random.default_rng(11))
 
     shipped_us = _time_us(lambda: evaluator.deltas_for_swaps(a, b))
-    case = {
+    reference_us = _time_us(lambda: qap_reference(evaluator, a, b))
+    return {
         "instance": "rand256",
         "n_facilities": problem.instance.n,
         "batch_size": PAIRS_PER_STEP,
         "shipped_us": shipped_us,
+        "reference_us": reference_us,
+        "dispatch_tax": shipped_us / reference_us,
     }
-    if device == "cpu":
-        reference_us = _time_us(lambda: qap_reference(evaluator, a, b))
-        case["reference_us"] = reference_us
-        case["dispatch_tax"] = shipped_us / reference_us
-    else:  # pragma: no cover - requires a GPU
-        case["transfer"] = evaluator.transfer_stats().as_dict()
-    return case
 
 
 def measure() -> dict:
     results = {
         "cpu": {
-            "c532": _wirelength_case("c532", "cpu"),
-            "big10k": _wirelength_case("big10k", "cpu"),
-            "rand256": _qap_case("cpu"),
+            "c532": _wirelength_case("c532"),
+            "big10k": _wirelength_case("big10k"),
+            "rand256": _qap_case(),
         }
     }
     # the c532/big10k split must actually cover both incidence kernels
     assert results["cpu"]["c532"]["incidence_mode"] == "dense"
     assert results["cpu"]["big10k"]["incidence_mode"] == "csr"
-
-    if cuda_available():  # pragma: no cover - requires a GPU
-        results["cuda"] = {
-            "c532": _wirelength_case("c532", "cuda"),
-            "big10k": _wirelength_case("big10k", "cuda"),
-            "rand256": _qap_case("cuda"),
-        }
-    else:
-        results["cuda"] = {"skipped": cuda_unavailable_reason()}
     return results
 
 
@@ -156,18 +134,13 @@ def main() -> int:
     }
     OUTPUT.write_text(json.dumps(payload, indent=2))
 
-    print(f"xp-dispatch kernels vs frozen references ({PAIRS_PER_STEP}-pair batches):")
+    print(f"repro.accel kernels vs frozen references ({PAIRS_PER_STEP}-pair batches):")
     for name, case in best["cpu"].items():
         print(
             f"  {name:>8}: shipped {case['shipped_us']:8.1f} us  "
             f"reference {case['reference_us']:8.1f} us  "
             f"tax {case['dispatch_tax']:.3f}x"
         )
-    if "skipped" in best["cuda"]:
-        print(f"  cuda: skipped ({best['cuda']['skipped']})")
-    else:  # pragma: no cover - requires a GPU
-        for name, case in best["cuda"].items():
-            print(f"  cuda {name:>8}: shipped {case['shipped_us']:8.1f} us")
     print(f"Results written to {OUTPUT}")
 
     if worst_tax > DISPATCH_TAX_BAR:

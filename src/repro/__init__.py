@@ -55,7 +55,6 @@ from .parallel import (
     FaultPolicy,
     ParallelSearchParams,
     ParallelSearchResult,
-    PlacementProblem,
     SyncPolicy,
     build_problem,
     classify,
@@ -73,6 +72,7 @@ from .placement import (
     paper_benchmarks,
     random_placement,
 )
+from .problems.placement import PlacementProblem
 from .session import (
     SearchSession,
     SessionState,

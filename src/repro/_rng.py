@@ -14,7 +14,7 @@ not depend on how many siblings exist or in which order they are spawned.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -62,8 +62,3 @@ def spawn_rng(rng: np.random.Generator, count: int) -> list[np.random.Generator]
         raise ValueError(f"count must be non-negative, got {count}")
     seeds = rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
     return [np.random.default_rng(int(s)) for s in seeds]
-
-
-def as_labels(items: Iterable[SeedLabel]) -> tuple[SeedLabel, ...]:
-    """Normalise an iterable of labels into a hashable tuple."""
-    return tuple(items)

@@ -29,11 +29,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-import os
-
-from . import accel
 from .core.registry import available_domains, get_domain
 from .errors import ReproError
 from .experiments import ALL_FIGURES, current_scale
@@ -138,12 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
              "faults) replayed by the simulated backend; implies "
              "--fault-tolerant",
     )
-    run_parser.add_argument(
-        "--device", choices=("auto", "cpu", "cuda"), default=None,
-        help="where the hot kernels execute: 'cuda' requires a working CuPy "
-             "install and fails loudly without one, 'cpu' forces the NumPy "
-             "path, 'auto' (default) probes (equivalent to REPRO_DEVICE)",
-    )
 
     # figure -------------------------------------------------------------------
     figure_parser = subparsers.add_parser(
@@ -174,13 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
              "timestamps)",
     )
 
-    # devices -------------------------------------------------------------------
-    subparsers.add_parser(
-        "devices",
-        help="print the accelerator capability probe (cupy/driver versions, "
-             "selected device, fallback reason)",
-    )
-
     return parser
 
 
@@ -188,7 +172,12 @@ def _make_cluster(spec: str):
     if spec == "paper":
         return paper_cluster()
     if spec.startswith("homogeneous:"):
-        count = int(spec.split(":", 1)[1])
+        try:
+            count = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ReproError(
+                f"bad cluster spec {spec!r}; use 'homogeneous:<N>' with an integer N"
+            ) from None
         return homogeneous_cluster(count)
     raise ReproError(
         f"unknown cluster spec {spec!r}; use 'paper' or 'homogeneous:<N>'"
@@ -292,21 +281,9 @@ def _build_session(args: argparse.Namespace) -> SearchSession:
     )
 
 
-def _command_devices(_: argparse.Namespace) -> int:
-    print(format_mapping(dict(accel.device_report()), title="accelerator probe"))
-    return 0
-
-
 def _command_run(args: argparse.Namespace) -> int:
     if args.circuit is not None and args.problem != "placement":
         raise ReproError("--circuit is a placement shorthand; use --instance instead")
-    if getattr(args, "device", None) is not None:
-        # Validate up front — an explicit 'cuda' without a usable device must
-        # fail here with the probe's reason, not deep inside a worker — then
-        # propagate through the environment so spawned worker processes
-        # resolve the same device.
-        accel.resolve_device(args.device)
-        os.environ["REPRO_DEVICE"] = args.device
     if args.circuit is not None and args.instance is not None:
         raise ReproError(
             f"--circuit {args.circuit!r} and --instance {args.instance!r} both name "
@@ -474,7 +451,6 @@ _COMMANDS = {
     "figure": _command_figure,
     "classify": _command_classify,
     "sessions": _command_sessions,
-    "devices": _command_devices,
 }
 
 

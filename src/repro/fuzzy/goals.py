@@ -60,10 +60,6 @@ class FuzzyGoal:
         """Membership of ``value`` in the fuzzy set 'meets this goal'."""
         return DecreasingLinear(self.goal, self.upper).grade(value)
 
-    def membership_many(self, values: np.ndarray) -> np.ndarray:
-        """Vectorised membership of an array of crisp values."""
-        return DecreasingLinear(self.goal, self.upper)(np.asarray(values, dtype=np.float64))
-
     @classmethod
     def from_reference(
         cls, name: str, reference: float, *, goal_factor: float, upper_factor: float, weight: float = 1.0

@@ -11,7 +11,6 @@ from .speedup import (
 from .trace import (
     CostTrace,
     FaultEvent,
-    TransferStats,
     best_so_far_envelope,
     shift_times,
 )
@@ -19,7 +18,6 @@ from .trace import (
 __all__ = [
     "CostTrace",
     "FaultEvent",
-    "TransferStats",
     "best_so_far_envelope",
     "shift_times",
     "SpeedupPoint",

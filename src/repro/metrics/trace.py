@@ -9,61 +9,16 @@ monotone envelope (best-so-far) for plotting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ExperimentError
 
 __all__ = [
     "CostTrace",
     "FaultEvent",
-    "TransferStats",
     "best_so_far_envelope",
     "shift_times",
 ]
-
-
-@dataclass(frozen=True)
-class TransferStats:
-    """Host↔device traffic observed by an accelerator backend.
-
-    The :mod:`repro.accel` dispatch layer counts every explicit upload
-    (``to_device``) and download (``to_host``) it performs on behalf of an
-    evaluator, so a run can report how much of its wall clock went into
-    PCIe traffic next to its cost trace.  On the CPU backend both arrays
-    already live in host memory and every field stays zero — the counters
-    therefore double as a proof that the NumPy path never copies.
-    """
-
-    bytes_to_device: int = 0
-    bytes_to_host: int = 0
-    transfers_to_device: int = 0
-    transfers_to_host: int = 0
-    seconds: float = 0.0
-
-    def merged(self, other: "TransferStats") -> "TransferStats":
-        """Combine two counters (e.g. per-evaluator stats into a run total)."""
-        return TransferStats(
-            bytes_to_device=self.bytes_to_device + other.bytes_to_device,
-            bytes_to_host=self.bytes_to_host + other.bytes_to_host,
-            transfers_to_device=self.transfers_to_device + other.transfers_to_device,
-            transfers_to_host=self.transfers_to_host + other.transfers_to_host,
-            seconds=self.seconds + other.seconds,
-        )
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes moved in either direction."""
-        return self.bytes_to_device + self.bytes_to_host
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain mapping for reports and benchmark JSON payloads."""
-        return {
-            "bytes_to_device": self.bytes_to_device,
-            "bytes_to_host": self.bytes_to_host,
-            "transfers_to_device": self.transfers_to_device,
-            "transfers_to_host": self.transfers_to_host,
-            "seconds": self.seconds,
-        }
 
 
 @dataclass(frozen=True)

@@ -36,19 +36,6 @@ from .taxonomy import (
 )
 from .tsw import tsw_process
 
-
-def __getattr__(name):
-    # Lazy re-export: ``from repro.parallel import PlacementProblem`` keeps
-    # working, but the engine package itself stays free of static
-    # problem-domain imports (tests/core/test_import_boundaries.py); the
-    # placement domain is imported only when the name is actually used.
-    if name == "PlacementProblem":
-        from ..problems.placement import PlacementProblem
-
-        return PlacementProblem
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "ParallelSearchParams",
     "FaultPolicy",
@@ -57,7 +44,6 @@ __all__ = [
     "WorkerDown",
     "SyncMode",
     "SyncPolicy",
-    "PlacementProblem",
     "ParallelSearchResult",
     "build_problem",
     "run_parallel_search",

@@ -153,10 +153,6 @@ class CostEvaluator:
         construction time.  All workers of a parallel run must share the same
         reference so their costs are comparable; the master computes it once
         and ships it together with the initial solution.
-    device:
-        Where the batched wirelength kernel executes (``"cpu"``, ``"cuda"``
-        or ``None`` to defer to ``REPRO_DEVICE`` / the capability probe —
-        see :mod:`repro.accel`).
     """
 
     def __init__(
@@ -165,11 +161,10 @@ class CostEvaluator:
         params: CostModelParams | None = None,
         *,
         reference: Optional[ObjectiveVector] = None,
-        device: Optional[str] = None,
     ) -> None:
         self._placement = placement
         self._params = params or CostModelParams()
-        self._wirelength = WirelengthState(placement, device=device)
+        self._wirelength = WirelengthState(placement)
         analyzer = TimingAnalyzer(
             placement.netlist, TimingModel(self._params.wire_delay_per_unit)
         )
@@ -252,15 +247,6 @@ class CostEvaluator:
     def aggregator(self) -> FuzzyGoalAggregator:
         """The fuzzy goal aggregator (also used in weighted-sum mode for goals)."""
         return self._aggregator
-
-    @property
-    def device(self) -> str:
-        """Resolved execution device of the wirelength kernel (``cpu``/``cuda``)."""
-        return self._wirelength.device
-
-    def transfer_stats(self):
-        """Host↔device traffic of the wirelength kernel (all-zero on CPU)."""
-        return self._wirelength.transfer_stats()
 
     def objectives(self) -> ObjectiveVector:
         """Current crisp objective values from the incremental caches."""
@@ -555,8 +541,7 @@ def make_evaluator(
     params: CostModelParams | None = None,
     *,
     reference: Optional[ObjectiveVector] = None,
-    device: Optional[str] = None,
 ) -> CostEvaluator:
     """Convenience constructor: build a placement + evaluator from an array."""
     placement = Placement(layout, cell_to_slot)
-    return CostEvaluator(placement, params, reference=reference, device=device)
+    return CostEvaluator(placement, params, reference=reference)

@@ -97,10 +97,6 @@ class Placement:
         """Slot currently holding ``cell``."""
         return int(self._cell_to_slot[cell])
 
-    def cell_at(self, slot: int) -> int:
-        """Cell currently in ``slot`` (``-1`` if empty)."""
-        return int(self._slot_to_cell[slot])
-
     def cell_x(self) -> np.ndarray:
         """x coordinate of every cell (new array, length ``num_cells``)."""
         return self._layout.slot_x[self._cell_to_slot]

@@ -332,11 +332,6 @@ class TimingAnalyzer:
         """The netlist's shared, read-only timing graph."""
         return self._graph
 
-    def wire_delay(self, x: np.ndarray, y: np.ndarray, driver: int, sink: int) -> float:
-        """Interconnect delay between two cells given coordinate arrays."""
-        dist = abs(float(x[driver] - x[sink])) + abs(float(y[driver] - y[sink]))
-        return self._model.wire_delay_per_unit * dist
-
     # ------------------------------------------------------------------ #
     def analyze(self, placement: Placement) -> TimingResult:
         """Run an exact STA under ``placement`` and extract the critical path.

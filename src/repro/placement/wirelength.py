@@ -31,8 +31,6 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .. import accel
-from ..metrics.trace import TransferStats
-from . import _kernels
 from .solution import Placement
 
 __all__ = [
@@ -159,18 +157,10 @@ class WirelengthState:
         placement: Placement,
         *,
         incidence: str | None = None,
-        device: str | None = None,
     ) -> None:
         self._placement = placement
         self._netlist = placement.netlist
         self._layout = placement.layout
-        # The batched kernel runs through the accel dispatch layer (xp =
-        # numpy | cupy); on cuda the incidence structure and the bbox caches
-        # live device-resident and only the flat-expanded candidate indices
-        # cross the boundary per call.
-        self._xb = accel.ArrayBackend(device)
-        self._dev_static: tuple | None = None
-        self._dev_bbox: dict | None = None
         # Static structure for the scalar commit path (plain Python lists:
         # no per-item ndarray boxing, so the per-commit net scan beats
         # small-array NumPy several times over).  Built lazily on the first
@@ -255,77 +245,13 @@ class WirelengthState:
         self._per_net = (self._x_max - self._x_min) + (self._y_max - self._y_min)
         weights = self._netlist.net_weights
         self._total = float(np.dot(self._per_net, weights)) if self._per_net.size else 0.0
-        if self._xb.is_cuda:  # pragma: no cover - cupy only
-            self._device_sync()
-
-    # ------------------------------------------------------------------ #
-    # accel plumbing
-    # ------------------------------------------------------------------ #
-    @property
-    def device(self) -> str:
-        """Resolved execution device of the batch kernel (``cpu``/``cuda``)."""
-        return self._xb.device
-
-    def transfer_stats(self) -> TransferStats:
-        """Host↔device traffic this state has caused (all-zero on CPU)."""
-        return self._xb.transfer_stats()
-
-    def _device_sync(self, nets: np.ndarray | None = None) -> None:  # pragma: no cover - cupy only
-        """Refresh the device-resident bbox/HPWL mirrors after a host mutation.
-
-        ``nets`` scatters just those entries (committed swaps touch a
-        handful of nets); ``None`` re-ships the nine cache arrays wholesale
-        (rebuilds, restores).  CPU backends never call this — the kernel
-        reads the live host arrays directly.
-        """
-        xb = self._xb
-        if self._dev_static is None:
-            self._dev_static = (
-                xb.to_device(self._incidence) if self._incidence is not None else None,
-                xb.to_device(self._csr_keys) if self._csr_keys is not None else None,
-                xb.to_device(self._netlist.net_weights),
-            )
-        hosts = (
-            self._x_min, self._x_max, self._y_min, self._y_max,
-            self._n_x_min, self._n_x_max, self._n_y_min, self._n_y_max,
-            self._per_net,
-        )
-        names = (
-            "x_min", "x_max", "y_min", "y_max",
-            "n_x_min", "n_x_max", "n_y_min", "n_y_max",
-            "per_net",
-        )
-        if nets is None or self._dev_bbox is None:
-            self._dev_bbox = {
-                name: xb.to_device(host) for name, host in zip(names, hosts)
-            }
-            return
-        idx = xb.to_device(np.asarray(nets, dtype=np.int64))
-        for name, host in zip(names, hosts):
-            self._dev_bbox[name][idx] = xb.to_device(host[nets])
 
     def _hpwl_arrays(self) -> accel.HpwlArrays:
-        """Backend-space :class:`~repro.accel.kernels.HpwlArrays` pack.
+        """The live cache arrays as an :class:`~repro.accel.HpwlArrays` pack.
 
-        On CPU the fields *are* the live host arrays (rebuilt-on-call refs,
-        so rebinds by ``rebuild``/``restore_state`` are always picked up);
-        on cuda they are the device mirrors maintained by
-        :meth:`_device_sync`.
+        Built on every call, so rebinds by ``rebuild``/``restore_state`` are
+        always picked up.
         """
-        if self._xb.is_cuda:  # pragma: no cover - cupy only
-            incidence_d, csr_keys_d, weights_d = self._dev_static
-            bbox = self._dev_bbox
-            return accel.HpwlArrays(
-                num_nets=self._netlist.num_nets,
-                incidence=incidence_d,
-                csr_keys=csr_keys_d,
-                x_min=bbox["x_min"], x_max=bbox["x_max"],
-                y_min=bbox["y_min"], y_max=bbox["y_max"],
-                n_x_min=bbox["n_x_min"], n_x_max=bbox["n_x_max"],
-                n_y_min=bbox["n_y_min"], n_y_max=bbox["n_y_max"],
-                per_net=bbox["per_net"],
-                net_weights=weights_d,
-            )
         return accel.HpwlArrays(
             num_nets=self._netlist.num_nets,
             incidence=self._incidence,
@@ -369,8 +295,6 @@ class WirelengthState:
         self._n_x_max = n_x_max.copy()
         self._n_y_min = n_y_min.copy()
         self._n_y_max = n_y_max.copy()
-        if self._xb.is_cuda:  # pragma: no cover - cupy only
-            self._device_sync()
 
     # ------------------------------------------------------------------ #
     # batched trial evaluation — the hot kernel
@@ -396,14 +320,11 @@ class WirelengthState:
         4. re-reduce only the items where the moved pin was the sole support
            of an edge it leaves (a single ``reduceat`` over those segments).
 
-        Step 1 (the CSR expansion) runs on the host; steps 2–4 are
-        :func:`repro.accel.kernels.hpwl_batch_deltas`, the xp-generic kernel
-        shared with the cuda backend.  Under NumPy it executes the identical
-        operations in the identical order as the direct kernel it replaced
-        (pinned bit-identical against its frozen copy,
-        ``wirelength_reference`` in ``tests/oracles/kernels.py``);
-        the segment-reduce fallback of step 4 always reduces on the host
-        (cupy has no ``reduceat``) — it is rare by construction.
+        Step 1 (the CSR expansion) runs here; steps 2–4 are
+        :func:`repro.accel.hpwl_batch_deltas`, pinned bit-identical against
+        its frozen copy, ``wirelength_reference`` in
+        ``tests/oracles/kernels.py``.  The segment-reduce fallback of step 4
+        is rare by construction.
         """
         a = np.atleast_1d(np.asarray(cells_a, dtype=np.int64))
         b = np.atleast_1d(np.asarray(cells_b, dtype=np.int64))
@@ -437,7 +358,7 @@ class WirelengthState:
         if net.size == 0:
             return out
 
-        # --- steps 2-4: the xp-generic batch kernel ------------------------ #
+        # --- steps 2-4: the batch kernel ----------------------------------- #
         # An item is inactive when the pair is a self-swap or when the swap
         # partner sits on the same net (the swap permutes that net's pins).
         # Inactive items are *not* filtered out — they flow through the O(1)
@@ -447,8 +368,9 @@ class WirelengthState:
         # and needs no sort to find the duplicates.
         active = (a != b)[pair]
         other = np.concatenate([np.repeat(b, deg_a), np.repeat(a, deg_b)])
+        # called through the module so that a patched attribute (perfbench's
+        # layer tracer) sees every call
         return accel.hpwl_batch_deltas(
-            self._xb,
             self._hpwl_arrays(),
             num_pairs=num_pairs,
             pair=pair,
@@ -464,8 +386,6 @@ class WirelengthState:
             slot_x=slot_x,
             slot_y=slot_y,
             gather_members=netlist.net_members_of,
-            shared_mask_cpu=_kernels.shared_net_mask,
-            bbox_reduce_cpu=_kernels.fallback_bbox_reduce,
         )
 
     def delta_for_swap(self, cell_a: int, cell_b: int) -> float:
@@ -585,8 +505,6 @@ class WirelengthState:
             self._n_y_min[net] = n_y_min
             self._n_y_max[net] = n_y_max
         self._total += float(total_delta)
-        if self._xb.is_cuda:  # pragma: no cover - cupy only
-            self._device_sync(np.asarray(affected, dtype=np.int64))
 
     def recompute_cells(self, cells: np.ndarray) -> None:
         """Refresh every net touching any of ``cells`` from the placement.
@@ -648,5 +566,3 @@ class WirelengthState:
         self._n_x_max[nets] = n_x_max
         self._n_y_min[nets] = n_y_min
         self._n_y_max[nets] = n_y_max
-        if self._xb.is_cuda:  # pragma: no cover - cupy only
-            self._device_sync(nets)

@@ -79,9 +79,7 @@ class PlacementProblem:
         """Number of cells in the circuit."""
         return self.netlist.num_cells
 
-    def make_evaluator(
-        self, cell_to_slot: np.ndarray, *, device: str | None = None
-    ) -> CostEvaluator:
+    def make_evaluator(self, cell_to_slot: np.ndarray) -> CostEvaluator:
         """Build a private evaluator for a worker, bound to ``cell_to_slot``.
 
         Every run's master, each TSW and each CLW call this on first contact
@@ -92,9 +90,7 @@ class PlacementProblem:
         rest (:func:`repro.placement.timing.timing_graph`).
         """
         placement = Placement(self.layout, np.asarray(cell_to_slot, dtype=np.int64))
-        return CostEvaluator(
-            placement, self.cost_params, reference=self.reference, device=device
-        )
+        return CostEvaluator(placement, self.cost_params, reference=self.reference)
 
     def random_solution(self, seed: int) -> np.ndarray:
         """A random initial assignment (used by the master)."""

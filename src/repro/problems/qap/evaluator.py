@@ -37,7 +37,6 @@ import numpy as np
 from ... import accel
 from ..._rng import make_rng
 from ...errors import ReproError
-from ...metrics.trace import TransferStats
 from .instance import QAPInstance
 
 __all__ = [
@@ -79,14 +78,12 @@ class QAPEvaluator:
     reference_cost:
         Raw cost anchoring the normalised scalar cost; all workers of one
         run must share it.  Defaults to the initial assignment's cost.
-    device:
-        Where the batch kernel executes: ``"cpu"``, ``"cuda"`` or ``None``
-        (defer to ``REPRO_DEVICE`` / the capability probe — see
-        :mod:`repro.accel`).  On cuda the flow/distance matrices and the
-        assignment live device-resident; per-call traffic is the sampled
-        pair indices up and the batch deltas down (counted in
-        :meth:`transfer_stats`).
     """
+
+    #: Distinct batch sizes whose scratch blocks are kept before the pool
+    #: is dropped wholesale — a tiny cache bounds memory without an
+    #: eviction policy.
+    MAX_SCRATCH_KEYS = 8
 
     def __init__(
         self,
@@ -94,7 +91,6 @@ class QAPEvaluator:
         assignment: np.ndarray,
         *,
         reference_cost: Optional[float] = None,
-        device: Optional[str] = None,
     ) -> None:
         self._instance = instance
         self._symmetric = instance.is_symmetric
@@ -103,19 +99,9 @@ class QAPEvaluator:
         reference = self._raw if reference_cost is None else float(reference_cost)
         self._scale = 1.0 / max(reference, 1e-9)
         self._reference_cost = reference
-        # The batch kernel runs through the accel dispatch layer: one
-        # resolved backend holding the (m, n) scratch packs — keyed by batch
-        # size, the driver only alternates between a handful of sizes — and,
-        # on cuda, the device-resident problem state.
-        self._xb = accel.ArrayBackend(device)
-        if self._xb.is_cuda:  # pragma: no cover - exercised only with a GPU
-            self._dev_flow = self._xb.to_device(instance.flow)
-            self._dev_dist = self._xb.to_device(instance.distance)
-            self._dev_assignment = self._xb.to_device(self._assignment)
-        else:
-            self._dev_flow = instance.flow
-            self._dev_dist = instance.distance
-            self._dev_assignment = self._assignment
+        # The batch kernel's (4, m, n) scratch blocks, keyed by batch size m
+        # (the driver only alternates between a handful of sizes).
+        self._scratch: Dict[int, np.ndarray] = {}
         #: Number of swap evaluations performed (trials + commits); the
         #: simulated cluster charges this as the work a process consumed.
         self.evaluations: int = 0
@@ -192,44 +178,16 @@ class QAPEvaluator:
     def _scratch_for(self, batch_size: int) -> Tuple[np.ndarray, ...]:
         """Four reusable float64 ``(batch_size, n)`` buffers for the kernel.
 
-        One pooled ``(4, m, n)`` block per batch size from the backend's
-        scratch pool (the driver only ever uses a handful of sizes), sliced
-        into the four named buffers — on cuda the block is device memory,
-        so steady-state evaluation allocates nothing on either side.
+        One pooled ``(4, m, n)`` block per batch size, sliced into the four
+        named buffers, so steady-state evaluation allocates no scratch.
         """
-        block = self._xb.scratch(
-            ("qap-deltas", batch_size), (4, batch_size, self._instance.n)
-        )
+        block = self._scratch.get(batch_size)
+        if block is None:
+            if len(self._scratch) >= self.MAX_SCRATCH_KEYS:
+                self._scratch.clear()
+            block = np.empty((4, batch_size, self._instance.n), dtype=np.float64)
+            self._scratch[batch_size] = block
         return block[0], block[1], block[2], block[3]
-
-    def _sync_device_assignment(self, cells=None) -> None:
-        """Refresh the backend-space assignment after a host-side mutation.
-
-        On the CPU backend the device array *is* the host array — only a
-        rebind (``install_solution``) needs re-aliasing.  On cuda, pass the
-        mutated ``cells`` to scatter just those entries (the accepted swap
-        is the only per-iteration upload); ``None`` re-ships the whole
-        permutation (installs, restores).
-        """
-        if not self._xb.is_cuda:
-            self._dev_assignment = self._assignment
-            return
-        if cells is not None:  # pragma: no cover - cupy only
-            idx = self._xb.to_device(np.asarray(cells, dtype=np.int64))
-            self._dev_assignment[idx] = self._xb.to_device(
-                self._assignment[np.asarray(cells, dtype=np.int64)]
-            )
-        else:  # pragma: no cover - cupy only
-            self._dev_assignment = self._xb.to_device(self._assignment)
-
-    def transfer_stats(self) -> TransferStats:
-        """Host↔device traffic this evaluator has caused (all-zero on CPU)."""
-        return self._xb.transfer_stats()
-
-    @property
-    def device(self) -> str:
-        """Resolved execution device of the batch kernel (``cpu``/``cuda``)."""
-        return self._xb.device
 
     def deltas_for_swaps(self, cells_a: np.ndarray, cells_b: np.ndarray) -> np.ndarray:
         """Raw-cost deltas of swapping each ``(cells_a[i], cells_b[i])`` pair.
@@ -244,13 +202,10 @@ class QAPEvaluator:
                     + \\text{corner terms for } i,j \\in \\{a, b\\}
 
         Each pair costs O(n); the whole batch runs as a handful of ``(m, n)``
-        array operations in :func:`repro.accel.kernels.qap_swap_deltas` —
-        the xp-generic kernel shared with the cuda backend, staged through
-        the backend's pooled scratch packs (:meth:`_scratch_for`).  Under
-        NumPy the operations and reduction order are exactly the direct
-        kernel's, pinned bit-identical against its frozen copy
-        (``qap_reference`` in ``tests/oracles/kernels.py``); on cuda only the
-        sampled pair indices go up and the O(m) deltas come down.  Self-pairs get a zero delta.
+        array operations in :func:`repro.accel.qap_swap_deltas`, staged
+        through the pooled scratch blocks (:meth:`_scratch_for`) and pinned
+        bit-identical against its frozen copy (``qap_reference`` in
+        ``tests/oracles/kernels.py``).  Self-pairs get a zero delta.
         """
         a = np.asarray(cells_a, dtype=np.int64)
         b = np.asarray(cells_b, dtype=np.int64)
@@ -259,20 +214,17 @@ class QAPEvaluator:
         p = self._assignment
         ra = p[a]
         rb = p[b]
-        xb = self._xb
-        deltas = accel.qap_swap_deltas(
-            xb,
-            self._dev_flow,
-            self._dev_dist,
-            self._dev_assignment,
-            xb.to_device(a),
-            xb.to_device(b),
-            xb.to_device(ra),
-            xb.to_device(rb),
+        return accel.qap_swap_deltas(
+            self._instance.flow,
+            self._instance.distance,
+            p,
+            a,
+            b,
+            ra,
+            rb,
             symmetric=self._symmetric,
             scratch=self._scratch_for(int(a.size)),
         )
-        return xb.to_host(deltas)
 
     def evaluate_swaps_batch(self, pairs) -> np.ndarray:
         """Costs the solution would have under each candidate swap of a batch.
@@ -317,8 +269,6 @@ class QAPEvaluator:
         )
         assignment = self._assignment
         assignment[cell_a], assignment[cell_b] = assignment[cell_b], assignment[cell_a]
-        if self._xb.is_cuda:  # pragma: no cover - cupy only
-            self._sync_device_assignment((cell_a, cell_b))
         return self.cost()
 
     def apply_swaps(self, pairs, *, exact_timing: bool = False) -> float:
@@ -350,8 +300,6 @@ class QAPEvaluator:
                     )[0]
                 )
             assignment[cell_a], assignment[cell_b] = assignment[cell_b], assignment[cell_a]
-            if self._xb.is_cuda:  # pragma: no cover - cupy only
-                self._sync_device_assignment((cell_a, cell_b))
         if exact_timing:
             self._raw = self._instance.cost_of(self._assignment)
         return self.cost()
@@ -375,7 +323,6 @@ class QAPEvaluator:
         """Adopt a whole new assignment (e.g. received from another worker)."""
         self._assignment = self._validated(assignment)
         self._raw = self._instance.cost_of(self._assignment)
-        self._sync_device_assignment()
         return self.cost()
 
     def rebuild(self) -> None:
@@ -399,8 +346,6 @@ class QAPEvaluator:
         """Rewind to a :meth:`save_state` snapshot (``evaluations`` stays)."""
         self._assignment[:] = state.assignment
         self._raw = state.raw_cost
-        if self._xb.is_cuda:  # pragma: no cover - cupy only
-            self._sync_device_assignment()
 
     # ------------------------------------------------------------------ #
     # neighbourhood hooks / self-checks
@@ -463,15 +408,12 @@ class QAPProblem:
         """Number of swappable items (facilities)."""
         return self.instance.n
 
-    def make_evaluator(
-        self, assignment: np.ndarray, *, device: Optional[str] = None
-    ) -> QAPEvaluator:
+    def make_evaluator(self, assignment: np.ndarray) -> QAPEvaluator:
         """Build a private evaluator for a worker, bound to ``assignment``."""
         return QAPEvaluator(
             self.instance,
             assignment,
             reference_cost=self.reference_cost,
-            device=device,
         )
 
     def random_solution(self, seed: int) -> np.ndarray:

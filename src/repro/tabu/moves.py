@@ -197,11 +197,6 @@ class CompoundMoveBuilder:
         return self._cost_before
 
     @property
-    def steps_taken(self) -> int:
-        """Number of committed steps so far."""
-        return len(self._committed)
-
-    @property
     def trials(self) -> int:
         """Trial evaluations spent so far."""
         return self._trials
@@ -258,10 +253,10 @@ class CompoundMoveBuilder:
         if len(pairs) == 0:  # pragma: no cover - samplers never return empty
             return 0
         mask = self._admissible(pairs, costs) if self._admissible is not None else None
-        # The fused masked-argmin select is an accel kernel: it dispatches on
-        # whatever array module produced the costs, so the same shipped code
-        # serves the NumPy and cupy paths (identical semantics to the old
-        # inline where/argmin — first-minimum tie-break, all-masked fallback).
+        # The fused masked-argmin select is an accel kernel: first-minimum
+        # tie-break, overall argmin when every candidate is masked out.  It
+        # stays a module attribute here, looked up per call, so perfbench's
+        # layer tracer can patch it.
         best_index = masked_argmin(costs, mask)
         best = SwapMove(
             cell_a=int(pairs[best_index, 0]),

@@ -255,27 +255,6 @@ class TabuSearch:
             self._tabu.clear()
         return cost
 
-    def adopt_solution_delta(
-        self, swap_pairs: np.ndarray, *, reset_memory: bool = False
-    ) -> float:
-        """Install an externally received solution shipped as a swap delta.
-
-        The delta applies to the evaluator's *resident* solution (the
-        parallel protocol keeps workers' solutions resident between rounds);
-        all incremental caches are committed through the evaluator's
-        ``apply_swaps`` bulk path with an exact refresh, leaving it in the
-        same state a full :meth:`adopt_solution` of the target would.
-        """
-        cost = self._evaluator.apply_swaps(
-            np.asarray(swap_pairs, dtype=np.int64), exact_timing=True
-        )
-        if cost < self._best_cost:
-            self._best_cost = cost
-            self._best_solution = self._evaluator.snapshot()
-        if reset_memory:
-            self._tabu.clear()
-        return cost
-
     def adopt_tabu_list(
         self,
         payload: Sequence[Tuple[str, Tuple[int, ...], int]],

@@ -1,24 +1,13 @@
 """Architectural boundary enforcement for the domain-agnostic core.
 
 The engine layers — ``repro.tabu`` (serial search), ``repro.parallel``
-(master/TSW/CLW protocol) and ``repro.session`` (resumable sessions, warm
-pools, checkpoint state) — must be written against the :mod:`repro.core`
-protocols only, never against a concrete problem domain.  This test parses
-every module of those packages and fails on any import that resolves into
-``repro.placement`` (or ``repro.problems.*``, which would be the same leak
-through the new layering).
-
-One sanctioned exception keeps a legacy import path alive:
-``repro.parallel.__init__`` — a lazy ``__getattr__`` re-export of
-``PlacementProblem`` from ``repro.problems.placement`` (``from
-repro.parallel import PlacementProblem``), so the domain module is only
-touched when the alias is actually used.
-
-The accelerator dispatch layer (``repro.accel``) is engine code too — it
-may not import problem domains (domain callables are passed *into* its
-kernels) — and it is the **only** package in the whole tree allowed to
-import ``cupy``: everything else goes through the ``ArrayBackend`` / probe
-surface, which is what keeps the optional GPU dependency optional.
+(master/TSW/CLW protocol), ``repro.session`` (resumable sessions, warm
+pools, checkpoint state) and ``repro.accel`` (the hot kernels) — must be
+written against the :mod:`repro.core` protocols only, never against a
+concrete problem domain.  This test parses every module of those packages
+and fails on any import that resolves into ``repro.placement`` (or
+``repro.problems.*``, which would be the same leak through the new
+layering).  Domain callables the kernels need are passed *into* them.
 """
 
 from __future__ import annotations
@@ -31,17 +20,19 @@ import pytest
 import repro
 
 SRC_ROOT = Path(repro.__file__).resolve().parent.parent  # .../src
-ENGINE_PACKAGES = ("repro/tabu", "repro/parallel", "repro/session", "repro/accel")
+ENGINE_PACKAGES = ("repro/tabu", "repro/parallel", "repro/session")
+#: Engine code that is a single module rather than a package.
+ENGINE_MODULES = ("repro/accel.py",)
 #: Module prefixes the engine must not import (domain implementations).
 FORBIDDEN_PREFIXES = ("repro.placement", "repro.problems")
-#: The compatibility shim keeps an old import path alive by design.
-ALLOWED_SHIMS = {"repro/parallel/__init__.py"}
 
 
 def engine_modules():
     for package in ENGINE_PACKAGES:
         for path in sorted((SRC_ROOT / package).glob("*.py")):
             yield path
+    for module in ENGINE_MODULES:
+        yield SRC_ROOT / module
 
 
 def resolved_imports(path: Path):
@@ -67,8 +58,6 @@ def resolved_imports(path: Path):
     "path", list(engine_modules()), ids=lambda p: str(p.relative_to(SRC_ROOT))
 )
 def test_engine_module_does_not_import_problem_domains(path):
-    if str(path.relative_to(SRC_ROOT)) in ALLOWED_SHIMS:
-        pytest.skip("sanctioned backwards-compatibility shim")
     offenders = [
         module
         for module in resolved_imports(path)
@@ -90,44 +79,6 @@ def test_the_suite_actually_sees_the_engine_modules():
     assert {"search.py", "master.py", "tsw.py", "clw.py", "runner.py"} <= names
     # the session layer is part of the engine surface
     assert {"session.py", "state.py", "pool.py", "worker_loop.py"} <= names
-    # the accelerator dispatch layer is engine code as well
-    assert {"device.py", "backend.py", "kernels.py"} <= names
+    # the hot kernels are engine code as well
+    assert "accel.py" in names
     assert len(paths) >= 22
-
-
-def all_repro_modules():
-    for path in sorted((SRC_ROOT / "repro").rglob("*.py")):
-        yield path
-
-
-@pytest.mark.parametrize(
-    "path", list(all_repro_modules()), ids=lambda p: str(p.relative_to(SRC_ROOT))
-)
-def test_only_the_accel_layer_imports_cupy(path):
-    """``cupy`` is quarantined behind :mod:`repro.accel`.
-
-    Domain packages and engine layers reach the GPU only through the
-    ``ArrayBackend`` surface; a direct ``import cupy`` anywhere else would
-    make the optional dependency load-bearing (and unguarded — accel's own
-    import sits in a try/except probe).
-    """
-    offenders = [
-        module
-        for module in resolved_imports(path)
-        if module == "cupy" or module.startswith("cupy.")
-    ]
-    if str(path.relative_to(SRC_ROOT)).startswith("repro/accel/"):
-        return  # the sanctioned (guarded) import site
-    assert not offenders, (
-        f"{path.relative_to(SRC_ROOT)} imports cupy directly {offenders}; "
-        "only repro.accel may touch cupy — use an ArrayBackend"
-    )
-
-
-def test_cupy_quarantine_suite_sees_the_sanctioned_import():
-    """The cupy scan must actually detect accel's guarded import site."""
-    device = SRC_ROOT / "repro" / "accel" / "device.py"
-    assert any(
-        module == "cupy" or module.startswith("cupy.")
-        for module in resolved_imports(device)
-    )

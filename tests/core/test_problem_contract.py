@@ -20,18 +20,16 @@ QAP).  The contract is exactly what the engine layers rely on:
 * **seeded determinism** — identically-seeded runs (serial and parallel on
   the simulated backend) produce identical trajectories.
 
-The whole battery is additionally parameterized over the kernel *backend*:
+The whole battery is additionally parameterized over the batch kernel:
 
-* ``numpy-direct`` — the shipped evaluator with the frozen pre-dispatch
-  reference kernel injected (the oracle);
-* ``xp-numpy`` — the shipped xp-generic kernels forced onto the NumPy
-  backend (``device="cpu"``), which must be bit-identical to the oracle;
-* ``xp-cupy`` — the same shipped kernels on a CUDA device (skipped when no
-  usable cupy install is present).
+* ``numpy-direct`` — the shipped evaluator with the frozen reference kernel
+  from ``tests/oracles/kernels.py`` injected (the oracle);
+* ``xp-numpy`` — the shipped evaluator calling the :mod:`repro.accel`
+  kernels, which must be bit-identical to the oracle.
 
-Because ``xp-numpy`` and ``numpy-direct`` run the identical battery, any
-behavioural drift introduced by the dispatch layer fails twice over — once
-against the frozen kernel's results, once against the contract itself.
+Because both run the identical battery, any behavioural drift in the
+shipped kernels fails twice over — once against the frozen kernel's
+results, once against the contract itself.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from repro import (
     TerminationCriteria,
     run_parallel_search,
 )
-from repro.accel import cuda_available
 from repro.core import get_domain
 from repro.core.protocols import SearchProblem, SwapEvaluator, ensure_search_problem
 from repro.parallel.delta import swap_list_between
@@ -71,16 +68,7 @@ SPECS = [
     DomainSpec(domain="qap", instance="rand32", scratch_atol=1e-9),
 ]
 
-BACKENDS = [
-    "numpy-direct",
-    "xp-numpy",
-    pytest.param(
-        "xp-cupy",
-        marks=pytest.mark.skipif(
-            not cuda_available(), reason="cupy/CUDA device not available"
-        ),
-    ),
-]
+BACKENDS = ["numpy-direct", "xp-numpy"]
 
 
 def _inject_reference_kernel(evaluator, domain: str) -> None:
@@ -93,9 +81,8 @@ def _inject_reference_kernel(evaluator, domain: str) -> None:
 
 
 def make_backend_evaluator(problem, domain: str, backend: str, *, seed: int = 3):
-    """An evaluator for ``problem`` running its kernels on ``backend``."""
-    device = "cuda" if backend == "xp-cupy" else "cpu"
-    evaluator = problem.make_evaluator(problem.random_solution(seed=seed), device=device)
+    """An evaluator for ``problem`` running its batch kernel as ``backend``."""
+    evaluator = problem.make_evaluator(problem.random_solution(seed=seed))
     if backend == "numpy-direct":
         _inject_reference_kernel(evaluator, domain)
     return evaluator
@@ -196,7 +183,7 @@ class TestDeltaAdoptEqualsFullInstall:
     @staticmethod
     def _swapped_target(base: np.ndarray, *, seed: int, swaps: int) -> np.ndarray:
         """A target reachable from ``base`` by swaps — like every solution of
-        a protocol round (two independent random placements may occupy
+        a protocol round (two independent random placements may fill
         different slot subsets, which the wire protocol never produces)."""
         target = base.copy()
         rng = np.random.default_rng(seed)
@@ -408,7 +395,7 @@ class TestMaskAwareBatchContract:
 
 
 class TestBackendKernelParity:
-    """The shipped xp-generic kernels against the frozen direct kernels."""
+    """The shipped :mod:`repro.accel` kernels against the frozen direct kernels."""
 
     def _pairs(self, n: int, count: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -441,80 +428,51 @@ class TestBackendKernelParity:
         shipped.verify_consistency()
         oracle.verify_consistency()
 
-    @pytest.mark.skipif(not cuda_available(), reason="cupy/CUDA device not available")
-    def test_xp_cupy_batch_matches_reference(self, problem, spec):
-        shipped = make_backend_evaluator(problem, spec.domain, "xp-cupy")
-        oracle = make_backend_evaluator(problem, spec.domain, "numpy-direct")
-        pairs = self._pairs(shipped.num_cells, 300, seed=91)
-        np.testing.assert_allclose(
-            shipped.evaluate_swaps_batch(pairs),
-            oracle.evaluate_swaps_batch(pairs),
-            atol=spec.scratch_atol,
-            rtol=0.0,
-        )
+
+@pytest.fixture
+def qap_evaluator():
+    """A QAP evaluator: the domain whose batch kernel pools scratch blocks."""
+    problem = get_domain("qap").build_problem("rand32", reference_seed=0)
+    return problem.make_evaluator(problem.random_solution(seed=3))
 
 
-class TestScratchPoolAndTransferAccounting:
-    """Steady-state allocation/transfer pins for the accel-backed evaluators."""
+class TestQapScratchPool:
+    """Steady-state allocation pins for the QAP evaluator's scratch pool."""
 
-    def _array_backend(self, evaluator, domain: str):
-        return evaluator._xb if domain == "qap" else evaluator._wirelength._xb
-
-    def test_steady_state_adds_no_pool_entries(self, problem, spec):
+    def test_steady_state_adds_no_pool_entries(self, qap_evaluator):
         """After one warm-up pass over the driver's batch sizes, further
         iterations must reuse pooled buffers — no new keys, bounded pool."""
-        evaluator = make_backend_evaluator(problem, spec.domain, "xp-numpy")
-        xb = self._array_backend(evaluator, spec.domain)
+        evaluator = qap_evaluator
         rng = np.random.default_rng(93)
         n = evaluator.num_cells
         sizes = (3, 5, 8)  # a driver alternates between a handful of sizes
         batches = {m: rng.integers(0, n, size=(m, 2)) for m in sizes}
         for m in sizes:  # warm-up
             evaluator.evaluate_swaps_batch(batches[m])
-        warm = xb.pool_size()
+        warm = dict(evaluator._scratch)
+        assert sorted(warm) == sorted(sizes)
         for _ in range(10):  # steady state
             for m in sizes:
                 evaluator.evaluate_swaps_batch(batches[m])
-        assert xb.pool_size() == warm
-        assert warm <= xb.MAX_POOL_KEYS
+        assert evaluator._scratch.keys() == warm.keys()
+        assert all(evaluator._scratch[m] is warm[m] for m in sizes)
+        assert len(warm) <= evaluator.MAX_SCRATCH_KEYS
 
-    def test_qap_scratch_block_identity_is_stable(self, problem, spec):
+    def test_qap_scratch_block_identity_is_stable(self, qap_evaluator):
         """Same batch size → views over the very same pooled block (no
         re-allocation); a different size gets its own block."""
-        if spec.domain != "qap":
-            pytest.skip("QAP is the scratch-pack consumer")
-        evaluator = make_backend_evaluator(problem, spec.domain, "xp-numpy")
+        evaluator = qap_evaluator
         first = evaluator._scratch_for(6)
         again = evaluator._scratch_for(6)
         assert all(np.shares_memory(a, b) for a, b in zip(first, again))
         other = evaluator._scratch_for(9)
         assert not np.shares_memory(first[0], other[0])
 
-    def test_cpu_backend_moves_zero_bytes(self, problem, spec, backend):
-        """On the CPU paths to_device/to_host are identities — the counters
-        prove the NumPy pipeline never copies across a fake boundary."""
-        if backend == "xp-cupy":
-            pytest.skip("cuda path transfers by design")
-        evaluator = make_backend_evaluator(problem, spec.domain, backend)
-        rng = np.random.default_rng(94)
-        pairs = rng.integers(0, evaluator.num_cells, size=(50, 2))
-        evaluator.evaluate_swaps_batch(pairs)
-        evaluator.commit_swap(int(pairs[0, 0]), int(pairs[0, 1]))
-        stats = evaluator.transfer_stats()
-        assert stats.total_bytes == 0
-        assert stats.transfers_to_device == 0
-        assert stats.transfers_to_host == 0
-        assert stats.seconds == 0.0
-
-    @pytest.mark.skipif(not cuda_available(), reason="cupy/CUDA device not available")
-    def test_cuda_backend_counts_its_traffic(self, problem, spec):
-        evaluator = make_backend_evaluator(problem, spec.domain, "xp-cupy")
-        rng = np.random.default_rng(95)
-        pairs = rng.integers(0, evaluator.num_cells, size=(50, 2))
-        evaluator.evaluate_swaps_batch(pairs)
-        stats = evaluator.transfer_stats()
-        assert stats.bytes_to_device > 0
-        assert stats.bytes_to_host > 0
+    def test_pool_is_bounded(self, qap_evaluator):
+        evaluator = qap_evaluator
+        for m in range(1, evaluator.MAX_SCRATCH_KEYS + 4):
+            evaluator._scratch_for(m)
+            assert len(evaluator._scratch) <= evaluator.MAX_SCRATCH_KEYS
 
 
 class TestDiversificationHook:

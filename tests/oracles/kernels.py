@@ -5,15 +5,15 @@ verbatim so the parity suites can pin the shipped kernel against it:
 
 * :func:`wirelength_reference` — the batched HPWL swap-delta kernel of
   :meth:`~repro.placement.wirelength.WirelengthState.deltas_for_swaps`
-  before the accel dispatch layer;
+  before it moved into :func:`repro.accel.hpwl_batch_deltas`;
 * :func:`qap_reference` — the batched QAP swap-delta kernel of
   :meth:`~repro.problems.qap.evaluator.QAPEvaluator.deltas_for_swaps`
-  before the accel dispatch layer;
+  before it moved into :func:`repro.accel.qap_swap_deltas`;
 * :func:`sta_reference` — the scalar static timing analysis that
   :meth:`~repro.placement.timing.TimingAnalyzer.analyze` vectorised.
 
-``benchmarks/bench_gpu_kernels.py`` also times the two delta kernels as its
-dispatch-tax baseline.
+``benchmarks/bench_gpu_kernels.py`` times the shipped kernels against the
+two delta oracles: the dispatch tax of calling through :mod:`repro.accel`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.placement import _kernels
+from repro.accel import fallback_bbox_reduce, shared_net_mask
 from repro.placement.solution import Placement
 from repro.placement.timing import TimingAnalyzer, TimingResult
 from repro.placement.wirelength import WirelengthState
@@ -52,13 +52,13 @@ def _shrink_max(cur: np.ndarray, support: np.ndarray, frm: np.ndarray, to: np.nd
 
 
 def wirelength_reference(state: WirelengthState, cells_a, cells_b) -> np.ndarray:
-    """The pre-dispatch direct NumPy HPWL batch kernel, frozen verbatim.
+    """The direct NumPy HPWL batch kernel, frozen verbatim.
 
     The kernel body :meth:`WirelengthState.deltas_for_swaps` shipped before
-    the accel layer existed: the bit-identity oracle for the
-    backend-parameterised contract battery and the dispatch-tax baseline of
-    ``benchmarks/bench_gpu_kernels.py``.  Reads the state's host-side caches
-    directly and never touches the accel layer.
+    it called :func:`repro.accel.hpwl_batch_deltas`: the bit-identity oracle
+    of the contract battery and the dispatch-tax baseline of
+    ``benchmarks/bench_gpu_kernels.py``.  Reads the state's caches directly
+    and calls no kernel of :mod:`repro.accel` but its two inner loops.
     """
     a = np.atleast_1d(np.asarray(cells_a, dtype=np.int64))
     b = np.atleast_1d(np.asarray(cells_b, dtype=np.int64))
@@ -99,7 +99,7 @@ def wirelength_reference(state: WirelengthState, cells_a, cells_b) -> np.ndarray
         active &= ~state._incidence[other, net]
     else:  # sparse path: binary search of the sorted incidence keys
         keys = other * np.int64(netlist.num_nets) + net
-        active &= ~_kernels.shared_net_mask(state._csr_keys, keys)
+        active &= ~shared_net_mask(state._csr_keys, keys)
     if not active.any():
         return out
 
@@ -114,7 +114,7 @@ def wirelength_reference(state: WirelengthState, cells_a, cells_b) -> np.ndarray
     if fallback.any():
         idx = np.flatnonzero(fallback)
         members, counts = netlist.net_members_of(net[idx])
-        fb_x_lo, fb_x_hi, fb_y_lo, fb_y_hi = _kernels.fallback_bbox_reduce(
+        fb_x_lo, fb_x_hi, fb_y_lo, fb_y_hi = fallback_bbox_reduce(
             members, counts, moved[idx], to_x[idx], to_y[idx], cts, slot_x, slot_y
         )
         new_x_min[idx] = fb_x_lo
@@ -135,14 +135,14 @@ def qap_reference(
     cells_b: np.ndarray,
     scratch: Optional[Tuple[np.ndarray, ...]] = None,
 ) -> np.ndarray:
-    """The pre-dispatch direct NumPy swap-delta kernel, frozen verbatim.
+    """The direct NumPy swap-delta kernel, frozen verbatim.
 
     This is the kernel body :meth:`QAPEvaluator.deltas_for_swaps` shipped
-    before the accel layer existed: the backend-parameterised contract
-    battery pins the xp-generic kernel against it under NumPy, and
+    before it called :func:`repro.accel.qap_swap_deltas`: the contract
+    battery pins the shipped kernel against it bit for bit, and
     ``benchmarks/bench_gpu_kernels.py`` uses it as the dispatch-tax
-    baseline.  It reads the evaluator's host-side state
-    directly and never touches the accel layer.  Pass ``scratch`` (four
+    baseline.  It reads the evaluator's state directly and never touches
+    :mod:`repro.accel`.  Pass ``scratch`` (four
     ``(m, n)`` float64 buffers) to measure steady-state cost; omitted, the
     buffers are allocated fresh.
     """

@@ -10,10 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.parallel import PlacementProblem
 from repro.parallel.clw import clw_process
 from repro.parallel.messages import ClwTask, ReportNow, Tags
 from repro.placement import load_benchmark
+from repro.problems.placement import PlacementProblem
 from repro.pvm import SimKernel, homogeneous_cluster
 from repro.tabu import TabuSearchParams, full_range, partition_cells
 

@@ -13,7 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.parallel import ParallelSearchParams, PlacementProblem
+from repro.parallel import ParallelSearchParams
 from repro.parallel.clw import clw_process
 from repro.parallel.delta import (
     DeltaEncoder,
@@ -27,6 +27,7 @@ from repro.parallel.delta import (
 from repro.parallel.messages import ClwTask, GlobalStart, Tags
 from repro.parallel.tsw import _result_to_candidate, tsw_process
 from repro.placement import load_benchmark
+from repro.problems.placement import PlacementProblem
 from repro.pvm import SimKernel, homogeneous_cluster
 from repro.tabu import TabuSearchParams, full_range, partition_cells
 from repro.tabu.search import TabuSearch
@@ -189,7 +190,9 @@ def test_delta_adopt_matches_full_install_with_tabu_state(circuit):
     for round_index in range(3):
         target = random_swapped(current, int(rng.integers(1, 12)), rng)
         pairs = swap_list_between(current, target)
-        cost_delta = delta_search.adopt_solution_delta(pairs)
+        # the TSW's delta adopt: apply on the evaluator, then record the best
+        cost_delta = delta_eval.apply_swaps(pairs, exact_timing=True)
+        delta_search.note_best()
         cost_full = full_search.adopt_solution(target)
         assert cost_delta == pytest.approx(cost_full, abs=1e-6)
         assert np.array_equal(delta_eval.snapshot(), full_eval.snapshot())

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.parallel import PlacementProblem
+import repro.parallel
 from repro.placement import CostModelParams, load_benchmark
+from repro.problems.placement import PlacementProblem
 
 
 @pytest.fixture(scope="module")
@@ -16,9 +17,9 @@ def problem():
 
 class TestPlacementProblem:
     def test_package_alias_is_the_placement_domain_class(self):
-        from repro.problems.placement import PlacementProblem as canonical
-
-        assert PlacementProblem is canonical
+        assert repro.PlacementProblem is PlacementProblem
+        # the engine package exports no problem domain
+        assert not hasattr(repro.parallel, "PlacementProblem")
 
     def test_reference_matches_layout_and_netlist(self, problem):
         assert problem.num_cells == 64

@@ -9,11 +9,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.parallel import ParallelSearchParams, PlacementProblem
+from repro.parallel import ParallelSearchParams
 from repro.parallel.delta import decode_solution
 from repro.parallel.messages import GlobalStart, ReportNow, Tags
 from repro.parallel.tsw import tsw_process
 from repro.placement import load_benchmark
+from repro.problems.placement import PlacementProblem
 from repro.pvm import SimKernel, homogeneous_cluster
 from repro.tabu import TabuSearchParams, partition_cells
 

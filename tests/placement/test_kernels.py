@@ -1,4 +1,4 @@
-"""Unit tests for the inner-loop kernels of :mod:`repro.placement._kernels`,
+"""Unit tests for the HPWL kernel's two inner loops in :mod:`repro.accel`,
 against brute-force references."""
 
 from __future__ import annotations
@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.placement._kernels import fallback_bbox_reduce, shared_net_mask
+from repro.accel import fallback_bbox_reduce, shared_net_mask
 
 
 class TestSharedNetMask:

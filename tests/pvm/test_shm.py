@@ -16,8 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.parallel import PlacementProblem
-from repro.problems.placement import restore_shared_problem
+from repro.problems.placement import PlacementProblem, restore_shared_problem
 from repro.placement import load_benchmark
 from repro.pvm import homogeneous_cluster
 from repro.pvm.process_backend import ProcessKernel

@@ -92,10 +92,14 @@ class TestRunCommand:
         placement = read_placement(target, Layout(netlist))
         placement.validate()
 
-    def test_bad_cluster_spec_is_reported(self, capsys):
-        code = main(["run", "--circuit", "tiny16", "--cluster", "quantum:3"])
+    @pytest.mark.parametrize("spec", ["quantum:3", "homogeneous:abc", "homogeneous:"])
+    def test_bad_cluster_spec_is_reported(self, capsys, spec):
+        code = main(["run", "--circuit", "tiny16", "--cluster", spec])
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+        assert repr(spec) in err
+        assert "homogeneous:<N>" in err
 
 
 class TestSessionsWorkflow:
@@ -166,54 +170,3 @@ class TestFigureCommand:
         out = capsys.readouterr().out
         assert "fig9" in out
         assert "diversified" in out
-
-
-class TestDeviceFlag:
-    def test_parser_accepts_the_device_choices(self):
-        args = build_parser().parse_args(["run", "--device", "cpu"])
-        assert args.device == "cpu"
-        assert build_parser().parse_args(["run"]).device is None
-
-    def test_parser_rejects_unknown_devices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--device", "tpu"])
-
-    def test_devices_command_prints_the_probe(self, capsys):
-        assert main(["devices"]) == 0
-        out = capsys.readouterr().out
-        assert "accelerator probe" in out
-        assert "numpy" in out
-        assert "selected device" in out
-
-    def test_cuda_without_a_device_fails_before_any_work(self, capsys, monkeypatch):
-        from repro.accel import cuda_available
-
-        if cuda_available():
-            pytest.skip("cuda actually works here")
-        monkeypatch.delenv("REPRO_DEVICE", raising=False)
-        code = main(["run", "--circuit", "tiny16", "--device", "cuda"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "unavailable" in err
-        assert "pip install .[gpu]" in err
-
-    def test_explicit_device_propagates_through_the_environment(
-        self, capsys, monkeypatch
-    ):
-        import os
-
-        monkeypatch.delenv("REPRO_DEVICE", raising=False)
-        code = main(
-            [
-                "run",
-                "--circuit", "tiny16",
-                "--device", "cpu",
-                "--tsws", "2",
-                "--clws", "1",
-                "--global-iterations", "1",
-                "--local-iterations", "2",
-            ]
-        )
-        assert code == 0
-        assert os.environ["REPRO_DEVICE"] == "cpu"
-        assert "best cost" in capsys.readouterr().out
