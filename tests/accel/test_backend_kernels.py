@@ -60,8 +60,9 @@ def _asymmetric_instance(n: int = 16, seed: int = 7) -> QAPInstance:
 
 class TestQapKernelParity:
     def test_asymmetric_column_sum_branch_is_bit_identical(self):
-        """rand/QAPLIB instances are symmetric, so the contract battery never
-        reaches the column-sum branch — pin it here."""
+        """The contract battery's asymmetric instance has integer matrices;
+        real-valued ones pin the column-sum branch where the order of the
+        floating-point operations shows in the bits."""
         instance = _asymmetric_instance()
         assert not instance.is_symmetric
         rng = np.random.default_rng(8)

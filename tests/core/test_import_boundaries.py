@@ -8,11 +8,19 @@ concrete problem domain.  This test parses every module of those packages
 and fails on any import that resolves into ``repro.placement`` (or
 ``repro.problems.*``, which would be the same leak through the new
 layering).  Domain callables the kernels need are passed *into* them.
+
+A second scan covers every module of the package: each may import only the
+standard library, ``repro`` itself and the runtime dependencies that
+``pyproject.toml`` declares (numpy).  An import of anything else — an
+optional accelerator library, say — would make an undeclared package
+load-bearing for ``import repro``.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +33,9 @@ ENGINE_PACKAGES = ("repro/tabu", "repro/parallel", "repro/session")
 ENGINE_MODULES = ("repro/accel.py",)
 #: Module prefixes the engine must not import (domain implementations).
 FORBIDDEN_PREFIXES = ("repro.placement", "repro.problems")
+#: Third-party packages the project declares at runtime (the
+#: ``dependencies`` of ``pyproject.toml``).
+RUNTIME_DEPENDENCIES = ("numpy",)
 
 
 def engine_modules():
@@ -82,3 +93,47 @@ def test_the_suite_actually_sees_the_engine_modules():
     # the hot kernels are engine code as well
     assert "accel.py" in names
     assert len(paths) >= 22
+
+
+def all_repro_modules():
+    yield from sorted((SRC_ROOT / "repro").rglob("*.py"))
+
+
+def undeclared_imports(path: Path):
+    """Top-level packages ``path`` imports from outside the standard library,
+    ``repro`` and the declared runtime dependencies."""
+    allowed = set(sys.stdlib_module_names) | {"repro", *RUNTIME_DEPENDENCIES}
+    for module in resolved_imports(path):
+        top = module.split(".")[0]
+        if top not in allowed:
+            yield top
+
+
+@pytest.mark.parametrize(
+    "path", list(all_repro_modules()), ids=lambda p: str(p.relative_to(SRC_ROOT))
+)
+def test_module_imports_only_declared_dependencies(path):
+    offenders = sorted(set(undeclared_imports(path)))
+    assert not offenders, (
+        f"{path.relative_to(SRC_ROOT)} imports {offenders}, which "
+        "pyproject.toml does not declare as a runtime dependency"
+    )
+
+
+def test_dependency_scan_sees_the_declared_dependencies():
+    """Guard against a vacuous scan: the declared set is pyproject's, the
+    scan covers the whole package, and a third-party import is detected."""
+    pyproject = (SRC_ROOT.parent / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies\s*=\s*\[(.*?)\]", pyproject, re.M | re.S)
+    assert block is not None
+    declared = {
+        re.split(r"[<>=!~\[; ]", requirement, maxsplit=1)[0]
+        for requirement in re.findall(r'"([^"]+)"', block.group(1))
+    }
+    assert declared == set(RUNTIME_DEPENDENCIES)
+    paths = list(all_repro_modules())
+    assert {"accel.py", "cli.py", "registry.py", "evaluator.py"} <= {p.name for p in paths}
+    assert len(paths) >= 70
+    kernels = SRC_ROOT / "repro" / "accel.py"
+    assert "numpy" in {module.split(".")[0] for module in resolved_imports(kernels)}
+    assert "numpy" not in set(undeclared_imports(kernels))

@@ -1,8 +1,10 @@
 """Protocol-conformance suite, parameterized over every problem domain.
 
 One battery of contract tests runs against each registered
-:class:`~repro.core.protocols.SearchProblem` implementation (placement and
-QAP).  The contract is exactly what the engine layers rely on:
+:class:`~repro.core.protocols.SearchProblem` implementation: placement on
+both shared-net detection paths of the wirelength kernel (dense and CSR),
+and QAP on a symmetric and an asymmetric instance.  The contract is
+exactly what the engine layers rely on:
 
 * **batch == scalar == from-scratch** — a batched trial evaluation, the
   scalar path and the cost of a freshly built evaluator on the mutated
@@ -50,22 +52,47 @@ from repro import (
 from repro.core import get_domain
 from repro.core.protocols import SearchProblem, SwapEvaluator, ensure_search_problem
 from repro.parallel.delta import swap_list_between
+from repro.placement.wirelength import WirelengthState
+from repro.problems.qap import generate_qap
 
 
 @dataclass(frozen=True)
 class DomainSpec:
+    #: Test id of the spec.
+    id: str
     domain: str
-    instance: str
+    #: What the domain's ``build_problem`` receives: an instance name, or a
+    #: built instance where no name yields the shape under test.
+    instance: object
     #: Tolerance of the batch-prediction-versus-fresh-evaluator check.  QAP
     #: deltas are exact; the placement cost uses an incremental timing
     #: surrogate between exact refreshes, so its trial predictions carry a
     #: small, bounded approximation error by design.
     scratch_atol: float
+    #: Placement only: force the wirelength kernel's sparse CSR shared-net
+    #: path, which circuits take by default only past ``INCIDENCE_BUDGET``.
+    csr_incidence: bool = False
 
 
 SPECS = [
-    DomainSpec(domain="placement", instance="mini64", scratch_atol=2e-2),
-    DomainSpec(domain="qap", instance="rand32", scratch_atol=1e-9),
+    DomainSpec(id="placement", domain="placement", instance="mini64", scratch_atol=2e-2),
+    DomainSpec(
+        id="placement-csr",
+        domain="placement",
+        instance="mini64",
+        scratch_atol=2e-2,
+        csr_incidence=True,
+    ),
+    DomainSpec(id="qap", domain="qap", instance="rand32", scratch_atol=1e-9),
+    # Every named QAP instance is symmetric, so only this one takes the
+    # batch kernel's asymmetric (column-sum) branch and the general scalar
+    # delta through the whole battery.
+    DomainSpec(
+        id="qap-asym",
+        domain="qap",
+        instance=generate_qap(32, symmetric=False, name="rand32-asym"),
+        scratch_atol=1e-9,
+    ),
 ]
 
 BACKENDS = ["numpy-direct", "xp-numpy"]
@@ -88,14 +115,23 @@ def make_backend_evaluator(problem, domain: str, backend: str, *, seed: int = 3)
     return evaluator
 
 
-@pytest.fixture(scope="module", params=SPECS, ids=lambda spec: spec.domain)
+@pytest.fixture(scope="module", params=SPECS, ids=lambda spec: spec.id)
 def spec(request):
     return request.param
 
 
 @pytest.fixture(scope="module")
 def problem(spec):
-    return get_domain(spec.domain).build_problem(spec.instance, reference_seed=0)
+    with pytest.MonkeyPatch.context() as patch:
+        if spec.csr_incidence:
+            # every evaluator built while this spec's tests run takes CSR
+            patch.setattr(WirelengthState, "INCIDENCE_BUDGET", 0)
+        problem = get_domain(spec.domain).build_problem(spec.instance, reference_seed=0)
+        if spec.domain == "placement":
+            probe = problem.make_evaluator(problem.random_solution(seed=0))
+            expected = "csr" if spec.csr_incidence else "dense"
+            assert probe._wirelength.incidence_mode == expected
+        yield problem
 
 
 @pytest.fixture(params=BACKENDS)
