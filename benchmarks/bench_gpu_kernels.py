@@ -11,8 +11,10 @@ CI bar guards that calling through the kernel module is free —
   incidence), big10k (CSR incidence) and rand256 QAP; overridable with
   ``REPRO_GPU_DISPATCH_TAX``.
 
-Results land in ``BENCH_gpu.json`` (override with the ``BENCH_GPU_JSON``
-env var); the bar retries once against runner noise.
+Each repeat times one shipped and one reference call back to back, after
+warming both up, and each side reports its median call, so drift on a
+shared host moves both sides of the ratio alike.  Results land in ``BENCH_gpu.json`` (override with the
+``BENCH_GPU_JSON`` env var); the bar retries once against runner noise.
 
 Run it directly::
 
@@ -49,13 +51,23 @@ DISPATCH_TAX_BAR = float(os.environ.get("REPRO_GPU_DISPATCH_TAX", "1.1"))
 OUTPUT = Path(os.environ.get("BENCH_GPU_JSON", "BENCH_gpu.json"))
 
 
-def _time_us(func, repeats: int = MEASURED, warmup: int = WARMUP) -> float:
+def _time_pair_us(shipped, reference, repeats: int = MEASURED, warmup: int = WARMUP):
+    """Median microseconds per call of ``shipped`` and of ``reference``.
+
+    After warming both up, each repeat times one call of each back to back,
+    so a busy spell on a shared host slows both sides alike, and the median
+    drops the calls it hit.
+    """
     for _ in range(warmup):
-        func()
-    start = time.perf_counter()
+        shipped()
+        reference()
+    samples = ([], [])
     for _ in range(repeats):
-        func()
-    return (time.perf_counter() - start) / repeats * 1e6
+        for side, func in zip(samples, (shipped, reference)):
+            start = time.perf_counter()
+            func()
+            side.append(time.perf_counter() - start)
+    return tuple(float(np.median(side)) * 1e6 for side in samples)
 
 
 def _pairs(num_cells: int, rng: np.random.Generator):
@@ -69,8 +81,9 @@ def _wirelength_case(circuit: str) -> dict:
     state = WirelengthState(placement)
     a, b = _pairs(placement.num_cells, np.random.default_rng(7))
 
-    shipped_us = _time_us(lambda: state.deltas_for_swaps(a, b))
-    reference_us = _time_us(lambda: wirelength_reference(state, a, b))
+    shipped_us, reference_us = _time_pair_us(
+        lambda: state.deltas_for_swaps(a, b), lambda: wirelength_reference(state, a, b)
+    )
     return {
         "circuit": circuit,
         "num_cells": placement.num_cells,
@@ -87,8 +100,9 @@ def _qap_case() -> dict:
     evaluator = problem.make_evaluator(problem.random_solution(SEED))
     a, b = _pairs(problem.instance.n, np.random.default_rng(11))
 
-    shipped_us = _time_us(lambda: evaluator.deltas_for_swaps(a, b))
-    reference_us = _time_us(lambda: qap_reference(evaluator, a, b))
+    shipped_us, reference_us = _time_pair_us(
+        lambda: evaluator.deltas_for_swaps(a, b), lambda: qap_reference(evaluator, a, b)
+    )
     return {
         "instance": "rand256",
         "n_facilities": problem.instance.n,

@@ -4,7 +4,8 @@
 Runs a fixed matrix of small seeded searches on the simulated backend —
 homogeneous and heterogeneous sync, both domains, fault plans (kills,
 message loss, throttles, deadline re-sends), elastic grow/drain, checkpoint
-round trips and a warm worker pool — through the public API only, and prints
+round trips and warm worker pools, fault-free and with a dead CLW loop —
+through the public API only, and prints
 one ``<scenario> <digest>`` line per scenario.  A digest hashes everything a
 run's trajectory shows from outside: best cost and solution, the best-cost
 trace, the per-round records, the virtual makespan, the simulator's message,
@@ -112,9 +113,11 @@ def _checkpoint_round_trip(problem, params, cluster=None):
     return paused, restored.run()
 
 
-def _pool_runs(problem):
-    params = _params(num_tsws=2)
-    pool = WorkerPool(params.num_tsws, params.clws_per_tsw, backend="simulated")
+def _pool_runs(problem, fault=None, plan=None):
+    params = _params(num_tsws=2, fault=fault)
+    pool = WorkerPool(
+        params.num_tsws, params.clws_per_tsw, backend="simulated", fault_plan=plan
+    )
     try:
         first = SearchSession(problem=problem, params=params, pool=pool).run()
         second = SearchSession(
@@ -225,6 +228,14 @@ def scenarios():
             lambda: _checkpoint_round_trip(tiny, _params(**hetero), paper_cluster()),
         ),
         ("pool-two-runs", lambda: _pool_runs(tiny)),
+        (
+            # a CLW loop dies before the first run: its TSW strikes it out
+            # at the CLW deadline of every run's setup and stays in the run
+            "pool-clw-kill",
+            lambda: _pool_runs(
+                tiny, POLICY, FaultPlan(kills=(KillWorker(at=0.01, name="tsw0.clw1"),))
+            ),
+        ),
     ]
 
 

@@ -36,7 +36,7 @@ from ..core.protocols import SearchProblem
 from ..tabu.candidate import CellRange
 from ..tabu.moves import CompoundMoveBuilder
 from ..tabu.params import TabuSearchParams
-from .delta import ResidentSolution, as_payload, solution_crc
+from .delta import ResidentSolution, solution_crc
 from .messages import ClwResult, ClwSummary, ClwTask, ClwWorkerState, ReportNow, Tags
 
 __all__ = ["clw_process"]
@@ -142,7 +142,7 @@ def clw_process(
             # elastic re-assignment: a CLW died and the TSW re-partitioned
             # its ranges over the survivors
             cell_range = task.cell_range
-        payload = as_payload(task.solution, version=task.round_id)
+        payload = task.solution
 
         # ---- adopt the task solution (full, delta, or unchanged) ----------
         if evaluator is None:

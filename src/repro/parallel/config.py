@@ -23,10 +23,11 @@ class FaultPolicy:
     per-worker report deadlines and death notices instead of trusting every
     worker to answer: a worker that misses ``max_missed_deadlines + 1``
     deadlines — or whose backend reports it dead — is declared dead, its
-    candidate range is re-partitioned across the survivors (throughput-
-    weighted when ``rebalance`` is set), its resident solution state is
-    re-shipped through the existing delta/NACK path, and the run completes
-    with degraded parallelism instead of raising.
+    candidate range is re-partitioned across the survivors (weighted by
+    observed throughput once every survivor has reported), its resident
+    solution state is re-shipped through the existing delta/NACK path, and
+    the run completes with degraded parallelism instead of raising.  The
+    throughput and limplock constants live in :mod:`repro.parallel.health`.
 
     Attributes
     ----------
@@ -40,32 +41,11 @@ class FaultPolicy:
     max_missed_deadlines:
         How many missed deadlines are forgiven (with a re-send) before a
         worker is declared dead; ``0`` kills on the first miss.
-    rebalance:
-        Re-partition ranges over survivors weighted by *observed* per-round
-        throughput (when every survivor has reported at least once);
-        otherwise survivors split the cells evenly.
-    limplock_ratio:
-        A worker whose observed throughput stays below ``limplock_ratio``
-        times the fastest survivor's for ``limplock_rounds`` consecutive
-        rounds is *limplocked*: it stays in the run but gets a shrunk
-        local-iteration budget sized from its observed rate.
-    limplock_rounds:
-        Consecutive slow rounds before the limplock flag engages.
-    min_iteration_share:
-        Floor of the shrunk budget, as a fraction of the configured
-        ``tabu.local_iterations`` (so a limplocked worker still contributes).
-    throughput_smoothing:
-        EWMA weight of the newest per-round throughput observation.
     """
 
     round_deadline: float = 30.0
     clw_deadline: float = 15.0
     max_missed_deadlines: int = 1
-    rebalance: bool = True
-    limplock_ratio: float = 0.25
-    limplock_rounds: int = 2
-    min_iteration_share: float = 0.25
-    throughput_smoothing: float = 0.5
 
     def __post_init__(self) -> None:
         for label, value in (
@@ -77,22 +57,6 @@ class FaultPolicy:
         if self.max_missed_deadlines < 0:
             raise ParallelSearchError(
                 f"max_missed_deadlines must be >= 0, got {self.max_missed_deadlines}"
-            )
-        if not (0.0 < self.limplock_ratio < 1.0):
-            raise ParallelSearchError(
-                f"limplock_ratio must be in (0, 1), got {self.limplock_ratio}"
-            )
-        if self.limplock_rounds < 1:
-            raise ParallelSearchError(
-                f"limplock_rounds must be >= 1, got {self.limplock_rounds}"
-            )
-        if not (0.0 < self.min_iteration_share <= 1.0):
-            raise ParallelSearchError(
-                f"min_iteration_share must be in (0, 1], got {self.min_iteration_share}"
-            )
-        if not (0.0 < self.throughput_smoothing <= 1.0):
-            raise ParallelSearchError(
-                f"throughput_smoothing must be in (0, 1], got {self.throughput_smoothing}"
             )
 
     def with_(self, **changes) -> "FaultPolicy":
@@ -123,9 +87,6 @@ class ParallelSearchParams:
     diversify:
         Whether TSWs perform the diversification step at the start of every
         global iteration (Figure 9 compares on/off).
-    tsw_partition_scheme / clw_partition_scheme:
-        How cell ranges are carved up between TSWs (for diversification) and
-        between the CLWs of one TSW (for candidate construction).
     tabu:
         Per-worker tabu-search parameters.
     cost:
@@ -156,8 +117,6 @@ class ParallelSearchParams:
     sync_mode: SyncMode = "heterogeneous"
     report_fraction: float = 0.5
     diversify: bool = True
-    tsw_partition_scheme: str = "contiguous"
-    clw_partition_scheme: str = "strided"
     tabu: TabuSearchParams = field(default_factory=TabuSearchParams)
     cost: Optional[Any] = None
     seed: int = 2003

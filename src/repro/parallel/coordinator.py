@@ -44,10 +44,7 @@ class Coordinator:
 
     ``prefix`` (``"tsw"``/``"clw"``) names child ``i`` ``f"{prefix}{i}"`` in
     fault events and labels re-partitioned ranges.  ``round_of`` reads the
-    round identifier off a report.  ``resend_ships_range`` says whether a
-    deadline re-send, which always carries the child's range, counts as
-    shipping it; if not, a range re-partitioned since the last broadcast
-    ships again with the next one.  ``ledger_keys`` are the indices the
+    round identifier off a report.  ``ledger_keys`` are the indices the
     fault-mode ledger tracks from the start.
     """
 
@@ -65,7 +62,6 @@ class Coordinator:
         task_tag: str,
         result_tag: str,
         round_of: Callable[[Any], int],
-        resend_ships_range: bool,
         ledger_keys: List[int],
         speed_hints: Optional[Dict[int, float]] = None,
     ) -> None:
@@ -79,7 +75,6 @@ class Coordinator:
         self.task_tag = task_tag
         self.result_tag = result_tag
         self.round_of = round_of
-        self.resend_ships_range = resend_ships_range
         #: Live range assignment, and the range object each child last got.
         self.ranges: Dict[int, Any] = dict(ranges)
         self.shipped: Dict[int, Any] = {}
@@ -124,9 +119,9 @@ class Coordinator:
 
     def repartition(self, indices: List[int]) -> None:
         """Split the cells over ``indices``, weighted by observed throughput
-        once the policy rebalances and every one of them has a rate."""
+        in fault mode once every one of them has a rate."""
         weights = None
-        if self.ledger is not None and self.fault.rebalance:
+        if self.ledger is not None:
             weights = self.ledger.throughput_weights(indices)
         if weights is not None:
             new_ranges = partition_cells_weighted(
@@ -321,7 +316,10 @@ class Coordinator:
         return [results[index] for index in sorted(results)]
 
     def _deadline_passed(self, pending: Set[int], round_id: int, target, task, now):
-        """Forgive each silent child with a full re-send, or strike it out."""
+        """Forgive each silent child with a full re-send, or strike it out.
+
+        The re-send carries the child's range, so it counts as shipping it.
+        """
         struck: List[int] = []
         for pid in sorted(pending):
             index = self.index_of[pid]
@@ -332,8 +330,7 @@ class Coordinator:
             payload = self.encoder.encode(index, target, version=round_id)
             self.note("deadline-resend", index, "", now)
             yield self.ctx.send(pid, self.task_tag, task(payload, self.ranges[index], None))
-            if self.resend_ships_range:
-                self.shipped[index] = self.ranges[index]
+            self.shipped[index] = self.ranges[index]
         for pid in struck:
             pending.discard(pid)
             self.declare_dead(pid, "missed report deadline", now)

@@ -18,7 +18,7 @@ their solution *resident* and exchange just the difference:
 * :class:`DeltaEncoder` is the sender side: it tracks, per receiver, the
   resident solution it believes the receiver holds and decides full versus
   delta shipment (first contact, an invalidated receiver, or a diff larger
-  than :attr:`~DeltaEncoder.max_delta_fraction` of the cells always ships
+  than :attr:`~DeltaEncoder.MAX_DELTA_FRACTION` of the cells always ships
   full);
 * :class:`ResidentSolution` is the receiver side: it validates the base
   version of an incoming delta and reports a mismatch instead of applying a
@@ -35,7 +35,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "ResidentSolution",
     "swap_list_between",
     "solution_crc",
-    "as_payload",
     "decode_solution",
 ]
 
@@ -199,20 +198,13 @@ def _payload_from_wire(blob: bytes) -> SolutionPayload:
     )
 
 
-def as_payload(solution: Union[np.ndarray, SolutionPayload], version: int = -1) -> SolutionPayload:
-    """Normalise a raw assignment array (legacy wire form) to a payload."""
-    if isinstance(solution, SolutionPayload):
-        return solution
-    return SolutionPayload.full_shipment(np.asarray(solution), version)
-
-
 def decode_solution(
-    solution: Union[np.ndarray, SolutionPayload],
+    solution: SolutionPayload,
     base_solution: Optional[np.ndarray] = None,
     *,
     expected_base_version: Optional[int] = None,
 ) -> Optional[np.ndarray]:
-    """Reconstruct a full assignment from any wire form.
+    """Reconstruct a full assignment from either payload form.
 
     ``base_solution`` is the solution a delta applies to (the retained
     broadcast for TSW→master reports).  Returns ``None`` when the payload
@@ -220,8 +212,6 @@ def decode_solution(
     checksum — callers ignore such a report rather than adopt a wrong
     solution.
     """
-    if not isinstance(solution, SolutionPayload):
-        return np.asarray(solution, dtype=np.int64)
     if solution.is_full:
         return solution.full_solution()
     if base_solution is None:
@@ -247,16 +237,13 @@ class DeltaEncoder:
     the receiver's tracked resident solution and ships the swap-list delta
     when it is small, falling back to a full shipment on first contact, after
     :meth:`invalidate` (the NACK path), or when the diff exceeds
-    ``max_delta_fraction`` of the cells (divergent solutions — a delta would
-    cost more than it saves).
+    :attr:`MAX_DELTA_FRACTION` of the cells (divergent solutions — a delta
+    would cost more than it saves).
     """
 
-    def __init__(self, *, max_delta_fraction: float = 0.25) -> None:
-        if not (0.0 < max_delta_fraction <= 1.0):
-            raise ValueError(
-                f"max_delta_fraction must be in (0, 1], got {max_delta_fraction}"
-            )
-        self.max_delta_fraction = max_delta_fraction
+    MAX_DELTA_FRACTION = 0.25
+
+    def __init__(self) -> None:
         self._resident: Dict[Hashable, Tuple[int, np.ndarray]] = {}
         #: Shipment statistics (protocol-overhead benchmark and tests).
         self.full_shipments = 0
@@ -272,7 +259,7 @@ class DeltaEncoder:
             base_version, base = entry
             if base.shape == target.shape:
                 swaps = swap_list_between(base, target)
-                if swaps.shape[0] <= max(1, int(target.size * self.max_delta_fraction)):
+                if swaps.shape[0] <= max(1, int(target.size * self.MAX_DELTA_FRACTION)):
                     payload = SolutionPayload.delta_shipment(
                         swaps, version, base_version, solution_crc(target)
                     )

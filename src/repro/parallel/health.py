@@ -17,6 +17,8 @@ Throughput observations feed two decisions:
 * **limplock shrinking** — a persistently slow-but-alive worker gets a
   smaller local-iteration budget (:meth:`iteration_budget`) sized from its
   observed rate rather than its declared machine speed.
+
+The constants below tune both.
 """
 
 from __future__ import annotations
@@ -27,6 +29,17 @@ from typing import Dict, List, Optional, Tuple
 from .config import FaultPolicy
 
 __all__ = ["WorkerHealth", "HealthLedger"]
+
+#: A worker whose hint-normalised rate stays below this fraction of the
+#: fastest survivor's for :data:`LIMPLOCK_ROUNDS` consecutive reports is
+#: limplocked: it stays in the run with a shrunk local-iteration budget.
+LIMPLOCK_RATIO = 0.25
+LIMPLOCK_ROUNDS = 2
+#: Floor of a limplocked worker's budget, as a fraction of the configured
+#: ``tabu.local_iterations`` (so a limplocked worker still contributes).
+MIN_ITERATION_SHARE = 0.25
+#: EWMA weight of the newest per-round throughput observation.
+THROUGHPUT_SMOOTHING = 0.5
 
 
 @dataclass
@@ -153,8 +166,9 @@ class HealthLedger:
         if worker.rate is None:
             worker.rate = observed
         else:
-            alpha = self._policy.throughput_smoothing
-            worker.rate = alpha * observed + (1.0 - alpha) * worker.rate
+            worker.rate = (
+                THROUGHPUT_SMOOTHING * observed + (1.0 - THROUGHPUT_SMOOTHING) * worker.rate
+            )
         self._update_limplock(worker)
 
     def _update_limplock(self, worker: WorkerHealth) -> None:
@@ -176,13 +190,13 @@ class HealthLedger:
         fastest = max(rates)
         if fastest <= 0:
             return
-        threshold = self._policy.limplock_ratio * fastest
+        threshold = LIMPLOCK_RATIO * fastest
         if self._normalized_rate(worker) < threshold:
             worker.slow_streak += 1
         else:
             worker.slow_streak = 0
             worker.limplocked = False
-        if worker.slow_streak >= self._policy.limplock_rounds:
+        if worker.slow_streak >= LIMPLOCK_ROUNDS:
             worker.limplocked = True
 
     def limplocked_keys(self) -> List[int]:
@@ -215,7 +229,7 @@ class HealthLedger:
 
         Healthy workers keep the configured budget; a limplocked worker gets
         a budget proportional to its observed rate relative to the fastest
-        survivor, floored at ``min_iteration_share`` of the base.
+        survivor, floored at :data:`MIN_ITERATION_SHARE` of the base.
         """
         worker = self._workers[key]
         if not worker.limplocked or worker.rate is None:
@@ -228,7 +242,7 @@ class HealthLedger:
         fastest = max(rates) if rates else 0.0
         if fastest <= 0:
             return base_iterations
-        floor = max(1, int(round(base_iterations * self._policy.min_iteration_share)))
+        floor = max(1, int(round(base_iterations * MIN_ITERATION_SHARE)))
         scaled = int(round(base_iterations * self._normalized_rate(worker) / fastest))
         return max(floor, min(base_iterations, scaled))
 

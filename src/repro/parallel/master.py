@@ -45,9 +45,12 @@ from .coordinator import Coordinator
 from .delta import decode_solution, swap_list_between
 from .messages import GlobalStart, Tags, TswResult, TswSetup, TswWorkerState
 from .sync import SyncPolicy
-from .tsw import tsw_process
+from .tsw import CLW_SCHEME, tsw_process
 
 __all__ = ["GlobalIterationRecord", "MasterResult", "MasterRunState", "master_process"]
+
+#: How the master carves the cells into TSW diversification ranges.
+TSW_SCHEME = "contiguous"
 
 
 @dataclass
@@ -237,13 +240,13 @@ def master_process(
     # restored exactly — re-deriving ranges from worker counts would diverge
     # from the admission-time re-partition.
     clw_ranges = partition_cells(
-        num_cells, params.clws_per_tsw, scheme=params.clw_partition_scheme, label_prefix="clw"
+        num_cells, params.clws_per_tsw, scheme=CLW_SCHEME, label_prefix="clw"
     )
     hint_map: Dict[int, float] = dict(enumerate(params.worker_speed_hints or ()))
     if resume_state is None:
         next_worker_index = params.num_tsws
         tsw_ranges = partition_cells(
-            num_cells, next_worker_index, scheme=params.tsw_partition_scheme, label_prefix="tsw"
+            num_cells, next_worker_index, scheme=TSW_SCHEME, label_prefix="tsw"
         )
         ranges = dict(enumerate(tsw_ranges))
     else:
@@ -257,12 +260,11 @@ def master_process(
         deadline=fault.round_deadline if fault is not None else 0.0,
         prefix="tsw",
         num_cells=num_cells,
-        scheme=params.tsw_partition_scheme,
+        scheme=TSW_SCHEME,
         ranges=ranges,
         task_tag=Tags.GLOBAL_START,
         result_tag=Tags.TSW_RESULT,
         round_of=lambda result: result.global_iteration,
-        resend_ships_range=True,
         ledger_keys=list(range(next_worker_index)),
         speed_hints=hint_map or None,
     )

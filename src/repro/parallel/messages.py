@@ -19,7 +19,7 @@ sees the embedded NumPy solution arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -95,16 +95,15 @@ class Tags:
 class GlobalStart:
     """Master → TSW: begin a global iteration from the given solution.
 
-    ``solution`` is either a raw assignment array (legacy full shipment, kept
-    for tests and tooling) or a :class:`~repro.parallel.delta.SolutionPayload`
-    whose delta form applies to the solution the TSW *reported* for global
+    ``solution`` is a :class:`~repro.parallel.delta.SolutionPayload` whose
+    delta form applies to the solution the TSW *reported* for global
     iteration ``base_version`` — exactly what the TSW keeps resident after
     reporting.  A TSW that cannot apply a delta answers with a ``needs_full``
     :class:`TswResult` and the master re-broadcasts in full.
     """
 
     global_iteration: int
-    solution: Union[np.ndarray, SolutionPayload]
+    solution: SolutionPayload
     #: Tabu list associated with the solution (``ArrayTabuList.to_payload()``), or
     #: ``None`` for the very first iteration.
     tabu_payload: Optional[tuple] = None
@@ -135,9 +134,8 @@ class ReportNow:
 class ClwTask:
     """TSW → CLW: explore the neighbourhood of this solution.
 
-    ``solution`` is either a raw assignment array (legacy full shipment) or a
-    :class:`~repro.parallel.delta.SolutionPayload`; the delta form applies to
-    the task solution of round ``base_version``, which the CLW restores after
+    ``solution`` is a :class:`~repro.parallel.delta.SolutionPayload`; its
+    delta form applies to the task solution of round ``base_version``, which the CLW restores after
     finishing each task (so its resident state is always the last task base,
     not the explored best prefix).  An empty delta means the TSW's solution
     did not change since the last round — the CLW skips the install outright.
@@ -146,7 +144,7 @@ class ClwTask:
     """
 
     round_id: int
-    solution: Union[np.ndarray, SolutionPayload]
+    solution: SolutionPayload
     #: Elastic re-assignment (fault mode only): a new compound-move range for
     #: this CLW, shipped when the TSW re-partitioned its CLW ranges after a
     #: CLW death.  ``None`` keeps the current range.
@@ -184,11 +182,12 @@ class TswResult:
 
     tsw_index: int
     global_iteration: int
-    #: Best solution found this round: a raw array (legacy) or a
+    #: Best solution found this round: a
     #: :class:`~repro.parallel.delta.SolutionPayload` whose delta form applies
     #: to the master's broadcast of the same global iteration (which the
-    #: master retains, so no mismatch is possible on this hop).
-    best_solution: Union[np.ndarray, SolutionPayload]
+    #: master retains, so no mismatch is possible on this hop); ``None`` on a
+    #: ``needs_full`` reply.
+    best_solution: Optional[SolutionPayload]
     best_cost: float
     local_iterations_done: int
     interrupted: bool

@@ -120,7 +120,6 @@ def run_parallel_search(
     cluster: Optional[ClusterSpec] = None,
     backend: Backend = "simulated",
     problem: Optional[SearchProblem] = None,
-    master_machine: int = 0,
     join_timeout: float = 3600.0,
 ) -> ParallelSearchResult:
     """Run the full master/TSW/CLW parallel tabu search.
@@ -144,8 +143,6 @@ def run_parallel_search(
         Pre-built problem instance; pass it to share the reference cost
         anchor across several runs of the same instance (as the speedup
         experiments must), or to run a non-placement domain.
-    master_machine:
-        Machine index the master process is pinned to.
     join_timeout:
         One overall wall-clock deadline (seconds) for the whole run on the
         real backends (``"threads"`` / ``"processes"``) — not a per-worker
@@ -163,7 +160,6 @@ def run_parallel_search(
             problem=problem,
             backend=backend,
             cluster=cluster,
-            master_machine=master_machine,
             join_timeout=join_timeout,
         )
     except SessionError as error:

@@ -42,13 +42,15 @@ from ..tabu.search import TabuSearch
 from .clw import clw_process
 from .config import ParallelSearchParams
 from .coordinator import Coordinator
-from .delta import DeltaEncoder, ResidentSolution, as_payload, solution_crc, swap_list_between
+from .delta import DeltaEncoder, ResidentSolution, solution_crc, swap_list_between
 from .messages import (
     ClwResult,
+    ClwSetup,
     ClwTask,
     ClwWorkerState,
     GlobalStart,
     ReportNow,
+    SetupAck,
     Tags,
     TswResult,
     TswSummary,
@@ -58,6 +60,8 @@ from .sync import SyncPolicy
 
 __all__ = ["tsw_process"]
 
+#: How a TSW carves the cells into CLW candidate ranges.
+CLW_SCHEME = "strided"
 #: Key under which the TSW's encoder tracks what the master knows resident.
 _MASTER = "master"
 
@@ -91,7 +95,7 @@ def _needs_full_result(tsw_index: int, global_iteration: int) -> TswResult:
     return TswResult(
         tsw_index=tsw_index,
         global_iteration=global_iteration,
-        best_solution=np.zeros(0, dtype=np.int64),
+        best_solution=None,
         best_cost=float("inf"),
         local_iterations_done=0,
         interrupted=False,
@@ -115,11 +119,12 @@ def tsw_process(
     """Generator body of a TSW process (run it under a PVM kernel).
 
     ``initial_state`` resumes the TSW from a checkpointed
-    :class:`~repro.parallel.messages.TswWorkerState` (the CLWs it spawns get
-    their own slices).  ``master_pid`` overrides where results are reported
+    :class:`~repro.parallel.messages.TswWorkerState` (its CLWs get their own
+    slices).  ``master_pid`` overrides where results are reported
     (persistent worker loops run under a pool parent, not under the master).
-    ``clw_pids`` reuses already-running CLWs instead of spawning fresh ones —
-    the warm-pool path; their order must match ``clw_ranges``.
+    ``clw_pids`` sets up already-running CLW loops instead of spawning fresh
+    CLWs — the warm-pool path, provisioned the way the master provisions
+    its TSW loops; their order must match ``clw_ranges``.
     """
     if master_pid is None:
         master_pid = ctx.parent
@@ -131,22 +136,33 @@ def tsw_process(
         deadline=fault.clw_deadline if fault is not None else 0.0,
         prefix="clw",
         num_cells=problem.num_cells,
-        scheme=params.clw_partition_scheme,
+        scheme=CLW_SCHEME,
         ranges=dict(enumerate(clw_ranges)),
         task_tag=Tags.CLW_TASK,
         result_tag=Tags.CLW_RESULT,
         round_of=lambda result: result.round_id,
-        resend_ships_range=False,
         ledger_keys=list(range(len(clw_ranges))),
     )
 
-    # ---- spawn (or adopt) the candidate-list workers ---------------------
+    # ---- spawn (or set up) the candidate-list workers ---------------------
     clw_states: Dict[int, ClwWorkerState] = {}
     if initial_state is not None:
         clw_states = {s.clw_index: s for s in initial_state.clw_states}
     for clw_index, clw_range in enumerate(clw_ranges):
+        clw_seed = derive_seed(seed, "tsw", tsw_index, "clw", clw_index)
         if clw_pids is not None:
-            coord.enlist(clw_index, clw_pids[clw_index])
+            yield from coord.setup(
+                clw_index,
+                clw_pids[clw_index],
+                ClwSetup(
+                    problem=problem,
+                    tabu_params=params.tabu,
+                    cell_range=clw_range,
+                    clw_index=clw_index,
+                    seed=clw_seed,
+                    initial_state=clw_states.get(clw_index),
+                ),
+            )
             continue
         yield from coord.spawn(
             clw_index,
@@ -155,10 +171,14 @@ def tsw_process(
             params.tabu,
             clw_range,
             clw_index,
-            derive_seed(seed, "tsw", tsw_index, "clw", clw_index),
+            clw_seed,
             name=f"tsw{tsw_index}.clw{clw_index}",
             initial_state=clw_states.get(clw_index),
         )
+    if clw_pids is not None:
+        # acknowledged bottom-up: our SETUP_ACK follows our CLWs' acks
+        yield from coord.await_acks()
+        yield ctx.send(master_pid, Tags.SETUP_ACK, SetupAck(worker_name=ctx.name))
 
     evaluator = None
     search: Optional[TabuSearch] = None
@@ -240,7 +260,7 @@ def tsw_process(
             tsw_range = start.tsw_range
             if search is not None:
                 search.set_cell_range(start.tsw_range)
-        payload = as_payload(start.solution, version=start.global_iteration)
+        payload = start.solution
 
         # ---- adopt the master's solution (and its tabu list) -------------
         # (a delta this TSW cannot apply is NACKed with a needs_full report)

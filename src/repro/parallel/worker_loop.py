@@ -19,9 +19,14 @@ shared-memory handle; a loop resolves it once and keeps it across runs, and
 lets it go (:func:`~repro.pvm.shm.release_shared`) when a ``SETUP`` names a
 different problem.  On the other backends the release is a no-op.
 
-Setup is acknowledged bottom-up: each CLW loop acks its TSW loop after
-installing the setup, the TSW loop acks the master only after all CLW acks
-arrived, and the master starts run traffic only after all TSW acks.  The
+Setup is acknowledged bottom-up: each CLW loop acks its TSW after installing
+the setup, the TSW acks the master only after all CLW acks arrived, and the
+master starts run traffic only after all TSW acks.  Both tiers provision
+through the same :class:`~repro.parallel.coordinator.Coordinator` calls
+(``setup`` per child, then ``await_acks``): the master inside
+:func:`~repro.parallel.master.master_process`, each TSW inside
+:func:`~repro.parallel.tsw.tsw_process`, so in fault mode a CLW loop that
+stays silent is struck out at the CLW deadline like any other child.  The
 handshake closes the simulated network's ordering hazard where a large
 ``SETUP`` payload (size-dependent latency) could be overtaken by a smaller
 message sent later.
@@ -29,13 +34,12 @@ message sent later.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from .._rng import derive_seed
 from ..errors import ProcessError
 from ..pvm.shm import release_shared
 from .clw import clw_process
-from .messages import ClwSetup, ClwWorkerState, SetupAck, Tags, TswSetup
+from .messages import ClwSetup, SetupAck, Tags, TswSetup
 from .tsw import tsw_process
 
 __all__ = ["clw_worker_loop", "tsw_worker_loop"]
@@ -98,28 +102,6 @@ def tsw_worker_loop(ctx, clws_per_tsw: int):
                 f"{ctx.name}: setup ships {len(setup.clw_ranges)} CLW ranges "
                 f"but the pool keeps {len(clw_pids)} CLW loops"
             )
-        clw_states: Dict[int, ClwWorkerState] = {}
-        if setup.initial_state is not None:
-            clw_states = {s.clw_index: s for s in setup.initial_state.clw_states}
-        for clw_index, pid in enumerate(clw_pids):
-            yield ctx.send(
-                pid,
-                Tags.SETUP,
-                ClwSetup(
-                    problem=setup.problem,
-                    tabu_params=setup.params.tabu,
-                    cell_range=setup.clw_ranges[clw_index],
-                    clw_index=clw_index,
-                    # identical to the cold spawn chain in tsw_process
-                    seed=derive_seed(setup.seed, "tsw", setup.tsw_index, "clw", clw_index),
-                    initial_state=clw_states.get(clw_index),
-                ),
-            )
-        acked = 0
-        while acked < len(clw_pids):
-            yield ctx.recv(tag=Tags.SETUP_ACK)
-            acked += 1
-        yield ctx.send(message.src, Tags.SETUP_ACK, SetupAck(worker_name=ctx.name))
         yield from tsw_process(
             ctx,
             setup.problem,

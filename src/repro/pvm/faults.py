@@ -287,16 +287,6 @@ class FaultPlan:
         object.__setattr__(self, "spawns", tuple(self.spawns))
         object.__setattr__(self, "drains", tuple(self.drains))
 
-    @property
-    def empty(self) -> bool:
-        return (
-            not self.kills
-            and not self.throttles
-            and self.message_faults is None
-            and not self.spawns
-            and not self.drains
-        )
-
     # -- JSON loading (CLI surface) ------------------------------------- #
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":

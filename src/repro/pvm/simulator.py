@@ -211,19 +211,42 @@ class SimKernel:
         machine_index: Optional[int] = None,
         name: str = "",
         parent: Optional[int] = None,
-        start_time: float = 0.0,
         **kwargs: Any,
     ) -> int:
-        """Create a root process (before :meth:`run`) and return its pid."""
+        """Create a process from outside the simulation; it starts at :attr:`now`."""
         return self._create_process(
             func, args, kwargs, machine_index=machine_index, name=name, parent=parent,
-            start_time=start_time,
+            start_time=self._now,
         )
 
-    def run(
-        self, *, until: Optional[float] = None, allow_blocked: bool = False
-    ) -> SimStats:
-        """Process events until completion (or until the virtual time limit).
+    #: The simulator has one vehicle, so a local spawn is an ordinary one;
+    #: the name matches the real kernels' driver surface.
+    spawn_local = spawn
+
+    def post(self, dst: int, tag: str, payload: Any = None) -> None:
+        """Send a message from outside any process (``src=0``).
+
+        It arrives one message latency after :attr:`now`; a message to a
+        finished process is dropped on delivery, like any send.
+        """
+        self._record(dst)
+        arrival = self._now + self._cluster.message_latency
+        self._schedule(
+            arrival,
+            _DELIVER,
+            Message(
+                src=0,
+                dst=dst,
+                tag=tag,
+                payload=payload,
+                size_bytes=estimate_payload_bytes(payload),
+                send_time=self._now,
+                arrival_time=arrival,
+            ),
+        )
+
+    def run(self, *, allow_blocked: bool = False) -> SimStats:
+        """Process events until none is left.
 
         ``allow_blocked=True`` suppresses the deadlock check: processes left
         blocked in a receive when the event queue drains are treated as
@@ -242,37 +265,58 @@ class SimKernel:
         """
         while self._events:
             time, _, kind, data = heapq.heappop(self._events)
-            if until is not None and time > until:
-                # push back and stop: the caller asked for a bounded horizon
-                heapq.heappush(self._events, (time, next(self._seq), kind, data))
-                break
             self._events_processed += 1
             if self._events_processed > self._max_events:
                 raise SimulationError(
                     f"event budget exhausted ({self._max_events} events); "
                     "suspected livelock in the process protocol"
                 )
+            if kind == _TIMEOUT:
+                # a stale timeout (its receive already completed) is counted
+                # but does not move the clock
+                pid, token = data
+                if self._handle_timeout(pid, token, time):
+                    self._now = max(self._now, time)
+                continue
             self._now = max(self._now, time)
             if kind == _RESUME:
                 pid, value = data
                 self._step(pid, value, time)
             elif kind == _DELIVER:
                 self._deliver(data, time)
-            elif kind == _TIMEOUT:
-                pid, token = data
-                self._handle_timeout(pid, token, time)
             elif kind == _FAULT:
                 self._apply_fault(data, time)
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown event kind {kind!r}")
 
         blocked = [rec for rec in self._procs.values() if rec.state is ProcessState.BLOCKED]
-        if blocked and not allow_blocked and (until is None or not self._events):
+        if blocked and not allow_blocked:
             names = ", ".join(f"{rec.name or rec.pid}" for rec in blocked)
             raise SimulationError(
                 f"deadlock: no more events but {len(blocked)} process(es) still blocked: {names}"
             )
         return self.stats()
+
+    # -- the driver surface the real kernels share --------------------- #
+    def join(self, pid: int, timeout: Optional[float] = None) -> None:
+        """Run until no event is left; parked processes are idle.
+
+        ``timeout`` (wall-clock on the real kernels) does not apply to a
+        run that ends when its event queue does.
+        """
+        self._record(pid)
+        self.run(allow_blocked=True)
+
+    def join_all(self, timeout: Optional[float] = None) -> None:
+        """Run until no event is left; a blocked process is a deadlock."""
+        self.run()
+
+    def worker_dead(self, pid: int) -> bool:
+        """Whether the process finished, failed or was killed."""
+        return self._record(pid).state in _DEAD_STATES
+
+    def shutdown(self) -> None:
+        """Nothing to release: the simulator owns no thread or process."""
 
     def process_info(self, pid: int) -> ProcessInfo:
         """Read-only view of one process."""
@@ -558,13 +602,15 @@ class SimKernel:
                 resume_at = max(dst.clock, matched.arrival_time if matched else at_time)
                 self._schedule(resume_at, _RESUME, (dst.pid, matched))
 
-    def _handle_timeout(self, pid: int, token: int, at_time: float) -> None:
+    def _handle_timeout(self, pid: int, token: int, at_time: float) -> bool:
+        """Wake a receive that timed out; False if the timeout is stale."""
         rec = self._record(pid)
         if rec.state is not ProcessState.BLOCKED or rec.recv_token != token:
-            return  # already woken by a message (or finished)
+            return False  # already woken by a message (or finished)
         rec.pending_recv = None
         rec.state = ProcessState.READY
         self._schedule(max(rec.clock, at_time), _RESUME, (pid, None))
+        return True
 
     # -- fault injection -------------------------------------------------- #
     def _apply_fault(self, data: Tuple[str, Any], at_time: float) -> None:
@@ -580,9 +626,9 @@ class SimKernel:
             payload = AdmitWorkers(
                 count=spec.count, machine=spec.machine, speed_hint=spec.speed_hint
             )
-            self._post_to_listener(WORKER_ADMIT_TAG, payload, at_time)
+            self._post_to_listener(WORKER_ADMIT_TAG, payload)
         elif action == "drain":
-            self._post_to_listener(WORKER_DRAIN_TAG, spec, at_time)
+            self._post_to_listener(WORKER_DRAIN_TAG, spec)
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unknown fault action {action!r}")
 
@@ -638,7 +684,7 @@ class SimKernel:
         rec.recv_token += 1  # invalidate any pending receive timeout
         killed.append(rec)
 
-    def _post_to_listener(self, tag: str, payload: Any, at_time: float) -> None:
+    def _post_to_listener(self, tag: str, payload: Any) -> None:
         """Deliver a fault-plan lifecycle request to the death listener.
 
         Admission and drain requests have no victim process to route from, so
@@ -650,20 +696,7 @@ class SimKernel:
             return
         if self._procs[target].state in _DEAD_STATES:
             return
-        arrival = at_time + self._cluster.message_latency
-        self._schedule(
-            arrival,
-            _DELIVER,
-            Message(
-                src=0,
-                dst=target,
-                tag=tag,
-                payload=payload,
-                size_bytes=estimate_payload_bytes(payload),
-                send_time=at_time,
-                arrival_time=arrival,
-            ),
-        )
+        self.post(target, tag, payload)
 
     def _post_obituary(self, rec: _ProcessRecord, at_time: float, dead_pids: set) -> None:
         targets = []

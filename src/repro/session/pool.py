@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import SessionError
 from ..metrics.trace import FaultEvent
@@ -33,12 +33,9 @@ from ..parallel.worker_loop import tsw_worker_loop
 from ..pvm.cluster import ClusterSpec, paper_cluster
 from ..pvm.faults import AdmitWorkers, DrainWorker, FaultPlan
 from ..pvm.process_backend import ProcessKernel, ThreadKernel
-from ..pvm.simulator import ProcessState, SimKernel, SimStats
+from ..pvm.simulator import SimKernel, SimStats
 
-__all__ = ["make_kernel", "WorkerPool"]
-
-#: Simulator states from which a worker loop never serves traffic again.
-_SIM_DEAD_STATES = (ProcessState.FINISHED, ProcessState.FAILED, ProcessState.KILLED)
+__all__ = ["drive_master", "make_kernel", "WorkerPool"]
 
 
 def make_kernel(
@@ -66,11 +63,53 @@ def make_kernel(
     raise SessionError(f"unknown backend {backend!r}")
 
 
-def _pool_shutdown_process(ctx, pids):
-    """One-shot simulated process that tells every persistent loop to exit
-    (the simulated kernel has no outside mailbox access)."""
-    for pid in pids:
-        yield ctx.send(pid, Tags.POOL_SHUTDOWN)
+def drive_master(
+    kernel,
+    body,
+    problem: Any,
+    params: ParallelSearchParams,
+    *,
+    listen: bool,
+    warm: bool,
+    join_timeout: float,
+    track: Callable[[Optional[int]], None],
+    **master_kwargs: Any,
+) -> Tuple[MasterResult, Optional[SimStats], float]:
+    """Run one master epoch on any kernel and return its outcome.
+
+    The master ``body`` runs on machine 0 as a local process of ``kernel``.
+    With ``listen`` it hears every worker death (and, on the simulator, the
+    fault plan's admit and drain requests).  A warm or listening epoch waits
+    for the master alone — parked pool loops and orphans of a killed worker
+    are idle, not stuck — and a cold epoch without a listener waits for
+    every process.  ``track`` is told the master's pid once it runs and
+    ``None`` once it is done (the caller's handle for cancel, grow and
+    drain).
+
+    Returns ``(result, sim_stats, kernel_time)``: the simulator's stats and
+    virtual makespan, or ``None`` and the kernel's wall clock.
+    """
+    pid = kernel.spawn_local(
+        body, problem, params, name="master", machine_index=0, **master_kwargs
+    )
+    if listen:
+        kernel.notify_deaths_to(pid)
+    track(pid)
+    try:
+        if warm or listen:
+            # raises ProcessError if the master misses the deadline
+            kernel.join(pid, timeout=join_timeout)
+        else:
+            kernel.join_all(timeout=join_timeout)
+    finally:
+        track(None)
+        if listen:
+            kernel.notify_deaths_to(None)
+    result = kernel.result_of(pid)
+    if isinstance(kernel, SimKernel):
+        stats = kernel.stats()
+        return result, stats, stats.virtual_makespan
+    return result, None, kernel.now
 
 
 class WorkerPool:
@@ -127,10 +166,7 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     def worker_dead(self, index: int) -> bool:
         """Whether the persistent TSW loop ``index`` is no longer serving."""
-        pid = self._tsw_pids[index]
-        if self.is_simulated:
-            return self.kernel.process_info(pid).state in _SIM_DEAD_STATES
-        return self.kernel.worker_dead(pid)
+        return self.kernel.worker_dead(self._tsw_pids[index])
 
     def repair(self) -> List[int]:
         """Respawn dead persistent TSW loops in-slot.
@@ -243,10 +279,9 @@ class WorkerPool:
         for machine, _hint in zip(machine_list, hint_list):
             index = self._next_worker_index
             self._next_worker_index += 1
-            kwargs = {"name": f"tsw{index}", "machine_index": machine}
-            if self.is_simulated:
-                kwargs["start_time"] = self.kernel.now
-            pid = self.kernel.spawn(tsw_worker_loop, self.clws_per_tsw, **kwargs)
+            pid = self.kernel.spawn(
+                tsw_worker_loop, self.clws_per_tsw, name=f"tsw{index}", machine_index=machine
+            )
             self._tsw_pids.append(pid)
             new_pids.append(pid)
         if self.is_simulated:
@@ -290,7 +325,6 @@ class WorkerPool:
         *,
         resume_state: Optional[MasterRunState] = None,
         max_rounds: Optional[int] = None,
-        master_machine: int = 0,
         join_timeout: float = 3600.0,
     ) -> Tuple[MasterResult, Optional[SimStats], float]:
         """Run one master epoch against the warm workers.
@@ -313,56 +347,28 @@ class WorkerPool:
         # surfaced through this run's fault events
         repair_events = list(self._pending_repair_events)
         self._pending_repair_events.clear()
-        fault_listening = params.fault_enabled or self.fault_plan is not None
-        if self.is_simulated:
-            pid = self.kernel.spawn(
-                master_process,
-                problem,
-                params,
-                name="master",
-                machine_index=master_machine,
-                start_time=self.kernel.now,
-                resume_state=resume_state,
-                max_rounds=max_rounds,
-                pool_pids=list(self._tsw_pids),
-            )
-            if fault_listening:
-                # the listener also receives seeded admit/drain requests, so
-                # arm it whenever a plan is loaded, not only in fault mode
-                self.kernel.notify_deaths_to(pid)
-            stats = self.kernel.run(allow_blocked=True)
-            if fault_listening:
-                self.kernel.notify_deaths_to(None)
-            self._runs_served += 1
-            result = self.kernel.result_of(pid)
-            result.fault_events[:0] = repair_events
-            return result, stats, self.kernel.now
-        pid = self.kernel.spawn_local(
+        result, stats, kernel_time = drive_master(
+            self.kernel,
             master_process,
             problem,
             params,
-            name="master",
-            machine_index=master_machine,
+            # the listener also receives seeded admit/drain requests, so arm
+            # it whenever a plan is loaded, not only in fault mode
+            listen=params.fault_enabled or self.fault_plan is not None,
+            warm=True,
+            join_timeout=join_timeout,
+            track=self._track_master,
             resume_state=resume_state,
             max_rounds=max_rounds,
             pool_pids=list(self._tsw_pids),
         )
-        if fault_listening:
-            self.kernel.notify_deaths_to(pid)
+        self._runs_served += 1
+        result.fault_events[:0] = repair_events
+        return result, stats, kernel_time
+
+    def _track_master(self, pid: Optional[int]) -> None:
         with self._lock:
             self._active_master_pid = pid
-        try:
-            # raises ProcessError if the master misses the deadline
-            self.kernel.join(pid, timeout=join_timeout)
-        finally:
-            with self._lock:
-                self._active_master_pid = None
-            if fault_listening:
-                self.kernel.notify_deaths_to(None)
-        self._runs_served += 1
-        result = self.kernel.result_of(pid)
-        result.fault_events[:0] = repair_events
-        return result, None, self.kernel.now
 
     def post_cancel(self) -> bool:
         """Ask the currently-running pooled master (if any) to pause.
@@ -383,17 +389,12 @@ class WorkerPool:
         if self._closed:
             return
         self._closed = True
+        for pid in self._tsw_pids:
+            self.kernel.post(pid, Tags.POOL_SHUTDOWN)
         if self.is_simulated:
-            self.kernel.spawn(
-                _pool_shutdown_process,
-                list(self._tsw_pids),
-                name="pool-shutdown",
-                start_time=self.kernel.now,
-            )
+            # loops a fault plan left orphaned stay parked: idle, not stuck
             self.kernel.run(allow_blocked=True)
         else:
-            for pid in self._tsw_pids:
-                self.kernel.post(pid, Tags.POOL_SHUTDOWN)
             self.kernel.join_all(timeout=join_timeout)
             self.kernel.shutdown()
 

@@ -40,7 +40,7 @@ from ..parallel.messages import Tags
 from ..pvm.cluster import ClusterSpec
 from ..pvm.faults import FaultPlan
 from ..pvm.simulator import ProcessInfo, SimStats
-from .pool import WorkerPool, make_kernel
+from .pool import WorkerPool, drive_master, make_kernel
 from .state import SessionState
 
 __all__ = ["ProgressEvent", "SessionStatus", "SearchSession", "TOPOLOGY_KINDS"]
@@ -120,7 +120,6 @@ class SearchSession:
         backend: str = "simulated",
         cluster: Optional[ClusterSpec] = None,
         pool: Optional[WorkerPool] = None,
-        master_machine: int = 0,
         join_timeout: float = 3600.0,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
@@ -129,7 +128,6 @@ class SearchSession:
         self.pool = pool
         self.backend = pool.backend if pool is not None else backend
         self.cluster = pool.cluster if pool is not None else cluster
-        self.master_machine = master_machine
         self.join_timeout = join_timeout
         if fault_plan is not None:
             if pool is not None:
@@ -220,70 +218,40 @@ class SearchSession:
         wall_start = time.perf_counter()
 
         if self.pool is not None:
+            kernel = self.pool.kernel
             master_result, stats, kernel_time = self.pool.run_master(
                 self.problem,
                 self.params,
                 resume_state=resume_state,
                 max_rounds=max_rounds,
-                master_machine=self.master_machine,
                 join_timeout=self.join_timeout,
             )
-            process_infos = (
-                self.pool.kernel.all_processes() if self.pool.is_simulated else []
-            )
-        elif self.backend == "simulated":
-            fault_mode = self.params.fault_enabled or self.fault_plan is not None
-            kernel = make_kernel("simulated", self.cluster, fault_plan=self.fault_plan)
-            pid = kernel.spawn(
-                master_process,
-                self.problem,
-                self.params,
-                name="master",
-                machine_index=self.master_machine,
-                resume_state=resume_state,
-                max_rounds=max_rounds,
-            )
-            if fault_mode:
-                # obituaries route to the master; killed/declared-dead
-                # workers may leave parked processes behind, which is the
-                # expected end state of a degraded run
-                kernel.notify_deaths_to(pid)
-                stats = kernel.run(allow_blocked=True)
-            else:
-                stats = kernel.run()
-            master_result = kernel.result_of(pid)
-            kernel_time = stats.virtual_makespan
-            process_infos = kernel.all_processes()
         else:
-            kernel = make_kernel(self.backend, self.cluster)
+            kernel = make_kernel(self.backend, self.cluster, fault_plan=self.fault_plan)
+
+            def track(pid: Optional[int]) -> None:
+                with self._lock:
+                    self._active = None if pid is None else (kernel, pid)
+
             try:
-                pid = kernel.spawn_local(
+                master_result, stats, kernel_time = drive_master(
+                    kernel,
                     master_process,
                     self.problem,
                     self.params,
-                    name="master",
-                    machine_index=self.master_machine,
+                    # a dead worker must not abort the epoch: its obituary
+                    # goes to the master, and the epoch waits for the master
+                    # alone, since crashed or orphaned workers stay behind
+                    listen=self.params.fault_enabled or self.fault_plan is not None,
+                    warm=False,
+                    join_timeout=self.join_timeout,
+                    track=track,
                     resume_state=resume_state,
                     max_rounds=max_rounds,
                 )
-                with self._lock:
-                    self._active = (kernel, pid)
-                if self.params.fault_enabled:
-                    # a dead worker must not abort the epoch: route its
-                    # obituary to the master and wait for the master alone
-                    # (join_all would abort on the crashed worker's error)
-                    kernel.notify_deaths_to(pid)
-                    kernel.join(pid, timeout=self.join_timeout)
-                else:
-                    kernel.join_all(timeout=self.join_timeout)
-                master_result = kernel.result_of(pid)
-                kernel_time = kernel.now
             finally:
-                with self._lock:
-                    self._active = None
                 kernel.shutdown()
-            stats = None
-            process_infos = []
+        process_infos = kernel.all_processes() if stats is not None else []
 
         wall = time.perf_counter() - wall_start
         with self._lock:
@@ -453,7 +421,6 @@ class SearchSession:
         backend: Optional[str] = None,
         cluster: Optional[ClusterSpec] = None,
         pool: Optional[WorkerPool] = None,
-        master_machine: int = 0,
         join_timeout: float = 3600.0,
         fault_plan: Optional[FaultPlan] = None,
     ) -> "SearchSession":
@@ -473,7 +440,6 @@ class SearchSession:
             backend=backend if backend is not None else state.backend,
             cluster=cluster,
             pool=pool,
-            master_machine=master_machine,
             join_timeout=join_timeout,
             fault_plan=fault_plan,
         )

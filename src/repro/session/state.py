@@ -44,8 +44,10 @@ __all__ = [
 
 #: First bytes of every checkpoint artifact ("Repro Tabu Session State").
 MAGIC = b"RTSS"
-#: Bumped whenever the pickled payload layout changes incompatibly.
-SCHEMA_VERSION = 2
+#: Bumped whenever the pickled payload layout changes incompatibly: slotted
+#: dataclasses such as ``ParallelSearchParams`` unpickle their fields by
+#: position, so a removed field would silently shift the rest.
+SCHEMA_VERSION = 3
 
 _HEADER = struct.Struct("<4sI")
 
@@ -111,7 +113,12 @@ class SessionState:
                 f"unsupported checkpoint schema version {version} "
                 f"(this build reads version {SCHEMA_VERSION})"
             )
-        payload = pickle.loads(blob[_HEADER.size :])
+        try:
+            payload = pickle.loads(blob[_HEADER.size :])
+        except Exception as error:  # noqa: BLE001 - any decode failure is a bad artifact
+            raise SessionError(
+                f"checkpoint artifact is corrupt: {type(error).__name__}: {error}"
+            ) from error
         return cls(
             problem=payload["problem"],
             params=payload["params"],
@@ -131,7 +138,11 @@ class SessionState:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SessionState":
         """Read an artifact written by :meth:`save`."""
-        return cls.from_bytes(Path(path).read_bytes())
+        try:
+            blob = Path(path).read_bytes()
+        except OSError as error:
+            raise SessionError(f"cannot read checkpoint {str(path)!r}: {error.strerror}") from error
+        return cls.from_bytes(blob)
 
 
 # --------------------------------------------------------------------------- #

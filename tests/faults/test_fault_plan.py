@@ -118,8 +118,12 @@ class TestDrainWorker:
 
 class TestFaultPlan:
     def test_empty_plan(self):
-        assert FaultPlan().empty
-        assert not FaultPlan(kills=(KillWorker(at=0.0, name="x"),)).empty
+        plan = FaultPlan()
+        assert (plan.kills, plan.throttles, plan.spawns, plan.drains) == ((), (), (), ())
+        assert plan.message_faults is None
+        assert FaultPlan(kills=[KillWorker(at=0.0, name="x")]).kills == (
+            KillWorker(at=0.0, name="x"),
+        )
 
     def test_from_dict_round_trip(self):
         plan = FaultPlan.from_dict(
@@ -152,7 +156,6 @@ class TestFaultPlan:
         )
         assert plan.spawns[0].count == 2
         assert plan.drains[0].name == "tsw1"
-        assert not plan.empty
 
     def test_errors_name_the_offending_entry_and_field(self):
         with pytest.raises(SimulationError, match=r"kills\[1\].*at"):

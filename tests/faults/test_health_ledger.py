@@ -12,10 +12,6 @@ def make_ledger(**policy_overrides) -> HealthLedger:
         round_deadline=10.0,
         clw_deadline=5.0,
         max_missed_deadlines=1,
-        limplock_ratio=0.25,
-        limplock_rounds=2,
-        min_iteration_share=0.25,
-        throughput_smoothing=0.5,
     )
     defaults.update(policy_overrides)
     return HealthLedger(FaultPolicy(**defaults), [0, 1, 2])
@@ -70,7 +66,7 @@ class TestLimplock:
         return ledger
 
     def test_persistent_slowness_limplocks(self):
-        ledger = self._feed_rounds(make_ledger(limplock_rounds=2), rounds=1)
+        ledger = self._feed_rounds(make_ledger(), rounds=1)
         assert ledger.limplocked_keys() == []
         self._feed_rounds(ledger, rounds=1, slow_total=100)
         assert ledger.limplocked_keys() == [2]
@@ -80,7 +76,7 @@ class TestLimplock:
         assert ledger.iteration_budget(0, 100) == 100  # healthy: full budget
         budget = ledger.iteration_budget(2, 100)
         assert budget < 100
-        assert budget >= 25  # min_iteration_share floor
+        assert budget >= 25  # MIN_ITERATION_SHARE floor
 
     def test_dead_workers_never_report_limplocked(self):
         ledger = self._feed_rounds(make_ledger(), rounds=3)

@@ -30,10 +30,6 @@ POLICY = FaultPolicy(
     round_deadline=10.0,
     clw_deadline=5.0,
     max_missed_deadlines=1,
-    limplock_ratio=0.25,
-    limplock_rounds=2,
-    min_iteration_share=0.25,
-    throughput_smoothing=0.5,
 )
 
 
@@ -85,7 +81,7 @@ class TestSpeedHints:
         feed_rounds(ledger, {0: 40_000.0, 1: 1_000.0, 2: 100.0}, rounds=3)
         assert ledger.limplocked_keys() == [2]
         # the shrunk budget scales by the *normalised* ratio (100/1000),
-        # floored at min_iteration_share
+        # floored at MIN_ITERATION_SHARE
         assert ledger.iteration_budget(2, 100) == 25
 
     def test_hints_do_not_change_raw_partition_weights(self):

@@ -13,7 +13,7 @@ import pytest
 
 from repro.parallel import FaultPolicy, ParallelSearchParams
 from repro.pvm import FaultPlan, KillWorker, MessageFaults, ThrottleMachine
-from repro.session import SearchSession
+from repro.session import SearchSession, WorkerPool
 from repro.tabu import TabuSearchParams
 
 NUM_TSWS = 3
@@ -121,3 +121,38 @@ class TestNetworkDegradation:
         assert result.complete
         kinds = {e.kind for e in result.fault_events}
         assert kinds & {"worker-dead", "deadline-resend"}
+
+
+def pool_runs(problem, plan=None, **overrides):
+    """Two consecutive runs (seeds 11, 12) on one warm simulated 2x2 pool."""
+    params = fault_params(num_tsws=2, **overrides)
+    pool = WorkerPool(2, 2, backend="simulated", fault_plan=plan)
+    try:
+        return [
+            SearchSession(problem=problem, params=params.with_(seed=seed), pool=pool).run()
+            for seed in (11, 12)
+        ]
+    finally:
+        pool.close()
+
+
+class TestWarmPoolRecovery:
+    def test_stale_deadline_timeouts_leave_the_clock_alone(self, problem):
+        """A fault-mode run leaves stale deadline timeouts queued after its
+        last event; they must neither stretch the run's virtual runtime nor
+        delay the pool's next run."""
+        plain = pool_runs(problem, fault=None, global_iterations=3)
+        armed = pool_runs(problem, global_iterations=3)
+        assert [r.virtual_runtime for r in armed] == [r.virtual_runtime for r in plain]
+        assert [r.trace for r in armed] == [r.trace for r in plain]
+        assert armed[1].virtual_runtime < 1.0
+
+    def test_dead_clw_loop_costs_its_tsw_one_clw(self, problem):
+        """A CLW loop that died while the pool idled is struck out at the CLW
+        deadline of its TSW's setup; the TSW stays in the run."""
+        plan = FaultPlan(kills=(KillWorker(at=0.01, name="tsw0.clw1"),))
+        for result in pool_runs(problem, plan):
+            assert result.complete
+            dead = [e.worker for e in result.fault_events if e.kind == "worker-dead"]
+            assert "tsw0" not in dead
+            assert all(len(r.received_costs) == 2 for r in result.global_records)

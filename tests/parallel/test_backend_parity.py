@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.parallel import ParallelSearchParams, run_parallel_search
+from repro.parallel.delta import SolutionPayload
 from repro.parallel.messages import (
     ClwResult,
     ClwTask,
@@ -98,7 +99,9 @@ class TestSpawnSafety:
 
     def test_message_envelope_round_trips(self):
         payload = GlobalStart(
-            global_iteration=3, solution=np.arange(16, dtype=np.int64), tabu_payload=()
+            global_iteration=3,
+            solution=SolutionPayload.full_shipment(np.arange(16, dtype=np.int64), 3),
+            tabu_payload=(),
         )
         message = Message(
             src=1, dst=2, tag="global_start", payload=payload, size_bytes=128,
@@ -106,19 +109,23 @@ class TestSpawnSafety:
         )
         clone = pickle.loads(pickle.dumps(message))
         assert (clone.src, clone.dst, clone.tag) == (1, 2, "global_start")
-        assert np.array_equal(clone.payload.solution, payload.solution)
+        assert np.array_equal(
+            clone.payload.solution.full_solution(), payload.solution.full_solution()
+        )
 
     def test_protocol_payloads_round_trip(self):
         payloads = [
-            GlobalStart(global_iteration=0, solution=np.arange(8, dtype=np.int64)),
+            GlobalStart(global_iteration=0, solution=SolutionPayload.full_shipment(np.arange(8), 0)),
             ReportNow(round_id=4),
-            ClwTask(round_id=1, solution=np.arange(8, dtype=np.int64)),
+            ClwTask(round_id=1, solution=SolutionPayload.full_shipment(np.arange(8), 1)),
             ClwResult(
                 clw_index=0, round_id=1, pairs=((1, 2), (3, 4)), cost_before=1.0,
                 cost_after=0.9, trials=6, interrupted=False,
             ),
             TswResult(
-                tsw_index=1, global_iteration=0, best_solution=np.arange(8, dtype=np.int64),
+                tsw_index=1,
+                global_iteration=0,
+                best_solution=SolutionPayload.full_shipment(np.arange(8), 0),
                 best_cost=0.8, local_iterations_done=3, interrupted=False, evaluations=42,
                 tabu_payload=(("swap", (1, 2), 9),), trace=((0.1, 1.0),),
             ),

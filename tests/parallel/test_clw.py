@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.parallel.clw import clw_process
+from repro.parallel.delta import SolutionPayload
 from repro.parallel.messages import ClwTask, ReportNow, Tags
 from repro.placement import load_benchmark
 from repro.problems.placement import PlacementProblem
@@ -21,6 +22,11 @@ from repro.tabu import TabuSearchParams, full_range, partition_cells
 @pytest.fixture(scope="module")
 def problem():
     return PlacementProblem.from_netlist(load_benchmark("mini64"), reference_seed=0)
+
+
+def full_task(round_id, solution):
+    """A task shipping ``solution`` in full, versioned by its round."""
+    return ClwTask(round_id=round_id, solution=SolutionPayload.full_shipment(solution, round_id))
 
 
 def run_scripted_parent(problem, parent_body):
@@ -43,7 +49,7 @@ class TestClwTaskHandling:
             results = []
             for round_id in range(1, 4):
                 solution = problem.random_solution(seed=round_id)
-                yield ctx.send(clw, Tags.CLW_TASK, ClwTask(round_id=round_id, solution=solution))
+                yield ctx.send(clw, Tags.CLW_TASK, full_task(round_id, solution))
                 reply = yield ctx.recv(tag=Tags.CLW_RESULT)
                 results.append(reply.payload)
             yield ctx.send(clw, Tags.STOP)
@@ -71,7 +77,7 @@ class TestClwTaskHandling:
                 clw_process, problem, params, full_range(problem.num_cells), 0, 5, name="clw0"
             )
             solution = problem.random_solution(seed=9)
-            yield ctx.send(clw, Tags.CLW_TASK, ClwTask(round_id=1, solution=solution))
+            yield ctx.send(clw, Tags.CLW_TASK, full_task(1, solution))
             reply = yield ctx.recv(tag=Tags.CLW_RESULT)
             yield ctx.send(clw, Tags.STOP)
             return solution, reply.payload
@@ -93,7 +99,7 @@ class TestClwTaskHandling:
             )
             yield ctx.send(
                 clw, Tags.CLW_TASK,
-                ClwTask(round_id=1, solution=problem.random_solution(seed=1)),
+                full_task(1, problem.random_solution(seed=1)),
             )
             reply = yield ctx.recv(tag=Tags.CLW_RESULT)
             yield ctx.send(clw, Tags.STOP)
@@ -112,7 +118,7 @@ class TestClwTaskHandling:
                 clw_process, problem, params, full_range(problem.num_cells), 3, 7, name="clw3"
             )
             yield ctx.send(
-                clw, Tags.CLW_TASK, ClwTask(round_id=1, solution=problem.random_solution(seed=1))
+                clw, Tags.CLW_TASK, full_task(1, problem.random_solution(seed=1))
             )
             yield ctx.recv(tag=Tags.CLW_RESULT)
             yield ctx.send(clw, Tags.STOP)
@@ -134,7 +140,7 @@ class TestClwTaskHandling:
             # a report request for a round that never existed must not break anything
             yield ctx.send(clw, Tags.REPORT_NOW, ReportNow(round_id=0))
             yield ctx.send(
-                clw, Tags.CLW_TASK, ClwTask(round_id=1, solution=problem.random_solution(seed=4))
+                clw, Tags.CLW_TASK, full_task(1, problem.random_solution(seed=4))
             )
             reply = yield ctx.recv(tag=Tags.CLW_RESULT)
             yield ctx.send(clw, Tags.STOP)

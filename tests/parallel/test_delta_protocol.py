@@ -19,7 +19,6 @@ from repro.parallel.delta import (
     DeltaEncoder,
     ResidentSolution,
     SolutionPayload,
-    as_payload,
     decode_solution,
     solution_crc,
     swap_list_between,
@@ -108,7 +107,7 @@ class TestDeltaEncoder:
     def test_full_then_delta_then_fallback(self):
         rng = np.random.default_rng(2)
         base = rng.permutation(200)
-        encoder = DeltaEncoder(max_delta_fraction=0.25)
+        encoder = DeltaEncoder()
         first = encoder.encode("w", base, version=0)
         assert first.is_full
 
@@ -120,7 +119,7 @@ class TestDeltaEncoder:
 
         far = near.copy()[rng.permutation(200)]
         third = encoder.encode("w", far, version=2)
-        assert third.is_full  # diff beyond max_delta_fraction ships full
+        assert third.is_full  # diff beyond MAX_DELTA_FRACTION ships full
         assert encoder.full_shipments == 2 and encoder.delta_shipments == 1
 
     def test_invalidate_forces_full(self):
@@ -267,7 +266,7 @@ class TestClwDeltaProtocol:
             # proper full task first
             yield ctx.send(
                 clw, Tags.CLW_TASK,
-                ClwTask(round_id=1, solution=as_payload(solution, version=1)),
+                ClwTask(round_id=1, solution=SolutionPayload.full_shipment(solution, 1)),
             )
             first = (yield ctx.recv(tag=Tags.CLW_RESULT)).payload
             # now a delta claiming a base the CLW never adopted
@@ -281,7 +280,7 @@ class TestClwDeltaProtocol:
             target = random_swapped(solution, 2, rng)
             yield ctx.send(
                 clw, Tags.CLW_TASK,
-                ClwTask(round_id=2, solution=as_payload(target, version=2)),
+                ClwTask(round_id=2, solution=SolutionPayload.full_shipment(target, 2)),
             )
             recovered = (yield ctx.recv(tag=Tags.CLW_RESULT)).payload
             yield ctx.send(clw, Tags.STOP)
@@ -302,7 +301,7 @@ class TestClwDeltaProtocol:
             solution = problem.random_solution(seed=3)
             yield ctx.send(
                 clw, Tags.CLW_TASK,
-                ClwTask(round_id=1, solution=as_payload(solution, version=1)),
+                ClwTask(round_id=1, solution=SolutionPayload.full_shipment(solution, 1)),
             )
             yield ctx.recv(tag=Tags.CLW_RESULT)
             # correct base version, wrong checksum: simulates a tracking bug
@@ -314,7 +313,7 @@ class TestClwDeltaProtocol:
             target = problem.random_solution(seed=4)
             yield ctx.send(
                 clw, Tags.CLW_TASK,
-                ClwTask(round_id=2, solution=as_payload(target, version=2)),
+                ClwTask(round_id=2, solution=SolutionPayload.full_shipment(target, 2)),
             )
             recovered = (yield ctx.recv(tag=Tags.CLW_RESULT)).payload
             yield ctx.send(clw, Tags.STOP)
@@ -354,7 +353,9 @@ class TestTswDeltaProtocol:
             nack = (yield ctx.recv(tag=Tags.TSW_RESULT)).payload
             yield ctx.send(
                 tsw, Tags.GLOBAL_START,
-                GlobalStart(global_iteration=0, solution=solution),
+                GlobalStart(
+                    global_iteration=0, solution=SolutionPayload.full_shipment(solution, 0)
+                ),
             )
             recovered = (yield ctx.recv(tag=Tags.TSW_RESULT)).payload
             yield ctx.send(tsw, Tags.STOP)

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.parallel import ParallelSearchParams, build_problem
+from repro.parallel.delta import SolutionPayload
 from repro.parallel.master import MasterResult, master_process
 from repro.parallel.messages import ClwResult, GlobalStart, Tags, TswResult, TswSummary
 from repro.parallel.tsw import tsw_process
@@ -106,7 +107,7 @@ def make_tsw_result(problem, *, tsw_index: int, global_iteration: int) -> TswRes
     return TswResult(
         tsw_index=tsw_index,
         global_iteration=global_iteration,
-        best_solution=solution,
+        best_solution=SolutionPayload.full_shipment(solution, global_iteration),
         best_cost=1e9,  # deliberately worse than the incumbent: never adopted
         local_iterations_done=1,
         interrupted=False,
@@ -219,7 +220,7 @@ class TestTswStaleResult:
         clw_ranges = partition_cells(num_cells, 2, scheme="strided", label_prefix="clw")
         start = GlobalStart(
             global_iteration=0,
-            solution=problem.random_solution(seed=3),
+            solution=SolutionPayload.full_shipment(problem.random_solution(seed=3), 0),
             tabu_payload=None,
         )
         stale = ClwResult(

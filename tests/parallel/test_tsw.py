@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.parallel import ParallelSearchParams
-from repro.parallel.delta import decode_solution
+from repro.parallel.delta import SolutionPayload, decode_solution
 from repro.parallel.messages import GlobalStart, ReportNow, Tags
 from repro.parallel.tsw import tsw_process
 from repro.placement import load_benchmark
@@ -63,7 +63,10 @@ class TestTswProtocol:
             for iteration in range(2):
                 yield ctx.send(
                     tsw, Tags.GLOBAL_START,
-                    GlobalStart(global_iteration=iteration, solution=solution),
+                    GlobalStart(
+                        global_iteration=iteration,
+                        solution=SolutionPayload.full_shipment(solution, iteration),
+                    ),
                 )
                 reply = yield ctx.recv(tag=Tags.TSW_RESULT)
                 results.append(reply.payload)
@@ -101,7 +104,11 @@ class TestTswProtocol:
             tsw = yield spawn_tsw(ctx, problem, params)
             solution = problem.random_solution(seed=1)
             yield ctx.send(
-                tsw, Tags.GLOBAL_START, GlobalStart(global_iteration=0, solution=solution)
+                tsw,
+                Tags.GLOBAL_START,
+                GlobalStart(
+                    global_iteration=0, solution=SolutionPayload.full_shipment(solution, 0)
+                ),
             )
             # let the TSW get going, then demand an early report
             yield ctx.sleep(0.05)
@@ -124,7 +131,11 @@ class TestTswProtocol:
             tsw = yield spawn_tsw(ctx, problem, params, tsw_index=0)
             solution = problem.random_solution(seed=1)
             yield ctx.send(
-                tsw, Tags.GLOBAL_START, GlobalStart(global_iteration=0, solution=solution)
+                tsw,
+                Tags.GLOBAL_START,
+                GlobalStart(
+                    global_iteration=0, solution=SolutionPayload.full_shipment(solution, 0)
+                ),
             )
             first = (yield ctx.recv(tag=Tags.TSW_RESULT)).payload
             # broadcast the returned best together with its tabu list (the
@@ -138,7 +149,7 @@ class TestTswProtocol:
                 Tags.GLOBAL_START,
                 GlobalStart(
                     global_iteration=1,
-                    solution=first_best,
+                    solution=SolutionPayload.full_shipment(first_best, 1),
                     tabu_payload=first.tabu_payload,
                 ),
             )

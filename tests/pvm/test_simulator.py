@@ -143,6 +143,25 @@ class TestMessaging:
         kernel.run()
         assert kernel.result_of(recv_pid) == "hello"
 
+    def test_stale_timeout_is_counted_but_leaves_the_clock(self):
+        def receiver(ctx):
+            message = yield ctx.recv_timeout(10.0, tag="data")
+            return message.payload
+
+        def sender(ctx, dst):
+            yield ctx.send(dst, "data", "hello")
+
+        kernel = make_kernel()
+        recv_pid = kernel.spawn(receiver, name="recv")
+        kernel.spawn(sender, recv_pid, name="send")
+        stats = kernel.run()
+        assert kernel.result_of(recv_pid) == "hello"
+        # the cancelled 10 s timeout was still popped off the queue...
+        assert stats.total_events == 5
+        # ...but the clock stops at the last event that woke someone
+        assert kernel.now == pytest.approx(stats.virtual_makespan)
+        assert kernel.now < 1.0
+
     def test_send_to_finished_process_is_dropped(self):
         def quick(ctx):
             yield ctx.compute(1.0)
@@ -295,3 +314,62 @@ class TestStatsAndDeterminism:
         infos = kernel.all_processes()
         assert len(infos) == 5
         assert all(info.state is ProcessState.FINISHED for info in infos)
+
+
+class TestDriverSurface:
+    """The calls one epoch driver makes on any kernel."""
+
+    def test_outside_spawn_starts_at_now(self):
+        def proc(ctx):
+            return (yield ctx.now())
+
+        kernel = make_kernel()
+        kernel.spawn(lambda ctx: (yield ctx.sleep(2.0)))
+        kernel.run()
+        pid = kernel.spawn_local(proc, name="late")
+        kernel.join_all()
+        assert kernel.result_of(pid) == pytest.approx(2.0)
+
+    def test_post_arrives_one_latency_after_now_from_pid_zero(self):
+        def proc(ctx):
+            message = yield ctx.recv(tag="hello")
+            return message.src, message.payload, (yield ctx.now())
+
+        kernel = make_kernel()
+        pid = kernel.spawn(proc)
+        kernel.run(allow_blocked=True)
+        kernel.post(pid, "hello", 7)
+        kernel.join(pid)
+        assert kernel.result_of(pid) == (0, 7, pytest.approx(kernel.cluster.message_latency))
+
+    def test_join_treats_parked_processes_as_idle(self):
+        def parked(ctx):
+            yield ctx.recv(tag="never")
+
+        def done(ctx):
+            yield ctx.compute(1.0)
+            return "ok"
+
+        kernel = make_kernel()
+        kernel.spawn(parked, name="parked")
+        pid = kernel.spawn(done)
+        kernel.join(pid, timeout=1.0)
+        assert kernel.result_of(pid) == "ok"
+        with pytest.raises(SimulationError, match="deadlock"):
+            kernel.join_all()
+
+    def test_worker_dead(self):
+        def parked(ctx):
+            yield ctx.recv(tag="never")
+
+        kernel = make_kernel()
+        pid = kernel.spawn(parked)
+        kernel.run(allow_blocked=True)
+        assert not kernel.worker_dead(pid)
+        kernel.post(pid, "other")
+        kernel.run(allow_blocked=True)
+        assert not kernel.worker_dead(pid)
+        finished = kernel.spawn(lambda ctx: (yield ctx.now()))
+        kernel.run(allow_blocked=True)
+        assert kernel.worker_dead(finished)
+        kernel.shutdown()  # nothing to release

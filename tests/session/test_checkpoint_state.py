@@ -69,16 +69,23 @@ class TestCodecValidation:
         with pytest.raises(SessionError, match="truncated"):
             SessionState.from_bytes(b"RT")
 
+    def test_rejects_truncated_body(self, paused_state):
+        blob = paused_state.to_bytes()
+        with pytest.raises(SessionError, match="corrupt"):
+            SessionState.from_bytes(blob[: len(blob) // 2])
+
     def test_rejects_wrong_magic(self, paused_state):
         blob = b"NOPE" + paused_state.to_bytes()[4:]
         with pytest.raises(SessionError, match="magic"):
             SessionState.from_bytes(blob)
 
     def test_rejects_future_schema_version(self, paused_state):
-        # version 1 predates the required elastic topology fields; a newer
-        # version is unknown to this build
+        # version 1 predates the required elastic topology fields, version 2
+        # pickled parameters with fields since removed (slotted dataclasses
+        # restore by position, so they would load shifted); a newer version
+        # is unknown to this build
         payload = paused_state.to_bytes()[8:]
-        for version in (1, SCHEMA_VERSION + 1):
+        for version in (1, 2, SCHEMA_VERSION + 1):
             blob = struct.pack("<4sI", MAGIC, version) + payload
             with pytest.raises(SessionError, match="schema version"):
                 SessionState.from_bytes(blob)

@@ -153,6 +153,19 @@ class TestSessionsWorkflow:
         assert code == 2
         assert "at least one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sessions"], ["sessions", "inspect"], ["run", "--resume"]],
+        ids=["sessions", "sessions-inspect", "run-resume"],
+    )
+    def test_missing_checkpoint_is_an_error_not_a_traceback(self, tmp_path, capsys, argv):
+        missing = tmp_path / "missing.rtss"
+        code = main(argv + [str(missing)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read checkpoint")
+        assert "missing.rtss" in err
+
     def test_sessions_rejects_a_non_checkpoint_file(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.rtss"
         bogus.write_bytes(b"definitely not a checkpoint")
