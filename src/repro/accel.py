@@ -2,23 +2,22 @@
 
 The profile of a search is made of three kernels — the QAP batched
 swap-delta, the placement batched HPWL delta, and the driver's fused
-tabu+aspiration masked-argmin select — plus the two inner loops of the HPWL
-kernel that NumPy can only express as multi-pass pipelines (the CSR
-shared-net membership test and the segment-reduce fallback for vacated bbox
-edges).  They live here as functions over plain arrays; the domain
-evaluators pass their cache arrays in.  The parity suites in
-``tests/accel`` and ``tests/placement/test_kernels.py`` pin every kernel
-bit-for-bit against the frozen copies in ``tests/oracles/kernels.py``.
+tabu+aspiration masked-argmin select — plus the one inner loop of the HPWL
+kernel that NumPy can only express as a multi-pass pipeline (the CSR
+shared-net membership test).  They live here as functions over plain
+arrays; the domain evaluators pass their cache arrays in.  The parity
+suites in ``tests/accel`` and ``tests/placement/test_kernels.py`` pin every
+kernel bit-for-bit against the frozen copies in ``tests/oracles/kernels.py``.
 
-This module is engine code: it may not import a problem domain, so the one
-netlist-specific step the HPWL kernel needs (gathering a net's members) is
-passed in by the caller.
+This module is engine code: it may not import a problem domain, so the
+netlist-specific step of the HPWL kernel (expanding each candidate pair over
+its cells' nets) is done by the caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "HpwlArrays",
     "hpwl_batch_deltas",
     "shared_net_mask",
-    "fallback_bbox_reduce",
 ]
 
 
@@ -119,7 +117,7 @@ def qap_swap_deltas(
 
 
 # ---------------------------------------------------------------------- #
-# placement: the two inner loops of the HPWL kernel
+# placement: the inner loop of the HPWL kernel
 # ---------------------------------------------------------------------- #
 def shared_net_mask(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
     """Membership of each query key in a sorted key array.
@@ -137,36 +135,6 @@ def shared_net_mask(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarr
     return out
 
 
-def fallback_bbox_reduce(
-    members: np.ndarray,
-    counts: np.ndarray,
-    moved: np.ndarray,
-    to_x: np.ndarray,
-    to_y: np.ndarray,
-    cts: np.ndarray,
-    slot_x: np.ndarray,
-    slot_y: np.ndarray,
-):
-    """Exact bboxes of fallback segments with one pin hypothetically moved.
-
-    For each segment ``s`` (one net of one trial swap), scan its ``counts[s]``
-    members with the moved pin at ``(to_x[s], to_y[s])`` and every other pin
-    at its placed coordinate; returns the four bbox edge arrays.  Masked
-    substitution plus four ``reduceat`` passes.
-    """
-    moved_rep = np.repeat(moved, counts)
-    mx = np.where(members == moved_rep, np.repeat(to_x, counts), slot_x[cts[members]])
-    my = np.where(members == moved_rep, np.repeat(to_y, counts), slot_y[cts[members]])
-    starts = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    return (
-        np.minimum.reduceat(mx, starts),
-        np.maximum.reduceat(mx, starts),
-        np.minimum.reduceat(my, starts),
-        np.maximum.reduceat(my, starts),
-    )
-
-
 # ---------------------------------------------------------------------- #
 # placement: batched HPWL deltas over the dense-incidence / CSR caches
 # ---------------------------------------------------------------------- #
@@ -175,38 +143,26 @@ class HpwlArrays:
     """The :class:`WirelengthState` cache arrays the HPWL kernel reads.
 
     Exactly one of ``incidence`` (dense boolean cell×net matrix) and
-    ``csr_keys`` (sorted ``cell * num_nets + net`` incidence keys) is set,
-    mirroring the state's shared-net detection mode.  Every field is the
-    state's live array.
+    ``csr_keys`` (sorted ``cell * num_nets + net`` incidence keys, with
+    ``csr_bits``, each cell's 64-bit net signature: bit ``net & 63`` set
+    for each of its nets) is set, mirroring the state's shared-net
+    detection mode.  Every field is the state's live array.
     """
 
     num_nets: int
     incidence: Optional[np.ndarray]
     csr_keys: Optional[np.ndarray]
+    csr_bits: Optional[np.ndarray]
     x_min: np.ndarray
     x_max: np.ndarray
     y_min: np.ndarray
     y_max: np.ndarray
-    n_x_min: np.ndarray
-    n_x_max: np.ndarray
-    n_y_min: np.ndarray
-    n_y_max: np.ndarray
+    inner_x_min: np.ndarray
+    inner_x_max: np.ndarray
+    inner_y_min: np.ndarray
+    inner_y_max: np.ndarray
     per_net: np.ndarray
     net_weights: np.ndarray
-
-
-def _shrink_min(cur, support, frm, to):
-    """Fast-path new minimum after one pin moves ``frm → to`` (+ fallback mask)."""
-    new = np.minimum(cur, to)
-    fallback = (frm == cur) & (support <= 1) & (to > cur)
-    return new, fallback
-
-
-def _shrink_max(cur, support, frm, to):
-    """Fast-path new maximum after one pin moves ``frm → to`` (+ fallback mask)."""
-    new = np.maximum(cur, to)
-    fallback = (frm == cur) & (support <= 1) & (to < cur)
-    return new, fallback
 
 
 def hpwl_batch_deltas(
@@ -216,27 +172,28 @@ def hpwl_batch_deltas(
     pair: np.ndarray,
     net: np.ndarray,
     other: np.ndarray,
-    moved: np.ndarray,
     from_x: np.ndarray,
     from_y: np.ndarray,
     to_x: np.ndarray,
     to_y: np.ndarray,
     active: np.ndarray,
-    cts: np.ndarray,
-    slot_x: np.ndarray,
-    slot_y: np.ndarray,
-    gather_members: Callable,
 ) -> np.ndarray:
     """Weighted-HPWL deltas of a flat-expanded candidate batch.
 
     The caller (``WirelengthState.deltas_for_swaps``) has already expanded
-    the pairs to flat ``(pair, net)`` items.  Steps here:
+    the pairs to flat ``(pair, net)`` items: each item moves one pin of
+    ``net`` from ``(from_x, from_y)`` to ``(to_x, to_y)``, and ``other`` is
+    the swap partner.  Steps here:
 
     1. neutralise items whose swap partner shares the net (one dense
-       incidence gather, or a binary search of the sorted CSR keys);
-    2. O(1) bbox-edge updates from the cached edge multiplicities;
-    3. segment-reduce for the rare vacated-edge fallbacks, scattered back;
-    4. weighted per-item deltas folded per pair with ``bincount``.
+       incidence gather, or a binary search of the sorted CSR keys for the
+       items whose partner's net signature has the net's bit);
+    2. exact O(1) bbox-edge updates: a pin leaving an edge exposes the
+       edge's cached next-inner value, so the new minimum is
+       ``min(inner if frm == edge else edge, to)`` (mirrored for maxima).
+       No item re-reduces its net's members — with per-edge pin counts
+       cached instead, 66% of a 256-pair batch's items had to;
+    3. weighted per-item deltas folded per pair with ``bincount``.
 
     ``active`` is updated in place.  Returns a float64 array of per-pair
     deltas.
@@ -247,39 +204,23 @@ def hpwl_batch_deltas(
     if arrays.incidence is not None:
         active &= ~arrays.incidence[other, net]
     else:
-        keys = other * np.int64(arrays.num_nets) + net
-        active &= ~shared_net_mask(arrays.csr_keys, keys)
+        maybe = np.flatnonzero(
+            (arrays.csr_bits[other] >> (net & 63).astype(np.uint64)) & np.uint64(1)
+        )
+        keys = other[maybe] * np.int64(arrays.num_nets) + net[maybe]
+        active[maybe] &= ~shared_net_mask(arrays.csr_keys, keys)
     if not bool(active.any()):
         return out
 
-    # --- O(1) bbox-edge updates from the cache ------------------------- #
-    new_x_min, fb_x_min = _shrink_min(
-        arrays.x_min[net], arrays.n_x_min[net], from_x, to_x
-    )
-    new_x_max, fb_x_max = _shrink_max(
-        arrays.x_max[net], arrays.n_x_max[net], from_x, to_x
-    )
-    new_y_min, fb_y_min = _shrink_min(
-        arrays.y_min[net], arrays.n_y_min[net], from_y, to_y
-    )
-    new_y_max, fb_y_max = _shrink_max(
-        arrays.y_max[net], arrays.n_y_max[net], from_y, to_y
-    )
-
-    # --- segment-reduce fallback for vacated edges --------------------- #
-    # inactive items are excluded: their contribution is zeroed below, so
-    # re-reducing their members would be pure waste
-    fallback = (fb_x_min | fb_x_max | fb_y_min | fb_y_max) & active
-    if bool(fallback.any()):
-        idx = np.flatnonzero(fallback)
-        members, counts = gather_members(net[idx])
-        fb_x_lo, fb_x_hi, fb_y_lo, fb_y_hi = fallback_bbox_reduce(
-            members, counts, moved[idx], to_x[idx], to_y[idx], cts, slot_x, slot_y
-        )
-        new_x_min[idx] = fb_x_lo
-        new_x_max[idx] = fb_x_hi
-        new_y_min[idx] = fb_y_lo
-        new_y_max[idx] = fb_y_hi
+    # --- exact O(1) bbox-edge updates from the cache ------------------- #
+    x_min = arrays.x_min[net]
+    new_x_min = np.minimum(np.where(from_x == x_min, arrays.inner_x_min[net], x_min), to_x)
+    x_max = arrays.x_max[net]
+    new_x_max = np.maximum(np.where(from_x == x_max, arrays.inner_x_max[net], x_max), to_x)
+    y_min = arrays.y_min[net]
+    new_y_min = np.minimum(np.where(from_y == y_min, arrays.inner_y_min[net], y_min), to_y)
+    y_max = arrays.y_max[net]
+    new_y_max = np.maximum(np.where(from_y == y_max, arrays.inner_y_max[net], y_max), to_y)
 
     # --- weighted per-item deltas, folded per pair --------------------- #
     new_hpwl = (new_x_max - new_x_min) + (new_y_max - new_y_min)

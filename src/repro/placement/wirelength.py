@@ -10,14 +10,13 @@ Three access patterns are provided:
   when a solution arrives over the (simulated) network or when caches need a
   rebuild;
 * :class:`WirelengthState` — an incremental cache of per-net bounding boxes
-  (``x_min/x_max/y_min/y_max`` plus the number of members sitting on each
-  bbox edge) that can evaluate the *delta* of a candidate swap with O(affected
-  nets) arithmetic and no member re-gather in the common case;
+  (``x_min/x_max/y_min/y_max`` plus each edge's *next-inner* value, where the
+  edge would sit if one pin on it left) that evaluates the *delta* of a
+  candidate swap exactly with O(affected nets) arithmetic and no member
+  re-gather;
 * :meth:`WirelengthState.deltas_for_swaps` — the batched kernel: it scores an
-  entire candidate neighbourhood in a handful of NumPy operations (flat CSR
-  cell→net expansion, no per-trial ``union1d``), falling back to a vectorised
-  segment reduce only for the rare trials where a moved cell is the sole
-  support of a bbox edge.
+  entire candidate neighbourhood in a handful of NumPy operations (one flat
+  CSR cell→net expansion, no per-trial ``union1d``, no segment reduce).
 
 The tabu-search inner loop only ever uses deltas, so this module is the
 hottest code path of the whole reproduction: every CLW trial swap lands here.
@@ -34,6 +33,7 @@ from .. import accel
 from .solution import Placement
 
 __all__ = [
+    "BBOX_ROWS",
     "full_hpwl",
     "net_hpwl",
     "net_bboxes",
@@ -85,53 +85,85 @@ def full_hpwl(placement: Placement) -> Tuple[np.ndarray, float]:
     return per_net, total
 
 
-def net_bboxes(
-    placement: Placement, nets: np.ndarray | None = None
-) -> Tuple[np.ndarray, ...]:
-    """Bounding boxes (and edge multiplicities) of ``nets`` in one pass.
+#: Rows of a :func:`net_bboxes` block: the layout of the
+#: :class:`WirelengthState` cache.
+BBOX_ROWS = (
+    "x_min", "x_max", "y_min", "y_max",
+    "inner_x_min", "inner_x_max", "inner_y_min", "inner_y_max",
+)
 
-    Returns eight arrays aligned with ``nets`` (or with all nets when ``nets``
-    is ``None``): ``x_min, x_max, y_min, y_max`` and the number of member
-    pins sitting exactly on each of the four bbox edges.  The multiplicity
-    counts are what make O(1) incremental updates possible: a pin may leave a
-    bbox edge without shrinking the box whenever other pins still support it.
+
+def net_bboxes(placement: Placement, nets: np.ndarray | None = None) -> np.ndarray:
+    """Bounding boxes (and next-inner edges) of ``nets`` in one pass.
+
+    Returns an ``(8, len(nets))`` block (all nets when ``nets`` is ``None``)
+    whose rows are :data:`BBOX_ROWS`: ``x_min, x_max, y_min, y_max`` and
+    then each edge's *next-inner* value — where the edge would sit if one
+    pin on it left: the runner-up coordinate counted with multiplicity (the
+    second-smallest x for ``x_min``), so an edge two pins sit on is its own
+    next-inner value.  A net has a driver and at least one sink, so every
+    next-inner value is a real pin coordinate.  They are what make a trial
+    move exact in O(1): the pin at ``frm`` going to ``to`` leaves a new
+    minimum of ``min(inner if frm == edge else edge, to)``.
+
+    Pins are scanned rank by rank, with the nets in descending-degree order:
+    the nets with more than ``r`` pins are then a prefix, so every rank is one
+    contiguous slice and the running edge/runner-up updates are plain
+    elementwise ``minimum``/``maximum`` calls — no segment reduce.
     """
     netlist = placement.netlist
     layout = placement.layout
+    ptr = netlist.net_ptr
     if nets is None:
-        members = netlist.flat_members
-        counts = netlist.net_degrees
+        starts = ptr[:-1]
+        degrees = netlist.net_degrees
     else:
-        members, counts = netlist.net_members_of(nets)
-    num = int(counts.size)
+        nets = np.asarray(nets, dtype=np.int64)
+        starts = ptr[nets]
+        degrees = ptr[nets + 1] - starts
+    num = int(degrees.size)
     if num == 0:
-        zero_f = np.zeros(0, dtype=np.float64)
-        zero_i = np.zeros(0, dtype=np.int64)
-        return zero_f, zero_f.copy(), zero_f.copy(), zero_f.copy(), zero_i, zero_i.copy(), zero_i.copy(), zero_i.copy()
-    slots = placement.cell_to_slot[members]
-    xs = layout.slot_x[slots]
-    ys = layout.slot_y[slots]
-    starts = np.zeros(num, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    x_min = np.minimum.reduceat(xs, starts)
-    x_max = np.maximum.reduceat(xs, starts)
-    y_min = np.minimum.reduceat(ys, starts)
-    y_max = np.maximum.reduceat(ys, starts)
-    n_x_min = np.add.reduceat((xs == np.repeat(x_min, counts)).astype(np.int64), starts)
-    n_x_max = np.add.reduceat((xs == np.repeat(x_max, counts)).astype(np.int64), starts)
-    n_y_min = np.add.reduceat((ys == np.repeat(y_min, counts)).astype(np.int64), starts)
-    n_y_max = np.add.reduceat((ys == np.repeat(y_max, counts)).astype(np.int64), starts)
-    return x_min, x_max, y_min, y_max, n_x_min, n_x_max, n_y_min, n_y_max
+        return np.zeros((8, 0), dtype=np.float64)
+    order = np.argsort(-degrees, kind="stable")
+    ranked_starts = starts[order]
+    # widths[r]: how many nets have more than r pins (widths[0] = widths[1])
+    widths = np.cumsum(np.bincount(degrees)[::-1])[::-1][1:].tolist()
+    pins = netlist.flat_members[
+        np.concatenate([ranked_starts[:width] + r for r, width in enumerate(widths)])
+    ]
+    slots = placement.cell_to_slot[pins]
+    # [x, -x, y, -y]: a maximum is the negated minimum of the negated
+    # coordinates (negation is exact), so minimum passes serve all four edges
+    coords = np.empty((4, pins.size), dtype=np.float64)
+    np.take(layout.slot_x, slots, out=coords[0])
+    np.take(layout.slot_y, slots, out=coords[2])
+    np.negative(coords[0::2], out=coords[1::2])
+    # BBOX_ROWS with every maximum negated: the edges, then their runners-up
+    ranked = np.empty((8, num), dtype=np.float64)
+    edges, inner = ranked[:4], ranked[4:]
+    np.minimum(coords[:, :num], coords[:, num : 2 * num], out=edges)
+    np.maximum(coords[:, :num], coords[:, num : 2 * num], out=inner)
+    offset = 2 * num
+    for width in widths[2:]:
+        pin = coords[:, offset : offset + width]
+        offset += width
+        edges_w, inner_w = edges[:, :width], inner[:, :width]
+        np.minimum(inner_w, np.maximum(edges_w, pin), out=inner_w)
+        np.minimum(edges_w, pin, out=edges_w)
+    out = np.empty((8, num), dtype=np.float64)
+    out[:, order] = ranked
+    np.negative(out[1::2], out=out[1::2])
+    return out
 
 
 class WirelengthState:
     """Incremental HPWL cache bound to one :class:`Placement`.
 
-    The cache holds, for every net, the bounding box of its pins and the
-    number of pins on each bbox edge, plus the unweighted HPWL and the
-    weighted total.  ``delta_for_swap`` / ``deltas_for_swaps`` answer "how
-    would the total change if cells *a* and *b* exchanged slots?" without
-    mutating anything; ``commit_swap`` must be called *after* the placement
+    The cache holds, for every net, the bounding box of its pins and each
+    edge's next-inner value (see :func:`net_bboxes`), plus the unweighted
+    HPWL and the weighted total.  ``delta_for_swap`` / ``deltas_for_swaps``
+    answer "how would the total change if cells *a* and *b* exchanged
+    slots?" without mutating anything; ``commit_swap`` must be called *after* the placement
     has actually been swapped to keep the cache in sync.
     """
 
@@ -144,8 +176,9 @@ class WirelengthState:
 
     #: Largest pin count for which the scalar commit path's Python list
     #: caches (net members, per-cell nets, coordinates) may be built; bigger
-    #: instances route committed swaps through the vectorised segment
-    #: reduce, keeping commit memory bounded by the netlist's CSR arrays.
+    #: instances route committed swaps through the vectorised
+    #: :func:`net_bboxes`, keeping commit memory bounded by the netlist's
+    #: CSR arrays.
     SCALAR_COMMIT_MAX_PINS = 1 << 20
 
     #: Shared-net detection modes already announced via the module logger —
@@ -179,25 +212,30 @@ class WirelengthState:
         self._incidence_mode = mode
         self._incidence: np.ndarray | None = None
         self._csr_keys: np.ndarray | None = None
+        self._csr_bits: np.ndarray | None = None
         flat_nets, counts = self._netlist.nets_of_cells_flat(
             np.arange(num_cells, dtype=np.int64)
         )
+        pin_cells = np.repeat(np.arange(num_cells, dtype=np.int64), counts)
         if mode == "dense":
             incidence_matrix = np.zeros((num_cells, num_nets), dtype=bool)
-            incidence_matrix[
-                np.repeat(np.arange(num_cells, dtype=np.int64), counts), flat_nets
-            ] = True
+            incidence_matrix[pin_cells, flat_nets] = True
             self._incidence = incidence_matrix
         else:
             # Per-cell net lists are sorted ascending (nets are appended in
             # index order when the netlist builds its incidence), so the
             # concatenated `cell * num_nets + net` keys are globally sorted
             # and one binary search answers the shared-net test in
-            # O(pins) memory instead of O(cells * nets).
-            self._csr_keys = (
-                np.repeat(np.arange(num_cells, dtype=np.int64), counts)
-                * np.int64(num_nets)
-                + flat_nets
+            # O(pins) memory instead of O(cells * nets).  Each cell also
+            # gets a 64-bit net signature (bit ``net & 63`` per net), so
+            # only the few items whose partner's signature has the net's
+            # bit need the search.
+            self._csr_keys = pin_cells * np.int64(num_nets) + flat_nets
+            self._csr_bits = np.zeros(num_cells, dtype=np.uint64)
+            np.bitwise_or.at(
+                self._csr_bits,
+                pin_cells,
+                np.left_shift(np.uint64(1), (flat_nets & 63).astype(np.uint64)),
             )
         if mode not in WirelengthState._logged_modes:
             WirelengthState._logged_modes.add(mode)
@@ -230,18 +268,17 @@ class WirelengthState:
         view.flags.writeable = False
         return view
 
+    def _bind(self, bbox: np.ndarray) -> None:
+        """Adopt an ``(8, num_nets)`` :func:`net_bboxes` block as the cache."""
+        self._bbox = bbox
+        (
+            self._x_min, self._x_max, self._y_min, self._y_max,
+            self._inner_x_min, self._inner_x_max, self._inner_y_min, self._inner_y_max,
+        ) = bbox
+
     def rebuild(self) -> None:
         """Recompute the cache from scratch (used after bulk solution changes)."""
-        (
-            self._x_min,
-            self._x_max,
-            self._y_min,
-            self._y_max,
-            self._n_x_min,
-            self._n_x_max,
-            self._n_y_min,
-            self._n_y_max,
-        ) = net_bboxes(self._placement)
+        self._bind(net_bboxes(self._placement))
         self._per_net = (self._x_max - self._x_min) + (self._y_max - self._y_min)
         weights = self._netlist.net_weights
         self._total = float(np.dot(self._per_net, weights)) if self._per_net.size else 0.0
@@ -256,10 +293,11 @@ class WirelengthState:
             num_nets=self._netlist.num_nets,
             incidence=self._incidence,
             csr_keys=self._csr_keys,
+            csr_bits=self._csr_bits,
             x_min=self._x_min, x_max=self._x_max,
             y_min=self._y_min, y_max=self._y_max,
-            n_x_min=self._n_x_min, n_x_max=self._n_x_max,
-            n_y_min=self._n_y_min, n_y_max=self._n_y_max,
+            inner_x_min=self._inner_x_min, inner_x_max=self._inner_x_max,
+            inner_y_min=self._inner_y_min, inner_y_max=self._inner_y_max,
             per_net=self._per_net,
             net_weights=self._netlist.net_weights,
         )
@@ -268,33 +306,16 @@ class WirelengthState:
     # snapshot / restore (used by the search loop to try candidates cheaply)
     # ------------------------------------------------------------------ #
     def save_state(self) -> tuple:
-        """Copy of the full cache, restorable via :meth:`restore_state`."""
-        return (
-            self._per_net.copy(),
-            self._total,
-            self._x_min.copy(),
-            self._x_max.copy(),
-            self._y_min.copy(),
-            self._y_max.copy(),
-            self._n_x_min.copy(),
-            self._n_x_max.copy(),
-            self._n_y_min.copy(),
-            self._n_y_max.copy(),
-        )
+        """Copy of the full cache — ``per_net``, the total, then the eight
+        :data:`BBOX_ROWS` — restorable via :meth:`restore_state`."""
+        return (self._per_net.copy(), self._total, *self._bbox.copy())
 
     def restore_state(self, state: tuple) -> None:
         """Restore a cache snapshot (the placement must be restored separately)."""
-        (per_net, total, x_min, x_max, y_min, y_max, n_x_min, n_x_max, n_y_min, n_y_max) = state
+        per_net, total, *rows = state
         self._per_net = per_net.copy()
         self._total = total
-        self._x_min = x_min.copy()
-        self._x_max = x_max.copy()
-        self._y_min = y_min.copy()
-        self._y_max = y_max.copy()
-        self._n_x_min = n_x_min.copy()
-        self._n_x_max = n_x_max.copy()
-        self._n_y_min = n_y_min.copy()
-        self._n_y_max = n_y_max.copy()
+        self._bind(np.array(rows))
 
     # ------------------------------------------------------------------ #
     # batched trial evaluation — the hot kernel
@@ -315,16 +336,17 @@ class WirelengthState:
            gather when the matrix fits :attr:`INCIDENCE_BUDGET`, otherwise a
            binary search of the sorted CSR incidence keys (no per-pair
            ``union1d``, no O(cells x nets) memory);
-        3. update each item's bbox edge in O(1) using the cached edge
-           multiplicities;
-        4. re-reduce only the items where the moved pin was the sole support
-           of an edge it leaves (a single ``reduceat`` over those segments).
+        3. update each item's four bbox edges exactly in O(1) from the
+           cached edges and their next-inner values.
 
-        Step 1 (the CSR expansion) runs here; steps 2–4 are
+        Step 1 (the CSR expansion) runs here; steps 2–3 are
         :func:`repro.accel.hpwl_batch_deltas`, pinned bit-identical against
         its frozen copy, ``wirelength_reference`` in
-        ``tests/oracles/kernels.py``.  The segment-reduce fallback of step 4
-        is rare by construction.
+        ``tests/oracles/kernels.py``.  Nets average ~3 pins, so a moved pin
+        is usually the only pin on some edge of its net's bbox: with the
+        per-edge pin counts this cache used to keep, 66% of a 256-pair
+        batch's items (c532 and big10k alike) had to re-reduce their net's
+        members; the next-inner values answer those items in O(1) too.
         """
         a = np.atleast_1d(np.asarray(cells_a, dtype=np.int64))
         b = np.atleast_1d(np.asarray(cells_b, dtype=np.int64))
@@ -335,39 +357,31 @@ class WirelengthState:
         if num_pairs == 0 or self._netlist.num_nets == 0:
             return out
 
-        netlist = self._netlist
-        cts = self._placement.cell_to_slot
-        slot_x = self._layout.slot_x
-        slot_y = self._layout.slot_y
-        ax = slot_x[cts[a]]
-        ay = slot_y[cts[a]]
-        bx = slot_x[cts[b]]
-        by = slot_y[cts[b]]
-
-        # --- step 1: flat (pair, net) items for both endpoints ------------- #
-        nets_a, deg_a = netlist.nets_of_cells_flat(a)
-        nets_b, deg_b = netlist.nets_of_cells_flat(b)
-        pair_ids = np.arange(num_pairs, dtype=np.int64)
-        pair = np.concatenate([np.repeat(pair_ids, deg_a), np.repeat(pair_ids, deg_b)])
-        net = np.concatenate([nets_a, nets_b])
-        moved = np.concatenate([np.repeat(a, deg_a), np.repeat(b, deg_b)])
-        from_x = np.concatenate([np.repeat(ax, deg_a), np.repeat(bx, deg_b)])
-        from_y = np.concatenate([np.repeat(ay, deg_a), np.repeat(by, deg_b)])
-        to_x = np.concatenate([np.repeat(bx, deg_a), np.repeat(ax, deg_b)])
-        to_y = np.concatenate([np.repeat(by, deg_a), np.repeat(ay, deg_b)])
+        # --- step 1: flat (endpoint, net) items ---------------------------- #
+        # The endpoints interleave as [a0, b0, a1, b1, ...]: an item's pair is
+        # ``end >> 1`` and its swap partner ``end ^ 1``, and each pair's items
+        # stay in a's-nets-then-b's-nets order, the order the per-pair sums
+        # below are folded in.
+        ends = np.empty(2 * num_pairs, dtype=np.int64)
+        ends[0::2] = a
+        ends[1::2] = b
+        net, degrees = self._netlist.nets_of_cells_flat(ends)
         if net.size == 0:
             return out
+        end = np.repeat(np.arange(2 * num_pairs, dtype=np.int64), degrees)
+        partner = end ^ 1
+        end_slots = self._placement.cell_to_slot[ends]
+        end_x = self._layout.slot_x[end_slots]
+        end_y = self._layout.slot_y[end_slots]
 
-        # --- steps 2-4: the batch kernel ----------------------------------- #
+        # --- steps 2-3: the batch kernel ----------------------------------- #
         # An item is inactive when the pair is a self-swap or when the swap
         # partner sits on the same net (the swap permutes that net's pins).
         # Inactive items are *not* filtered out — they flow through the O(1)
-        # edge updates (where a self-swap's from == to makes the delta vanish
-        # naturally) and are zeroed in the final per-item reduction, which is
-        # far cheaper than re-gathering seven arrays through a boolean mask
+        # edge updates and are zeroed in the final per-item reduction, which
+        # is far cheaper than re-gathering six arrays through a boolean mask
         # and needs no sort to find the duplicates.
-        active = (a != b)[pair]
-        other = np.concatenate([np.repeat(b, deg_a), np.repeat(a, deg_b)])
+        pair = end >> 1
         # called through the module so that a patched attribute (perfbench's
         # layer tracer) sees every call
         return accel.hpwl_batch_deltas(
@@ -375,17 +389,12 @@ class WirelengthState:
             num_pairs=num_pairs,
             pair=pair,
             net=net,
-            other=other,
-            moved=moved,
-            from_x=from_x,
-            from_y=from_y,
-            to_x=to_x,
-            to_y=to_y,
-            active=active,
-            cts=cts,
-            slot_x=slot_x,
-            slot_y=slot_y,
-            gather_members=netlist.net_members_of,
+            other=ends[partner],
+            from_x=end_x[end],
+            from_y=end_y[end],
+            to_x=end_x[partner],
+            to_y=end_y[partner],
+            active=(a != b)[pair],
         )
 
     def delta_for_swap(self, cell_a: int, cell_b: int) -> float:
@@ -426,10 +435,10 @@ class WirelengthState:
         """Update the cache after ``placement.swap_cells(cell_a, cell_b)``.
 
         The placement must already reflect the swap.  Each affected net's
-        bbox, edge multiplicities and HPWL are recomputed *in place* with a
+        bbox, next-inner edges and HPWL are recomputed *in place* with a
         scalar scan over its (few) member pins — the nets of the paper
         circuits average ~3 pins, where one Python pass beats the dispatch
-        overhead of a vectorised segment reduce several times over.  Nets
+        overhead of a vectorised :func:`net_bboxes` several times over.  Nets
         containing both cells are skipped: the swap permutes their pins.
         Instances beyond :attr:`SCALAR_COMMIT_MAX_PINS` never build the
         boxed list caches; their commits go through the vectorised
@@ -462,37 +471,51 @@ class WirelengthState:
         per_net = self._per_net
         total_delta = 0.0
         for net in affected:
+            # a net has at least two pins: they seed each edge and the
+            # runner-up behind it (its next-inner value)
             members = members_list[net]
             slot = cts[members[0]]
-            x = sx[slot]
-            y = sy[slot]
-            x_min = x_max = x
-            y_min = y_max = y
-            n_x_min = n_x_max = n_y_min = n_y_max = 1
-            for m in members[1:]:
+            x0 = sx[slot]
+            y0 = sy[slot]
+            slot = cts[members[1]]
+            x1 = sx[slot]
+            y1 = sy[slot]
+            if x0 <= x1:
+                x_min = x_max_in = x0
+                x_max = x_min_in = x1
+            else:
+                x_min = x_max_in = x1
+                x_max = x_min_in = x0
+            if y0 <= y1:
+                y_min = y_max_in = y0
+                y_max = y_min_in = y1
+            else:
+                y_min = y_max_in = y1
+                y_max = y_min_in = y0
+            for m in members[2:]:
                 slot = cts[m]
                 x = sx[slot]
                 y = sy[slot]
                 if x < x_min:
+                    x_min_in = x_min
                     x_min = x
-                    n_x_min = 1
-                elif x == x_min:
-                    n_x_min += 1
+                elif x < x_min_in:
+                    x_min_in = x
                 if x > x_max:
+                    x_max_in = x_max
                     x_max = x
-                    n_x_max = 1
-                elif x == x_max:
-                    n_x_max += 1
+                elif x > x_max_in:
+                    x_max_in = x
                 if y < y_min:
+                    y_min_in = y_min
                     y_min = y
-                    n_y_min = 1
-                elif y == y_min:
-                    n_y_min += 1
+                elif y < y_min_in:
+                    y_min_in = y
                 if y > y_max:
+                    y_max_in = y_max
                     y_max = y
-                    n_y_max = 1
-                elif y == y_max:
-                    n_y_max += 1
+                elif y > y_max_in:
+                    y_max_in = y
             new_hpwl = (x_max - x_min) + (y_max - y_min)
             total_delta += weights[net] * (new_hpwl - per_net[net])
             per_net[net] = new_hpwl
@@ -500,16 +523,16 @@ class WirelengthState:
             self._x_max[net] = x_max
             self._y_min[net] = y_min
             self._y_max[net] = y_max
-            self._n_x_min[net] = n_x_min
-            self._n_x_max[net] = n_x_max
-            self._n_y_min[net] = n_y_min
-            self._n_y_max[net] = n_y_max
+            self._inner_x_min[net] = x_min_in
+            self._inner_x_max[net] = x_max_in
+            self._inner_y_min[net] = y_min_in
+            self._inner_y_max[net] = y_max_in
         self._total += float(total_delta)
 
     def recompute_cells(self, cells: np.ndarray) -> None:
         """Refresh every net touching any of ``cells`` from the placement.
 
-        One vectorised segment reduce over the union of incident nets — the
+        One vectorised :func:`net_bboxes` pass over the union of incident nets — the
         bulk path :meth:`~repro.placement.cost.CostEvaluator.apply_swaps` uses
         when committing a whole received swap sequence at once.
         """
@@ -520,20 +543,14 @@ class WirelengthState:
         self.recompute_nets(np.unique(nets))
 
     def verify_consistency(self, *, atol: float = 1e-6) -> None:
-        """Check the bbox/multiplicity caches against a fresh recompute.
+        """Check the bbox/next-inner caches against a fresh recompute.
 
-        The totals alone cannot reveal a stale edge multiplicity (it only
-        changes which fast/fallback branch a future trial takes), so this
-        compares every cached array.  Raises ``ValueError`` on divergence.
+        The totals alone cannot reveal a stale next-inner value (it only
+        shows in a future trial's delta), so this compares every cached
+        array.  Raises ``ValueError`` on divergence.
         """
         fresh = net_bboxes(self._placement)
-        cached = (
-            self._x_min, self._x_max, self._y_min, self._y_max,
-            self._n_x_min, self._n_x_max, self._n_y_min, self._n_y_max,
-        )
-        names = ("x_min", "x_max", "y_min", "y_max",
-                 "n_x_min", "n_x_max", "n_y_min", "n_y_max")
-        for name, have, want in zip(names, cached, fresh):
+        for name, have, want in zip(BBOX_ROWS, self._bbox, fresh):
             if not np.allclose(have, want, atol=atol):
                 bad = int(np.flatnonzero(~np.isclose(have, want, atol=atol))[0])
                 raise ValueError(
@@ -544,25 +561,17 @@ class WirelengthState:
     def recompute_nets(self, nets: Iterable[int]) -> None:
         """Refresh specific nets from the placement's current state.
 
-        One vectorised segment reduce over all affected nets — committed swaps
-        are rare relative to trials, so exact bbox + multiplicity recomputation
-        here keeps the fast trial path simple.
+        One vectorised :func:`net_bboxes` pass over all affected nets —
+        committed swaps are rare relative to trials, so exact recomputation
+        here keeps the trial path simple.
         """
         nets = np.unique(np.asarray(tuple(nets) if not isinstance(nets, np.ndarray) else nets, dtype=np.int64))
         if nets.size == 0:
             return
-        x_min, x_max, y_min, y_max, n_x_min, n_x_max, n_y_min, n_y_max = net_bboxes(
-            self._placement, nets
-        )
+        bbox = net_bboxes(self._placement, nets)
+        x_min, x_max, y_min, y_max = bbox[:4]
         new_per = (x_max - x_min) + (y_max - y_min)
         weights = self._netlist.net_weights[nets]
         self._total += float(np.dot(weights, new_per - self._per_net[nets]))
         self._per_net[nets] = new_per
-        self._x_min[nets] = x_min
-        self._x_max[nets] = x_max
-        self._y_min[nets] = y_min
-        self._y_max[nets] = y_max
-        self._n_x_min[nets] = n_x_min
-        self._n_x_max[nets] = n_x_max
-        self._n_y_min[nets] = n_y_min
-        self._n_y_max[nets] = n_y_max
+        self._bbox[:, nets] = bbox

@@ -436,6 +436,14 @@ class _ProcessRecord:
     death_detected_at: Optional[float] = None
 
 
+def _running(unfinished: List[_ProcessRecord]) -> str:
+    """``"N process(es) still running: 'a' (pid 3), ..."`` naming up to 8."""
+    shown = [f"{r.name!r} (pid {r.pid})" for r in unfinished[:8]]
+    if len(unfinished) > len(shown):
+        shown.append(f"+{len(unfinished) - len(shown)} more")
+    return f"{len(unfinished)} process(es) still running: {', '.join(shown)}"
+
+
 class ProcessKernel:
     """Run generator-based processes on real OS processes (wall-clock time).
 
@@ -931,19 +939,15 @@ class ProcessKernel:
                     failure_deadline = time.monotonic() + self.failure_grace
             now = time.monotonic()
             if deadline is not None and now >= deadline:
-                shown = [f"{r.name!r} (pid {r.pid})" for r in unfinished[:8]]
-                if len(unfinished) > len(shown):
-                    shown.append(f"+{len(unfinished) - len(shown)} more")
                 raise ProcessError(
                     f"join_all deadline of {timeout} s elapsed with "
-                    f"{len(unfinished)} process(es) still running: "
-                    f"{', '.join(shown)}"
+                    f"{_running(unfinished)}"
                 )
             if failure_deadline is not None and now >= failure_deadline:
                 assert failed is not None
                 raise ProcessError(
-                    f"process {failed.name!r} failed while {len(unfinished)} "
-                    f"process(es) were still running; aborting the join"
+                    f"process {failed.name!r} failed with "
+                    f"{_running(unfinished)}; aborting the join"
                 ) from failed.error
             # Wait in short slices so newly-failed workers are noticed
             # promptly even while blocked on a long-running one, and poll

@@ -318,6 +318,10 @@ class SimKernel:
     def shutdown(self) -> None:
         """Nothing to release: the simulator owns no thread or process."""
 
+    def child_pids(self, pid: int) -> List[int]:
+        """Pids of the direct children of ``pid`` in the spawn tree."""
+        return [rec.pid for rec in self._procs.values() if rec.parent == pid]
+
     def process_info(self, pid: int) -> ProcessInfo:
         """Read-only view of one process."""
         rec = self._record(pid)

@@ -168,25 +168,38 @@ class WorkerPool:
         """Whether the persistent TSW loop ``index`` is no longer serving."""
         return self.kernel.worker_dead(self._tsw_pids[index])
 
-    def repair(self) -> List[int]:
-        """Respawn dead persistent TSW loops in-slot.
+    def _subtree_dead(self, index: int) -> bool:
+        """Whether the TSW loop ``index`` or any of its CLW loops is dead."""
+        pid = self._tsw_pids[index]
+        return self.kernel.worker_dead(pid) or any(
+            self.kernel.worker_dead(child) for child in self.kernel.child_pids(pid)
+        )
 
-        Returns the indices that were respawned.  A respawned loop starts
-        cold (its CLW loops included) and is re-``SETUP`` by the next warm
-        master run — resident-solution state is recovered through the
-        delta/NACK path.  Each respawn is stamped into the pool's repair
-        history, which the *next* ``run_master`` (fault mode or not) folds
-        into its result's ``fault_events`` as ``worker-respawned`` — so a
-        manual repair between runs stays visible to operators.
+    def repair(self) -> List[int]:
+        """Respawn in-slot every persistent TSW loop that is dead or has a
+        dead CLW loop.
+
+        Returns the indices that were respawned.  A live TSW loop is first
+        sent ``POOL_SHUTDOWN``, which it forwards to its CLW loops.  A
+        respawned loop starts cold (its CLW loops included) and is
+        re-``SETUP`` by the next warm master run — resident-solution state
+        is recovered through the delta/NACK path.  Each respawn is stamped
+        into the pool's repair history, which the *next* ``run_master``
+        (fault mode or not) folds into its result's ``fault_events`` as
+        ``worker-respawned`` — so a manual repair between runs stays
+        visible to operators.
         """
         if self._closed:
             raise SessionError("worker pool is closed")
         respawned: List[int] = []
         for index in range(len(self._tsw_pids)):
-            if not self.worker_dead(index):
+            if not self._subtree_dead(index):
                 continue
+            pid = self._tsw_pids[index]
+            if not self.kernel.worker_dead(pid):
+                self.kernel.post(pid, Tags.POOL_SHUTDOWN)
             if not self.is_simulated:
-                self._retire_subtree(self._tsw_pids[index])
+                self._retire_subtree(pid)
             self._tsw_pids[index] = self.kernel.spawn(
                 tsw_worker_loop, self.clws_per_tsw, name=f"tsw{index}"
             )
@@ -205,7 +218,7 @@ class WorkerPool:
         return respawned
 
     def _retire_subtree(self, dead_pid: int) -> None:
-        """Take a dead loop's orphaned CLW-loop subtree down with it, and
+        """Take a retired loop's CLW-loop subtree down with it, and
         finalize every record so ``join_all`` will not wait on them.
 
         The orphans are shut down first: ``STOP`` ends a run one may still

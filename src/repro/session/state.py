@@ -46,8 +46,11 @@ __all__ = [
 MAGIC = b"RTSS"
 #: Bumped whenever the pickled payload layout changes incompatibly: slotted
 #: dataclasses such as ``ParallelSearchParams`` unpickle their fields by
-#: position, so a removed field would silently shift the rest.
-SCHEMA_VERSION = 3
+#: position, so a removed field would silently shift the rest, and the
+#: evaluator snapshots carry cache arrays by position too (version 4: the
+#: wirelength cache's edge counts became next-inner coordinates, so an older
+#: snapshot would resume with wrong trial deltas).
+SCHEMA_VERSION = 4
 
 _HEADER = struct.Struct("<4sI")
 

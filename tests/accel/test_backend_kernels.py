@@ -1,8 +1,9 @@
 """Bit-identity of the :mod:`repro.accel` kernels and the fused select.
 
 The shipped kernels reproduce the frozen direct kernels in
-``tests/oracles/kernels.py`` bit-for-bit — including the rare paths
-(vacated-edge segment-reduce fallback, CSR shared-net detection, asymmetric
+``tests/oracles/kernels.py`` bit-for-bit — including the paths that differ
+most between them (trials the wirelength oracle prices through its
+vacated-edge segment-reduce fallback, CSR shared-net detection, asymmetric
 QAP column sums, self-pairs).
 """
 
@@ -98,8 +99,9 @@ class TestWirelengthKernelParity:
 
     @pytest.mark.parametrize("incidence", ["dense", "csr"])
     def test_all_pairs_bit_identical_including_fallbacks(self, incidence):
-        """All n² pairs of a 64-cell circuit inevitably include vacated-edge
-        fallback trials and self-pairs, on both shared-net detection paths."""
+        """All n² pairs of a 64-cell circuit inevitably include trials the
+        oracle prices through its vacated-edge fallback, and self-pairs, on
+        both shared-net detection paths."""
         state, a, b = self._state_and_pairs(incidence)
         assert state.incidence_mode == incidence
         shipped = state.deltas_for_swaps(a, b)

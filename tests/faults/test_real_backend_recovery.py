@@ -147,6 +147,28 @@ class TestProcessesPoolRecovery:
         # reaped, so join_all did not wedge on them
 
 
+    def test_clw_loop_killed_between_runs_is_respawned(self, problem):
+        quick = pool_params(global_iterations=2, tabu=TabuSearchParams(local_iterations=3))
+        with WorkerPool(NUM_TSWS, 1, backend="processes") as pool:
+            first, _, _ = pool.run_master(problem, quick, join_timeout=120.0)
+            assert first.complete
+            (clw,) = pool.kernel.child_pids(pool.tsw_pids[0])
+            assert pool.kernel.terminate_worker(clw)
+            deadline = time.monotonic() + 30.0
+            while not pool.kernel.worker_dead(clw):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert not pool.worker_dead(0)  # the TSW loop itself still serves
+
+            second, _, _ = pool.run_master(problem, quick, join_timeout=120.0)
+            assert second.complete
+            assert second.dead_workers == ()
+            respawns = [
+                e.worker for e in second.fault_events if e.kind == "worker-respawned"
+            ]
+            assert respawns == ["tsw0"]
+
+
 class TestThreadsPoolRepair:
     def test_repair_shuts_the_crashed_loops_orphans_down(self):
         pool = WorkerPool(2, 1, backend="threads", cluster=homogeneous_cluster(4))

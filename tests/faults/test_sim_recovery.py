@@ -147,12 +147,41 @@ class TestWarmPoolRecovery:
         assert [r.trace for r in armed] == [r.trace for r in plain]
         assert armed[1].virtual_runtime < 1.0
 
-    def test_dead_clw_loop_costs_its_tsw_one_clw(self, problem):
-        """A CLW loop that died while the pool idled is struck out at the CLW
-        deadline of its TSW's setup; the TSW stays in the run."""
+    def test_dead_clw_loop_costs_its_tsw_one_clw(self, problem, monkeypatch):
+        """A TSW set up with a dead CLW loop strikes that CLW out at the CLW
+        deadline of its setup (the bounded ``SETUP_ACK`` wait) and stays in
+        the run.  The pool's repair would respawn the loop first, so it is
+        switched off here to reach the wait."""
         plan = FaultPlan(kills=(KillWorker(at=0.01, name="tsw0.clw1"),))
-        for result in pool_runs(problem, plan):
+        monkeypatch.setattr(WorkerPool, "repair", lambda self: [])
+        policy = fault_params().fault
+        first, _ = pool_runs(problem, plan)
+        # struck out at the CLW deadline, well before the round deadline
+        assert policy.clw_deadline < first.virtual_runtime < policy.round_deadline
+        for result in (first, _):
             assert result.complete
             dead = [e.worker for e in result.fault_events if e.kind == "worker-dead"]
             assert "tsw0" not in dead
             assert all(len(r.received_costs) == 2 for r in result.global_records)
+
+    def test_dead_clw_loop_is_respawned_before_the_next_run(self, problem):
+        """A CLW loop that died while the pool idled gets its TSW's slot
+        respawned by the next fault-mode run's repair, which then walks the
+        fault-free pool's search."""
+        plain = pool_runs(problem, fault=None)
+        plan = FaultPlan(kills=(KillWorker(at=0.01, name="tsw0.clw1"),))
+        repaired = pool_runs(problem, plan)
+        respawns = [
+            [e.worker for e in r.fault_events if e.kind == "worker-respawned"]
+            for r in repaired
+        ]
+        assert respawns == [["tsw0"], []]
+        for ours, theirs in zip(repaired, plain):
+            assert ours.complete
+            assert "worker-dead" not in [e.kind for e in ours.fault_events]
+            assert ours.best_cost == theirs.best_cost
+            assert list(ours.best_solution) == list(theirs.best_solution)
+            assert [r.received_costs for r in ours.global_records] == [
+                r.received_costs for r in theirs.global_records
+            ]
+            assert ours.virtual_runtime < 1.0

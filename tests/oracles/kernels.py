@@ -5,7 +5,10 @@ verbatim so the parity suites can pin the shipped kernel against it:
 
 * :func:`wirelength_reference` — the batched HPWL swap-delta kernel of
   :meth:`~repro.placement.wirelength.WirelengthState.deltas_for_swaps`
-  before it moved into :func:`repro.accel.hpwl_batch_deltas`;
+  before it moved into :func:`repro.accel.hpwl_batch_deltas`, with the
+  edge-multiplicity caches and segment-reduce fallback
+  (:func:`fallback_bbox_reduce`) it had before the next-inner caches
+  replaced them;
 * :func:`qap_reference` — the batched QAP swap-delta kernel of
   :meth:`~repro.problems.qap.evaluator.QAPEvaluator.deltas_for_swaps`
   before it moved into :func:`repro.accel.qap_swap_deltas`;
@@ -22,13 +25,80 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.accel import fallback_bbox_reduce, shared_net_mask
+from repro.accel import shared_net_mask
 from repro.placement.solution import Placement
 from repro.placement.timing import TimingAnalyzer, TimingResult
 from repro.placement.wirelength import WirelengthState
 from repro.problems.qap.evaluator import QAPEvaluator
 
-__all__ = ["wirelength_reference", "qap_reference", "sta_reference"]
+__all__ = [
+    "reference_caches",
+    "fallback_bbox_reduce",
+    "wirelength_reference",
+    "qap_reference",
+    "sta_reference",
+]
+
+
+def reference_caches(placement: Placement) -> Tuple[np.ndarray, ...]:
+    """Bboxes, edge multiplicities and per-net HPWL of every net.
+
+    A frozen copy of ``net_bboxes`` as it shipped with edge multiplicities,
+    computed from the placement alone: returns ``x_min, x_max, y_min,
+    y_max``, the number of member pins sitting exactly on each of those four
+    edges, and the unweighted per-net HPWL.  :func:`wirelength_reference`
+    reads these instead of the state's caches, so a stale cache shows as a
+    mismatch.
+    """
+    netlist = placement.netlist
+    layout = placement.layout
+    members = netlist.flat_members
+    counts = netlist.net_degrees
+    slots = placement.cell_to_slot[members]
+    xs = layout.slot_x[slots]
+    ys = layout.slot_y[slots]
+    starts = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    x_min = np.minimum.reduceat(xs, starts)
+    x_max = np.maximum.reduceat(xs, starts)
+    y_min = np.minimum.reduceat(ys, starts)
+    y_max = np.maximum.reduceat(ys, starts)
+    n_x_min = np.add.reduceat((xs == np.repeat(x_min, counts)).astype(np.int64), starts)
+    n_x_max = np.add.reduceat((xs == np.repeat(x_max, counts)).astype(np.int64), starts)
+    n_y_min = np.add.reduceat((ys == np.repeat(y_min, counts)).astype(np.int64), starts)
+    n_y_max = np.add.reduceat((ys == np.repeat(y_max, counts)).astype(np.int64), starts)
+    per_net = (x_max - x_min) + (y_max - y_min)
+    return x_min, x_max, y_min, y_max, n_x_min, n_x_max, n_y_min, n_y_max, per_net
+
+
+def fallback_bbox_reduce(
+    members: np.ndarray,
+    counts: np.ndarray,
+    moved: np.ndarray,
+    to_x: np.ndarray,
+    to_y: np.ndarray,
+    cts: np.ndarray,
+    slot_x: np.ndarray,
+    slot_y: np.ndarray,
+):
+    """Exact bboxes of fallback segments with one pin hypothetically moved.
+
+    For each segment ``s`` (one net of one trial swap), scan its ``counts[s]``
+    members with the moved pin at ``(to_x[s], to_y[s])`` and every other pin
+    at its placed coordinate; returns the four bbox edge arrays.  Masked
+    substitution plus four ``reduceat`` passes.
+    """
+    moved_rep = np.repeat(moved, counts)
+    mx = np.where(members == moved_rep, np.repeat(to_x, counts), slot_x[cts[members]])
+    my = np.where(members == moved_rep, np.repeat(to_y, counts), slot_y[cts[members]])
+    starts = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return (
+        np.minimum.reduceat(mx, starts),
+        np.maximum.reduceat(mx, starts),
+        np.minimum.reduceat(my, starts),
+        np.maximum.reduceat(my, starts),
+    )
 
 
 def _shrink_min(cur: np.ndarray, support: np.ndarray, frm: np.ndarray, to: np.ndarray):
@@ -51,14 +121,23 @@ def _shrink_max(cur: np.ndarray, support: np.ndarray, frm: np.ndarray, to: np.nd
     return new, fallback
 
 
-def wirelength_reference(state: WirelengthState, cells_a, cells_b) -> np.ndarray:
+def wirelength_reference(
+    state: WirelengthState,
+    cells_a,
+    cells_b,
+    caches: Optional[Tuple[np.ndarray, ...]] = None,
+) -> np.ndarray:
     """The direct NumPy HPWL batch kernel, frozen verbatim.
 
     The kernel body :meth:`WirelengthState.deltas_for_swaps` shipped before
     it called :func:`repro.accel.hpwl_batch_deltas`: the bit-identity oracle
     of the contract battery and the dispatch-tax baseline of
-    ``benchmarks/bench_gpu_kernels.py``.  Reads the state's caches directly
-    and calls no kernel of :mod:`repro.accel` but its two inner loops.
+    ``benchmarks/bench_gpu_kernels.py``.  It takes only the state's static
+    structure (netlist, layout, incidence) and reads the bboxes, edge
+    multiplicities and per-net HPWL from ``caches``, a
+    :func:`reference_caches` tuple of the state's placement, computed here
+    when omitted — pass it to price several batches against one placement.
+    Calls no kernel of :mod:`repro.accel` but the CSR shared-net test.
     """
     a = np.atleast_1d(np.asarray(cells_a, dtype=np.int64))
     b = np.atleast_1d(np.asarray(cells_b, dtype=np.int64))
@@ -70,6 +149,9 @@ def wirelength_reference(state: WirelengthState, cells_a, cells_b) -> np.ndarray
     if num_pairs == 0 or netlist.num_nets == 0:
         return out
 
+    if caches is None:
+        caches = reference_caches(state._placement)
+    x_min, x_max, y_min, y_max, n_x_min, n_x_max, n_y_min, n_y_max, per_net = caches
     cts = state._placement.cell_to_slot
     slot_x = state._layout.slot_x
     slot_y = state._layout.slot_y
@@ -104,10 +186,10 @@ def wirelength_reference(state: WirelengthState, cells_a, cells_b) -> np.ndarray
         return out
 
     # --- step 3: O(1) bbox-edge updates from the cache ----------------- #
-    new_x_min, fb_x_min = _shrink_min(state._x_min[net], state._n_x_min[net], from_x, to_x)
-    new_x_max, fb_x_max = _shrink_max(state._x_max[net], state._n_x_max[net], from_x, to_x)
-    new_y_min, fb_y_min = _shrink_min(state._y_min[net], state._n_y_min[net], from_y, to_y)
-    new_y_max, fb_y_max = _shrink_max(state._y_max[net], state._n_y_max[net], from_y, to_y)
+    new_x_min, fb_x_min = _shrink_min(x_min[net], n_x_min[net], from_x, to_x)
+    new_x_max, fb_x_max = _shrink_max(x_max[net], n_x_max[net], from_x, to_x)
+    new_y_min, fb_y_min = _shrink_min(y_min[net], n_y_min[net], from_y, to_y)
+    new_y_max, fb_y_max = _shrink_max(y_max[net], n_y_max[net], from_y, to_y)
 
     # --- step 4: segment-reduce fallback for vacated edges ------------- #
     fallback = (fb_x_min | fb_x_max | fb_y_min | fb_y_max) & active
@@ -123,7 +205,7 @@ def wirelength_reference(state: WirelengthState, cells_a, cells_b) -> np.ndarray
         new_y_max[idx] = fb_y_hi
 
     new_hpwl = (new_x_max - new_x_min) + (new_y_max - new_y_min)
-    per_item = netlist.net_weights[net] * (new_hpwl - state._per_net[net])
+    per_item = netlist.net_weights[net] * (new_hpwl - per_net[net])
     per_item *= active  # zero the contributions of masked items
     out[:] = np.bincount(pair, weights=per_item, minlength=num_pairs)
     return out

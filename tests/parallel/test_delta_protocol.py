@@ -199,7 +199,7 @@ def test_delta_adopt_matches_full_install_with_tabu_state(circuit):
         scratch_eval = prob.make_evaluator(target)
         assert cost_delta == pytest.approx(scratch_eval.cost(), abs=1e-6)
         for field in ("_x_min", "_x_max", "_y_min", "_y_max",
-                      "_n_x_min", "_n_x_max", "_n_y_min", "_n_y_max"):
+                      "_inner_x_min", "_inner_x_max", "_inner_y_min", "_inner_y_max"):
             assert np.allclose(
                 getattr(delta_eval._wirelength, field),
                 getattr(scratch_eval._wirelength, field),

@@ -35,7 +35,7 @@ def build_degenerate_netlist():
     Mostly two-pin nets (every pin is on a bbox edge), one high-fanout net
     (many pins share bbox edges once placed in few rows), and a star where
     several sinks will often share a row/column coordinate — the cases where
-    the edge-multiplicity counts and the segment-reduce fallback matter.
+    an edge held by several pins makes the next-inner value equal the edge.
     """
     builder = NetlistBuilder("degenerate")
     builder.add_cell("pi0", kind=CellKind.PRIMARY_INPUT, delay=0.0)

@@ -1,12 +1,14 @@
-"""Unit tests for the HPWL kernel's two inner loops in :mod:`repro.accel`,
-against brute-force references."""
+"""Unit tests for the HPWL kernel's shared-net test in :mod:`repro.accel`
+and the oracle kernel's segment-reduce fallback, against brute-force
+references."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.accel import fallback_bbox_reduce, shared_net_mask
+from oracles.kernels import fallback_bbox_reduce
+from repro.accel import shared_net_mask
 
 
 class TestSharedNetMask:

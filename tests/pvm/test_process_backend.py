@@ -207,6 +207,21 @@ class TestProcessKernel:
             with pytest.raises(ProcessError):
                 kernel.result_of(dead_pid)
 
+    def test_failure_grace_abort_names_the_processes_still_running(self):
+        """The abort after a failure names every process that did not stop
+        (up to eight, by name and pid), as the deadline abort does."""
+        with make_kernel() as kernel:
+            kernel.failure_grace = 0.5
+            sleeper = kernel.spawn(sleeper_proc, 60.0, name="sleeper")
+            kernel.spawn(failing_proc, name="crasher")
+            start = time.monotonic()
+            with pytest.raises(ProcessError) as info:
+                kernel.join_all(timeout=60.0)
+            assert time.monotonic() - start < 30.0
+            message = str(info.value)
+            assert message.startswith("process 'crasher' failed with 1 process(es)")
+            assert f"'sleeper' (pid {sleeper})" in message
+
     def test_now_increases(self):
         kernel = make_kernel()
         try:

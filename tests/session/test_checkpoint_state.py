@@ -82,10 +82,11 @@ class TestCodecValidation:
     def test_rejects_future_schema_version(self, paused_state):
         # version 1 predates the required elastic topology fields, version 2
         # pickled parameters with fields since removed (slotted dataclasses
-        # restore by position, so they would load shifted); a newer version
-        # is unknown to this build
+        # restore by position, so they would load shifted), version 3
+        # snapshots the wirelength cache with edge counts where version 4 has
+        # next-inner coordinates; a newer version is unknown to this build
         payload = paused_state.to_bytes()[8:]
-        for version in (1, 2, SCHEMA_VERSION + 1):
+        for version in (1, 2, 3, SCHEMA_VERSION + 1):
             blob = struct.pack("<4sI", MAGIC, version) + payload
             with pytest.raises(SessionError, match="schema version"):
                 SessionState.from_bytes(blob)
