@@ -190,9 +190,9 @@ def hpwl_batch_deltas(
        items whose partner's net signature has the net's bit);
     2. exact O(1) bbox-edge updates: a pin leaving an edge exposes the
        edge's cached next-inner value, so the new minimum is
-       ``min(inner if frm == edge else edge, to)`` (mirrored for maxima).
-       No item re-reduces its net's members — with per-edge pin counts
-       cached instead, 66% of a 256-pair batch's items had to;
+       ``min(inner if frm == edge else edge, to)`` (mirrored for maxima),
+       so no item re-reduces its net's members (66% of a 256-pair batch's
+       items move the only pin on some edge of their net);
     3. weighted per-item deltas folded per pair with ``bincount``.
 
     ``active`` is updated in place.  Returns a float64 array of per-pair

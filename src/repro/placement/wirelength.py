@@ -163,8 +163,9 @@ class WirelengthState:
     edge's next-inner value (see :func:`net_bboxes`), plus the unweighted
     HPWL and the weighted total.  ``delta_for_swap`` / ``deltas_for_swaps``
     answer "how would the total change if cells *a* and *b* exchanged
-    slots?" without mutating anything; ``commit_swap`` must be called *after* the placement
-    has actually been swapped to keep the cache in sync.
+    slots?" without mutating anything; ``commit_swap`` must be called
+    *after* the placement has actually been swapped to keep the cache in
+    sync.
     """
 
     #: Largest ``num_cells * num_nets`` for which the dense boolean
@@ -343,10 +344,10 @@ class WirelengthState:
         :func:`repro.accel.hpwl_batch_deltas`, pinned bit-identical against
         its frozen copy, ``wirelength_reference`` in
         ``tests/oracles/kernels.py``.  Nets average ~3 pins, so a moved pin
-        is usually the only pin on some edge of its net's bbox: with the
-        per-edge pin counts this cache used to keep, 66% of a 256-pair
-        batch's items (c532 and big10k alike) had to re-reduce their net's
-        members; the next-inner values answer those items in O(1) too.
+        is usually the only pin on some edge of its net's bbox (66% of a
+        256-pair batch's items on c532 and on big10k): per-edge pin counts
+        would send those items to a re-reduction of their net's members,
+        where the next-inner values answer them in O(1).
         """
         a = np.atleast_1d(np.asarray(cells_a, dtype=np.int64))
         b = np.atleast_1d(np.asarray(cells_b, dtype=np.int64))
