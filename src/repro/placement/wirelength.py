@@ -533,15 +533,16 @@ class WirelengthState:
     def recompute_cells(self, cells: np.ndarray) -> None:
         """Refresh every net touching any of ``cells`` from the placement.
 
-        One vectorised :func:`net_bboxes` pass over the union of incident nets — the
-        bulk path :meth:`~repro.placement.cost.CostEvaluator.apply_swaps` uses
-        when committing a whole received swap sequence at once.
+        One vectorised :func:`net_bboxes` pass over the union of incident
+        nets (:meth:`recompute_nets` deduplicates them) — the bulk path
+        :meth:`~repro.placement.cost.CostEvaluator.apply_swaps` uses when
+        committing a whole received swap sequence at once.
         """
         cells = np.asarray(cells, dtype=np.int64)
         if cells.size == 0:
             return
         nets, _counts = self._netlist.nets_of_cells_flat(cells)
-        self.recompute_nets(np.unique(nets))
+        self.recompute_nets(nets)
 
     def verify_consistency(self, *, atol: float = 1e-6) -> None:
         """Check the bbox/next-inner caches against a fresh recompute.
