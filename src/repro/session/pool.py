@@ -217,7 +217,7 @@ class WorkerPool:
             self.kernel.run(allow_blocked=True)
         return respawned
 
-    def _retire_subtree(self, dead_pid: int) -> None:
+    def _retire_subtree(self, loop_pid: int) -> None:
         """Take a retired loop's CLW-loop subtree down with it, and
         finalize every record so ``join_all`` will not wait on them.
 
@@ -228,7 +228,7 @@ class WorkerPool:
         terminated, then every record is reaped.
         """
         orphans: List[int] = []
-        frontier = list(self.kernel.child_pids(dead_pid))
+        frontier = list(self.kernel.child_pids(loop_pid))
         while frontier:
             child = frontier.pop()
             orphans.append(child)
@@ -236,7 +236,7 @@ class WorkerPool:
         for pid in orphans:
             self.kernel.post(pid, Tags.STOP)
             self.kernel.post(pid, Tags.POOL_SHUTDOWN)
-        remaining = self._reap([dead_pid, *orphans], grace=1.0)
+        remaining = self._reap([loop_pid, *orphans], grace=1.0)
         for pid in remaining:
             self.kernel.terminate_worker(pid)
         self._reap(remaining, grace=5.0)
