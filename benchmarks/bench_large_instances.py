@@ -14,7 +14,9 @@ tier actually runs and guards its scaling properties:
 * **CSR kernel tax** — the batched wirelength kernel on c532 with the CSR
   shared-net path forced, relative to the dense path.  Small instances pay
   at most a modest tax for the path large instances need
-  (``REPRO_LARGE_CSR_RATIO``, default <= 1.5x);
+  (``REPRO_LARGE_CSR_RATIO``, default <= 1.5x).  Each of 200 repeats
+  times one dense and one CSR call back to back, after warming both up,
+  and each side reports its median call;
 * **sublinear scaling** — per-iteration time must grow sublinearly in cell
   count: ``(t_10k / t_c532) / (10000 / 395)`` stays below
   ``REPRO_LARGE_SUBLINEAR`` (default 0.5 — i.e. at least 2x better than
@@ -124,16 +126,27 @@ def _csr_dense_kernel_ratio() -> dict:
     a = rng.integers(0, placement.num_cells, PAIRS_PER_STEP).astype(np.int64)
     b = rng.integers(0, placement.num_cells, PAIRS_PER_STEP).astype(np.int64)
 
-    def timed(state, repeats=200, warmup=20):
-        for _ in range(warmup):
-            state.deltas_for_swaps(a, b)
-        start = time.perf_counter()
-        for _ in range(repeats):
-            state.deltas_for_swaps(a, b)
-        return (time.perf_counter() - start) / repeats * 1e3
+    states = (
+        WirelengthState(placement, incidence="dense"),
+        WirelengthState(placement, incidence="csr"),
+    )
 
-    dense_ms = timed(WirelengthState(placement, incidence="dense"))
-    csr_ms = timed(WirelengthState(placement, incidence="csr"))
+    def timed(repeats=200, warmup=20):
+        """Median milliseconds per call on each state.  Both are warmed up,
+        then each repeat times one dense and one CSR call back to back, so
+        a busy spell on a shared host slows both sides alike."""
+        for _ in range(warmup):
+            for state in states:
+                state.deltas_for_swaps(a, b)
+        samples = ([], [])
+        for _ in range(repeats):
+            for side, state in zip(samples, states):
+                start = time.perf_counter()
+                state.deltas_for_swaps(a, b)
+                side.append(time.perf_counter() - start)
+        return tuple(float(np.median(side)) * 1e3 for side in samples)
+
+    dense_ms, csr_ms = timed()
     return {
         "dense_batch_ms": dense_ms,
         "csr_batch_ms": csr_ms,

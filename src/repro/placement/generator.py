@@ -16,6 +16,7 @@ the same circuit.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -206,10 +207,14 @@ def generate_circuit(spec: CircuitSpec) -> Netlist:
     gate_cursor = 0
     for driver in input_indices + internal_indices:
         if driver not in sinks_of or not sinks_of[driver]:
-            # attach to a pseudo-random later consumer (an output pad or later gate)
-            later_gates = [g for g in internal_indices if g > driver]
-            candidates = later_gates if later_gates else output_indices
-            target = candidates[gate_cursor % len(candidates)]
+            # attach to a pseudo-random later consumer (an output pad or later
+            # gate); internal_indices is sorted, so the later gates are a suffix
+            first_later = bisect_right(internal_indices, driver)
+            num_later = len(internal_indices) - first_later
+            if num_later:
+                target = internal_indices[first_later + gate_cursor % num_later]
+            else:
+                target = output_indices[gate_cursor % len(output_indices)]
             gate_cursor += 1
             if target == driver:
                 target = output_indices[gate_cursor % len(output_indices)]

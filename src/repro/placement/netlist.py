@@ -1,10 +1,13 @@
 """Netlist container: the hypergraph of cells and nets.
 
-The :class:`Netlist` owns the immutable structure of the circuit and exposes
-both an object view (:class:`~repro.placement.cell.Cell` /
-:class:`~repro.placement.cell.Net`) and a vectorised view (NumPy arrays of
-widths, delays, and a flat CSR-like net-membership encoding) that the
-objective functions use in their hot loops.
+The :class:`Netlist` is a set of NumPy arrays: per-cell widths, delays and
+kind codes, net weights, the net→cell CSR (compressed sparse row) structure,
+its transpose (cell→net), the fan-in CSR the timing analysis reads, and the
+cell and net names as UTF-8 bytes.  The objective functions use those arrays
+in their hot loops.  The object view (:class:`~repro.placement.cell.Cell` /
+:class:`~repro.placement.cell.Net` tuples, per-cell fan-in and fan-out
+tuples) is built on first use, so a worker that restores a netlist around
+shared-memory arrays and only searches never builds it.
 
 A :class:`NetlistBuilder` provides a forgiving, name-based construction API;
 :meth:`NetlistBuilder.build` validates the structure and freezes it into a
@@ -14,14 +17,15 @@ A :class:`NetlistBuilder` provides a forgiving, name-based construction API;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import NetlistError
 from .cell import Cell, CellKind, Net
 
-__all__ = ["Netlist", "NetlistBuilder", "NetlistStats", "csr_rows"]
+__all__ = ["Netlist", "NetlistBuilder", "NetlistStats", "csr_group", "csr_lists", "csr_rows"]
 
 
 def csr_rows(flat: np.ndarray, ptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -44,6 +48,48 @@ def csr_rows(flat: np.ndarray, ptr: np.ndarray, rows: np.ndarray) -> Tuple[np.nd
     offsets = np.cumsum(counts) - counts
     within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
     return flat[np.repeat(starts, counts) + within], counts
+
+
+def csr_lists(flat: np.ndarray, ptr: np.ndarray) -> List[list]:
+    """Every row of a CSR structure as a Python list of ints.
+
+    One ``tolist`` of each array and a slice per row: on 10k rows that is
+    several times cheaper than a ``tolist`` call per row.
+    """
+    values = flat.tolist()
+    bounds = ptr.tolist()
+    return [values[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
+def csr_group(keys: np.ndarray, values: np.ndarray, num_rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(ptr, flat)`` of ``values`` grouped by their row ``keys``
+    (``0 <= key < num_rows``), in input order within each row: one stable
+    sort."""
+    ptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=num_rows), out=ptr[1:])
+    return ptr, values[np.argsort(keys, kind="stable")]
+
+
+def _sink_pins(net_ptr: np.ndarray, flat_members: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every sink pin as aligned ``(drivers, sinks)`` arrays, in pin order."""
+    starts = net_ptr[:-1]
+    is_sink = np.ones(flat_members.size, dtype=bool)
+    is_sink[starts] = False
+    return np.repeat(flat_members[starts], np.diff(net_ptr) - 1), flat_members[is_sink]
+
+
+def _encode_names(names: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """Names as one UTF-8 byte array and a CSR row pointer into it."""
+    encoded = [name.encode() for name in names]
+    ptr = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)), out=ptr[1:])
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), ptr
+
+
+def _decode_names(data: np.ndarray, ptr: np.ndarray) -> List[str]:
+    blob = data.tobytes()
+    bounds = ptr.tolist()
+    return [blob[start:stop].decode() for start, stop in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,8 +142,8 @@ class Netlist:
         whose member indices refer to ``cells``.
     """
 
-    #: Encoding order of :class:`CellKind` in the shared-memory array form.
-    _KIND_ORDER = (
+    #: Encoding order of :class:`CellKind` in :attr:`cell_kinds`.
+    KIND_ORDER = (
         CellKind.COMBINATIONAL,
         CellKind.SEQUENTIAL,
         CellKind.PRIMARY_INPUT,
@@ -106,42 +152,73 @@ class Netlist:
 
     def __init__(self, name: str, cells: Sequence[Cell], nets: Sequence[Net]) -> None:
         self._name = name
-        self._cells: Tuple[Cell, ...] = tuple(cells)
-        self._nets: Tuple[Net, ...] = tuple(nets)
-        self._validate()
-        self._build_arrays()
-        self._build_adjacency()
+        cells = tuple(cells)
+        nets = tuple(nets)
+        self._validate(cells, nets)
+        members = [net.members for net in nets]
+        net_ptr = np.zeros(len(nets) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, members), dtype=np.int64, count=len(nets)), out=net_ptr[1:])
+        flat_members = np.fromiter(
+            chain.from_iterable(members), dtype=np.int64, count=int(net_ptr[-1])
+        )
+        pin_net = np.repeat(np.arange(len(nets), dtype=np.int64), np.diff(net_ptr))
+        cell_net_ptr, cell_net_flat = csr_group(flat_members, pin_net, len(cells))
+        drivers, sinks = _sink_pins(net_ptr, flat_members)
+        fanin_ptr, fanin_flat = csr_group(sinks, drivers, len(cells))
+        code = {kind: index for index, kind in enumerate(self.KIND_ORDER)}
+        cell_name_bytes, cell_name_ptr = _encode_names([cell.name for cell in cells])
+        net_name_bytes, net_name_ptr = _encode_names([net.name for net in nets])
+        self._adopt({
+            "cell_widths": np.array([c.width for c in cells], dtype=np.float64),
+            "cell_delays": np.array([c.delay for c in cells], dtype=np.float64),
+            "cell_kinds": np.array([code[c.kind] for c in cells], dtype=np.int8),
+            "net_weights": np.array([net.weight for net in nets], dtype=np.float64),
+            "net_ptr": net_ptr,
+            "flat_members": flat_members,
+            "cell_net_ptr": cell_net_ptr,
+            "cell_net_flat": cell_net_flat,
+            "fanin_ptr": fanin_ptr,
+            "fanin_flat": fanin_flat,
+            "cell_name_bytes": cell_name_bytes,
+            "cell_name_ptr": cell_name_ptr,
+            "net_name_bytes": net_name_bytes,
+            "net_name_ptr": net_name_ptr,
+        })
+        self._cells = cells
+        self._nets = nets
 
     # ------------------------------------------------------------------ #
     # array (shared-memory) round trip
     # ------------------------------------------------------------------ #
-    def export_arrays(self) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
-        """Split the netlist into numeric arrays and small Python metadata.
+    def _adopt(self, arrays: Dict[str, np.ndarray]) -> None:
+        """Take ``arrays`` as this netlist's state; the object view is unbuilt."""
+        self._arrays = dict(arrays)
+        self._widths = arrays["cell_widths"]
+        self._delays = arrays["cell_delays"]
+        self._kinds = arrays["cell_kinds"]
+        self._net_weights = arrays["net_weights"]
+        self._net_ptr = arrays["net_ptr"]
+        self._flat_members = arrays["flat_members"]
+        self._net_degrees = np.diff(self._net_ptr)
+        self._cell_net_ptr = arrays["cell_net_ptr"]
+        self._cell_net_flat = arrays["cell_net_flat"]
+        self._fanin_ptr = arrays["fanin_ptr"]
+        self._fanin_flat = arrays["fanin_flat"]
+        self._cells: Optional[Tuple[Cell, ...]] = None
+        self._nets: Optional[Tuple[Net, ...]] = None
+        self._fanin: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._fanout: Optional[Tuple[Tuple[int, ...], ...]] = None
 
-        The arrays carry everything size-proportional (per-cell attributes
-        and both CSR incidence structures); ``meta`` carries the names.  The
-        multiprocessing backend places the arrays in shared memory so a spawn
-        ships a handle instead of a pickle — see :meth:`from_arrays`.
+    def export_arrays(self) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
+        """Split the netlist into numeric arrays and its name.
+
+        The arrays carry everything: per-cell attributes, the CSR incidence
+        and fan-in structures and the cell and net names as UTF-8 bytes;
+        ``meta`` carries only the circuit name.  The multiprocessing backend
+        places the arrays in shared memory so a spawn ships a handle instead
+        of a pickle — see :meth:`from_arrays`.
         """
-        kind_index = {kind: code for code, kind in enumerate(self._KIND_ORDER)}
-        arrays = {
-            "cell_widths": self._widths,
-            "cell_delays": self._delays,
-            "cell_kinds": np.array(
-                [kind_index[c.kind] for c in self._cells], dtype=np.int8
-            ),
-            "net_weights": self._net_weights,
-            "net_ptr": self._net_ptr,
-            "flat_members": self._flat_members,
-            "cell_net_ptr": self._cell_net_ptr,
-            "cell_net_flat": self._cell_net_flat,
-        }
-        meta = {
-            "name": self._name,
-            "cell_names": [c.name for c in self._cells],
-            "net_names": [n.name for n in self._nets],
-        }
-        return arrays, meta
+        return dict(self._arrays), {"name": self._name}
 
     @classmethod
     def from_arrays(
@@ -149,71 +226,33 @@ class Netlist:
     ) -> "Netlist":
         """Rebuild a netlist around (possibly shared-memory) arrays.
 
-        The numeric members reference ``arrays`` directly — no copies, so
-        views into a shared block stay zero-copy — and validation is skipped:
-        the arrays came from a validated instance's :meth:`export_arrays`.
-        Only the object view (cells, nets, fan-in/fan-out tuples) is rebuilt.
+        The members reference ``arrays`` directly — no copies, so views into
+        a shared block stay zero-copy — and validation is skipped: the
+        arrays came from a validated instance's :meth:`export_arrays`.
+        Nothing is rebuilt; the object view is built on first use.
         """
         netlist = object.__new__(cls)
         netlist._name = meta["name"]
-        widths = arrays["cell_widths"]
-        delays = arrays["cell_delays"]
-        kinds = arrays["cell_kinds"]
-        cell_names = meta["cell_names"]
-        netlist._cells = tuple(
-            Cell(
-                name=cell_names[index],
-                index=index,
-                width=float(widths[index]),
-                delay=float(delays[index]),
-                kind=cls._KIND_ORDER[int(kinds[index])],
-            )
-            for index in range(len(cell_names))
-        )
-        net_names = meta["net_names"]
-        net_ptr = arrays["net_ptr"]
-        flat = arrays["flat_members"].tolist()
-        weights = arrays["net_weights"]
-        nets = []
-        for index in range(len(net_names)):
-            members = flat[int(net_ptr[index]) : int(net_ptr[index + 1])]
-            nets.append(
-                Net(
-                    name=net_names[index],
-                    index=index,
-                    driver=members[0],
-                    sinks=tuple(members[1:]),
-                    weight=float(weights[index]),
-                )
-            )
-        netlist._nets = tuple(nets)
-        netlist._widths = widths
-        netlist._delays = delays
-        netlist._net_weights = weights
-        netlist._net_ptr = net_ptr
-        netlist._flat_members = arrays["flat_members"]
-        netlist._net_degrees = np.diff(net_ptr)
-        netlist._cell_net_ptr = arrays["cell_net_ptr"]
-        netlist._cell_net_flat = arrays["cell_net_flat"]
-        # fanout/fanin tuples (timing structure) from the rebuilt nets
-        fanout: List[List[int]] = [[] for _ in netlist._cells]
-        fanin: List[List[int]] = [[] for _ in netlist._cells]
-        for net in netlist._nets:
-            for sink in net.sinks:
-                fanout[net.driver].append(sink)
-                fanin[sink].append(net.driver)
-        netlist._fanout = tuple(tuple(lst) for lst in fanout)
-        netlist._fanin = tuple(tuple(lst) for lst in fanin)
+        netlist._adopt(arrays)
         return netlist
+
+    def __getstate__(self) -> tuple:
+        # the arrays alone: the object view is rebuilt on first use, so a
+        # pickle does not depend on whether it was built
+        return self._name, self._arrays
+
+    def __setstate__(self, state: tuple) -> None:
+        self._name, arrays = state
+        self._adopt(arrays)
 
     # ------------------------------------------------------------------ #
     # construction helpers
     # ------------------------------------------------------------------ #
-    def _validate(self) -> None:
-        if not self._cells:
+    def _validate(self, cells: Tuple[Cell, ...], nets: Tuple[Net, ...]) -> None:
+        if not cells:
             raise NetlistError(f"netlist {self._name!r}: must contain at least one cell")
         names = set()
-        for pos, cell in enumerate(self._cells):
+        for pos, cell in enumerate(cells):
             if cell.index != pos:
                 raise NetlistError(
                     f"netlist {self._name!r}: cell {cell.name!r} has index {cell.index}, expected {pos}"
@@ -222,8 +261,8 @@ class Netlist:
                 raise NetlistError(f"netlist {self._name!r}: duplicate cell name {cell.name!r}")
             names.add(cell.name)
         net_names = set()
-        n = len(self._cells)
-        for pos, net in enumerate(self._nets):
+        n = len(cells)
+        for pos, net in enumerate(nets):
             if net.index != pos:
                 raise NetlistError(
                     f"netlist {self._name!r}: net {net.name!r} has index {net.index}, expected {pos}"
@@ -237,48 +276,6 @@ class Netlist:
                         f"netlist {self._name!r}: net {net.name!r} references unknown cell index {member}"
                     )
 
-    def _build_arrays(self) -> None:
-        self._widths = np.array([c.width for c in self._cells], dtype=np.float64)
-        self._delays = np.array([c.delay for c in self._cells], dtype=np.float64)
-        self._net_weights = np.array([net.weight for net in self._nets], dtype=np.float64)
-        # CSR-style flattened net membership: members of net i are
-        # flat_members[net_ptr[i]:net_ptr[i+1]].
-        counts = np.array([net.degree for net in self._nets], dtype=np.int64)
-        self._net_degrees = counts
-        self._net_ptr = np.zeros(len(self._nets) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._net_ptr[1:])
-        if self._nets:
-            self._flat_members = np.concatenate(
-                [np.asarray(net.members, dtype=np.int64) for net in self._nets]
-            )
-        else:
-            self._flat_members = np.zeros(0, dtype=np.int64)
-
-    def _build_adjacency(self) -> None:
-        # cell -> nets incident to it (CSR as well)
-        incidence: List[List[int]] = [[] for _ in self._cells]
-        for net in self._nets:
-            for member in net.members:
-                incidence[member].append(net.index)
-        counts = np.array([len(lst) for lst in incidence], dtype=np.int64)
-        self._cell_net_ptr = np.zeros(len(self._cells) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._cell_net_ptr[1:])
-        if any(incidence):
-            self._cell_net_flat = np.concatenate(
-                [np.asarray(lst, dtype=np.int64) if lst else np.zeros(0, dtype=np.int64) for lst in incidence]
-            )
-        else:
-            self._cell_net_flat = np.zeros(0, dtype=np.int64)
-        # fanout structure for timing: driver -> sinks per net
-        fanout: List[List[int]] = [[] for _ in self._cells]
-        fanin: List[List[int]] = [[] for _ in self._cells]
-        for net in self._nets:
-            for sink in net.sinks:
-                fanout[net.driver].append(sink)
-                fanin[sink].append(net.driver)
-        self._fanout = tuple(tuple(lst) for lst in fanout)
-        self._fanin = tuple(tuple(lst) for lst in fanin)
-
     # ------------------------------------------------------------------ #
     # basic accessors
     # ------------------------------------------------------------------ #
@@ -290,12 +287,12 @@ class Netlist:
     @property
     def num_cells(self) -> int:
         """Number of cells (including pads)."""
-        return len(self._cells)
+        return int(self._widths.size)
 
     @property
     def num_nets(self) -> int:
         """Number of nets."""
-        return len(self._nets)
+        return int(self._net_weights.size)
 
     @property
     def num_pins(self) -> int:
@@ -304,34 +301,57 @@ class Netlist:
 
     @property
     def cells(self) -> Tuple[Cell, ...]:
-        """All cells, ordered by index."""
+        """All cells, ordered by index (built on first use)."""
+        if self._cells is None:
+            arrays = self._arrays
+            kinds = [self.KIND_ORDER[code] for code in self._kinds.tolist()]
+            self._cells = tuple(
+                Cell(name=name, index=index, width=width, delay=delay, kind=kind)
+                for index, (name, width, delay, kind) in enumerate(zip(
+                    _decode_names(arrays["cell_name_bytes"], arrays["cell_name_ptr"]),
+                    self._widths.tolist(),
+                    self._delays.tolist(),
+                    kinds,
+                ))
+            )
         return self._cells
 
     @property
     def nets(self) -> Tuple[Net, ...]:
-        """All nets, ordered by index."""
+        """All nets, ordered by index (built on first use)."""
+        if self._nets is None:
+            arrays = self._arrays
+            self._nets = tuple(
+                Net(name=name, index=index, driver=members[0], sinks=tuple(members[1:]),
+                    weight=weight)
+                for index, (name, members, weight) in enumerate(zip(
+                    _decode_names(arrays["net_name_bytes"], arrays["net_name_ptr"]),
+                    csr_lists(self._flat_members, self._net_ptr),
+                    self._net_weights.tolist(),
+                ))
+            )
         return self._nets
 
     def cell(self, index: int) -> Cell:
         """Return the cell with the given dense index."""
-        return self._cells[index]
+        return self.cells[index]
 
     def net(self, index: int) -> Net:
         """Return the net with the given dense index."""
-        return self._nets[index]
+        return self.nets[index]
 
     def cell_by_name(self, name: str) -> Cell:
         """Look up a cell by name (O(n); intended for tests and tooling)."""
-        for cell in self._cells:
+        for cell in self.cells:
             if cell.name == name:
                 return cell
         raise NetlistError(f"netlist {self._name!r}: no cell named {name!r}")
 
     def __iter__(self) -> Iterator[Cell]:
-        return iter(self._cells)
+        return iter(self.cells)
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return self.num_cells
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Netlist(name={self._name!r}, cells={self.num_cells}, nets={self.num_nets})"
@@ -339,62 +359,68 @@ class Netlist:
     # ------------------------------------------------------------------ #
     # vectorised views used by the objective functions
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _view(array: np.ndarray) -> np.ndarray:
+        view = array.view()
+        view.flags.writeable = False
+        return view
+
     @property
     def cell_widths(self) -> np.ndarray:
         """Array of cell widths, indexed by cell index (read-only view)."""
-        view = self._widths.view()
-        view.flags.writeable = False
-        return view
+        return self._view(self._widths)
 
     @property
     def cell_delays(self) -> np.ndarray:
         """Array of intrinsic cell delays (read-only view)."""
-        view = self._delays.view()
-        view.flags.writeable = False
-        return view
+        return self._view(self._delays)
+
+    @property
+    def cell_kinds(self) -> np.ndarray:
+        """Kind code of every cell, an index into :attr:`KIND_ORDER` (read-only view)."""
+        return self._view(self._kinds)
 
     @property
     def net_weights(self) -> np.ndarray:
         """Array of net weights (read-only view)."""
-        view = self._net_weights.view()
-        view.flags.writeable = False
-        return view
+        return self._view(self._net_weights)
 
     @property
     def net_ptr(self) -> np.ndarray:
         """CSR row pointer into :attr:`flat_members` (length ``num_nets + 1``)."""
-        view = self._net_ptr.view()
-        view.flags.writeable = False
-        return view
+        return self._view(self._net_ptr)
 
     @property
     def flat_members(self) -> np.ndarray:
         """Flattened net membership array (driver first, then sinks, per net)."""
-        view = self._flat_members.view()
-        view.flags.writeable = False
-        return view
+        return self._view(self._flat_members)
 
     @property
     def cell_net_ptr(self) -> np.ndarray:
         """CSR row pointer into :attr:`cell_net_flat` (length ``num_cells + 1``)."""
-        view = self._cell_net_ptr.view()
-        view.flags.writeable = False
-        return view
+        return self._view(self._cell_net_ptr)
 
     @property
     def cell_net_flat(self) -> np.ndarray:
         """Flattened cell→net incidence array (nets of cell ``c`` are
         ``cell_net_flat[cell_net_ptr[c]:cell_net_ptr[c+1]]``)."""
-        view = self._cell_net_flat.view()
-        view.flags.writeable = False
-        return view
+        return self._view(self._cell_net_flat)
+
+    @property
+    def fanin_ptr(self) -> np.ndarray:
+        """CSR row pointer into :attr:`fanin_flat` (length ``num_cells + 1``)."""
+        return self._view(self._fanin_ptr)
+
+    @property
+    def fanin_flat(self) -> np.ndarray:
+        """Flattened fan-in: the drivers of cell ``c`` are
+        ``fanin_flat[fanin_ptr[c]:fanin_ptr[c+1]]``, in net order."""
+        return self._view(self._fanin_flat)
 
     @property
     def net_degrees(self) -> np.ndarray:
         """Number of members of each net (read-only view)."""
-        view = self._net_degrees.view()
-        view.flags.writeable = False
-        return view
+        return self._view(self._net_degrees)
 
     def net_members(self, net_index: int) -> np.ndarray:
         """Cell indices attached to ``net_index`` (driver first)."""
@@ -428,11 +454,17 @@ class Netlist:
         return np.unique(np.concatenate(pieces))
 
     def fanout(self, cell_index: int) -> Tuple[int, ...]:
-        """Cells driven (directly) by ``cell_index``."""
+        """Cells driven (directly) by ``cell_index``, in net order."""
+        if self._fanout is None:
+            drivers, sinks = _sink_pins(self._net_ptr, self._flat_members)
+            ptr, flat = csr_group(drivers, sinks, self.num_cells)
+            self._fanout = tuple(map(tuple, csr_lists(flat, ptr)))
         return self._fanout[cell_index]
 
     def fanin(self, cell_index: int) -> Tuple[int, ...]:
-        """Cells directly driving ``cell_index``."""
+        """Cells directly driving ``cell_index``, in net order."""
+        if self._fanin is None:
+            self._fanin = tuple(map(tuple, csr_lists(self._fanin_flat, self._fanin_ptr)))
         return self._fanin[cell_index]
 
     # ------------------------------------------------------------------ #
@@ -440,8 +472,13 @@ class Netlist:
     # ------------------------------------------------------------------ #
     def stats(self) -> NetlistStats:
         """Compute summary statistics (cheap; O(cells + pins))."""
-        degrees = np.diff(self._net_ptr)
-        fanouts = np.array([len(f) for f in self._fanout], dtype=np.float64)
+        degrees = self._net_degrees
+        fanouts = np.bincount(
+            self._flat_members[self._net_ptr[:-1]], weights=degrees - 1,
+            minlength=self.num_cells,
+        )
+        kind_counts = np.bincount(self._kinds, minlength=len(self.KIND_ORDER)).tolist()
+        count = dict(zip(self.KIND_ORDER, kind_counts))
         return NetlistStats(
             name=self._name,
             num_cells=self.num_cells,
@@ -451,9 +488,9 @@ class Netlist:
             max_net_degree=int(degrees.max()) if self.num_nets else 0,
             avg_cell_fanout=float(fanouts.mean()),
             total_cell_width=float(self._widths.sum()),
-            num_primary_inputs=sum(1 for c in self._cells if c.kind is CellKind.PRIMARY_INPUT),
-            num_primary_outputs=sum(1 for c in self._cells if c.kind is CellKind.PRIMARY_OUTPUT),
-            num_sequential=sum(1 for c in self._cells if c.kind is CellKind.SEQUENTIAL),
+            num_primary_inputs=count[CellKind.PRIMARY_INPUT],
+            num_primary_outputs=count[CellKind.PRIMARY_OUTPUT],
+            num_sequential=count[CellKind.SEQUENTIAL],
         )
 
 

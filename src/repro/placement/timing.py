@@ -21,20 +21,19 @@ otherwise.  The exact analysis is re-run when moves are committed (with a
 configurable refresh interval) so the surrogate never drifts far.
 
 Everything the analysis derives from the netlist alone (kind masks, fan-in,
-topological order, level schedule, flat edge lists) is a
-:class:`TimingGraph`, built once per netlist object per process by
-:func:`timing_graph` and shared by every :class:`TimingAnalyzer` of that
-netlist.  Every run's master, TSW and CLW build an evaluator, and at 10k
-cells the graph was most of that build.  Each analyzer keeps its own
-scratch buffers, because evaluators sharing one problem may analyze at the
-same time on different threads.
+level schedule, flat edge lists) is a :class:`TimingGraph`, built from the
+netlist's arrays once per netlist object per process by :func:`timing_graph`
+and shared by every :class:`TimingAnalyzer` of that netlist.  Every run's
+master, TSW and CLW build an evaluator, and at 10k cells the graph was most
+of that build.  Each analyzer keeps its own scratch buffers, because
+evaluators sharing one problem may analyze at the same time on different
+threads.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,7 +41,7 @@ import numpy as np
 
 from ..errors import CostModelError
 from .cell import CellKind
-from .netlist import Netlist
+from .netlist import Netlist, csr_group, csr_lists, csr_rows
 from .solution import Placement
 
 __all__ = [
@@ -106,7 +105,6 @@ class TimingGraph:
     prop_fanin: Tuple[Tuple[int, ...], ...]
     #: Endpoint fan-in of every cell (empty unless it is an endpoint).
     end_fanin: Tuple[Tuple[int, ...], ...]
-    topo_order: Tuple[int, ...]
     #: Intrinsic cell delays, as an array and as Python floats.
     delays: np.ndarray
     delays_list: Tuple[float, ...]
@@ -129,113 +127,106 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _build_graph(netlist: Netlist) -> TimingGraph:
-    """Derive the :class:`TimingGraph` of ``netlist`` (uncached)."""
+    """Derive the :class:`TimingGraph` of ``netlist`` (uncached).
+
+    Reads only the netlist's arrays (kind codes and the fan-in CSR), so a
+    netlist restored around shared memory never builds its object view;
+    the per-cell work is NumPy except for the tuple fields.
+    """
     n = netlist.num_cells
-    kinds = [cell.kind for cell in netlist.cells]
-    is_start = np.array([k.is_timing_start for k in kinds], dtype=bool)
-    is_end = np.array([k.is_timing_end for k in kinds], dtype=bool)
-    is_seq = np.array([k is CellKind.SEQUENTIAL for k in kinds], dtype=bool)
+    kinds = netlist.cell_kinds
+
+    def kind_mask(test) -> np.ndarray:
+        return np.isin(kinds, [code for code, kind in enumerate(Netlist.KIND_ORDER) if test(kind)])
+
+    is_start = kind_mask(lambda kind: kind.is_timing_start)
+    is_end = kind_mask(lambda kind: kind.is_timing_end)
+    is_seq = kind_mask(lambda kind: kind is CellKind.SEQUENTIAL)
+    fanin_ptr = netlist.fanin_ptr
+    fanin_flat = netlist.fanin_flat
+    fanin_counts = np.diff(fanin_ptr)
 
     # Propagating fan-in: for every cell, the drivers whose arrival feeds
     # its own arrival.  Sequential cells do not propagate their fan-in
     # (paths end at their D input); their own arrival is just clk-to-Q.
-    prop_fanin = tuple(() if is_start[c] else netlist.fanin(c) for c in range(n))
+    fanin = tuple(map(tuple, csr_lists(fanin_flat, fanin_ptr)))
+    prop_fanin = tuple(() if start else f for start, f in zip(is_start.tolist(), fanin))
     # Endpoint fan-in: data inputs of sequential cells and primary outputs.
     # (For primary outputs this is the same as the propagating fan-in.)
-    end_fanin = tuple(netlist.fanin(c) if is_end[c] else () for c in range(n))
+    end_fanin = tuple(f if end else () for end, f in zip(is_end.tolist(), fanin))
 
-    # Kahn topological sort over propagating edges.
-    indegree = np.array([len(f) for f in prop_fanin], dtype=np.int64)
-    consumers: List[List[int]] = [[] for _ in range(n)]
-    for c in range(n):
-        for d in prop_fanin[c]:
-            consumers[d].append(c)
-    queue = deque(int(c) for c in np.flatnonzero(indegree == 0))
-    order: List[int] = []
-    remaining = indegree.copy()
-    while queue:
-        c = queue.popleft()
-        order.append(c)
-        for consumer in consumers[c]:
-            remaining[consumer] -= 1
-            if remaining[consumer] == 0:
-                queue.append(consumer)
-    if len(order) != n:
+    # Topological *levels* for the vectorised STA: all cells of one level
+    # depend only on strictly earlier levels, so a whole level's arrival
+    # times are one segmented gather/reduce instead of a Python loop over
+    # cells.  Kahn's algorithm one frontier at a time: a cell leaves in the
+    # round after its last driver, so its round is its longest-path depth.
+    owner = np.repeat(np.arange(n, dtype=np.int64), fanin_counts)
+    propagates = ~is_start[owner]
+    consumer_of = owner[propagates]
+    driver_of = fanin_flat[propagates]
+    consumer_ptr, consumers = csr_group(driver_of, consumer_of, n)
+    remaining = np.bincount(consumer_of, minlength=n)
+    level = np.zeros(n, dtype=np.int64)
+    frontier = np.flatnonzero(remaining == 0)
+    released = frontier.size
+    depth = 0
+    while frontier.size:
+        targets, _counts = csr_rows(consumers, consumer_ptr, frontier)
+        remaining -= np.bincount(targets, minlength=n)
+        frontier = np.unique(targets[remaining[targets] == 0])
+        depth += 1
+        level[frontier] = depth
+        released += frontier.size
+    if released != n:
         raise CostModelError(
             f"netlist {netlist.name!r}: combinational cycle detected; "
             "static timing analysis requires an acyclic combinational graph"
         )
     delays = netlist.cell_delays
 
-    # Group cells into topological *levels* for the vectorised STA: all
-    # cells of one level depend only on strictly earlier levels, so a whole
-    # level's arrival times are one segmented gather/reduce instead of a
-    # Python loop over cells.
-    level = np.zeros(n, dtype=np.int64)
-    for c in order:
-        fanin = prop_fanin[c]
-        if fanin:
-            level[c] = 1 + max(int(level[d]) for d in fanin)
-    # One flat edge list over all levels: the geometric edge delays are
+    # One flat edge list over all levels, cells by level and by index within
+    # a level (one stable sort): the geometric edge delays are
     # arrival-independent, so one vectorised pass prices every edge up
     # front and the sequential per-level work shrinks to a gather, an add
     # and a segmented max.
-    schedule = []
     max_level = int(level.max()) if n else 0
-    edge_cursor = 0
-    all_flat: List[np.ndarray] = []
-    all_rep: List[np.ndarray] = []
+    level_ptr, by_level = csr_group(level, np.arange(n, dtype=np.int64), max_level + 1)
+    first = int(level_ptr[1])
+    scheduled = by_level[first:]  # the cells above level 0 propagate
+    edge_src, edge_counts = csr_rows(fanin_flat, fanin_ptr, scheduled)
+    edge_dst = np.repeat(scheduled, edge_counts)
+    edge_ptr = np.zeros(scheduled.size + 1, dtype=np.int64)
+    np.cumsum(edge_counts, out=edge_ptr[1:])
+    schedule = []
     for lvl in range(1, max_level + 1):
-        cells = np.flatnonzero(level == lvl)
-        counts = np.array([len(prop_fanin[c]) for c in cells], dtype=np.int64)
-        flat = np.concatenate(
-            [np.asarray(prop_fanin[c], dtype=np.int64) for c in cells]
-        ) if cells.size else np.zeros(0, dtype=np.int64)
-        starts = np.zeros(cells.size, dtype=np.int64)
-        if cells.size:
-            np.cumsum(counts[:-1], out=starts[1:])
-        edge_slice = slice(edge_cursor, edge_cursor + flat.size)
-        edge_cursor += flat.size
-        all_flat.append(flat)
-        all_rep.append(np.repeat(cells, counts))
+        lo, hi = int(level_ptr[lvl]) - first, int(level_ptr[lvl + 1]) - first
+        edge_lo, edge_hi = int(edge_ptr[lo]), int(edge_ptr[hi])
+        cells = scheduled[lo:hi]
         schedule.append((
-            _read_only(cells), _read_only(flat), _read_only(starts),
-            _read_only(delays[cells]), edge_slice,
+            _read_only(cells), _read_only(edge_src[edge_lo:edge_hi]),
+            _read_only(edge_ptr[lo:hi] - edge_lo), _read_only(delays[cells]),
+            slice(edge_lo, edge_hi),
         ))
-    edge_src = np.concatenate(all_flat) if all_flat else np.zeros(0, dtype=np.int64)
-    edge_dst = np.concatenate(all_rep) if all_rep else np.zeros(0, dtype=np.int64)
     # Scalar propagation schedule, aligned with the flat edge order: for
     # the paper-sized circuits a tight Python loop over *pre-vectorised*
     # edge delays beats per-level NumPy dispatch (tens of levels with a
     # handful of cells each); big flat circuits flip the other way.
-    scalar_schedule = tuple(
-        (int(c), prop_fanin[c])
-        for cells, _flat, _starts, _delays, _sl in schedule
-        for c in cells
-    )
+    scalar_schedule = tuple((c, prop_fanin[c]) for c in scheduled.tolist())
     # Endpoint CSR: data arrivals at POs / flip-flop D inputs.  Endpoints
     # are visited in index order and their fan-in in netlist order —
     # matching the reference loop so that first-maximum tie-breaking is
     # identical.
-    end_cells = [c for c in np.flatnonzero(is_end) if end_fanin[c]]
-    if end_cells:
-        end_counts = np.array([len(end_fanin[c]) for c in end_cells], dtype=np.int64)
-        end_flat = np.concatenate(
-            [np.asarray(end_fanin[c], dtype=np.int64) for c in end_cells]
-        )
-    else:
-        end_counts = np.zeros(0, dtype=np.int64)
-        end_flat = np.zeros(0, dtype=np.int64)
-    ends_rep = np.repeat(np.asarray(end_cells, dtype=np.int64), end_counts)
+    end_cells = np.flatnonzero(is_end & (fanin_counts > 0))
+    end_flat, end_counts = csr_rows(fanin_flat, fanin_ptr, end_cells)
+    ends_rep = np.repeat(end_cells, end_counts)
     return TimingGraph(
         is_start=_read_only(is_start),
         is_end=_read_only(is_end),
         is_seq=_read_only(is_seq),
         prop_fanin=prop_fanin,
         end_fanin=end_fanin,
-        topo_order=tuple(order),
         delays=delays,
-        delays_list=tuple(float(d) for d in delays),
+        delays_list=tuple(delays.tolist()),
         level_schedule=tuple(schedule),
         edge_src=_read_only(edge_src),
         edge_dst=_read_only(edge_dst),
@@ -272,9 +263,9 @@ class TimingAnalyzer:
     """Exact static timing analysis for a fixed netlist.
 
     The netlist connectivity never changes during placement, so the
-    topological order, endpoint set, fan-in structure and level schedule
-    come from the netlist's shared :class:`TimingGraph`, built once per
-    netlist object per process; only the geometric wire delays depend on
+    endpoint set, fan-in structure and level schedule come from the
+    netlist's shared :class:`TimingGraph`, built once per netlist object
+    per process; only the geometric wire delays depend on
     the placement.  The scratch buffers :meth:`analyze` writes belong to
     the analyzer: the threads backend and the simulator run many evaluators
     on one problem, and threads can interleave inside :meth:`analyze`, so

@@ -30,6 +30,7 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .. import accel
+from .netlist import csr_lists
 from .solution import Placement
 
 __all__ = [
@@ -417,18 +418,13 @@ class WirelengthState:
     def _scalar_commit_lists(self) -> tuple:
         """Python-list caches backing the scalar commit path (built lazily)."""
         if self._commit_lists is None:
+            netlist = self._netlist
             self._commit_lists = (
                 self._layout.slot_x.tolist(),
                 self._layout.slot_y.tolist(),
-                [
-                    self._netlist.net_members(i).tolist()
-                    for i in range(self._netlist.num_nets)
-                ],
-                [
-                    self._netlist.nets_of_cell(c).tolist()
-                    for c in range(self._placement.num_cells)
-                ],
-                self._netlist.net_weights.tolist(),
+                csr_lists(netlist.flat_members, netlist.net_ptr),
+                csr_lists(netlist.cell_net_flat, netlist.cell_net_ptr),
+                netlist.net_weights.tolist(),
             )
         return self._commit_lists
 

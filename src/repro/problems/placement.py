@@ -118,10 +118,11 @@ class PlacementProblem:
     def __shm_export__(self):
         """Opt in to shared-memory spawn shipment (see :mod:`repro.pvm.shm`).
 
-        All size-proportional state — the netlist CSR structures and the
-        layout coordinate tables — goes into one shared block; the worker
-        receives a handle plus the small name/parameter metadata and rebuilds
-        the problem *around* the attached arrays with zero copies.
+        All size-proportional state — the netlist arrays, cell and net
+        names included, and the layout coordinate tables — goes into one
+        shared block; the worker receives a handle plus the small parameter
+        metadata and rebuilds the problem *around* the attached arrays with
+        zero copies, building no per-cell Python object.
         """
         netlist_arrays, netlist_meta = self.netlist.export_arrays()
         layout_arrays, layout_meta = self.layout.export_arrays()

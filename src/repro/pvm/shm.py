@@ -2,7 +2,7 @@
 
 The problem description (e.g. the placement domain's
 :class:`~repro.problems.placement.PlacementProblem`) is immutable and large:
-netlist CSR structure, coordinate tables and Python cell/net objects.  On the
+netlist CSR structures, cell and net names, coordinate tables.  On the
 processes backend it therefore never travels as a pickle:
 
 * :class:`SharedArrayPack` copies a set of named NumPy arrays into one

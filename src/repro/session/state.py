@@ -49,8 +49,10 @@ MAGIC = b"RTSS"
 #: position, so a removed field would silently shift the rest, and the
 #: evaluator snapshots carry cache arrays by position too (version 4: the
 #: wirelength cache's edge counts became next-inner coordinates, so an older
-#: snapshot would resume with wrong trial deltas).
-SCHEMA_VERSION = 4
+#: snapshot would resume with wrong trial deltas; version 5: a pickled
+#: ``Netlist`` is its arrays, kind codes and fan-in CSR included, so an older
+#: one would unpickle without them).
+SCHEMA_VERSION = 5
 
 _HEADER = struct.Struct("<4sI")
 

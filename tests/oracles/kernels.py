@@ -13,7 +13,9 @@ verbatim so the parity suites can pin the shipped kernel against it:
   :meth:`~repro.problems.qap.evaluator.QAPEvaluator.deltas_for_swaps`
   before it moved into :func:`repro.accel.qap_swap_deltas`;
 * :func:`sta_reference` — the scalar static timing analysis that
-  :meth:`~repro.placement.timing.TimingAnalyzer.analyze` vectorised.
+  :meth:`~repro.placement.timing.TimingAnalyzer.analyze` vectorised; it
+  walks the cells in the Kahn order of the frozen graph builder
+  (:mod:`oracles.timing_graph`).
 
 ``benchmarks/bench_gpu_kernels.py`` times the shipped kernels against the
 two delta oracles: the dispatch tax of calling through :mod:`repro.accel`.
@@ -30,6 +32,8 @@ from repro.placement.solution import Placement
 from repro.placement.timing import TimingAnalyzer, TimingResult
 from repro.placement.wirelength import WirelengthState
 from repro.problems.qap.evaluator import QAPEvaluator
+
+from .timing_graph import reference_topo_order
 
 __all__ = [
     "reference_caches",
@@ -296,7 +300,7 @@ def sta_reference(analyzer: TimingAnalyzer, placement: Placement) -> TimingResul
     best_pred = np.full(n, -1, dtype=np.int64)
     wpu = analyzer.model.wire_delay_per_unit
     delays = graph.delays
-    for c in graph.topo_order:
+    for c in reference_topo_order(graph.prop_fanin):
         fanin = graph.prop_fanin[c]
         if fanin:
             best = -np.inf

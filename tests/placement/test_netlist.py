@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.errors import NetlistError
-from repro.placement import CellKind, NetlistBuilder
+from repro.placement import CellKind, NetlistBuilder, load_benchmark
 from repro.placement.cell import Cell, Net
 from repro.placement.netlist import Netlist
 
@@ -129,3 +131,68 @@ class TestNetlistStats:
         assert stats.total_cell_width == pytest.approx(1 + 1 + 2 + 3 + 1)
         assert stats.max_net_degree == 3
         assert stats.as_dict()["num_cells"] == 5
+
+
+class TestArrayForm:
+    def test_pickle_round_trip_keeps_every_view(self):
+        netlist = build_small()
+        copy = pickle.loads(pickle.dumps(netlist))
+        assert copy.cells == netlist.cells
+        assert copy.nets == netlist.nets
+        assert copy.stats() == netlist.stats()
+        assert [copy.fanin(c) for c in range(5)] == [netlist.fanin(c) for c in range(5)]
+        assert [copy.fanout(c) for c in range(5)] == [netlist.fanout(c) for c in range(5)]
+
+    def test_pickle_does_not_depend_on_the_built_object_view(self):
+        netlist = Netlist.from_arrays(*build_small().export_arrays())
+        before = pickle.dumps(netlist)
+        netlist.cells, netlist.nets, netlist.fanin(0), netlist.fanout(0)
+        assert pickle.dumps(netlist) == before
+
+    def test_fanin_csr_keeps_net_order_and_repeated_drivers(self):
+        builder = NetlistBuilder("repeat")
+        for name in ("a", "b", "g"):
+            builder.add_cell(name)
+        builder.add_net("n0", driver="b", sinks=["g"])
+        builder.add_net("n1", driver="a", sinks=["g", "b"])
+        builder.add_net("n2", driver="b", sinks=["g"])
+        netlist = builder.build()
+        assert netlist.fanin(2) == (1, 0, 1)
+        assert netlist.fanout(1) == (2, 2)
+        assert netlist.fanin_flat.tolist() == [0, 1, 0, 1]
+        assert netlist.fanin_ptr.tolist() == [0, 0, 1, 4]
+        assert netlist.cell_kinds.tolist() == [0, 0, 0]
+
+    def test_names_round_trip_through_utf8_bytes(self):
+        builder = NetlistBuilder("names")
+        builder.add_cell("é")
+        builder.add_cell("")
+        builder.add_cell("z z")
+        builder.add_net("→", driver="é", sinks=["", "z z"])
+        arrays, meta = builder.build().export_arrays()
+        assert meta == {"name": "names"}
+        assert arrays["cell_name_bytes"].dtype == np.uint8
+        restored = Netlist.from_arrays(arrays, meta)
+        assert [cell.name for cell in restored] == ["é", "", "z z"]
+        assert restored.net(0).name == "→"
+
+
+@pytest.mark.parametrize("name", ["c532", "big2k"])
+def test_fanin_fanout_and_stats_follow_the_nets(name):
+    """The CSR-backed fan-in, fan-out and statistics agree with the nets
+    read one by one, as the per-net loops they replaced did."""
+    from oracles.timing_graph import reference_fanin
+
+    netlist = load_benchmark(name, use_cache=False)
+    fanout = [[] for _ in range(netlist.num_cells)]
+    for net in netlist.nets:
+        fanout[net.driver].extend(net.sinks)
+    fanin = reference_fanin(netlist)
+    assert [netlist.fanin(c) for c in range(netlist.num_cells)] == list(fanin)
+    assert [netlist.fanout(c) for c in range(netlist.num_cells)] == [tuple(f) for f in fanout]
+    stats = netlist.stats()
+    assert stats.avg_cell_fanout == float(np.array([len(f) for f in fanout], dtype=np.float64).mean())
+    kinds = [cell.kind for cell in netlist.cells]
+    assert stats.num_primary_inputs == kinds.count(CellKind.PRIMARY_INPUT)
+    assert stats.num_primary_outputs == kinds.count(CellKind.PRIMARY_OUTPUT)
+    assert stats.num_sequential == kinds.count(CellKind.SEQUENTIAL)

@@ -18,6 +18,7 @@ import pytest
 
 from repro.problems.placement import PlacementProblem, restore_shared_problem
 from repro.placement import load_benchmark
+from repro.placement.cell import Cell, Net
 from repro.pvm import homogeneous_cluster
 from repro.pvm.process_backend import ProcessKernel
 from repro.pvm.shm import (
@@ -176,6 +177,60 @@ class TestSharedProblem:
                         original_eval.commit_swap(cell_a, cell_b)
                     )
                 restored_eval.verify_consistency()
+            finally:
+                block.close()
+        finally:
+            pack.close()
+            pack.unlink()
+
+    def test_restored_netlist_has_the_original_object_view(self, problem):
+        original = problem.netlist
+        ref, pack = export_shared(problem)
+        try:
+            # the names travel in the block, not in the ref
+            assert "cell_names" not in ref.meta["netlist"]
+            assert original.cell(7).name.encode() not in pickle.dumps(ref)
+            arrays, block = attach_arrays(ref.block_name, ref.entries)
+            try:
+                restored = restore_shared_problem(arrays, ref.meta).netlist
+                assert restored.stats() == original.stats()
+                assert restored.cells == original.cells
+                assert restored.nets == original.nets
+                for cell in range(original.num_cells):
+                    assert restored.fanin(cell) == original.fanin(cell)
+                    assert restored.fanout(cell) == original.fanout(cell)
+            finally:
+                block.close()
+        finally:
+            pack.close()
+            pack.unlink()
+
+    @pytest.mark.parametrize("circuit", ["c532", "big2k"])
+    def test_worker_path_builds_no_cell_or_net_object(self, circuit, monkeypatch):
+        """Restore, evaluator, a batch, a commit and an exact delta adopt —
+        what a worker does with a shipped problem — build no per-cell or
+        per-net object; the object view stays unbuilt."""
+        problem = PlacementProblem.from_netlist(load_benchmark(circuit), reference_seed=0)
+        solution = problem.random_solution(4)
+        built = []
+        for cls in (Cell, Net):
+            monkeypatch.setattr(
+                cls, "__post_init__",
+                lambda obj, _check=cls.__post_init__: built.append(type(obj)) or _check(obj),
+            )
+        ref, pack = export_shared(problem)
+        try:
+            arrays, block = attach_arrays(ref.block_name, ref.entries)
+            try:
+                restored = restore_shared_problem(arrays, ref.meta)
+                evaluator = restored.make_evaluator(solution)
+                pairs = np.random.default_rng(5).integers(0, restored.num_cells, size=(64, 2))
+                evaluator.evaluate_swaps_batch(pairs)
+                evaluator.commit_swap(*pairs[0].tolist())
+                evaluator.apply_swaps(pairs[1:5], exact_timing=True)
+                assert built == []
+                # the counter sees the object view once something asks for it
+                assert len(restored.netlist.cells) == built.count(Cell) == problem.num_cells
             finally:
                 block.close()
         finally:

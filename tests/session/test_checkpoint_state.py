@@ -84,9 +84,11 @@ class TestCodecValidation:
         # pickled parameters with fields since removed (slotted dataclasses
         # restore by position, so they would load shifted), version 3
         # snapshots the wirelength cache with edge counts where version 4 has
-        # next-inner coordinates; a newer version is unknown to this build
+        # next-inner coordinates, version 4 pickles a netlist without the
+        # kind codes and fan-in CSR version 5 restores it from; a newer
+        # version is unknown to this build
         payload = paused_state.to_bytes()[8:]
-        for version in (1, 2, 3, SCHEMA_VERSION + 1):
+        for version in (1, 2, 3, 4, SCHEMA_VERSION + 1):
             blob = struct.pack("<4sI", MAGIC, version) + payload
             with pytest.raises(SessionError, match="schema version"):
                 SessionState.from_bytes(blob)
