@@ -63,7 +63,7 @@ def _restored(netlist: Netlist) -> Netlist:
 @pytest.mark.parametrize("name", benchmark_names())
 def test_named_circuit_graph_matches_the_frozen_builder(name):
     netlist = load_benchmark(name, use_cache=False)
-    graph = timing._build_graph(_restored(netlist))
+    graph = timing.timing_graph(_restored(netlist))
     assert_same_graph(graph, reference_graph(netlist))
 
 
