@@ -82,9 +82,7 @@ def measure_elastic_vs_static(problem):
 
     with WorkerPool(2, 1, backend="processes") as pool:
         grown = []
-        timer = threading.Timer(
-            1.0, lambda: grown.extend(pool.grow(2, speed_hints=[1.0, 1.0]))
-        )
+        timer = threading.Timer(1.0, lambda: grown.extend(pool.grow(2)))
         timer.start()
         start = time.perf_counter()
         try:

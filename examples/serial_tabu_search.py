@@ -49,7 +49,6 @@ def main() -> None:
         tabu_tenure=7,
         pairs_per_step=6,
         move_depth=3,
-        aspiration="best",
     )
     search = TabuSearch(evaluator, params, seed=1)
     result = search.run(TerminationCriteria(max_iterations=60))

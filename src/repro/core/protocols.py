@@ -85,9 +85,7 @@ class SwapEvaluator(Protocol):
         tabu/aspiration admissibility mask and select the best admissible
         swap via ``argmin`` without consulting the evaluator again.  Scoring
         must also be *batch-size invariant* — a pair's cost is bit-identical
-        whether it is scored alone, in its own range's batch, or inside a
-        fused batch covering several candidate ranges (the driver fuses all
-        ranges' step-1 trials into one call before their states diverge).
+        whether it is scored alone or inside a larger batch.
         """
         ...
 

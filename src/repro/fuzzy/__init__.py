@@ -2,49 +2,17 @@
 
 Public surface:
 
-* membership functions — :class:`~repro.fuzzy.membership.DecreasingLinear`,
-  :class:`~repro.fuzzy.membership.IncreasingLinear`,
-  :class:`~repro.fuzzy.membership.Triangular`,
-  :class:`~repro.fuzzy.membership.Trapezoidal`;
-* aggregation operators — :func:`~repro.fuzzy.operators.andlike_owa` and
-  friends;
+* the membership function —
+  :class:`~repro.fuzzy.membership.DecreasingLinear`;
 * goal-directed aggregation — :class:`~repro.fuzzy.goals.FuzzyGoal`,
   :class:`~repro.fuzzy.goals.FuzzyGoalAggregator`.
 """
 
 from .goals import FuzzyGoal, FuzzyGoalAggregator
-from .membership import (
-    DecreasingLinear,
-    IncreasingLinear,
-    MembershipFunction,
-    Trapezoidal,
-    Triangular,
-)
-from .operators import (
-    OwaAndLike,
-    OwaOrLike,
-    andlike_owa,
-    fuzzy_and_min,
-    fuzzy_or_max,
-    orlike_owa,
-    probabilistic_sum,
-    product_tnorm,
-)
+from .membership import DecreasingLinear
 
 __all__ = [
     "FuzzyGoal",
     "FuzzyGoalAggregator",
-    "MembershipFunction",
     "DecreasingLinear",
-    "IncreasingLinear",
-    "Triangular",
-    "Trapezoidal",
-    "OwaAndLike",
-    "OwaOrLike",
-    "andlike_owa",
-    "orlike_owa",
-    "fuzzy_and_min",
-    "fuzzy_or_max",
-    "product_tnorm",
-    "probabilistic_sum",
 ]

@@ -7,10 +7,16 @@ membership of a crisp value is 1 at or below the goal and falls linearly to 0
 at the upper value.
 
 A :class:`FuzzyGoalAggregator` evaluates a vector of objective values against
-its goals and combines the memberships with an and-like OWA operator (see
-:mod:`repro.fuzzy.operators`); the scalar *cost* reported to the optimiser is
-``1 - membership`` so that lower is better, as the tabu-search machinery
-expects.
+its goals and combines the memberships with Sait & Youssef's "fuzzy and-like"
+ordered-weighted-averaging (OWA) operator:
+
+    mu = beta * min(mu_i) + (1 - beta) * mean(mu_i)
+
+With ``beta`` close to 1 the aggregation behaves like a strict fuzzy AND (the
+worst objective dominates); with ``beta`` close to 0 it behaves like an
+arithmetic mean (compensatory).  The mean term is weighted by the goals'
+weights.  The scalar *cost* reported to the optimiser is ``1 - membership``
+so that lower is better, as the tabu-search machinery expects.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ import numpy as np
 
 from ..errors import CostModelError
 from .membership import DecreasingLinear
-from .operators import OwaAndLike
 
 __all__ = ["FuzzyGoal", "FuzzyGoalAggregator"]
 
@@ -92,8 +97,10 @@ class FuzzyGoalAggregator:
         names = [g.name for g in goals]
         if len(set(names)) != len(names):
             raise CostModelError(f"duplicate goal names: {names}")
+        if not (0.0 <= beta <= 1.0):
+            raise CostModelError(f"beta must be in [0, 1], got {beta}")
         self._goals: Tuple[FuzzyGoal, ...] = tuple(goals)
-        self._operator = OwaAndLike(beta)
+        self._beta = beta
         # Hot-path constants for membership_batch: per-goal linear bounds and
         # weights, precomputed once so the batched swap-evaluation kernel
         # pays no per-call object construction or np.average bookkeeping.
@@ -118,7 +125,7 @@ class FuzzyGoalAggregator:
     @property
     def beta(self) -> float:
         """OWA and-likeness parameter."""
-        return self._operator.beta
+        return self._beta
 
     def memberships(self, values: Mapping[str, float]) -> Dict[str, float]:
         """Per-objective memberships for a dict of crisp values."""
@@ -135,7 +142,7 @@ class FuzzyGoalAggregator:
         # weight by repeating each membership proportionally in the mean term:
         # OWA over the weighted memberships' expansion is approximated by a
         # weighted mean in the compensatory term while min stays unweighted.
-        beta = self._operator.beta
+        beta = self._beta
         weighted_mean = float(np.average(raw, weights=weights))
         return float(beta * raw.min() + (1.0 - beta) * weighted_mean)
 
@@ -154,7 +161,7 @@ class FuzzyGoalAggregator:
         # left-to-right reductions, division by the weight sum), fused into
         # a handful of array ops so results stay bit-identical while the
         # per-call dict/stack churn disappears.
-        beta = self._operator.beta
+        beta = self._beta
         weighted = None
         lowest = None
         for goal, (low, high), weight in zip(self._goals, self._bounds, self._weights):

@@ -1,4 +1,4 @@
-"""Fuzzy membership functions.
+"""Fuzzy membership function.
 
 The multi-objective placement cost in the paper follows the fuzzy
 goal-directed search of Sait, Youssef & Ali: each crisp objective value
@@ -6,10 +6,9 @@ goal-directed search of Sait, Youssef & Ali: each crisp objective value
 "good solution with respect to this objective".  Memberships lie in
 ``[0, 1]`` with 1 meaning "meets or beats the goal".
 
-This module provides the standard shapes used for that mapping.  They are all
-plain callables over floats / NumPy arrays and carry no placement-specific
-knowledge, so they double as a small reusable fuzzy-logic substrate (also used
-by the goal aggregation in :mod:`repro.fuzzy.goals`).
+Every objective is minimised, so the one shape the mapping needs is
+:class:`DecreasingLinear`, used by the goal aggregation in
+:mod:`repro.fuzzy.goals`.
 """
 
 from __future__ import annotations
@@ -21,30 +20,13 @@ import numpy as np
 
 from ..errors import CostModelError
 
-__all__ = [
-    "MembershipFunction",
-    "DecreasingLinear",
-    "IncreasingLinear",
-    "Triangular",
-    "Trapezoidal",
-]
+__all__ = ["DecreasingLinear"]
 
 ArrayLike = Union[float, np.ndarray]
 
 
-class MembershipFunction:
-    """Base class: a callable mapping crisp values to memberships in [0, 1]."""
-
-    def __call__(self, value: ArrayLike) -> ArrayLike:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def grade(self, value: float) -> float:
-        """Scalar convenience wrapper around :meth:`__call__`."""
-        return float(self(float(value)))
-
-
 @dataclass(frozen=True, slots=True)
-class DecreasingLinear(MembershipFunction):
+class DecreasingLinear:
     """Membership 1 below ``low``, 0 above ``high``, linear in between.
 
     This is the shape used for *minimisation* objectives: a value at or below
@@ -66,68 +48,6 @@ class DecreasingLinear(MembershipFunction):
         result = np.clip(scaled, 0.0, 1.0)
         return float(result) if np.isscalar(value) else result
 
-
-@dataclass(frozen=True, slots=True)
-class IncreasingLinear(MembershipFunction):
-    """Membership 0 below ``low``, 1 above ``high`` (for maximisation goals)."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if not (self.high > self.low):
-            raise CostModelError(
-                f"IncreasingLinear requires high > low, got low={self.low}, high={self.high}"
-            )
-
-    def __call__(self, value: ArrayLike) -> ArrayLike:
-        scaled = (np.asarray(value, dtype=np.float64) - self.low) / (self.high - self.low)
-        result = np.clip(scaled, 0.0, 1.0)
-        return float(result) if np.isscalar(value) else result
-
-
-@dataclass(frozen=True, slots=True)
-class Triangular(MembershipFunction):
-    """Classic triangular membership peaking at ``peak``."""
-
-    left: float
-    peak: float
-    right: float
-
-    def __post_init__(self) -> None:
-        if not (self.left < self.peak < self.right):
-            raise CostModelError(
-                f"Triangular requires left < peak < right, got "
-                f"({self.left}, {self.peak}, {self.right})"
-            )
-
-    def __call__(self, value: ArrayLike) -> ArrayLike:
-        v = np.asarray(value, dtype=np.float64)
-        up = (v - self.left) / (self.peak - self.left)
-        down = (self.right - v) / (self.right - self.peak)
-        result = np.clip(np.minimum(up, down), 0.0, 1.0)
-        return float(result) if np.isscalar(value) else result
-
-
-@dataclass(frozen=True, slots=True)
-class Trapezoidal(MembershipFunction):
-    """Trapezoidal membership: 1 on ``[shoulder_left, shoulder_right]``."""
-
-    left: float
-    shoulder_left: float
-    shoulder_right: float
-    right: float
-
-    def __post_init__(self) -> None:
-        if not (self.left < self.shoulder_left <= self.shoulder_right < self.right):
-            raise CostModelError(
-                "Trapezoidal requires left < shoulder_left <= shoulder_right < right, got "
-                f"({self.left}, {self.shoulder_left}, {self.shoulder_right}, {self.right})"
-            )
-
-    def __call__(self, value: ArrayLike) -> ArrayLike:
-        v = np.asarray(value, dtype=np.float64)
-        up = (v - self.left) / (self.shoulder_left - self.left)
-        down = (self.right - v) / (self.right - self.shoulder_right)
-        result = np.clip(np.minimum(up, down), 0.0, 1.0)
-        return float(result) if np.isscalar(value) else result
+    def grade(self, value: float) -> float:
+        """Scalar convenience wrapper around :meth:`__call__`."""
+        return float(self(float(value)))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Literal, Optional, Tuple
+from typing import Any, Literal, Optional
 
 from ..errors import ParallelSearchError
 from ..tabu.params import TabuSearchParams
@@ -100,15 +100,6 @@ class ParallelSearchParams:
         Optional :class:`FaultPolicy`.  ``None`` (the default) keeps the
         historical fail-fast behaviour — any worker death aborts the run —
         and changes nothing about message traffic or trajectories.
-    worker_speed_hints:
-        Optional per-TSW expected *relative* speeds (length ``num_tsws``,
-        positive), e.g. ``(40.0, 1.0, 1.0)`` for one GPU worker next to two
-        CPU workers.  Feeds the master's
-        :class:`~repro.parallel.health.HealthLedger`, which normalises
-        observed throughput by these hints before limplock detection and
-        budget shrinking — without them a 10–50× device-speed skew makes
-        every CPU worker look limplocked.  ``None`` (the default) treats
-        all workers as the same device class.
     """
 
     num_tsws: int = 4
@@ -122,7 +113,6 @@ class ParallelSearchParams:
     seed: int = 2003
     initial_placement_seed: Optional[int] = None
     fault: Optional[FaultPolicy] = None
-    worker_speed_hints: Optional[Tuple[float, ...]] = None
 
     @property
     def fault_enabled(self) -> bool:
@@ -144,20 +134,6 @@ class ParallelSearchParams:
             raise ParallelSearchError(
                 f"report_fraction must be in (0, 1], got {self.report_fraction}"
             )
-        hints = self.worker_speed_hints
-        if hints is not None:
-            hints = tuple(float(h) for h in hints)
-            if len(hints) != self.num_tsws:
-                raise ParallelSearchError(
-                    f"worker_speed_hints must have one entry per TSW "
-                    f"({self.num_tsws}), got {len(hints)}"
-                )
-            for h in hints:
-                if not (h > 0.0) or h != h or h == float("inf"):
-                    raise ParallelSearchError(
-                        f"worker_speed_hints entries must be positive finite, got {h!r}"
-                    )
-            object.__setattr__(self, "worker_speed_hints", hints)
 
     @property
     def total_workers(self) -> int:

@@ -63,7 +63,6 @@ class Coordinator:
         result_tag: str,
         round_of: Callable[[Any], int],
         ledger_keys: List[int],
-        speed_hints: Optional[Dict[int, float]] = None,
     ) -> None:
         self.ctx = ctx
         self.sync = sync
@@ -86,7 +85,7 @@ class Coordinator:
         self.encoder = DeltaEncoder()
         self.ledger: Optional[HealthLedger] = None
         if fault is not None:
-            self.ledger = HealthLedger(fault, ledger_keys, speed_hints=speed_hints)
+            self.ledger = HealthLedger(fault, ledger_keys)
         #: Fault and topology incidents of this run, in order; their times
         #: are shifted by ``time_offset`` (a resumed master's timeline).
         self.events: List[FaultEvent] = []

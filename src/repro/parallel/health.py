@@ -16,7 +16,7 @@ Throughput observations feed two decisions:
   proportionally to their smoothed rates (:meth:`throughput_weights`);
 * **limplock shrinking** — a persistently slow-but-alive worker gets a
   smaller local-iteration budget (:meth:`iteration_budget`) sized from its
-  observed rate rather than its declared machine speed.
+  observed rate relative to the fastest survivor's.
 
 The constants below tune both.
 """
@@ -30,7 +30,7 @@ from .config import FaultPolicy
 
 __all__ = ["WorkerHealth", "HealthLedger"]
 
-#: A worker whose hint-normalised rate stays below this fraction of the
+#: A worker whose observed rate stays below this fraction of the
 #: fastest survivor's for :data:`LIMPLOCK_ROUNDS` consecutive reports is
 #: limplocked: it stays in the run with a shrunk local-iteration budget.
 LIMPLOCK_RATIO = 0.25
@@ -63,45 +63,18 @@ class WorkerHealth:
 class HealthLedger:
     """Deadline, liveness and throughput bookkeeping for a set of workers.
 
-    ``speed_hints`` declares expected *relative* speeds (e.g. a GPU worker at
-    ``40.0`` next to CPU workers at ``1.0``).  Limplock detection and budget
-    shrinking compare hint-normalised rates, so a CPU worker in a mixed
-    cluster is only limplocked when it runs slow *for a CPU* — without hints
-    a 10–50× device-speed skew would strangle every CPU worker's iteration
-    budget even though nothing is wrong with it.  Re-partitioning weights
-    (:meth:`throughput_weights`) deliberately stay raw-observed: splitting
-    cells by real throughput is the point of measuring it.  Hints are
-    config, not observations — they are re-supplied at construction and stay
-    out of the checkpoint rows.
+    Limplock detection, budget shrinking and re-partitioning weights all
+    compare raw observed rates: a worker's speed is what the ledger measures,
+    not what anyone declares.
     """
 
-    def __init__(
-        self,
-        policy: FaultPolicy,
-        keys: List[int],
-        *,
-        speed_hints: Optional[Dict[int, float]] = None,
-    ) -> None:
+    def __init__(self, policy: FaultPolicy, keys: List[int]) -> None:
         self._policy = policy
         self._workers: Dict[int, WorkerHealth] = {key: WorkerHealth(key=key) for key in keys}
-        self._hints: Dict[int, float] = {}
-        if speed_hints:
-            for key, hint in speed_hints.items():
-                if key in self._workers:
-                    self.set_speed_hint(key, hint)
 
-    def set_speed_hint(self, key: int, hint: float) -> None:
-        """Declare a worker's expected relative speed (must be positive)."""
-        hint = float(hint)
-        if not hint > 0 or hint != hint or hint == float("inf"):
-            raise ValueError(f"speed hint must be a positive finite number, got {hint!r}")
-        self._hints[key] = hint
-
-    def _normalized_rate(self, worker: WorkerHealth) -> Optional[float]:
-        """Observed rate divided by the worker's speed hint (default 1.0)."""
-        if worker.rate is None:
-            return None
-        return worker.rate / self._hints.get(worker.key, 1.0)
+    def _alive_rates(self) -> List[float]:
+        """Observed rates of the live workers that have reported one."""
+        return [w.rate for w in self._workers.values() if w.alive and w.rate is not None]
 
     # -- liveness -------------------------------------------------------- #
     def alive_keys(self) -> List[int]:
@@ -131,12 +104,10 @@ class HealthLedger:
         worker.alive = False
         worker.drained = True
 
-    def add_worker(self, key: int, *, speed_hint: Optional[float] = None) -> None:
+    def add_worker(self, key: int) -> None:
         """Register a mid-run admitted worker (no-op if already tracked)."""
         if key not in self._workers:
             self._workers[key] = WorkerHealth(key=key)
-        if speed_hint is not None:
-            self.set_speed_hint(key, speed_hint)
 
     def register_miss(self, key: int) -> bool:
         """Record a missed deadline; returns True when the worker struck out."""
@@ -176,22 +147,15 @@ class HealthLedger:
 
         Only the reporting worker's streak moves — a streak counts *its own*
         consecutive slow reports, one per round, not every peer's report.
-        Rates are hint-normalised, so in a declared-heterogeneous cluster
-        "slow" means slow relative to what the worker's hardware should do,
-        not slow relative to the fastest device class.
         """
-        rates = [
-            norm
-            for w in self._workers.values()
-            if w.alive and (norm := self._normalized_rate(w)) is not None
-        ]
+        rates = self._alive_rates()
         if not rates:
             return
         fastest = max(rates)
         if fastest <= 0:
             return
         threshold = LIMPLOCK_RATIO * fastest
-        if self._normalized_rate(worker) < threshold:
+        if worker.rate < threshold:
             worker.slow_streak += 1
         else:
             worker.slow_streak = 0
@@ -234,23 +198,15 @@ class HealthLedger:
         worker = self._workers[key]
         if not worker.limplocked or worker.rate is None:
             return base_iterations
-        rates = [
-            norm
-            for w in self._workers.values()
-            if w.alive and (norm := self._normalized_rate(w)) is not None
-        ]
+        rates = self._alive_rates()
         fastest = max(rates) if rates else 0.0
         if fastest <= 0:
             return base_iterations
         floor = max(1, int(round(base_iterations * MIN_ITERATION_SHARE)))
-        scaled = int(round(base_iterations * self._normalized_rate(worker) / fastest))
+        scaled = int(round(base_iterations * worker.rate / fastest))
         return max(floor, min(base_iterations, scaled))
 
     # -- checkpointing --------------------------------------------------- #
-    def export_hints(self) -> Dict[int, float]:
-        """Current speed hints (config, not observations) for persistence."""
-        return dict(self._hints)
-
     def export_state(self) -> Tuple[Tuple[int, bool, int, Optional[float], int, int, int, bool, bool], ...]:
         """Plain-tuple snapshot (stable field order; pickles byte-stably)."""
         return tuple(

@@ -116,9 +116,6 @@ class MasterRunState:
     #: Indices gracefully retired before the pause; a resume does not respawn
     #: them.
     drained_workers: Tuple[int, ...] = ()
-    #: Speed hints in effect at pause (config extended by admission-time
-    #: hints), keyed by ``tsw_index``.
-    speed_hints: Optional[Dict[int, float]] = None
 
 
 @dataclass
@@ -242,7 +239,6 @@ def master_process(
     clw_ranges = partition_cells(
         num_cells, params.clws_per_tsw, scheme=CLW_SCHEME, label_prefix="clw"
     )
-    hint_map: Dict[int, float] = dict(enumerate(params.worker_speed_hints or ()))
     if resume_state is None:
         next_worker_index = params.num_tsws
         tsw_ranges = partition_cells(
@@ -252,7 +248,6 @@ def master_process(
     else:
         next_worker_index = int(resume_state.num_workers)
         ranges = resume_state.assigned_ranges
-        hint_map.update(resume_state.speed_hints or {})
     coord = Coordinator(
         ctx,
         sync=SyncPolicy(mode=params.sync_mode, report_fraction=params.report_fraction),
@@ -266,7 +261,6 @@ def master_process(
         result_tag=Tags.TSW_RESULT,
         round_of=lambda result: result.global_iteration,
         ledger_keys=list(range(next_worker_index)),
-        speed_hints=hint_map or None,
     )
     coord.time_offset = time_offset
     worker_states: Dict[int, TswWorkerState] = {}
@@ -358,23 +352,20 @@ def master_process(
                 for index in coord.live_indices():
                     if f"tsw{index}" == spec.name:
                         yield from coord.drain(index, boundary_at)
-            # (index, pool loop pid or None, speed hint, machine pin)
-            new_workers: List[Tuple[int, Optional[int], Optional[float], Optional[int]]] = []
+            # (index, pool loop pid or None, machine pin)
+            new_workers: List[Tuple[int, Optional[int], Optional[int]]] = []
             for spec in admits:
                 if spec.pids:
-                    hints = list(spec.speed_hints) + [None] * len(spec.pids)
-                    for loop_pid, hint in zip(spec.pids, hints):
-                        new_workers.append((next_worker_index, loop_pid, hint, None))
+                    for loop_pid in spec.pids:
+                        new_workers.append((next_worker_index, loop_pid, None))
                         next_worker_index += 1
                 else:
                     for _ in range(max(1, spec.count)):
-                        new_workers.append(
-                            (next_worker_index, None, spec.speed_hint, spec.machine)
-                        )
+                        new_workers.append((next_worker_index, None, spec.machine))
                         next_worker_index += 1
             if coord.ledger is not None:
-                for index, _loop_pid, hint, _machine in new_workers:
-                    coord.ledger.add_worker(index, speed_hint=hint)
+                for index, _loop_pid, _machine in new_workers:
+                    coord.ledger.add_worker(index)
             # One re-partition over the final roster (survivors + admitted).
             # Admitted workers have no throughput observations yet, so the
             # weighted split only kicks in once everyone has reported.
@@ -387,12 +378,9 @@ def master_process(
                     f"ranges re-partitioned over {len(roster)} worker(s)",
                     boundary_at,
                 )
-            for index, loop_pid, hint, machine in new_workers:
+            for index, loop_pid, machine in new_workers:
                 yield from launch(index, loop_pid, machine)
-                detail = "admitted mid-run"
-                if hint is not None:
-                    detail += f" (speed hint {float(hint):g})"
-                coord.note("worker-admitted", index, detail, boundary_at)
+                coord.note("worker-admitted", index, "admitted mid-run", boundary_at)
             yield from coord.await_acks()
 
         if not coord.live():
@@ -536,9 +524,6 @@ def master_process(
             num_workers=next_worker_index,
             assigned_ranges=dict(coord.ranges),
             drained_workers=tuple(sorted(coord.drained)),
-            speed_hints=(
-                (coord.ledger.export_hints() or None) if coord.ledger is not None else None
-            ),
         )
 
     # ---- shutdown ------------------------------------------------------------

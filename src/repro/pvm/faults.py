@@ -81,18 +81,15 @@ class AdmitWorkers:
 
     * **count-based** (simulated :class:`SpawnWorker` plan entries): the
       master spawns ``count`` fresh TSW subtrees itself, optionally pinned to
-      ``machine``, with ``speed_hint`` fed to the health ledger;
+      ``machine``;
     * **pid-based** (``WorkerPool.grow`` on the real backends): the pool
       already spawned persistent worker loops — ``pids`` names them and the
-      master SETUP/SETUP_ACK-handshakes them into the run.  ``speed_hints``
-      aligns with ``pids`` (``None`` entries mean no hint).
+      master SETUP/SETUP_ACK-handshakes them into the run.
     """
 
     count: int = 1
     machine: Optional[int] = None
-    speed_hint: Optional[float] = None
     pids: Tuple[int, ...] = ()
-    speed_hints: Tuple[Optional[float], ...] = ()
 
 
 def _require_time(label: str, value: float) -> float:
@@ -131,16 +128,14 @@ class SpawnWorker:
 
     The kernel delivers a :class:`AdmitWorkers` request to the registered
     fault listener (the fault-tolerant master); the master spawns the new
-    subtrees itself, registers them in its health ledger (with
-    ``speed_hint``, if given) and folds them into the next range
-    re-partition.  Because the request is an ordinary event on the one
-    global queue, the grown topology replays bit-identically.
+    subtrees itself, registers them in its health ledger and folds them into
+    the next range re-partition.  Because the request is an ordinary event on
+    the one global queue, the grown topology replays bit-identically.
     """
 
     at: float
     count: int = 1
     machine: Optional[int] = None
-    speed_hint: Optional[float] = None
 
     def __post_init__(self) -> None:
         _require_time("SpawnWorker.at", self.at)
@@ -150,12 +145,6 @@ class SpawnWorker:
             raise SimulationError(
                 f"SpawnWorker.machine must be >= 0, got {self.machine}"
             )
-        if self.speed_hint is not None:
-            hint = float(self.speed_hint)
-            if not math.isfinite(hint) or hint <= 0:
-                raise SimulationError(
-                    f"SpawnWorker.speed_hint must be finite and positive, got {self.speed_hint}"
-                )
 
 
 @dataclass(frozen=True)

@@ -627,9 +627,7 @@ class SimKernel:
         elif action == "throttle_off":
             self._machine_scale.pop(spec.machine % self._cluster.num_machines, None)
         elif action == "admit":
-            payload = AdmitWorkers(
-                count=spec.count, machine=spec.machine, speed_hint=spec.speed_hint
-            )
+            payload = AdmitWorkers(count=spec.count, machine=spec.machine)
             self._post_to_listener(WORKER_ADMIT_TAG, payload)
         elif action == "drain":
             self._post_to_listener(WORKER_DRAIN_TAG, spec)

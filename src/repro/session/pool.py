@@ -257,19 +257,18 @@ class WorkerPool:
         count: int = 1,
         *,
         machines: Optional[List[Optional[int]]] = None,
-        speed_hints: Optional[List[Optional[float]]] = None,
     ) -> List[int]:
         """Spawn ``count`` additional persistent TSW loops into the pool.
 
         If a master run is in flight on a real backend, the new loops are
         handed to it immediately (``ADMIT``): the master SETUP-handshakes
         them, full-provisions their resident state through the delta path,
-        registers them in its health ledger (with ``speed_hints``) and folds
-        them into the next boundary's range re-partition.  Otherwise the
-        loops idle until the next (fresh or resumed) run admits them.  On
-        the simulated backend mid-run admission is driven by seeded
-        ``SpawnWorker`` plan entries instead — a single-threaded kernel has
-        no outside to call :meth:`grow` from while a run is stepping.
+        registers them in its health ledger and folds them into the next
+        boundary's range re-partition.  Otherwise the loops idle until the
+        next (fresh or resumed) run admits them.  On the simulated backend
+        mid-run admission is driven by seeded ``SpawnWorker`` plan entries
+        instead — a single-threaded kernel has no outside to call
+        :meth:`grow` from while a run is stepping.
 
         Returns the new loops' pids (also appended to :attr:`tsw_pids`).
         """
@@ -279,17 +278,12 @@ class WorkerPool:
         if count < 1:
             raise SessionError(f"grow needs count >= 1, got {count}")
         machine_list = list(machines) if machines is not None else [None] * count
-        hint_list = list(speed_hints) if speed_hints is not None else [None] * count
         if len(machine_list) != count:
             raise SessionError(
                 f"grow got {len(machine_list)} machine pins for {count} workers"
             )
-        if len(hint_list) != count:
-            raise SessionError(
-                f"grow got {len(hint_list)} speed hints for {count} workers"
-            )
         new_pids: List[int] = []
-        for machine, _hint in zip(machine_list, hint_list):
+        for machine in machine_list:
             index = self._next_worker_index
             self._next_worker_index += 1
             pid = self.kernel.spawn(
@@ -303,11 +297,7 @@ class WorkerPool:
         with self._lock:
             master = self._active_master_pid
         if master is not None and not self.is_simulated:
-            self.kernel.post(
-                master,
-                Tags.ADMIT,
-                AdmitWorkers(pids=tuple(new_pids), speed_hints=tuple(hint_list)),
-            )
+            self.kernel.post(master, Tags.ADMIT, AdmitWorkers(pids=tuple(new_pids)))
         return new_pids
 
     def drain(self, index: int) -> bool:

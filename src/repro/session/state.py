@@ -51,8 +51,11 @@ MAGIC = b"RTSS"
 #: wirelength cache's edge counts became next-inner coordinates, so an older
 #: snapshot would resume with wrong trial deltas; version 5: a pickled
 #: ``Netlist`` is its arrays, kind codes and fan-in CSR included, so an older
-#: one would unpickle without them).
-SCHEMA_VERSION = 5
+#: one would unpickle without them; version 6: ``TabuSearchParams`` lost its
+#: aspiration and attribute-scheme fields, ``ParallelSearchParams`` its
+#: worker speed hints and ``MasterRunState`` its hint map, so an older
+#: artifact names a deleted enum class and would load shifted).
+SCHEMA_VERSION = 6
 
 _HEADER = struct.Struct("<4sI")
 

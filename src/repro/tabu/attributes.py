@@ -2,52 +2,35 @@
 
 Tabu search does not memorise whole solutions (too expensive); it memorises
 *attributes* of recent moves and forbids moves that would re-instate them.
-For the cell-placement swap move two natural attribute schemes exist:
-
-* ``PAIR`` — the unordered pair of swapped cells; forbids undoing exactly the
-  same exchange (the scheme used in the paper's description, where a move is
-  a swap of two cells);
-* ``CELL`` — each moved cell individually; more aggressive, forbids touching
-  a recently moved cell at all.
+The attribute of a swap move is the unordered pair of swapped cells, so a
+recorded swap forbids undoing exactly the same exchange (the paper's
+description, where a move is a swap of two cells).
 
 A :class:`MoveAttribute` names one attribute in a tabu list's payload.  The
 array-backed tabu list addresses attributes by a dense integer *index* —
-``lo * num_cells + hi`` for pairs, the cell itself for cells — computed in
-bulk for whole candidate batches by :func:`pair_attribute_indices`.  The
-same ``num_cells``-strided code space would accommodate a future cell×slot
-("slot") scheme without changing the vector layout.
+``lo * num_cells + hi`` — computed in bulk for whole candidate batches by
+:func:`pair_attribute_indices`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 __all__ = [
-    "AttributeScheme",
     "MoveAttribute",
     "pair_attribute_indices",
 ]
-
-
-class AttributeScheme(enum.Enum):
-    """Which attributes a committed swap contributes to the tabu list."""
-
-    PAIR = "pair"
-    CELL = "cell"
 
 
 @dataclass(frozen=True, slots=True)
 class MoveAttribute:
     """A single tabu attribute.
 
-    ``kind`` distinguishes pair attributes from single-cell attributes so the
-    two schemes can coexist in one tabu list (e.g. during experimentation).
-    ``key`` is a canonical tuple: ``(min_cell, max_cell)`` for pairs,
-    ``(cell,)`` for cells.
+    ``kind`` is ``"pair"``, the tag the tabu payload carries on the wire and
+    in checkpoints; ``key`` is the canonical ``(min_cell, max_cell)`` tuple.
     """
 
     kind: str
@@ -58,11 +41,6 @@ class MoveAttribute:
         """Attribute representing the unordered swap of two cells."""
         lo, hi = (cell_a, cell_b) if cell_a <= cell_b else (cell_b, cell_a)
         return cls(kind="pair", key=(lo, hi))
-
-    @classmethod
-    def cell(cls, cell: int) -> "MoveAttribute":
-        """Attribute representing a single moved cell."""
-        return cls(kind="cell", key=(cell,))
 
 
 def pair_attribute_indices(pairs: np.ndarray, num_cells: int) -> np.ndarray:

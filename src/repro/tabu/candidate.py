@@ -28,7 +28,6 @@ __all__ = [
     "partition_cells",
     "partition_cells_weighted",
     "full_range",
-    "sample_candidate_pairs",
     "sample_candidate_pairs_array",
     "collision_probability",
 ]
@@ -180,52 +179,19 @@ def partition_cells_weighted(
     return parts
 
 
-def sample_candidate_pairs(
-    cell_range: CellRange,
-    num_cells: int,
-    count: int,
-    rng: np.random.Generator,
-) -> List[Tuple[int, int]]:
-    """Sample ``count`` candidate swap pairs for a worker.
-
-    The first cell of each pair comes from ``cell_range``; the second is drawn
-    uniformly from the whole cell space (excluding the first cell), exactly as
-    in Section 4.1 of the paper.
-    """
-    if count <= 0:
-        raise TabuSearchError(f"count must be positive, got {count}")
-    if num_cells < 2:
-        raise TabuSearchError("need at least two cells to form a swap pair")
-    # Scalar, interleaved draws (first, second, first, second, ...): the
-    # historical sampling order, kept for components that still want it.
-    # The tabu search uses :func:`sample_candidate_pairs_array`, whose
-    # two bulk draws replace the 2*count scalar generator calls that used to
-    # dominate the per-iteration driver cost.
-    pairs: List[Tuple[int, int]] = []
-    for _ in range(count):
-        first = cell_range.sample(rng)
-        second = int(rng.integers(0, num_cells - 1))
-        if second >= first:
-            second += 1  # skip `first` without rejection sampling
-        pairs.append((first, second))
-    return pairs
-
-
 def sample_candidate_pairs_array(
     range_cells: np.ndarray,
     num_cells: int,
     count: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorised candidate-pair sampler: returns a ``(count, 2)`` int64 array.
+    """Sample ``count`` candidate swap pairs: a ``(count, 2)`` int64 array.
 
-    Semantics match :func:`sample_candidate_pairs` — first cell uniform over
-    the worker's range, second uniform over all *other* cells — but the
-    whole batch is drawn with two generator calls instead of ``2 * count``
-    scalar ones (the scalar draws used to be the single largest cost of a
-    tabu iteration).  The bulk draws consume the bit stream differently from
-    the scalar sampler, so the two are *not* trajectory-compatible; the
-    tabu search uses this one.
+    The first cell of each pair is uniform over the worker's range; the
+    second is uniform over all *other* cells of the whole cell space,
+    exactly as in Section 4.1 of the paper.  The whole batch is drawn with
+    two generator calls (per-pair scalar draws used to be the single
+    largest cost of a tabu iteration).
 
     ``range_cells`` is the worker range as an array (precomputed once per
     search, not per step).

@@ -14,7 +14,7 @@ apply single swaps blindly; it builds a **compound move** of depth ``d``:
    best cost (the CLW reports the best solution it saw, which may be an
    intermediate prefix rather than the full depth).
 
-The functions in this module operate on a
+:class:`CompoundMoveBuilder` operates on a
 :class:`~repro.core.protocols.SwapEvaluator`, which owns the solution and the
 incremental objective caches — any registered problem domain works.
 """
@@ -22,7 +22,7 @@ incremental objective caches — any registered problem domain works.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,8 +35,6 @@ __all__ = [
     "SwapMove",
     "CompoundMove",
     "CompoundMoveBuilder",
-    "best_swap_of_candidates",
-    "build_compound_move",
 ]
 
 #: Admissibility hook of the mask-aware builder: given the step's candidate
@@ -111,35 +109,14 @@ class CompoundMove:
         return np.array([(s.cell_a, s.cell_b) for s in self.swaps], dtype=np.int64)
 
 
-def best_swap_of_candidates(
-    evaluator: SwapEvaluator,
-    pairs: Sequence[Tuple[int, int]],
-) -> Optional[SwapMove]:
-    """Trial-evaluate candidate pairs and return the one with the lowest cost.
-
-    The whole candidate list is scored with one call to the evaluator's
-    batched ``evaluate_swaps_batch`` kernel instead
-    of per-pair scalar trials.  Returns ``None`` when ``pairs`` is empty.
-    Ties are broken in favour of the first candidate (``argmin`` returns the
-    first minimum, matching the scalar loop's strict-less comparison).
-    """
-    if not len(pairs):
-        return None
-    costs = evaluator.evaluate_swaps_batch(pairs)
-    best_index = masked_argmin(costs)
-    cell_a, cell_b = pairs[best_index]
-    return SwapMove(cell_a=int(cell_a), cell_b=int(cell_b), cost_after=float(costs[best_index]))
-
-
 class CompoundMoveBuilder:
     """Step-by-step construction of a compound move.
 
-    The serial engine builds a whole compound move in one call
-    (:func:`build_compound_move`); a Candidate List Worker, however, must be
-    interruptible between steps — when its parent TSW asks for an early report
-    (the heterogeneous synchronisation of Section 4.2) the CLW stops exploring
-    and reports whatever best prefix it has.  The builder exposes exactly that
-    step granularity.
+    The serial engine runs the steps back to back; a Candidate List Worker,
+    however, must be interruptible between steps — when its parent TSW asks
+    for an early report (the heterogeneous synchronisation of Section 4.2)
+    the CLW stops exploring and reports whatever best prefix it has.  The
+    builder exposes exactly that step granularity.
 
     Usage::
 
@@ -212,12 +189,9 @@ class CompoundMoveBuilder:
     def seed_step(self, pairs: np.ndarray, costs: np.ndarray) -> None:
         """Pre-load the next step's candidate pairs and their batch costs.
 
-        The iteration driver scores the *first* step of every candidate
-        range in one fused ``evaluate_swaps_batch`` call (all ranges start
-        from the same solution, so their step-1 trials are independent of
-        each other); the per-range slices are handed to each builder here
-        and consumed by the next :meth:`step` without sampling or
-        re-evaluating.
+        The iteration driver draws and scores the *first* step's pairs
+        itself and hands them over here; the next :meth:`step` consumes them
+        without sampling or re-evaluating.
         """
         if self._committed or self._seeded_pairs is not None:
             raise TabuSearchError("seed_step() is only valid before the first step")
@@ -297,44 +271,3 @@ class CompoundMoveBuilder:
             trials=self._trials,
             truncated_early=self._truncated_early,
         )
-
-
-def build_compound_move(
-    evaluator: SwapEvaluator,
-    cell_range: CellRange,
-    *,
-    pairs_per_step: int,
-    depth: int,
-    rng: np.random.Generator,
-    early_accept: bool = True,
-    admissible: Optional[AdmissibleFn] = None,
-) -> CompoundMove:
-    """Construct and apply a compound move on ``evaluator``'s solution.
-
-    The evaluator's solution is left in the state corresponding to the *best
-    prefix* of the explored swap sequence (swaps beyond the best prefix are
-    undone), matching the paper's "best compound move" semantics.
-
-    Parameters
-    ----------
-    pairs_per_step:
-        ``m`` — candidate pairs trialled at every step.
-    depth:
-        ``d`` — maximum number of committed swaps.
-    early_accept:
-        Stop as soon as the accumulated cost improves on the starting cost.
-    admissible:
-        Optional per-step admissibility hook (tabu-and-aspiration mask); see
-        :class:`CompoundMoveBuilder`.
-    """
-    builder = CompoundMoveBuilder(
-        evaluator,
-        cell_range,
-        pairs_per_step=pairs_per_step,
-        depth=depth,
-        early_accept=early_accept,
-        admissible=admissible,
-    )
-    while builder.wants_more_steps():
-        builder.step(rng)
-    return builder.finalize()

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Literal
 
 from ..errors import TabuSearchError
-from .attributes import AttributeScheme
 
 __all__ = ["TabuSearchParams"]
 
@@ -27,8 +25,8 @@ class TabuSearchParams:
       to diversify away from the common initial solution at the start of every
       global iteration.
 
-    Attributes not in the paper but exposed for ablations: the attribute
-    scheme, the early-accept flag and the aspiration margin.
+    ``early_accept`` is not among the paper's symbols; it is exposed for
+    ablations.
     """
 
     tabu_tenure: int = 7
@@ -37,9 +35,6 @@ class TabuSearchParams:
     move_depth: int = 3
     diversification_depth: int = 6
     early_accept: bool = True
-    attribute_scheme: AttributeScheme = AttributeScheme.PAIR
-    aspiration: Literal["best", "improvement", "none"] = "best"
-    aspiration_margin: float = 0.0
 
     def __post_init__(self) -> None:
         if self.tabu_tenure < 0:
@@ -53,16 +48,6 @@ class TabuSearchParams:
         if self.diversification_depth < 0:
             raise TabuSearchError(
                 f"diversification_depth must be >= 0, got {self.diversification_depth}"
-            )
-        if not isinstance(self.attribute_scheme, AttributeScheme):
-            raise TabuSearchError(
-                f"attribute_scheme must be an AttributeScheme, got {self.attribute_scheme!r}"
-            )
-        if self.aspiration not in ("best", "improvement", "none"):
-            raise TabuSearchError(f"unknown aspiration criterion {self.aspiration!r}")
-        if not (0.0 <= self.aspiration_margin < 1.0):
-            raise TabuSearchError(
-                f"aspiration_margin must be in [0, 1), got {self.aspiration_margin}"
             )
 
     def with_(self, **changes) -> "TabuSearchParams":

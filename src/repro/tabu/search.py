@@ -4,15 +4,15 @@
 (the placement cost evaluator, the QAP evaluator, or any other registered
 domain's) through tabu-search iterations:
 
-1. build one or more candidate *compound moves* (the candidate list
-   :math:`V^*(s)` — in the parallel algorithm each CLW contributes one
-   candidate; the serial engine builds them sequentially).  The first step
-   of every candidate range starts from the same solution, so all ranges'
-   step-1 trials are scored in one fused batch, and each step's selection
+1. build one candidate *compound move* from the search's cell range (the
+   candidate list :math:`V^*(s)` — in the parallel algorithm each CLW
+   contributes one candidate).  The driver draws and scores the step-1
+   pairs itself and hands them to the builder, and each step's selection
    already filters tabu pairs (with a vectorised aspiration override) so
-   candidates are built admissible whenever possible;
+   the candidate is built admissible whenever possible;
 2. pick the candidate with the lowest resulting cost;
-3. accept it if it is not tabu, or if it satisfies the aspiration criterion;
+3. accept it if it is not tabu, or if it satisfies the aspiration criterion
+   (aspiration by objective: its cost is below the best found so far);
    otherwise fall back to the next-best candidate; if every candidate is
    rejected the iteration stalls;
 4. record the accepted move's attributes in the tabu list (one bulk scatter)
@@ -23,9 +23,9 @@ domain's) through tabu-search iterations:
 
 The memory is the array-backed :class:`~repro.tabu.tabu_list.ArrayTabuList`
 with masked batch selection.  The test suite keeps a reference driver
-(``tests/oracles/tabu.py``: the dictionary tabu memory, per-range step-1
-scoring and scalar aspiration calls); seeded runs of the two walk
-bit-identical trajectories (enforced by ``tests/tabu/test_driver_identity.py``).
+(``tests/oracles/tabu.py``: the dictionary tabu memory and scalar aspiration
+checks); seeded runs of the two walk bit-identical trajectories (enforced by
+``tests/tabu/test_driver_identity.py``).
 
 The same class is reused inside the parallel Tabu Search Workers, where the
 candidate compound moves come from remote CLWs instead of being generated
@@ -43,13 +43,6 @@ import numpy as np
 from .._rng import make_rng
 from ..accel import fuse_admissible
 from ..core.protocols import SwapEvaluator
-from ..errors import TabuSearchError
-from .aspiration import (
-    AspirationCriterion,
-    BestCostAspiration,
-    ImprovementAspiration,
-    NoAspiration,
-)
 from .candidate import CellRange, full_range, sample_candidate_pairs_array
 from .diversification import diversify
 from .moves import CompoundMove, CompoundMoveBuilder
@@ -62,17 +55,7 @@ __all__ = [
     "SearchResult",
     "TabuSearch",
     "TabuSearchState",
-    "make_aspiration",
 ]
-
-
-def make_aspiration(params: TabuSearchParams) -> AspirationCriterion:
-    """Instantiate the aspiration criterion selected by ``params``."""
-    if params.aspiration == "best":
-        return BestCostAspiration(margin=params.aspiration_margin)
-    if params.aspiration == "improvement":
-        return ImprovementAspiration()
-    return NoAspiration()
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,16 +114,12 @@ class TabuSearch:
         Owns the solution and the incremental cost state (any
         :class:`~repro.core.protocols.SwapEvaluator`).
     params:
-        Search parameters (tenure, ``m``, ``d``, aspiration, ...).
+        Search parameters (tenure, ``m``, ``d``, ...).
     cell_range:
         Range from which the first cell of every candidate pair is drawn;
         defaults to all cells (the serial algorithm).
     seed:
         Seed of the worker's private random stream.
-    candidate_moves:
-        How many candidate compound moves to build per iteration.  The serial
-        algorithm uses 1; a TSW that emulates ``k`` CLWs sequentially uses
-        ``k`` (each with its own sub-range — see :mod:`repro.parallel`).
     """
 
     def __init__(
@@ -150,28 +129,14 @@ class TabuSearch:
         *,
         cell_range: Optional[CellRange] = None,
         seed: int = 0,
-        candidate_moves: int = 1,
-        candidate_ranges: Optional[Sequence[CellRange]] = None,
     ) -> None:
-        if candidate_moves < 1:
-            raise TabuSearchError(f"candidate_moves must be >= 1, got {candidate_moves}")
         self._evaluator = evaluator
         self._params = params or TabuSearchParams()
         self._range = cell_range or full_range(evaluator.num_cells)
-        if candidate_ranges is not None:
-            if len(candidate_ranges) != candidate_moves:
-                raise TabuSearchError(
-                    "candidate_ranges must provide exactly one range per candidate move"
-                )
-            self._candidate_ranges: Tuple[CellRange, ...] = tuple(candidate_ranges)
-        else:
-            self._candidate_ranges = tuple([self._range] * candidate_moves)
-        self._range_arrays = tuple(r.as_array() for r in self._candidate_ranges)
+        self._range_array = self._range.as_array()
         self._rng = make_rng(seed, "tabu-search", evaluator.instance_name)
-        self._scheme = self._params.attribute_scheme
         self._tabu = ArrayTabuList(self._params.tabu_tenure, evaluator.num_cells)
         self._frequency = FrequencyMemory(evaluator.num_cells)
-        self._aspiration = make_aspiration(self._params)
         self._iteration = 0
         self._stall = 0
         self._best_cost = evaluator.cost()
@@ -185,12 +150,10 @@ class TabuSearch:
 
         The fault-tolerant master re-partitions a dead worker's range over
         the survivors mid-run; the surviving searches adopt their widened
-        range here.  Every candidate sub-range collapses to the new range —
-        per-move sub-ranges belong to the static topology being replaced.
+        range here.
         """
         self._range = cell_range
-        self._candidate_ranges = tuple([cell_range] * len(self._candidate_ranges))
-        self._range_arrays = tuple(r.as_array() for r in self._candidate_ranges)
+        self._range_array = cell_range.as_array()
 
     @property
     def cell_range(self) -> CellRange:
@@ -245,14 +208,12 @@ class TabuSearch:
     # ------------------------------------------------------------------ #
     # state manipulation used by the parallel protocol
     # ------------------------------------------------------------------ #
-    def adopt_solution(self, cell_to_slot: np.ndarray, *, reset_memory: bool = False) -> float:
+    def adopt_solution(self, cell_to_slot: np.ndarray) -> float:
         """Install a solution received from outside (master / parent TSW)."""
         cost = self._evaluator.install_solution(np.asarray(cell_to_slot, dtype=np.int64))
         if cost < self._best_cost:
             self._best_cost = cost
             self._best_solution = self._evaluator.snapshot()
-        if reset_memory:
-            self._tabu.clear()
         return cost
 
     def adopt_tabu_list(
@@ -339,92 +300,61 @@ class TabuSearch:
     # the core iteration
     # ------------------------------------------------------------------ #
     def _admissible_fn(
-        self, iteration: int, current_cost: float, best_cost: float
+        self, iteration: int, best_cost: float
     ) -> Callable[[np.ndarray, np.ndarray], Optional[np.ndarray]]:
         """Per-step admissibility hook: non-tabu pairs, or tabu-but-aspiring.
 
-        Handed to the compound-move builders so tabu filtering happens
+        Handed to the compound-move builder so tabu filtering happens
         *inside* the candidate scoring pass — the builder's argmin then
         selects the best admissible swap directly.  The mask is one
-        expiry-vector gather plus one array aspiration compare.
+        expiry-vector gather plus one array compare against the best cost.
         """
         tabu = self._tabu
-        scheme = self._scheme
-        aspiration = self._aspiration
 
         def admissible(pairs: np.ndarray, costs: np.ndarray) -> Optional[np.ndarray]:
-            mask = tabu.is_tabu_mask(pairs, iteration, scheme)
+            mask = tabu.is_tabu_mask(pairs, iteration)
             if not mask.any():
                 return None
-            return fuse_admissible(
-                mask, aspiration.permits_batch(costs, current_cost, best_cost)
-            )
+            return fuse_admissible(mask, costs < best_cost)
 
         return admissible
 
-    def _score_first_steps(self, first_pairs: List[np.ndarray]) -> List[np.ndarray]:
-        """Trial costs of every range's step-1 pairs, in range order.
+    def _build_candidate(self) -> Tuple[CompoundMove, object]:
+        """Generate the iteration's candidate compound move and its end state.
 
-        Every range starts from the same solution, so the trials are
-        independent and all ranges are scored in one fused batch call
-        before the candidates' states diverge.
-        """
-        pairs_per_step = self._params.pairs_per_step
-        fused = self._evaluator.evaluate_swaps_batch(np.concatenate(first_pairs))
-        return [
-            fused[k * pairs_per_step : (k + 1) * pairs_per_step]
-            for k in range(len(first_pairs))
-        ]
-
-    def _build_candidates(self) -> Tuple[List[CompoundMove], List[object]]:
-        """Generate candidate compound moves plus their end-state tokens.
-
-        The step-1 candidate pairs of *every* range are drawn up front and
-        scored together (:meth:`_score_first_steps`).  Each candidate is
-        built with per-step tabu/aspiration filtering, its end state is
-        captured as a cheap snapshot, and the evaluator is rewound to the
-        common start with a state restore.  The returned end states let the
-        accept path *jump* onto the winning candidate instead of
+        The driver draws and scores the step-1 pairs and seeds the builder
+        with them; the move is built with per-step tabu/aspiration filtering,
+        its end state is captured as a cheap snapshot, and the evaluator is
+        rewound to the start with a state restore.  The returned end state
+        lets the accept path *jump* onto the candidate instead of
         re-committing its swaps (copy-light rewinds both ways).
         """
         evaluator = self._evaluator
         params = self._params
         rng = self._rng
-        iteration = self._iteration + 1  # the iteration these candidates feed
-        current_cost = evaluator.cost()
-        admissible = self._admissible_fn(iteration, current_cost, self._best_cost)
-        num_candidates = len(self._candidate_ranges)
-        pairs_per_step = params.pairs_per_step
-        num_cells = evaluator.num_cells
-
-        # step-1 pairs for every range, drawn up front in range order
-        first_pairs = [
-            sample_candidate_pairs_array(range_array, num_cells, pairs_per_step, rng)
-            for range_array in self._range_arrays
-        ]
-        first_costs = self._score_first_steps(first_pairs)
+        iteration = self._iteration + 1  # the iteration this candidate feeds
+        first_pairs = sample_candidate_pairs_array(
+            self._range_array, evaluator.num_cells, params.pairs_per_step, rng
+        )
+        first_costs = evaluator.evaluate_swaps_batch(first_pairs)
 
         start_state = evaluator.save_state()
-        candidates: List[CompoundMove] = []
-        end_states: List[object] = []
-        for index in range(num_candidates):
-            builder = CompoundMoveBuilder(
-                evaluator,
-                self._candidate_ranges[index],
-                pairs_per_step=pairs_per_step,
-                depth=params.move_depth,
-                early_accept=params.early_accept,
-                admissible=admissible,
-                range_array=self._range_arrays[index],
-            )
-            builder.seed_step(first_pairs[index], first_costs[index])
-            while builder.wants_more_steps():
-                builder.step(rng)
-            candidates.append(builder.finalize())
-            end_states.append(evaluator.save_state())
-            # rewind so every candidate is built from the same starting solution
-            evaluator.restore_state(start_state)
-        return candidates, end_states
+        builder = CompoundMoveBuilder(
+            evaluator,
+            self._range,
+            pairs_per_step=params.pairs_per_step,
+            depth=params.move_depth,
+            early_accept=params.early_accept,
+            admissible=self._admissible_fn(iteration, self._best_cost),
+            range_array=self._range_array,
+        )
+        builder.seed_step(first_pairs, first_costs)
+        while builder.wants_more_steps():
+            builder.step(rng)
+        candidate = builder.finalize()
+        end_state = evaluator.save_state()
+        evaluator.restore_state(start_state)
+        return candidate, end_state
 
     def consider_candidates(
         self,
@@ -455,10 +385,10 @@ class TabuSearch:
             if not move.swaps:
                 continue
             pairs = move.pairs_array()
-            is_tabu = self._tabu.is_tabu_pairs(pairs, iteration, self._scheme)
+            is_tabu = self._tabu.is_tabu_pairs(pairs, iteration)
             used_aspiration = False
             if is_tabu:
-                if not self._aspiration.permits(move.cost_after, current_cost, self._best_cost):
+                if not move.cost_after < self._best_cost:
                     continue
                 used_aspiration = True
             # accept: land on the move's end state and update the memories
@@ -467,7 +397,7 @@ class TabuSearch:
             else:
                 self._evaluator.apply_swaps(pairs)
             self._frequency.record_swaps(pairs)
-            self._tabu.record_pairs(pairs, iteration, self._scheme)
+            self._tabu.record_pairs(pairs, iteration)
             cost_after = self._evaluator.cost()
             if cost_after < self._best_cost:
                 self._best_cost = cost_after
@@ -499,8 +429,8 @@ class TabuSearch:
 
     def step(self) -> StepResult:
         """Run one complete tabu-search iteration (build + accept)."""
-        candidates, end_states = self._build_candidates()
-        return self.consider_candidates(candidates, end_states)
+        candidate, end_state = self._build_candidate()
+        return self.consider_candidates([candidate], [end_state])
 
     def run(
         self,

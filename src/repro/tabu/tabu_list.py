@@ -1,15 +1,13 @@
 """Short-term and long-term tabu memory.
 
 :class:`ArrayTabuList` is the short-term memory of the paper's Figure 1 (a
-move is *tabu* while any of its attributes is still active): one int64
-expiry store per attribute kind, keyed by the dense attribute index
-(``lo * num_cells + hi`` for pair attributes, the cell index for cell
-attributes).  Below ``ARRAY_TABU_MAX_CELLS`` the pair store is a dense
-vector; above it, an exact-key open-addressed hash table with the same keys
-(O(live) memory for 10k+-cell instances).  Either way ``is_tabu_mask``
-answers a whole candidate batch with one vectorised probe, ``record_pairs``
-records a whole compound move in one pass, and expiry is *lazy* — a stale
-entry simply compares as not-tabu.
+move is *tabu* while any of its swapped pairs is still active): one int64
+expiry store keyed by the dense pair index ``lo * num_cells + hi``.  Below
+``ARRAY_TABU_MAX_CELLS`` the store is a dense vector; above it, an exact-key
+open-addressed hash table with the same keys (O(live) memory for 10k+-cell
+instances).  Either way ``is_tabu_mask`` answers a whole candidate batch
+with one vectorised probe, ``record_pairs`` records a whole compound move in
+one pass, and expiry is *lazy* — a stale entry simply compares as not-tabu.
 
 The test suite keeps a dictionary oracle (``tests/oracles/tabu.py``) with
 the same search-facing surface (``record_pairs`` / ``is_tabu_pairs`` /
@@ -30,7 +28,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..errors import TabuSearchError
-from .attributes import AttributeScheme, MoveAttribute, pair_attribute_indices
+from .attributes import MoveAttribute, pair_attribute_indices
 
 __all__ = ["ArrayTabuList", "FrequencyMemory"]
 
@@ -160,50 +158,37 @@ class _HashedPairTable:
     def count_live(self, floor: int) -> int:
         return int(np.count_nonzero((self._keys != -1) & (self._expiry > floor)))
 
-    def clear(self) -> None:
-        self._keys[:] = -1
-        self._expiry[:] = 0
-        self._used = 0
-
 
 class ArrayTabuList:
-    """Array-backed short-term memory: expiry vectors per attribute kind.
+    """Array-backed short-term memory: one expiry store for swapped pairs.
 
     The tabu search's short-term memory.  Pair attributes live in a
     dense ``num_cells**2`` int64 vector indexed by
     :func:`~repro.tabu.attributes.pair_attribute_indices` while that vector
     is affordable (``num_cells <= ARRAY_TABU_MAX_CELLS``) and in an
     exact-key :class:`_HashedPairTable` beyond it — same keys, same expiry
-    semantics, O(live entries) memory.  Cell attributes live in a
-    ``num_cells`` vector.  An attribute is tabu at ``iteration`` while
-    ``expiry[index] > iteration`` — dense entries are never swept, they
-    simply stop comparing as live (the hashed layout prunes stale entries
-    opportunistically when it would otherwise rehash).
-
-    The expiry stores are allocated lazily per kind, so a pair-scheme
-    search never pays for the cell vector and vice versa.
+    semantics, O(live entries) memory.  A pair is tabu at ``iteration``
+    while ``expiry[index] > iteration`` — dense entries are never swept,
+    they simply stop comparing as live (the hashed layout prunes stale
+    entries opportunistically when it would otherwise rehash).  The store
+    is allocated on the first record.
     """
 
-    def __init__(
-        self, tenure: int, num_cells: int, *, max_dense_cells: Optional[int] = None
-    ) -> None:
+    def __init__(self, tenure: int, num_cells: int) -> None:
         if tenure < 0:
             raise TabuSearchError(f"tabu tenure must be non-negative, got {tenure}")
         if num_cells <= 0:
             raise TabuSearchError(f"num_cells must be positive, got {num_cells}")
         self._tenure = tenure
         self._num_cells = num_cells
-        dense_cap = ARRAY_TABU_MAX_CELLS if max_dense_cells is None else max_dense_cells
         #: dense pair vector below the cap, hashed table above it
-        self._dense_pairs = num_cells <= dense_cap
+        self._dense_pairs = num_cells <= ARRAY_TABU_MAX_CELLS
         self._pair: Optional[np.ndarray] = None  # (num_cells**2,) expiry
         self._pair_table: Optional[_HashedPairTable] = None
-        self._cell: Optional[np.ndarray] = None  # (num_cells,) expiry
-        # Every index ever recorded per kind: keeps the live-set views
-        # (len/payload — the TSW report path serialises per global
-        # iteration) O(recorded) instead of scanning the num_cells**2 vector.
+        # Every index ever recorded: keeps the live-set views (len/payload —
+        # the TSW report path serialises per global iteration) O(recorded)
+        # instead of scanning the num_cells**2 vector.
         self._pair_touched: set = set()
-        self._cell_touched: set = set()
         # Latest iteration the search has shown us; defines which entries
         # count as live for len()/payload purposes (queries pass their own).
         self._last_iteration = 0
@@ -239,11 +224,6 @@ class ArrayTabuList:
                 np.atleast_1d(indices), expiry, self._last_iteration
             )
 
-    def _cell_vector(self) -> np.ndarray:
-        if self._cell is None:
-            self._cell = np.zeros(self._num_cells, dtype=np.int64)
-        return self._cell
-
     def _note(self, iteration: int) -> None:
         if iteration > self._last_iteration:
             self._last_iteration = iteration
@@ -251,12 +231,7 @@ class ArrayTabuList:
     # ------------------------------------------------------------------ #
     # pair-batch surface (the driver's hot path)
     # ------------------------------------------------------------------ #
-    def record_pairs(
-        self,
-        pairs: np.ndarray,
-        iteration: int,
-        scheme: AttributeScheme = AttributeScheme.PAIR,
-    ) -> None:
+    def record_pairs(self, pairs: np.ndarray, iteration: int) -> None:
         """Record every swap pair of an accepted move with one scatter."""
         self._note(iteration)
         if self._tenure == 0:
@@ -265,62 +240,31 @@ class ArrayTabuList:
         if arr.size == 0:
             return
         expiry = iteration + self._tenure
-        if scheme is AttributeScheme.PAIR:
-            self._store_pair_indices(pair_attribute_indices(arr, self._num_cells), expiry)
-        else:
-            cells = arr.ravel()
-            self._cell_vector()[cells] = expiry
-            self._cell_touched.update(cells.tolist())
+        self._store_pair_indices(pair_attribute_indices(arr, self._num_cells), expiry)
 
-    def is_tabu_mask(
-        self,
-        pairs: np.ndarray,
-        iteration: int,
-        scheme: AttributeScheme = AttributeScheme.PAIR,
-    ) -> np.ndarray:
+    def is_tabu_mask(self, pairs: np.ndarray, iteration: int) -> np.ndarray:
         """Per-pair tabu status of a candidate batch: one gather + compare."""
         self._note(iteration)
         arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if scheme is AttributeScheme.PAIR:
-            if self._dense_pairs:
-                if self._pair is None:
-                    return np.zeros(arr.shape[0], dtype=bool)
-                return self._pair[pair_attribute_indices(arr, self._num_cells)] > iteration
-            if self._pair_table is None:
+        if self._dense_pairs:
+            if self._pair is None:
                 return np.zeros(arr.shape[0], dtype=bool)
-            return (
-                self._pair_table.lookup(pair_attribute_indices(arr, self._num_cells))
-                > iteration
-            )
-        if self._cell is None:
+            return self._pair[pair_attribute_indices(arr, self._num_cells)] > iteration
+        if self._pair_table is None:
             return np.zeros(arr.shape[0], dtype=bool)
-        live = self._cell > iteration
-        return live[arr[:, 0]] | live[arr[:, 1]]
+        return (
+            self._pair_table.lookup(pair_attribute_indices(arr, self._num_cells))
+            > iteration
+        )
 
-    def is_tabu_pairs(
-        self,
-        pairs: np.ndarray,
-        iteration: int,
-        scheme: AttributeScheme = AttributeScheme.PAIR,
-    ) -> bool:
+    def is_tabu_pairs(self, pairs: np.ndarray, iteration: int) -> bool:
         """Whether *any* pair of a move is tabu at ``iteration``."""
-        return bool(self.is_tabu_mask(pairs, iteration, scheme).any())
+        return bool(self.is_tabu_mask(pairs, iteration).any())
 
     def expire(self, iteration: int) -> int:
         """Lazy expiry: nothing to sweep — stale entries compare as not tabu."""
         self._note(iteration)
         return 0
-
-    def clear(self) -> None:
-        """Forget everything (used when a TSW adopts a new global best)."""
-        if self._pair is not None:
-            self._pair[:] = 0
-        if self._pair_table is not None:
-            self._pair_table.clear()
-        if self._cell is not None:
-            self._cell[:] = 0
-        self._pair_touched.clear()
-        self._cell_touched.clear()
 
     # ------------------------------------------------------------------ #
     # live-set views (tests / diagnostics / serialisation)
@@ -341,13 +285,6 @@ class ArrayTabuList:
             for index, expiry in zip(keys, expiries):
                 attr = MoveAttribute(kind="pair", key=(index // n, index % n))
                 items.append((attr, expiry))
-        if self._cell is not None:
-            for index in sorted(self._cell_touched):
-                expiry = int(self._cell[index])
-                if expiry > self._last_iteration:
-                    items.append((MoveAttribute.cell(index), expiry))
-                else:
-                    self._cell_touched.discard(index)
         return items
 
     def __len__(self) -> int:
@@ -357,16 +294,13 @@ class ArrayTabuList:
             live += sum(1 for index in self._pair_touched if int(self._pair[index]) > last)
         if self._pair_table is not None:
             live += self._pair_table.count_live(self._last_iteration)
-        if self._cell is not None:
-            last = self._last_iteration
-            live += sum(1 for index in self._cell_touched if int(self._cell[index]) > last)
         return live
 
     def to_payload(self) -> Tuple[Tuple[str, Tuple[int, ...], int], ...]:
         """Serialisable snapshot ``((kind, key, expiry), ...)`` of live entries.
 
-        Entries come out in deterministic (kind, index) order; receivers
-        treat the payload as a set.
+        Entries come out in deterministic index order; receivers treat the
+        payload as a set.
         """
         return tuple((attr.kind, attr.key, expiry) for attr, expiry in self._live_items())
 
@@ -380,19 +314,13 @@ class ArrayTabuList:
         """Rebuild an array tabu list from :meth:`to_payload` output.
 
         Payloads also arrive from checkpoints on disk, so an entry outside
-        the attribute space — an unknown kind, or a key outside
+        the attribute space — a kind other than ``"pair"``, or a key outside
         ``num_cells`` — raises :class:`TabuSearchError`.
         """
         instance = cls(tenure, num_cells)
         for kind, key, expiry in payload:
             index = instance._index_of(kind, tuple(key))
-            if kind == "pair":
-                instance._store_pair_indices(
-                    np.asarray([index], dtype=np.int64), int(expiry)
-                )
-            else:
-                instance._cell_vector()[index] = int(expiry)
-                instance._cell_touched.add(index)
+            instance._store_pair_indices(np.asarray([index], dtype=np.int64), int(expiry))
         return instance
 
     def _index_of(self, kind: str, key: Tuple[int, ...]) -> int:
@@ -401,8 +329,6 @@ class ArrayTabuList:
         if kind == "pair" and len(key) == 2 and all(0 <= k < n for k in key):
             lo, hi = (key[0], key[1]) if key[0] <= key[1] else (key[1], key[0])
             return lo * n + hi
-        if kind == "cell" and len(key) == 1 and 0 <= key[0] < n:
-            return key[0]
         raise TabuSearchError(
             f"tabu payload entry {kind!r} {key!r} is outside the {n}-cell attribute space"
         )

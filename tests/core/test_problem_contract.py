@@ -358,9 +358,8 @@ class TestMaskAwareBatchContract:
         assert np.all(np.isfinite(costs))
 
     def test_fused_batch_equals_per_range_batches(self, evaluator):
-        """Scoring is batch-size invariant: fusing several ranges' step-1
-        pairs into one call must be bit-identical to scoring each range's
-        batch separately (what lets the driver fuse before states diverge)."""
+        """Scoring is batch-size invariant: several batches scored in one
+        call must be bit-identical to each batch scored separately."""
         rng = np.random.default_rng(32)
         n = evaluator.num_cells
         chunks = [rng.integers(0, n, size=(k, 2)) for k in (7, 5, 9)]

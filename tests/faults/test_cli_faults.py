@@ -42,6 +42,16 @@ class TestFaultFlags:
         assert code != 0
         assert "fault plan" in capsys.readouterr().err
 
+    def test_spawn_with_a_speed_hint_is_refused(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"spawns": [{"at": 0.05, "speed_hint": 2.0}]}))
+        code = main(RUN_QUICK + ["--fault-plan", str(plan)])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: malformed fault plan: spawns[0]: unknown field(s) speed_hint "
+            "(valid: at, count, machine)"
+        )
+
     def test_resume_rejects_fault_flags(self, tmp_path, capsys):
         ckpt = tmp_path / "run.rtss"
         assert main(RUN_QUICK + ["--pause-after", "1", "--checkpoint", str(ckpt)]) == 0

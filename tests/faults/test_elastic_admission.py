@@ -108,17 +108,14 @@ class TestSimAdmission:
         assert event_tuples(first) == event_tuples(second)
         assert_bit_identical(first, second)
 
-    def test_admitted_speed_hint_is_recorded(self, problem):
-        plan = FaultPlan(
-            spawns=(SpawnWorker(at=0.05, count=1, speed_hint=2.5),)
-        )
+    def test_admission_is_recorded_in_the_checkpoint(self, problem):
+        plan = FaultPlan(spawns=(SpawnWorker(at=0.05, count=1),))
         session = SearchSession(
             problem=problem, params=fault_params(), fault_plan=plan
         )
         session.step(3)
         state = session.checkpoint()
-        hints = state.run_state.speed_hints or {}
-        assert hints.get(NUM_TSWS) == 2.5
+        assert state.run_state.num_workers == NUM_TSWS + 1
         admitted = [e for e in state.topology_events if e.kind == "worker-admitted"]
         assert [e.worker for e in admitted] == [f"tsw{NUM_TSWS}"]
 
@@ -239,7 +236,7 @@ class TestThreadsPoolElasticity:
         with WorkerPool(2, 1, backend="threads") as pool:
             grown = []
             timer = threading.Timer(
-                0.15, lambda: grown.extend(pool.grow(2, speed_hints=[1.0, 1.0]))
+                0.15, lambda: grown.extend(pool.grow(2))
             )
             timer.start()
             try:
@@ -312,7 +309,7 @@ class TestProcessesPoolElasticity:
             pool.kernel.death_report_grace = 0.5
             pool.kernel.death_notify_grace = 0.3
             grown = []
-            after_first_round(lambda: grown.extend(pool.grow(1, speed_hints=[1.0])))
+            after_first_round(lambda: grown.extend(pool.grow(1)))
             result, _, _ = pool.run_master(
                 problem,
                 elastic_pool_params(global_iterations=40),

@@ -91,12 +91,8 @@ class TestSpawnWorker:
         with pytest.raises(SimulationError, match="machine"):
             SpawnWorker(at=1.0, machine=-2)
 
-    def test_bad_speed_hint_rejected(self):
-        with pytest.raises(SimulationError, match="speed_hint"):
-            SpawnWorker(at=1.0, speed_hint=0.0)
-
     def test_valid_spawn_accepted(self):
-        spawn = SpawnWorker(at=0.5, count=2, machine=1, speed_hint=2.0)
+        spawn = SpawnWorker(at=0.5, count=2, machine=1)
         assert spawn.count == 2
 
     def test_errors_are_value_errors(self):
@@ -150,7 +146,7 @@ class TestFaultPlan:
     def test_from_dict_loads_spawns_and_drains(self):
         plan = FaultPlan.from_dict(
             {
-                "spawns": [{"at": 0.5, "count": 2, "speed_hint": 2.0}],
+                "spawns": [{"at": 0.5, "count": 2}],
                 "drains": [{"at": 1.0, "name": "tsw1"}],
             }
         )

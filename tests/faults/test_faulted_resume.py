@@ -2,7 +2,7 @@
 
 PR 8 made the master fault-tolerant and PR 7 made runs resumable; this suite
 pins their composition.  A mid-run checkpoint of a fault-mode session must
-carry the health ledger (strikes, EWMA throughput, speed hints) through the
+carry the health ledger (strikes, EWMA throughput) through the
 artifact byte round-trip, a resume must revive workers without losing that
 history, and a kill landing *after* the resume must leave the same degraded
 trajectory as the run that never paused.
@@ -63,20 +63,6 @@ class TestLedgerThroughTheArtifact:
             assert rows[key][1] is True
             assert rows[key][3] is not None and rows[key][3] > 0  # rate
             assert rows[key][5] > 0  # rounds_reported
-
-    def test_speed_hints_round_trip_and_rearm_the_resumed_ledger(self, problem):
-        params = fault_params(worker_speed_hints=(1.0, 2.0, 4.0))
-        session = SearchSession(problem=problem, params=params)
-        session.step(2)
-        state = SessionState.from_bytes(session.checkpoint().to_bytes())
-        assert state.run_state.speed_hints == {0: 1.0, 1: 2.0, 2: 4.0}
-        # a resume rebuilds the ledger with the same hints and keeps history
-        restored = SearchSession.restore(state)
-        result = restored.run()
-        assert result.complete
-        rows = {row[0]: row for row in restored._master_result.health}
-        for key in range(NUM_TSWS):
-            assert rows[key][5] > 0
 
     def test_resume_revives_earlier_deaths_but_keeps_history(self, problem):
         plan = FaultPlan(kills=(KillWorker(at=0.16, name="tsw1"),))

@@ -116,16 +116,14 @@ class TestElasticity:
         assert ledger.dead_keys() == []
         assert ledger.drained_keys() == [1]
 
-    def test_add_worker_registers_and_hints(self):
+    def test_add_worker_registers_a_new_key_only(self):
         ledger = make_ledger()
-        ledger.add_worker(3, speed_hint=4.0)
+        ledger.add_worker(3)
         assert ledger.alive_keys() == [0, 1, 2, 3]
-        assert ledger.export_hints() == {3: 4.0}
-        # no-op on an already-tracked key, but the hint still lands
+        # no-op on an already-tracked key: its history stays
         ledger.record_report(0, evaluations_total=100, elapsed=1.0)
-        ledger.add_worker(0, speed_hint=2.0)
+        ledger.add_worker(0)
         assert ledger.rate_of(0) == pytest.approx(100.0)
-        assert ledger.export_hints() == {0: 2.0, 3: 4.0}
 
     def test_admitted_worker_blocks_weighted_split_until_observed(self):
         ledger = make_ledger()

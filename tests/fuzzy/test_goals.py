@@ -88,8 +88,34 @@ class TestAggregator:
         worst = min(aggregator.memberships(values).values())
         assert aggregator.membership(values) == pytest.approx(worst)
 
+    def test_beta_zero_is_the_weighted_mean(self):
+        aggregator = make_aggregator(beta=0.0)
+        values = {"wirelength": 150.0, "delay": 15.0, "area": 100.0}
+        # memberships 0.5, 0.5, 0.0 with weights 2, 1, 1
+        assert aggregator.membership(values) == pytest.approx((2 * 0.5 + 0.5 + 0.0) / 4)
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.5])
+    def test_beta_outside_unit_interval_rejected(self, beta):
+        with pytest.raises(CostModelError):
+            make_aggregator(beta=beta)
+
     def test_names_property(self):
         assert make_aggregator().names == ("wirelength", "delay", "area")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        wirelength=st.floats(0.0, 1000.0),
+        delay=st.floats(0.0, 100.0),
+        area=st.floats(0.0, 500.0),
+        beta=st.floats(0.0, 1.0),
+    )
+    def test_membership_between_worst_and_weighted_mean(self, wirelength, delay, area, beta):
+        aggregator = make_aggregator(beta=beta)
+        values = {"wirelength": wirelength, "delay": delay, "area": area}
+        mus = aggregator.memberships(values)
+        mean = (2 * mus["wirelength"] + mus["delay"] + mus["area"]) / 4
+        result = aggregator.membership(values)
+        assert min(mus.values()) - 1e-12 <= result <= mean + 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(

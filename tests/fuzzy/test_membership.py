@@ -1,4 +1,4 @@
-"""Unit and property-based tests for the fuzzy membership functions."""
+"""Unit and property-based tests for the fuzzy membership function."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CostModelError
-from repro.fuzzy import DecreasingLinear, IncreasingLinear, Trapezoidal, Triangular
+from repro.fuzzy import DecreasingLinear
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -43,54 +43,3 @@ class TestDecreasingLinear:
         mu = DecreasingLinear(low=2.0, high=7.0)
         lo, hi = sorted((a, b))
         assert mu.grade(lo) >= mu.grade(hi)
-
-
-class TestIncreasingLinear:
-    def test_values(self):
-        mu = IncreasingLinear(low=0.0, high=10.0)
-        assert mu.grade(-1.0) == 0.0
-        assert mu.grade(5.0) == pytest.approx(0.5)
-        assert mu.grade(11.0) == 1.0
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(CostModelError):
-            IncreasingLinear(low=3.0, high=2.0)
-
-    def test_complementary_to_decreasing(self):
-        inc = IncreasingLinear(low=1.0, high=3.0)
-        dec = DecreasingLinear(low=1.0, high=3.0)
-        for value in np.linspace(0.0, 4.0, 17):
-            assert inc.grade(value) + dec.grade(value) == pytest.approx(1.0)
-
-
-class TestTriangular:
-    def test_peak_is_one(self):
-        mu = Triangular(left=0.0, peak=5.0, right=10.0)
-        assert mu.grade(5.0) == 1.0
-        assert mu.grade(0.0) == 0.0
-        assert mu.grade(10.0) == 0.0
-        assert mu.grade(2.5) == pytest.approx(0.5)
-
-    def test_invalid_order_rejected(self):
-        with pytest.raises(CostModelError):
-            Triangular(left=5.0, peak=5.0, right=10.0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(value=finite_floats)
-    def test_in_unit_interval(self, value):
-        mu = Triangular(left=-1.0, peak=0.0, right=2.0)
-        assert 0.0 <= mu.grade(value) <= 1.0
-
-
-class TestTrapezoidal:
-    def test_plateau(self):
-        mu = Trapezoidal(left=0.0, shoulder_left=2.0, shoulder_right=4.0, right=6.0)
-        assert mu.grade(3.0) == 1.0
-        assert mu.grade(1.0) == pytest.approx(0.5)
-        assert mu.grade(5.0) == pytest.approx(0.5)
-        assert mu.grade(-1.0) == 0.0
-        assert mu.grade(7.0) == 0.0
-
-    def test_invalid_order_rejected(self):
-        with pytest.raises(CostModelError):
-            Trapezoidal(left=0.0, shoulder_left=5.0, shoulder_right=4.0, right=6.0)

@@ -10,8 +10,13 @@ from hypothesis import strategies as st
 from repro.placement import CostEvaluator, Layout, load_benchmark, random_placement
 from repro.placement.area import full_area
 from repro.placement.wirelength import full_hpwl
-from repro.tabu import TabuSearch, TabuSearchParams, TerminationCriteria, full_range
-from repro.tabu.moves import build_compound_move
+from repro.tabu import (
+    CompoundMoveBuilder,
+    TabuSearch,
+    TabuSearchParams,
+    TerminationCriteria,
+    full_range,
+)
 
 
 def fresh_evaluator(seed: int) -> CostEvaluator:
@@ -60,14 +65,16 @@ class TestCompoundMoveInvariants:
     def test_compound_move_leaves_consistent_state(self, seed, pairs, depth, early):
         evaluator = fresh_evaluator(seed)
         rng = np.random.default_rng(seed)
-        move = build_compound_move(
+        builder = CompoundMoveBuilder(
             evaluator,
             full_range(evaluator.placement.num_cells),
             pairs_per_step=pairs,
             depth=depth,
-            rng=rng,
             early_accept=early,
         )
+        while builder.wants_more_steps():
+            builder.step(rng)
+        move = builder.finalize()
         evaluator.verify_consistency()
         assert 1 <= move.depth <= depth
         assert move.trials <= pairs * depth

@@ -8,9 +8,9 @@ iteration via per-expiry buckets (at most ``tenure`` distinct expiry values
 are ever live, so a sweep touches only the buckets that actually lapsed).
 
 :class:`ReferenceTabuSearch` runs :class:`~repro.tabu.search.TabuSearch` on
-that list, scores each range's step-1 trials in its own batch and asks the
-aspiration criterion one cost at a time.  A seeded run walks the shipped
-search's trajectory bit for bit (``tests/tabu/test_driver_identity.py``).
+that list and checks aspiration (a cost below the best so far) one cost at a
+time.  A seeded run walks the shipped search's trajectory bit for bit
+(``tests/tabu/test_driver_identity.py``).
 """
 
 from __future__ import annotations
@@ -20,19 +20,15 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import TabuSearchError
-from repro.tabu.attributes import AttributeScheme, MoveAttribute
+from repro.tabu.attributes import MoveAttribute
 from repro.tabu.search import TabuSearch
 
 __all__ = ["TabuList", "ReferenceTabuSearch", "swap_attributes"]
 
 
-def swap_attributes(
-    cell_a: int, cell_b: int, scheme: AttributeScheme = AttributeScheme.PAIR
-) -> Tuple[MoveAttribute, ...]:
+def swap_attributes(cell_a: int, cell_b: int) -> Tuple[MoveAttribute, ...]:
     """Attributes contributed by swapping ``cell_a`` and ``cell_b``."""
-    if scheme is AttributeScheme.PAIR:
-        return (MoveAttribute.pair(cell_a, cell_b),)
-    return (MoveAttribute.cell(cell_a), MoveAttribute.cell(cell_b))
+    return (MoveAttribute.pair(cell_a, cell_b),)
 
 
 class TabuList:
@@ -89,42 +85,27 @@ class TabuList:
     # ------------------------------------------------------------------ #
     # pair-batch surface shared with ArrayTabuList
     # ------------------------------------------------------------------ #
-    def record_pairs(
-        self,
-        pairs: np.ndarray,
-        iteration: int,
-        scheme: AttributeScheme = AttributeScheme.PAIR,
-    ) -> None:
-        """Record every swap pair of an accepted move under ``scheme``."""
+    def record_pairs(self, pairs: np.ndarray, iteration: int) -> None:
+        """Record every swap pair of an accepted move."""
         if self._tenure == 0:
             return
         arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         for cell_a, cell_b in arr.tolist():
-            self.record(swap_attributes(cell_a, cell_b, scheme), iteration)
+            self.record(swap_attributes(cell_a, cell_b), iteration)
 
-    def is_tabu_mask(
-        self,
-        pairs: np.ndarray,
-        iteration: int,
-        scheme: AttributeScheme = AttributeScheme.PAIR,
-    ) -> np.ndarray:
+    def is_tabu_mask(self, pairs: np.ndarray, iteration: int) -> np.ndarray:
         """Per-pair tabu status of a candidate batch (reference loop)."""
         arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         mask = np.zeros(arr.shape[0], dtype=bool)
         for k, (cell_a, cell_b) in enumerate(arr.tolist()):
-            mask[k] = self.is_tabu(swap_attributes(cell_a, cell_b, scheme), iteration)
+            mask[k] = self.is_tabu(swap_attributes(cell_a, cell_b), iteration)
         return mask
 
-    def is_tabu_pairs(
-        self,
-        pairs: np.ndarray,
-        iteration: int,
-        scheme: AttributeScheme = AttributeScheme.PAIR,
-    ) -> bool:
+    def is_tabu_pairs(self, pairs: np.ndarray, iteration: int) -> bool:
         """Whether *any* pair of a move is tabu at ``iteration``."""
         arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         for cell_a, cell_b in arr.tolist():
-            if self.is_tabu(swap_attributes(cell_a, cell_b, scheme), iteration):
+            if self.is_tabu(swap_attributes(cell_a, cell_b), iteration):
                 return True
         return False
 
@@ -143,11 +124,6 @@ class TabuList:
                     del self._expiry[attr]
                     removed += 1
         return removed
-
-    def clear(self) -> None:
-        """Forget everything (used when a TSW adopts a new global best)."""
-        self._expiry.clear()
-        self._buckets.clear()
 
     # ------------------------------------------------------------------ #
     # serialisation — the paper's master/TSW protocol ships the tabu list
@@ -172,8 +148,8 @@ class TabuList:
 
 
 class ReferenceTabuSearch(TabuSearch):
-    """:class:`TabuSearch` on the dict :class:`TabuList`, with unfused
-    step-1 scoring and scalar aspiration calls."""
+    """:class:`TabuSearch` on the dict :class:`TabuList`, with scalar
+    aspiration checks."""
 
     def __init__(self, evaluator, params=None, **kwargs) -> None:
         super().__init__(evaluator, params, **kwargs)
@@ -184,26 +160,18 @@ class ReferenceTabuSearch(TabuSearch):
         self._tabu = TabuList.from_payload(payload, effective_tenure)
         return self._tabu
 
-    def _admissible_fn(self, iteration: int, current_cost: float, best_cost: float):
+    def _admissible_fn(self, iteration: int, best_cost: float):
         tabu = self._tabu
-        scheme = self._scheme
-        aspiration = self._aspiration
 
         def admissible(pairs: np.ndarray, costs: np.ndarray) -> Optional[np.ndarray]:
-            mask = tabu.is_tabu_mask(pairs, iteration, scheme)
+            mask = tabu.is_tabu_mask(pairs, iteration)
             if not mask.any():
                 return None
             permitted = np.fromiter(
-                (
-                    aspiration.permits(float(cost), current_cost, best_cost)
-                    for cost in costs
-                ),
+                (float(cost) < best_cost for cost in costs),
                 dtype=bool,
                 count=len(costs),
             )
             return ~mask | permitted
 
         return admissible
-
-    def _score_first_steps(self, first_pairs: List[np.ndarray]) -> List[np.ndarray]:
-        return [self._evaluator.evaluate_swaps_batch(p) for p in first_pairs]

@@ -85,10 +85,12 @@ class TestCodecValidation:
         # restore by position, so they would load shifted), version 3
         # snapshots the wirelength cache with edge counts where version 4 has
         # next-inner coordinates, version 4 pickles a netlist without the
-        # kind codes and fan-in CSR version 5 restores it from; a newer
-        # version is unknown to this build
+        # kind codes and fan-in CSR version 5 restores it from, version 5
+        # pickles search parameters with the aspiration, attribute-scheme and
+        # speed-hint fields version 6 removed; a newer version is unknown to
+        # this build
         payload = paused_state.to_bytes()[8:]
-        for version in (1, 2, 3, 4, SCHEMA_VERSION + 1):
+        for version in (1, 2, 3, 4, 5, SCHEMA_VERSION + 1):
             blob = struct.pack("<4sI", MAGIC, version) + payload
             with pytest.raises(SessionError, match="schema version"):
                 SessionState.from_bytes(blob)

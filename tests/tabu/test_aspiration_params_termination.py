@@ -1,48 +1,11 @@
-"""Unit tests for aspiration criteria, search parameters and termination."""
+"""Unit tests for search parameters and termination."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import TabuSearchError
-from repro.tabu import (
-    BestCostAspiration,
-    ImprovementAspiration,
-    NoAspiration,
-    TabuSearchParams,
-    TerminationCriteria,
-)
-from repro.tabu.search import make_aspiration
-
-
-class TestAspirationCriteria:
-    def test_best_cost_aspiration(self):
-        asp = BestCostAspiration()
-        assert asp.permits(candidate_cost=0.4, current_cost=0.6, best_cost=0.5)
-        assert not asp.permits(candidate_cost=0.55, current_cost=0.6, best_cost=0.5)
-        assert not asp.permits(candidate_cost=0.5, current_cost=0.6, best_cost=0.5)
-
-    def test_best_cost_aspiration_with_margin(self):
-        asp = BestCostAspiration(margin=0.1)
-        # must be at least 10% better than the best
-        assert asp.permits(candidate_cost=0.44, current_cost=0.6, best_cost=0.5)
-        assert not asp.permits(candidate_cost=0.46, current_cost=0.6, best_cost=0.5)
-
-    def test_improvement_aspiration(self):
-        asp = ImprovementAspiration()
-        assert asp.permits(candidate_cost=0.55, current_cost=0.6, best_cost=0.5)
-        assert not asp.permits(candidate_cost=0.65, current_cost=0.6, best_cost=0.5)
-
-    def test_no_aspiration(self):
-        asp = NoAspiration()
-        assert not asp.permits(candidate_cost=0.0, current_cost=1.0, best_cost=1.0)
-
-    def test_factory(self):
-        assert isinstance(make_aspiration(TabuSearchParams(aspiration="best")), BestCostAspiration)
-        assert isinstance(
-            make_aspiration(TabuSearchParams(aspiration="improvement")), ImprovementAspiration
-        )
-        assert isinstance(make_aspiration(TabuSearchParams(aspiration="none")), NoAspiration)
+from repro.tabu import TabuSearchParams, TerminationCriteria
 
 
 class TestTabuSearchParams:
@@ -59,9 +22,6 @@ class TestTabuSearchParams:
             {"pairs_per_step": 0},
             {"move_depth": 0},
             {"diversification_depth": -1},
-            {"aspiration": "bogus"},
-            {"aspiration_margin": 1.5},
-            {"attribute_scheme": "pair"},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):

@@ -13,7 +13,7 @@ from repro.tabu import (
     collision_probability,
     full_range,
     partition_cells,
-    sample_candidate_pairs,
+    sample_candidate_pairs_array,
 )
 
 
@@ -97,25 +97,26 @@ class TestPartitionCells:
 class TestCandidatePairs:
     def test_first_cell_from_range_second_different(self, rng):
         cell_range = CellRange(cells=(0, 1, 2, 3))
-        pairs = sample_candidate_pairs(cell_range, num_cells=20, count=100, rng=rng)
-        assert len(pairs) == 100
-        for first, second in pairs:
+        pairs = sample_candidate_pairs_array(cell_range.as_array(), 20, 100, rng)
+        assert pairs.shape == (100, 2)
+        assert pairs.dtype == np.int64
+        for first, second in pairs.tolist():
             assert first in cell_range
             assert 0 <= second < 20
             assert first != second
 
     def test_invalid_count_rejected(self, rng):
         with pytest.raises(TabuSearchError):
-            sample_candidate_pairs(full_range(5), num_cells=5, count=0, rng=rng)
+            sample_candidate_pairs_array(full_range(5).as_array(), 5, 0, rng)
 
     def test_too_few_cells_rejected(self, rng):
         with pytest.raises(TabuSearchError):
-            sample_candidate_pairs(full_range(1), num_cells=1, count=1, rng=rng)
+            sample_candidate_pairs_array(full_range(1).as_array(), 1, 1, rng)
 
     def test_second_cell_covers_whole_space(self, rng):
         cell_range = CellRange(cells=(0,))
-        pairs = sample_candidate_pairs(cell_range, num_cells=6, count=400, rng=rng)
-        seconds = {second for _, second in pairs}
+        pairs = sample_candidate_pairs_array(cell_range.as_array(), 6, 400, rng)
+        seconds = set(pairs[:, 1].tolist())
         assert seconds == {1, 2, 3, 4, 5}
 
 

@@ -11,8 +11,6 @@ from repro.tabu import (
     CompoundMove,
     CompoundMoveBuilder,
     SwapMove,
-    best_swap_of_candidates,
-    build_compound_move,
     full_range,
 )
 
@@ -45,63 +43,63 @@ class TestCompoundMoveProperties:
         assert move.gain == pytest.approx(-0.1)
 
 
-class TestBestSwapOfCandidates:
-    def test_selects_minimum_cost(self, evaluator):
-        pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
-        best = best_swap_of_candidates(evaluator, pairs)
-        costs = [evaluator.evaluate_swap(a, b) for a, b in pairs]
-        assert best is not None
-        assert best.cost_after == pytest.approx(min(costs))
-
-    def test_empty_candidates(self, evaluator):
-        assert best_swap_of_candidates(evaluator, []) is None
+def _finish(evaluator, rng, **kwargs):
+    """Run a builder over the whole range to completion, as the driver does."""
+    builder = CompoundMoveBuilder(evaluator, full_range(64), **kwargs)
+    while builder.wants_more_steps():
+        builder.step(rng)
+    return builder.finalize()
 
 
-class TestBuildCompoundMove:
+class TestFinishedBuilder:
     def test_invalid_parameters_rejected(self, evaluator, rng):
         with pytest.raises(TabuSearchError):
-            build_compound_move(evaluator, full_range(64), pairs_per_step=0, depth=3, rng=rng)
+            _finish(evaluator, rng, pairs_per_step=0, depth=3)
         with pytest.raises(TabuSearchError):
-            build_compound_move(evaluator, full_range(64), pairs_per_step=3, depth=0, rng=rng)
+            _finish(evaluator, rng, pairs_per_step=3, depth=0)
 
     def test_cost_after_matches_evaluator_state(self, evaluator, rng):
-        move = build_compound_move(
-            evaluator, full_range(64), pairs_per_step=4, depth=3, rng=rng
-        )
+        move = _finish(evaluator, rng, pairs_per_step=4, depth=3)
         assert move.cost_after == pytest.approx(evaluator.cost())
         evaluator.verify_consistency()
 
     def test_move_is_never_empty(self, evaluator, rng):
         # tabu search relies on accepting (possibly degrading) moves
         for _ in range(5):
-            move = build_compound_move(
-                evaluator, full_range(64), pairs_per_step=3, depth=2, rng=rng
-            )
+            move = _finish(evaluator, rng, pairs_per_step=3, depth=2)
             assert move.depth >= 1
 
     def test_respects_depth_limit(self, evaluator, rng):
-        move = build_compound_move(
-            evaluator, full_range(64), pairs_per_step=3, depth=4, rng=rng, early_accept=False
-        )
+        move = _finish(evaluator, rng, pairs_per_step=3, depth=4, early_accept=False)
         assert move.depth <= 4
-        assert move.trials <= 4 * 3
+        assert move.trials == 4 * 3
 
     def test_best_prefix_is_best_seen(self, evaluator, rng):
-        # without early accept the final cost must be the minimum over all
-        # prefixes explored, which is <= the cost of the full-depth sequence
-        start_cost = evaluator.cost()
-        move = build_compound_move(
-            evaluator, full_range(64), pairs_per_step=5, depth=5, rng=rng, early_accept=False
+        # without early accept the move ends on the lowest cost of every
+        # prefix explored, truncated to the shortest such prefix
+        builder = CompoundMoveBuilder(
+            evaluator, full_range(64), pairs_per_step=5, depth=5, early_accept=False
         )
-        assert move.cost_after <= start_cost or move.depth >= 1
+        seen = []
+        while builder.wants_more_steps():
+            builder.step(rng)
+            seen.append(evaluator.cost())
+        move = builder.finalize()
+        assert move.cost_after == min(seen)
+        assert move.depth == seen.index(min(seen)) + 1
+        assert evaluator.cost() == min(seen)
 
     def test_early_accept_stops_on_improvement(self, evaluator, rng):
-        move = build_compound_move(
-            evaluator, full_range(64), pairs_per_step=8, depth=5, rng=rng, early_accept=True
-        )
-        if move.truncated_early:
-            assert move.is_improving
-            assert move.depth <= 5
+        for _ in range(5):
+            start = evaluator.cost()
+            move = _finish(evaluator, rng, pairs_per_step=8, depth=5, early_accept=True)
+            # the move stops at the first improving step, or runs to full depth
+            assert move.truncated_early == (move.cost_after < start)
+            if move.truncated_early:
+                assert move.is_improving
+                assert move.trials == 8 * move.depth
+            else:
+                assert move.trials == 8 * 5
 
 
 class TestCompoundMoveBuilder:
@@ -118,6 +116,17 @@ class TestCompoundMoveBuilder:
         move = builder.finalize()
         assert move.trials == 12
         assert move.cost_after == pytest.approx(evaluator.cost())
+
+    def test_step_commits_the_cheapest_seeded_pair(self, evaluator, rng):
+        pairs = np.array([(0, 1), (2, 3), (4, 5), (6, 7)], dtype=np.int64)
+        costs = evaluator.evaluate_swaps_batch(pairs)
+        builder = CompoundMoveBuilder(evaluator, full_range(64), pairs_per_step=4, depth=1)
+        builder.seed_step(pairs, costs)
+        assert builder.step(rng) == 4
+        move = builder.finalize()
+        best = int(np.argmin(costs))
+        assert move.pairs() == [tuple(pairs[best].tolist())]
+        assert move.swaps[0].cost_after == costs[best]
 
     def test_finalize_twice_rejected(self, evaluator, rng):
         builder = CompoundMoveBuilder(evaluator, full_range(64), pairs_per_step=2, depth=1)

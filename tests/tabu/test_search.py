@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import TabuSearchError
 from repro.placement import CostEvaluator, Layout, load_benchmark, random_placement
 from repro.tabu import (
     CompoundMove,
@@ -13,7 +12,6 @@ from repro.tabu import (
     TabuSearch,
     TabuSearchParams,
     TerminationCriteria,
-    full_range,
     partition_cells,
 )
 
@@ -26,22 +24,6 @@ def make_search(seed: int = 1, **param_overrides) -> TabuSearch:
 
 
 class TestConstruction:
-    def test_invalid_candidate_moves_rejected(self):
-        layout = Layout(load_benchmark("tiny16"))
-        evaluator = CostEvaluator(random_placement(layout, seed=0))
-        with pytest.raises(TabuSearchError):
-            TabuSearch(evaluator, candidate_moves=0)
-
-    def test_candidate_ranges_must_match_count(self):
-        layout = Layout(load_benchmark("tiny16"))
-        evaluator = CostEvaluator(random_placement(layout, seed=0))
-        with pytest.raises(TabuSearchError):
-            TabuSearch(
-                evaluator,
-                candidate_moves=2,
-                candidate_ranges=[full_range(16)],
-            )
-
     def test_initial_best_is_current(self):
         search = make_search()
         assert search.best_cost == pytest.approx(search.current_cost)
@@ -55,6 +37,17 @@ class TestStep:
         assert result.iteration == 1
         assert search.iteration == 1
         assert search.best_cost <= result.cost_after + 1e-12
+
+    def test_every_swap_starts_in_the_search_range(self):
+        layout = Layout(load_benchmark("mini64"))
+        evaluator = CostEvaluator(random_placement(layout, seed=4))
+        cell_range = partition_cells(64, 3)[1]
+        search = TabuSearch(evaluator, TabuSearchParams(), cell_range=cell_range, seed=5)
+        moves = [search.step().move for _ in range(15)]
+        swaps = [swap for move in moves if move is not None for swap in move.swaps]
+        assert swaps
+        assert all(swap.cell_a in cell_range for swap in swaps)
+        assert any(swap.cell_b not in cell_range for swap in swaps)
 
     def test_step_usually_accepts(self):
         search = make_search()
@@ -122,30 +115,39 @@ class TestTabuBehaviour:
         results = [search.step() for _ in range(10)]
         assert all(not r.was_tabu for r in results)
 
-    def test_consider_candidates_rejects_all_tabu_without_aspiration(self):
-        search = make_search(aspiration="none", tabu_tenure=50)
-        # hand-craft a candidate, accept it, then re-offer the same candidate:
-        # the second time it must be rejected (tabu, no aspiration possible)
-        move = CompoundMove(
-            swaps=[SwapMove(1, 2, 0.0)], cost_before=1.0, cost_after=0.0, trials=1
+    def test_tabu_candidate_that_does_not_beat_best_is_rejected_and_stalls(self):
+        search = make_search(tabu_tenure=50)
+        # hand-craft a candidate, accept it, then re-offer the same pair: it
+        # is tabu, and a cost equal to the best does not aspire
+        first = search.consider_candidates(
+            [CompoundMove(swaps=[SwapMove(1, 2, 0.0)], cost_before=1.0, cost_after=0.0)]
         )
-        first = search.consider_candidates([move])
         assert first.accepted
-        second = search.consider_candidates([move])
+        stall = search.export_state().stall
+        again = CompoundMove(
+            swaps=[SwapMove(2, 1, 0.0)], cost_before=1.0, cost_after=search.best_cost
+        )
+        second = search.consider_candidates([again])
         assert not second.accepted
         assert second.was_tabu
+        assert second.move is None
+        assert search.export_state().stall == stall + 1
 
     def test_aspiration_allows_tabu_move_that_beats_best(self):
-        search = make_search(aspiration="best", tabu_tenure=50)
+        search = make_search(tabu_tenure=50)
         move = CompoundMove(
             swaps=[SwapMove(1, 2, 0.0)], cost_before=1.0, cost_after=0.0, trials=1
         )
         search.consider_candidates([move])
-        # the same pair again: tabu, but a much better cost may trigger aspiration
-        # (the reported cost is re-derived by the engine, so we only check the flags)
-        result = search.consider_candidates([move])
-        if result.accepted:
-            assert result.used_aspiration
+        # the same pair again: tabu, but its cost is below the best so far
+        # (the reported cost is re-derived by the engine from the evaluator)
+        better = CompoundMove(
+            swaps=[SwapMove(1, 2, 0.0)], cost_before=1.0, cost_after=search.best_cost - 1.0
+        )
+        result = search.consider_candidates([better])
+        assert result.accepted
+        assert result.was_tabu
+        assert result.used_aspiration
 
     def test_empty_candidates_stall(self):
         search = make_search()
@@ -164,14 +166,6 @@ class TestAdoptSolution:
         assert search.current_cost == pytest.approx(
             search.evaluator.cost()
         )
-
-    def test_adopt_resets_memory_when_requested(self):
-        search = make_search(tabu_tenure=10)
-        for _ in range(5):
-            search.step()
-        assert len(search.tabu_list) > 0
-        search.adopt_solution(search.best_solution, reset_memory=True)
-        assert len(search.tabu_list) == 0
 
     def test_adopt_tabu_list_installs_payload(self):
         donor = make_search(seed=2, tabu_tenure=10)
@@ -209,14 +203,3 @@ class TestDiversifyIntegration:
         best_before = search.best_cost
         search.diversify(depth=5)
         assert search.best_cost <= best_before + 1e-12
-
-    def test_multi_candidate_search_with_ranges(self):
-        layout = Layout(load_benchmark("mini64"))
-        evaluator = CostEvaluator(random_placement(layout, seed=4))
-        ranges = partition_cells(64, 3)
-        search = TabuSearch(
-            evaluator, TabuSearchParams(), candidate_moves=3, candidate_ranges=ranges, seed=5
-        )
-        initial = search.current_cost
-        result = search.run(TerminationCriteria(max_iterations=15))
-        assert result.best_cost < initial

@@ -7,9 +7,9 @@ import pytest
 
 from oracles.tabu import TabuList, swap_attributes
 from repro.errors import TabuSearchError
+import repro.tabu.tabu_list as tabu_list_module
 from repro.tabu import (
     ArrayTabuList,
-    AttributeScheme,
     FrequencyMemory,
     MoveAttribute,
     pair_attribute_indices,
@@ -20,17 +20,6 @@ from repro.tabu.tabu_list import ARRAY_TABU_MAX_CELLS
 class TestMoveAttribute:
     def test_pair_is_order_independent(self):
         assert MoveAttribute.pair(3, 7) == MoveAttribute.pair(7, 3)
-
-    def test_cell_attribute(self):
-        assert MoveAttribute.cell(5).key == (5,)
-
-    def test_swap_attributes_schemes(self):
-        pair_attrs = swap_attributes(1, 2, AttributeScheme.PAIR)
-        cell_attrs = swap_attributes(1, 2, AttributeScheme.CELL)
-        assert len(pair_attrs) == 1
-        assert len(cell_attrs) == 2
-        assert pair_attrs[0].kind == "pair"
-        assert {a.key for a in cell_attrs} == {(1,), (2,)}
 
 
 class TestTabuList:
@@ -71,12 +60,6 @@ class TestTabuList:
         assert removed == 1
         assert len(tabu) == 1
 
-    def test_clear(self):
-        tabu = TabuList(2)
-        tabu.record(swap_attributes(1, 2), iteration=0)
-        tabu.clear()
-        assert len(tabu) == 0
-
     def test_re_recording_extends_tenure(self):
         tabu = TabuList(2)
         attrs = swap_attributes(1, 2)
@@ -87,12 +70,13 @@ class TestTabuList:
     def test_payload_round_trip(self):
         tabu = TabuList(4)
         tabu.record(swap_attributes(1, 2), iteration=3)
-        tabu.record(swap_attributes(5, 6, AttributeScheme.CELL), iteration=4)
+        tabu.record(swap_attributes(5, 6), iteration=4)
         payload = tabu.to_payload()
         rebuilt = TabuList.from_payload(payload, tenure=4)
         assert len(rebuilt) == len(tabu)
         assert rebuilt.is_tabu(swap_attributes(2, 1), iteration=5)
-        assert rebuilt.is_tabu(swap_attributes(5, 9, AttributeScheme.CELL), iteration=5)
+        assert rebuilt.is_tabu(swap_attributes(6, 5), iteration=5)
+        assert not rebuilt.is_tabu(swap_attributes(5, 9), iteration=5)
 
     def test_membership_and_iteration(self):
         tabu = TabuList(4)
@@ -125,8 +109,7 @@ class TestArrayTabuList:
         assert not tabu.is_tabu_mask(pairs, 1).any()
         assert len(tabu) == 0
 
-    @pytest.mark.parametrize("scheme", [AttributeScheme.PAIR, AttributeScheme.CELL])
-    def test_mask_matches_dict_oracle_under_random_walk(self, scheme):
+    def test_mask_matches_dict_oracle_under_random_walk(self):
         """Random record/query interleavings: array == dict, bit for bit."""
         rng = np.random.default_rng(3)
         n = 20
@@ -135,16 +118,16 @@ class TestArrayTabuList:
         for iteration in range(1, 60):
             queries = rng.integers(0, n, size=(8, 2))
             queries = queries[queries[:, 0] != queries[:, 1]]
-            dict_mask = dict_list.is_tabu_mask(queries, iteration, scheme)
-            array_mask = array_list.is_tabu_mask(queries, iteration, scheme)
+            dict_mask = dict_list.is_tabu_mask(queries, iteration)
+            array_mask = array_list.is_tabu_mask(queries, iteration)
             assert np.array_equal(dict_mask, array_mask)
-            assert dict_list.is_tabu_pairs(queries, iteration, scheme) == (
-                array_list.is_tabu_pairs(queries, iteration, scheme)
+            assert dict_list.is_tabu_pairs(queries, iteration) == (
+                array_list.is_tabu_pairs(queries, iteration)
             )
             if queries.shape[0]:
                 recorded = queries[: int(rng.integers(0, queries.shape[0] + 1))]
-                dict_list.record_pairs(recorded, iteration, scheme)
-                array_list.record_pairs(recorded, iteration, scheme)
+                dict_list.record_pairs(recorded, iteration)
+                array_list.record_pairs(recorded, iteration)
             dict_list.expire(iteration)
             array_list.expire(iteration)
             assert set(dict_list.to_payload()) == set(array_list.to_payload())
@@ -167,7 +150,7 @@ class TestArrayTabuList:
     def test_payload_round_trips_across_implementations(self):
         dict_list = TabuList(4)
         dict_list.record(swap_attributes(1, 2), iteration=3)
-        dict_list.record(swap_attributes(5, 6, AttributeScheme.CELL), iteration=4)
+        dict_list.record(swap_attributes(6, 5), iteration=4)
         array_list = ArrayTabuList.from_payload(dict_list.to_payload(), 4, 10)
         assert set(array_list.to_payload()) == set(dict_list.to_payload())
         back = TabuList.from_payload(array_list.to_payload(), 4)
@@ -175,11 +158,12 @@ class TestArrayTabuList:
         assert back.is_tabu(swap_attributes(2, 1), iteration=5)
 
     @pytest.mark.parametrize(
-        "entry", [("swap", (1, 2), 5), ("pair", (3, 10), 5), ("cell", (12,), 5)]
+        "entry", [("swap", (1, 2), 5), ("pair", (3, 10), 5), ("cell", (3,), 5)]
     )
     def test_payload_entry_outside_attribute_space_rejected(self, entry):
-        """Payloads also come from checkpoints on disk: an unknown kind or a
-        key outside ``num_cells`` must not be kept where no mask looks."""
+        """Payloads also come from checkpoints on disk: a kind other than
+        ``"pair"`` or a key outside ``num_cells`` must not be kept where no
+        mask looks."""
         with pytest.raises(TabuSearchError):
             ArrayTabuList.from_payload((entry,), 4, 10)
 
@@ -236,9 +220,10 @@ class TestHashedPairBackend:
             lens.append(len(tabu))
         return masks, lens, set(tabu.to_payload())
 
-    def test_hashed_matches_dense_and_oracle(self):
+    def test_hashed_matches_dense_and_oracle(self, monkeypatch):
         hashed = ArrayTabuList(9, self.NUM_CELLS)
-        dense = ArrayTabuList(9, self.NUM_CELLS, max_dense_cells=10**9)
+        monkeypatch.setattr(tabu_list_module, "ARRAY_TABU_MAX_CELLS", self.NUM_CELLS)
+        dense = ArrayTabuList(9, self.NUM_CELLS)
         oracle = TabuList(9)
         assert not hashed._dense_pairs
         assert dense._dense_pairs
@@ -251,7 +236,7 @@ class TestHashedPairBackend:
             assert got[1] == want[1]
             assert got[2] == want[2]
 
-    def test_payload_roundtrip_and_clear(self):
+    def test_payload_roundtrip(self):
         hashed = ArrayTabuList(7, self.NUM_CELLS)
         rng = np.random.default_rng(3)
         pairs = np.column_stack(
@@ -266,9 +251,6 @@ class TestHashedPairBackend:
         assert np.array_equal(
             clone.is_tabu_mask(pairs, 6), hashed.is_tabu_mask(pairs, 6)
         )
-        hashed.clear()
-        assert len(hashed) == 0
-        assert not hashed.is_tabu_mask(pairs, 6).any()
 
     def test_stale_pruning_bounds_capacity(self):
         from repro.tabu.tabu_list import _HashedPairTable
