@@ -190,8 +190,8 @@ def sample_candidate_pairs_array(
     The first cell of each pair is uniform over the worker's range; the
     second is uniform over all *other* cells of the whole cell space,
     exactly as in Section 4.1 of the paper.  The whole batch is drawn with
-    two generator calls (per-pair scalar draws used to be the single
-    largest cost of a tabu iteration).
+    two generator calls: per-pair scalar draws would be the single largest
+    cost of a tabu iteration.
 
     ``range_cells`` is the worker range as an array (precomputed once per
     search, not per step).
