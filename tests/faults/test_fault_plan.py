@@ -175,6 +175,14 @@ class TestFaultPlan:
         with pytest.raises(SimulationError, match=r"spawns\[0\].*speed"):
             FaultPlan.from_dict({"spawns": [{"at": 1.0, "speed": 2.0}]})
 
+    def test_spawn_speed_hint_is_an_unknown_field(self):
+        # spawned workers carry no declared speed: the ledger measures it
+        with pytest.raises(SimulationError) as raised:
+            FaultPlan.from_dict({"spawns": [{"at": 0.05, "speed_hint": 2.0}]})
+        assert str(raised.value).endswith(
+            "spawns[0]: unknown field(s) speed_hint (valid: at, count, machine)"
+        )
+
     def test_non_list_entry_collections_rejected(self):
         with pytest.raises(SimulationError, match=r"spawns must be a list"):
             FaultPlan.from_dict({"spawns": {"at": 1.0}})

@@ -46,6 +46,24 @@ class TestThroughput:
         ledger.record_report(0, evaluations_total=150, elapsed=1.0)
         assert ledger.rate_of(0) == pytest.approx(0.5 * 50 + 0.5 * 100)
 
+    def test_non_positive_elapsed_keeps_the_rate(self):
+        ledger = make_ledger()
+        ledger.record_report(0, evaluations_total=100, elapsed=1.0)
+        ledger.record_report(0, evaluations_total=400, elapsed=0.0)
+        assert ledger.rate_of(0) == pytest.approx(100.0)
+        # the count is still consumed: the next round differences against it
+        ledger.record_report(0, evaluations_total=500, elapsed=1.0)
+        assert ledger.rate_of(0) == pytest.approx(100.0)
+
+    def test_a_count_that_goes_backwards_is_zero_progress(self):
+        # a respawned worker restarts its cumulative count
+        ledger = make_ledger()
+        ledger.record_report(0, evaluations_total=1000, elapsed=1.0)
+        ledger.record_report(0, evaluations_total=200, elapsed=1.0)
+        assert ledger.rate_of(0) == pytest.approx(0.5 * 0.0 + 0.5 * 1000.0)
+        ledger.record_report(0, evaluations_total=300, elapsed=1.0)
+        assert ledger.rate_of(0) == pytest.approx(0.5 * 100.0 + 0.5 * 500.0)
+
     def test_weights_require_full_observations(self):
         ledger = make_ledger()
         ledger.record_report(0, evaluations_total=100, elapsed=1.0)
@@ -77,6 +95,15 @@ class TestLimplock:
         budget = ledger.iteration_budget(2, 100)
         assert budget < 100
         assert budget >= 25  # MIN_ITERATION_SHARE floor
+
+    def test_a_worker_that_catches_up_leaves_limplock(self):
+        ledger = self._feed_rounds(make_ledger(), rounds=3)
+        assert ledger.limplocked_keys() == [2]
+        # worker 2 now reports at its peers' pace: once its smoothed rate
+        # clears the threshold it is healthy again with its full budget
+        ledger.record_report(2, evaluations_total=300 + 4000, elapsed=1.0)
+        assert ledger.limplocked_keys() == []
+        assert ledger.iteration_budget(2, 100) == 100
 
     def test_dead_workers_never_report_limplocked(self):
         ledger = self._feed_rounds(make_ledger(), rounds=3)

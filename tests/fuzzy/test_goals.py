@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,6 +99,20 @@ class TestAggregator:
     def test_beta_outside_unit_interval_rejected(self, beta):
         with pytest.raises(CostModelError):
             make_aggregator(beta=beta)
+
+    def test_batch_matches_scalar_membership(self):
+        aggregator = make_aggregator()
+        batch = {
+            "wirelength": np.array([50.0, 150.0, 180.0, 500.0]),
+            "delay": np.array([5.0, 15.0, 12.5, 50.0]),
+            "area": np.array([25.0, 100.0, 62.0, 500.0]),
+        }
+        scalar = [
+            aggregator.membership({name: float(values[k]) for name, values in batch.items()})
+            for k in range(4)
+        ]
+        assert aggregator.membership_batch(batch).tolist() == scalar
+        assert aggregator.cost_batch(batch).tolist() == [1.0 - mu for mu in scalar]
 
     def test_names_property(self):
         assert make_aggregator().names == ("wirelength", "delay", "area")

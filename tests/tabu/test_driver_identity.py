@@ -27,6 +27,7 @@ from repro import (
     run_parallel_search,
 )
 from repro.core import get_domain
+from repro.tabu import partition_cells
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,12 @@ def _payload_set(search: TabuSearch):
     return set(search.tabu_list.to_payload())
 
 
-def _walk(problem, search_cls, tabu_params: TabuSearchParams, *, iterations: int):
+def _walk(
+    problem, search_cls, tabu_params: TabuSearchParams, *, iterations: int, cell_range=None
+):
     """Step a search manually, recording the full per-iteration trajectory."""
     evaluator = problem.make_evaluator(problem.random_solution(seed=9))
-    search = search_cls(evaluator, tabu_params, seed=5)
+    search = search_cls(evaluator, tabu_params, cell_range=cell_range, seed=5)
     trajectory = []
     for _ in range(iterations):
         result = search.step()
@@ -87,10 +90,14 @@ def _walk(problem, search_cls, tabu_params: TabuSearchParams, *, iterations: int
     return search, trajectory
 
 
-def _assert_identical(problem, params_kwargs, *, iterations: int):
+def _assert_identical(problem, params_kwargs, *, iterations: int, cell_range=None):
     params = TabuSearchParams(**params_kwargs)
-    vec_search, vec_traj = _walk(problem, TabuSearch, params, iterations=iterations)
-    ref_search, ref_traj = _walk(problem, ReferenceTabuSearch, params, iterations=iterations)
+    vec_search, vec_traj = _walk(
+        problem, TabuSearch, params, iterations=iterations, cell_range=cell_range
+    )
+    ref_search, ref_traj = _walk(
+        problem, ReferenceTabuSearch, params, iterations=iterations, cell_range=cell_range
+    )
     assert vec_traj == ref_traj
     assert vec_search.best_cost == ref_search.best_cost
     assert np.array_equal(vec_search.best_solution, ref_search.best_solution)
@@ -112,6 +119,28 @@ class TestSerialIdentity:
             dict(pairs_per_step=8, move_depth=4, early_accept=False),
             iterations=15,
         )
+
+    def test_single_swap_moves_walk_identically(self, problem):
+        _assert_identical(problem, dict(pairs_per_step=5, move_depth=1), iterations=25)
+
+    def test_zero_tenure_walks_identically(self, problem):
+        trajectory = _assert_identical(
+            problem, dict(pairs_per_step=4, move_depth=2, tabu_tenure=0), iterations=20
+        )
+        assert not any(entry[2] for entry in trajectory)
+        assert all(entry[8] == set() for entry in trajectory)
+
+    def test_restricted_range_walks_identically(self, problem):
+        """A worker's range: both drivers draw every first cell from it."""
+        cell_range = partition_cells(problem.num_cells, 3)[2]
+        trajectory = _assert_identical(
+            problem,
+            dict(pairs_per_step=6, move_depth=3),
+            iterations=20,
+            cell_range=cell_range,
+        )
+        firsts = {pair[0] for entry in trajectory for pair in entry[6]}
+        assert firsts and firsts <= set(cell_range.cells)
 
     def test_tabu_heavy_walk_with_aspiration(self, dense_problem):
         """Long tenure on a tiny instance: tabu rejections and aspiration

@@ -1,10 +1,15 @@
-"""Unit tests for swap/compound moves and the step-wise builder."""
+"""Unit tests for swap/compound moves and the step-wise builder.
+
+The builder only talks to the evaluator protocol, so its tests run on both
+registered domains: a placement of ``mini64`` and the QAP ``rand32``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core import get_domain
 from repro.errors import TabuSearchError
 from repro.placement import CostEvaluator, Layout, load_benchmark, random_placement
 from repro.tabu import (
@@ -15,10 +20,13 @@ from repro.tabu import (
 )
 
 
-@pytest.fixture()
-def evaluator():
-    layout = Layout(load_benchmark("mini64"))
-    return CostEvaluator(random_placement(layout, seed=13))
+@pytest.fixture(params=["placement", "qap"])
+def evaluator(request):
+    if request.param == "placement":
+        layout = Layout(load_benchmark("mini64"))
+        return CostEvaluator(random_placement(layout, seed=13))
+    problem = get_domain("qap").build_problem("rand32", reference_seed=0)
+    return problem.make_evaluator(problem.random_solution(seed=13))
 
 
 class TestSwapMove:
@@ -43,12 +51,20 @@ class TestCompoundMoveProperties:
         assert move.gain == pytest.approx(-0.1)
 
 
+def _builder(evaluator, **kwargs):
+    """A builder over the evaluator's whole cell space."""
+    return CompoundMoveBuilder(evaluator, full_range(evaluator.num_cells), **kwargs)
+
+
 def _finish(evaluator, rng, **kwargs):
     """Run a builder over the whole range to completion, as the driver does."""
-    builder = CompoundMoveBuilder(evaluator, full_range(64), **kwargs)
+    builder = _builder(evaluator, **kwargs)
     while builder.wants_more_steps():
         builder.step(rng)
     return builder.finalize()
+
+
+SEEDED_PAIRS = np.array([(0, 1), (2, 3), (4, 5), (6, 7)], dtype=np.int64)
 
 
 class TestFinishedBuilder:
@@ -77,9 +93,7 @@ class TestFinishedBuilder:
     def test_best_prefix_is_best_seen(self, evaluator, rng):
         # without early accept the move ends on the lowest cost of every
         # prefix explored, truncated to the shortest such prefix
-        builder = CompoundMoveBuilder(
-            evaluator, full_range(64), pairs_per_step=5, depth=5, early_accept=False
-        )
+        builder = _builder(evaluator, pairs_per_step=5, depth=5, early_accept=False)
         seen = []
         while builder.wants_more_steps():
             builder.step(rng)
@@ -104,9 +118,7 @@ class TestFinishedBuilder:
 
 class TestCompoundMoveBuilder:
     def test_step_by_step_matches_semantics(self, evaluator, rng):
-        builder = CompoundMoveBuilder(
-            evaluator, full_range(64), pairs_per_step=4, depth=3, early_accept=False
-        )
+        builder = _builder(evaluator, pairs_per_step=4, depth=3, early_accept=False)
         steps = 0
         while builder.wants_more_steps():
             trials = builder.step(rng)
@@ -118,34 +130,85 @@ class TestCompoundMoveBuilder:
         assert move.cost_after == pytest.approx(evaluator.cost())
 
     def test_step_commits_the_cheapest_seeded_pair(self, evaluator, rng):
-        pairs = np.array([(0, 1), (2, 3), (4, 5), (6, 7)], dtype=np.int64)
-        costs = evaluator.evaluate_swaps_batch(pairs)
-        builder = CompoundMoveBuilder(evaluator, full_range(64), pairs_per_step=4, depth=1)
-        builder.seed_step(pairs, costs)
+        costs = evaluator.evaluate_swaps_batch(SEEDED_PAIRS)
+        builder = _builder(evaluator, pairs_per_step=4, depth=1)
+        builder.seed_step(SEEDED_PAIRS, costs)
         assert builder.step(rng) == 4
         move = builder.finalize()
         best = int(np.argmin(costs))
-        assert move.pairs() == [tuple(pairs[best].tolist())]
+        assert move.pairs() == [tuple(SEEDED_PAIRS[best].tolist())]
         assert move.swaps[0].cost_after == costs[best]
 
+    def test_seed_step_only_before_the_first_step(self, evaluator, rng):
+        costs = evaluator.evaluate_swaps_batch(SEEDED_PAIRS)
+        seeded = _builder(evaluator, pairs_per_step=4, depth=2)
+        seeded.seed_step(SEEDED_PAIRS, costs)
+        with pytest.raises(TabuSearchError, match="before the first step"):
+            seeded.seed_step(SEEDED_PAIRS, costs)
+        stepped = _builder(evaluator, pairs_per_step=4, depth=2)
+        stepped.step(rng)
+        with pytest.raises(TabuSearchError, match="before the first step"):
+            stepped.seed_step(SEEDED_PAIRS, costs)
+
+    def test_seeded_pairs_and_costs_must_match(self, evaluator):
+        costs = evaluator.evaluate_swaps_batch(SEEDED_PAIRS)
+        builder = _builder(evaluator, pairs_per_step=4, depth=1)
+        with pytest.raises(TabuSearchError, match="matching length"):
+            builder.seed_step(SEEDED_PAIRS, costs[:3])
+
+    def test_admissible_hook_steers_the_choice(self, evaluator, rng):
+        # forbid the cheapest pair: the step commits the cheapest of the rest
+        costs = evaluator.evaluate_swaps_batch(SEEDED_PAIRS)
+        cheapest = int(np.argmin(costs))
+        hook_calls = []
+
+        def admissible(pairs, scored):
+            hook_calls.append((pairs.copy(), scored.copy()))
+            return np.arange(len(scored)) != cheapest
+
+        builder = _builder(evaluator, pairs_per_step=4, depth=1, admissible=admissible)
+        builder.seed_step(SEEDED_PAIRS, costs)
+        builder.step(rng)
+        move = builder.finalize()
+        allowed = [k for k in range(len(costs)) if k != cheapest]
+        chosen = min(allowed, key=lambda k: (costs[k], k))
+        assert move.pairs() == [tuple(SEEDED_PAIRS[chosen].tolist())]
+        # the hook scored exactly the seeded batch
+        assert len(hook_calls) == 1
+        assert np.array_equal(hook_calls[0][0], SEEDED_PAIRS)
+        assert np.array_equal(hook_calls[0][1], costs)
+
+    def test_every_pair_masked_falls_back_to_the_cheapest(self, evaluator, rng):
+        # the builder must always commit something; the driver's move-level
+        # tabu check guards the final acceptance
+        costs = evaluator.evaluate_swaps_batch(SEEDED_PAIRS)
+        builder = _builder(
+            evaluator,
+            pairs_per_step=4,
+            depth=1,
+            admissible=lambda pairs, scored: np.zeros(len(scored), dtype=bool),
+        )
+        builder.seed_step(SEEDED_PAIRS, costs)
+        builder.step(rng)
+        move = builder.finalize()
+        assert move.pairs() == [tuple(SEEDED_PAIRS[int(np.argmin(costs))].tolist())]
+
     def test_finalize_twice_rejected(self, evaluator, rng):
-        builder = CompoundMoveBuilder(evaluator, full_range(64), pairs_per_step=2, depth=1)
+        builder = _builder(evaluator, pairs_per_step=2, depth=1)
         builder.step(rng)
         builder.finalize()
         with pytest.raises(TabuSearchError):
             builder.finalize()
 
     def test_step_after_finalize_rejected(self, evaluator, rng):
-        builder = CompoundMoveBuilder(evaluator, full_range(64), pairs_per_step=2, depth=2)
+        builder = _builder(evaluator, pairs_per_step=2, depth=2)
         builder.step(rng)
         builder.finalize()
         with pytest.raises(TabuSearchError):
             builder.step(rng)
 
     def test_interrupted_builder_returns_partial_move(self, evaluator, rng):
-        builder = CompoundMoveBuilder(
-            evaluator, full_range(64), pairs_per_step=3, depth=10, early_accept=False
-        )
+        builder = _builder(evaluator, pairs_per_step=3, depth=10, early_accept=False)
         builder.step(rng)
         builder.step(rng)
         move = builder.finalize()  # interrupted after 2 of 10 steps
@@ -154,7 +217,7 @@ class TestCompoundMoveBuilder:
 
     def test_cost_before_recorded(self, evaluator, rng):
         start = evaluator.cost()
-        builder = CompoundMoveBuilder(evaluator, full_range(64), pairs_per_step=2, depth=1)
+        builder = _builder(evaluator, pairs_per_step=2, depth=1)
         builder.step(rng)
         move = builder.finalize()
         assert move.cost_before == pytest.approx(start)

@@ -29,6 +29,10 @@ class TestConstruction:
         assert search.best_cost == pytest.approx(search.current_cost)
         assert search.iteration == 0
 
+    def test_default_range_covers_every_cell(self):
+        search = make_search()
+        assert search.cell_range.cells == tuple(range(64))
+
 
 class TestStep:
     def test_step_advances_iteration_and_tracks_best(self):
@@ -48,6 +52,19 @@ class TestStep:
         assert swaps
         assert all(swap.cell_a in cell_range for swap in swaps)
         assert any(swap.cell_b not in cell_range for swap in swaps)
+
+    def test_set_cell_range_repoints_candidate_draws(self):
+        search = make_search(seed=4)
+        first, second = partition_cells(64, 2)
+        search.set_cell_range(first)
+        for _ in range(5):
+            search.step()
+        search.set_cell_range(second)
+        assert search.cell_range == second
+        moves = [search.step().move for _ in range(10)]
+        swaps = [swap for move in moves if move is not None for swap in move.swaps]
+        assert swaps
+        assert all(swap.cell_a in second for swap in swaps)
 
     def test_step_usually_accepts(self):
         search = make_search()
@@ -155,6 +172,72 @@ class TestTabuBehaviour:
         assert not result.accepted
         assert result.move is None
 
+    def test_falls_back_to_the_next_best_candidate(self):
+        search = make_search(tabu_tenure=50)
+        search.consider_candidates(
+            [CompoundMove(swaps=[SwapMove(1, 2, 0.0)], cost_before=1.0, cost_after=0.0)]
+        )
+        best = search.best_cost
+        # the cheapest candidate reuses the tabu pair and does not beat the
+        # best; the next cheapest is not tabu and wins
+        tabu_move = CompoundMove(
+            swaps=[SwapMove(2, 1, 0.0)], cost_before=1.0, cost_after=best
+        )
+        free_move = CompoundMove(
+            swaps=[SwapMove(3, 4, 0.0)], cost_before=1.0, cost_after=best + 1.0
+        )
+        result = search.consider_candidates([free_move, tabu_move])
+        assert result.accepted
+        assert result.move is free_move
+        assert not result.was_tabu
+        assert not result.used_aspiration
+
+    def test_empty_moves_are_skipped(self):
+        search = make_search()
+        empty = CompoundMove(swaps=[], cost_before=1.0, cost_after=-1.0)
+        real = CompoundMove(swaps=[SwapMove(5, 9, 0.0)], cost_before=1.0, cost_after=2.0)
+        result = search.consider_candidates([empty, real])
+        assert result.accepted
+        assert result.move is real
+
+    def test_degrading_move_is_accepted_and_counts_as_a_stall(self):
+        search = make_search()
+        best = search.best_cost
+        worse = _swap_move(search, improving=False)
+        result = search.consider_candidates([worse])
+        assert result.accepted
+        assert not result.was_tabu
+        assert result.cost_after > best
+        assert search.best_cost == best
+        assert search.export_state().stall == 1
+
+    def test_new_best_resets_the_stall_counter(self):
+        search = make_search()
+        search.consider_candidates([])
+        search.consider_candidates([])
+        assert search.export_state().stall == 2
+        result = search.consider_candidates([_swap_move(search, improving=True)])
+        assert result.accepted
+        assert search.best_cost == result.cost_after
+        assert search.export_state().stall == 0
+
+
+def _swap_move(search: TabuSearch, *, improving: bool) -> CompoundMove:
+    """A one-swap move from the current solution that improves on (or
+    degrades) the current cost, priced by the evaluator's batch path."""
+    evaluator = search.evaluator
+    pairs = np.array([(0, k) for k in range(1, evaluator.num_cells)], dtype=np.int64)
+    costs = evaluator.evaluate_swaps_batch(pairs)
+    index = int(np.argmin(costs) if improving else np.argmax(costs))
+    current = evaluator.cost()
+    assert (costs[index] < current) if improving else (costs[index] > current)
+    a, b = pairs[index].tolist()
+    return CompoundMove(
+        swaps=[SwapMove(a, b, float(costs[index]))],
+        cost_before=current,
+        cost_after=float(costs[index]),
+    )
+
 
 class TestAdoptSolution:
     def test_adopt_better_solution_updates_best(self):
@@ -166,6 +249,30 @@ class TestAdoptSolution:
         assert search.current_cost == pytest.approx(
             search.evaluator.cost()
         )
+
+    def test_adopt_keeps_the_search_memories(self):
+        search = make_search(tabu_tenure=10)
+        for _ in range(5):
+            search.step()
+        payload = search.tabu_list.to_payload()
+        counts = search.frequency_memory.counts.copy()
+        iteration = search.iteration
+        donor = make_search(seed=2)
+        search.adopt_solution(donor.evaluator.snapshot())
+        assert search.tabu_list.to_payload() == payload
+        assert np.array_equal(search.frequency_memory.counts, counts)
+        assert search.iteration == iteration
+
+    def test_adopting_a_worse_solution_keeps_the_best(self):
+        search = make_search()
+        search.run(TerminationCriteria(max_iterations=20))
+        best_cost, best_solution = search.best_cost, search.best_solution
+        worse = make_search(seed=3).evaluator.snapshot()
+        cost = search.adopt_solution(worse)
+        assert cost > best_cost
+        assert search.current_cost == pytest.approx(cost)
+        assert search.best_cost == best_cost
+        assert np.array_equal(search.best_solution, best_solution)
 
     def test_adopt_tabu_list_installs_payload(self):
         donor = make_search(seed=2, tabu_tenure=10)
@@ -203,3 +310,29 @@ class TestDiversifyIntegration:
         best_before = search.best_cost
         search.diversify(depth=5)
         assert search.best_cost <= best_before + 1e-12
+
+
+class TestStateRoundTrip:
+    def test_installed_state_continues_the_trajectory(self):
+        """Rewind the evaluator and install an exported state into a fresh
+        search: it walks the rest of the original run step for step."""
+        original = make_search(seed=5, tabu_tenure=6)
+        for _ in range(6):
+            original.step()
+        state = original.export_state()
+        evaluator_state = original.evaluator.save_state()
+        expected = [original.step() for _ in range(8)]
+
+        original.evaluator.restore_state(evaluator_state)
+        resumed = TabuSearch(original.evaluator, original.params, seed=99)
+        resumed.install_state(state)
+        assert resumed.tabu_list.to_payload() == state.tabu_payload
+        got = [resumed.step() for _ in range(8)]
+        assert [(r.iteration, r.accepted, r.cost_after, r.best_cost) for r in got] == [
+            (r.iteration, r.accepted, r.cost_after, r.best_cost) for r in expected
+        ]
+        assert [r.move.pairs() if r.move else None for r in got] == [
+            r.move.pairs() if r.move else None for r in expected
+        ]
+        assert resumed.best_cost == original.best_cost
+        assert np.array_equal(resumed.best_solution, original.best_solution)

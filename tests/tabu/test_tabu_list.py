@@ -97,24 +97,77 @@ class TestPairAttributeIndices:
         assert pair_attribute_indices(np.zeros((0, 2), dtype=np.int64), 10).size == 0
 
 
+@pytest.fixture(params=["dense", "hashed"])
+def layout(request, monkeypatch):
+    """Both pair layouts on small instances: ``"hashed"`` lowers the dense
+    cap below every test's cell count, so lists built under it (directly or
+    through ``from_payload``) take the hashed table."""
+    if request.param == "hashed":
+        monkeypatch.setattr(tabu_list_module, "ARRAY_TABU_MAX_CELLS", 1)
+    return request.param
+
+
+def _in_layout(tabu, layout):
+    assert tabu._dense_pairs == (layout == "dense")
+    return tabu
+
+
 class TestArrayTabuList:
     def test_negative_tenure_rejected(self):
         with pytest.raises(TabuSearchError):
             ArrayTabuList(-1, 10)
 
-    def test_zero_tenure_never_tabu(self):
-        tabu = ArrayTabuList(0, 10)
+    def test_zero_tenure_never_tabu(self, layout):
+        tabu = _in_layout(ArrayTabuList(0, 10), layout)
         pairs = np.array([[1, 2]])
         tabu.record_pairs(pairs, 1)
         assert not tabu.is_tabu_mask(pairs, 1).any()
         assert len(tabu) == 0
 
-    def test_mask_matches_dict_oracle_under_random_walk(self):
+    def test_pair_is_tabu_for_exactly_tenure_iterations(self, layout):
+        tabu = _in_layout(ArrayTabuList(3, 10), layout)
+        pair = np.array([[4, 7]])
+        tabu.record_pairs(pair, 10)
+        assert [tabu.is_tabu_pairs(pair, it) for it in (10, 11, 12, 13)] == [
+            True,
+            True,
+            True,
+            False,
+        ]
+
+    def test_re_recording_extends_tenure(self, layout):
+        tabu = _in_layout(ArrayTabuList(2, 10), layout)
+        pair = np.array([[1, 2]])
+        tabu.record_pairs(pair, 0)
+        tabu.record_pairs(pair, 5)
+        assert tabu.is_tabu_pairs(pair, 6)
+        assert tabu.to_payload() == (("pair", (1, 2), 7),)
+        assert not tabu.is_tabu_pairs(pair, 7)
+
+    def test_any_tabu_pair_makes_the_move_tabu(self, layout):
+        tabu = _in_layout(ArrayTabuList(5, 10), layout)
+        tabu.record_pairs(np.array([[3, 8]]), 0)
+        move = np.array([[0, 1], [8, 3], [5, 6]])
+        assert tabu.is_tabu_mask(move, 1).tolist() == [False, True, False]
+        assert tabu.is_tabu_pairs(move, 1)
+        assert not tabu.is_tabu_pairs(move[[0, 2]], 1)
+
+    def test_empty_batches(self, layout):
+        tabu = _in_layout(ArrayTabuList(5, 10), layout)
+        empty = np.zeros((0, 2), dtype=np.int64)
+        assert tabu.is_tabu_mask(empty, 0).shape == (0,)
+        tabu.record_pairs(empty, 1)
+        assert len(tabu) == 0
+        tabu.record_pairs(np.array([[1, 2]]), 1)
+        assert tabu.is_tabu_mask(empty, 2).shape == (0,)
+        assert not tabu.is_tabu_pairs(empty, 2)
+
+    def test_mask_matches_dict_oracle_under_random_walk(self, layout):
         """Random record/query interleavings: array == dict, bit for bit."""
         rng = np.random.default_rng(3)
         n = 20
         dict_list = TabuList(5)
-        array_list = ArrayTabuList(5, n)
+        array_list = _in_layout(ArrayTabuList(5, n), layout)
         for iteration in range(1, 60):
             queries = rng.integers(0, n, size=(8, 2))
             queries = queries[queries[:, 0] != queries[:, 1]]
@@ -133,13 +186,13 @@ class TestArrayTabuList:
             assert set(dict_list.to_payload()) == set(array_list.to_payload())
             assert len(dict_list) == len(array_list)
 
-    def test_reverse_pair_is_tabu(self):
-        tabu = ArrayTabuList(5, 10)
+    def test_reverse_pair_is_tabu(self, layout):
+        tabu = _in_layout(ArrayTabuList(5, 10), layout)
         tabu.record_pairs(np.array([[1, 2]]), 0)
         assert tabu.is_tabu_mask(np.array([[2, 1]]), 1).any()
 
-    def test_lazy_expiry_drops_entries_from_live_views(self):
-        tabu = ArrayTabuList(2, 10)
+    def test_lazy_expiry_drops_entries_from_live_views(self, layout):
+        tabu = _in_layout(ArrayTabuList(2, 10), layout)
         tabu.record_pairs(np.array([[1, 2]]), 0)  # expiry 2
         tabu.record_pairs(np.array([[3, 4]]), 5)  # expiry 7
         assert len(tabu) == 1  # first entry lapsed by iteration 5
@@ -147,11 +200,13 @@ class TestArrayTabuList:
         assert len(tabu) == 0
         assert tabu.to_payload() == ()
 
-    def test_payload_round_trips_across_implementations(self):
+    def test_payload_round_trips_across_implementations(self, layout):
         dict_list = TabuList(4)
         dict_list.record(swap_attributes(1, 2), iteration=3)
         dict_list.record(swap_attributes(6, 5), iteration=4)
-        array_list = ArrayTabuList.from_payload(dict_list.to_payload(), 4, 10)
+        array_list = _in_layout(
+            ArrayTabuList.from_payload(dict_list.to_payload(), 4, 10), layout
+        )
         assert set(array_list.to_payload()) == set(dict_list.to_payload())
         back = TabuList.from_payload(array_list.to_payload(), 4)
         assert set(back.to_payload()) == set(dict_list.to_payload())

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.placement import Layout, load_benchmark
 from repro.placement.io import read_placement
+from repro.session.state import MAGIC, SCHEMA_VERSION
 
 
 class TestParser:
@@ -165,6 +168,34 @@ class TestSessionsWorkflow:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read checkpoint")
         assert "missing.rtss" in err
+
+    @pytest.fixture(scope="class")
+    def paused_checkpoint(self, tmp_path_factory):
+        ckpt = tmp_path_factory.mktemp("paused") / "run.rtss"
+        assert main(self.RUN_ARGS + ["--pause-after", "1", "--checkpoint", str(ckpt)]) == 0
+        return ckpt
+
+    @pytest.mark.parametrize("version", [5, SCHEMA_VERSION + 1], ids=["v5", "newer"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["sessions"], ["sessions", "inspect"], ["run", "--resume"]],
+        ids=["sessions", "sessions-inspect", "run-resume"],
+    )
+    def test_other_schema_versions_are_an_error(
+        self, paused_checkpoint, tmp_path, capsys, argv, version
+    ):
+        # a version 5 artifact pickles search parameters with the aspiration,
+        # attribute-scheme and speed-hint fields this build no longer has
+        stale = tmp_path / "stale.rtss"
+        stale.write_bytes(
+            struct.pack("<4sI", MAGIC, version) + paused_checkpoint.read_bytes()[8:]
+        )
+        capsys.readouterr()
+        assert main(argv + [str(stale)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: unsupported checkpoint schema version {version} "
+            f"(this build reads version {SCHEMA_VERSION})"
+        )
 
     def test_sessions_rejects_a_non_checkpoint_file(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.rtss"
