@@ -13,7 +13,9 @@ benchmark puts numbers on that machinery:
 * **Determinism (enforced)** — the killed run repeated with the same plan
   must reproduce a bit-identical trajectory: same trace, same fault events.
 * **Real kill recovery (processes)** — a warm 3-TSW pool on the
-  multiprocessing backend, one loop SIGTERMed one second into the run.
+  multiprocessing backend, one loop SIGTERMed once the master has collected
+  the run's first round of reports (a wall-clock timer would miss a run
+  that finishes before it fires).
   Reported: wall time to degraded completion vs an unfaulted run, the repair
   respawn count, and that a second full-strength run follows.  Enforced: the
   killed run completes with the dead worker's range re-assigned.
@@ -29,10 +31,10 @@ guard)::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -46,6 +48,7 @@ from repro import (
     WorkerPool,
 )
 from repro.core.registry import get_domain
+from repro.parallel.coordinator import Coordinator
 
 CIRCUIT = "tiny16"
 SEED = 2003
@@ -115,6 +118,27 @@ def measure_simulated_recovery(problem):
     }
 
 
+@contextlib.contextmanager
+def _after_first_round(action):
+    """Call ``action`` on the master's thread once it has collected its
+    first round of reports (the workers' coordinators run in their own
+    processes, which this patch does not reach)."""
+    collect = Coordinator.collect
+    pending = [action]
+
+    def collect_then_act(self, *args, **kwargs):
+        results = yield from collect(self, *args, **kwargs)
+        while pending:
+            pending.pop()()
+        return results
+
+    Coordinator.collect = collect_then_act
+    try:
+        yield
+    finally:
+        Coordinator.collect = collect
+
+
 def measure_process_recovery(problem):
     """SIGTERM one of three warm TSW loops mid-run on the processes backend."""
     params = ParallelSearchParams(
@@ -127,8 +151,6 @@ def measure_process_recovery(problem):
         fault=FaultPolicy(round_deadline=3.0, clw_deadline=2.0, max_missed_deadlines=0),
     )
     with WorkerPool(NUM_TSWS, 1, backend="processes") as pool:
-        pool.kernel.death_report_grace = 0.5
-        pool.kernel.death_notify_grace = 0.3
 
         start = time.perf_counter()
         clean, _, _ = pool.run_master(problem, params, join_timeout=300.0)
@@ -137,15 +159,10 @@ def measure_process_recovery(problem):
 
         victim = pool.tsw_pids[1]
         killed_flags = []
-        killer = threading.Timer(
-            1.0, lambda: killed_flags.append(pool.kernel.terminate_worker(victim))
-        )
-        killer.start()
+        kill = lambda: killed_flags.append(pool.kernel.terminate_worker(victim))  # noqa: E731
         start = time.perf_counter()
-        try:
+        with _after_first_round(kill):
             degraded, _, _ = pool.run_master(problem, params, join_timeout=300.0)
-        finally:
-            killer.cancel()
         degraded_wall = time.perf_counter() - start
         assert killed_flags == [True], "the kill must actually fire mid-run"
         assert degraded.complete, "killed run must complete degraded, not raise"

@@ -31,6 +31,10 @@ bars (each overridable by env var, retried once against runner noise):
 * protocol overhead (path cost minus serial ms/iter, measured in the same
   window so machine throttling cancels) <= 5 ms/iter
   (``REPRO_PROTOCOL_OVERHEAD_BAR_MS``, enforced on every runner)
+* **round trip** — the median of 2,000 OS parent↔child round trips through
+  ``ProcessKernel`` is at most 5x the median over a bare duplex
+  ``multiprocessing.Pipe`` (a constant, not retried).  Blocks of the two
+  alternate, three each, so host drift moves both sides alike.
 
 Run it directly (worker processes re-import it, hence the ``__main__``
 guard)::
@@ -41,8 +45,10 @@ guard)::
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -61,6 +67,7 @@ from repro import (
 from repro.parallel import build_problem
 from repro.parallel.delta import DeltaEncoder, swap_list_between
 from repro.parallel.messages import ClwTask, GlobalStart
+from repro.pvm import ProcessKernel
 
 CIRCUIT = "c532"
 SEED = 2003
@@ -68,6 +75,11 @@ COMMIT_BAR_US = float(os.environ.get("REPRO_PROTOCOL_COMMIT_BAR_US", "60"))
 COMMIT_BAR_RATIO = float(os.environ.get("REPRO_PROTOCOL_COMMIT_BAR_RATIO", "0.08"))
 PATH_BAR_MS = float(os.environ.get("REPRO_PROTOCOL_PATH_BAR_MS", "17"))
 OVERHEAD_BAR_MS = float(os.environ.get("REPRO_PROTOCOL_OVERHEAD_BAR_MS", "5"))
+#: Round trips per block, blocks per side, and the bar on the kernel's median
+#: round trip over the bare pipe's.
+ROUND_TRIPS = 2000
+ROUND_TRIP_BLOCKS = 3
+ROUND_TRIP_BAR_RATIO = 5.0
 
 
 def _available_cpus() -> int:
@@ -283,6 +295,83 @@ def measure_path_cost(problem, netlist, iterations: int, num_tsws: int) -> dict:
     }
 
 
+def _echo_child(ctx):
+    while True:
+        message = yield ctx.recv()
+        if message.tag == "stop":
+            return None
+        yield ctx.send(ctx.parent, "pong")
+
+
+def _kernel_trips(ctx, trips):
+    """Seconds of each round trip between this worker and its child."""
+    child = yield ctx.spawn(_echo_child, name="echo")
+    yield ctx.send(child, "ping")  # the first trip waits for the child's start
+    yield ctx.recv(tag="pong")
+    times = []
+    for _ in range(trips):
+        start = time.perf_counter()
+        yield ctx.send(child, "ping")
+        yield ctx.recv(tag="pong")
+        times.append(time.perf_counter() - start)
+    yield ctx.send(child, "stop")
+    return times
+
+
+def _pipe_echo(conn) -> None:
+    while True:
+        data = conn.recv_bytes()
+        if not data:
+            return
+        conn.send_bytes(data)
+
+
+def _pipe_trips(context, trips: int) -> list:
+    """Seconds of each round trip over a bare duplex pipe to a child process."""
+    ours, theirs = multiprocessing.Pipe()
+    child = context.Process(target=_pipe_echo, args=(theirs,), daemon=True)
+    child.start()
+    theirs.close()
+    ours.send_bytes(b"p")
+    ours.recv_bytes()
+    times = []
+    for _ in range(trips):
+        start = time.perf_counter()
+        ours.send_bytes(b"p")
+        ours.recv_bytes()
+        times.append(time.perf_counter() - start)
+    ours.send_bytes(b"")
+    child.join()
+    ours.close()
+    return times
+
+
+def measure_round_trip() -> dict:
+    """Median OS parent<->child round trip through the kernel and over a
+    bare pipe, in alternating blocks of :data:`ROUND_TRIPS` each."""
+    context = multiprocessing.get_context(
+        "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
+    )
+    kernel_blocks, pipe_blocks = [], []
+    with ProcessKernel(homogeneous_cluster(2)) as kernel:
+        for _ in range(ROUND_TRIP_BLOCKS):
+            pid = kernel.spawn(_kernel_trips, ROUND_TRIPS, name="trips")
+            kernel.join_all(timeout=600.0)
+            kernel_blocks.append(kernel.result_of(pid))
+            pipe_blocks.append(_pipe_trips(context, ROUND_TRIPS))
+    kernel_us = statistics.median(t for block in kernel_blocks for t in block) * 1e6
+    pipe_us = statistics.median(t for block in pipe_blocks for t in block) * 1e6
+    return {
+        "trips_per_block": ROUND_TRIPS,
+        "blocks_per_side": ROUND_TRIP_BLOCKS,
+        "kernel_median_us": kernel_us,
+        "pipe_median_us": pipe_us,
+        "kernel_vs_pipe_ratio": kernel_us / pipe_us,
+        "kernel_block_medians_us": [statistics.median(b) * 1e6 for b in kernel_blocks],
+        "pipe_block_medians_us": [statistics.median(b) * 1e6 for b in pipe_blocks],
+    }
+
+
 def run_benchmark() -> dict:
     netlist = load_benchmark(CIRCUIT)
     params = ParallelSearchParams(tabu=TabuSearchParams(), seed=SEED)
@@ -294,11 +383,13 @@ def run_benchmark() -> dict:
         "simulated_run": measure_simulated_run_bytes(netlist),
         "latencies": measure_kernel_latencies(problem),
         "path_cost": measure_path_cost(problem, netlist, iterations, num_tsws=4),
+        "round_trip": measure_round_trip(),
         "bars": {
             "commit_swap_us": COMMIT_BAR_US,
             "commit_vs_batch_ratio": COMMIT_BAR_RATIO,
             "path_ms_per_iter": PATH_BAR_MS,
             "overhead_ms_per_iter": OVERHEAD_BAR_MS,
+            "round_trip_vs_pipe_ratio": ROUND_TRIP_BAR_RATIO,
         },
     }
     return report
@@ -339,6 +430,13 @@ def main() -> int:
             f"exceeds the {OVERHEAD_BAR_MS:.0f} ms bar (path "
             f"{path['parallel_path_ms_per_iter']:.1f} vs serial "
             f"{path['serial_ms_per_iter']:.1f})"
+        )
+    trip = report["round_trip"]
+    if trip["kernel_vs_pipe_ratio"] > ROUND_TRIP_BAR_RATIO:
+        failures.append(
+            f"kernel round trip {trip['kernel_median_us']:.0f} us is "
+            f"{trip['kernel_vs_pipe_ratio']:.1f}x the bare pipe's "
+            f"{trip['pipe_median_us']:.0f} us (bar {ROUND_TRIP_BAR_RATIO:.0f}x)"
         )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -25,37 +25,38 @@ Execution model
   their ``if __name__ == "__main__"`` guard.
 * A worker gets the driver's environment as of its spawn, not the server's.
 * :meth:`ProcessKernel.spawn_local` runs a process on a thread of the
-  kernel process instead, through the same syscall interpreter, inboxes and
-  join logic.  The session layer starts each run's master this way, so a run
+  kernel process instead, through the same syscall interpreter and join
+  logic.  The session layer starts each run's master this way, so a run
   pays no interpreter boot, no ``import repro`` and no problem rebuild for
   it; the master uses the caller's objects as they are.
 * :class:`ThreadKernel` starts every process this way.  Its inboxes hold
   :class:`Message` objects by reference: nothing is pickled, and every
   process holds the caller's objects (the problem included).  It never
   starts an OS process, so it creates no fork server, router thread or
-  ``multiprocessing`` object: a kernel starts those when it first needs a
-  ``multiprocessing`` inbox or an OS spawn.
+  pipe: a kernel starts those at its first OS spawn.
 * Everything that crosses a process boundary — spawn calls, messages, exit
   outcomes — is pickled once by :func:`repro.pvm.shm.dumps`, which writes
   every shared-memory-exported object (the problem) as its small
   :class:`~repro.pvm.shm.SharedObjectRef`, wherever it sits in the payload.
   The kernel exports each distinct object once, on first sight, and keeps
   the block until shutdown; each worker attaches it once.
-* Each process owns one inbox queue (a ``multiprocessing`` queue of pickled
-  messages on the processes kernel).  ``Receive`` pops from it with the same
-  tag/src filtering as the simulator (messages that do not match are
-  buffered locally, preserving arrival order).
-* A worker's ``Send``, ``Spawn`` and exit are *requests* shipped to a single
-  router queue that a thread in the kernel process drains: sends are
-  forwarded, still pickled, to the destination inbox, spawns create a new OS
-  process and the child pid is returned to the requester over a private
-  pipe, exits record the worker's result.  Child→parent messages skip the
-  router and go straight into the parent's inbox, and a kernel-thread
-  process delivers its messages and spawns directly.
-* A death is announced with a ``worker_down`` notice to the process's parent
-  and to the registered death listener: a kernel-thread process that ends
-  with an error announces itself, and a monitor thread announces an OS
-  process that exits without reporting.
+* Messages go task to task, as with PVM's direct routing.  A worker OS
+  process and each worker OS process it spawns share a *link*, one duplex
+  socket pair: the parent makes it and hands the child's end to the kernel
+  with its spawn request.  Every worker also holds a *control pipe* to the
+  kernel, read by a router thread, for everything else: spawns, its exit
+  outcome, kernel posts, the traffic with kernel-thread processes (which
+  write to it directly and receive from an in-process queue) and any send
+  between workers that share no link, which the router forwards.
+* A worker receives by polling its control pipe and links at once, with
+  the simulator's tag/src filtering: messages that do not match are
+  buffered locally in arrival order.  Its writes keep reading while a
+  socket is full, so two workers writing to each other never wait on each
+  other; the router itself writes only small replies and notices.
+* An exit outcome precedes the end of its control pipe, so a pipe that ends
+  without one is a hard death: the router finishes the record and posts a
+  ``worker_down`` notice to the parent and the death listener.  A
+  kernel-thread process that ends with an error announces itself.
 * ``Compute`` throttles: the runtime measures the real time the process body
   spent computing since it was last resumed and sleeps it longer by the
   machine's slowdown factor ``1 / effective_rate - 1`` from the
@@ -82,6 +83,9 @@ import itertools
 import os
 import pickle
 import queue as queue_module
+import select
+import socket
+import struct
 import threading
 import time
 from dataclasses import dataclass, field
@@ -89,12 +93,11 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import multiprocessing
-from multiprocessing.connection import Connection
+from multiprocessing.connection import Connection, wait
 
 from ..errors import ProcessError
 from .cluster import ClusterSpec
 from .faults import WORKER_DOWN_TAG, WorkerDown
-from .machine import MachineSpec
 from .message import Message, estimate_payload_bytes
 from .process import (
     Compute,
@@ -123,6 +126,15 @@ _PRELOAD = [
 ]
 #: Serialises fork-server starts: their ``PYTHONPATH`` edit is process-wide.
 _FORK_SERVER_LOCK = threading.Lock()
+
+#: :class:`~multiprocessing.connection.Connection`'s frame header, a signed
+#: length, and the 8-byte length that follows a ``-1`` header past 2 GiB.
+_HEADER = struct.Struct("!i")
+_LONG_HEADER = struct.Struct("!Q")
+#: Size of a worker socket's receive buffer: one ``recv_into`` fills at most
+#: this much (a fresh ``recv`` buffer this large would cost an allocation,
+#: with its page faults, per message).
+_READ_BYTES = 1 << 18
 
 
 def _worker_context() -> multiprocessing.context.BaseContext:
@@ -158,6 +170,12 @@ def _check_generator_function(func: ProcessFunction) -> None:
         )
 
 
+def _stamped(src: int, dst: int, tag: str, payload: Any, now: float) -> Message:
+    """A message sent (and, on a real kernel, arriving) at ``now``."""
+    size = estimate_payload_bytes(payload)
+    return Message(src, dst, tag, payload, size, send_time=now, arrival_time=now)
+
+
 def _outcome(result: Any, error: Optional[BaseException]) -> bytes:
     """Pickled ``(result, error)``; an unpicklable value becomes a ProcessError."""
     try:
@@ -171,39 +189,17 @@ def _outcome(result: Any, error: Optional[BaseException]) -> bytes:
 # --------------------------------------------------------------------------- #
 # process side
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class _WorkerBootstrap:
-    """Everything a worker process needs, pickled once at spawn time."""
+class _Mailbox:
+    """Tag/source-filtered receive over one process's arrivals.
 
-    pid: int
-    name: str
-    parent: Optional[int]
-    machine_index: int
-    machine: MachineSpec
-    epoch: float
-    #: The process call ``(func, args, kwargs)``, pickled by :func:`dumps`.
-    call: bytes
-    #: The driver's ``os.environ`` at spawn; a forked worker would otherwise
-    #: see the fork server's.
-    environ: Dict[str, str]
-    #: The parent's inbox queue, inherited at spawn so child→parent messages
-    #: (the per-iteration CLW results and TSW reports) skip the router hop
-    #: entirely and land in the parent's mailbox with one queue operation.
-    parent_inbox: Any = None
-
-
-class _QueueMailbox:
-    """Tag/source-filtered view of one process's inbox queue.
-
-    The inbox holds :class:`Message` objects: pickled (``bytes``) in a
-    ``multiprocessing`` queue, or by reference in a thread kernel's queue.
-    Messages popped from the queue that do not match the current filter are
-    buffered locally in arrival order and served to later receives,
-    mirroring the mailbox semantics of the simulator.
+    Arrivals that do not match the current filter are buffered locally in
+    arrival order and served to later receives, mirroring the mailbox
+    semantics of the simulator.  A subclass's ``_pull(timeout)`` waits up to
+    ``timeout`` seconds (``None``: no limit) for arrivals, then buffers
+    every message that has arrived.
     """
 
-    def __init__(self, inbox: Any) -> None:
-        self._inbox = inbox
+    def __init__(self) -> None:
         self._buffer: List[Message] = []
 
     def _scan(self, tag: Optional[str], src: Optional[int]) -> Optional[Message]:
@@ -212,16 +208,6 @@ class _QueueMailbox:
                 return self._buffer.pop(index)
         return None
 
-    def _take(self, item: Any) -> None:
-        self._buffer.append(pickle.loads(item) if isinstance(item, bytes) else item)
-
-    def _drain_nowait(self) -> None:
-        while True:
-            try:
-                self._take(self._inbox.get_nowait())
-            except queue_module.Empty:
-                return
-
     def get(
         self, *, tag: Optional[str], src: Optional[int], blocking: bool, timeout: Optional[float]
     ) -> Optional[Message]:
@@ -229,65 +215,205 @@ class _QueueMailbox:
         if found is not None:
             return found
         if not blocking:
-            self._drain_nowait()
+            self._pull(0.0)
             return self._scan(tag, src)
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            wait_for = 1.0
-            if deadline is not None:
-                wait_for = deadline - time.monotonic()
-                if wait_for <= 0:
-                    return None
-                wait_for = min(wait_for, 1.0)
-            try:
-                self._take(self._inbox.get(timeout=wait_for))
-            except queue_module.Empty:
-                continue
+            wait_for = None if deadline is None else deadline - time.monotonic()
+            if wait_for is not None and wait_for <= 0:
+                return None
+            self._pull(wait_for)
             found = self._scan(tag, src)
             if found is not None:
                 return found
 
 
-class _RouterPort:
-    """Outbound side of a worker OS process: the router queue and pipes."""
+def _frame(data: bytes) -> bytes:
+    """``data`` framed as :meth:`Connection.send_bytes` frames it."""
+    if len(data) > 0x7FFFFFFF:
+        return _HEADER.pack(-1) + _LONG_HEADER.pack(len(data)) + data
+    return _HEADER.pack(len(data)) + data
 
-    def __init__(self, bootstrap: _WorkerBootstrap, router: Any, control: Connection) -> None:
-        self._bootstrap = bootstrap
-        self._router = router
-        self._control = control
+
+class _Wire:
+    """A worker's end of one socket, non-blocking, carrying framed pickles."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        sock.setblocking(False)
+        self.sock = sock
+        self.fd = sock.fileno()
+        self.ended = False
+        self._pending = bytearray()
+        self._chunk = memoryview(bytearray(_READ_BYTES))
+
+    def frames(self) -> List[bytearray]:
+        """Read what has arrived and return its complete frames; at the end
+        of the stream (or a reset) set :attr:`ended`."""
+        while True:
+            try:
+                count = self.sock.recv_into(self._chunk)
+            except BlockingIOError:
+                break
+            except OSError:  # reset: the peer died with our bytes unread
+                count = 0
+            if not count:
+                self.ended = True
+                break
+            self._pending += self._chunk[:count]
+            if count < _READ_BYTES:
+                break
+        frames = []
+        pending = self._pending
+        while len(pending) >= _HEADER.size:
+            (size,) = _HEADER.unpack_from(pending)
+            start = _HEADER.size
+            if size == -1:
+                if len(pending) < start + _LONG_HEADER.size:
+                    break
+                (size,) = _LONG_HEADER.unpack_from(pending, start)
+                start += _LONG_HEADER.size
+            if len(pending) < start + size:
+                break
+            frames.append(pending[start : start + size])
+            del pending[: start + size]
+        return frames
+
+
+class _WorkerPort(_Mailbox):
+    """A worker OS process's transport: its control pipe to the kernel and
+    its links to its parent and children, all read by one ``poll``."""
+
+    def __init__(
+        self, parent: Optional[int], control: Connection, link: Optional[Connection]
+    ) -> None:
+        super().__init__()
+        self._poll = select.poll()
+        self._wires: Dict[int, _Wire] = {}  # fd -> wire
+        self._links: Dict[int, _Wire] = {}  # peer pid -> wire
+        self._reply: Optional[Tuple[str, Any]] = None
+        self._control = self._attach(control)
+        if link is not None:
+            self._links[parent] = self._attach(link)
+
+    def _attach(self, end: Connection | socket.socket) -> _Wire:
+        if isinstance(end, Connection):
+            with end:
+                end = socket.socket(fileno=os.dup(end.fileno()))
+        wire = _Wire(end)
+        self._wires[wire.fd] = wire
+        self._poll.register(wire.fd, select.POLLIN)
+        return wire
+
+    def _hang_up(self, wire: _Wire) -> None:
+        """Drop a wire whose peer is gone; a dead kernel ends the process."""
+        if self._wires.get(wire.fd) is wire:
+            del self._wires[wire.fd]
+            self._poll.unregister(wire.fd)
+            wire.sock.close()
+            self._links = {pid: w for pid, w in self._links.items() if w is not wire}
+        if wire is self._control:
+            raise ProcessError("the kernel closed this worker's control pipe")
+
+    def _pull(self, timeout: Optional[float], writing: Optional[_Wire] = None) -> None:
+        """Wait for arrivals — or, with ``writing``, until that wire takes
+        more bytes — and buffer every message that has arrived."""
+        if writing is not None:
+            self._poll.modify(writing.fd, select.POLLIN | select.POLLOUT)
+        try:
+            events = self._poll.poll(None if timeout is None else timeout * 1e3)
+        finally:
+            if writing is not None and self._wires.get(writing.fd) is writing:
+                self._poll.modify(writing.fd, select.POLLIN)
+        for fd, event in events:
+            wire = self._wires.get(fd)
+            if wire is None or event == select.POLLOUT:
+                continue
+            for frame in wire.frames():
+                arrival = pickle.loads(frame)
+                if isinstance(arrival, Message):
+                    self._buffer.append(arrival)
+                else:  # the kernel's reply to our spawn request
+                    self._reply = arrival
+            if wire.ended:
+                self._hang_up(wire)
+
+    def _until_sent(self, wire: _Wire, attempt: Callable[[], Any]) -> Any:
+        """Retry ``attempt`` — a write to ``wire`` — reading arrivals while
+        the socket is full."""
+        while True:
+            try:
+                return attempt()
+            except BlockingIOError:
+                self._pull(None, writing=wire)
+
+    def _write(self, wire: _Wire, data: bytes) -> None:
+        """Write one frame."""
+        view = memoryview(_frame(data))
+        while view:
+            view = view[self._until_sent(wire, lambda: wire.sock.send(view)) :]
 
     def send(self, message: Message) -> None:
         blob = dumps(message)
-        if self._bootstrap.parent_inbox is not None and message.dst == self._bootstrap.parent:
-            # fast path: the hot upward messages go straight into the
-            # parent's mailbox (one queue hop instead of two + a router
-            # thread wake-up)
-            self._bootstrap.parent_inbox.put(blob)
-        else:
-            self._router.put(("send", message.dst, blob))
+        wire = self._links.get(message.dst)
+        if wire is None:
+            self._write(self._control, pickle.dumps(("send", message.dst, blob), -1))
+            return
+        try:
+            self._write(wire, blob)
+        except OSError:  # the peer is gone: the message is dropped
+            self._hang_up(wire)
 
     def spawn(self, syscall: Spawn) -> int:
         _check_generator_function(syscall.func)
         call = dumps((syscall.func, syscall.args, syscall.kwargs))
-        self._router.put(
-            ("spawn", self._bootstrap.pid, call, syscall.machine_index, syscall.name)
-        )
-        kind, payload = self._control.recv()
+        mine, theirs = socket.socketpair()
+        try:
+            with theirs:
+                request = ("spawn", call, syscall.machine_index, syscall.name)
+                self._write(self._control, pickle.dumps(request, -1))
+                # the child's end of the link follows the request
+                send_end = lambda: socket.send_fds(  # noqa: E731
+                    self._control.sock, [b"\0"], [theirs.fileno()]
+                )
+                self._until_sent(self._control, send_end)
+                while self._reply is None:
+                    self._pull(None)
+        except BaseException:
+            mine.close()
+            raise
+        (kind, payload), self._reply = self._reply, None
         if kind != "spawned":
+            mine.close()
             raise ProcessError(f"spawn failed in kernel process: {payload}")
+        self._links[payload] = self._attach(mine)
         return payload
 
     def exit(self, result: Any, error: Optional[BaseException]) -> None:
-        self._router.put(("exit", self._bootstrap.pid, _outcome(result, error)))
+        try:
+            self._write(self._control, pickle.dumps(("exit", _outcome(result, error)), -1))
+        except (OSError, ProcessError):  # the kernel is gone
+            pass
         close_attachments()
 
 
-class _KernelPort:
-    """Outbound side of a process on a thread of the kernel process."""
+class _KernelPort(_Mailbox):
+    """Transport of a process on a thread of the kernel process: an
+    in-process inbox, and direct calls into the kernel."""
 
     def __init__(self, kernel: "ProcessKernel", record: "_ProcessRecord") -> None:
+        super().__init__()
         self._kernel = kernel
         self._record = record
+
+    def _pull(self, timeout: Optional[float]) -> None:
+        inbox = self._record.inbox
+        try:
+            item = inbox.get(timeout=timeout)
+            while True:
+                self._buffer.append(pickle.loads(item) if isinstance(item, bytes) else item)
+                item = inbox.get_nowait()
+        except queue_module.Empty:
+            return
 
     def send(self, message: Message) -> None:
         self._kernel._deliver(message.dst, self._kernel._wire(message))
@@ -306,25 +432,20 @@ class _KernelPort:
         self._kernel._finish(self._record, result, error)
         if error is not None:
             # Every error of a kernel-thread process lands here, so it can
-            # announce its own death; an OS process that dies without
-            # reporting is left to the death monitor.
+            # announce its own death; the router announces a worker OS
+            # process that dies without reporting.
             self._kernel._post_obituary(self._record, f"{type(error).__name__}: {error}")
 
 
 class _WorkerRuntime:
     """Syscall interpreter of one process body, on a worker OS process or a
-    thread of the kernel process; ``port`` carries its sends, spawns and exit."""
+    thread of the kernel process; ``port`` carries its traffic."""
 
     def __init__(
-        self,
-        context: ProcessContext,
-        epoch: float,
-        inbox: Any,
-        port: _RouterPort | _KernelPort,
+        self, context: ProcessContext, epoch: float, port: _WorkerPort | _KernelPort
     ) -> None:
         self._context = context
         self._epoch = epoch
-        self._mailbox = _QueueMailbox(inbox)
         self._port = port
         # extra wall-clock seconds slept per second of real compute
         self._slowdown = max(0.0, 1.0 / context.machine.effective_rate - 1.0)
@@ -367,21 +488,12 @@ class _WorkerRuntime:
         if isinstance(syscall, GetTime):
             return self._now
         if isinstance(syscall, Send):
-            now = self._now
             self._port.send(
-                Message(
-                    src=self._context.pid,
-                    dst=syscall.dst,
-                    tag=syscall.tag,
-                    payload=syscall.payload,
-                    size_bytes=estimate_payload_bytes(syscall.payload),
-                    send_time=now,
-                    arrival_time=now,
-                )
+                _stamped(self._context.pid, syscall.dst, syscall.tag, syscall.payload, self._now)
             )
             return None
         if isinstance(syscall, Receive):
-            return self._mailbox.get(
+            return self._port.get(
                 tag=syscall.tag,
                 src=syscall.src,
                 blocking=syscall.blocking,
@@ -393,22 +505,20 @@ class _WorkerRuntime:
 
 
 def _worker_main(
-    bootstrap: _WorkerBootstrap, router: Any, inbox: Any, control: Connection
+    context: ProcessContext,
+    epoch: float,
+    call: bytes,
+    environ: Dict[str, str],
+    control: Connection,
+    link: Optional[Connection],
 ) -> None:
-    """Entry point of every worker OS process."""
+    """Entry point of every worker OS process: run the :func:`dumps`-pickled
+    ``call`` under the driver's ``environ`` at spawn (a forked worker would
+    otherwise see the fork server's)."""
     os.environ.clear()
-    os.environ.update(bootstrap.environ)
-    context = ProcessContext(
-        pid=bootstrap.pid,
-        parent=bootstrap.parent,
-        name=bootstrap.name,
-        machine_index=bootstrap.machine_index,
-        machine=bootstrap.machine,
-    )
-    runtime = _WorkerRuntime(
-        context, bootstrap.epoch, inbox, _RouterPort(bootstrap, router, control)
-    )
-    runtime.run(lambda: pickle.loads(bootstrap.call))
+    os.environ.update(environ)
+    port = _WorkerPort(context.parent, control, link)
+    _WorkerRuntime(context, epoch, port).run(lambda: pickle.loads(call))
 
 
 # --------------------------------------------------------------------------- #
@@ -427,13 +537,12 @@ class _ProcessRecord:
     finished: bool = False
     #: The worker's OS process, or ``None`` for a kernel-thread process.
     process: Optional[multiprocessing.process.BaseProcess] = None
-    inbox: Any = None
-    control: Optional[Connection] = None  # kernel-side end of the spawn-reply pipe
+    #: A kernel-thread process's inbox.
+    inbox: Optional[queue_module.SimpleQueue] = None
+    #: The kernel's end of a worker's control pipe; written under ``lock``.
+    control: Optional[Connection] = None
+    lock: threading.Lock = field(default_factory=threading.Lock)
     done: threading.Event = field(default_factory=threading.Event)
-    #: When a hard death (process exited, no exit message) was first seen.
-    #: Persists across _wait_record calls so the report grace accumulates
-    #: even under join_all's short wait slices.
-    death_detected_at: Optional[float] = None
 
 
 def _running(unfinished: List[_ProcessRecord]) -> str:
@@ -453,14 +562,7 @@ class ProcessKernel:
     done so the router thread and any straggler processes are reaped.
     """
 
-    def __init__(
-        self,
-        cluster: ClusterSpec,
-        *,
-        failure_grace: float = 10.0,
-        death_report_grace: float = 10.0,
-        death_notify_grace: float = 0.5,
-    ) -> None:
+    def __init__(self, cluster: ClusterSpec, *, failure_grace: float = 10.0) -> None:
         if failure_grace < 0:
             raise ProcessError(f"failure_grace must be >= 0, got {failure_grace}")
         self._cluster = cluster
@@ -474,28 +576,17 @@ class ProcessKernel:
         #: burning the whole deadline (an hour by default in the runner) just
         #: delays the real diagnosis.
         self.failure_grace = failure_grace
-        #: How long a dead (exited) process gets to have its final exit
-        #: message drained by the router before being declared
-        #: dead-without-reporting.  The clock persists on the record, so
-        #: short join_all wait slices still accumulate toward it.
-        self.death_report_grace = death_report_grace
-        #: How long the death monitor waits after spotting an exit code
-        #: before posting a ``worker_down`` notice — long enough for the
-        #: router to drain a *clean* exit message, short enough that the
-        #: master learns of a crash well before any round deadline.
-        self.death_notify_grace = death_notify_grace
         self._death_listener: Optional[int] = None
         self._epoch = time.time()
         self._closed = False
-        self._monitor_thread: Optional[threading.Thread] = None
-        # The OS runtime: worker start context, router queue and thread,
-        # started on first use (see _os_context).
+        # The OS runtime — worker start context, the router thread and the
+        # pipe that wakes it, the forwarding thread and its queue of sends
+        # between workers that share no link — started on first use.
         self._start_lock = threading.Lock()
         self._mp: Optional[multiprocessing.context.BaseContext] = None
-        self._router_queue: Any = None
-        self._router_thread: Optional[threading.Thread] = None
-        #: Every ``multiprocessing`` queue made (router, inboxes), closed at shutdown.
-        self._mp_queues: List[Any] = []
+        self._threads: List[threading.Thread] = []
+        self._wake_fds: Tuple[int, int] = (-1, -1)
+        self._forwards: queue_module.SimpleQueue = queue_module.SimpleQueue()
         # shared-memory exports: id(object) -> (object, ref) — the object is
         # kept referenced so its id cannot be recycled — plus packs to unlink
         self._shm_refs: Dict[int, Tuple[Any, SharedObjectRef]] = {}
@@ -514,22 +605,27 @@ class ProcessKernel:
     def _os_context(self) -> multiprocessing.context.BaseContext:
         """The context OS workers start from.
 
-        The first call starts the fork server, the router queue and the
-        router thread, so a kernel that never needs them creates none.
+        The first call starts the fork server, the router thread and the
+        forwarding thread, so a kernel that never needs them creates none.
         """
         with self._start_lock:
             if self._mp is None:
                 if self._closed:
                     raise ProcessError("kernel has been shut down")
                 context = _worker_context()
-                self._router_queue = context.Queue()
-                self._mp_queues.append(self._router_queue)
-                self._router_thread = threading.Thread(
-                    target=self._route, name="pvm-router", daemon=True
-                )
-                self._router_thread.start()
+                self._wake_fds = os.pipe()
+                for target, name in ((self._route, "pvm-router"), (self._forward, "pvm-forward")):
+                    self._threads.append(threading.Thread(target=target, name=name, daemon=True))
+                    self._threads[-1].start()
                 self._mp = context
             return self._mp
+
+    def _wake_router(self) -> None:
+        """Make the router re-read the record table (or see the shutdown)."""
+        try:
+            os.write(self._wake_fds[1], b"\0")
+        except OSError:  # shut down meanwhile
+            pass
 
     # ------------------------------------------------------------------ #
     def spawn(
@@ -562,72 +658,51 @@ class ProcessKernel:
         """Start a process on a thread of the kernel process; return its pid.
 
         The process gets the caller's arguments as they are — no pickling,
-        no shared-memory attach — and pays no interpreter start.  It talks
-        to the OS-process workers through the same inboxes, and its own
-        sends and spawns skip the router.
+        no shared-memory attach — and pays no interpreter start.  It receives
+        from an in-process inbox, and its own sends and spawns skip the
+        router.
         """
         _check_generator_function(func)
         record = self._new_record(machine_index, name, parent)
-        context = ProcessContext(
-            pid=record.pid,
-            parent=parent,
-            name=record.name,
-            machine_index=record.machine_index,
-            machine=self._cluster.machine(record.machine_index),
-        )
-        runtime = _WorkerRuntime(context, self._epoch, record.inbox, _KernelPort(self, record))
+        record.inbox = queue_module.SimpleQueue()
+        runtime = _WorkerRuntime(self._context(record), self._epoch, _KernelPort(self, record))
         thread = threading.Thread(
-            target=runtime.run,
-            args=(lambda: (func, args, kwargs),),
-            name=record.name,
-            daemon=True,
+            target=runtime.run, args=(lambda: (func, args, kwargs),), name=record.name, daemon=True
         )
         self._register_and_start(record, thread.start)
         return record.pid
 
     def _spawn_call(
-        self, call: bytes, *, machine_index: Optional[int], name: str, parent: Optional[int]
+        self,
+        call: bytes,
+        *,
+        machine_index: Optional[int],
+        name: str,
+        parent: Optional[int],
+        link: Optional[Connection] = None,
     ) -> int:
-        """Start an OS process running a :func:`dumps`-pickled call."""
+        """Start an OS process running a :func:`dumps`-pickled call; ``link``
+        is its end of the link to its parent worker."""
         record = self._new_record(machine_index, name, parent)
         mp = self._os_context()
-        kernel_conn, worker_conn = mp.Pipe()
-        record.control = kernel_conn
-        parent_inbox = None
-        if parent is not None:
-            try:
-                parent_inbox = self._record(parent).inbox
-            except ProcessError:
-                pass
-        bootstrap = _WorkerBootstrap(
-            pid=record.pid,
-            name=record.name,
-            parent=parent,
-            machine_index=record.machine_index,
-            machine=self._cluster.machine(record.machine_index),
-            epoch=self._epoch,
-            call=call,
-            environ=dict(os.environ),
-            parent_inbox=parent_inbox,
-        )
-        process = mp.Process(
+        record.control, worker_end = mp.Pipe()
+        record.process = mp.Process(
             target=_worker_main,
-            args=(bootstrap, self._router_queue, record.inbox, worker_conn),
+            args=(self._context(record), self._epoch, call, dict(os.environ), worker_end, link),
             name=record.name,
             daemon=True,
         )
-        record.process = process
-        # _wait_record distinguishes the registered-but-not-started window
-        # from a hard death via Process.exitcode (None until the process has
-        # started and exited).
-        self._register_and_start(record, process.start)
-        worker_conn.close()  # the worker holds its own handle now
+        try:
+            self._register_and_start(record, record.process.start)
+        finally:
+            worker_end.close()  # the worker holds its own copy now
+            self._wake_router()
         return record.pid
 
     def _new_record(
         self, machine_index: Optional[int], name: str, parent: Optional[int]
     ) -> _ProcessRecord:
-        """A record with a fresh pid, a placement and an inbox, not yet registered."""
+        """A record with a fresh pid and a placement, not yet registered."""
         if self._closed:
             raise ProcessError("kernel has been shut down")
         with self._lock:
@@ -636,18 +711,18 @@ class ProcessKernel:
                 machine_index = self._next_machine
                 self._next_machine = (self._next_machine + 1) % self._cluster.num_machines
             machine_index %= self._cluster.num_machines
-        record = _ProcessRecord(
+        return _ProcessRecord(
             pid=pid, name=name or f"proc{pid}", parent=parent, machine_index=machine_index
         )
-        record.inbox = self._new_inbox()
-        return record
 
-    def _new_inbox(self) -> Any:
-        """A process's inbox: a ``multiprocessing`` queue, which worker OS
-        processes can write to."""
-        inbox = self._os_context().Queue()
-        self._mp_queues.append(inbox)
-        return inbox
+    def _context(self, record: _ProcessRecord) -> ProcessContext:
+        return ProcessContext(
+            pid=record.pid,
+            parent=record.parent,
+            name=record.name,
+            machine_index=record.machine_index,
+            machine=self._cluster.machine(record.machine_index),
+        )
 
     def _register_and_start(self, record: _ProcessRecord, start: Callable[[], None]) -> None:
         """Publish the record, then launch its execution vehicle.
@@ -678,55 +753,36 @@ class ProcessKernel:
         record.finished = True
         record.done.set()
 
-    def _finish_hard_death(self, record: _ProcessRecord) -> None:
-        """Finish the record of an OS process that exited without reporting."""
-        assert record.process is not None
-        self._finish(
-            record,
-            None,
-            ProcessError(
-                f"process {record.name!r} died without reporting "
-                f"(exitcode {record.process.exitcode})"
-            ),
-        )
-
     # ------------------------------------------------------------------ #
     def post(self, dst: int, tag: str, payload: Any = None) -> None:
-        """Inject a message into a worker's inbox from outside any process.
+        """Inject a message into a process's mailbox from outside any process.
 
         The driver-side control channel of the session layer: a cancel
         request reaches a running master exactly like a peer's send would
         (``src=0`` — no real process ever holds pid 0).  Messages to a
-        finished worker are dropped, mirroring send semantics.
+        finished process are dropped, mirroring send semantics.
         """
-        record = self._record(dst)
-        if record.finished:
-            return
-        now = self.now
-        record.inbox.put(
-            self._wire(
-                Message(
-                    src=0,
-                    dst=dst,
-                    tag=tag,
-                    payload=payload,
-                    size_bytes=estimate_payload_bytes(payload),
-                    send_time=now,
-                    arrival_time=now,
-                )
-            )
-        )
+        self._record(dst)
+        self._deliver(dst, self._wire(_stamped(0, dst, tag, payload, self.now)))
 
     def _deliver(self, dst: int, item: Any) -> None:
-        """Put an inbox item into ``dst``'s inbox (unknown pids: dropped)."""
-        try:
-            record = self._record(dst)
-        except ProcessError:
-            return  # message to a pid this kernel never spawned
-        record.inbox.put(item)
+        """Hand a message (as :meth:`_wire` made it) to ``dst``: into a
+        kernel-thread inbox, or down a worker's control pipe.  Messages to
+        unknown, finished or dead processes are dropped."""
+        record = self._records.get(dst)
+        if record is None or record.finished:
+            return
+        if record.control is None:
+            record.inbox.put(item)
+            return
+        with record.lock:
+            try:
+                record.control.send_bytes(item)
+            except OSError:  # the worker is gone
+                pass
 
     def _wire(self, message: Message) -> Any:
-        """What an inbox holds of ``message``: its :func:`dumps` pickle."""
+        """What crosses to another process of ``message``: its :func:`dumps` pickle."""
         return self._dumps(message)
 
     def _dumps(self, obj: Any) -> bytes:
@@ -759,50 +815,21 @@ class ProcessKernel:
     # liveness
     # ------------------------------------------------------------------ #
     def worker_dead(self, pid: int) -> bool:
-        """Finished, or the OS process has an exit code (hard death).
-
-        Used by pool repair to find persistent loops that need respawning;
-        the exit code reports a hard death before any join observes it.
-        """
-        record = self._record(pid)
-        if record.finished:
-            return True
-        process = record.process
-        return process is not None and not process.is_alive() and process.exitcode is not None
+        """Whether the process finished, failed or died: pool repair uses it
+        to find persistent loops that need respawning."""
+        return self._record(pid).finished
 
     def terminate_worker(self, pid: int) -> bool:
         """Hard-kill one worker OS process (failure injection for tests).
 
         Returns whether a live process was actually signalled; a
-        kernel-thread process cannot be killed.  The death monitor /
-        deadline tracking then observe the death exactly as they would a
-        real crash.
+        kernel-thread process cannot be killed.  The router then observes
+        the death exactly as it would a real crash.
         """
         process = self._record(pid).process
         if process is None or not process.is_alive():
             return False
         process.terminate()
-        return True
-
-    def reap_worker(self, pid: int) -> bool:
-        """Finalize the record of a worker whose OS process already exited.
-
-        A hard-dead worker never ships an exit message, so its record would
-        otherwise stay unfinished forever and wedge ``join_all`` (e.g. a
-        pool ``close`` after a repair).  Returns whether the record is now
-        finished.  A genuine exit message that was merely slow through the
-        router still overrides the synthesized error.
-        """
-        record = self._record(pid)
-        if record.finished:
-            return True
-        process = record.process
-        if process is None or process.is_alive() or process.exitcode is None:
-            return False
-        process.join(timeout=5.0)
-        if record.death_detected_at is None:
-            record.death_detected_at = time.monotonic()
-        self._finish_hard_death(record)
         return True
 
     def child_pids(self, pid: int) -> list:
@@ -815,15 +842,9 @@ class ProcessKernel:
             return [r.pid for r in self._records.values() if r.parent == pid]
 
     def notify_deaths_to(self, pid: Optional[int]) -> None:
-        """Register (or clear) the pid that receives ``worker_down`` notices,
-        and start the exit-code monitor."""
+        """Register (or clear) the pid that receives ``worker_down`` notices."""
         with self._lock:
             self._death_listener = pid
-        if pid is not None and self._monitor_thread is None and not self._closed:
-            self._monitor_thread = threading.Thread(
-                target=self._monitor_deaths, name="pvm-death-monitor", daemon=True
-            )
-            self._monitor_thread.start()
 
     def _post_obituary(self, record: _ProcessRecord, reason: str) -> None:
         """Post a ``worker_down`` notice to the parent and the death listener."""
@@ -838,39 +859,6 @@ class ProcessKernel:
             except Exception:  # noqa: BLE001 - a closed inbox must not stop the notice
                 continue
 
-    def _monitor_deaths(self) -> None:
-        """Poll worker exit codes; post ``worker_down`` for hard deaths.
-
-        A clean exit ships an exit message through the router, which marks
-        the record finished; the notify grace gives that message time to
-        land so normal completions never produce obituaries.
-        """
-        notified: set = set()
-        suspect_since: Dict[int, float] = {}
-        while not self._closed:
-            with self._lock:
-                records = list(self._records.values())
-            for record in records:
-                pid = record.pid
-                if pid in notified or record.finished:
-                    suspect_since.pop(pid, None)
-                    continue
-                process = record.process
-                if process is None or process.is_alive() or process.exitcode is None:
-                    suspect_since.pop(pid, None)
-                    continue
-                now = time.monotonic()
-                first_seen = suspect_since.setdefault(pid, now)
-                if now - first_seen < self.death_notify_grace:
-                    continue
-                if record.finished:  # exit message landed during the grace
-                    continue
-                notified.add(pid)
-                self._post_obituary(
-                    record, f"process exited (exitcode {process.exitcode})"
-                )
-            time.sleep(0.05)
-
     # ------------------------------------------------------------------ #
     # join / results
     # ------------------------------------------------------------------ #
@@ -881,34 +869,16 @@ class ProcessKernel:
             raise ProcessError(f"process {record.name!r} did not finish within {timeout} s")
 
     def _wait_record(self, record: _ProcessRecord, timeout: Optional[float]) -> bool:
-        """Wait for one process to finish; return ``False`` on timeout."""
-        process = record.process  # None for a kernel-thread process
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            if deadline is None:
-                wait_for = 0.05
-            else:
-                # honour a zero/exhausted budget: poll without blocking
-                wait_for = min(0.05, max(0.0, deadline - time.monotonic()))
-            if record.done.wait(wait_for):
-                # Reap the OS process — unless it never started (spawn
-                # failure), where join() would assert.
-                if process is not None and (process.is_alive() or process.exitcode is not None):
-                    process.join(timeout=5.0)
-                return True
-            if process is not None and not process.is_alive() and process.exitcode is not None:
-                # Started and exited (exitcode None would mean the spawn is
-                # still mid-flight): give the router time to drain a final
-                # exit message — on a loaded machine it can lag well behind
-                # the worker's death — then record the hard death.
-                now = time.monotonic()
-                if record.death_detected_at is None:
-                    record.death_detected_at = now
-                elif now - record.death_detected_at >= self.death_report_grace:
-                    self._finish_hard_death(record)
-                    return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
+        """Wait for one process to finish and reap its OS process; return
+        ``False`` on timeout."""
+        if not record.done.wait(timeout):
+            return False
+        process = record.process
+        # Reap the OS process — unless it never started (spawn failure),
+        # where join() would assert.
+        if process is not None and (process.is_alive() or process.exitcode is not None):
+            process.join(timeout=5.0)
+        return True
 
     def join_all(self, timeout: Optional[float] = None) -> None:
         """Wait for every spawned process — including ones spawned meanwhile.
@@ -949,17 +919,13 @@ class ProcessKernel:
                     f"process {failed.name!r} failed with "
                     f"{_running(unfinished)}; aborting the join"
                 ) from failed.error
-            # Wait in short slices so newly-failed workers are noticed
-            # promptly even while blocked on a long-running one, and poll
-            # every other unfinished record so a silently-died worker is
-            # detected no matter where it sits in the table.
+            # Wait in short slices so a worker that fails meanwhile is
+            # noticed promptly even while blocked on a long-running one.
             slice_end = now + 0.5
             for candidate in (deadline, failure_deadline):
                 if candidate is not None:
                     slice_end = min(slice_end, candidate)
             self._wait_record(unfinished[0], max(0.0, slice_end - now))
-            for record in unfinished[1:]:
-                self._wait_record(record, 0.0)
 
     def result_of(self, pid: int) -> Any:
         """Return value of a finished process."""
@@ -972,86 +938,114 @@ class ProcessKernel:
 
     # ------------------------------------------------------------------ #
     def _route(self) -> None:
-        """Drain worker requests: deliver sends, perform spawns, record exits."""
-        while True:
+        """Serve the workers' control pipes until shutdown."""
+        wake = self._wake_fds[0]
+        while not self._closed:
+            with self._lock:
+                owners = {
+                    r.control: r
+                    for r in self._records.values()
+                    if r.control is not None and not r.control.closed
+                }
             try:
-                item = self._router_queue.get(timeout=1.0)
-            except queue_module.Empty:
-                if self._closed:
-                    return
+                ready = wait([wake, *owners])
+            except OSError:  # a pipe closed by shutdown
                 continue
-            except (EOFError, OSError):
-                return
-            except Exception:  # noqa: BLE001 - e.g. a request that fails to *un*pickle
-                if self._closed:
-                    return
-                continue
-            if item is None:
-                return
-            try:
-                self._dispatch(item)
-            except Exception:  # noqa: BLE001 - one dead worker must not stop routing
-                # e.g. BrokenPipeError replying to a requester that was
-                # killed: drop the request, keep serving the other workers.
-                continue
+            for conn in ready:
+                if conn == wake:
+                    os.read(wake, 4096)
+                    continue
+                record = owners[conn]
+                try:
+                    request = pickle.loads(conn.recv_bytes())
+                except (EOFError, OSError):
+                    self._hang_up(record)
+                    continue
+                try:
+                    self._dispatch(record, conn, request)
+                except Exception:  # noqa: BLE001 - one worker must not stop routing
+                    continue
 
-    def _dispatch(self, item: Tuple[Any, ...]) -> None:
-        kind = item[0]
+    def _dispatch(self, record: _ProcessRecord, conn: Connection, request: Tuple) -> None:
+        """Serve one request from ``record``'s worker: deliver or forward a
+        send, perform a spawn, record the exit outcome."""
+        kind = request[0]
         if kind == "send":
-            _, dst, blob = item
-            self._deliver(dst, blob)  # forwarded still pickled
+            _, dst, blob = request
+            target = self._records.get(dst)
+            if target is not None and target.control is not None:
+                self._forwards.put((dst, blob))
+            else:
+                self._deliver(dst, blob)
         elif kind == "spawn":
-            _, requester_pid, call, machine_index, name = item
-            requester = self._record(requester_pid)
-            assert requester.control is not None
-            try:
-                child = self._spawn_call(
-                    call, machine_index=machine_index, name=name, parent=requester_pid
-                )
-                requester.control.send(("spawned", child))
-            except Exception as error:  # noqa: BLE001 - reported to the requester
-                requester.control.send(("spawn-error", repr(error)))
-        elif kind == "exit":
-            _, pid, outcome = item
-            record = self._record(pid)
-            if record.finished and record.death_detected_at is None:
-                # Already marked by something other than hard-death detection
-                # (e.g. a spawn failure): keep the first outcome.
-                return
-            # A genuine exit message overrides a *synthesized*
-            # died-without-reporting error — the router was merely slow to
-            # drain it, and the worker's real result is strictly better.
-            self._finish(record, *pickle.loads(outcome))
+            _, call, machine_index, name = request
+            with socket.socket(fileno=os.dup(conn.fileno())) as sock:
+                _, (fd,), _, _ = socket.recv_fds(sock, 1, 1)
+            with Connection(fd) as link:  # the child's end of its link to us
+                try:
+                    child = self._spawn_call(
+                        call, machine_index=machine_index, name=name, parent=record.pid, link=link
+                    )
+                    reply: Tuple[str, Any] = ("spawned", child)
+                except Exception as error:  # noqa: BLE001 - reported to the requester
+                    reply = ("spawn-error", repr(error))
+            with record.lock:  # the requester reads while it waits for this
+                record.control.send_bytes(pickle.dumps(reply, -1))
+        elif kind == "exit" and not record.finished:
+            self._finish(record, *pickle.loads(request[1]))
+
+    def _forward(self) -> None:
+        """Write the sends between workers that share no link.
+
+        A write to a worker waits while the worker's socket is full, and the
+        router must never wait on one, so this thread of its own writes them.
+        """
+        for dst, blob in iter(self._forwards.get, None):
+            self._deliver(dst, blob)
+
+    def _hang_up(self, record: _ProcessRecord) -> None:
+        """A worker's control pipe ended: close it; without an exit outcome
+        before it, the worker died hard — finish it and announce it."""
+        with record.lock:
+            record.control.close()
+        if record.finished:
+            return
+        record.process.join(timeout=1.0)
+        code = record.process.exitcode
+        error = ProcessError(f"process {record.name!r} died without reporting (exitcode {code})")
+        self._finish(record, None, error)
+        self._post_obituary(record, f"process exited (exitcode {code})")
 
     # ------------------------------------------------------------------ #
     def shutdown(self) -> None:
         """Stop the router thread, reap every worker process, unlink the
-        shared blocks.  A kernel-thread process still running on a
-        ``multiprocessing`` inbox loses it and ends with an error; on a
-        thread kernel's inbox it keeps running (a thread cannot be stopped)."""
+        shared blocks.  A kernel-thread process still running keeps running
+        (a thread cannot be stopped); its sends to workers are dropped."""
         if self._closed:
             return
         with self._lock:
             self._closed = True
         with self._start_lock:
-            router = self._router_thread
-        if router is not None:
-            self._router_queue.put(None)
-            router.join(timeout=10.0)
-        if self._monitor_thread is not None:
-            self._monitor_thread.join(timeout=5.0)
-            self._monitor_thread = None
+            threads = self._threads
+        if threads:
+            self._wake_router()
+            threads[0].join(timeout=10.0)
         with self._lock:
             records = list(self._records.values())
         for record in records:
             if record.process is not None and record.process.is_alive():
                 record.process.terminate()
                 record.process.join(timeout=5.0)
+        self._forwards.put(None)
+        for thread in threads:
+            thread.join(timeout=10.0)
+        for record in records:
             if record.control is not None:
-                record.control.close()
-        for mp_queue in self._mp_queues:
-            mp_queue.cancel_join_thread()
-            mp_queue.close()
+                with record.lock:
+                    record.control.close()
+        if threads:
+            for fd in self._wake_fds:
+                os.close(fd)
         for pack in self._shm_packs:
             pack.close()
             pack.unlink()
@@ -1074,9 +1068,6 @@ class ThreadKernel(ProcessKernel):
     def spawn(self, func: ProcessFunction, *args: Any, **kwargs: Any) -> int:
         """Start a process on a thread of the kernel process; return its pid."""
         return self.spawn_local(func, *args, **kwargs)
-
-    def _new_inbox(self) -> Any:
-        return queue_module.SimpleQueue()
 
     def _wire(self, message: Message) -> Any:
         return message

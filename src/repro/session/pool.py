@@ -218,14 +218,13 @@ class WorkerPool:
         return respawned
 
     def _retire_subtree(self, loop_pid: int) -> None:
-        """Take a retired loop's CLW-loop subtree down with it, and
-        finalize every record so ``join_all`` will not wait on them.
+        """Take a retired loop's CLW-loop subtree down with it.
 
         The orphans are shut down first: ``STOP`` ends a run one may still
         be in, then ``POOL_SHUTDOWN`` ends the loop.  A kernel-thread loop
-        can be neither terminated nor reaped, so this is the only way to
-        finish it.  Only the OS processes still running a grace later are
-        terminated, then every record is reaped.
+        cannot be terminated, so this is the only way to finish it.  Only
+        the OS processes still running a grace later are terminated; the
+        kernel finishes their records when their control pipes end.
         """
         orphans: List[int] = []
         frontier = list(self.kernel.child_pids(loop_pid))
@@ -242,11 +241,11 @@ class WorkerPool:
         self._reap(remaining, grace=5.0)
 
     def _reap(self, pids: List[int], *, grace: float) -> List[int]:
-        """Reap ``pids`` until all are finished or ``grace`` seconds pass;
-        return the ones still unfinished."""
+        """Wait until every process of ``pids`` is dead or ``grace`` seconds
+        pass; return the ones still running."""
         deadline = time.monotonic() + grace
         while True:
-            pids = [pid for pid in pids if not self.kernel.reap_worker(pid)]
+            pids = [pid for pid in pids if not self.kernel.worker_dead(pid)]
             if not pids or time.monotonic() >= deadline:
                 return pids
             time.sleep(0.01)

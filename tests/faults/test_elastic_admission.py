@@ -306,8 +306,6 @@ class TestThreadsPoolElasticity:
 class TestProcessesPoolElasticity:
     def test_grow_mid_run_admits_and_contributes(self, problem, after_first_round):
         with WorkerPool(2, 1, backend="processes") as pool:
-            pool.kernel.death_report_grace = 0.5
-            pool.kernel.death_notify_grace = 0.3
             grown = []
             after_first_round(lambda: grown.extend(pool.grow(1)))
             result, _, _ = pool.run_master(
@@ -332,8 +330,6 @@ class TestProcessesPoolElasticity:
 class TestRepairHistory:
     def test_manual_repair_is_stamped_into_the_next_run(self, problem):
         with WorkerPool(2, 1, backend="processes") as pool:
-            pool.kernel.death_report_grace = 0.5
-            pool.kernel.death_notify_grace = 0.3
             victim = pool.tsw_pids[1]
             assert pool.kernel.terminate_worker(victim)
             deadline = time.monotonic() + 10.0

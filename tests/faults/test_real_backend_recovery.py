@@ -1,8 +1,8 @@
 """Real-backend fault tolerance: OS-level deaths, repair, mid-run cancel.
 
 On the processes backend deaths are *real*: ``terminate_worker`` sends
-SIGTERM, the kernel's monitor thread notices the exit and posts a
-``WORKER_DOWN`` obituary to the registered death listener, and the
+SIGTERM, the kernel's router reads the end of the victim's control pipe and
+posts a ``WORKER_DOWN`` obituary to the registered death listener, and the
 fault-tolerant master completes the run degraded.  On the threads backend a
 crashing loop announces its own death, and its orphaned loops can only be
 shut down by message.  (Process bodies live at module level because the
@@ -50,8 +50,6 @@ def crashing_proc(ctx):
 class TestProcessKernelDeaths:
     def test_terminated_worker_is_detected_and_announced(self):
         with ProcessKernel(homogeneous_cluster(4)) as kernel:
-            kernel.death_report_grace = 0.5
-            kernel.death_notify_grace = 0.3
             listener = kernel.spawn(obituary_listener, name="listener")
             kernel.notify_deaths_to(listener)
             victim = kernel.spawn(sleeping_proc, 60.0, name="victim")
@@ -62,11 +60,9 @@ class TestProcessKernelDeaths:
             assert name == "victim"
             assert "exit" in reason or "died" in reason
             assert kernel.worker_dead(victim)
-            # the victim's record can be finalized without wedging a join
-            deadline = time.monotonic() + 10.0
-            while not kernel.reap_worker(victim):
-                assert time.monotonic() < deadline
-                time.sleep(0.05)
+            # the end of the victim's control pipe finished its record, so a
+            # join does not wedge on it
+            kernel.join(victim, timeout=10.0)
             with pytest.raises(ProcessError):
                 kernel.result_of(victim)
 
@@ -114,8 +110,6 @@ def pool_params(**overrides) -> ParallelSearchParams:
 class TestProcessesPoolRecovery:
     def test_mid_run_kill_completes_degraded_then_repairs(self, problem, after_first_round):
         with WorkerPool(NUM_TSWS, 1, backend="processes") as pool:
-            pool.kernel.death_report_grace = 0.5
-            pool.kernel.death_notify_grace = 0.3
             victim = pool.tsw_pids[1]
             killed = []
             after_first_round(lambda: killed.append(pool.kernel.terminate_worker(victim)))

@@ -10,20 +10,34 @@ import json
 import multiprocessing
 import os
 import pickle
-import queue as queue_module
+import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
+from repro.core.registry import get_domain
 from repro.errors import ProcessError
+from repro.parallel import ParallelSearchParams
 from repro.pvm import ClusterSpec, MachineSpec, ProcessKernel, ThreadKernel, homogeneous_cluster
 from repro.pvm.faults import WORKER_DOWN_TAG
 from repro.pvm.message import Message
-from repro.pvm.process_backend import _QueueMailbox
+from repro.pvm.process_backend import _WorkerPort
+from repro.session import SearchSession, WorkerPool
+from repro.tabu import TabuSearchParams
+
+
+def socket_buffer_bytes() -> int:
+    """``SO_SNDBUF`` of a fresh socket pair: what one write can leave in
+    flight before it waits for the reader."""
+    left, right = socket.socketpair()
+    with left, right:
+        return left.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
 
 
 # --------------------------------------------------------------------------- #
@@ -120,6 +134,83 @@ def notice_listener(ctx):
     return (notice.payload.name, notice.payload.reason)
 
 
+def big_writer_child(ctx, size):
+    yield ctx.recv(tag="go")
+    yield ctx.send(ctx.parent, "big", b"c" * size)
+    got = yield ctx.recv(tag="big")
+    return len(got.payload)
+
+
+def big_writer_parent(ctx, size):
+    """Both ends of a link, or of a control pipe when this runs on a kernel
+    thread, write ``size`` bytes to each other at the same moment."""
+    child = yield ctx.spawn(big_writer_child, size, name="child")
+    yield ctx.send(child, "go")
+    yield ctx.send(child, "big", b"p" * size)
+    got = yield ctx.recv(tag="big")
+    return len(got.payload)
+
+
+def killed_child_parent(ctx, size):
+    child = yield ctx.spawn(sleeper_proc, 60.0, name="doomed")
+    notice = yield ctx.recv(tag=WORKER_DOWN_TAG)
+    for _ in range(3):  # dropped: the child is dead
+        yield ctx.send(child, "ping", b"x" * size)
+    return notice.payload.name
+
+
+def short_child(ctx):
+    yield ctx.send(ctx.parent, "hi", "short")
+    return "done"
+
+
+def long_child(ctx):
+    go = yield ctx.recv(tag="go")
+    yield ctx.send(ctx.parent, "reply", go.payload)
+    return "done"
+
+
+def outliving_parent(ctx):
+    yield ctx.spawn(short_child, name="short")
+    other = yield ctx.spawn(long_child, name="long")
+    hi = yield ctx.recv(tag="hi")
+    # the short child's link ends during this wait
+    nothing = yield ctx.recv_timeout(0.3, tag="never")
+    yield ctx.send(other, "go", 7)
+    reply = yield ctx.recv(tag="reply")
+    notice = yield ctx.probe(tag=WORKER_DOWN_TAG)  # a clean exit is no death
+    return hi.payload, nothing, reply.payload, notice
+
+
+def chatter_child(ctx, rounds):
+    """Number ``rounds`` messages to the parent and to the next sibling, and
+    check that the previous sibling's and the kernel's arrive in order.  The
+    sibling's fill this worker's control pipe before it starts reading."""
+    roster = (yield ctx.recv(tag="roster")).payload
+    peer = roster[(roster.index(ctx.pid) + 1) % len(roster)]
+    for count in range(rounds):
+        yield ctx.send(ctx.parent, "n", (count, b""))
+        yield ctx.send(peer, "n", (count, bytes(4096)))  # no link: forwarded
+    seen = {}
+    for _ in range(2 * rounds):  # the previous sibling's and the kernel's posts
+        message = yield ctx.recv(tag="n")
+        seen.setdefault(message.src, []).append(message.payload[0])
+    return sorted(seen.values()) == [list(range(rounds))] * 2
+
+
+def chatter_parent(ctx, children, rounds):
+    roster = []
+    for index in range(children):
+        roster.append((yield ctx.spawn(chatter_child, rounds, name=f"c{index}")))
+    for pid in roster:
+        yield ctx.send(pid, "roster", roster)
+    seen = {pid: [] for pid in roster}
+    for _ in range(children * rounds):
+        message = yield ctx.recv(tag="n")
+        seen[message.src].append(message.payload[0])
+    return all(counts == list(range(rounds)) for counts in seen.values())
+
+
 def make_kernel() -> ProcessKernel:
     return ProcessKernel(homogeneous_cluster(4))
 
@@ -196,7 +287,6 @@ class TestProcessKernel:
         death-report grace, and join_all must then abort within the failure
         grace instead of burning the whole deadline."""
         with make_kernel() as kernel:
-            kernel.death_report_grace = 0.5
             kernel.failure_grace = 0.5
             kernel.spawn(stuck_proc, name="stuck")
             dead_pid = kernel.spawn(hard_dying_proc, name="crasher")
@@ -257,6 +347,174 @@ class TestProcessKernel:
             name, reason = kernel.result_of(listener)
             assert name == "local-crasher"
             assert "kaput" in reason
+
+
+class TestTransport:
+    """Links between parent and child workers, control pipes, and how both
+    behave when a peer dies or a write outgrows the socket buffer."""
+
+    def test_both_ends_of_a_link_write_more_than_a_socket_buffer_at_once(self):
+        size = 4 * socket_buffer_bytes()
+        assert size > socket_buffer_bytes() > 0
+        with make_kernel() as kernel:
+            parent = kernel.spawn(big_writer_parent, size, name="parent")
+            kernel.join_all(timeout=60.0)
+            (child,) = kernel.child_pids(parent)
+            assert kernel.result_of(parent) == size
+            assert kernel.result_of(child) == size
+
+    def test_both_ends_of_a_control_pipe_write_more_than_a_socket_buffer_at_once(self):
+        size = 4 * socket_buffer_bytes()
+        with make_kernel() as kernel:
+            parent = kernel.spawn_local(big_writer_parent, size, name="parent")
+            kernel.join_all(timeout=60.0)
+            (child,) = kernel.child_pids(parent)
+            # the parent runs on a kernel thread: the child has no link, and
+            # each side wrote into the child's control pipe
+            assert kernel._records[child].process is not None
+            assert kernel.result_of(parent) == size
+            assert kernel.result_of(child) == size
+
+    def test_a_send_to_a_killed_child_is_dropped_and_the_sender_runs_on(self):
+        with make_kernel() as kernel:
+            parent = kernel.spawn(killed_child_parent, 2 * socket_buffer_bytes())
+            deadline = time.monotonic() + 30.0
+            while not kernel.child_pids(parent):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            (child,) = kernel.child_pids(parent)
+            while not kernel.terminate_worker(child):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            kernel.join(parent, timeout=30.0)
+            # the death reached the parent as a notice, and its sends to the
+            # dead child were dropped without an error
+            assert kernel.result_of(parent) == "doomed"
+            with pytest.raises(ProcessError) as info:
+                kernel.result_of(child)
+            assert "died without reporting" in str(info.value.__cause__)
+
+    def test_a_child_that_exits_mid_run_leaves_its_parents_receive_working(self):
+        with make_kernel() as kernel:
+            parent = kernel.spawn(outliving_parent, name="parent")
+            kernel.join_all(timeout=60.0)
+            assert kernel.result_of(parent) == ("short", None, 7, None)
+
+    def test_every_route_keeps_each_senders_order_under_load(self):
+        """More workers than cores: sends up the control pipes to a kernel
+        thread, sends forwarded between siblings, and kernel posts from
+        another thread into the same pipes, each arriving in send order."""
+        children, rounds = 2 * os.cpu_count() + 2, 200
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with make_kernel() as kernel:
+                parent = kernel.spawn_local(chatter_parent, children, rounds, name="parent")
+                deadline = time.monotonic() + 60.0
+                while len(kernel.child_pids(parent)) < children:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                for count in range(rounds):
+                    for child in kernel.child_pids(parent):
+                        kernel.post(child, "n", (count, b""))
+                kernel.join_all(timeout=60.0)
+                assert kernel.result_of(parent) is True
+                for child in kernel.child_pids(parent):
+                    assert kernel.result_of(child) is True
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_a_pool_checkpoint_with_large_state_replies_resumes_bit_identically(self):
+        """The harvest's ``STATE_REPLY``s — CLW to TSW down a link, TSW to
+        master up a control pipe — each exceed a socket buffer."""
+        problem = get_domain("placement").build_problem("c3540", reference_seed=7)
+        params = ParallelSearchParams(
+            num_tsws=2,
+            clws_per_tsw=1,
+            global_iterations=2,
+            sync_mode="homogeneous",
+            tabu=TabuSearchParams(local_iterations=3, pairs_per_step=8, move_depth=2),
+            seed=11,
+        )
+        uninterrupted = SearchSession(problem=problem, params=params).run()
+        with WorkerPool(
+            2, 1, backend="processes", cluster=homogeneous_cluster(5)
+        ) as pool:
+            session = SearchSession(problem=problem, params=params, pool=pool)
+            session.step(1)
+            state = session.checkpoint()
+            buffer = socket_buffer_bytes()
+            for worker in state.run_state.worker_states:
+                assert len(pickle.dumps(worker)) > buffer
+                for clw in worker.clw_states:
+                    assert len(pickle.dumps(clw)) > buffer
+            resumed = SearchSession.restore(state, pool=pool).run()
+        assert resumed.best_cost == uninterrupted.best_cost
+        assert np.array_equal(resumed.best_solution, uninterrupted.best_solution)
+        assert [r.received_costs for r in resumed.global_records] == [
+            r.received_costs for r in uninterrupted.global_records
+        ]
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="needs a multiprocessing fork server",
+    )
+    def test_a_processes_run_makes_no_multiprocessing_queue(self, tmp_path):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        script = tmp_path / "processes_run.py"
+        script.write_text(FRESH_PROCESSES_RUN.format(src=src))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, str(script)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["improved"] == [True, True]
+        assert report["queues"] == []
+        assert "QueueFeederThread" not in report["threads"]
+        assert "resource_tracker" not in done.stderr
+
+
+#: A driver script run in a fresh interpreter: a warm pool run and a cold
+#: run on the processes backend, counting every ``multiprocessing`` queue
+#: the driver makes.
+FRESH_PROCESSES_RUN = """\
+import json, sys, threading
+sys.path.insert(0, {src!r})
+
+import multiprocessing.queues
+
+made = []
+for cls in (multiprocessing.queues.Queue, multiprocessing.queues.SimpleQueue):
+    def counting(self, *args, _init=cls.__init__, **kwargs):
+        made.append(type(self).__name__)
+        _init(self, *args, **kwargs)
+    cls.__init__ = counting
+
+from repro import (
+    ParallelSearchParams, TabuSearchParams, homogeneous_cluster, run_parallel_search,
+)
+from repro.core.registry import get_domain
+from repro.session import SearchSession, WorkerPool
+
+if __name__ == "__main__":
+    params = ParallelSearchParams(
+        num_tsws=2, clws_per_tsw=1, global_iterations=2, sync_mode="homogeneous",
+        tabu=TabuSearchParams(local_iterations=3), seed=3,
+    )
+    problem = get_domain("placement").build_problem("mini64", reference_seed=7)
+    with WorkerPool(2, 1, backend="processes", cluster=homogeneous_cluster(5)) as pool:
+        warm = SearchSession(problem=problem, params=params, pool=pool).run()
+    cold = run_parallel_search(
+        problem, params, backend="processes", cluster=homogeneous_cluster(5)
+    )
+    print(json.dumps({{
+        "queues": made,
+        "threads": [thread.name for thread in threading.enumerate()],
+        "improved": [r.best_cost < r.initial_cost for r in (warm, cold)],
+    }}))
+"""
 
 
 #: A driver script run in a fresh interpreter: ``repro`` is importable only
@@ -414,12 +672,14 @@ class TestThreadKernel:
             kernel.spawn(sleeper_proc, 0.0)
 
 
-class TestQueueMailbox:
-    """Filter semantics of the worker-side mailbox (no processes involved)."""
+class TestWorkerMailbox:
+    """Filter semantics of a worker's transport over real socket pairs, in
+    one process: the kernel's end of the control pipe and the parent's end
+    of the link stand in for the other side."""
 
     @staticmethod
     def message(src: int, tag: str, payload=None) -> bytes:
-        """A message as it sits in an inbox: pickled."""
+        """A message as it crosses a socket: pickled."""
         return pickle.dumps(
             Message(
                 src=src, dst=9, tag=tag, payload=payload, size_bytes=8,
@@ -427,31 +687,91 @@ class TestQueueMailbox:
             )
         )
 
-    def test_non_matching_messages_are_buffered_in_order(self):
-        inbox: queue_module.Queue = queue_module.Queue()
-        mailbox = _QueueMailbox(inbox)
-        inbox.put(self.message(1, "other", "first"))
-        inbox.put(self.message(2, "wanted", "hit"))
-        inbox.put(self.message(1, "other", "second"))
-        got = mailbox.get(tag="wanted", src=None, blocking=True, timeout=1.0)
+    @pytest.fixture
+    def sockets(self):
+        """``(port, kernel_end, parent_end)`` of a worker with pid 9 whose
+        parent, pid 1, is a worker OS process."""
+        kernel_end, control = multiprocessing.Pipe()
+        parent_end, link = multiprocessing.Pipe()
+        port = _WorkerPort(1, control, link)
+        yield port, kernel_end, parent_end
+        kernel_end.close()
+        parent_end.close()
+
+    def test_non_matching_messages_are_buffered_in_order(self, sockets):
+        port, kernel_end, parent_end = sockets
+        parent_end.send_bytes(self.message(1, "other", "first"))
+        kernel_end.send_bytes(self.message(2, "wanted", "hit"))
+        parent_end.send_bytes(self.message(1, "other", "second"))
+        got = port.get(tag="wanted", src=None, blocking=True, timeout=5.0)
         assert got.payload == "hit"
         # buffered messages are served later, preserving arrival order
-        first = mailbox.get(tag="other", src=None, blocking=False, timeout=None)
-        second = mailbox.get(tag="other", src=None, blocking=False, timeout=None)
+        first = port.get(tag="other", src=None, blocking=True, timeout=5.0)
+        second = port.get(tag="other", src=None, blocking=True, timeout=5.0)
         assert (first.payload, second.payload) == ("first", "second")
 
-    def test_src_filter(self):
-        inbox: queue_module.Queue = queue_module.Queue()
-        mailbox = _QueueMailbox(inbox)
-        inbox.put(self.message(1, "t", "from-1"))
-        inbox.put(self.message(2, "t", "from-2"))
-        got = mailbox.get(tag="t", src=2, blocking=True, timeout=1.0)
+    def test_src_filter(self, sockets):
+        port, kernel_end, parent_end = sockets
+        parent_end.send_bytes(self.message(1, "t", "from-1"))
+        kernel_end.send_bytes(self.message(2, "t", "from-2"))
+        got = port.get(tag="t", src=2, blocking=True, timeout=5.0)
         assert got.payload == "from-2"
+        got = port.get(tag="t", src=1, blocking=False, timeout=None)
+        assert got.payload == "from-1"
 
-    def test_blocking_timeout_returns_none(self):
-        mailbox = _QueueMailbox(queue_module.Queue())
-        assert mailbox.get(tag="t", src=None, blocking=True, timeout=0.05) is None
+    def test_link_message_and_kernel_post_arrive_in_one_wait(self, sockets):
+        port, kernel_end, parent_end = sockets
+        parent_end.send_bytes(self.message(1, "result", "from-child"))
+        kernel_end.send_bytes(self.message(0, "cancel"))
+        time.sleep(0.05)  # both are in their sockets before the wait
+        got = port.get(tag="nothing", src=None, blocking=True, timeout=0.2)
+        assert got is None
+        assert sorted(m.tag for m in port._buffer) == ["cancel", "result"]
 
-    def test_probe_returns_none_when_empty(self):
-        mailbox = _QueueMailbox(queue_module.Queue())
-        assert mailbox.get(tag=None, src=None, blocking=False, timeout=None) is None
+    def test_blocking_timeout_returns_none(self, sockets):
+        port, _, _ = sockets
+        start = time.monotonic()
+        assert port.get(tag="t", src=None, blocking=True, timeout=0.05) is None
+        assert time.monotonic() - start >= 0.05
+
+    def test_probe_returns_none_when_empty(self, sockets):
+        port, _, _ = sockets
+        assert port.get(tag=None, src=None, blocking=False, timeout=None) is None
+
+    def test_a_frame_split_across_reads_is_reassembled(self, sockets):
+        port, _, parent_end = sockets
+        blob = self.message(1, "big", b"x" * (3 * socket_buffer_bytes()))
+        frame = len(blob).to_bytes(4, "big") + blob
+        with socket.socket(fileno=os.dup(parent_end.fileno())) as raw:
+            raw.sendall(frame[:100])
+            assert port.get(tag="big", src=None, blocking=False, timeout=None) is None
+            raw.sendall(frame[100:500])
+            assert port.get(tag="big", src=None, blocking=True, timeout=0.05) is None
+            sender = threading.Thread(target=raw.sendall, args=(frame[500:],))
+            sender.start()
+            got = port.get(tag="big", src=None, blocking=True, timeout=10.0)
+            sender.join()
+        assert len(got.payload) == 3 * socket_buffer_bytes()
+
+    def test_a_closed_link_is_dropped(self, sockets):
+        port, kernel_end, parent_end = sockets
+        parent_end.send_bytes(self.message(1, "last"))
+        parent_end.close()
+        assert port.get(tag="last", src=None, blocking=True, timeout=5.0).src == 1
+        assert port.get(tag=None, src=None, blocking=True, timeout=0.05) is None
+        assert port._links == {}
+        # a send to the parent now goes to the kernel, which drops it
+        port.send(
+            Message(
+                src=9, dst=1, tag="late", payload=None, size_bytes=0,
+                send_time=0.0, arrival_time=0.0,
+            )
+        )
+        kind, dst, _ = pickle.loads(kernel_end.recv_bytes())
+        assert (kind, dst) == ("send", 1)
+
+    def test_the_end_of_the_control_pipe_ends_the_worker(self, sockets):
+        port, kernel_end, _ = sockets
+        kernel_end.close()
+        with pytest.raises(ProcessError, match="control pipe"):
+            port.get(tag=None, src=None, blocking=True, timeout=5.0)
