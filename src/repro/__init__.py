@@ -40,7 +40,6 @@ from .errors import (
     CostModelError,
     ExperimentError,
     LayoutError,
-    MessageError,
     NetlistError,
     ParallelSearchError,
     PlacementError,
@@ -50,7 +49,7 @@ from .errors import (
     SimulationError,
     TabuSearchError,
 )
-from .metrics import CostTrace, speedup_curve, speedup_to_quality
+from .metrics import CostTrace, speedup_curve
 from .parallel import (
     FaultPolicy,
     ParallelSearchParams,
@@ -112,7 +111,6 @@ __all__ = [
     "CostModelError",
     "TabuSearchError",
     "ClusterError",
-    "MessageError",
     "ProcessError",
     "SimulationError",
     "ParallelSearchError",
@@ -162,5 +160,4 @@ __all__ = [
     # metrics
     "CostTrace",
     "speedup_curve",
-    "speedup_to_quality",
 ]

@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["derive_seed", "make_rng", "spawn_rng"]
+__all__ = ["derive_seed", "make_rng"]
 
 SeedLabel = Union[int, str]
 
@@ -54,11 +54,3 @@ def derive_seed(root_seed: int, *labels: SeedLabel) -> int:
 def make_rng(root_seed: int, *labels: SeedLabel) -> np.random.Generator:
     """Create a :class:`numpy.random.Generator` for ``(root_seed, *labels)``."""
     return np.random.default_rng(derive_seed(root_seed, *labels))
-
-
-def spawn_rng(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Spawn ``count`` statistically independent child generators from ``rng``."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    seeds = rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]

@@ -15,7 +15,9 @@ the engine implicitly required of the placement evaluator all along:
   place, and short swap sequences (the delta protocol's wire form) can be
   applied in bulk;
 * **snapshots** — the full mutable state can be saved and restored with
-  array copies, so the search rewinds trial compound moves cheaply.
+  array copies, so the search rewinds trial compound moves cheaply;
+  :func:`capture_evaluator` and :func:`revive_evaluator` carry it across a
+  checkpoint for every process of the search (master, TSW, CLW, serial).
 
 The conformance suite (``tests/core/test_problem_contract.py``) runs the
 same battery — batch == scalar == from-scratch, delta-adopt == full-install,
@@ -24,11 +26,12 @@ empty-input no-ops, snapshot round-trips — over every registered domain.
 
 from __future__ import annotations
 
+import pickle
 from typing import Any, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
-__all__ = ["SwapEvaluator", "SearchProblem"]
+__all__ = ["SwapEvaluator", "SearchProblem", "capture_evaluator", "revive_evaluator"]
 
 
 @runtime_checkable
@@ -220,3 +223,37 @@ def ensure_search_problem(obj: Any) -> None:
             f"{type(obj).__name__} does not implement SearchProblem: "
             f"missing {', '.join(missing)}"
         )
+
+
+def capture_evaluator(evaluator: Optional[SwapEvaluator]) -> Tuple[np.ndarray, bytes, int]:
+    """``(assignment, pickled save_state(), evaluations)`` of an evaluator.
+
+    The exact internal state is kept, not just the assignment: a
+    delta-adopted evaluator agrees with a fresh install only to float
+    tolerance, so a bit-identical resume must restore the caches as they
+    were.  A worker that has no evaluator yet captures an empty triple.
+    """
+    if evaluator is None:
+        return np.empty(0, np.int64), b"", 0
+    return (
+        evaluator.snapshot(),
+        pickle.dumps(evaluator.save_state(), protocol=4),
+        int(evaluator.evaluations),
+    )
+
+
+def revive_evaluator(
+    problem: SearchProblem,
+    assignment: np.ndarray,
+    state: bytes,
+    evaluations: Optional[int] = None,
+) -> SwapEvaluator:
+    """Rebuild the evaluator a :func:`capture_evaluator` triple describes.
+
+    ``evaluations`` of ``None`` keeps the fresh evaluator's own count.
+    """
+    evaluator = problem.make_evaluator(np.asarray(assignment, dtype=np.int64))
+    evaluator.restore_state(pickle.loads(state))
+    if evaluations is not None:
+        evaluator.evaluations = int(evaluations)
+    return evaluator

@@ -16,7 +16,6 @@ __all__ = [
     "CostModelError",
     "TabuSearchError",
     "ClusterError",
-    "MessageError",
     "ProcessError",
     "SimulationError",
     "ParallelSearchError",
@@ -51,10 +50,6 @@ class TabuSearchError(ReproError):
 
 class ClusterError(ReproError):
     """Invalid heterogeneous-cluster specification."""
-
-
-class MessageError(ReproError):
-    """Message-passing protocol violation (unknown task id, bad tag, ...)."""
 
 
 class ProcessError(ReproError):

@@ -5,25 +5,21 @@ from .speedup import (
     SpeedupPoint,
     common_quality_threshold,
     speedup_curve,
-    speedup_to_quality,
     time_to_quality,
 )
 from .trace import (
     CostTrace,
     FaultEvent,
     best_so_far_envelope,
-    shift_times,
 )
 
 __all__ = [
     "CostTrace",
     "FaultEvent",
     "best_so_far_envelope",
-    "shift_times",
     "SpeedupPoint",
     "common_quality_threshold",
     "speedup_curve",
-    "speedup_to_quality",
     "time_to_quality",
     "format_mapping",
     "format_series",

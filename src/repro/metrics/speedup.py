@@ -15,7 +15,7 @@ reached, and assembling the whole speedup curve of an experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional
 
 from ..errors import ExperimentError
 from .trace import CostTrace
@@ -23,7 +23,6 @@ from .trace import CostTrace
 __all__ = [
     "SpeedupPoint",
     "time_to_quality",
-    "speedup_to_quality",
     "common_quality_threshold",
     "speedup_curve",
 ]
@@ -43,24 +42,6 @@ class SpeedupPoint:
 def time_to_quality(trace: CostTrace, threshold: float) -> Optional[float]:
     """Time at which ``trace`` first reaches cost ``threshold`` (or ``None``)."""
     return trace.time_to_reach(threshold)
-
-
-def speedup_to_quality(
-    baseline: CostTrace, parallel: CostTrace, threshold: float
-) -> Optional[float]:
-    """``t(1, x) / t(n, x)`` for quality ``x = threshold``.
-
-    Returns ``None`` when either trace never reaches the threshold.  A zero
-    baseline time (quality already met at the start) is treated as undefined
-    as well — there is nothing to speed up.
-    """
-    t1 = baseline.time_to_reach(threshold)
-    tn = parallel.time_to_reach(threshold)
-    if t1 is None or tn is None:
-        return None
-    if t1 <= 0 or tn <= 0:
-        return None
-    return t1 / tn
 
 
 def common_quality_threshold(

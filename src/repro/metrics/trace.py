@@ -9,7 +9,7 @@ monotone envelope (best-so-far) for plotting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..errors import ExperimentError
 
@@ -17,7 +17,6 @@ __all__ = [
     "CostTrace",
     "FaultEvent",
     "best_so_far_envelope",
-    "shift_times",
 ]
 
 
@@ -56,18 +55,6 @@ def best_so_far_envelope(
         best = min(best, c)
         out.append((t, best))
     return tuple(out)
-
-
-def shift_times(
-    points: Iterable[Tuple[float, float]], offset: float
-) -> Tuple[Tuple[float, float], ...]:
-    """The same series with ``offset`` added to every time coordinate.
-
-    Resuming a checkpoint under a fresh kernel restarts the clock at zero;
-    shifting the resumed segment by the checkpointed end time keeps the
-    stitched trace monotone in time.
-    """
-    return tuple((float(t) + float(offset), float(c)) for t, c in points)
 
 
 @dataclass(frozen=True)
@@ -109,11 +96,6 @@ class CostTrace:
         return tuple(c for _, c in self.points)
 
     @property
-    def final_cost(self) -> float:
-        """Cost at the last point."""
-        return self.points[-1][1]
-
-    @property
     def best_cost(self) -> float:
         """Lowest cost anywhere on the trace."""
         return min(c for _, c in self.points)
@@ -152,11 +134,3 @@ class CostTrace:
         if not found_any:
             return self.points[0][1]
         return best
-
-    def resampled(self, times: Sequence[float]) -> "CostTrace":
-        """Trace evaluated at the given time grid (best-so-far semantics)."""
-        envelope = self.envelope()
-        return CostTrace(
-            points=tuple((float(t), envelope.cost_at(float(t))) for t in times),
-            label=self.label,
-        )

@@ -26,17 +26,14 @@ the whole search.
 from __future__ import annotations
 
 import copy
-import pickle
 from typing import Optional
 
-import numpy as np
-
 from .._rng import derive_seed, make_rng
-from ..core.protocols import SearchProblem
+from ..core.protocols import SearchProblem, capture_evaluator, revive_evaluator
 from ..tabu.candidate import CellRange
 from ..tabu.moves import CompoundMoveBuilder
 from ..tabu.params import TabuSearchParams
-from .delta import ResidentSolution, solution_crc
+from .delta import ResidentSolution
 from .messages import ClwResult, ClwSummary, ClwTask, ClwWorkerState, ReportNow, Tags
 
 __all__ = ["clw_process"]
@@ -97,12 +94,13 @@ def clw_process(
 
     if initial_state is not None and initial_state.evaluator_state:
         rng.bit_generator.state = copy.deepcopy(initial_state.rng_state)
-        evaluator = problem.make_evaluator(
-            np.asarray(initial_state.assignment, dtype=np.int64)
+        evaluator = revive_evaluator(
+            problem,
+            initial_state.assignment,
+            initial_state.evaluator_state,
+            initial_state.evaluations,
         )
         yield ctx.compute(problem.install_work_units(), label="install")
-        evaluator.restore_state(pickle.loads(initial_state.evaluator_state))
-        evaluator.evaluations = int(initial_state.evaluations)
         resident.version = int(initial_state.resident_version)
         tasks_done = int(initial_state.tasks_done)
         total_trials = int(initial_state.trials)
@@ -116,18 +114,13 @@ def clw_process(
             # Stale interrupt from a round whose result we already sent.
             continue
         if message.tag == Tags.STATE_REQUEST:
+            assignment, evaluator_state, evaluations = capture_evaluator(evaluator)
             state = ClwWorkerState(
                 clw_index=clw_index,
                 rng_state=copy.deepcopy(rng.bit_generator.state),
-                assignment=(
-                    evaluator.snapshot() if evaluator is not None else np.empty(0, np.int64)
-                ),
-                evaluator_state=(
-                    pickle.dumps(evaluator.save_state(), protocol=4)
-                    if evaluator is not None
-                    else b""
-                ),
-                evaluations=(evaluator.evaluations if evaluator is not None else 0),
+                assignment=assignment,
+                evaluator_state=evaluator_state,
+                evaluations=evaluations,
                 resident_version=resident.version,
                 tasks_done=tasks_done,
                 trials=total_trials,
@@ -142,44 +135,17 @@ def clw_process(
             # elastic re-assignment: a CLW died and the TSW re-partitioned
             # its ranges over the survivors
             cell_range = task.cell_range
-        payload = task.solution
 
         # ---- adopt the task solution (full, delta, or unchanged) ----------
-        if evaluator is None:
-            if not payload.is_full:
-                # first contact must ship full; NACK so the TSW recovers
-                yield ctx.send(ctx.parent, Tags.CLW_RESULT, _nack(clw_index, task.round_id))
-                continue
-            evaluator = problem.make_evaluator(payload.full_solution())
-            adopt_swaps = -1
+        evaluator, adopt_swaps = resident.adopt(problem, evaluator, task.solution)
+        if adopt_swaps is None:
+            # NACK: the TSW re-sends the task in full
+            yield ctx.send(ctx.parent, Tags.CLW_RESULT, _nack(clw_index, task.round_id))
+            continue
+        if adopt_swaps < 0:
             yield ctx.compute(problem.install_work_units(), label="install")
-        else:
-            plan, data = resident.plan(payload)
-            if plan == "full":
-                evaluator.install_solution(data)
-                adopt_swaps = -1
-                yield ctx.compute(problem.install_work_units(), label="install")
-            elif plan == "delta" and data.shape[0] == 0:
-                adopt_swaps = 0  # unchanged solution: skip the install
-            elif plan == "delta":
-                evaluator.apply_swaps(data, exact_timing=True)
-                if solution_crc(evaluator.snapshot()) != payload.target_crc:
-                    # resident base diverged from the sender's record — the
-                    # evaluator now holds a wrong solution, but the recovery
-                    # shipment is a full install that overwrites everything
-                    resident.version = -1
-                    yield ctx.send(
-                        ctx.parent, Tags.CLW_RESULT, _nack(clw_index, task.round_id)
-                    )
-                    continue
-                adopt_swaps = int(data.shape[0])
-                yield ctx.compute(
-                    problem.adopt_work_units(adopt_swaps), label="install"
-                )
-            else:  # mismatch: delta against a base we do not hold
-                yield ctx.send(ctx.parent, Tags.CLW_RESULT, _nack(clw_index, task.round_id))
-                continue
-        resident.adopted(payload)
+        elif adopt_swaps:
+            yield ctx.compute(problem.adopt_work_units(adopt_swaps), label="install")
         base_state = evaluator.save_state()
 
         # ---- explore the neighbourhood ------------------------------------

@@ -135,11 +135,6 @@ class ParallelSearchParams:
                 f"report_fraction must be in (0, 1], got {self.report_fraction}"
             )
 
-    @property
-    def total_workers(self) -> int:
-        """Total number of worker processes (TSWs + CLWs), excluding the master."""
-        return self.num_tsws + self.num_tsws * self.clws_per_tsw
-
     def with_(self, **changes) -> "ParallelSearchParams":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)

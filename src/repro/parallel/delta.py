@@ -20,10 +20,12 @@ their solution *resident* and exchange just the difference:
   delta shipment (first contact, an invalidated receiver, or a diff larger
   than :attr:`~DeltaEncoder.MAX_DELTA_FRACTION` of the cells always ships
   full);
-* :class:`ResidentSolution` is the receiver side: it validates the base
-  version of an incoming delta and reports a mismatch instead of applying a
-  delta onto the wrong base — the caller then answers with a
-  ``needs_full`` NACK and the sender falls back to full shipment.
+* :class:`ResidentSolution` is the receiver side of both tiers (a TSW
+  adopting broadcasts, a CLW adopting tasks): it installs or applies a
+  payload, verifies a delta's base version and checksum, and asks for a
+  full re-send instead of adopting a delta onto the wrong base — the caller
+  then answers with a ``needs_full`` NACK and the sender falls back to full
+  shipment.
 
 Versions are protocol round identifiers (the TSW task counter for TSW↔CLW,
 the global iteration for master↔TSW), not content hashes: both ends step
@@ -35,7 +37,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -313,32 +315,49 @@ class DeltaEncoder:
 
 
 class ResidentSolution:
-    """Receiver-side resident-version bookkeeping.
+    """Receiver side of the delta protocol, shared by both tiers.
 
-    The owner applies payloads to its evaluator; this class only decides
-    *how*: ``plan`` returns one of
-
-    * ``("full", array)`` — install the complete assignment;
-    * ``("delta", pairs)`` — apply the swap list to the resident solution
-      (an empty list means the solution is unchanged: skip the install
-      entirely);
-    * ``("mismatch", None)`` — the delta's base version is not what is
-      resident; the caller must NACK so the sender re-ships full.
-
-    Call :meth:`adopted` after successfully applying a payload.
+    A TSW adopts the master's broadcasts and a CLW its TSW's tasks through
+    one :meth:`adopt` call, which owns every receiver decision: first
+    contact, full install, the skip for an unchanged solution, the exact
+    delta apply with its checksum, and the version bookkeeping.  ``version``
+    is the protocol round of the solution held resident (``-1`` before
+    first contact and after a failed checksum).
     """
 
     def __init__(self) -> None:
         self.version = -1
 
-    def plan(self, payload: SolutionPayload) -> Tuple[str, Optional[np.ndarray]]:
-        """Decide how to apply ``payload`` given the resident version."""
-        if payload.is_full:
-            return "full", payload.full_solution()
-        if payload.base_version != self.version:
-            return "mismatch", None
-        return "delta", payload.swap_pairs()
+    def adopt(
+        self, problem: Any, evaluator: Any, payload: SolutionPayload
+    ) -> Tuple[Any, Optional[int]]:
+        """Apply ``payload`` to ``evaluator``; return ``(evaluator, applied)``.
 
-    def adopted(self, payload: SolutionPayload) -> None:
-        """Record that ``payload`` was applied; its version is now resident."""
+        ``applied`` is ``-1`` for a full install (on first contact a full
+        payload builds the evaluator from ``problem``), the number of delta
+        swaps applied otherwise (0: the solution is unchanged and nothing is
+        installed), or ``None`` when the sender must re-send in full: a delta
+        on first contact or against a base this receiver does not hold, or
+        one whose result fails its checksum.  A failed checksum leaves the
+        evaluator on a wrong solution and resets ``version`` to ``-1``; the
+        full re-send overwrites it.
+        """
+        if payload.is_full:
+            solution = payload.full_solution()
+            if evaluator is None:
+                evaluator = problem.make_evaluator(solution)
+            else:
+                evaluator.install_solution(solution)
+            applied = -1
+        elif evaluator is None or payload.base_version != self.version:
+            return evaluator, None
+        else:
+            swaps = payload.swap_pairs()
+            applied = int(swaps.shape[0])
+            if applied:
+                evaluator.apply_swaps(swaps, exact_timing=True)
+                if solution_crc(evaluator.snapshot()) != payload.target_crc:
+                    self.version = -1
+                    return evaluator, None
         self.version = payload.version
+        return evaluator, applied

@@ -77,10 +77,6 @@ class HealthLedger:
         return [w.rate for w in self._workers.values() if w.alive and w.rate is not None]
 
     # -- liveness -------------------------------------------------------- #
-    def alive_keys(self) -> List[int]:
-        """Keys of workers still considered alive, in key order."""
-        return [key for key in sorted(self._workers) if self._workers[key].alive]
-
     def dead_keys(self) -> List[int]:
         """Keys of workers that died (drained workers are *not* dead)."""
         return [
@@ -88,9 +84,6 @@ class HealthLedger:
             for key in sorted(self._workers)
             if not self._workers[key].alive and not self._workers[key].drained
         ]
-
-    def drained_keys(self) -> List[int]:
-        return [key for key in sorted(self._workers) if self._workers[key].drained]
 
     def is_alive(self, key: int) -> bool:
         return self._workers[key].alive

@@ -30,14 +30,13 @@ warm :class:`~repro.session.WorkerPool`.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .._rng import derive_seed
-from ..core.protocols import SearchProblem
+from ..core.protocols import SearchProblem, capture_evaluator, revive_evaluator
 from ..metrics.trace import FaultEvent, best_so_far_envelope
 from ..tabu.candidate import partition_cells
 from .config import ParallelSearchParams
@@ -210,11 +209,10 @@ def master_process(
         time_offset = 0.0
     else:
         resume_start = yield ctx.now()
-        evaluator = problem.make_evaluator(
-            np.asarray(resume_state.evaluator_assignment, dtype=np.int64)
+        evaluator = revive_evaluator(
+            problem, resume_state.evaluator_assignment, resume_state.evaluator_state
         )
         yield ctx.compute(problem.install_work_units(), label="initial-eval")
-        evaluator.restore_state(pickle.loads(resume_state.evaluator_state))
         best_cost = float(resume_state.best_cost)
         initial_cost = float(resume_state.initial_cost)
         best_solution = np.asarray(resume_state.best_solution, dtype=np.int64).copy()
@@ -504,14 +502,15 @@ def master_process(
         # ---- harvest the worker subtree before stopping anyone ------------
         harvested = yield from coord.harvest(coord.deadline if fault is not None else None)
         pause_time = yield ctx.now()
+        evaluator_assignment, evaluator_state, _ = capture_evaluator(evaluator)
         run_state = MasterRunState(
             next_iteration=next_round,
             best_cost=float(best_cost),
             best_solution=best_solution.copy(),
             best_tabu_payload=best_tabu_payload,
             initial_cost=float(initial_cost),
-            evaluator_assignment=evaluator.snapshot(),
-            evaluator_state=pickle.dumps(evaluator.save_state(), protocol=4),
+            evaluator_assignment=evaluator_assignment,
+            evaluator_state=evaluator_state,
             master_residents=coord.encoder.export_residents(),
             master_trace=list(master_trace),
             worker_points=list(worker_points),

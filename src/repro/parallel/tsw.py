@@ -29,20 +29,17 @@ re-broadcasts in full.
 
 from __future__ import annotations
 
-import pickle
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from .._rng import derive_seed
-from ..core.protocols import SearchProblem
+from ..core.protocols import SearchProblem, capture_evaluator, revive_evaluator
 from ..tabu.candidate import CellRange
 from ..tabu.moves import CompoundMove, SwapMove
 from ..tabu.search import TabuSearch
 from .clw import clw_process
 from .config import ParallelSearchParams
 from .coordinator import Coordinator
-from .delta import DeltaEncoder, ResidentSolution, solution_crc, swap_list_between
+from .delta import DeltaEncoder, ResidentSolution, swap_list_between
 from .messages import (
     ClwResult,
     ClwSetup,
@@ -70,16 +67,11 @@ def _result_to_candidate(result: ClwResult) -> CompoundMove:
     """Convert a CLW's wire-format result into a candidate compound move.
 
     ``step_costs`` carries the cost after each prefix step, so intermediate
-    :class:`SwapMove`\\ s keep their own trial costs (a legacy result without
-    per-step costs falls back to stamping the final cost on every step).
+    :class:`SwapMove`\\ s keep their own trial costs.
     """
-    if result.step_costs and len(result.step_costs) == len(result.pairs):
-        costs = [float(c) for c in result.step_costs]
-    else:
-        costs = [result.cost_after] * len(result.pairs)
     swaps = [
-        SwapMove(cell_a=int(a), cell_b=int(b), cost_after=cost)
-        for (a, b), cost in zip(result.pairs, costs)
+        SwapMove(cell_a=int(a), cell_b=int(b), cost_after=float(cost))
+        for (a, b), cost in zip(result.pairs, result.step_costs)
     ]
     return CompoundMove(
         swaps=swaps,
@@ -190,12 +182,13 @@ def tsw_process(
     interruptions = 0
 
     if initial_state is not None and initial_state.search_state is not None:
-        evaluator = problem.make_evaluator(
-            np.asarray(initial_state.assignment, dtype=np.int64)
+        evaluator = revive_evaluator(
+            problem,
+            initial_state.assignment,
+            initial_state.evaluator_state,
+            initial_state.evaluations,
         )
         yield ctx.compute(problem.install_work_units(), label="install")
-        evaluator.restore_state(pickle.loads(initial_state.evaluator_state))
-        evaluator.evaluations = int(initial_state.evaluations)
         search = TabuSearch(
             evaluator,
             params.tabu,
@@ -224,18 +217,13 @@ def tsw_process(
             # boundary, when everyone is idle; the master's harvest deadline
             # bounds the wait.
             replies = yield from coord.harvest()
+            assignment, evaluator_state, evaluations = capture_evaluator(evaluator)
             state = TswWorkerState(
                 tsw_index=tsw_index,
                 search_state=(search.export_state() if search is not None else None),
-                assignment=(
-                    evaluator.snapshot() if evaluator is not None else np.empty(0, np.int64)
-                ),
-                evaluator_state=(
-                    pickle.dumps(evaluator.save_state(), protocol=4)
-                    if evaluator is not None
-                    else b""
-                ),
-                evaluations=(evaluator.evaluations if evaluator is not None else 0),
+                assignment=assignment,
+                evaluator_state=evaluator_state,
+                evaluations=evaluations,
                 resident_version=resident.version,
                 master_residents=master_encoder.export_residents(),
                 clw_residents=coord.encoder.export_residents(),
@@ -260,52 +248,32 @@ def tsw_process(
             tsw_range = start.tsw_range
             if search is not None:
                 search.set_cell_range(start.tsw_range)
-        payload = start.solution
 
         # ---- adopt the master's solution (and its tabu list) -------------
-        # (a delta this TSW cannot apply is NACKed with a needs_full report)
-        adopted = True
-        if evaluator is None:
-            adopted = payload.is_full
-            if adopted:
-                evaluator = problem.make_evaluator(payload.full_solution())
-                search = TabuSearch(
-                    evaluator,
-                    params.tabu,
-                    cell_range=tsw_range,
-                    seed=derive_seed(seed, "tsw-search", tsw_index),
-                )
-                yield ctx.compute(problem.install_work_units(), label="install")
-        else:
-            plan, data = resident.plan(payload)
-            adopted = plan != "mismatch"
-            if plan == "full":
-                search.adopt_solution(data)
-                yield ctx.compute(problem.install_work_units(), label="install")
-            elif adopted and data.shape[0]:
-                # apply on the evaluator only and verify the checksum BEFORE
-                # the search records anything — a wrong-base delta must not
-                # pollute the best-solution tracking
-                evaluator.apply_swaps(data, exact_timing=True)
-                adopted = solution_crc(evaluator.snapshot()) == payload.target_crc
-                if adopted:
-                    search.note_best()
-                    yield ctx.compute(
-                        problem.adopt_work_units(int(data.shape[0])), label="install"
-                    )
-                else:
-                    resident.version = -1
-            # empty delta: the incumbent did not change — nothing to install
-            # (the post-report normalisation left the evaluator in the same
-            # exactly-refreshed state a full install would produce)
-        if not adopted:
+        evaluator, applied = resident.adopt(problem, evaluator, start.solution)
+        if applied is None:
+            # NACK: the master re-broadcasts to us in full
             yield ctx.send(
                 master_pid,
                 Tags.TSW_RESULT,
                 _needs_full_result(tsw_index, start.global_iteration),
             )
             continue
-        resident.adopted(payload)
+        if search is None:
+            search = TabuSearch(
+                evaluator,
+                params.tabu,
+                cell_range=tsw_range,
+                seed=derive_seed(seed, "tsw-search", tsw_index),
+            )
+        elif applied:
+            search.note_best()
+        # an empty delta installs nothing: the post-report normalisation left
+        # the evaluator in the state a full install would produce
+        if applied < 0:
+            yield ctx.compute(problem.install_work_units(), label="install")
+        elif applied:
+            yield ctx.compute(problem.adopt_work_units(applied), label="install")
         # the master knows exactly what we hold now: this round's broadcast
         master_encoder.set_resident(
             _MASTER, start.global_iteration, evaluator.snapshot()

@@ -34,7 +34,7 @@ message sent later.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Sequence
 
 from ..errors import ProcessError
 from ..pvm.shm import release_shared
@@ -45,20 +45,36 @@ from .tsw import tsw_process
 __all__ = ["clw_worker_loop", "tsw_worker_loop"]
 
 
-def clw_worker_loop(ctx):
-    """Persistent CLW: serve one :func:`clw_process` run per ``SETUP``."""
+def _serve(ctx, run, children: Sequence[int] = ()):
+    """Run ``run(message)`` once per ``SETUP`` until ``POOL_SHUTDOWN``.
+
+    The loop keeps the last ``SETUP``'s problem and releases it when a new
+    one names a different problem.  ``POOL_SHUTDOWN`` is passed on to
+    ``children`` before the loop ends.  Returns the number of runs served.
+    """
     runs = 0
     problem = None
     while True:
         message = yield ctx.recv()
         if message.tag == Tags.POOL_SHUTDOWN:
+            for pid in children:
+                yield ctx.send(pid, Tags.POOL_SHUTDOWN)
             break
         if message.tag != Tags.SETUP:
             continue
-        setup: ClwSetup = message.payload
-        if setup.problem is not problem:
+        if message.payload.problem is not problem:
             release_shared(problem)
-            problem = setup.problem
+            problem = message.payload.problem
+        yield from run(message)
+        runs += 1
+    return runs
+
+
+def clw_worker_loop(ctx):
+    """Persistent CLW: serve one :func:`clw_process` run per ``SETUP``."""
+
+    def run(message):
+        setup: ClwSetup = message.payload
         yield ctx.send(message.src, Tags.SETUP_ACK, SetupAck(worker_name=ctx.name))
         yield from clw_process(
             ctx,
@@ -69,13 +85,13 @@ def clw_worker_loop(ctx):
             setup.seed,
             initial_state=setup.initial_state,
         )
-        runs += 1
-    return runs
+
+    return (yield from _serve(ctx, run))
 
 
 def tsw_worker_loop(ctx, clws_per_tsw: int):
     """Persistent TSW: own ``clws_per_tsw`` CLW loops, serve runs on ``SETUP``."""
-    clw_pids: List[int] = []
+    clw_pids = []
     for clw_index in range(clws_per_tsw):
         # Cold runs name CLWs f"tsw{i}.clw{j}" and the name feeds the CLW's
         # RNG stream — the pool loop must be named f"tsw{i}" for the warm
@@ -83,20 +99,8 @@ def tsw_worker_loop(ctx, clws_per_tsw: int):
         pid = yield ctx.spawn(clw_worker_loop, name=f"{ctx.name}.clw{clw_index}")
         clw_pids.append(pid)
 
-    runs = 0
-    problem = None
-    while True:
-        message = yield ctx.recv()
-        if message.tag == Tags.POOL_SHUTDOWN:
-            for pid in clw_pids:
-                yield ctx.send(pid, Tags.POOL_SHUTDOWN)
-            break
-        if message.tag != Tags.SETUP:
-            continue
+    def run(message):
         setup: TswSetup = message.payload
-        if setup.problem is not problem:
-            release_shared(problem)
-            problem = setup.problem
         if len(setup.clw_ranges) != len(clw_pids):
             raise ProcessError(
                 f"{ctx.name}: setup ships {len(setup.clw_ranges)} CLW ranges "
@@ -114,5 +118,5 @@ def tsw_worker_loop(ctx, clws_per_tsw: int):
             master_pid=message.src,
             clw_pids=list(clw_pids),
         )
-        runs += 1
-    return runs
+
+    return (yield from _serve(ctx, run, clw_pids))

@@ -21,7 +21,7 @@ adding per-objective deltas directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Literal, Mapping, Optional
 
 import numpy as np
@@ -365,14 +365,6 @@ class CostEvaluator:
         batched evaluation agree exactly.
         """
         return float(self.evaluate_swaps_batch(np.array([[cell_a, cell_b]], dtype=np.int64))[0])
-
-    def swap_gain(self, cell_a: int, cell_b: int) -> float:
-        """Cost reduction achieved by swapping (positive = improvement).
-
-        Uses the cached current cost, so one trial evaluation is the only
-        work done per call.
-        """
-        return self.cost() - self.evaluate_swap(cell_a, cell_b)
 
     def commit_swap(self, cell_a: int, cell_b: int) -> float:
         """Apply the swap, update all incremental caches and return the new cost."""

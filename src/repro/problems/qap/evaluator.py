@@ -250,10 +250,6 @@ class QAPEvaluator:
             self.evaluate_swaps_batch(np.array([[cell_a, cell_b]], dtype=np.int64))[0]
         )
 
-    def swap_gain(self, cell_a: int, cell_b: int) -> float:
-        """Cost reduction achieved by swapping (positive = improvement)."""
-        return self.cost() - self.evaluate_swap(cell_a, cell_b)
-
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #

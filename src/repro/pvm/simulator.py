@@ -40,7 +40,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ProcessError, SimulationError
 from .cluster import ClusterSpec
@@ -49,10 +49,8 @@ from .faults import (
     WORKER_DOWN_TAG,
     WORKER_DRAIN_TAG,
     AdmitWorkers,
-    DrainWorker,
     FaultPlan,
     KillWorker,
-    SpawnWorker,
     ThrottleMachine,
     WorkerDown,
 )
@@ -134,12 +132,6 @@ class SimStats:
     total_work_units: float
     per_machine_busy: Tuple[float, ...]
     num_processes: int
-
-    def machine_utilisation(self) -> Tuple[float, ...]:
-        """Busy fraction of every machine over the makespan."""
-        if self.virtual_makespan <= 0:
-            return tuple(0.0 for _ in self.per_machine_busy)
-        return tuple(b / self.virtual_makespan for b in self.per_machine_busy)
 
 
 # event kinds, ordered deterministically by (time, sequence number)

@@ -28,6 +28,7 @@ from typing import Any, Optional, Union
 
 import numpy as np
 
+from ..core.protocols import capture_evaluator, revive_evaluator
 from ..errors import SessionError
 from ..parallel.config import ParallelSearchParams
 from ..parallel.master import MasterRunState
@@ -170,11 +171,11 @@ class SerialSearchState:
 
 def export_serial_state(search: TabuSearch) -> SerialSearchState:
     """Export a serial search (and its evaluator) for a later exact resume."""
-    evaluator = search.evaluator
+    assignment, evaluator_state, evaluations = capture_evaluator(search.evaluator)
     return SerialSearchState(
-        assignment=evaluator.snapshot(),
-        evaluator_state=pickle.dumps(evaluator.save_state(), protocol=4),
-        evaluations=int(evaluator.evaluations),
+        assignment=assignment,
+        evaluator_state=evaluator_state,
+        evaluations=evaluations,
         search_state=search.export_state(),
     )
 
@@ -193,9 +194,9 @@ def restore_serial_search(
     construction — they shape the search's configuration; the RNG stream
     position itself is overwritten by the installed state.
     """
-    evaluator = problem.make_evaluator(np.asarray(state.assignment, dtype=np.int64))
-    evaluator.restore_state(pickle.loads(state.evaluator_state))
-    evaluator.evaluations = int(state.evaluations)
+    evaluator = revive_evaluator(
+        problem, state.assignment, state.evaluator_state, state.evaluations
+    )
     search = TabuSearch(evaluator, params, cell_range=cell_range, seed=seed)
     search.install_state(state.search_state)
     return search

@@ -208,14 +208,6 @@ class TabuSearch:
     # ------------------------------------------------------------------ #
     # state manipulation used by the parallel protocol
     # ------------------------------------------------------------------ #
-    def adopt_solution(self, cell_to_slot: np.ndarray) -> float:
-        """Install a solution received from outside (master / parent TSW)."""
-        cost = self._evaluator.install_solution(np.asarray(cell_to_slot, dtype=np.int64))
-        if cost < self._best_cost:
-            self._best_cost = cost
-            self._best_solution = self._evaluator.snapshot()
-        return cost
-
     def adopt_tabu_list(
         self,
         payload: Sequence[Tuple[str, Tuple[int, ...], int]],

@@ -17,6 +17,16 @@ def make_ledger(**policy_overrides) -> HealthLedger:
     return HealthLedger(FaultPolicy(**defaults), [0, 1, 2])
 
 
+def alive(ledger: HealthLedger) -> list:
+    """Keys whose ``export_state()`` row says alive."""
+    return [row[0] for row in ledger.export_state() if row[1]]
+
+
+def drained(ledger: HealthLedger) -> list:
+    """Keys whose ``export_state()`` row says drained."""
+    return [row[0] for row in ledger.export_state() if row[8]]
+
+
 class TestLiveness:
     def test_strike_out_after_allowed_misses(self):
         ledger = make_ledger(max_missed_deadlines=1)
@@ -32,7 +42,7 @@ class TestLiveness:
     def test_mark_dead_updates_key_sets(self):
         ledger = make_ledger()
         ledger.mark_dead(1)
-        assert ledger.alive_keys() == [0, 2]
+        assert alive(ledger) == [0, 2]
         assert ledger.dead_keys() == [1]
         assert not ledger.is_alive(1)
 
@@ -131,7 +141,7 @@ class TestCheckpointing:
         ledger.mark_dead(2)
         fresh = make_ledger()
         fresh.install_state(ledger.export_state(), revive=True)
-        assert fresh.alive_keys() == [0, 1, 2]
+        assert alive(fresh) == [0, 1, 2]
         assert fresh.rate_of(0) == pytest.approx(500.0)
 
 
@@ -139,14 +149,14 @@ class TestElasticity:
     def test_drained_is_not_dead(self):
         ledger = make_ledger()
         ledger.mark_drained(1)
-        assert ledger.alive_keys() == [0, 2]
+        assert alive(ledger) == [0, 2]
         assert ledger.dead_keys() == []
-        assert ledger.drained_keys() == [1]
+        assert drained(ledger) == [1]
 
     def test_add_worker_registers_a_new_key_only(self):
         ledger = make_ledger()
         ledger.add_worker(3)
-        assert ledger.alive_keys() == [0, 1, 2, 3]
+        assert alive(ledger) == [0, 1, 2, 3]
         # no-op on an already-tracked key: its history stays
         ledger.record_report(0, evaluations_total=100, elapsed=1.0)
         ledger.add_worker(0)
@@ -168,8 +178,8 @@ class TestElasticity:
         ledger.mark_drained(1)
         fresh = make_ledger()
         fresh.install_state(ledger.export_state(), revive=True)
-        assert fresh.alive_keys() == [0, 2]  # the dead worker revives...
-        assert fresh.drained_keys() == [1]  # ...the drained one stays retired
+        assert alive(fresh) == [0, 2]  # the dead worker revives...
+        assert drained(fresh) == [1]  # ...the drained one stays retired
 
     def test_drained_flag_round_trips(self):
         ledger = make_ledger()
@@ -178,5 +188,5 @@ class TestElasticity:
         assert state[2][8] is True
         fresh = make_ledger()
         fresh.install_state(state, revive=False)
-        assert fresh.drained_keys() == [2]
+        assert drained(fresh) == [2]
         assert fresh.export_state() == state

@@ -82,7 +82,7 @@ class TestMixedSpeedRangeConvergence:
             for key, speed in self.SPEEDS.items():
                 totals[key] += 1_000.0 * speed
                 ledger.record_report(key, evaluations_total=int(totals[key]), elapsed=1.0)
-            weights = ledger.throughput_weights(ledger.alive_keys())
+            weights = ledger.throughput_weights(list(self.SPEEDS))
             assert weights is not None
             ranges = partition_cells_weighted(self.NUM_CELLS, weights)
             sizes_per_round.append([len(r.cells) for r in ranges])

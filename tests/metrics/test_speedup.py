@@ -9,7 +9,6 @@ from repro.metrics import (
     CostTrace,
     common_quality_threshold,
     speedup_curve,
-    speedup_to_quality,
     time_to_quality,
 )
 
@@ -28,25 +27,6 @@ class TestTimeToQuality:
 
     def test_unreachable_quality_is_none(self):
         assert time_to_quality(linear_trace(0.01), -1.0) is None
-
-
-class TestSpeedupToQuality:
-    def test_basic_ratio(self):
-        baseline = linear_trace(0.05)
-        parallel = linear_trace(0.10)
-        speedup = speedup_to_quality(baseline, parallel, threshold=0.5)
-        assert speedup == pytest.approx(2.0)
-
-    def test_none_when_either_misses(self):
-        baseline = linear_trace(0.05)
-        never = CostTrace.from_pairs([(0, 1.0), (10, 0.9)])
-        assert speedup_to_quality(baseline, never, threshold=0.5) is None
-        assert speedup_to_quality(never, baseline, threshold=0.5) is None
-
-    def test_zero_baseline_time_is_undefined(self):
-        instant = CostTrace.from_pairs([(0.0, 0.1)])
-        other = linear_trace(0.05)
-        assert speedup_to_quality(instant, other, threshold=0.5) is None
 
 
 class TestCommonThreshold:

@@ -32,7 +32,7 @@ class TestQueries:
 
     def test_best_and_final(self, trace):
         assert trace.best_cost == pytest.approx(0.6)
-        assert trace.final_cost == pytest.approx(0.7)
+        assert trace.costs[-1] == pytest.approx(0.7)
         assert trace.duration == pytest.approx(4.0)
 
     def test_time_to_reach(self, trace):
@@ -52,11 +52,6 @@ class TestQueries:
         assert trace.cost_at(0.5) == pytest.approx(1.0)
         assert trace.cost_at(2.5) == pytest.approx(0.8)  # best so far at t=2.5
         assert trace.cost_at(10.0) == pytest.approx(0.6)
-
-    def test_resampled(self, trace):
-        resampled = trace.resampled([0.0, 2.0, 4.0])
-        assert resampled.times == (0.0, 2.0, 4.0)
-        assert resampled.costs == (1.0, 0.8, 0.6)
 
     def test_times_and_costs(self, trace):
         assert trace.times == (0, 1, 2, 3, 4)

@@ -13,6 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core import get_domain
 from repro.parallel import ParallelSearchParams
 from repro.parallel.clw import clw_process
 from repro.parallel.delta import (
@@ -140,22 +141,96 @@ class TestDeltaEncoder:
         assert not payload.is_full and payload.base_version == 9
 
 
+@pytest.fixture(scope="module", params=["placement", "qap"])
+def domain_problem(request):
+    """One small problem per registered domain."""
+    if request.param == "placement":
+        return get_domain("placement").build_problem("tiny16", reference_seed=7)
+    return get_domain("qap").build_problem("rand32", reference_seed=0)
+
+
 class TestResidentSolution:
-    def test_plan_and_mismatch(self):
+    """Every outcome of the receiver side both tiers share, on both domains."""
+
+    def first_contact(self, problem, version=0):
         resident = ResidentSolution()
-        full = SolutionPayload.full_shipment(np.arange(8), version=3)
-        kind, data = resident.plan(full)
-        assert kind == "full"
-        resident.adopted(full)
+        base = problem.random_solution(seed=1)
+        evaluator, applied = resident.adopt(
+            problem, None, SolutionPayload.full_shipment(base, version)
+        )
+        assert applied == -1
+        return resident, evaluator, base
+
+    def test_full_payload_on_first_contact_builds_the_evaluator(self, domain_problem):
+        resident, evaluator, base = self.first_contact(domain_problem, version=3)
         assert resident.version == 3
+        assert np.array_equal(evaluator.snapshot(), base)
+        assert evaluator.cost() == domain_problem.make_evaluator(base).cost()
 
-        matching = SolutionPayload.delta_shipment(np.array([[0, 1]]), 4, base_version=3)
-        kind, data = resident.plan(matching)
-        assert kind == "delta" and data.shape == (1, 2)
+    def test_delta_on_first_contact_asks_for_a_resend(self, domain_problem):
+        resident = ResidentSolution()
+        delta = SolutionPayload.delta_shipment(np.array([[0, 1]]), 1, base_version=-1)
+        assert resident.adopt(domain_problem, None, delta) == (None, None)
+        assert resident.version == -1
 
-        mismatching = SolutionPayload.delta_shipment(np.array([[0, 1]]), 4, base_version=7)
-        kind, data = resident.plan(mismatching)
-        assert kind == "mismatch" and data is None
+    def test_full_install_replaces_the_resident_solution(self, domain_problem):
+        resident, evaluator, _ = self.first_contact(domain_problem)
+        target = domain_problem.random_solution(seed=2)
+        adopted, applied = resident.adopt(
+            domain_problem, evaluator, SolutionPayload.full_shipment(target, 1)
+        )
+        assert adopted is evaluator and applied == -1 and resident.version == 1
+        assert np.array_equal(evaluator.snapshot(), target)
+
+    def test_empty_delta_installs_nothing(self, domain_problem):
+        resident, evaluator, base = self.first_contact(domain_problem)
+        before = evaluator.cost()
+        empty = SolutionPayload.delta_shipment(
+            np.zeros((0, 2)), 1, base_version=0, target_crc=solution_crc(base)
+        )
+        adopted, applied = resident.adopt(domain_problem, evaluator, empty)
+        assert adopted is evaluator and applied == 0 and resident.version == 1
+        assert np.array_equal(evaluator.snapshot(), base)
+        assert evaluator.cost() == before
+
+    def test_applied_delta_equals_a_full_install(self, domain_problem):
+        resident, evaluator, base = self.first_contact(domain_problem)
+        target = random_swapped(base, 3, np.random.default_rng(6))
+        swaps = swap_list_between(base, target)
+        delta = SolutionPayload.delta_shipment(swaps, 1, 0, solution_crc(target))
+        adopted, applied = resident.adopt(domain_problem, evaluator, delta)
+        assert adopted is evaluator and resident.version == 1
+        assert applied == swaps.shape[0] > 0
+        installed = domain_problem.make_evaluator(base)
+        installed.install_solution(target)
+        assert np.array_equal(evaluator.snapshot(), installed.snapshot())
+        assert evaluator.cost() == pytest.approx(installed.cost(), abs=1e-9)
+
+    def test_wrong_base_version_asks_for_a_resend(self, domain_problem):
+        resident, evaluator, base = self.first_contact(domain_problem)
+        wrong = SolutionPayload.delta_shipment(
+            np.array([[0, 1]]), 2, base_version=1, target_crc=solution_crc(base)
+        )
+        assert resident.adopt(domain_problem, evaluator, wrong) == (evaluator, None)
+        assert resident.version == 0  # the resident solution is untouched
+        assert np.array_equal(evaluator.snapshot(), base)
+
+    def test_failed_checksum_asks_for_a_resend_and_resets_the_version(
+        self, domain_problem
+    ):
+        resident, evaluator, base = self.first_contact(domain_problem)
+        bad = SolutionPayload.delta_shipment(
+            np.array([[0, 1]]), 1, base_version=0, target_crc=solution_crc(base)
+        )
+        assert resident.adopt(domain_problem, evaluator, bad) == (evaluator, None)
+        assert resident.version == -1
+        # the full re-send recovers
+        target = domain_problem.random_solution(seed=3)
+        _, applied = resident.adopt(
+            domain_problem, evaluator, SolutionPayload.full_shipment(target, 1)
+        )
+        assert applied == -1 and resident.version == 1
+        assert np.array_equal(evaluator.snapshot(), target)
 
     def test_decode_solution_checks_crc(self):
         rng = np.random.default_rng(5)
@@ -192,7 +267,8 @@ def test_delta_adopt_matches_full_install_with_tabu_state(circuit):
         # the TSW's delta adopt: apply on the evaluator, then record the best
         cost_delta = delta_eval.apply_swaps(pairs, exact_timing=True)
         delta_search.note_best()
-        cost_full = full_search.adopt_solution(target)
+        cost_full = full_eval.install_solution(target)
+        full_search.note_best()
         assert cost_delta == pytest.approx(cost_full, abs=1e-6)
         assert np.array_equal(delta_eval.snapshot(), full_eval.snapshot())
 
@@ -393,18 +469,6 @@ def test_result_to_candidate_keeps_per_step_costs():
     move = _result_to_candidate(result)
     assert [s.cost_after for s in move.swaps] == [0.8, 0.65, 0.5]
     assert move.cost_after == 0.5
-
-    legacy = ClwResult(
-        clw_index=0,
-        round_id=1,
-        pairs=((1, 2), (3, 4)),
-        cost_before=0.9,
-        cost_after=0.5,
-        trials=8,
-        interrupted=False,
-    )
-    legacy_move = _result_to_candidate(legacy)
-    assert [s.cost_after for s in legacy_move.swaps] == [0.5, 0.5]
 
 
 def test_shipment_mode_does_not_change_trajectory(monkeypatch):

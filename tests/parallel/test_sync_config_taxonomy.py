@@ -60,10 +60,6 @@ class TestParallelSearchParams:
         assert params.report_fraction == 0.5
         assert params.diversify
 
-    def test_total_workers(self):
-        params = ParallelSearchParams(num_tsws=4, clws_per_tsw=3)
-        assert params.total_workers == 4 + 12
-
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -75,11 +75,6 @@ class TestCostEvaluator:
         assert actual == pytest.approx(predicted, rel=1e-6)
         evaluator.verify_consistency()
 
-    def test_swap_gain_sign_convention(self, evaluator):
-        gain = evaluator.swap_gain(3, 4)
-        new_cost = evaluator.evaluate_swap(3, 4)
-        assert gain == pytest.approx(evaluator.cost() - new_cost)
-
     def test_evaluation_counter_increments(self, evaluator):
         start = evaluator.evaluations
         evaluator.evaluate_swap(0, 1)

@@ -167,10 +167,6 @@ class TestEvaluator:
         reference_eval = problem.make_evaluator(problem.random_solution(seed=0))
         assert reference_eval.cost() == pytest.approx(1.0)
 
-    def test_swap_gain_sign(self, evaluator):
-        gain = evaluator.swap_gain(0, 1)
-        assert gain == pytest.approx(evaluator.cost() - evaluator.evaluate_swap(0, 1))
-
     def test_objectives_as_dict(self, evaluator):
         objectives = evaluator.objectives()
         assert objectives.as_dict() == {"flow_cost": evaluator.raw_cost()}

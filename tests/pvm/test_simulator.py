@@ -295,7 +295,7 @@ class TestStatsAndDeterminism:
         assert stats.total_work_units == pytest.approx(50 + 100 + 150 + 200)
         assert stats.num_processes == 5
         assert len(stats.per_machine_busy) == kernel.cluster.num_machines
-        assert all(0 <= u <= 1 for u in stats.machine_utilisation())
+        assert all(0 <= b <= stats.virtual_makespan for b in stats.per_machine_busy)
 
     def test_children_finish_in_work_order_on_identical_machines(self):
         kernel = make_kernel(num_machines=8)

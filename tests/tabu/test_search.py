@@ -239,16 +239,25 @@ def _swap_move(search: TabuSearch, *, improving: bool) -> CompoundMove:
     )
 
 
+def adopt(search, solution):
+    """A TSW's full install: install on the evaluator, then note the best."""
+    cost = search.evaluator.install_solution(solution)
+    search.note_best()
+    return cost
+
+
 class TestAdoptSolution:
     def test_adopt_better_solution_updates_best(self):
         search = make_search()
         # run a second search to obtain a better solution
         donor = make_search(seed=2)
         donor.run(TerminationCriteria(max_iterations=30))
-        search.adopt_solution(donor.best_solution)
+        cost = adopt(search, donor.best_solution)
         assert search.current_cost == pytest.approx(
             search.evaluator.cost()
         )
+        assert search.best_cost == cost
+        assert np.array_equal(search.best_solution, donor.best_solution)
 
     def test_adopt_keeps_the_search_memories(self):
         search = make_search(tabu_tenure=10)
@@ -258,7 +267,7 @@ class TestAdoptSolution:
         counts = search.frequency_memory.counts.copy()
         iteration = search.iteration
         donor = make_search(seed=2)
-        search.adopt_solution(donor.evaluator.snapshot())
+        adopt(search, donor.evaluator.snapshot())
         assert search.tabu_list.to_payload() == payload
         assert np.array_equal(search.frequency_memory.counts, counts)
         assert search.iteration == iteration
@@ -268,7 +277,7 @@ class TestAdoptSolution:
         search.run(TerminationCriteria(max_iterations=20))
         best_cost, best_solution = search.best_cost, search.best_solution
         worse = make_search(seed=3).evaluator.snapshot()
-        cost = search.adopt_solution(worse)
+        cost = adopt(search, worse)
         assert cost > best_cost
         assert search.current_cost == pytest.approx(cost)
         assert search.best_cost == best_cost
