@@ -1,8 +1,10 @@
-"""Helpers shared by the figure-reproduction benchmarks."""
+"""Helpers shared by the benchmark scripts."""
 
 from __future__ import annotations
 
+import os
 import pathlib
+import statistics
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -15,6 +17,20 @@ def run_once(benchmark, func, **kwargs):
     for no benefit — the interesting output is the figure data.
     """
     return benchmark.pedantic(func, kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def available_cpus() -> int:
+    """CPUs actually available to this process (cgroup/affinity aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux
+        return os.cpu_count() or 1
+
+
+def spread(values) -> dict:
+    """Median and interquartile range of ``values``."""
+    quartiles = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "iqr": quartiles[2] - quartiles[0]}
 
 
 def report_figure(result) -> None:

@@ -20,7 +20,7 @@ shipping); this benchmark measures the result and guards it:
 
 Results land in ``BENCH_protocol.json`` (override with the
 ``BENCH_PROTOCOL_JSON`` env var); CI uploads the file per run.  Enforced
-bars (each overridable by env var, retried once against runner noise):
+bars (each overridable by env var):
 
 * ``commit_swap``  <= 60 µs absolute, OR <= 0.08x the 256-pair batch
   evaluation (machine-speed calibration: the seed ratio was ~0.23) —
@@ -28,9 +28,13 @@ bars (each overridable by env var, retried once against runner noise):
 * steady-state path cost <= 17 ms/iter with 4 TSWs
   (``REPRO_PROTOCOL_PATH_BAR_MS``, enforced on runners with >= 4 cores only,
   like the wall-clock bar)
-* protocol overhead (path cost minus serial ms/iter, measured in the same
-  window so machine throttling cancels) <= 5 ms/iter
+* protocol overhead (path cost minus serial ms/iter, both timed in the
+  same round so machine throttling cancels) <= 5 ms/iter
   (``REPRO_PROTOCOL_OVERHEAD_BAR_MS``, enforced on every runner)
+
+  The path cost and the overhead are medians over three alternating rounds
+  of one serial, one short and one long parallel run, reported with their
+  interquartile ranges.
 * **round trip** — the median of 2,000 OS parent↔child round trips through
   ``ProcessKernel`` is at most 5x the median over a bare duplex
   ``multiprocessing.Pipe`` (a constant, not retried).  Blocks of the two
@@ -69,6 +73,8 @@ from repro.parallel.delta import DeltaEncoder, swap_list_between
 from repro.parallel.messages import ClwTask, GlobalStart
 from repro.pvm import ProcessKernel
 
+from _utils import available_cpus, spread
+
 CIRCUIT = "c532"
 SEED = 2003
 COMMIT_BAR_US = float(os.environ.get("REPRO_PROTOCOL_COMMIT_BAR_US", "60"))
@@ -80,13 +86,8 @@ OVERHEAD_BAR_MS = float(os.environ.get("REPRO_PROTOCOL_OVERHEAD_BAR_MS", "5"))
 ROUND_TRIPS = 2000
 ROUND_TRIP_BLOCKS = 3
 ROUND_TRIP_BAR_RATIO = 5.0
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
+#: Alternating rounds of one serial, one short and one long parallel run.
+PATH_ROUNDS = 3
 
 
 def _time_us(func, repeats: int, warmup: int = 20) -> float:
@@ -216,23 +217,27 @@ def measure_path_cost(problem, netlist, iterations: int, num_tsws: int) -> dict:
     spawn/join is a fixed cost independent of the iteration count, so two
     runs of different lengths isolate the steady-state slope:
     ``(t_long - t_short) / (iters_long - iters_short)``.
+
+    Each of :data:`PATH_ROUNDS` rounds times one serial path, one short and
+    one long parallel run, so a slow spell of the host moves one round's
+    slope and overhead, not the reported medians.
     """
     global_iterations = 3
     short_locals = max(1, iterations // (6 * global_iterations))
     long_locals = max(short_locals + 1, iterations // global_iterations)
     tabu = dict(pairs_per_step=256, move_depth=6, early_accept=False)
-
     serial_iterations = global_iterations * long_locals
-    evaluator = problem.make_evaluator(problem.random_solution(SEED))
-    search = TabuSearch(
-        evaluator,
-        TabuSearchParams(local_iterations=serial_iterations, **tabu),
-        seed=SEED,
-    )
-    start = time.perf_counter()
-    search.run(TerminationCriteria(max_iterations=serial_iterations))
-    serial_seconds = time.perf_counter() - start
-    serial_ms = serial_seconds / serial_iterations * 1e3
+
+    def run_serial():
+        evaluator = problem.make_evaluator(problem.random_solution(SEED))
+        search = TabuSearch(
+            evaluator,
+            TabuSearchParams(local_iterations=serial_iterations, **tabu),
+            seed=SEED,
+        )
+        start = time.perf_counter()
+        search.run(TerminationCriteria(max_iterations=serial_iterations))
+        return time.perf_counter() - start
 
     def run_parallel(local_iterations):
         params = ParallelSearchParams(
@@ -256,42 +261,38 @@ def measure_path_cost(problem, netlist, iterations: int, num_tsws: int) -> dict:
         assert result.best_cost < result.initial_cost
         return time.perf_counter() - start
 
-    cpus = _available_cpus()
+    cpus = available_cpus()
     effective_cores = min(cpus, 2 * num_tsws + 1)
-
-    def measure_once():
-        short_seconds = run_parallel(short_locals)
-        long_seconds = run_parallel(long_locals)
-        slope = (long_seconds - short_seconds) / (
+    serial_ms, path_ms, overhead_ms, inclusive_ms = [], [], [], []
+    short_seconds, long_seconds = [], []
+    for _ in range(PATH_ROUNDS):
+        serial_ms.append(run_serial() / serial_iterations * 1e3)
+        short_seconds.append(run_parallel(short_locals))
+        long_seconds.append(run_parallel(long_locals))
+        slope = (long_seconds[-1] - short_seconds[-1]) / (
             global_iterations * (long_locals - short_locals)
         )
-        return short_seconds, long_seconds, slope * effective_cores / num_tsws * 1e3
-
-    short_seconds, long_seconds, path_ms = measure_once()
-    attempts = 1
-    over_absolute = path_ms > PATH_BAR_MS and cpus >= 4
-    over_relative = path_ms - serial_ms > OVERHEAD_BAR_MS
-    if over_absolute or over_relative:
-        # one retry against noisy neighbours, keep the better run
-        retry = measure_once()
-        attempts = 2
-        if retry[2] < path_ms:
-            short_seconds, long_seconds, path_ms = retry
-    inclusive_ms = (
-        long_seconds * effective_cores / (num_tsws * global_iterations * long_locals) * 1e3
-    )
+        path_ms.append(slope * effective_cores / num_tsws * 1e3)
+        overhead_ms.append(path_ms[-1] - serial_ms[-1])
+        inclusive_ms.append(
+            long_seconds[-1] * effective_cores / (num_tsws * serial_iterations) * 1e3
+        )
+    path, overhead = spread(path_ms), spread(overhead_ms)
     return {
-        "iterations_per_path": global_iterations * long_locals,
+        "iterations_per_path": serial_iterations,
         "num_tsws": num_tsws,
         "cpu_count": cpus,
         "effective_cores": effective_cores,
-        "serial_ms_per_iter": serial_ms,
-        "parallel_seconds_short": short_seconds,
-        "parallel_seconds_long": long_seconds,
-        "parallel_path_ms_per_iter": path_ms,
-        "parallel_path_ms_per_iter_with_spawn": inclusive_ms,
-        "overhead_ms_per_iter": path_ms - serial_ms,
-        "attempts": attempts,
+        "rounds": PATH_ROUNDS,
+        "serial_ms_per_iter": spread(serial_ms),
+        "parallel_seconds_short": spread(short_seconds),
+        "parallel_seconds_long": spread(long_seconds),
+        "parallel_path_ms_per_iter": path["median"],
+        "parallel_path_ms_per_iter_iqr": path["iqr"],
+        "parallel_path_ms_per_iter_with_spawn": spread(inclusive_ms),
+        "overhead_ms_per_iter": overhead["median"],
+        "overhead_ms_per_iter_iqr": overhead["iqr"],
+        "overhead_ms_per_round": overhead_ms,
     }
 
 
@@ -427,9 +428,9 @@ def main() -> int:
     if path["overhead_ms_per_iter"] > OVERHEAD_BAR_MS:
         failures.append(
             f"protocol overhead {path['overhead_ms_per_iter']:.1f} ms/iter "
-            f"exceeds the {OVERHEAD_BAR_MS:.0f} ms bar (path "
+            f"exceeds the {OVERHEAD_BAR_MS:.0f} ms bar (median path "
             f"{path['parallel_path_ms_per_iter']:.1f} vs serial "
-            f"{path['serial_ms_per_iter']:.1f})"
+            f"{path['serial_ms_per_iter']['median']:.1f})"
         )
     trip = report["round_trip"]
     if trip["kernel_vs_pipe_ratio"] > ROUND_TRIP_BAR_RATIO:

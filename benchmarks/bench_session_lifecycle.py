@@ -62,19 +62,13 @@ from repro import (
 )
 from repro.parallel import build_problem
 
+from _utils import available_cpus
+
 CIRCUIT = "c532"
 SEED = 2003
 #: Acceptance: warm submit >= 3x faster than cold startup (overridable for
 #: slower/noisier environments).
 WARM_BAR = float(os.environ.get("REPRO_SESSION_BAR", "3.0"))
-
-
-def _available_cpus() -> int:
-    """CPUs actually available to this process (cgroup/affinity aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def _params(num_tsws: int) -> ParallelSearchParams:
@@ -214,7 +208,7 @@ def run_benchmark(num_tsws, repeats):
     return {
         "circuit": CIRCUIT,
         "backend": "processes",
-        "cpu_count": _available_cpus(),
+        "cpu_count": available_cpus(),
         "topology": {"num_tsws": num_tsws, "clws_per_tsw": 1},
         "workload": {
             "global_iterations": params.global_iterations,

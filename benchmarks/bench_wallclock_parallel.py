@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import json
 import os
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -71,6 +70,8 @@ from repro import (
 )
 from repro.parallel import build_problem
 
+from _utils import available_cpus, spread
+
 CIRCUIT = "c532"
 SEED = 2003
 #: Acceptance: >= 3x with 4 TSWs on a >= 4-core runner (overridable for
@@ -80,14 +81,6 @@ SPEEDUP_BAR = float(os.environ.get("REPRO_WALLCLOCK_BAR", "3.0"))
 REPEATS = 3
 
 
-def _available_cpus() -> int:
-    """CPUs actually available to this process (cgroup/affinity aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
 def _tabu_params(iterations: int) -> TabuSearchParams:
     return TabuSearchParams(
         local_iterations=iterations,
@@ -95,12 +88,6 @@ def _tabu_params(iterations: int) -> TabuSearchParams:
         move_depth=6,
         early_accept=False,
     )
-
-
-def _spread(values) -> dict:
-    """Median and interquartile range of ``values``."""
-    quartiles = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": statistics.median(values), "iqr": quartiles[2] - quartiles[0]}
 
 
 def run_benchmark(tsw_counts, iterations):
@@ -171,12 +158,12 @@ def run_benchmark(tsw_counts, iterations):
     parallel_rows = []
     for num_tsws in tsw_counts:
         row = parallel[num_tsws]
-        speedup = _spread(row["speedups"])
+        speedup = spread(row["speedups"])
         parallel_rows.append(
             {
                 "num_tsws": num_tsws,
                 "iterations_per_path": iterations,
-                "seconds": _spread(row["seconds"]),
+                "seconds": spread(row["seconds"]),
                 "speedup": speedup["median"],
                 "speedup_iqr": speedup["iqr"],
                 "speedups": row["speedups"],
@@ -195,7 +182,7 @@ def run_benchmark(tsw_counts, iterations):
     return {
         "circuit": CIRCUIT,
         "backend": "processes",
-        "cpu_count": _available_cpus(),
+        "cpu_count": available_cpus(),
         "repeats": REPEATS,
         "speedup_definition": (
             "N * t_serial / t_parallel(N): N concurrent serial-sized tabu "
@@ -204,7 +191,7 @@ def run_benchmark(tsw_counts, iterations):
         ),
         "serial": {
             "iterations": iterations,
-            "seconds": _spread(serial_seconds),
+            "seconds": spread(serial_seconds),
             "best_cost": serial_result.best_cost,
             "pairs_per_step": 256,
             "move_depth": 6,
@@ -226,7 +213,7 @@ def main() -> int:
     out_path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out_path}")
 
-    cpu_count = _available_cpus()
+    cpu_count = available_cpus()
     four_tsw = next((row for row in report["parallel"] if row["num_tsws"] == 4), None)
     if four_tsw is not None and cpu_count >= 4:
         if four_tsw["speedup"] < SPEEDUP_BAR:

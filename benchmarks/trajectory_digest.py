@@ -9,7 +9,10 @@ through the public API only, and prints
 one ``<scenario> <digest>`` line per scenario.  A digest hashes everything a
 run's trajectory shows from outside: best cost and solution, the best-cost
 trace, the per-round records, the virtual makespan, the simulator's message,
-byte and event counts, and the fault events.
+byte and event counts, and the fault events.  A last ``checkpoint-bytes``
+line hashes the checkpoint artifacts of two sessions paused after one round
+(tiny16 and rand32, the ones ``tests/session/fixtures/`` commits), so a
+change that alters what a checkpoint writes shows too.
 
 Two commits walk the same trajectories exactly when every digest matches.
 Compare a base commit against a change by running the script once against
@@ -239,9 +242,22 @@ def scenarios():
     ]
 
 
+def checkpoint_digest() -> str:
+    """sha256 over the artifacts of tiny16 and rand32 paused after ``step(1)``."""
+    hasher = hashlib.sha256()
+    params = _params(num_tsws=2, clws_per_tsw=1, global_iterations=4)
+    for domain, instance, reference_seed in (("placement", "tiny16", 7), ("qap", "rand32", 0)):
+        problem = get_domain(domain).build_problem(instance, reference_seed=reference_seed)
+        session = SearchSession(problem=problem, params=params)
+        session.step(1)
+        hasher.update(session.checkpoint().to_bytes())
+    return hasher.hexdigest()[:16]
+
+
 def main() -> int:
     for name, thunk in scenarios():
         print(f"{name} {_digest(*thunk())}", flush=True)
+    print(f"checkpoint-bytes {checkpoint_digest()}", flush=True)
     return 0
 
 
