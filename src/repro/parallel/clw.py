@@ -16,6 +16,8 @@ with the evaluator's bulk ``apply_swaps`` path instead of a
 full install and cache rebuild.  An empty delta (the TSW's solution did not
 change) skips the install outright.  On a base-version or checksum mismatch
 the CLW answers a ``needs_full`` NACK and the TSW re-sends the task in full.
+These decisions live in :class:`~repro.parallel.delta.ResidentSolution`,
+through which the TSW adopts the master's broadcasts too.
 
 Between depth steps the CLW polls for an early-report request
 (:class:`~repro.parallel.messages.ReportNow`) from the parent — the mechanism

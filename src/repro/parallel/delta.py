@@ -37,9 +37,11 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
+
+from ..core.protocols import SearchProblem, SwapEvaluator
 
 __all__ = [
     "SolutionPayload",
@@ -329,8 +331,11 @@ class ResidentSolution:
         self.version = -1
 
     def adopt(
-        self, problem: Any, evaluator: Any, payload: SolutionPayload
-    ) -> Tuple[Any, Optional[int]]:
+        self,
+        problem: SearchProblem,
+        evaluator: Optional[SwapEvaluator],
+        payload: SolutionPayload,
+    ) -> Tuple[Optional[SwapEvaluator], Optional[int]]:
         """Apply ``payload`` to ``evaluator``; return ``(evaluator, applied)``.
 
         ``applied`` is ``-1`` for a full install (on first contact a full
