@@ -267,6 +267,8 @@ def tsw_process(
                 seed=derive_seed(seed, "tsw-search", tsw_index),
             )
         elif applied:
+            # adopt checked the delta's checksum first, so a wrong base never
+            # reaches the best-solution tracking
             search.note_best()
         # an empty delta installs nothing: the post-report normalisation left
         # the evaluator in the state a full install would produce
