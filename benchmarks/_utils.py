@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import os
+import contextlib
 import pathlib
-import statistics
+
+from repro.parallel.coordinator import Coordinator
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -19,18 +20,26 @@ def run_once(benchmark, func, **kwargs):
     return benchmark.pedantic(func, kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0)
 
 
-def available_cpus() -> int:
-    """CPUs actually available to this process (cgroup/affinity aware)."""
+@contextlib.contextmanager
+def after_first_round(action):
+    """Call ``action`` on the master's thread once it has collected its
+    first round of reports (the workers' coordinators run in their own
+    processes, which this patch does not reach).  A wall-clock timer would
+    miss a run that finishes before it fires."""
+    collect = Coordinator.collect
+    pending = [action]
+
+    def collect_then_act(self, *args, **kwargs):
+        results = yield from collect(self, *args, **kwargs)
+        while pending:
+            pending.pop()()
+        return results
+
+    Coordinator.collect = collect_then_act
     try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
-def spread(values) -> dict:
-    """Median and interquartile range of ``values``."""
-    quartiles = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": statistics.median(values), "iqr": quartiles[2] - quartiles[0]}
+        yield
+    finally:
+        Coordinator.collect = collect
 
 
 def report_figure(result) -> None:

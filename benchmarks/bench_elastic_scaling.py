@@ -9,10 +9,12 @@ global-iteration boundary's range re-partition.  This benchmark puts numbers
 on that machinery:
 
 * **Elastic vs static fleet (processes)** — the same seeded search on a warm
-  pool that starts with 2 TSWs and admits 2 more one second in, against the
-  static 2-TSW fleet.  Reported: wall time and total evaluations of both
-  runs.  Enforced: the elastic run out-evaluates the static small fleet —
-  the admitted workers do real work.
+  pool that starts with 2 TSWs and admits 2 more once the master has
+  collected the first round of reports (a wall-clock timer would miss a
+  run that finishes before it fires), against the static 2-TSW fleet.
+  Reported: wall time and total evaluations of both runs.  Enforced: the
+  elastic run makes >= 1.05x the static small fleet's evaluations — the
+  admitted workers do real work.
 * **Admission overhead (simulated)** — virtual time from the seeded
   admission request to the boundary re-partition that activates the new
   workers.  Enforced: the new workers join at the *next* boundary (bounded
@@ -22,7 +24,8 @@ on that machinery:
   same trace, same fault events, same final cost.
 
 Results are written to ``BENCH_elastic.json`` (override with the
-``BENCH_ELASTIC_JSON`` env var); CI uploads the file per run.
+``BENCH_ELASTIC_JSON`` env var); each wall time is one run, recorded as
+``{median, iqr, n}`` (``benchmarks/_timing.py``).
 
 Run it directly (worker processes re-import it, hence the ``__main__``
 guard)::
@@ -32,11 +35,8 @@ guard)::
 
 from __future__ import annotations
 
-import json
 import os
 import sys
-import threading
-import time
 from pathlib import Path
 
 from repro import (
@@ -51,8 +51,13 @@ from repro import (
 )
 from repro.core.registry import get_domain
 
+from _timing import Bar, check, summary, timed
+from _utils import after_first_round
+
 CIRCUIT = "tiny16"
 SEED = 2003
+GAIN_BAR = 1.05
+OUTPUT = Path(os.environ.get("BENCH_ELASTIC_JSON", "BENCH_elastic.json"))
 
 
 def _event_rows(result):
@@ -74,38 +79,28 @@ def measure_elastic_vs_static(problem):
         fault=FaultPolicy(round_deadline=30.0, clw_deadline=20.0, max_missed_deadlines=0),
     )
 
+    runs = []
+
+    def run():
+        runs.append(pool.run_master(problem, params, join_timeout=300.0)[0])
+
     with WorkerPool(2, 1, backend="processes") as pool:
-        start = time.perf_counter()
-        static, _, _ = pool.run_master(problem, params, join_timeout=300.0)
-        static_wall = time.perf_counter() - start
+        static_wall = timed(run)()
+        static = runs[-1]
         assert static.complete and static.num_workers == 2
 
     with WorkerPool(2, 1, backend="processes") as pool:
         grown = []
-        timer = threading.Timer(1.0, lambda: grown.extend(pool.grow(2)))
-        timer.start()
-        start = time.perf_counter()
-        try:
-            elastic, _, _ = pool.run_master(problem, params, join_timeout=300.0)
-        finally:
-            timer.cancel()
-        elastic_wall = time.perf_counter() - start
+        with after_first_round(lambda: grown.extend(pool.grow(2))):
+            elastic_wall = timed(run)()
+        elastic = runs[-1]
         assert elastic.complete, "elastic run must complete"
         assert len(grown) == 2, "grow must fire mid-run"
         assert elastic.admitted_workers == ("tsw2", "tsw3"), elastic.admitted_workers
         rows = {row[0]: row for row in elastic.health}
         assert rows[2][4] > 0 and rows[3][4] > 0, "admitted workers must contribute"
 
-    gain = (
-        elastic.total_tsw_evaluations / static.total_tsw_evaluations
-        if static.total_tsw_evaluations
-        else 1.0
-    )
-    assert gain > 1.05, (
-        f"2+2 elastic fleet must out-evaluate the static 2-TSW fleet, "
-        f"got {gain:.3f}x ({elastic.total_tsw_evaluations} vs "
-        f"{static.total_tsw_evaluations})"
-    )
+    gain = elastic.total_tsw_evaluations / static.total_tsw_evaluations
     print(
         f"processes : static 2 TSWs {static_wall:6.2f} s "
         f"({static.total_tsw_evaluations} evals), elastic 2+2 "
@@ -113,9 +108,9 @@ def measure_elastic_vs_static(problem):
         f"evaluation gain {gain:.2f}x"
     )
     return {
-        "static_wall_seconds": static_wall,
+        "static_wall_seconds": summary([static_wall]),
         "static_evaluations": static.total_tsw_evaluations,
-        "elastic_wall_seconds": elastic_wall,
+        "elastic_wall_seconds": summary([elastic_wall]),
         "elastic_evaluations": elastic.total_tsw_evaluations,
         "evaluation_gain": gain,
         "admitted": list(elastic.admitted_workers),
@@ -222,10 +217,13 @@ def main() -> int:
         "admission_overhead": measure_admission_overhead(problem),
         "grow_kill_determinism": measure_grow_kill_determinism(problem),
     }
-    out_path = Path(os.environ.get("BENCH_ELASTIC_JSON", "BENCH_elastic.json"))
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out_path}")
-    return 0
+    gain = Bar(
+        "evaluation_gain",
+        report["elastic_vs_static"]["evaluation_gain"],
+        GAIN_BAR,
+        higher_is_better=True,
+    )
+    return check([gain], report, OUTPUT)
 
 
 if __name__ == "__main__":

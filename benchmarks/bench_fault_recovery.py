@@ -21,7 +21,8 @@ benchmark puts numbers on that machinery:
   killed run completes with the dead worker's range re-assigned.
 
 Results are written to ``BENCH_faults.json`` (override with the
-``BENCH_FAULTS_JSON`` env var); CI uploads the file per run.
+``BENCH_FAULTS_JSON`` env var); each wall time is one run, recorded as
+``{median, iqr, n}`` like every timed value (``benchmarks/_timing.py``).
 
 Run it directly (worker processes re-import it, hence the ``__main__``
 guard)::
@@ -31,11 +32,8 @@ guard)::
 
 from __future__ import annotations
 
-import contextlib
-import json
 import os
 import sys
-import time
 from pathlib import Path
 
 from repro import (
@@ -48,11 +46,14 @@ from repro import (
     WorkerPool,
 )
 from repro.core.registry import get_domain
-from repro.parallel.coordinator import Coordinator
+
+from _timing import check, summary, timed
+from _utils import after_first_round
 
 CIRCUIT = "tiny16"
 SEED = 2003
 NUM_TSWS = 3
+OUTPUT = Path(os.environ.get("BENCH_FAULTS_JSON", "BENCH_faults.json"))
 
 
 def _sim_params() -> ParallelSearchParams:
@@ -118,27 +119,6 @@ def measure_simulated_recovery(problem):
     }
 
 
-@contextlib.contextmanager
-def _after_first_round(action):
-    """Call ``action`` on the master's thread once it has collected its
-    first round of reports (the workers' coordinators run in their own
-    processes, which this patch does not reach)."""
-    collect = Coordinator.collect
-    pending = [action]
-
-    def collect_then_act(self, *args, **kwargs):
-        results = yield from collect(self, *args, **kwargs)
-        while pending:
-            pending.pop()()
-        return results
-
-    Coordinator.collect = collect_then_act
-    try:
-        yield
-    finally:
-        Coordinator.collect = collect
-
-
 def measure_process_recovery(problem):
     """SIGTERM one of three warm TSW loops mid-run on the processes backend."""
     params = ParallelSearchParams(
@@ -150,20 +130,22 @@ def measure_process_recovery(problem):
         seed=SEED,
         fault=FaultPolicy(round_deadline=3.0, clw_deadline=2.0, max_missed_deadlines=0),
     )
-    with WorkerPool(NUM_TSWS, 1, backend="processes") as pool:
+    runs = []
 
-        start = time.perf_counter()
-        clean, _, _ = pool.run_master(problem, params, join_timeout=300.0)
-        clean_wall = time.perf_counter() - start
+    def run():
+        runs.append(pool.run_master(problem, params, join_timeout=300.0)[0])
+
+    with WorkerPool(NUM_TSWS, 1, backend="processes") as pool:
+        clean_wall = timed(run)()
+        clean = runs[-1]
         assert clean.complete and clean.dead_workers == ()
 
         victim = pool.tsw_pids[1]
         killed_flags = []
         kill = lambda: killed_flags.append(pool.kernel.terminate_worker(victim))  # noqa: E731
-        start = time.perf_counter()
-        with _after_first_round(kill):
-            degraded, _, _ = pool.run_master(problem, params, join_timeout=300.0)
-        degraded_wall = time.perf_counter() - start
+        with after_first_round(kill):
+            degraded_wall = timed(run)()
+        degraded = runs[-1]
         assert killed_flags == [True], "the kill must actually fire mid-run"
         assert degraded.complete, "killed run must complete degraded, not raise"
         assert degraded.dead_workers == ("tsw1",), degraded.dead_workers
@@ -171,9 +153,8 @@ def measure_process_recovery(problem):
         assert "range-reassigned" in kinds, kinds
 
         # a fault-enabled run repairs the pool first: the dead loop respawns
-        start = time.perf_counter()
-        second, _, _ = pool.run_master(problem, params, join_timeout=300.0)
-        repaired_wall = time.perf_counter() - start
+        repaired_wall = timed(run)()
+        second = runs[-1]
         assert second.complete and second.dead_workers == ()
         respawns = [e.worker for e in second.fault_events if e.kind == "worker-respawned"]
         assert respawns == ["tsw1"], respawns
@@ -184,10 +165,10 @@ def measure_process_recovery(problem):
         f"repaired rerun {repaired_wall:6.2f} s (respawned {respawns})"
     )
     return {
-        "clean_wall_seconds": clean_wall,
-        "killed_wall_seconds": degraded_wall,
-        "recovery_overhead_seconds": degraded_wall - clean_wall,
-        "repaired_wall_seconds": repaired_wall,
+        "clean_wall_seconds": summary([clean_wall]),
+        "killed_wall_seconds": summary([degraded_wall]),
+        "recovery_overhead_seconds": summary([degraded_wall - clean_wall]),
+        "repaired_wall_seconds": summary([repaired_wall]),
         "dead_workers": list(degraded.dead_workers),
         "respawned": respawns,
         "fault_events": _event_rows(degraded),
@@ -203,10 +184,7 @@ def main() -> int:
         "simulated": measure_simulated_recovery(problem),
         "processes": measure_process_recovery(problem),
     }
-    out_path = Path(os.environ.get("BENCH_FAULTS_JSON", "BENCH_faults.json"))
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out_path}")
-    return 0
+    return check([], report, OUTPUT)
 
 
 if __name__ == "__main__":

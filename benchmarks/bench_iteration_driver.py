@@ -22,14 +22,16 @@ measures the result and guards it:
   for a compound-move-sized rewind (documents why the driver jumps through
   ``save_state``/``restore_state`` tokens).
 
-Results land in ``BENCH_driver.json`` (override with ``BENCH_DRIVER_JSON``);
-CI uploads the file per run.  Enforced bars (each overridable by env var,
-retried once against runner noise):
+Results land in ``BENCH_driver.json`` (override with ``BENCH_DRIVER_JSON``).
+Enforced bars:
 
-* serial vectorized iteration on c532 <= 7 ms (``REPRO_DRIVER_SERIAL_BAR_MS``;
-  the dev-environment target is <= 5 ms — CI runners get headroom);
-* driver-overhead ratio <= 3x on both instances
-  (``REPRO_DRIVER_OVERHEAD_RATIO``).
+* serial vectorized iteration on c532 <= 7 ms (the dev-environment target
+  is <= 5 ms — CI runners get headroom);
+* driver-overhead ratio <= 3x on both instances.
+
+Each round (``benchmarks/_timing.py``) runs a few iterations of each driver
+and the same trial volume as standalone batches, so the overhead ratio is
+the median of per-round ratios.
 
 Run it directly::
 
@@ -38,23 +40,17 @@ Run it directly::
 
 from __future__ import annotations
 
-import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from repro import (
-    ParallelSearchParams,
-    TabuSearch,
-    TabuSearchParams,
-    TerminationCriteria,
-    load_benchmark,
-)
+from repro import ParallelSearchParams, TabuSearch, TabuSearchParams, load_benchmark
 from repro.core import get_domain
 from repro.parallel import build_problem
+
+from _timing import Bar, alternate, check, ratio, summary, timed
 
 # The reference driver lives with the tests that pin the shipped one.
 _TESTS_DIR = str(Path(__file__).resolve().parent.parent / "tests")
@@ -66,54 +62,36 @@ from oracles.tabu import ReferenceTabuSearch  # noqa: E402
 PAIRS_PER_STEP = 256
 MOVE_DEPTH = 6
 SEED = 2003
-WARMUP_ITERATIONS = 15
-MEASURED_ITERATIONS = 60
-SERIAL_BAR_MS = float(os.environ.get("REPRO_DRIVER_SERIAL_BAR_MS", "7"))
-OVERHEAD_RATIO_BAR = float(os.environ.get("REPRO_DRIVER_OVERHEAD_RATIO", "3"))
+#: Each driver runs ITERATIONS_PER_ROUND iterations per round: WARMUP
+#: rounds (15 iterations) untimed, then ROUNDS (60 iterations) timed.
+ITERATIONS_PER_ROUND = 5
+WARMUP = 3
+ROUNDS = 12
+REWIND_ROUNDS = 60
+SERIAL_BAR_MS = 7.0
+OVERHEAD_RATIO_BAR = 3.0
 OUTPUT = Path(os.environ.get("BENCH_DRIVER_JSON", "BENCH_driver.json"))
 
 
-def _tabu_params(iterations: int) -> TabuSearchParams:
-    return TabuSearchParams(
-        local_iterations=iterations,
-        pairs_per_step=PAIRS_PER_STEP,
-        move_depth=MOVE_DEPTH,
-        early_accept=False,
-    )
-
-
-def _ms_per_iteration(problem, search_cls) -> float:
+def _iterations(problem, search_cls):
+    """A side that runs ITERATIONS_PER_ROUND more iterations of one search."""
     evaluator = problem.make_evaluator(problem.random_solution(SEED))
-    search = search_cls(
-        evaluator,
-        _tabu_params(WARMUP_ITERATIONS + MEASURED_ITERATIONS),
-        seed=SEED,
+    params = TabuSearchParams(
+        pairs_per_step=PAIRS_PER_STEP, move_depth=MOVE_DEPTH, early_accept=False
     )
-    search.run(TerminationCriteria(max_iterations=WARMUP_ITERATIONS), record_trace=False)
-    start = time.perf_counter()
-    search.run(
-        TerminationCriteria(max_iterations=WARMUP_ITERATIONS + MEASURED_ITERATIONS),
-        record_trace=False,
-    )
-    return (time.perf_counter() - start) / MEASURED_ITERATIONS * 1e3
+    return timed(search_cls(evaluator, params, seed=SEED).step, ITERATIONS_PER_ROUND)
 
 
-def _batch_eval_ms(problem) -> float:
-    """Pure kernel cost of one iteration's trial volume (d full batches)."""
+def _batches(problem):
+    """A side that evaluates one iteration's trial volume as d full batches."""
     evaluator = problem.make_evaluator(problem.random_solution(SEED))
-    rng = np.random.default_rng(7)
-    pairs = rng.integers(0, evaluator.num_cells, size=(PAIRS_PER_STEP, 2))
-    for _ in range(20):
-        evaluator.evaluate_swaps_batch(pairs)
-    repeats = 100
-    start = time.perf_counter()
-    for _ in range(repeats):
-        evaluator.evaluate_swaps_batch(pairs)
-    per_batch = (time.perf_counter() - start) / repeats * 1e3
-    return per_batch * MOVE_DEPTH
+    pairs = np.random.default_rng(7).integers(
+        0, evaluator.num_cells, size=(PAIRS_PER_STEP, 2)
+    )
+    return timed(lambda: evaluator.evaluate_swaps_batch(pairs), MOVE_DEPTH)
 
 
-def _rewind_ms(problem) -> dict:
+def _rewinds(problem) -> dict:
     """Snapshot-restore versus reverse-apply rewind of a depth-6 move."""
     evaluator = problem.make_evaluator(problem.random_solution(SEED))
     rng = np.random.default_rng(8)
@@ -129,117 +107,60 @@ def _rewind_ms(problem) -> dict:
         evaluator.apply_swaps(pairs)
         evaluator.undo_swaps(pairs)
 
-    def timed(func, repeats=60, warmup=10):
-        for _ in range(warmup):
-            func()
-        start = time.perf_counter()
-        for _ in range(repeats):
-            func()
-        return (time.perf_counter() - start) / repeats * 1e3
-
-    return {
-        "snapshot_rewind_ms": timed(snapshot_rewind),
-        "undo_swaps_rewind_ms": timed(undo_rewind),
-    }
-
-
-def measure_instance(name: str, problem) -> dict:
-    vectorized_ms = _ms_per_iteration(problem, TabuSearch)
-    reference_ms = _ms_per_iteration(problem, ReferenceTabuSearch)
-    batch_ms = _batch_eval_ms(problem)
-    result = {
-        "instance": name,
-        "pairs_per_step": PAIRS_PER_STEP,
-        "move_depth": MOVE_DEPTH,
-        "vectorized_ms_per_iter": vectorized_ms,
-        "reference_ms_per_iter": reference_ms,
-        "batch_eval_ms_per_iter": batch_ms,
-        "driver_overhead_ratio": vectorized_ms / batch_ms,
-    }
-    result.update(_rewind_ms(problem))
-    return result
-
-
-def measure() -> dict:
-    placement_problem = build_problem(load_benchmark("c532"), ParallelSearchParams())
-    qap_problem = get_domain("qap").build_problem("rand100", reference_seed=0)
-    return {
-        "c532": measure_instance("c532", placement_problem),
-        "rand100": measure_instance("rand100", qap_problem),
-    }
-
-
-def _passes(results: dict) -> bool:
-    serial_ok = results["c532"]["vectorized_ms_per_iter"] <= SERIAL_BAR_MS
-    ratio_ok = all(
-        results[name]["driver_overhead_ratio"] <= OVERHEAD_RATIO_BAR
-        for name in results
+    samples = alternate(
+        {"snapshot": timed(snapshot_rewind), "undo": timed(undo_rewind)},
+        REWIND_ROUNDS,
+        warmup=10,
     )
-    return serial_ok and ratio_ok
+    return {
+        "snapshot_rewind_ms": summary(samples["snapshot"], 1e3),
+        "undo_swaps_rewind_ms": summary(samples["undo"], 1e3),
+    }
+
+
+def measure_instance(problem) -> dict:
+    samples = alternate(
+        {
+            "vectorized": _iterations(problem, TabuSearch),
+            "reference": _iterations(problem, ReferenceTabuSearch),
+            "batch": _batches(problem),
+        },
+        ROUNDS,
+        WARMUP,
+    )
+    return {
+        "vectorized_ms_per_iter": summary(samples["vectorized"], 1e3),
+        "reference_ms_per_iter": summary(samples["reference"], 1e3),
+        # the batch side's samples are per call; an iteration makes d calls
+        "batch_eval_ms_per_iter": summary(samples["batch"], MOVE_DEPTH * 1e3),
+        "driver_overhead_ratio": ratio(
+            samples["vectorized"], [s * MOVE_DEPTH for s in samples["batch"]]
+        ),
+        **_rewinds(problem),
+    }
 
 
 def main() -> int:
-    attempts = []
-    for _attempt in range(2):  # one retry against runner noise
-        results = measure()
-        attempts.append(results)
-        if _passes(results):
-            break
-
-    # prefer an attempt that clears every bar; only fall back to the
-    # fastest attempt when none passed (so the retry can actually rescue
-    # a noisy first run)
-    best = next(
-        (r for r in attempts if _passes(r)),
-        min(attempts, key=lambda r: r["c532"]["vectorized_ms_per_iter"]),
-    )
-    payload = {
-        "bar": {
-            "serial_ms_max_c532": SERIAL_BAR_MS,
-            "driver_overhead_ratio_max": OVERHEAD_RATIO_BAR,
-        },
-        "results": best,
-        "attempts": len(attempts),
+    results = {
+        "c532": measure_instance(
+            build_problem(load_benchmark("c532"), ParallelSearchParams())
+        ),
+        "rand100": measure_instance(
+            get_domain("qap").build_problem("rand100", reference_seed=0)
+        ),
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2))
-
-    for name, row in best.items():
-        print(f"{name} (m={PAIRS_PER_STEP}, d={MOVE_DEPTH}, no early accept):")
-        for key, value in row.items():
-            if isinstance(value, float):
-                print(f"  {key:>26}: {value:.3f}")
-            else:
-                print(f"  {key:>26}: {value}")
-    print(f"Results written to {OUTPUT}")
-
-    failed = False
-    if best["c532"]["vectorized_ms_per_iter"] > SERIAL_BAR_MS:
-        print(
-            f"FAIL: c532 serial iteration "
-            f"{best['c532']['vectorized_ms_per_iter']:.2f} ms > "
-            f"{SERIAL_BAR_MS:.1f} ms bar",
-            file=sys.stderr,
+    bars = [
+        Bar(
+            "c532 serial ms/iter",
+            results["c532"]["vectorized_ms_per_iter"]["median"],
+            SERIAL_BAR_MS,
         )
-        failed = True
-    for name, row in best.items():
-        if row["driver_overhead_ratio"] > OVERHEAD_RATIO_BAR:
-            print(
-                f"FAIL: {name} driver overhead "
-                f"{row['driver_overhead_ratio']:.2f}x > "
-                f"{OVERHEAD_RATIO_BAR:.1f}x batch-eval bar",
-                file=sys.stderr,
-            )
-            failed = True
-    if failed:
-        return 1
-    print(
-        f"OK: c532 {best['c532']['vectorized_ms_per_iter']:.2f} ms/iter "
-        f"(bar {SERIAL_BAR_MS:.1f}), overhead ratios "
-        + ", ".join(
-            f"{name} {row['driver_overhead_ratio']:.2f}x" for name, row in best.items()
-        )
-    )
-    return 0
+    ] + [
+        Bar(f"{name} driver_overhead_ratio", row["driver_overhead_ratio"]["median"], OVERHEAD_RATIO_BAR)
+        for name, row in results.items()
+    ]
+    workload = {"pairs_per_step": PAIRS_PER_STEP, "move_depth": MOVE_DEPTH}
+    return check(bars, {"workload": workload, "results": results}, OUTPUT)
 
 
 if __name__ == "__main__":

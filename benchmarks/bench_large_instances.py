@@ -13,24 +13,20 @@ tier actually runs and guards its scaling properties:
   big10k (10000 cells, sparse paths), plus n=256 QAP;
 * **CSR kernel tax** — the batched wirelength kernel on c532 with the CSR
   shared-net path forced, relative to the dense path.  Small instances pay
-  at most a modest tax for the path large instances need
-  (``REPRO_LARGE_CSR_RATIO``, default <= 1.5x).  Each of 200 repeats
-  times one dense and one CSR call back to back, after warming both up,
-  and each side reports its median call;
+  at most a modest tax for the path large instances need (<= 1.5x, the
+  median ratio of 200 alternating rounds of one call each);
 * **sublinear scaling** — per-iteration time must grow sublinearly in cell
-  count: ``(t_10k / t_c532) / (10000 / 395)`` stays below
-  ``REPRO_LARGE_SUBLINEAR`` (default 0.5 — i.e. at least 2x better than
-  linear extrapolation from the dense tier);
+  count: ``(t_10k / t_c532) / (10000 / 395)`` stays below 0.5 (at least
+  2x better than linear extrapolation from the dense tier), the median of
+  per-round ratios;
 * **batch leverage at n=256** — the QAP batch kernel must keep a large
-  advantage over scalar evaluation at the bigger size
-  (``REPRO_LARGE_QAP_BATCH``, default >= 15x; lower than the 20x bar at
-  n=100 because each scalar call's fixed Python overhead amortises against
-  an O(n) kernel that is 2.56x larger here — the measured headroom is
-  ~19x);
+  advantage over scalar evaluation at the bigger size (>= 15x; lower than
+  the 20x bar at n=100 because each scalar call's fixed Python overhead
+  amortises against an O(n) kernel that is 2.56x larger here — the
+  measured headroom is ~19x);
 * **peak memory** — the whole benchmark (10k placement + n=256 QAP,
-  serial + parallel) must finish under ``REPRO_LARGE_RSS_MB`` (default
-  1500 MB) of peak RSS per ``resource.getrusage`` — the dense fallbacks it
-  replaced could not;
+  serial + parallel) must finish under 1500 MB of peak RSS per
+  ``resource.getrusage`` — the dense fallbacks it replaced could not;
 * **end-to-end parallel** — a short 4-TSW ``processes``-backend run on both
   big10k and rand256 (informational timing: CI runners differ in core
   count; the point is that the full parallel stack works at scale).
@@ -38,9 +34,9 @@ tier actually runs and guards its scaling properties:
 The benchmark asserts it measures the paths it means to: big10k must select
 the ``csr`` incidence mode and the hashed tabu layout, c532 the dense ones.
 
-Results land in ``BENCH_large.json`` (override with ``BENCH_LARGE_JSON``);
-CI uploads the file per run.  Enforced bars are retried once against runner
-noise.
+Every timed comparison alternates its sides round by round
+(``benchmarks/_timing.py``).  Results land in ``BENCH_large.json``
+(override with ``BENCH_LARGE_JSON``).
 
 Run it directly (worker processes re-import it, hence the ``__main__``
 guard)::
@@ -50,11 +46,9 @@ guard)::
 
 from __future__ import annotations
 
-import json
 import os
 import resource
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +57,6 @@ from repro import (
     ParallelSearchParams,
     TabuSearch,
     TabuSearchParams,
-    TerminationCriteria,
     homogeneous_cluster,
     load_benchmark,
     run_parallel_search,
@@ -74,16 +67,22 @@ from repro.placement import Layout, random_placement
 from repro.placement.wirelength import WirelengthState
 from repro.tabu.tabu_list import ARRAY_TABU_MAX_CELLS
 
+from _timing import Bar, alternate, check, ratio, summary, timed
+
 PAIRS_PER_STEP = 256
 MOVE_DEPTH = 6
 SEED = 2003
-WARMUP_ITERATIONS = 5
-MEASURED_ITERATIONS = 25
+#: Each instance's search runs ITERATIONS_PER_ROUND iterations per round:
+#: one warm-up round, then ROUNDS timed rounds (25 iterations).
+ITERATIONS_PER_ROUND = 5
+ROUNDS = 5
+CSR_ROUNDS = 200
+QAP_ROUNDS = 25
 
-CSR_RATIO_BAR = float(os.environ.get("REPRO_LARGE_CSR_RATIO", "1.5"))
-SUBLINEAR_BAR = float(os.environ.get("REPRO_LARGE_SUBLINEAR", "0.5"))
-QAP_BATCH_BAR = float(os.environ.get("REPRO_LARGE_QAP_BATCH", "15"))
-RSS_BAR_MB = float(os.environ.get("REPRO_LARGE_RSS_MB", "1500"))
+CSR_RATIO_BAR = 1.5
+SUBLINEAR_BAR = 0.5
+QAP_BATCH_BAR = 15.0
+RSS_BAR_MB = 1500.0
 OUTPUT = Path(os.environ.get("BENCH_LARGE_JSON", "BENCH_large.json"))
 
 PLACEMENT_CIRCUITS = ("c532", "big2k", "big10k")
@@ -98,20 +97,11 @@ def _tabu_params(iterations: int) -> TabuSearchParams:
     )
 
 
-def _ms_per_iteration(problem) -> float:
+def _iterations(problem):
+    """A side that runs ITERATIONS_PER_ROUND more iterations of one search."""
     evaluator = problem.make_evaluator(problem.random_solution(SEED))
-    search = TabuSearch(
-        evaluator,
-        _tabu_params(WARMUP_ITERATIONS + MEASURED_ITERATIONS),
-        seed=SEED,
-    )
-    search.run(TerminationCriteria(max_iterations=WARMUP_ITERATIONS), record_trace=False)
-    start = time.perf_counter()
-    search.run(
-        TerminationCriteria(max_iterations=WARMUP_ITERATIONS + MEASURED_ITERATIONS),
-        record_trace=False,
-    )
-    return (time.perf_counter() - start) / MEASURED_ITERATIONS * 1e3
+    search = TabuSearch(evaluator, _tabu_params(ITERATIONS_PER_ROUND), seed=SEED)
+    return timed(search.step, ITERATIONS_PER_ROUND)
 
 
 def _incidence_mode(problem) -> str:
@@ -125,32 +115,20 @@ def _csr_dense_kernel_ratio() -> dict:
     rng = np.random.default_rng(7)
     a = rng.integers(0, placement.num_cells, PAIRS_PER_STEP).astype(np.int64)
     b = rng.integers(0, placement.num_cells, PAIRS_PER_STEP).astype(np.int64)
-
-    states = (
-        WirelengthState(placement, incidence="dense"),
-        WirelengthState(placement, incidence="csr"),
+    dense = WirelengthState(placement, incidence="dense")
+    csr = WirelengthState(placement, incidence="csr")
+    samples = alternate(
+        {
+            "dense": timed(lambda: dense.deltas_for_swaps(a, b)),
+            "csr": timed(lambda: csr.deltas_for_swaps(a, b)),
+        },
+        CSR_ROUNDS,
+        warmup=20,
     )
-
-    def timed(repeats=200, warmup=20):
-        """Median milliseconds per call on each state.  Both are warmed up,
-        then each repeat times one dense and one CSR call back to back, so
-        a busy spell on a shared host slows both sides alike."""
-        for _ in range(warmup):
-            for state in states:
-                state.deltas_for_swaps(a, b)
-        samples = ([], [])
-        for _ in range(repeats):
-            for side, state in zip(samples, states):
-                start = time.perf_counter()
-                state.deltas_for_swaps(a, b)
-                side.append(time.perf_counter() - start)
-        return tuple(float(np.median(side)) * 1e3 for side in samples)
-
-    dense_ms, csr_ms = timed()
     return {
-        "dense_batch_ms": dense_ms,
-        "csr_batch_ms": csr_ms,
-        "csr_over_dense_ratio": csr_ms / dense_ms,
+        "dense_batch_ms": summary(samples["dense"], 1e3),
+        "csr_batch_ms": summary(samples["csr"], 1e3),
+        "csr_over_dense_ratio": ratio(samples["csr"], samples["dense"]),
     }
 
 
@@ -159,37 +137,26 @@ def _qap_batch_leverage(problem) -> dict:
     evaluator = problem.make_evaluator(problem.random_solution(SEED))
     rng = np.random.default_rng(9)
     pairs = rng.integers(0, evaluator.num_cells, size=(PAIRS_PER_STEP, 2))
-
-    def timed_batch():
-        for _ in range(20):
-            evaluator.evaluate_swaps_batch(pairs)
-        repeats = 100
-        start = time.perf_counter()
-        for _ in range(repeats):
-            evaluator.evaluate_swaps_batch(pairs)
-        return (time.perf_counter() - start) / (repeats * len(pairs)) * 1e6
-
     scalar_pairs = pairs[:32].tolist()
 
-    def timed_scalar():
-        for cell_a, cell_b in scalar_pairs[:8]:
+    def scalar():
+        for cell_a, cell_b in scalar_pairs:
             evaluator.evaluate_swap(cell_a, cell_b)
-        repeats = 25
-        start = time.perf_counter()
-        for _ in range(repeats):
-            for cell_a, cell_b in scalar_pairs:
-                evaluator.evaluate_swap(cell_a, cell_b)
-        return (time.perf_counter() - start) / (repeats * len(scalar_pairs)) * 1e6
 
-    # best-of-3 each: single-shot timings on shared runners are noisy and a
-    # transient stall must not masquerade as lost batch leverage
-    batch_per_pair_us = min(timed_batch() for _ in range(3))
-    scalar_per_pair_us = min(timed_scalar() for _ in range(3))
-
+    samples = alternate(
+        {
+            "batch": timed(lambda: evaluator.evaluate_swaps_batch(pairs), calls=4),
+            "scalar": timed(scalar),
+        },
+        QAP_ROUNDS,
+        warmup=5,
+    )
+    batch = [s / len(pairs) for s in samples["batch"]]
+    scalar_per_pair = [s / len(scalar_pairs) for s in samples["scalar"]]
     return {
-        "batch_us_per_pair": batch_per_pair_us,
-        "scalar_us_per_pair": scalar_per_pair_us,
-        "batch_speedup": scalar_per_pair_us / batch_per_pair_us,
+        "batch_us_per_pair": summary(batch, 1e6),
+        "scalar_us_per_pair": summary(scalar_per_pair, 1e6),
+        "batch_speedup": ratio(scalar_per_pair, batch),
     }
 
 
@@ -207,180 +174,99 @@ def _parallel_run(problem, instance_name: str, num_tsws: int = 4) -> dict:
         seed=SEED,
     )
     iterations = global_iterations * local_iterations
-    start = time.perf_counter()
-    result = run_parallel_search(
-        params=params,
-        problem=problem,
-        backend="processes",
-        cluster=homogeneous_cluster(2 * num_tsws + 1),
-        join_timeout=3600.0,
-    )
-    seconds = time.perf_counter() - start
+    results = []
+    seconds = timed(
+        lambda: results.append(
+            run_parallel_search(
+                params=params,
+                problem=problem,
+                backend="processes",
+                cluster=homogeneous_cluster(2 * num_tsws + 1),
+                join_timeout=3600.0,
+            )
+        )
+    )()
+    result = results[0]
     assert result.best_cost <= result.initial_cost
     return {
         "instance": instance_name,
         "num_tsws": num_tsws,
         "iterations_per_path": iterations,
-        "seconds": seconds,
-        "ms_per_iteration_per_path": seconds / iterations * 1e3,
+        "seconds": summary([seconds]),
         "best_cost": result.best_cost,
         "initial_cost": result.initial_cost,
         "informational": True,
     }
 
 
-def _peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
 def measure() -> dict:
-    results: dict = {"serial": {}, "kernel": {}, "qap": {}, "parallel": []}
-
-    placement_problems = {}
+    results: dict = {"serial": {}}
+    problems = {}
     for circuit in PLACEMENT_CIRCUITS:
         netlist = load_benchmark(circuit)
-        problem = build_problem(netlist, ParallelSearchParams())
-        placement_problems[circuit] = problem
+        problems[circuit] = build_problem(netlist, ParallelSearchParams())
         results["serial"][circuit] = {
             "num_cells": netlist.num_cells,
-            "ms_per_iteration": _ms_per_iteration(problem),
-            "incidence_mode": _incidence_mode(problem),
+            "incidence_mode": _incidence_mode(problems[circuit]),
             "tabu_layout": (
                 "dense" if netlist.num_cells <= ARRAY_TABU_MAX_CELLS else "hashed"
             ),
         }
-
     # the benchmark must provably measure the paths it claims to
     assert results["serial"]["c532"]["incidence_mode"] == "dense"
     assert results["serial"]["big10k"]["incidence_mode"] == "csr"
     assert results["serial"]["big10k"]["tabu_layout"] == "hashed"
 
-    qap_problem = get_domain("qap").build_problem("rand256", reference_seed=0)
-    results["serial"]["rand256"] = {
-        "num_cells": qap_problem.num_cells,
-        "ms_per_iteration": _ms_per_iteration(qap_problem),
-    }
+    problems["rand256"] = get_domain("qap").build_problem("rand256", reference_seed=0)
+    results["serial"]["rand256"] = {"num_cells": problems["rand256"].num_cells}
+    samples = alternate(
+        {name: _iterations(problem) for name, problem in problems.items()},
+        ROUNDS,
+    )
+    for name, row in results["serial"].items():
+        row["ms_per_iteration"] = summary(samples[name], 1e3)
 
-    results["kernel"] = _csr_dense_kernel_ratio()
-    results["qap"] = _qap_batch_leverage(qap_problem)
-
-    big_c532 = results["serial"]["c532"]
-    big_10k = results["serial"]["big10k"]
+    cells_ratio = (
+        results["serial"]["big10k"]["num_cells"] / results["serial"]["c532"]["num_cells"]
+    )
     results["scaling"] = {
-        "cells_ratio": big_10k["num_cells"] / big_c532["num_cells"],
-        "time_ratio": big_10k["ms_per_iteration"] / big_c532["ms_per_iteration"],
-        "sublinear_factor": (
-            big_10k["ms_per_iteration"] / big_c532["ms_per_iteration"]
-        )
-        / (big_10k["num_cells"] / big_c532["num_cells"]),
+        "cells_ratio": cells_ratio,
+        "time_ratio": ratio(samples["big10k"], samples["c532"]),
+        "sublinear_factor": ratio(
+            samples["big10k"], [s * cells_ratio for s in samples["c532"]]
+        ),
     }
-
-    results["parallel"].append(_parallel_run(placement_problems["big10k"], "big10k"))
-    results["parallel"].append(_parallel_run(qap_problem, "rand256"))
-
-    results["peak_rss_mb"] = _peak_rss_mb()
+    results["kernel"] = _csr_dense_kernel_ratio()
+    results["qap"] = _qap_batch_leverage(problems["rand256"])
+    results["parallel"] = [
+        _parallel_run(problems["big10k"], "big10k"),
+        _parallel_run(problems["rand256"], "rand256"),
+    ]
+    results["peak_rss_mb"] = (
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    )
     return results
 
 
-def _passes(results: dict) -> bool:
-    return (
-        results["kernel"]["csr_over_dense_ratio"] <= CSR_RATIO_BAR
-        and results["scaling"]["sublinear_factor"] <= SUBLINEAR_BAR
-        and results["qap"]["batch_speedup"] >= QAP_BATCH_BAR
-        and results["peak_rss_mb"] <= RSS_BAR_MB
-    )
-
-
 def main() -> int:
-    attempts = []
-    for _attempt in range(2):  # one retry against runner noise
-        results = measure()
-        attempts.append(results)
-        if _passes(results):
-            break
-
-    best = next(
-        (r for r in attempts if _passes(r)),
-        min(attempts, key=lambda r: r["scaling"]["sublinear_factor"]),
-    )
-    payload = {
-        "bar": {
-            "csr_over_dense_ratio_max": CSR_RATIO_BAR,
-            "sublinear_factor_max": SUBLINEAR_BAR,
-            "qap_batch_speedup_min": QAP_BATCH_BAR,
-            "peak_rss_mb_max": RSS_BAR_MB,
-        },
-        "workload": {
-            "pairs_per_step": PAIRS_PER_STEP,
-            "move_depth": MOVE_DEPTH,
-            "measured_iterations": MEASURED_ITERATIONS,
-        },
-        "results": best,
-        "attempts": len(attempts),
+    results = measure()
+    bars = [
+        Bar("c532 csr_over_dense_ratio", results["kernel"]["csr_over_dense_ratio"]["median"], CSR_RATIO_BAR),
+        Bar("sublinear_factor", results["scaling"]["sublinear_factor"]["median"], SUBLINEAR_BAR),
+        Bar(
+            "rand256 batch_speedup",
+            results["qap"]["batch_speedup"]["median"],
+            QAP_BATCH_BAR,
+            higher_is_better=True,
+        ),
+        Bar("peak_rss_mb", results["peak_rss_mb"], RSS_BAR_MB),
+    ]
+    workload = {
+        "pairs_per_step": PAIRS_PER_STEP,
+        "move_depth": MOVE_DEPTH,
+        "measured_iterations": ITERATIONS_PER_ROUND * ROUNDS,
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2))
-
-    print("serial ms/iteration (m=256, d=6, no early accept):")
-    for name, row in best["serial"].items():
-        mode = row.get("incidence_mode", "-")
-        print(
-            f"  {name:>8}: {row['ms_per_iteration']:7.2f} ms "
-            f"({row['num_cells']} cells, incidence={mode})"
-        )
-    print(
-        f"c532 CSR kernel tax: {best['kernel']['csr_over_dense_ratio']:.2f}x "
-        f"(bar {CSR_RATIO_BAR:.1f}x)"
-    )
-    print(
-        f"scaling: 10k/c532 time ratio {best['scaling']['time_ratio']:.1f}x over "
-        f"{best['scaling']['cells_ratio']:.1f}x cells -> sublinear factor "
-        f"{best['scaling']['sublinear_factor']:.3f} (bar {SUBLINEAR_BAR:.2f})"
-    )
-    print(
-        f"rand256 batch speedup: {best['qap']['batch_speedup']:.1f}x "
-        f"(bar {QAP_BATCH_BAR:.0f}x)"
-    )
-    for row in best["parallel"]:
-        print(
-            f"parallel {row['instance']}: {row['num_tsws']} TSWs x "
-            f"{row['iterations_per_path']} iters in {row['seconds']:.2f} s "
-            f"(informational)"
-        )
-    print(f"peak RSS: {best['peak_rss_mb']:.0f} MB (bar {RSS_BAR_MB:.0f} MB)")
-    print(f"Results written to {OUTPUT}")
-
-    failed = False
-    if best["kernel"]["csr_over_dense_ratio"] > CSR_RATIO_BAR:
-        print(
-            f"FAIL: c532 CSR kernel tax "
-            f"{best['kernel']['csr_over_dense_ratio']:.2f}x > {CSR_RATIO_BAR:.1f}x",
-            file=sys.stderr,
-        )
-        failed = True
-    if best["scaling"]["sublinear_factor"] > SUBLINEAR_BAR:
-        print(
-            f"FAIL: sublinear factor {best['scaling']['sublinear_factor']:.3f} > "
-            f"{SUBLINEAR_BAR:.2f} (per-iteration time scaling too close to linear)",
-            file=sys.stderr,
-        )
-        failed = True
-    if best["qap"]["batch_speedup"] < QAP_BATCH_BAR:
-        print(
-            f"FAIL: rand256 batch speedup {best['qap']['batch_speedup']:.1f}x < "
-            f"{QAP_BATCH_BAR:.0f}x",
-            file=sys.stderr,
-        )
-        failed = True
-    if best["peak_rss_mb"] > RSS_BAR_MB:
-        print(
-            f"FAIL: peak RSS {best['peak_rss_mb']:.0f} MB > {RSS_BAR_MB:.0f} MB",
-            file=sys.stderr,
-        )
-        failed = True
-    if failed:
-        return 1
-    print("OK: all large-instance bars hold")
-    return 0
+    return check(bars, {"workload": workload, "results": results}, OUTPUT)
 
 
 if __name__ == "__main__":

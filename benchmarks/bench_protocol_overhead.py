@@ -19,26 +19,25 @@ shipping); this benchmark measures the result and guards it:
   out.
 
 Results land in ``BENCH_protocol.json`` (override with the
-``BENCH_PROTOCOL_JSON`` env var); CI uploads the file per run.  Enforced
-bars (each overridable by env var):
+``BENCH_PROTOCOL_JSON`` env var).  Every comparison alternates its sides
+round by round (``benchmarks/_timing.py``) and each bar reads a median.
+Enforced bars:
 
-* ``commit_swap``  <= 60 µs absolute, OR <= 0.08x the 256-pair batch
-  evaluation (machine-speed calibration: the seed ratio was ~0.23) —
-  ``REPRO_PROTOCOL_COMMIT_BAR_US`` / ``REPRO_PROTOCOL_COMMIT_BAR_RATIO``
-* steady-state path cost <= 17 ms/iter with 4 TSWs
-  (``REPRO_PROTOCOL_PATH_BAR_MS``, enforced on runners with >= 4 cores only,
-  like the wall-clock bar)
+* ``commit_swap`` <= 60 µs absolute, OR <= 0.08x the 256-pair batch
+  evaluation (machine-speed calibration: the seed ratio was ~0.23); each
+  sample is a block of commits, so the amortised full STA every eighth
+  commit counts;
+* steady-state path cost <= 17 ms/iter with 4 TSWs (enforced on runners
+  with >= 4 cores only, like the wall-clock bar);
 * protocol overhead (path cost minus serial ms/iter, both timed in the
-  same round so machine throttling cancels) <= 5 ms/iter
-  (``REPRO_PROTOCOL_OVERHEAD_BAR_MS``, enforced on every runner)
-
-  The path cost and the overhead are medians over three alternating rounds
-  of one serial, one short and one long parallel run, reported with their
-  interquartile ranges.
-* **round trip** — the median of 2,000 OS parent↔child round trips through
-  ``ProcessKernel`` is at most 5x the median over a bare duplex
-  ``multiprocessing.Pipe`` (a constant, not retried).  Blocks of the two
-  alternate, three each, so host drift moves both sides alike.
+  same round so machine throttling cancels) <= 5 ms/iter, on every
+  runner.  Each of three rounds times one serial, one short and one long
+  parallel run;
+* **round trip** — the median over alternating rounds of the ratio of
+  ``ProcessKernel``'s to a bare duplex ``multiprocessing.Pipe``'s median
+  OS parent↔child round trip, 2,000 trips per side and round, is at most
+  5x.  Trips are timed inside the worker, so a block's spawn does not
+  count.
 
 Run it directly (worker processes re-import it, hence the ``__main__``
 guard)::
@@ -48,7 +47,6 @@ guard)::
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import pickle
@@ -73,30 +71,28 @@ from repro.parallel.delta import DeltaEncoder, swap_list_between
 from repro.parallel.messages import ClwTask, GlobalStart
 from repro.pvm import ProcessKernel
 
-from _utils import available_cpus, spread
+from _timing import Bar, alternate, available_cpus, check, ratio, summary, timed
 
 CIRCUIT = "c532"
 SEED = 2003
-COMMIT_BAR_US = float(os.environ.get("REPRO_PROTOCOL_COMMIT_BAR_US", "60"))
-COMMIT_BAR_RATIO = float(os.environ.get("REPRO_PROTOCOL_COMMIT_BAR_RATIO", "0.08"))
-PATH_BAR_MS = float(os.environ.get("REPRO_PROTOCOL_PATH_BAR_MS", "17"))
-OVERHEAD_BAR_MS = float(os.environ.get("REPRO_PROTOCOL_OVERHEAD_BAR_MS", "5"))
-#: Round trips per block, blocks per side, and the bar on the kernel's median
-#: round trip over the bare pipe's.
-ROUND_TRIPS = 2000
-ROUND_TRIP_BLOCKS = 3
+COMMIT_BAR_US = 60.0
+COMMIT_BAR_RATIO = 0.08
+PATH_BAR_MS = 17.0
+OVERHEAD_BAR_MS = 5.0
 ROUND_TRIP_BAR_RATIO = 5.0
+#: Local iterations per search path in the path-cost runs.
+ITERATIONS = 300
+#: Alternating rounds of commit vs batch, and of the informational adopt,
+#: install and STA latencies; commits per sample (a multiple of the STA
+#: refresh interval, 8).
+LATENCY_ROUNDS = 20
+COMMITS_PER_SAMPLE = 200
 #: Alternating rounds of one serial, one short and one long parallel run.
 PATH_ROUNDS = 3
-
-
-def _time_us(func, repeats: int, warmup: int = 20) -> float:
-    for _ in range(warmup):
-        func()
-    start = time.perf_counter()
-    for _ in range(repeats):
-        func()
-    return (time.perf_counter() - start) / repeats * 1e6
+#: Round trips per block, and alternating rounds of one block per side.
+ROUND_TRIPS = 2000
+ROUND_TRIP_BLOCKS = 3
+OUTPUT = Path(os.environ.get("BENCH_PROTOCOL_JSON", "BENCH_protocol.json"))
 
 
 def measure_wire_bytes(problem) -> dict:
@@ -163,14 +159,8 @@ def measure_kernel_latencies(problem) -> dict:
         state["i"] += 1
         evaluator.commit_swap(cell_a, cell_b)
 
-    commit_us = min(_time_us(commit, 2000) for _ in range(2))
     # machine-speed calibration: the PR 1 batch kernel is the stable yardstick
     batch_pairs = rng.integers(0, n, size=(256, 2))
-
-    def batch():
-        evaluator.evaluate_swaps_batch(batch_pairs)
-
-    batch_us = min(_time_us(batch, 150, warmup=4) for _ in range(2))
 
     base = evaluator.snapshot()
     target = base.copy()
@@ -178,33 +168,42 @@ def measure_kernel_latencies(problem) -> dict:
         target[[cell_a, cell_b]] = target[[cell_b, cell_a]]
     delta = swap_list_between(base, target)
     back = swap_list_between(target, base)
-    flips = {"forward": True}
+    flips = {"forward": True, "install": False}
 
     def adopt_delta():
         evaluator.apply_swaps(delta if flips["forward"] else back, exact_timing=True)
         flips["forward"] = not flips["forward"]
 
-    adopt_us = min(_time_us(adopt_delta, 200, warmup=4) for _ in range(2))
-
     other = problem.random_solution(SEED + 1)
-    current = {"flip": False}
 
     def install_full():
-        current["flip"] = not current["flip"]
-        evaluator.install_solution(other if current["flip"] else base)
+        flips["install"] = not flips["install"]
+        evaluator.install_solution(other if flips["install"] else base)
 
-    install_us = min(_time_us(install_full, 200, warmup=4) for _ in range(2))
-    sta_us = min(
-        _time_us(lambda: evaluator._timing.exact_delay(), 300, warmup=4)
-        for _ in range(2)
+    samples = alternate(
+        {
+            "commit": timed(commit, COMMITS_PER_SAMPLE),
+            "batch": timed(lambda: evaluator.evaluate_swaps_batch(batch_pairs), 8),
+        },
+        LATENCY_ROUNDS,
+    )
+    samples.update(
+        alternate(
+            {
+                "adopt": timed(adopt_delta, 10),
+                "install": timed(install_full, 10),
+                "sta": timed(lambda: evaluator._timing.exact_delay(), 15),
+            },
+            LATENCY_ROUNDS,
+        )
     )
     return {
-        "commit_swap_us": commit_us,
-        "batch_eval_256_us": batch_us,
-        "commit_vs_batch_ratio": commit_us / batch_us,
-        "delta_adopt_6_swaps_us": adopt_us,
-        "install_solution_full_us": install_us,
-        "exact_sta_us": sta_us,
+        "commit_swap_us": summary(samples["commit"], 1e6),
+        "batch_eval_256_us": summary(samples["batch"], 1e6),
+        "commit_vs_batch_ratio": ratio(samples["commit"], samples["batch"]),
+        "delta_adopt_6_swaps_us": summary(samples["adopt"], 1e6),
+        "install_solution_full_us": summary(samples["install"], 1e6),
+        "exact_sta_us": summary(samples["sta"], 1e6),
     }
 
 
@@ -218,9 +217,9 @@ def measure_path_cost(problem, netlist, iterations: int, num_tsws: int) -> dict:
     runs of different lengths isolate the steady-state slope:
     ``(t_long - t_short) / (iters_long - iters_short)``.
 
-    Each of :data:`PATH_ROUNDS` rounds times one serial path, one short and
-    one long parallel run, so a slow spell of the host moves one round's
-    slope and overhead, not the reported medians.
+    Each of :data:`PATH_ROUNDS` alternating rounds times one serial path,
+    one short and one long parallel run, and gives one slope and one
+    overhead; the bars read their medians.
     """
     global_iterations = 3
     short_locals = max(1, iterations // (6 * global_iterations))
@@ -235,9 +234,7 @@ def measure_path_cost(problem, netlist, iterations: int, num_tsws: int) -> dict:
             TabuSearchParams(local_iterations=serial_iterations, **tabu),
             seed=SEED,
         )
-        start = time.perf_counter()
         search.run(TerminationCriteria(max_iterations=serial_iterations))
-        return time.perf_counter() - start
 
     def run_parallel(local_iterations):
         params = ParallelSearchParams(
@@ -249,7 +246,6 @@ def measure_path_cost(problem, netlist, iterations: int, num_tsws: int) -> dict:
             tabu=TabuSearchParams(local_iterations=local_iterations, **tabu),
             seed=SEED,
         )
-        start = time.perf_counter()
         result = run_parallel_search(
             netlist,
             params,
@@ -259,40 +255,36 @@ def measure_path_cost(problem, netlist, iterations: int, num_tsws: int) -> dict:
             join_timeout=3600.0,
         )
         assert result.best_cost < result.initial_cost
-        return time.perf_counter() - start
 
     cpus = available_cpus()
     effective_cores = min(cpus, 2 * num_tsws + 1)
-    serial_ms, path_ms, overhead_ms, inclusive_ms = [], [], [], []
-    short_seconds, long_seconds = [], []
-    for _ in range(PATH_ROUNDS):
-        serial_ms.append(run_serial() / serial_iterations * 1e3)
-        short_seconds.append(run_parallel(short_locals))
-        long_seconds.append(run_parallel(long_locals))
-        slope = (long_seconds[-1] - short_seconds[-1]) / (
-            global_iterations * (long_locals - short_locals)
-        )
-        path_ms.append(slope * effective_cores / num_tsws * 1e3)
-        overhead_ms.append(path_ms[-1] - serial_ms[-1])
-        inclusive_ms.append(
-            long_seconds[-1] * effective_cores / (num_tsws * serial_iterations) * 1e3
-        )
-    path, overhead = spread(path_ms), spread(overhead_ms)
+    samples = alternate(
+        {
+            "serial": timed(run_serial),
+            "short": timed(lambda: run_parallel(short_locals)),
+            "long": timed(lambda: run_parallel(long_locals)),
+        },
+        PATH_ROUNDS,
+    )
+    serial_ms = [s / serial_iterations * 1e3 for s in samples["serial"]]
+    path_ms = [
+        (long - short) / (global_iterations * (long_locals - short_locals))
+        * effective_cores / num_tsws * 1e3
+        for short, long in zip(samples["short"], samples["long"])
+    ]
     return {
         "iterations_per_path": serial_iterations,
         "num_tsws": num_tsws,
         "cpu_count": cpus,
         "effective_cores": effective_cores,
-        "rounds": PATH_ROUNDS,
-        "serial_ms_per_iter": spread(serial_ms),
-        "parallel_seconds_short": spread(short_seconds),
-        "parallel_seconds_long": spread(long_seconds),
-        "parallel_path_ms_per_iter": path["median"],
-        "parallel_path_ms_per_iter_iqr": path["iqr"],
-        "parallel_path_ms_per_iter_with_spawn": spread(inclusive_ms),
-        "overhead_ms_per_iter": overhead["median"],
-        "overhead_ms_per_iter_iqr": overhead["iqr"],
-        "overhead_ms_per_round": overhead_ms,
+        "serial_ms_per_iter": summary(serial_ms),
+        "parallel_seconds_short": summary(samples["short"]),
+        "parallel_seconds_long": summary(samples["long"]),
+        "parallel_path_ms_per_iter": summary(path_ms),
+        "parallel_path_ms_per_iter_with_spawn": summary(
+            samples["long"], effective_cores / (num_tsws * serial_iterations) * 1e3
+        ),
+        "overhead_ms_per_iter": summary([p - s for p, s in zip(path_ms, serial_ms)]),
     }
 
 
@@ -305,7 +297,7 @@ def _echo_child(ctx):
 
 
 def _kernel_trips(ctx, trips):
-    """Seconds of each round trip between this worker and its child."""
+    """Median seconds of a round trip between this worker and its child."""
     child = yield ctx.spawn(_echo_child, name="echo")
     yield ctx.send(child, "ping")  # the first trip waits for the child's start
     yield ctx.recv(tag="pong")
@@ -316,7 +308,7 @@ def _kernel_trips(ctx, trips):
         yield ctx.recv(tag="pong")
         times.append(time.perf_counter() - start)
     yield ctx.send(child, "stop")
-    return times
+    return statistics.median(times)
 
 
 def _pipe_echo(conn) -> None:
@@ -327,8 +319,9 @@ def _pipe_echo(conn) -> None:
         conn.send_bytes(data)
 
 
-def _pipe_trips(context, trips: int) -> list:
-    """Seconds of each round trip over a bare duplex pipe to a child process."""
+def _pipe_trips(context, trips: int) -> float:
+    """Median seconds of a round trip over a bare duplex pipe to a child
+    process."""
     ours, theirs = multiprocessing.Pipe()
     child = context.Process(target=_pipe_echo, args=(theirs,), daemon=True)
     child.start()
@@ -344,109 +337,76 @@ def _pipe_trips(context, trips: int) -> list:
     ours.send_bytes(b"")
     child.join()
     ours.close()
-    return times
+    return statistics.median(times)
 
 
 def measure_round_trip() -> dict:
-    """Median OS parent<->child round trip through the kernel and over a
-    bare pipe, in alternating blocks of :data:`ROUND_TRIPS` each."""
+    """Block-median OS parent<->child round trips through the kernel and
+    over a bare pipe, in alternating rounds of :data:`ROUND_TRIPS` each."""
     context = multiprocessing.get_context(
         "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
     )
-    kernel_blocks, pipe_blocks = [], []
     with ProcessKernel(homogeneous_cluster(2)) as kernel:
-        for _ in range(ROUND_TRIP_BLOCKS):
+
+        def kernel_block():
             pid = kernel.spawn(_kernel_trips, ROUND_TRIPS, name="trips")
             kernel.join_all(timeout=600.0)
-            kernel_blocks.append(kernel.result_of(pid))
-            pipe_blocks.append(_pipe_trips(context, ROUND_TRIPS))
-    kernel_us = statistics.median(t for block in kernel_blocks for t in block) * 1e6
-    pipe_us = statistics.median(t for block in pipe_blocks for t in block) * 1e6
+            return kernel.result_of(pid)
+
+        samples = alternate(
+            {
+                "kernel": kernel_block,
+                "pipe": lambda: _pipe_trips(context, ROUND_TRIPS),
+            },
+            ROUND_TRIP_BLOCKS,
+        )
     return {
         "trips_per_block": ROUND_TRIPS,
-        "blocks_per_side": ROUND_TRIP_BLOCKS,
-        "kernel_median_us": kernel_us,
-        "pipe_median_us": pipe_us,
-        "kernel_vs_pipe_ratio": kernel_us / pipe_us,
-        "kernel_block_medians_us": [statistics.median(b) * 1e6 for b in kernel_blocks],
-        "pipe_block_medians_us": [statistics.median(b) * 1e6 for b in pipe_blocks],
+        "kernel_median_us": summary(samples["kernel"], 1e6),
+        "pipe_median_us": summary(samples["pipe"], 1e6),
+        "kernel_vs_pipe_ratio": ratio(samples["kernel"], samples["pipe"]),
     }
 
 
-def run_benchmark() -> dict:
+def main() -> int:
     netlist = load_benchmark(CIRCUIT)
-    params = ParallelSearchParams(tabu=TabuSearchParams(), seed=SEED)
-    problem = build_problem(netlist, params)
-    iterations = int(os.environ.get("REPRO_PROTOCOL_ITERS", "300"))
+    problem = build_problem(netlist, ParallelSearchParams(tabu=TabuSearchParams(), seed=SEED))
     report = {
         "circuit": CIRCUIT,
         "wire_bytes": measure_wire_bytes(problem),
         "simulated_run": measure_simulated_run_bytes(netlist),
         "latencies": measure_kernel_latencies(problem),
-        "path_cost": measure_path_cost(problem, netlist, iterations, num_tsws=4),
+        "path_cost": measure_path_cost(problem, netlist, ITERATIONS, num_tsws=4),
         "round_trip": measure_round_trip(),
-        "bars": {
-            "commit_swap_us": COMMIT_BAR_US,
-            "commit_vs_batch_ratio": COMMIT_BAR_RATIO,
-            "path_ms_per_iter": PATH_BAR_MS,
-            "overhead_ms_per_iter": OVERHEAD_BAR_MS,
-            "round_trip_vs_pipe_ratio": ROUND_TRIP_BAR_RATIO,
-        },
     }
-    return report
-
-
-def main() -> int:
-    report = run_benchmark()
-    out_path = Path(os.environ.get("BENCH_PROTOCOL_JSON", "BENCH_protocol.json"))
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report, indent=2))
-    print(f"wrote {out_path}")
-
-    failures = []
-    commit_us = report["latencies"]["commit_swap_us"]
-    commit_ratio = report["latencies"]["commit_vs_batch_ratio"]
-    if commit_us > COMMIT_BAR_US and commit_ratio > COMMIT_BAR_RATIO:
-        # a throttled runner slows both kernels alike, so a real regression
-        # must fail the absolute bar AND the machine-calibrated ratio
-        failures.append(
-            f"commit_swap {commit_us:.1f} us exceeds the {COMMIT_BAR_US:.0f} us bar "
-            f"and its batch-calibrated ratio {commit_ratio:.3f} exceeds "
-            f"{COMMIT_BAR_RATIO:.3f} (seed: ~0.23)"
-        )
+    commit_us = report["latencies"]["commit_swap_us"]["median"]
+    commit_ratio = report["latencies"]["commit_vs_batch_ratio"]["median"]
+    # a throttled runner slows both kernels alike, so commit_swap fails only
+    # when it misses both its absolute and its batch-calibrated bar
+    us_met, ratio_met = commit_us <= COMMIT_BAR_US, commit_ratio <= COMMIT_BAR_RATIO
     path = report["path_cost"]
-    if path["cpu_count"] >= 4 and path["parallel_path_ms_per_iter"] > PATH_BAR_MS:
-        failures.append(
-            f"parallel path cost {path['parallel_path_ms_per_iter']:.1f} ms/iter "
-            f"exceeds the {PATH_BAR_MS:.0f} ms bar on a {path['cpu_count']}-core machine"
-        )
-    elif path["cpu_count"] < 4:
-        print(
-            f"note: only {path['cpu_count']} core(s) available — the "
-            f"{PATH_BAR_MS:.0f} ms/iter path bar was not enforced"
-        )
-    if path["overhead_ms_per_iter"] > OVERHEAD_BAR_MS:
-        failures.append(
-            f"protocol overhead {path['overhead_ms_per_iter']:.1f} ms/iter "
-            f"exceeds the {OVERHEAD_BAR_MS:.0f} ms bar (median path "
-            f"{path['parallel_path_ms_per_iter']:.1f} vs serial "
-            f"{path['serial_ms_per_iter']['median']:.1f})"
-        )
-    trip = report["round_trip"]
-    if trip["kernel_vs_pipe_ratio"] > ROUND_TRIP_BAR_RATIO:
-        failures.append(
-            f"kernel round trip {trip['kernel_median_us']:.0f} us is "
-            f"{trip['kernel_vs_pipe_ratio']:.1f}x the bare pipe's "
-            f"{trip['pipe_median_us']:.0f} us (bar {ROUND_TRIP_BAR_RATIO:.0f}x)"
-        )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def test_protocol_overhead():
-    """Pytest entry point (not collected by default: bench_* naming)."""
-    assert main() == 0
+    bars = [
+        Bar("commit_swap_us", commit_us, COMMIT_BAR_US, enforced=us_met or not ratio_met),
+        Bar(
+            "commit_vs_batch_ratio",
+            commit_ratio,
+            COMMIT_BAR_RATIO,
+            enforced=ratio_met or not us_met,
+        ),
+        Bar(
+            "path_ms_per_iter",
+            path["parallel_path_ms_per_iter"]["median"],
+            PATH_BAR_MS,
+            enforced=path["cpu_count"] >= 4,
+        ),
+        Bar("overhead_ms_per_iter", path["overhead_ms_per_iter"]["median"], OVERHEAD_BAR_MS),
+        Bar(
+            "round_trip_vs_pipe_ratio",
+            report["round_trip"]["kernel_vs_pipe_ratio"]["median"],
+            ROUND_TRIP_BAR_RATIO,
+        ),
+    ]
+    return check(bars, report, OUTPUT)
 
 
 if __name__ == "__main__":

@@ -7,13 +7,13 @@ enforces the CI bar that justifies running QAP through the batched CLW path:
 * **batch swap-delta >= 20x scalar** — one 256-pair ``evaluate_swaps_batch``
   call versus 256 scalar ``evaluate_swap`` calls (each scalar call is itself
   the O(n) delta, so the factor isolates the batching win, exactly like the
-  placement micro-bench); overridable with ``REPRO_QAP_BATCH_BAR``;
+  placement micro-bench), the median of per-round ratios;
 * informational latencies for ``commit_swap``, bulk ``apply_swaps`` delta
   adoption, full ``install_solution`` and the from-scratch O(n^2) cost.
 
+Every side runs once per alternating round (``benchmarks/_timing.py``).
 Results land in ``BENCH_qap.json`` (override with the ``BENCH_QAP_JSON``
-env var); CI uploads the file per run.  The bar retries once against runner
-noise.
+env var).
 
 Run it directly::
 
@@ -22,10 +22,9 @@ Run it directly::
 
 from __future__ import annotations
 
-import json
+import itertools
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -33,52 +32,31 @@ import numpy as np
 from repro.parallel.delta import swap_list_between
 from repro.problems.qap import QAPProblem, generate_qap
 
+from _timing import Bar, alternate, check, ratio, summary, timed
+
 N_FACILITIES = 100
 BATCH_SIZE = 256
-BATCH_BAR = float(os.environ.get("REPRO_QAP_BATCH_BAR", "20"))
+ROUNDS = 30
+BATCH_BAR = 20.0
 OUTPUT = Path(os.environ.get("BENCH_QAP_JSON", "BENCH_qap.json"))
 
 
-def _time_us(func, repeats: int, warmup: int = 10) -> float:
-    for _ in range(warmup):
-        func()
-    start = time.perf_counter()
-    for _ in range(repeats):
-        func()
-    return (time.perf_counter() - start) / repeats * 1e6
-
-
-def build_evaluator():
+def main() -> int:
     problem = QAPProblem.from_instance(
         generate_qap(N_FACILITIES, seed=0), reference_seed=0
     )
-    return problem, problem.make_evaluator(problem.random_solution(seed=1))
-
-
-def measure() -> dict:
-    problem, evaluator = build_evaluator()
+    evaluator = problem.make_evaluator(problem.random_solution(seed=1))
     rng = np.random.default_rng(2)
     pairs = rng.integers(0, N_FACILITIES, size=(BATCH_SIZE, 2))
-
-    batch_us = _time_us(lambda: evaluator.evaluate_swaps_batch(pairs), repeats=50)
 
     def scalar_sweep():
         for cell_a, cell_b in pairs.tolist():
             evaluator.evaluate_swap(cell_a, cell_b)
 
-    scalar_sweep_us = _time_us(scalar_sweep, repeats=5, warmup=2)
-    scalar_us = scalar_sweep_us / BATCH_SIZE
-    speedup = scalar_sweep_us / batch_us
-
-    state = {"i": 0}
-    commit_pairs = rng.integers(0, N_FACILITIES, size=(512, 2)).tolist()
+    commit_pairs = itertools.cycle(rng.integers(0, N_FACILITIES, size=(512, 2)).tolist())
 
     def commit():
-        cell_a, cell_b = commit_pairs[state["i"] % len(commit_pairs)]
-        state["i"] += 1
-        evaluator.commit_swap(cell_a, cell_b)
-
-    commit_us = _time_us(commit, repeats=200)
+        evaluator.commit_swap(*next(commit_pairs))
 
     base = evaluator.snapshot()
     target = base.copy()
@@ -90,55 +68,36 @@ def measure() -> dict:
         evaluator.apply_swaps(delta, exact_timing=True)
         evaluator.install_solution(base)
 
-    adopt_pair_us = _time_us(adopt, repeats=50)
-    install_us = _time_us(lambda: evaluator.install_solution(base), repeats=100)
-    scratch_us = _time_us(lambda: problem.instance.cost_of(base), repeats=200)
-
-    return {
+    samples = alternate(
+        {
+            "batch": timed(lambda: evaluator.evaluate_swaps_batch(pairs)),
+            "scalar_sweep": timed(scalar_sweep),
+            "commit": timed(commit, calls=20),
+            "adopt": timed(adopt),
+            "install": timed(lambda: evaluator.install_solution(base)),
+            "scratch": timed(lambda: problem.instance.cost_of(base)),
+        },
+        ROUNDS,
+        warmup=3,
+    )
+    results = {
         "n_facilities": N_FACILITIES,
         "batch_size": BATCH_SIZE,
-        "batch_eval_us": batch_us,
-        "batch_eval_us_per_pair": batch_us / BATCH_SIZE,
-        "scalar_eval_us": scalar_us,
-        "batch_speedup_vs_scalar": speedup,
-        "commit_swap_us": commit_us,
-        "delta_adopt_plus_install_us": adopt_pair_us,
-        "install_solution_us": install_us,
-        "scratch_cost_us": scratch_us,
+        "batch_eval_us": summary(samples["batch"], 1e6),
+        "scalar_eval_us": summary(samples["scalar_sweep"], 1e6 / BATCH_SIZE),
+        "batch_speedup_vs_scalar": ratio(samples["scalar_sweep"], samples["batch"]),
+        "commit_swap_us": summary(samples["commit"], 1e6),
+        "delta_adopt_plus_install_us": summary(samples["adopt"], 1e6),
+        "install_solution_us": summary(samples["install"], 1e6),
+        "scratch_cost_us": summary(samples["scratch"], 1e6),
     }
-
-
-def main() -> int:
-    attempts = []
-    for attempt in range(2):  # one retry against runner noise
-        results = measure()
-        attempts.append(results)
-        if results["batch_speedup_vs_scalar"] >= BATCH_BAR:
-            break
-
-    best = max(attempts, key=lambda r: r["batch_speedup_vs_scalar"])
-    payload = {
-        "bar": {"batch_speedup_min": BATCH_BAR},
-        "results": best,
-        "attempts": len(attempts),
-    }
-    OUTPUT.write_text(json.dumps(payload, indent=2))
-
-    print(f"QAP kernels on a {N_FACILITIES}-facility instance "
-          f"({BATCH_SIZE}-pair batches):")
-    for key, value in best.items():
-        print(f"  {key:>28}: {value:.2f}" if isinstance(value, float)
-              else f"  {key:>28}: {value}")
-    print(f"Results written to {OUTPUT}")
-
-    if best["batch_speedup_vs_scalar"] < BATCH_BAR:
-        print(f"FAIL: batch swap-delta speedup "
-              f"{best['batch_speedup_vs_scalar']:.1f}x < {BATCH_BAR:.0f}x bar",
-              file=sys.stderr)
-        return 1
-    print(f"OK: batch swap-delta {best['batch_speedup_vs_scalar']:.1f}x >= "
-          f"{BATCH_BAR:.0f}x scalar")
-    return 0
+    bar = Bar(
+        "batch_speedup_vs_scalar",
+        results["batch_speedup_vs_scalar"]["median"],
+        BATCH_BAR,
+        higher_is_better=True,
+    )
+    return check([bar], {"results": results}, OUTPUT)
 
 
 if __name__ == "__main__":

@@ -10,30 +10,23 @@ This benchmark puts a number on that split and on the checkpoint codec.
 
 Method
 ------
-* **Cold** — ``REPRO_SESSION_REPEATS`` one-shot
-  ``run_parallel_search(..., backend="processes")`` calls on a deliberately
-  small c532 workload (startup-dominated); best (minimum) wall time wins.
-* **Warm** — one :class:`~repro.session.WorkerPool` (spawn time reported
-  separately), then the same number of :class:`~repro.session.SearchSession`
-  runs against it.  The worker pids must be stable across runs (no respawn)
-  and, since the workload pins ``sync_mode="homogeneous"``, every run must
-  reproduce the cold best cost exactly.
+* **Cold vs warm** — one :class:`~repro.session.WorkerPool` is spawned
+  (its spawn time reported separately), then alternating rounds
+  (``benchmarks/_timing.py``) each time one cold one-shot
+  ``run_parallel_search(..., backend="processes")`` call on a deliberately
+  small c532 workload (startup-dominated) and one warm
+  :class:`~repro.session.SearchSession` run against the pool, after one
+  untimed warm-up of each.  The worker pids must be stable across runs (no
+  respawn) and, since the workload pins ``sync_mode="homogeneous"``, every
+  run must reproduce the same best cost exactly.
 * **Checkpoint codec** — a simulated session is stepped one global
   iteration, checkpointed, and restored: artifact size plus encode / save /
   load+restore times, and the resumed run must finish bit-identical to an
   uninterrupted session.
 
 Results are written to ``BENCH_session.json`` (override with the
-``BENCH_SESSION_JSON`` env var); CI uploads the file per run.  The enforced
-bar: the best warm submit must be at least 3x faster than the best cold
-startup (the measurement section gets one retry, mirroring the wall-clock
-benchmark — shared runners have noisy neighbours).
-
-Environment knobs:
-
-* ``REPRO_SESSION_TSWS``    — TSW count (default ``4``, 1 CLW each)
-* ``REPRO_SESSION_REPEATS`` — cold/warm runs measured (default ``3``)
-* ``REPRO_SESSION_BAR``     — warm-vs-cold speedup bar (default ``3.0``)
+``BENCH_SESSION_JSON`` env var).  The enforced bar: the median per-round
+ratio of cold to warm wall time is at least 3x.
 
 Run it directly (worker processes re-import it, hence the ``__main__``
 guard)::
@@ -43,11 +36,9 @@ guard)::
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 from repro import (
@@ -62,13 +53,16 @@ from repro import (
 )
 from repro.parallel import build_problem
 
-from _utils import available_cpus
+from _timing import Bar, alternate, check, ratio, summary, timed
 
 CIRCUIT = "c532"
 SEED = 2003
-#: Acceptance: warm submit >= 3x faster than cold startup (overridable for
-#: slower/noisier environments).
-WARM_BAR = float(os.environ.get("REPRO_SESSION_BAR", "3.0"))
+NUM_TSWS = 4
+#: Alternating rounds of one cold and one warm run.
+ROUNDS = 3
+#: Acceptance: warm submit >= 3x faster than cold startup.
+WARM_BAR = 3.0
+OUTPUT = Path(os.environ.get("BENCH_SESSION_JSON", "BENCH_session.json"))
 
 
 def _params(num_tsws: int) -> ParallelSearchParams:
@@ -87,53 +81,42 @@ def _params(num_tsws: int) -> ParallelSearchParams:
     )
 
 
-def measure_lifecycle(netlist, problem, params, cluster, repeats):
-    """Time `repeats` cold one-shot runs and `repeats` warm pooled runs."""
-    cold_seconds = []
-    cold_best = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = run_parallel_search(
-            netlist,
-            params,
-            backend="processes",
-            cluster=cluster,
-            problem=problem,
+def measure_lifecycle(netlist, problem, params, cluster):
+    """Alternate cold one-shot runs with warm pooled runs."""
+    pools = []
+    pool_spawn_seconds = timed(
+        lambda: pools.append(
+            WorkerPool(
+                params.num_tsws, params.clws_per_tsw, backend="processes", cluster=cluster
+            )
         )
-        cold_seconds.append(time.perf_counter() - start)
-        cold_best = result.best_cost
+    )()
+    best_costs = set()
 
-    pool_start = time.perf_counter()
-    pool = WorkerPool(
-        params.num_tsws, params.clws_per_tsw, backend="processes", cluster=cluster
-    )
-    pool_spawn_seconds = time.perf_counter() - pool_start
-    warm_seconds = []
-    pids_stable = True
-    try:
+    def cold():
+        result = run_parallel_search(
+            netlist, params, backend="processes", cluster=cluster, problem=problem
+        )
+        best_costs.add(result.best_cost)
+
+    def warm():
+        session = SearchSession(problem=problem, params=params, pool=pool)
+        best_costs.add(session.run().best_cost)
+
+    with pools[0] as pool:
         pids_before = pool.tsw_pids
-        for _ in range(repeats):
-            session = SearchSession(problem=problem, params=params, pool=pool)
-            start = time.perf_counter()
-            result = session.run()
-            warm_seconds.append(time.perf_counter() - start)
-            # same seed + homogeneous sync: the pooled run must walk the
-            # same trajectory as the cold one-shot run
-            assert result.best_cost == cold_best, (result.best_cost, cold_best)
-        pids_stable = pool.tsw_pids == pids_before
+        samples = alternate({"cold": timed(cold), "warm": timed(warm)}, ROUNDS)
+        assert pool.tsw_pids == pids_before, "worker pids changed across warm runs"
         runs_served = pool.runs_served
-    finally:
-        pool.close()
+    # same seed + homogeneous sync: pooled runs walk the cold runs' trajectory
+    assert len(best_costs) == 1, best_costs
     return {
-        "cold_seconds_all": cold_seconds,
-        "cold_seconds": min(cold_seconds),
-        "pool_spawn_seconds": pool_spawn_seconds,
-        "warm_seconds_all": warm_seconds,
-        "warm_seconds": min(warm_seconds),
-        "warm_vs_cold": min(cold_seconds) / min(warm_seconds),
+        "cold_seconds": summary(samples["cold"]),
+        "pool_spawn_seconds": summary([pool_spawn_seconds]),
+        "warm_seconds": summary(samples["warm"]),
+        "warm_vs_cold": ratio(samples["cold"], samples["warm"]),
         "runs_served": runs_served,
-        "pids_stable": pids_stable,
-        "best_cost": cold_best,
+        "best_cost": best_costs.pop(),
     }
 
 
@@ -142,120 +125,63 @@ def measure_checkpoint(problem, params):
     session = SearchSession(problem=problem, params=params, backend="simulated")
     session.step(1)
     state = session.checkpoint()
-
-    encode_start = time.perf_counter()
-    blob = state.to_bytes()
-    encode_ms = (time.perf_counter() - encode_start) * 1e3
-
+    resumed = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "session.ckpt"
-        save_start = time.perf_counter()
-        state.save(path)
-        save_ms = (time.perf_counter() - save_start) * 1e3
-
-        restore_start = time.perf_counter()
-        resumed = SearchSession.restore(SessionState.load(path))
-        load_restore_ms = (time.perf_counter() - restore_start) * 1e3
-        resumed_result = resumed.run()
-
+        samples = alternate(
+            {
+                "encode": timed(state.to_bytes),
+                "save": timed(lambda: state.save(path)),
+                "load_restore": timed(
+                    lambda: resumed.append(SearchSession.restore(SessionState.load(path)))
+                ),
+            },
+            ROUNDS,
+        )
+    resumed_result = resumed[-1].run()
     uninterrupted = SearchSession(
         problem=problem, params=params, backend="simulated"
     ).run()
-    identical = bool(resumed_result.best_cost == uninterrupted.best_cost)
-    assert identical, (resumed_result.best_cost, uninterrupted.best_cost)
+    assert resumed_result.best_cost == uninterrupted.best_cost, (
+        resumed_result.best_cost,
+        uninterrupted.best_cost,
+    )
     return {
-        "size_bytes": len(blob),
-        "encode_ms": encode_ms,
-        "save_ms": save_ms,
-        "load_restore_ms": load_restore_ms,
-        "resume_bit_identical": identical,
+        "size_bytes": len(state.to_bytes()),
+        "encode_ms": summary(samples["encode"], 1e3),
+        "save_ms": summary(samples["save"], 1e3),
+        "load_restore_ms": summary(samples["load_restore"], 1e3),
+        "resume_bit_identical": True,
     }
 
 
-def run_benchmark(num_tsws, repeats):
+def main() -> int:
     netlist = load_benchmark(CIRCUIT)
-    params = _params(num_tsws)
+    params = _params(NUM_TSWS)
     problem = build_problem(netlist, params)
-    cluster = homogeneous_cluster(2 * num_tsws + 1)
-
-    lifecycle = measure_lifecycle(netlist, problem, params, cluster, repeats)
-    attempts = 1
-    # One retry, mirroring bench_wallclock_parallel.py: a transient dip on a
-    # noisy shared runner must not read as a lifecycle regression.
-    if lifecycle["warm_vs_cold"] < WARM_BAR:
-        retry = measure_lifecycle(netlist, problem, params, cluster, repeats)
-        attempts = 2
-        if retry["warm_vs_cold"] > lifecycle["warm_vs_cold"]:
-            lifecycle = retry
-    lifecycle["attempts"] = attempts
-    print(
-        f"cold start: {lifecycle['cold_seconds']:6.2f} s   "
-        f"warm submit: {lifecycle['warm_seconds']:6.2f} s   "
-        f"(pool spawn {lifecycle['pool_spawn_seconds']:.2f} s, "
-        f"{lifecycle['runs_served']} runs served, "
-        f"pids stable: {lifecycle['pids_stable']})"
-    )
-    print(f"warm vs cold: {lifecycle['warm_vs_cold']:.2f}x")
-
-    checkpoint = measure_checkpoint(problem, params)
-    print(
-        f"checkpoint : {checkpoint['size_bytes']} bytes, "
-        f"encode {checkpoint['encode_ms']:.2f} ms, save {checkpoint['save_ms']:.2f} ms, "
-        f"load+restore {checkpoint['load_restore_ms']:.2f} ms, "
-        f"resume bit-identical: {checkpoint['resume_bit_identical']}"
-    )
-
-    return {
+    cluster = homogeneous_cluster(2 * NUM_TSWS + 1)
+    report = {
         "circuit": CIRCUIT,
         "backend": "processes",
-        "cpu_count": available_cpus(),
-        "topology": {"num_tsws": num_tsws, "clws_per_tsw": 1},
+        "topology": {"num_tsws": NUM_TSWS, "clws_per_tsw": 1},
         "workload": {
             "global_iterations": params.global_iterations,
             "local_iterations": params.tabu.local_iterations,
             "pairs_per_step": params.tabu.pairs_per_step,
             "move_depth": params.tabu.move_depth,
             "sync_mode": params.sync_mode,
-            "repeats": repeats,
+            "rounds": ROUNDS,
         },
-        "lifecycle": lifecycle,
-        "checkpoint": checkpoint,
-        "bar": WARM_BAR,
+        "lifecycle": measure_lifecycle(netlist, problem, params, cluster),
+        "checkpoint": measure_checkpoint(problem, params),
     }
-
-
-def main() -> int:
-    num_tsws = int(os.environ.get("REPRO_SESSION_TSWS", "4"))
-    repeats = int(os.environ.get("REPRO_SESSION_REPEATS", "3"))
-    report = run_benchmark(num_tsws, repeats)
-
-    out_path = Path(os.environ.get("BENCH_SESSION_JSON", "BENCH_session.json"))
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out_path}")
-
-    lifecycle = report["lifecycle"]
-    failed = False
-    if lifecycle["warm_vs_cold"] < WARM_BAR:
-        print(
-            f"FAIL: warm submit only {lifecycle['warm_vs_cold']:.2f}x faster "
-            f"than cold startup (bar: {WARM_BAR}x)",
-            file=sys.stderr,
-        )
-        failed = True
-    else:
-        print(f"warm-start speedup {lifecycle['warm_vs_cold']:.2f}x >= {WARM_BAR}x bar")
-    if not lifecycle["pids_stable"]:
-        print("FAIL: worker pids changed across warm runs (respawn)", file=sys.stderr)
-        failed = True
-    if not report["checkpoint"]["resume_bit_identical"]:
-        print("FAIL: resumed run diverged from uninterrupted run", file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
-
-
-def test_session_lifecycle():
-    """Pytest entry point (not collected by default: bench_* naming)."""
-    assert main() == 0
+    bar = Bar(
+        "warm_vs_cold",
+        report["lifecycle"]["warm_vs_cold"]["median"],
+        WARM_BAR,
+        higher_is_better=True,
+    )
+    return check([bar], report, OUTPUT)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,16 @@
 """Shared infrastructure for the figure-reproduction benchmarks.
 
-Every benchmark regenerates one figure of the paper on the simulated
+Every figure benchmark regenerates one figure of the paper on the simulated
 twelve-machine cluster, prints the series the paper plots and writes it to
-``benchmarks/results/<figure>.txt``, so every figure's numbers can be
-re-derived with a single ``pytest benchmarks/ --benchmark-only`` run.  CI runs
-the seven figure benchmarks at quick scale and uploads those files as the
-``figure-results`` artifact.
+``benchmarks/results/<figure>.txt``, as the three ablations do their sweeps.  The
+``bench_*.py`` files do not match pytest's default file pattern, so name them
+explicitly, as CI does::
+
+    PYTHONPATH=src python -m pytest -q benchmarks/bench_fig0[5-9]*.py \
+        benchmarks/bench_fig1[01]*.py benchmarks/bench_ablation_*.py --benchmark-only
+
+CI uploads those files as the ``figure-results`` artifact.  The CI bars
+(``BENCH_*.json``) are a separate run: ``python benchmarks/run_bars.py``.
 
 The amount of work is controlled by the ``REPRO_EXPERIMENT_SCALE`` environment
 variable (``quick`` — the default, a few minutes for the whole suite — or

@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ExperimentError
 from ..metrics.report import format_table
-from ..metrics.speedup import SpeedupPoint, common_quality_threshold, speedup_curve
+from ..metrics.speedup import SpeedupPoint, speedup_curve
 from ..metrics.trace import CostTrace
 from ..parallel.runner import ParallelSearchResult
 from ..pvm.cluster import paper_cluster

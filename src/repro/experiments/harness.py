@@ -17,16 +17,15 @@ here:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import ExperimentError
 from ..metrics.trace import CostTrace
 from ..parallel.config import ParallelSearchParams
 from ..problems.placement import PlacementProblem
-from ..parallel.runner import ParallelSearchResult, build_problem, run_parallel_search
+from ..parallel.runner import ParallelSearchResult, run_parallel_search
 from ..placement.iscas import PAPER_CIRCUITS, load_benchmark
-from ..placement.netlist import Netlist
 from ..pvm.cluster import ClusterSpec, paper_cluster
 from ..tabu.params import TabuSearchParams
 

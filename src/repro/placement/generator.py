@@ -17,10 +17,8 @@ the same circuit.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import List, Optional
-
-import numpy as np
+from dataclasses import dataclass
+from typing import List
 
 from .._rng import make_rng
 from ..errors import NetlistError

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import io as _io
 from pathlib import Path
-from typing import Dict, List, TextIO, Union
+from typing import Dict, TextIO, Union
 
 import numpy as np
 

@@ -16,7 +16,7 @@ master many times per global iteration.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 

@@ -15,8 +15,8 @@ constructors build the configurations used by the experiments:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from .._rng import make_rng
 from ..errors import ClusterError

@@ -10,7 +10,7 @@ application, so the estimate concentrates on them).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np

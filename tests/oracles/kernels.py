@@ -17,7 +17,7 @@ verbatim so the parity suites can pin the shipped kernel against it:
   walks the cells in the Kahn order of the frozen graph builder
   (:mod:`oracles.timing_graph`).
 
-``benchmarks/bench_gpu_kernels.py`` times the shipped kernels against the
+``benchmarks/bench_kernels.py`` times the shipped kernels against the
 two delta oracles: the dispatch tax of calling through :mod:`repro.accel`.
 """
 
@@ -136,7 +136,7 @@ def wirelength_reference(
     The kernel body :meth:`WirelengthState.deltas_for_swaps` shipped before
     it called :func:`repro.accel.hpwl_batch_deltas`: the bit-identity oracle
     of the contract battery and the dispatch-tax baseline of
-    ``benchmarks/bench_gpu_kernels.py``.  It takes only the state's static
+    ``benchmarks/bench_kernels.py``.  It takes only the state's static
     structure (netlist, layout, incidence) and reads the bboxes, edge
     multiplicities and per-net HPWL from ``caches``, a
     :func:`reference_caches` tuple of the state's placement, computed here
@@ -226,7 +226,7 @@ def qap_reference(
     This is the kernel body :meth:`QAPEvaluator.deltas_for_swaps` shipped
     before it called :func:`repro.accel.qap_swap_deltas`: the contract
     battery pins the shipped kernel against it bit for bit, and
-    ``benchmarks/bench_gpu_kernels.py`` uses it as the dispatch-tax
+    ``benchmarks/bench_kernels.py`` uses it as the dispatch-tax
     baseline.  It reads the evaluator's state directly and never touches
     :mod:`repro.accel`.  Pass ``scratch`` (four
     ``(m, n)`` float64 buffers) to measure steady-state cost; omitted, the
