@@ -2,10 +2,22 @@
 
 Unlike the figure benchmarks (one long run each), these use pytest-benchmark's
 normal repeated timing, so regressions in the incremental cost evaluation, the
-full-circuit evaluation or the discrete-event kernel show up directly.
+full-circuit evaluation or the discrete-event kernel show up directly.  Run
+the file as a bar script::
+
+    PYTHONPATH=src python benchmarks/bench_micro_kernels.py
+
+It runs itself under pytest-benchmark and writes each test's timing as
+``{median, iqr, n}`` in microseconds to ``BENCH_micro.json``, through
+``_timing.check`` like every other bar script (it sets no bar).
 """
 
 from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +26,8 @@ from repro.placement import CostEvaluator, Layout, load_benchmark, random_placem
 from repro.placement.timing import TimingAnalyzer
 from repro.placement.wirelength import full_hpwl
 from repro.pvm import SimKernel, homogeneous_cluster
+
+from _timing import check
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +123,29 @@ def test_bench_simkernel_message_round_trips(benchmark):
         return kernel.result_of(pid)
 
     assert benchmark(run_kernel) == 200
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = Path(tmp) / "micro.json"
+        returncode = int(
+            pytest.main(
+                [__file__, "-q", "-p", "no:cacheprovider", "--benchmark-only",
+                 f"--benchmark-json={raw}"]
+            )
+        )
+        if not raw.exists():
+            return returncode or 1
+        results = {
+            bench["name"]: {
+                "median": bench["stats"]["median"] * 1e6,
+                "iqr": bench["stats"]["iqr"] * 1e6,
+                "n": bench["stats"]["rounds"],
+            }
+            for bench in json.loads(raw.read_text())["benchmarks"]
+        }
+    return check([], {"unit": "us", "results": results}, Path("BENCH_micro.json")) or returncode
+
+
+if __name__ == "__main__":
+    sys.exit(main())

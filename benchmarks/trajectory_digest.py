@@ -4,7 +4,8 @@
 Runs a fixed matrix of small seeded searches on the simulated backend —
 homogeneous and heterogeneous sync, both domains, fault plans (kills,
 message loss, throttles, deadline re-sends), elastic grow/drain, checkpoint
-round trips and warm worker pools, fault-free and with a dead CLW loop —
+round trips (one of them in fault mode) and warm worker pools, fault-free
+and with a dead CLW loop —
 through the public API only, and prints
 one ``<scenario> <digest>`` line per scenario.  A digest hashes everything a
 run's trajectory shows from outside: best cost and solution, the best-cost
@@ -230,6 +231,8 @@ def scenarios():
             "heterogeneous-resume",
             lambda: _checkpoint_round_trip(tiny, _params(**hetero), paper_cluster()),
         ),
+        # a fault-mode pause: both tiers harvest through the bounded wait
+        ("fault-resume", lambda: _checkpoint_round_trip(tiny, _params(fault=POLICY))),
         ("pool-two-runs", lambda: _pool_runs(tiny)),
         (
             # a CLW loop dies before the first run: its TSW strikes it out

@@ -28,15 +28,12 @@ the whole search.
 from __future__ import annotations
 
 import copy
-from typing import Optional
 
 from .._rng import derive_seed, make_rng
-from ..core.protocols import SearchProblem, capture_evaluator, revive_evaluator
-from ..tabu.candidate import CellRange
+from ..core.protocols import capture_evaluator, revive_evaluator
 from ..tabu.moves import CompoundMoveBuilder
-from ..tabu.params import TabuSearchParams
 from .delta import ResidentSolution
-from .messages import ClwResult, ClwSummary, ClwTask, ClwWorkerState, ReportNow, Tags
+from .messages import ClwResult, ClwSetup, ClwSummary, ClwTask, ClwWorkerState, ReportNow, Tags
 
 __all__ = ["clw_process"]
 
@@ -55,38 +52,27 @@ def _nack(clw_index: int, round_id: int) -> ClwResult:
     )
 
 
-def clw_process(
-    ctx,
-    problem: SearchProblem,
-    tabu_params: TabuSearchParams,
-    cell_range: CellRange,
-    clw_index: int,
-    seed: int,
-    initial_state: Optional[ClwWorkerState] = None,
-):
+def clw_process(ctx, setup: ClwSetup):
     """Generator body of a CLW process (run it under a PVM kernel).
 
-    Parameters
-    ----------
-    problem:
-        Shared immutable problem description.
-    tabu_params:
-        ``pairs_per_step`` (m), ``move_depth`` (d) and the early-accept flag
-        are the relevant fields here.
-    cell_range:
-        The private range this CLW draws the first cell of every candidate
-        pair from.
-    clw_index:
-        Index of this CLW within its parent TSW (used in results and seeds).
-    seed:
-        Seed of this worker's private random stream.
-    initial_state:
-        Checkpointed :class:`~repro.parallel.messages.ClwWorkerState` to
-        resume from — restores the RNG stream, the evaluator's exact
-        internal state and the resident-solution version, so the resumed
-        trajectory is bit-identical to the uninterrupted one.
+    ``setup`` is the CLW's start-up record:
+
+    * ``problem``: the shared immutable problem description;
+    * ``tabu_params``: ``pairs_per_step`` (m), ``move_depth`` (d) and the
+      early-accept flag are the relevant fields here;
+    * ``cell_range``: the private range this CLW draws the first cell of
+      every candidate pair from;
+    * ``clw_index`` and ``seed``: this CLW's index within its parent TSW
+      (used in results and seeds) and the seed of its private random stream;
+    * ``initial_state``: a checkpointed
+      :class:`~repro.parallel.messages.ClwWorkerState` to resume from — it
+      restores the RNG stream, the evaluator's exact internal state and the
+      resident-solution version, so the resumed trajectory is bit-identical
+      to the uninterrupted one.
     """
-    rng = make_rng(derive_seed(seed, "clw", clw_index), ctx.name)
+    problem, tabu_params, clw_index = setup.problem, setup.tabu_params, setup.clw_index
+    cell_range, initial_state = setup.cell_range, setup.initial_state
+    rng = make_rng(derive_seed(setup.seed, "clw", clw_index), ctx.name)
     evaluator = None
     resident = ResidentSolution()
     base_state = None  # evaluator snapshot at the current task base

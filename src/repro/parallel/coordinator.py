@@ -17,9 +17,11 @@ slow half to report early under heterogeneous sync), adopt.  A
   out, and a ``WORKER_DOWN`` obituary kills it at once.
 
 The protocol phases are generator methods the parent drives with
-``yield from``: provision (:meth:`spawn`, or :meth:`setup` then
-:meth:`await_acks`), :meth:`broadcast`, :meth:`collect`, :meth:`harvest`
-and :meth:`stop`.  Messages a phase scoops up but does not handle (the
+``yield from``: :meth:`provision` (then :meth:`await_acks` for warm loops),
+:meth:`broadcast`, :meth:`collect`, :meth:`harvest` and :meth:`stop`.  The
+three that wait for one reply per child share one receive loop: without a
+fault policy it is a tagged receive; with one it runs to a deadline fixed
+when the wait starts, and messages it scoops up but does not handle (the
 master's ``CANCEL``/``ADMIT``/``DRAIN``, a TSW's ``REPORT_NOW``) land in
 :attr:`Coordinator.inbox` for the parent's next boundary.
 """
@@ -96,12 +98,6 @@ class Coordinator:
     # ------------------------------------------------------------------ #
     # roster
     # ------------------------------------------------------------------ #
-    def enlist(self, index: int, pid: int) -> None:
-        """Add a running child; it starts on ``ranges[index]``."""
-        self.pid_of[index] = pid
-        self.index_of[pid] = index
-        self.shipped[index] = self.ranges[index]
-
     def live_indices(self) -> List[int]:
         """Indices of the children neither dead nor drained, ascending."""
         return sorted(i for i in self.pid_of if i not in self.dead and i not in self.drained)
@@ -168,53 +164,95 @@ class Coordinator:
     # ------------------------------------------------------------------ #
     # provision
     # ------------------------------------------------------------------ #
-    def spawn(self, index: int, func, *args, **kwargs):
-        """Spawn a fresh process as child ``index``."""
-        pid = yield self.ctx.spawn(func, *args, **kwargs)
-        self.enlist(index, pid)
+    def provision(
+        self, index: int, body, setup: Any, loop_pid: Optional[int] = None, **spawn_kwargs
+    ):
+        """Start child ``index`` on ``ranges[index]`` from its setup record.
 
-    def setup(self, index: int, pid: int, payload: Any):
-        """Configure a persistent worker loop as child ``index``."""
-        yield self.ctx.send(pid, Tags.SETUP, payload)
-        self.enlist(index, pid)
-        self._unacked.add(pid)
+        Without ``loop_pid`` this spawns ``body(ctx, setup)`` (with
+        ``spawn_kwargs``: name, machine); with one it sends the record to
+        that warm worker loop as a ``SETUP``, which :meth:`await_acks` then
+        waits out.
+        """
+        if loop_pid is None:
+            pid = yield self.ctx.spawn(body, setup, **spawn_kwargs)
+        else:
+            pid = loop_pid
+            yield self.ctx.send(pid, Tags.SETUP, setup)
+            self._unacked.add(pid)
+        self.pid_of[index] = pid
+        self.index_of[pid] = index
+        self.shipped[index] = self.ranges[index]
 
     def await_acks(self):
-        """Wait for the ``SETUP_ACK`` of every loop set up since the last call.
+        """Wait for the ``SETUP_ACK`` of every loop provisioned since the last call.
 
         No run traffic may precede the ack: a large ``SETUP`` has a
         size-dependent latency, so a smaller message sent later could
-        overtake it.  In fault mode the wait has one deadline and loops
-        still silent then are struck out — the run starts degraded instead
-        of never starting.
+        overtake it.  In fault mode loops still silent at the deadline are
+        struck out — the run starts degraded instead of never starting.
         """
         expected, self._unacked = self._unacked, set()
+        yield from self._gather(Tags.SETUP_ACK, expected, "no setup ack")
+
+    # ------------------------------------------------------------------ #
+    # the one wait
+    # ------------------------------------------------------------------ #
+    def _wait(self, tag: str, pending: Set[int], handle, expire):
+        """Receive ``tag`` messages until no pid is left in ``pending``.
+
+        ``handle(reply)`` deals with one ``tag`` message: it discards the
+        sender from ``pending``, and returns True when it re-sent the child
+        work, which restarts the deadline.  Without a fault policy the wait
+        is a tagged receive.  With one, the deadline is fixed when the wait
+        starts; a ``WORKER_DOWN`` goes through :meth:`obituary` (a child it
+        kills is no longer pending), every other message goes to
+        :attr:`inbox`, and at the deadline ``expire(now)`` forgives or
+        strikes out the silent children before the wait restarts.  Both
+        callbacks are generators, as they may send.
+        """
+        ctx = self.ctx
         if self.fault is None:
-            while expected:
-                ack = yield self.ctx.recv(tag=Tags.SETUP_ACK)
-                expected.discard(ack.src)
+            while pending:
+                yield from handle((yield ctx.recv(tag=tag)))
             return
-        if not expected:
-            return
-        deadline = float((yield self.ctx.now())) + self.deadline
-        while True:
-            silent = sorted(pid for pid in expected if self.index_of[pid] not in self.dead)
-            if not silent:
-                return
-            now = yield self.ctx.now()
-            if deadline - float(now) <= 0:
-                for pid in silent:
-                    self.declare_dead(pid, "no setup ack", now)
-                return
-            reply = yield self.ctx.recv_timeout(deadline - float(now))
+        deadline = float((yield ctx.now())) + self.deadline
+        while pending:
+            now = float((yield ctx.now()))
+            if now >= deadline:
+                yield from expire(now)
+                deadline = float((yield ctx.now())) + self.deadline
+                continue
+            reply = yield ctx.recv_timeout(deadline - now)
             if reply is None:
                 continue
-            if reply.tag == Tags.SETUP_ACK:
-                expected.discard(reply.src)
-            elif reply.tag == Tags.WORKER_DOWN:
-                yield from self.obituary(reply)
-            else:
+            if reply.tag == Tags.WORKER_DOWN:
+                if (yield from self.obituary(reply)):
+                    pending.discard(reply.payload.pid)
+            elif reply.tag != tag:
                 self.inbox.append(reply)
+            elif (yield from handle(reply)):
+                deadline = float((yield ctx.now())) + self.deadline
+
+    def _gather(self, tag: str, pending: Set[int], reason: str):
+        """``{index: payload}`` of one ``tag`` reply from each pid in
+        ``pending``; in fault mode the children still silent at the deadline
+        are declared dead for ``reason``."""
+        replies: Dict[int, Any] = {}
+
+        def handle(reply):
+            replies[self.index_of[reply.src]] = reply.payload
+            pending.discard(reply.src)
+            yield from ()
+
+        def expire(now):
+            for pid in sorted(pending):
+                self.declare_dead(pid, reason, now)
+            pending.clear()
+            yield from ()
+
+        yield from self._wait(tag, pending, handle, expire)
+        return replies
 
     # ------------------------------------------------------------------ #
     # one round: broadcast, then collect
@@ -251,32 +289,13 @@ class Coordinator:
         heterogeneous sync the children still working get a ``REPORT_NOW``
         once the policy's share has reported.
         """
-        ctx = self.ctx
         participants = self.live()
         pending: Set[int] = set(participants)
         results: Dict[int, Any] = {}
         interrupt_sent = False
-        if self.fault is not None:
-            deadline = float((yield ctx.now())) + self.deadline
-        while pending:
-            if self.fault is None:
-                reply = yield ctx.recv(tag=self.result_tag)
-            else:
-                now = yield ctx.now()
-                if deadline - float(now) <= 0:
-                    yield from self._deadline_passed(pending, round_id, target, task, now)
-                    deadline = float((yield ctx.now())) + self.deadline
-                    continue
-                reply = yield ctx.recv_timeout(deadline - float(now))
-                if reply is None:
-                    continue
-                if reply.tag == Tags.WORKER_DOWN:
-                    if (yield from self.obituary(reply)):
-                        pending.discard(reply.payload.pid)
-                    continue
-                if reply.tag != self.result_tag:
-                    self.inbox.append(reply)
-                    continue
+
+        def handle(reply):
+            nonlocal interrupt_sent
             result = reply.payload
             # Account for the sender *before* the staleness check: under a
             # truly asynchronous backend a late or duplicate report from an
@@ -287,18 +306,16 @@ class Coordinator:
             index = self.index_of[reply.src]
             if self.round_of(result) != round_id:
                 self.encoder.invalidate(index)
-                continue
+                return
             if result.needs_full:
                 self.encoder.invalidate(index)
                 payload = self.encoder.encode(index, target, version=round_id)
-                yield ctx.send(reply.src, self.task_tag, task(payload, None, None))
+                yield self.ctx.send(reply.src, self.task_tag, task(payload, None, None))
                 pending.add(reply.src)
-                if self.fault is not None:
-                    deadline = float((yield ctx.now())) + self.deadline
-                continue
+                return True
             if index in results or (accept is not None and not accept(index, result)):
                 self.encoder.invalidate(index)
-                continue
+                return
             if self.ledger is not None:
                 self.ledger.clear_misses(index)
             results[index] = result
@@ -308,8 +325,13 @@ class Coordinator:
                 and self.sync.should_interrupt(len(results), len(participants))
             ):
                 for pid in pending:
-                    yield ctx.send(pid, Tags.REPORT_NOW, ReportNow(round_id=round_id))
+                    yield self.ctx.send(pid, Tags.REPORT_NOW, ReportNow(round_id=round_id))
                 interrupt_sent = True
+
+        def expire(now):
+            return self._deadline_passed(pending, round_id, target, task, now)
+
+        yield from self._wait(self.result_tag, pending, handle, expire)
         # Arrival order is nondeterministic on the real backends; ordering
         # by child index makes everything downstream timing-independent.
         return [results[index] for index in sorted(results)]
@@ -337,41 +359,17 @@ class Coordinator:
     # ------------------------------------------------------------------ #
     # harvest and stop
     # ------------------------------------------------------------------ #
-    def harvest(self, deadline: Optional[float] = None):
+    def harvest(self):
         """Ask every live child for its state; returns ``{index: state}``.
 
-        Only called at a round boundary, when every child is idle.  With a
-        ``deadline`` (fault mode), a child that dies, or stays silent that
-        long, is declared dead instead of wedging the harvest (a resume
-        revives it); without one the wait is unbounded.
+        Only called at a round boundary, when every child is idle.  In fault
+        mode a child that dies, or stays silent until the deadline, is
+        declared dead instead of wedging the harvest (a resume revives it).
         """
-        ctx = self.ctx
         live = self.live()
         for pid in live:
-            yield ctx.send(pid, Tags.STATE_REQUEST)
-        harvested: Dict[int, Any] = {}
-        if deadline is None:
-            while len(harvested) < len(live):
-                reply = yield ctx.recv(tag=Tags.STATE_REPLY)
-                harvested[self.index_of[reply.src]] = reply.payload
-            return harvested
-        awaiting = set(live)
-        while awaiting:
-            reply = yield ctx.recv_timeout(deadline)
-            now = yield ctx.now()
-            if reply is None:
-                for pid in sorted(awaiting):
-                    self.declare_dead(pid, "no state reply", now)
-                break
-            if reply.tag == Tags.WORKER_DOWN and reply.payload.pid in awaiting:
-                awaiting.discard(reply.payload.pid)
-                self.declare_dead(
-                    reply.payload.pid, reply.payload.reason or "backend obituary", now
-                )
-            elif reply.tag == Tags.STATE_REPLY:
-                harvested[self.index_of[reply.src]] = reply.payload
-                awaiting.discard(reply.src)
-        return harvested
+            yield self.ctx.send(pid, Tags.STATE_REQUEST)
+        return (yield from self._gather(Tags.STATE_REPLY, set(live), "no state reply"))
 
     def stop(self):
         """``STOP`` every child not drained — struck-out ones included, as a

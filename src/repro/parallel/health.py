@@ -23,7 +23,7 @@ The constants below tune both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .config import FaultPolicy
@@ -55,8 +55,7 @@ class WorkerHealth:
     slow_streak: int = 0
     limplocked: bool = False
     #: Gracefully retired (no strike): not alive, but not dead either —
-    #: ``dead_keys`` excludes drained workers and ``install_state(revive=True)``
-    #: does not resurrect them.
+    #: ``install_state`` does not resurrect drained workers.
     drained: bool = False
 
 
@@ -77,17 +76,6 @@ class HealthLedger:
         return [w.rate for w in self._workers.values() if w.alive and w.rate is not None]
 
     # -- liveness -------------------------------------------------------- #
-    def dead_keys(self) -> List[int]:
-        """Keys of workers that died (drained workers are *not* dead)."""
-        return [
-            key
-            for key in sorted(self._workers)
-            if not self._workers[key].alive and not self._workers[key].drained
-        ]
-
-    def is_alive(self, key: int) -> bool:
-        return self._workers[key].alive
-
     def mark_dead(self, key: int) -> None:
         self._workers[key].alive = False
 
@@ -217,13 +205,13 @@ class HealthLedger:
             for _, w in sorted(self._workers.items())
         )
 
-    def install_state(self, state, *, revive: bool = True) -> None:
-        """Restore a snapshot from a checkpoint.
+    def install_state(self, state) -> None:
+        """Restore a snapshot from a checkpoint, reviving the dead.
 
-        ``revive`` resets every non-drained worker to alive: deaths are
-        per-epoch facts (a cold resume respawns all workers; a pool resume
-        repairs dead loops first), while throughput history — and graceful
-        retirements — are worth keeping.
+        Every non-drained worker comes back alive with no missed deadlines:
+        deaths are per-epoch facts (a cold resume respawns all workers; a
+        pool resume repairs dead loops first), while throughput history —
+        and graceful retirements — are worth keeping.
         """
         for row in state:
             key = row[0]
@@ -241,6 +229,5 @@ class HealthLedger:
                 worker.limplocked,
                 worker.drained,
             ) = row
-            if revive:
-                worker.alive = not worker.drained
-                worker.missed_deadlines = 0
+            worker.alive = not worker.drained
+            worker.missed_deadlines = 0

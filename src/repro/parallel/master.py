@@ -23,8 +23,9 @@ iteration from a harvested :class:`MasterRunState`, capped after
 ``max_rounds`` rounds, or paused by a ``CANCEL`` message — in all three cases
 the master harvests the full worker subtree state (master → TSW → CLW) before
 stopping the workers, and returns an *incomplete* :class:`MasterResult` whose
-``run_state`` resumes the run bit-identically.  TSWs are either spawned (cold
-start and checkpoint restore) or set up on the persistent worker loops of a
+``run_state`` resumes the run bit-identically.  Every TSW starts from one
+:class:`~repro.parallel.messages.TswSetup` record: spawned with it (cold
+start and checkpoint restore), or sent it on a persistent worker loop of a
 warm :class:`~repro.session.WorkerPool`.
 """
 
@@ -266,11 +267,11 @@ def master_process(
         coord.drained.update(resume_state.drained_workers)
         coord.encoder.install_residents(resume_state.master_residents)
         if coord.ledger is not None and resume_state.health is not None:
-            coord.ledger.install_state(resume_state.health, revive=True)
+            coord.ledger.install_state(resume_state.health)
         worker_states = {state.tsw_index: state for state in resume_state.worker_states}
 
     def launch(index: int, loop_pid: Optional[int], machine: Optional[int] = None):
-        """Start TSW ``index``: SETUP a warm pool loop, or spawn a process."""
+        """Start TSW ``index`` on a warm pool loop, or spawn it."""
         setup = TswSetup(
             problem=problem,
             params=params,
@@ -280,20 +281,8 @@ def master_process(
             seed=derive_seed(params.seed, "tsw", index),
             initial_state=worker_states.get(index),
         )
-        if loop_pid is not None:
-            return coord.setup(index, loop_pid, setup)
-        return coord.spawn(
-            index,
-            tsw_process,
-            problem,
-            params,
-            index,
-            setup.tsw_range,
-            list(clw_ranges),
-            setup.seed,
-            name=f"tsw{index}",
-            machine_index=machine,
-            initial_state=setup.initial_state,
+        return coord.provision(
+            index, tsw_process, setup, loop_pid, name=f"tsw{index}", machine_index=machine
         )
 
     # A grown pool may hold more loops than the base topology (the extras
@@ -500,7 +489,7 @@ def master_process(
     run_state: Optional[MasterRunState] = None
     if not complete:
         # ---- harvest the worker subtree before stopping anyone ------------
-        harvested = yield from coord.harvest(coord.deadline if fault is not None else None)
+        harvested = yield from coord.harvest()
         pause_time = yield ctx.now()
         evaluator_assignment, evaluator_state, _ = capture_evaluator(evaluator)
         run_state = MasterRunState(

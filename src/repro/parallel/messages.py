@@ -281,7 +281,12 @@ class TswWorkerState:
 
 @dataclass
 class ClwSetup:
-    """Pool → persistent CLW loop: arguments of one ``clw_process`` run."""
+    """Start-up record of one CLW run: the one argument of ``clw_process``.
+
+    A TSW passes it to a cold spawn, or sends it to a persistent CLW loop as
+    the ``SETUP`` payload.  A body only reads it: on the simulated and
+    threads backends it holds the sender's own object.
+    """
 
     problem: Any
     tabu_params: Any
@@ -293,7 +298,12 @@ class ClwSetup:
 
 @dataclass
 class TswSetup:
-    """Pool → persistent TSW loop: arguments of one ``tsw_process`` run."""
+    """Start-up record of one TSW run: the one argument of ``tsw_process``.
+
+    The master passes it to a cold spawn, or sends it to a persistent TSW
+    loop as the ``SETUP`` payload.  A body only reads it: on the simulated
+    and threads backends it holds the master's own object.
+    """
 
     problem: Any
     params: Any

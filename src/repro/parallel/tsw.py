@@ -32,12 +32,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .._rng import derive_seed
-from ..core.protocols import SearchProblem, capture_evaluator, revive_evaluator
-from ..tabu.candidate import CellRange
+from ..core.protocols import capture_evaluator, revive_evaluator
 from ..tabu.moves import CompoundMove, SwapMove
 from ..tabu.search import TabuSearch
 from .clw import clw_process
-from .config import ParallelSearchParams
 from .coordinator import Coordinator
 from .delta import DeltaEncoder, ResidentSolution, swap_list_between
 from .messages import (
@@ -50,6 +48,7 @@ from .messages import (
     SetupAck,
     Tags,
     TswResult,
+    TswSetup,
     TswSummary,
     TswWorkerState,
 )
@@ -98,28 +97,25 @@ def _needs_full_result(tsw_index: int, global_iteration: int) -> TswResult:
 
 def tsw_process(
     ctx,
-    problem: SearchProblem,
-    params: ParallelSearchParams,
-    tsw_index: int,
-    tsw_range: CellRange,
-    clw_ranges: List[CellRange],
-    seed: int,
-    initial_state: Optional[TswWorkerState] = None,
+    setup: TswSetup,
     master_pid: Optional[int] = None,
     clw_pids: Optional[List[int]] = None,
 ):
     """Generator body of a TSW process (run it under a PVM kernel).
 
-    ``initial_state`` resumes the TSW from a checkpointed
+    ``setup`` is the TSW's start-up record; its ``initial_state`` resumes
+    the TSW from a checkpointed
     :class:`~repro.parallel.messages.TswWorkerState` (its CLWs get their own
     slices).  ``master_pid`` overrides where results are reported
     (persistent worker loops run under a pool parent, not under the master).
-    ``clw_pids`` sets up already-running CLW loops instead of spawning fresh
-    CLWs — the warm-pool path, provisioned the way the master provisions
-    its TSW loops; their order must match ``clw_ranges``.
+    ``clw_pids`` sends each CLW its record on an already-running CLW loop
+    instead of spawning it — the warm-pool path; their order must match
+    ``setup.clw_ranges``.
     """
     if master_pid is None:
         master_pid = ctx.parent
+    problem, params, tsw_index = setup.problem, setup.params, setup.tsw_index
+    tsw_range, initial_state = setup.tsw_range, setup.initial_state
     fault = params.fault
     coord = Coordinator(
         ctx,
@@ -129,43 +125,29 @@ def tsw_process(
         prefix="clw",
         num_cells=problem.num_cells,
         scheme=CLW_SCHEME,
-        ranges=dict(enumerate(clw_ranges)),
+        ranges=dict(enumerate(setup.clw_ranges)),
         task_tag=Tags.CLW_TASK,
         result_tag=Tags.CLW_RESULT,
         round_of=lambda result: result.round_id,
-        ledger_keys=list(range(len(clw_ranges))),
+        ledger_keys=list(range(len(setup.clw_ranges))),
     )
 
-    # ---- spawn (or set up) the candidate-list workers ---------------------
+    # ---- start the candidate-list workers ---------------------------------
     clw_states: Dict[int, ClwWorkerState] = {}
     if initial_state is not None:
         clw_states = {s.clw_index: s for s in initial_state.clw_states}
-    for clw_index, clw_range in enumerate(clw_ranges):
-        clw_seed = derive_seed(seed, "tsw", tsw_index, "clw", clw_index)
-        if clw_pids is not None:
-            yield from coord.setup(
-                clw_index,
-                clw_pids[clw_index],
-                ClwSetup(
-                    problem=problem,
-                    tabu_params=params.tabu,
-                    cell_range=clw_range,
-                    clw_index=clw_index,
-                    seed=clw_seed,
-                    initial_state=clw_states.get(clw_index),
-                ),
-            )
-            continue
-        yield from coord.spawn(
-            clw_index,
-            clw_process,
-            problem,
-            params.tabu,
-            clw_range,
-            clw_index,
-            clw_seed,
-            name=f"tsw{tsw_index}.clw{clw_index}",
+    for clw_index, clw_range in enumerate(setup.clw_ranges):
+        clw_setup = ClwSetup(
+            problem=problem,
+            tabu_params=params.tabu,
+            cell_range=clw_range,
+            clw_index=clw_index,
+            seed=derive_seed(setup.seed, "tsw", tsw_index, "clw", clw_index),
             initial_state=clw_states.get(clw_index),
+        )
+        loop_pid = clw_pids[clw_index] if clw_pids is not None else None
+        yield from coord.provision(
+            clw_index, clw_process, clw_setup, loop_pid, name=f"tsw{tsw_index}.clw{clw_index}"
         )
     if clw_pids is not None:
         # acknowledged bottom-up: our SETUP_ACK follows our CLWs' acks
@@ -193,7 +175,7 @@ def tsw_process(
             evaluator,
             params.tabu,
             cell_range=tsw_range,
-            seed=derive_seed(seed, "tsw-search", tsw_index),
+            seed=derive_seed(setup.seed, "tsw-search", tsw_index),
         )
         search.install_state(initial_state.search_state)
         resident.version = int(initial_state.resident_version)
@@ -214,8 +196,9 @@ def tsw_process(
         if message.tag == Tags.STATE_REQUEST:
             # Harvest for a checkpoint: collect the live CLWs' states and
             # reply with the full subtree.  Only sent at a global-iteration
-            # boundary, when everyone is idle; the master's harvest deadline
-            # bounds the wait.
+            # boundary, when everyone is idle; in fault mode the CLW deadline
+            # bounds the wait, so a CLW that dies meanwhile costs the
+            # checkpoint only that CLW.
             replies = yield from coord.harvest()
             assignment, evaluator_state, evaluations = capture_evaluator(evaluator)
             state = TswWorkerState(
@@ -264,7 +247,7 @@ def tsw_process(
                 evaluator,
                 params.tabu,
                 cell_range=tsw_range,
-                seed=derive_seed(seed, "tsw-search", tsw_index),
+                seed=derive_seed(setup.seed, "tsw-search", tsw_index),
             )
         elif applied:
             # adopt checked the delta's checksum first, so a wrong base never

@@ -5,10 +5,13 @@ end — on the processes backend that means OS-process startup plus
 shared-memory export on every run.  A *warm* pool instead keeps one
 :func:`tsw_worker_loop` process per TSW (each owning its
 :func:`clw_worker_loop` children) alive across runs; a new search ships a
-``SETUP`` message carrying the problem and parameters, the loop runs the
-ordinary :func:`~repro.parallel.tsw.tsw_process` /
-:func:`~repro.parallel.clw.clw_process` body inline (``yield from``), and
-returns to idle when the master sends ``STOP``.
+``SETUP`` message carrying the worker's start-up record
+(:class:`~repro.parallel.messages.TswSetup` /
+:class:`~repro.parallel.messages.ClwSetup`, the one argument a cold spawn
+passes too), the loop hands it unchanged to the ordinary
+:func:`~repro.parallel.tsw.tsw_process` /
+:func:`~repro.parallel.clw.clw_process` body, run inline (``yield from``),
+and returns to idle when the master sends ``STOP``.
 
 The loops reproduce the cold spawn topology exactly — worker names (which
 seed the per-worker RNG streams) and seed derivations are identical — so a
@@ -23,7 +26,7 @@ Setup is acknowledged bottom-up: each CLW loop acks its TSW after installing
 the setup, the TSW acks the master only after all CLW acks arrived, and the
 master starts run traffic only after all TSW acks.  Both tiers provision
 through the same :class:`~repro.parallel.coordinator.Coordinator` calls
-(``setup`` per child, then ``await_acks``): the master inside
+(``provision`` per child, then ``await_acks``): the master inside
 :func:`~repro.parallel.master.master_process`, each TSW inside
 :func:`~repro.parallel.tsw.tsw_process`, so in fault mode a CLW loop that
 stays silent is struck out at the CLW deadline like any other child.  The
@@ -39,7 +42,7 @@ from typing import Sequence
 from ..errors import ProcessError
 from ..pvm.shm import release_shared
 from .clw import clw_process
-from .messages import ClwSetup, SetupAck, Tags, TswSetup
+from .messages import SetupAck, Tags, TswSetup
 from .tsw import tsw_process
 
 __all__ = ["clw_worker_loop", "tsw_worker_loop"]
@@ -74,17 +77,8 @@ def clw_worker_loop(ctx):
     """Persistent CLW: serve one :func:`clw_process` run per ``SETUP``."""
 
     def run(message):
-        setup: ClwSetup = message.payload
         yield ctx.send(message.src, Tags.SETUP_ACK, SetupAck(worker_name=ctx.name))
-        yield from clw_process(
-            ctx,
-            setup.problem,
-            setup.tabu_params,
-            setup.cell_range,
-            setup.clw_index,
-            setup.seed,
-            initial_state=setup.initial_state,
-        )
+        yield from clw_process(ctx, message.payload)
 
     return (yield from _serve(ctx, run))
 
@@ -106,17 +100,6 @@ def tsw_worker_loop(ctx, clws_per_tsw: int):
                 f"{ctx.name}: setup ships {len(setup.clw_ranges)} CLW ranges "
                 f"but the pool keeps {len(clw_pids)} CLW loops"
             )
-        yield from tsw_process(
-            ctx,
-            setup.problem,
-            setup.params,
-            setup.tsw_index,
-            setup.tsw_range,
-            list(setup.clw_ranges),
-            setup.seed,
-            initial_state=setup.initial_state,
-            master_pid=message.src,
-            clw_pids=list(clw_pids),
-        )
+        yield from tsw_process(ctx, setup, master_pid=message.src, clw_pids=list(clw_pids))
 
     return (yield from _serve(ctx, run, clw_pids))

@@ -124,6 +124,12 @@ _PRELOAD = [
     "repro.problems.placement",
     "repro.problems.qap.evaluator",
 ]
+#: Once any worker has finished with an error, how many seconds ``join_all``
+#: keeps waiting for the rest before aborting — a dead worker usually means
+#: the survivors are blocked on messages that will never arrive, and burning
+#: the whole deadline (an hour by default in the runner) just delays the
+#: real diagnosis.
+FAILURE_GRACE = 10.0
 #: Serialises fork-server starts: their ``PYTHONPATH`` edit is process-wide.
 _FORK_SERVER_LOCK = threading.Lock()
 
@@ -562,20 +568,12 @@ class ProcessKernel:
     done so the router thread and any straggler processes are reaped.
     """
 
-    def __init__(self, cluster: ClusterSpec, *, failure_grace: float = 10.0) -> None:
-        if failure_grace < 0:
-            raise ProcessError(f"failure_grace must be >= 0, got {failure_grace}")
+    def __init__(self, cluster: ClusterSpec) -> None:
         self._cluster = cluster
         self._records: Dict[int, _ProcessRecord] = {}
         self._next_pid = itertools.count(1)
         self._next_machine = 0
         self._lock = threading.Lock()
-        #: Once any worker has finished with an error, how long join_all keeps
-        #: waiting for the rest before aborting — a dead worker usually means
-        #: the survivors are blocked on messages that will never arrive, and
-        #: burning the whole deadline (an hour by default in the runner) just
-        #: delays the real diagnosis.
-        self.failure_grace = failure_grace
         self._death_listener: Optional[int] = None
         self._epoch = time.time()
         self._closed = False
@@ -888,7 +886,7 @@ class ProcessKernel:
         miss some; the loop re-scans until a pass finds no unfinished
         record.  ``timeout`` is one overall deadline for the whole
         operation, not a per-worker allowance.  If a worker has *failed* and
-        the others do not wind down within :attr:`failure_grace` seconds, the
+        the others do not wind down within :data:`FAILURE_GRACE` seconds, the
         join aborts with that worker's error instead of waiting out the
         deadline.
         """
@@ -906,7 +904,7 @@ class ProcessKernel:
                     (r for r in records if r.finished and r.error is not None), None
                 )
                 if failed is not None:
-                    failure_deadline = time.monotonic() + self.failure_grace
+                    failure_deadline = time.monotonic() + FAILURE_GRACE
             now = time.monotonic()
             if deadline is not None and now >= deadline:
                 raise ProcessError(

@@ -134,6 +134,10 @@ class SimStats:
     num_processes: int
 
 
+#: Events one :meth:`SimKernel.run` may process before it calls the run a
+#: livelock of the process protocol.
+MAX_EVENTS = 20_000_000
+
 # event kinds, ordered deterministically by (time, sequence number)
 _RESUME = "resume"
 _DELIVER = "deliver"
@@ -151,13 +155,9 @@ class SimKernel:
         self,
         cluster: ClusterSpec,
         *,
-        max_events: int = 20_000_000,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        if max_events <= 0:
-            raise SimulationError("max_events must be positive")
         self._cluster = cluster
-        self._max_events = max_events
         self._events: List[Tuple[float, int, str, Any]] = []
         self._seq = itertools.count()
         self._procs: Dict[int, _ProcessRecord] = {}
@@ -258,9 +258,9 @@ class SimKernel:
         while self._events:
             time, _, kind, data = heapq.heappop(self._events)
             self._events_processed += 1
-            if self._events_processed > self._max_events:
+            if self._events_processed > MAX_EVENTS:
                 raise SimulationError(
-                    f"event budget exhausted ({self._max_events} events); "
+                    f"event budget exhausted ({MAX_EVENTS} events); "
                     "suspected livelock in the process protocol"
                 )
             if kind == _TIMEOUT:

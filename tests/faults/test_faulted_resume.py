@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.parallel import FaultPolicy, ParallelSearchParams
+from repro.parallel.coordinator import Coordinator
 from repro.pvm import FaultPlan, KillWorker
 from repro.session import SearchSession, SessionState
 from repro.tabu import TabuSearchParams
@@ -100,6 +101,35 @@ class TestPauseAfterClwDeath:
         assert cells == list(range(problem.num_cells))
         result = SearchSession.restore(state).run()
         assert result.complete
+
+    def test_a_clw_killed_during_the_harvest_costs_its_tsw_only_that_clw(
+        self, problem, monkeypatch
+    ):
+        # tsw0.clw1 dies 1 ms after tsw0 began harvesting its CLWs for the
+        # pause: tsw0 answers from its surviving CLW, and no tier waits out
+        # a deadline (the kill time is read off an unfaulted twin run)
+        params = fault_params(num_tsws=2)
+        began = {}
+        harvest = Coordinator.harvest
+
+        def noting_harvest(self):
+            began.setdefault(self.ctx.name, (yield self.ctx.now()))
+            return (yield from harvest(self))
+
+        monkeypatch.setattr(Coordinator, "harvest", noting_harvest)
+        SearchSession(problem=problem, params=params).step(1)
+        kill = KillWorker(at=began["tsw0"] + 0.001, name="tsw0.clw1")
+        session = SearchSession(
+            problem=problem, params=params, fault_plan=FaultPlan(kills=(kill,))
+        )
+        session.step(1)
+        run_state = session.checkpoint().run_state
+        assert "worker-dead" not in [e.kind for e in run_state.fault_events]
+        states = {s.tsw_index: s for s in run_state.worker_states}
+        assert sorted(states) == [0, 1]
+        assert [c.clw_index for c in states[0].clw_states] == [0]
+        assert [c.clw_index for c in states[1].clw_states] == [0, 1]
+        assert run_state.clock_base < params.fault.clw_deadline
 
 
 class TestKillAfterResume:

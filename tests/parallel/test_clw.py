@@ -12,7 +12,7 @@ import pytest
 
 from repro.parallel.clw import clw_process
 from repro.parallel.delta import SolutionPayload
-from repro.parallel.messages import ClwTask, ReportNow, Tags
+from repro.parallel.messages import ClwSetup, ClwTask, ReportNow, Tags
 from repro.placement import load_benchmark
 from repro.problems.placement import PlacementProblem
 from repro.pvm import SimKernel, homogeneous_cluster
@@ -43,7 +43,7 @@ class TestClwTaskHandling:
 
         def parent(ctx):
             clw = yield ctx.spawn(
-                clw_process, problem, params, full_range(problem.num_cells), 0, 123,
+                clw_process, ClwSetup(problem, params, full_range(problem.num_cells), 0, 123),
                 name="clw0",
             )
             results = []
@@ -74,7 +74,9 @@ class TestClwTaskHandling:
 
         def parent(ctx):
             clw = yield ctx.spawn(
-                clw_process, problem, params, full_range(problem.num_cells), 0, 5, name="clw0"
+                clw_process,
+                ClwSetup(problem, params, full_range(problem.num_cells), 0, 5),
+                name="clw0",
             )
             solution = problem.random_solution(seed=9)
             yield ctx.send(clw, Tags.CLW_TASK, full_task(1, solution))
@@ -95,7 +97,7 @@ class TestClwTaskHandling:
 
         def parent(ctx):
             clw = yield ctx.spawn(
-                clw_process, problem, params, clw_range, 0, 11, name="clw0"
+                clw_process, ClwSetup(problem, params, clw_range, 0, 11), name="clw0"
             )
             yield ctx.send(
                 clw, Tags.CLW_TASK,
@@ -115,7 +117,9 @@ class TestClwTaskHandling:
 
         def parent(ctx):
             clw = yield ctx.spawn(
-                clw_process, problem, params, full_range(problem.num_cells), 3, 7, name="clw3"
+                clw_process,
+                ClwSetup(problem, params, full_range(problem.num_cells), 3, 7),
+                name="clw3",
             )
             yield ctx.send(
                 clw, Tags.CLW_TASK, full_task(1, problem.random_solution(seed=1))
@@ -135,7 +139,9 @@ class TestClwTaskHandling:
 
         def parent(ctx):
             clw = yield ctx.spawn(
-                clw_process, problem, params, full_range(problem.num_cells), 0, 3, name="clw0"
+                clw_process,
+                ClwSetup(problem, params, full_range(problem.num_cells), 0, 3),
+                name="clw0",
             )
             # a report request for a round that never existed must not break anything
             yield ctx.send(clw, Tags.REPORT_NOW, ReportNow(round_id=0))

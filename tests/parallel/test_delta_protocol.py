@@ -24,7 +24,7 @@ from repro.parallel.delta import (
     solution_crc,
     swap_list_between,
 )
-from repro.parallel.messages import ClwTask, GlobalStart, Tags
+from repro.parallel.messages import ClwSetup, ClwTask, GlobalStart, Tags, TswSetup
 from repro.parallel.tsw import _result_to_candidate, tsw_process
 from repro.placement import load_benchmark
 from repro.problems.placement import PlacementProblem
@@ -298,7 +298,7 @@ class TestClwDeltaProtocol:
 
     def spawn_clw(self, ctx, problem, params):
         return ctx.spawn(
-            clw_process, problem, params, full_range(problem.num_cells), 0, 123,
+            clw_process, ClwSetup(problem, params, full_range(problem.num_cells), 0, 123),
             name="clw0",
         )
 
@@ -414,7 +414,7 @@ class TestTswDeltaProtocol:
 
         def master(ctx):
             tsw = yield ctx.spawn(
-                tsw_process, problem, params, 0, tsw_ranges[0], list(clw_ranges), 7,
+                tsw_process, TswSetup(problem, params, 0, tsw_ranges[0], tuple(clw_ranges), 7),
                 name="tsw0",
             )
             solution = problem.random_solution(seed=1)

@@ -7,93 +7,35 @@ asynchronous backend a late or duplicate report from an earlier round can be
 the only message a worker sends during the current round — and the loop then
 waits forever for a result that never comes.
 
-The :class:`ScriptedKernel` below drives a process generator against a fixed
-message script.  When the generator asks for a receive the script cannot
-serve, the harness raises :class:`ScriptedDeadlock` — which is exactly what
-the pre-fix code does with the injected stale results (the collect loop asks
-for one more result than the script holds).  With the fix (discard the sender
+A :class:`~scripted_kernel.ScriptedKernel` drives a process generator
+against a fixed message script.  When the generator asks for a receive the
+script cannot serve, the harness raises
+:class:`~scripted_kernel.ScriptedDeadlock` — which is exactly what the
+pre-fix code does with the injected stale results (the collect loop asks for
+one more result than the script holds).  With the fix (discard the sender
 *before* the staleness check) the scripts below run to completion.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, List, Optional, Tuple
-
-import numpy as np
 import pytest
 
 from repro.parallel import ParallelSearchParams, build_problem
 from repro.parallel.delta import SolutionPayload
 from repro.parallel.master import MasterResult, master_process
-from repro.parallel.messages import ClwResult, GlobalStart, Tags, TswResult, TswSummary
+from repro.parallel.messages import (
+    ClwResult,
+    GlobalStart,
+    Tags,
+    TswResult,
+    TswSetup,
+    TswSummary,
+)
 from repro.parallel.tsw import tsw_process
 from repro.placement import load_benchmark
-from repro.pvm.process import Compute, GetTime, Receive, Send, Sleep, Spawn
-from repro.pvm.message import Message
 from repro.tabu.candidate import partition_cells
 from repro.tabu import TabuSearchParams
-
-
-class ScriptedDeadlock(AssertionError):
-    """The generator asked for a message the script does not contain."""
-
-
-class ScriptedKernel:
-    """Minimal syscall interpreter feeding a generator a fixed message script.
-
-    ``script`` is a list of ``(src, tag, payload)`` triples; every *blocking*
-    receive consumes the first entry matching its tag filter.  Non-blocking
-    probes always return ``None``.  Spawns hand out fake pids from 100.
-    """
-
-    def __init__(self, script: List[Tuple[int, str, Any]]) -> None:
-        self.script = list(script)
-        self.sent: List[Send] = []
-        self.spawned: List[Spawn] = []
-        self._pids = itertools.count(100)
-        self._clock = 0.0
-
-    def run(self, generator) -> Any:
-        value: Any = None
-        while True:
-            try:
-                syscall = generator.send(value)
-            except StopIteration as stop:
-                return stop.value
-            value = self._handle(syscall)
-
-    def _handle(self, syscall) -> Any:
-        if isinstance(syscall, (Compute, Sleep)):
-            return None
-        if isinstance(syscall, GetTime):
-            self._clock += 1.0
-            return self._clock
-        if isinstance(syscall, Send):
-            self.sent.append(syscall)
-            return None
-        if isinstance(syscall, Spawn):
-            self.spawned.append(syscall)
-            return next(self._pids)
-        if isinstance(syscall, Receive):
-            if not syscall.blocking:
-                return None
-            for index, (src, tag, payload) in enumerate(self.script):
-                if syscall.tag is not None and tag != syscall.tag:
-                    continue
-                if syscall.src is not None and src != syscall.src:
-                    continue
-                self.script.pop(index)
-                self._clock += 1.0
-                return Message(
-                    src=src, dst=0, tag=tag, payload=payload, size_bytes=64,
-                    send_time=self._clock, arrival_time=self._clock,
-                )
-            raise ScriptedDeadlock(
-                f"collect loop is waiting for tag={syscall.tag!r} but the "
-                f"script is exhausted — a stale result wedged the loop"
-            )
-        raise AssertionError(f"unexpected syscall {syscall!r}")
+from scripted_kernel import ScriptedContext, ScriptedKernel
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +79,7 @@ class TestMasterStaleResult:
                 (101, Tags.TSW_RESULT, fresh),
             ]
         )
-        result = kernel.run(master_process(_ctx(), problem, params))
+        result = kernel.run(master_process(ScriptedContext(), problem, params))
         assert isinstance(result, MasterResult)
         assert kernel.script == []  # every scripted message was consumed
         # the stale result was dropped: only the fresh one is recorded
@@ -166,7 +108,7 @@ class TestMasterStaleResult:
                 (101, Tags.TSW_RESULT, fresh_b),
             ]
         )
-        result = kernel.run(master_process(_ctx(), problem, params))
+        result = kernel.run(master_process(ScriptedContext(), problem, params))
         assert kernel.script == []
         assert result.global_records[0].received_costs == (
             fresh_a.best_cost,
@@ -194,7 +136,7 @@ class TestMasterStaleResult:
                 (101, Tags.TSW_RESULT, fresh_b),
             ]
         )
-        result = kernel.run(master_process(_ctx(), problem, params))
+        result = kernel.run(master_process(ScriptedContext(), problem, params))
         assert kernel.script == []
         assert result.global_records[0].received_costs == (
             fresh_a.best_cost,
@@ -240,7 +182,10 @@ class TestTswStaleResult:
             ]
         )
         summary = kernel.run(
-            tsw_process(_ctx(), problem, params, 0, tsw_range, list(clw_ranges), seed=17)
+            tsw_process(
+                ScriptedContext(),
+                TswSetup(problem, params, 0, tsw_range, tuple(clw_ranges), seed=17),
+            )
         )
         assert isinstance(summary, TswSummary)
         assert kernel.script == []
@@ -249,37 +194,3 @@ class TestTswStaleResult:
         assert any(send.tag == Tags.TSW_RESULT for send in kernel.sent)
         stops = [send for send in kernel.sent if send.tag == Tags.STOP]
         assert {send.dst for send in stops} == {100, 101}
-
-
-class _ctx:
-    """Context stub: identity plus the same syscall constructors as the kernels."""
-
-    pid = 0
-    parent = 0
-    name = "scripted"
-    machine_index = 0
-    machine = None
-
-    def compute(self, work_units, label=""):
-        return Compute(work_units=work_units, label=label)
-
-    def send(self, dst, tag, payload=None):
-        return Send(dst=dst, tag=tag, payload=payload)
-
-    def recv(self, tag=None, src=None):
-        return Receive(tag=tag, src=src, blocking=True)
-
-    def recv_timeout(self, timeout, tag=None, src=None):
-        return Receive(tag=tag, src=src, blocking=True, timeout=timeout)
-
-    def probe(self, tag=None, src=None):
-        return Receive(tag=tag, src=src, blocking=False)
-
-    def spawn(self, func, *args, machine_index=None, name="", **kwargs):
-        return Spawn(func=func, args=args, kwargs=dict(kwargs), machine_index=machine_index, name=name)
-
-    def now(self):
-        return GetTime()
-
-    def sleep(self, seconds):
-        return Sleep(seconds=seconds)

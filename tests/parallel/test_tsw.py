@@ -11,7 +11,7 @@ import pytest
 
 from repro.parallel import ParallelSearchParams
 from repro.parallel.delta import SolutionPayload, decode_solution
-from repro.parallel.messages import GlobalStart, ReportNow, Tags
+from repro.parallel.messages import GlobalStart, ReportNow, Tags, TswSetup
 from repro.parallel.tsw import tsw_process
 from repro.placement import load_benchmark
 from repro.problems.placement import PlacementProblem
@@ -42,12 +42,7 @@ def spawn_tsw(ctx, problem, params, tsw_index=0, seed=7):
     clw_ranges = partition_cells(problem.num_cells, params.clws_per_tsw)
     return ctx.spawn(
         tsw_process,
-        problem,
-        params,
-        tsw_index,
-        tsw_ranges[tsw_index],
-        list(clw_ranges),
-        seed,
+        TswSetup(problem, params, tsw_index, tsw_ranges[tsw_index], tuple(clw_ranges), seed),
         name=f"tsw{tsw_index}",
     )
 

@@ -27,6 +27,7 @@ from repro.parallel import ParallelSearchParams
 from repro.pvm import ClusterSpec, MachineSpec, ProcessKernel, ThreadKernel, homogeneous_cluster
 from repro.pvm.faults import WORKER_DOWN_TAG
 from repro.pvm.message import Message
+from repro.pvm import process_backend
 from repro.pvm.process_backend import _WorkerPort
 from repro.session import SearchSession, WorkerPool
 from repro.tabu import TabuSearchParams
@@ -282,12 +283,12 @@ class TestProcessKernel:
             # one overall deadline, not one allowance per worker
             assert time.monotonic() - start < 30.0
 
-    def test_hard_death_fails_join_all_fast(self):
+    def test_hard_death_fails_join_all_fast(self, monkeypatch):
         """A worker that dies without reporting must be detected within the
         death-report grace, and join_all must then abort within the failure
         grace instead of burning the whole deadline."""
+        monkeypatch.setattr(process_backend, "FAILURE_GRACE", 0.5)
         with make_kernel() as kernel:
-            kernel.failure_grace = 0.5
             kernel.spawn(stuck_proc, name="stuck")
             dead_pid = kernel.spawn(hard_dying_proc, name="crasher")
             start = time.monotonic()
@@ -297,11 +298,11 @@ class TestProcessKernel:
             with pytest.raises(ProcessError):
                 kernel.result_of(dead_pid)
 
-    def test_failure_grace_abort_names_the_processes_still_running(self):
+    def test_failure_grace_abort_names_the_processes_still_running(self, monkeypatch):
         """The abort after a failure names every process that did not stop
         (up to eight, by name and pid), as the deadline abort does."""
+        monkeypatch.setattr(process_backend, "FAILURE_GRACE", 0.5)
         with make_kernel() as kernel:
-            kernel.failure_grace = 0.5
             sleeper = kernel.spawn(sleeper_proc, 60.0, name="sleeper")
             kernel.spawn(failing_proc, name="crasher")
             start = time.monotonic()

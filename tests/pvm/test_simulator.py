@@ -13,6 +13,7 @@ from repro.pvm import (
     SpeedClass,
     heterogeneous_cluster,
     homogeneous_cluster,
+    simulator,
 )
 
 
@@ -254,13 +255,14 @@ class TestFaults:
         with pytest.raises(ProcessError, match="unknown process"):
             kernel.result_of(99)
 
-    def test_event_budget_guard(self):
+    def test_event_budget_guard(self, monkeypatch):
         def ping_pong(ctx, peer_holder):
             while True:
                 yield ctx.send(ctx.pid, "self", None)
                 yield ctx.recv(tag="self")
 
-        kernel = SimKernel(homogeneous_cluster(1), max_events=500)
+        monkeypatch.setattr(simulator, "MAX_EVENTS", 500)
+        kernel = SimKernel(homogeneous_cluster(1))
         kernel.spawn(ping_pong, None, name="looper")
         with pytest.raises(SimulationError, match="event budget"):
             kernel.run()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ProcessError
-from repro.pvm import ThreadKernel, homogeneous_cluster
+from repro.pvm import ThreadKernel, homogeneous_cluster, process_backend
 
 
 def make_kernel() -> ThreadKernel:
@@ -140,7 +140,7 @@ class TestThreadKernel:
         # one overall deadline for the whole join, not 0.3 s per worker
         assert _time.monotonic() - start < 5.0
 
-    def test_join_all_fails_fast_after_a_worker_error(self):
+    def test_join_all_fails_fast_after_a_worker_error(self, monkeypatch):
         """A dead worker usually leaves the survivors blocked on messages that
         will never arrive; join_all must abort after the failure grace instead
         of waiting out the whole deadline."""
@@ -154,8 +154,8 @@ class TestThreadKernel:
             yield ctx.recv(tag="never-sent")
             return None
 
+        monkeypatch.setattr(process_backend, "FAILURE_GRACE", 0.5)
         kernel = make_kernel()
-        kernel.failure_grace = 0.5
         kernel.spawn(stuck, name="stuck")
         kernel.spawn(failing, name="failing")
         start = _time.monotonic()
