@@ -1,14 +1,11 @@
 #!/usr/bin/env python
 """Per-iteration cost of the tabu iteration driver on c532 and rand100 QAP.
 
-PR 1 made trial evaluation cheap and PR 3 made commits/installs cheap, but a
-serial tabu iteration still cost ~13-15 ms on c532 — the Python-object
-driver *around* the kernels (2·m scalar RNG draws per step, per-swap
-commit/record loops, dict-and-tuple tabu bookkeeping, rewind-and-recommit
-accepts) had become the bottleneck every TSW/CLW inherits.  PR 5 vectorized
-the driver end-to-end (array-backed tabu memory, bulk candidate sampling,
-fused step-1 scoring, masked selection, end-state accepts); this benchmark
-measures the result and guards it:
+Trial evaluation, commits and installs are cheap kernels; what a serial
+tabu iteration adds around them is the driver every TSW/CLW inherits.  The
+driver is vectorized end to end (array-backed tabu memory, bulk candidate
+sampling, masked selection, end-state accepts); this benchmark measures it
+and guards it:
 
 * **ms/iteration** — serial tabu iterations at the heavy reference workload
   (m = 256 candidate pairs per step, full depth d = 6, no early accept) for
@@ -18,9 +15,9 @@ measures the result and guards it:
   batch-evaluation time of the same trial volume (d standalone 256-pair
   ``evaluate_swaps_batch`` calls).  A ratio near 1 means the driver adds
   almost nothing on top of the kernels it schedules;
-* **rewind strategies** — snapshot restore versus reverse ``undo_swaps``
-  for a compound-move-sized rewind (documents why the driver jumps through
-  ``save_state``/``restore_state`` tokens).
+* **snapshot rewind** — apply a compound-move-sized swap list and rewind
+  it with ``save_state``/``restore_state``, the one way the drivers rewind
+  trial moves (informational).
 
 Results land in ``BENCH_driver.json`` (override with ``BENCH_DRIVER_JSON``).
 Enforced bars:
@@ -92,7 +89,7 @@ def _batches(problem):
 
 
 def _rewinds(problem) -> dict:
-    """Snapshot-restore versus reverse-apply rewind of a depth-6 move."""
+    """Apply and snapshot-rewind a depth-6 move."""
     evaluator = problem.make_evaluator(problem.random_solution(SEED))
     rng = np.random.default_rng(8)
     pairs = rng.integers(0, evaluator.num_cells, size=(MOVE_DEPTH, 2))
@@ -103,19 +100,8 @@ def _rewinds(problem) -> dict:
         evaluator.apply_swaps(pairs)
         evaluator.restore_state(state)
 
-    def undo_rewind():
-        evaluator.apply_swaps(pairs)
-        evaluator.undo_swaps(pairs)
-
-    samples = alternate(
-        {"snapshot": timed(snapshot_rewind), "undo": timed(undo_rewind)},
-        REWIND_ROUNDS,
-        warmup=10,
-    )
-    return {
-        "snapshot_rewind_ms": summary(samples["snapshot"], 1e3),
-        "undo_swaps_rewind_ms": summary(samples["undo"], 1e3),
-    }
+    samples = alternate({"snapshot": timed(snapshot_rewind)}, REWIND_ROUNDS, warmup=10)
+    return {"snapshot_rewind_ms": summary(samples["snapshot"], 1e3)}
 
 
 def measure_instance(problem) -> dict:

@@ -10,8 +10,12 @@ through the public API only, and prints
 one ``<scenario> <digest>`` line per scenario.  A digest hashes everything a
 run's trajectory shows from outside: best cost and solution, the best-cost
 trace, the per-round records, the virtual makespan, the simulator's message,
-byte and event counts, and the fault events.  A last ``checkpoint-bytes``
-line hashes the checkpoint artifacts of two sessions paused after one round
+byte and event counts, and the fault events.  A ``serial`` line hashes
+serial :class:`~repro.tabu.search.TabuSearch` runs (tiny16 and rand32, two
+seeds, early accept on and off), each continued through an
+``export_serial_state``/``restore_serial_search`` round trip, since no
+session scenario runs the serial driver.  A last ``checkpoint-bytes`` line
+hashes the checkpoint artifacts of two sessions paused after one round
 (tiny16 and rand32, the ones ``tests/session/fixtures/`` commits), so a
 change that alters what a checkpoint writes shows too.
 
@@ -29,6 +33,7 @@ The whole matrix takes a few seconds.
 from __future__ import annotations
 
 import hashlib
+import pickle
 import sys
 
 import numpy as np
@@ -43,12 +48,15 @@ from repro import (
     SearchSession,
     SessionState,
     SpawnWorker,
+    TabuSearch,
     TabuSearchParams,
+    TerminationCriteria,
     ThrottleMachine,
     WorkerPool,
     get_domain,
     paper_cluster,
 )
+from repro.session import export_serial_state, restore_serial_search
 
 POLICY = FaultPolicy(round_deadline=50.0, clw_deadline=25.0, max_missed_deadlines=0)
 
@@ -245,6 +253,44 @@ def scenarios():
     ]
 
 
+def serial_digest() -> str:
+    """sha256 over seeded serial searches, each resumed from its own export.
+
+    Every search runs 12 iterations, is exported and restored into a fresh
+    search that runs to 24, and then diversifies once; the hash covers both
+    runs' results, the exported state, the final tabu payload and the
+    diversified solution and cost.
+    """
+    hasher = hashlib.sha256()
+    for domain, instance, reference_seed in (("placement", "tiny16", 7), ("qap", "rand32", 0)):
+        problem = get_domain(domain).build_problem(instance, reference_seed=reference_seed)
+        for seed in (1, 2):
+            for early_accept in (True, False):
+                params = TabuSearchParams(
+                    tabu_tenure=5, pairs_per_step=6, move_depth=3, early_accept=early_accept
+                )
+                evaluator = problem.make_evaluator(problem.random_solution(seed))
+                search = TabuSearch(evaluator, params, seed=seed)
+                first = search.run(TerminationCriteria(max_iterations=12))
+                state = export_serial_state(search)
+                resumed = restore_serial_search(problem, params, state, seed=seed)
+                second = resumed.run(TerminationCriteria(max_iterations=24))
+                resumed.diversify()
+                for result in (first, second):
+                    fields = (
+                        float(result.best_cost), result.iterations, result.evaluations, result.trace
+                    )
+                    hasher.update(repr(fields).encode())
+                    hasher.update(np.asarray(result.best_solution, np.int64).tobytes())
+                hasher.update(pickle.dumps(state, protocol=4))
+                hasher.update(repr(sorted(resumed.tabu_list.to_payload())).encode())
+                hasher.update(resumed.evaluator.snapshot().tobytes())
+                hasher.update(
+                    repr((resumed.current_cost, resumed.evaluator.evaluations)).encode()
+                )
+    return hasher.hexdigest()[:16]
+
+
 def checkpoint_digest() -> str:
     """sha256 over the artifacts of tiny16 and rand32 paused after ``step(1)``."""
     hasher = hashlib.sha256()
@@ -260,6 +306,7 @@ def checkpoint_digest() -> str:
 def main() -> int:
     for name, thunk in scenarios():
         print(f"{name} {_digest(*thunk())}", flush=True)
+    print(f"serial {serial_digest()}", flush=True)
     print(f"checkpoint-bytes {checkpoint_digest()}", flush=True)
     return 0
 

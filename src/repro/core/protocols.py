@@ -15,9 +15,15 @@ the engine implicitly required of the placement evaluator all along:
   place, and short swap sequences (the delta protocol's wire form) can be
   applied in bulk;
 * **snapshots** — the full mutable state can be saved and restored with
-  array copies, so the search rewinds trial compound moves cheaply;
+  array copies; this is the one way the search rewinds trial compound moves
+  (bit-exact, and cheaper than re-applying the swaps in reverse), and
   :func:`capture_evaluator` and :func:`revive_evaluator` carry it across a
   checkpoint for every process of the search (master, TSW, CLW, serial).
+
+Each job has one entry point: trials are scored by
+:meth:`~SwapEvaluator.evaluate_swaps_batch` (``evaluate_swap`` is its
+one-pair call), a chosen swap is committed by ``commit_swap``, a shipped
+swap list by ``apply_swaps``, and a rewind is ``restore_state``.
 
 The conformance suite (``tests/core/test_problem_contract.py``) runs the
 same battery — batch == scalar == from-scratch, delta-adopt == full-install,
@@ -109,21 +115,6 @@ class SwapEvaluator(Protocol):
         (delta shipment and full shipment are interchangeable), and the
         adoption does not count toward :attr:`evaluations`.  An empty
         sequence is a no-op apart from that exactness guarantee.
-        """
-        ...
-
-    def undo_swaps(self, pairs) -> float:
-        """Reverse a committed swap sequence (a swap is its own inverse).
-
-        ``pairs`` is the same sequence previously applied (via per-swap
-        commits or :meth:`apply_swaps`); the evaluator re-applies it in
-        reverse order as one bulk update, restoring the prior *assignment*
-        exactly.  Incremental cost surrogates may re-accumulate (the scalar
-        cost is approximately — not necessarily bit-identically — the prior
-        cost), and the reversal does not count toward :attr:`evaluations`.
-        The search drivers prefer state-snapshot rewinds (which *are*
-        bit-exact and benched faster); this is the protocol's copy-free
-        alternative for memory-constrained callers.
         """
         ...
 

@@ -187,7 +187,10 @@ def tsw_process(
         interruptions = int(initial_state.interruptions)
 
     while True:
-        message = yield ctx.recv()
+        # A STOP that a fault-mode wait (a collect or a harvest) scooped into
+        # the inbox ends the run here, once the round's reply has gone out.
+        stop = next((m for m in coord.inbox if m.tag == Tags.STOP), None)
+        message = stop or (yield ctx.recv())
         if message.tag == Tags.STOP:
             yield from coord.stop()
             break
@@ -304,9 +307,10 @@ def tsw_process(
             local_trace.append((float(now), float(search.best_cost)))
 
             # Did the master ask us to cut this global iteration short?  (A
-            # request scooped by the fault-mode collect sits in the inbox.)
+            # request scooped by the fault-mode collect sits in the inbox; a
+            # scooped STOP stays there for the main loop, after the report.)
             scooped = [m for m in coord.inbox if m.tag == Tags.REPORT_NOW]
-            coord.inbox = []
+            coord.inbox = [m for m in coord.inbox if m.tag == Tags.STOP]
             request = scooped[-1] if scooped else None
             if request is None:
                 request = yield ctx.probe(tag=Tags.REPORT_NOW)

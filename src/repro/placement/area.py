@@ -129,14 +129,6 @@ class AreaState:
         out[active] = (new_max - cur_max) * scale
         return out
 
-    def delta_for_swap(self, cell_a: int, cell_b: int) -> float:
-        """Area change if ``cell_a`` and ``cell_b`` exchanged slots."""
-        if cell_a == cell_b:
-            return 0.0
-        return float(self.deltas_for_swaps(
-            np.array([cell_a], dtype=np.int64), np.array([cell_b], dtype=np.int64)
-        )[0])
-
     def apply_moved_cells(self, cells: np.ndarray, old_rows: np.ndarray) -> None:
         """Update row sums after a whole swap sequence moved ``cells``.
 

@@ -425,22 +425,6 @@ class CostEvaluator:
         self._cached_cost = None
         return self.cost()
 
-    def undo_swaps(self, pairs) -> float:
-        """Reverse a committed swap sequence with one bulk cache update.
-
-        A swap is its own inverse, so undoing means re-applying the pairs in
-        reverse order; the affected nets/rows are re-reduced once through the
-        same bulk path :meth:`apply_swaps` uses.  The assignment is restored
-        exactly; the timing surrogate re-accumulates (use
-        :meth:`save_state`/:meth:`restore_state` when bit-exact rewinds
-        matter — the search drivers do).  Does not count as search work.
-        """
-        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)[::-1]
-        evaluations = self.evaluations
-        cost = self.apply_swaps(arr)
-        self.evaluations = evaluations
-        return cost
-
     def install_solution(self, cell_to_slot: np.ndarray) -> float:
         """Adopt a whole new assignment (e.g. received from another worker)."""
         self._placement.set_assignment(cell_to_slot)

@@ -434,10 +434,10 @@ class Netlist:
     def nets_of_cells_flat(self, cell_indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Incident nets of several cells at once: ``(flat_nets, counts)``.
 
-        Unlike :meth:`nets_of_cells` this keeps per-cell segments (no
-        deduplication across cells), which is what the batch kernels need.
-        Within one cell's segment every net appears exactly once because net
-        members are validated to be distinct.
+        Keeps per-cell segments (no deduplication across cells), which is
+        what the batch kernels need.  Within one cell's segment every net
+        appears exactly once because net members are validated to be
+        distinct.
         """
         return csr_rows(self._cell_net_flat, self._cell_net_ptr, cell_indices)
 
@@ -445,13 +445,6 @@ class Netlist:
         """Indices of the nets incident to ``cell_index``."""
         start, stop = self._cell_net_ptr[cell_index], self._cell_net_ptr[cell_index + 1]
         return self._cell_net_flat[start:stop]
-
-    def nets_of_cells(self, cell_indices: Iterable[int]) -> np.ndarray:
-        """Union (deduplicated) of nets incident to any of ``cell_indices``."""
-        pieces = [self.nets_of_cell(int(c)) for c in cell_indices]
-        if not pieces:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(np.concatenate(pieces))
 
     def fanout(self, cell_index: int) -> Tuple[int, ...]:
         """Cells driven (directly) by ``cell_index``, in net order."""

@@ -16,7 +16,7 @@ master many times per global iteration.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -134,16 +134,6 @@ class Placement:
         self._cell_to_slot[cell_b] = slot_a
         self._slot_to_cell[slot_a] = cell_b
         self._slot_to_cell[slot_b] = cell_a
-
-    def apply_swaps(self, swaps: Iterable[Tuple[int, int]]) -> None:
-        """Apply a sequence of swaps in order (a *compound move*)."""
-        for a, b in swaps:
-            self.swap_cells(a, b)
-
-    def undo_swaps(self, swaps: Sequence[Tuple[int, int]]) -> None:
-        """Undo a previously applied sequence of swaps (applied in reverse)."""
-        for a, b in reversed(list(swaps)):
-            self.swap_cells(a, b)
 
     def set_assignment(self, cell_to_slot: Sequence[int] | np.ndarray) -> None:
         """Replace the whole assignment in place (used when a better solution

@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -479,26 +479,12 @@ class TimingAnalyzer:
             critical_path=tuple(path),
         )
 
-    def path_delay(
-        self,
-        placement: Placement,
-        path: Sequence[int],
-        overrides: Optional[Dict[int, Tuple[float, float]]] = None,
-    ) -> float:
-        """Delay along a specific cell path, optionally with position overrides.
-
-        ``overrides`` maps cell index to an ``(x, y)`` position that replaces
-        the placement's position for that cell — used to score hypothetical
-        swaps without mutating the placement.
-        """
+    def path_delay(self, placement: Placement, path: Sequence[int]) -> float:
+        """Delay along a specific cell path under ``placement``."""
         if len(path) < 2:
             return 0.0
         x = placement.cell_x()
         y = placement.cell_y()
-        if overrides:
-            for cell, (ox, oy) in overrides.items():
-                x[cell] = ox
-                y[cell] = oy
         wpu = self._model.wire_delay_per_unit
         path_arr = np.asarray(path, dtype=np.int64)
         px = x[path_arr]
@@ -532,9 +518,9 @@ class TimingState:
     """Incremental timing cost bound to one :class:`Placement`.
 
     Keeps the last exact :class:`TimingResult` plus the set of cells on the
-    cached critical path.  ``delta_for_swap`` evaluates how the *cached path's*
-    delay would change if two cells swapped positions — exact when the swap
-    touches the cached path, zero otherwise (an optimistic but cheap
+    cached critical path.  ``deltas_for_swaps`` evaluates how the *cached
+    path's* delay would change if two cells swapped positions — exact when
+    the swap touches the cached path, zero otherwise (an optimistic but cheap
     surrogate).  The exact analysis is refreshed on every ``refresh_interval``
     committed swaps or explicitly via :meth:`refresh`.
     """
@@ -641,10 +627,10 @@ class TimingState:
     def deltas_for_swaps(self, cells_a, cells_b) -> np.ndarray:
         """Estimated critical-delay change of every candidate swap in a batch.
 
-        The surrogate is the same as :meth:`delta_for_swap`: pairs touching
-        the cached critical path re-price the whole path with the two
-        positions exchanged; all other pairs score 0.  All touching pairs are
-        priced together as one ``(pairs × path)`` broadcast.
+        Pairs touching the cached critical path re-price the whole path with
+        the two positions exchanged; all other pairs (self-swaps included)
+        score 0.  All touching pairs are priced together as one
+        ``(pairs × path)`` broadcast.
         """
         a = np.atleast_1d(np.asarray(cells_a, dtype=np.int64))
         b = np.atleast_1d(np.asarray(cells_b, dtype=np.int64))
@@ -680,16 +666,6 @@ class TimingState:
         wire = wpu * np.sum(np.abs(np.diff(nx, axis=1)) + np.abs(np.diff(ny, axis=1)), axis=1)
         out[touch] = (self._path_intrinsic + wire) - self._cached_delay
         return out
-
-    def delta_for_swap(self, cell_a: int, cell_b: int) -> float:
-        """Estimated critical-delay change if ``cell_a`` and ``cell_b`` swapped."""
-        if cell_a == cell_b:
-            return 0.0
-        if cell_a not in self._path_cells and cell_b not in self._path_cells:
-            return 0.0
-        return float(self.deltas_for_swaps(
-            np.array([cell_a], dtype=np.int64), np.array([cell_b], dtype=np.int64)
-        )[0])
 
     def commit_swap(self, cell_a: int, cell_b: int) -> None:
         """Update the cached path delay after the placement swap was applied."""

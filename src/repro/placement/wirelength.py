@@ -162,11 +162,11 @@ class WirelengthState:
 
     The cache holds, for every net, the bounding box of its pins and each
     edge's next-inner value (see :func:`net_bboxes`), plus the unweighted
-    HPWL and the weighted total.  ``delta_for_swap`` / ``deltas_for_swaps``
-    answer "how would the total change if cells *a* and *b* exchanged
-    slots?" without mutating anything; ``commit_swap`` must be called
-    *after* the placement has actually been swapped to keep the cache in
-    sync.
+    HPWL and the weighted total.  ``deltas_for_swaps`` answers, for a whole
+    batch of pairs, "how would the total change if cells *a* and *b*
+    exchanged slots?" without mutating anything; ``commit_swap`` must be
+    called *after* the placement has actually been swapped to keep the cache
+    in sync.
     """
 
     #: Largest ``num_cells * num_nets`` for which the dense boolean
@@ -327,9 +327,9 @@ class WirelengthState:
 
         Both arguments are integer arrays of equal length; the result is a
         float array of per-pair deltas (negative = improvement).  Every pair
-        is evaluated independently against the *current* placement, exactly
-        like repeated calls to :meth:`delta_for_swap`, but the whole batch is
-        computed with vectorised NumPy:
+        is evaluated independently against the *current* placement (a pair's
+        delta is bit-identical whether it is scored alone or in a larger
+        batch), and the whole batch is computed with vectorised NumPy:
 
         1. expand both endpoints of every pair to flat ``(pair, net)`` items
            via the CSR cell→net incidence;
@@ -398,19 +398,6 @@ class WirelengthState:
             to_y=end_y[partner],
             active=(a != b)[pair],
         )
-
-    def delta_for_swap(self, cell_a: int, cell_b: int) -> float:
-        """Weighted-HPWL change if ``cell_a`` and ``cell_b`` swapped slots.
-
-        Negative values mean the swap *improves* (shortens) the wirelength.
-        A single-pair call into the batched kernel, so scalar and batched
-        evaluation agree bit-for-bit.
-        """
-        if cell_a == cell_b:
-            return 0.0
-        return float(self.deltas_for_swaps(
-            np.array([cell_a], dtype=np.int64), np.array([cell_b], dtype=np.int64)
-        )[0])
 
     # ------------------------------------------------------------------ #
     # committed updates

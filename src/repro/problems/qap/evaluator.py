@@ -300,21 +300,6 @@ class QAPEvaluator:
             self._raw = self._instance.cost_of(self._assignment)
         return self.cost()
 
-    def undo_swaps(self, pairs) -> float:
-        """Reverse a committed swap sequence (a swap is its own inverse).
-
-        Re-applies the pairs in reverse order, restoring the assignment
-        exactly; the resident cost advances by the reverse deltas, so it
-        matches the prior cost up to floating-point re-accumulation (use
-        :meth:`save_state`/:meth:`restore_state` for bit-exact rewinds —
-        the search drivers do).  Does not count as search work.
-        """
-        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)[::-1]
-        evaluations = self.evaluations
-        cost = self.apply_swaps(arr)
-        self.evaluations = evaluations
-        return cost
-
     def install_solution(self, assignment: np.ndarray) -> float:
         """Adopt a whole new assignment (e.g. received from another worker)."""
         self._assignment = self._validated(assignment)

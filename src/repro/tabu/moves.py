@@ -16,7 +16,9 @@ apply single swaps blindly; it builds a **compound move** of depth ``d``:
 
 :class:`CompoundMoveBuilder` operates on a
 :class:`~repro.core.protocols.SwapEvaluator`, which owns the solution and the
-incremental objective caches — any registered problem domain works.
+incremental objective caches — any registered problem domain works.  Every
+step, the first included, samples and scores its own pairs: the serial driver
+builds its candidate exactly as a CLW does.
 """
 
 from __future__ import annotations
@@ -152,8 +154,6 @@ class CompoundMoveBuilder:
         self._depth = depth
         self._early_accept = early_accept
         self._admissible = admissible
-        self._seeded_pairs: Optional[np.ndarray] = None
-        self._seeded_costs: Optional[np.ndarray] = None
         self._cost_before = evaluator.cost()
         self._committed: List[SwapMove] = []
         # The best prefix is the shortest non-empty prefix with the lowest
@@ -186,20 +186,6 @@ class CompoundMoveBuilder:
             and len(self._committed) < self._depth
         )
 
-    def seed_step(self, pairs: np.ndarray, costs: np.ndarray) -> None:
-        """Pre-load the next step's candidate pairs and their batch costs.
-
-        The iteration driver draws and scores the *first* step's pairs
-        itself and hands them over here; the next :meth:`step` consumes them
-        without sampling or re-evaluating.
-        """
-        if self._committed or self._seeded_pairs is not None:
-            raise TabuSearchError("seed_step() is only valid before the first step")
-        self._seeded_pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        self._seeded_costs = np.asarray(costs, dtype=np.float64)
-        if self._seeded_pairs.shape[0] != self._seeded_costs.shape[0]:
-            raise TabuSearchError("seeded pairs and costs must have matching length")
-
     def step(self, rng: np.random.Generator) -> int:
         """Trial ``pairs_per_step`` candidates, commit the best; returns trials used.
 
@@ -214,18 +200,11 @@ class CompoundMoveBuilder:
             raise TabuSearchError("step() called after finalize()")
         if not self.wants_more_steps():
             return 0
-        if self._seeded_pairs is not None:
-            pairs, costs = self._seeded_pairs, self._seeded_costs
-            self._seeded_pairs = None
-            self._seeded_costs = None
-        else:
-            pairs = sample_candidate_pairs_array(
-                self._range_array, self._evaluator.num_cells, self._pairs_per_step, rng
-            )
-            costs = self._evaluator.evaluate_swaps_batch(pairs)
+        pairs = sample_candidate_pairs_array(
+            self._range_array, self._evaluator.num_cells, self._pairs_per_step, rng
+        )
+        costs = self._evaluator.evaluate_swaps_batch(pairs)
         self._trials += len(pairs)
-        if len(pairs) == 0:  # pragma: no cover - samplers never return empty
-            return 0
         mask = self._admissible(pairs, costs) if self._admissible is not None else None
         # The fused masked-argmin select is an accel kernel: first-minimum
         # tie-break, overall argmin when every candidate is masked out.  It

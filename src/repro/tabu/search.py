@@ -6,8 +6,8 @@ domain's) through tabu-search iterations:
 
 1. build one candidate *compound move* from the search's cell range (the
    candidate list :math:`V^*(s)` — in the parallel algorithm each CLW
-   contributes one candidate).  The driver draws and scores the step-1
-   pairs itself and hands them to the builder, and each step's selection
+   contributes one candidate).  A :class:`~repro.tabu.moves.CompoundMoveBuilder`
+   draws and scores every step, as a CLW's does, and each step's selection
    already filters tabu pairs (with a vectorised aspiration override) so
    the candidate is built admissible whenever possible;
 2. pick the candidate with the lowest resulting cost;
@@ -43,7 +43,10 @@ import numpy as np
 from .._rng import make_rng
 from ..accel import fuse_admissible
 from ..core.protocols import SwapEvaluator
-from .candidate import CellRange, full_range, sample_candidate_pairs_array
+# sample_candidate_pairs_array is not called here (the builder draws every
+# step); it stays a module attribute because perfbench's layer tracer
+# patches it on this module by name.
+from .candidate import CellRange, full_range, sample_candidate_pairs_array  # noqa: F401
 from .diversification import diversify
 from .moves import CompoundMove, CompoundMoveBuilder
 from .params import TabuSearchParams
@@ -314,22 +317,15 @@ class TabuSearch:
     def _build_candidate(self) -> Tuple[CompoundMove, object]:
         """Generate the iteration's candidate compound move and its end state.
 
-        The driver draws and scores the step-1 pairs and seeds the builder
-        with them; the move is built with per-step tabu/aspiration filtering,
-        its end state is captured as a cheap snapshot, and the evaluator is
-        rewound to the start with a state restore.  The returned end state
-        lets the accept path *jump* onto the candidate instead of
-        re-committing its swaps (copy-light rewinds both ways).
+        The move is built with per-step tabu/aspiration filtering, its end
+        state is captured as a cheap snapshot, and the evaluator is rewound
+        to the start with a state restore.  The returned end state lets the
+        accept path *jump* onto the candidate instead of re-committing its
+        swaps (copy-light rewinds both ways).
         """
         evaluator = self._evaluator
         params = self._params
-        rng = self._rng
         iteration = self._iteration + 1  # the iteration this candidate feeds
-        first_pairs = sample_candidate_pairs_array(
-            self._range_array, evaluator.num_cells, params.pairs_per_step, rng
-        )
-        first_costs = evaluator.evaluate_swaps_batch(first_pairs)
-
         start_state = evaluator.save_state()
         builder = CompoundMoveBuilder(
             evaluator,
@@ -340,9 +336,8 @@ class TabuSearch:
             admissible=self._admissible_fn(iteration, self._best_cost),
             range_array=self._range_array,
         )
-        builder.seed_step(first_pairs, first_costs)
         while builder.wants_more_steps():
-            builder.step(rng)
+            builder.step(self._rng)
         candidate = builder.finalize()
         end_state = evaluator.save_state()
         evaluator.restore_state(start_state)

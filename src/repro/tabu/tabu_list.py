@@ -18,7 +18,9 @@ runs.
 :class:`FrequencyMemory` is the long-term memory used by diversification: it
 counts how often every cell has been moved, so the diversification step can
 push rarely moved cells to new locations (Kelly-style diversification).
-``record_swaps`` commits a whole accepted compound move in one bulk update.
+``record_swaps`` commits a whole accepted compound move (or a whole
+perturbation) in one bulk update, and :func:`least_moved_of` picks the
+least-moved of a candidate set under a counts vector.
 """
 
 from __future__ import annotations
@@ -349,30 +351,16 @@ class FrequencyMemory:
         view.flags.writeable = False
         return view
 
-    def record_swap(self, cell_a: int, cell_b: int) -> None:
-        """Record that both cells of a committed swap were moved."""
-        self._counts[cell_a] += 1
-        self._counts[cell_b] += 1
-
     def record_swaps(self, pairs) -> None:
         """Record a whole swap sequence (an accepted compound move) in bulk.
 
         One ``bincount`` accumulation instead of per-swap Python increments;
-        a cell appearing in several swaps is counted once per appearance,
-        exactly like repeated :meth:`record_swap` calls.
+        a cell appearing in several swaps is counted once per appearance.
         """
         arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if arr.size == 0:
             return
         self._counts += np.bincount(arr.ravel(), minlength=self._counts.size)
-
-    def least_moved(self, candidates: np.ndarray, rng: np.random.Generator) -> int:
-        """Among ``candidates``, pick a least-frequently-moved cell (ties random)."""
-        return least_moved_of(self._counts, candidates, rng)
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self._counts[:] = 0
 
     def load_counts(self, counts) -> None:
         """Install a counts vector exported from another memory (checkpoint
@@ -391,14 +379,13 @@ def least_moved_of(
 ) -> int:
     """Least-moved candidate under an explicit counts vector (ties random).
 
-    One gather, one min-compare and one draw — shared by
-    :meth:`FrequencyMemory.least_moved` and the diversification step's
-    scratch-counts selection (which must not mutate the real memory until
-    the whole perturbation is recorded in bulk).
+    One gather, one min-compare and one draw.  The diversification step
+    selects on a scratch copy of :attr:`FrequencyMemory.counts`, as the real
+    memory must not change until the whole perturbation is recorded in bulk.
     """
     candidates = np.asarray(candidates, dtype=np.int64)
     if candidates.size == 0:
-        raise TabuSearchError("least_moved called with no candidates")
+        raise TabuSearchError("least_moved_of called with no candidates")
     gathered = counts[candidates]
     pool = candidates[np.flatnonzero(gathered == gathered.min())]
     return int(pool[rng.integers(0, pool.size)])

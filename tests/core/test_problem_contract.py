@@ -313,38 +313,6 @@ class TestSnapshots:
         )
 
 
-class TestUndoSwaps:
-    def test_undo_restores_assignment_and_cost(self, problem):
-        evaluator = problem.make_evaluator(problem.random_solution(seed=6))
-        before = evaluator.snapshot()
-        cost_before = evaluator.cost()
-        rng = np.random.default_rng(61)
-        n = evaluator.num_cells
-        pairs = rng.integers(0, n, size=(9, 2))
-        evaluator.apply_swaps(pairs)
-        work_after_apply = evaluator.evaluations
-        undone = evaluator.undo_swaps(pairs)
-        assert np.array_equal(evaluator.snapshot(), before)
-        assert undone == pytest.approx(cost_before, abs=1e-6)
-        # reversal is bookkeeping, not search work
-        assert evaluator.evaluations == work_after_apply
-
-    def test_undo_empty_sequence_is_a_noop(self, evaluator):
-        before = evaluator.snapshot()
-        cost = evaluator.cost()
-        assert evaluator.undo_swaps([]) == pytest.approx(cost, abs=1e-9)
-        assert np.array_equal(evaluator.snapshot(), before)
-
-    def test_undo_after_sequential_commits(self, problem):
-        evaluator = problem.make_evaluator(problem.random_solution(seed=7))
-        before = evaluator.snapshot()
-        pairs = [(1, 5), (0, 3), (1, 2)]
-        for a, b in pairs:
-            evaluator.commit_swap(a, b)
-        evaluator.undo_swaps(pairs)
-        assert np.array_equal(evaluator.snapshot(), before)
-
-
 class TestMaskAwareBatchContract:
     """The batch-scoring guarantees the vectorized iteration driver builds on."""
 

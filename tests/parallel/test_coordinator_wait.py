@@ -1,12 +1,13 @@
-"""The coordinator's one wait, in fault mode, at a harvest.
+"""The coordinator's one wait, in fault mode, at a harvest and a collect.
 
 A pause harvests the worker tree: the master asks each TSW for its state,
 and each TSW asks its CLWs first.  With a fault policy both tiers wait
 through the same bounded receive loop as their acks and collects: the
 deadline is fixed when the wait starts, a death notice goes through the
 coordinator's obituary, and a message of another tag is kept in its
-``inbox``.  A :class:`~scripted_kernel.ScriptedKernel` serves each body a
-fixed interleaving, so no test depends on where a simulated kill lands.
+``inbox`` — where a TSW still finds the master's ``STOP``.  A
+:class:`~scripted_kernel.ScriptedKernel` serves each body a fixed
+interleaving, so no test depends on where a simulated kill lands.
 """
 
 from __future__ import annotations
@@ -17,7 +18,17 @@ import pytest
 from repro.parallel import FaultPolicy, ParallelSearchParams
 from repro.parallel.coordinator import Coordinator
 from repro.parallel.master import master_process
-from repro.parallel.messages import ClwWorkerState, DrainWorker, Tags, TswSetup, WorkerDown
+from repro.parallel.delta import SolutionPayload
+from repro.parallel.messages import (
+    ClwResult,
+    ClwWorkerState,
+    DrainWorker,
+    GlobalStart,
+    Tags,
+    TswSetup,
+    TswSummary,
+    WorkerDown,
+)
 from repro.parallel.sync import SyncPolicy
 from repro.parallel.tsw import tsw_process
 from repro.problems.placement import PlacementProblem
@@ -78,6 +89,63 @@ def test_a_clw_that_dies_during_the_harvest_costs_its_tsw_only_that_clw(problem)
     # the dead CLW is still sent STOP, as a child declared dead may live on
     stops = [send.dst for send in kernel.sent if send.tag == Tags.STOP]
     assert stops == [100, 101]
+
+
+def test_a_stop_scooped_during_a_collect_ends_the_tsw_after_its_report(problem):
+    """The master's STOP arrives while the TSW still collects its CLWs'
+    results, so the collect keeps it in the inbox: the TSW reports the
+    round, stops both CLWs and returns, instead of waiting for a second
+    STOP that never comes."""
+    params = fault_params()
+    clw_ranges = tuple(partition_cells(problem.num_cells, 2, scheme="strided"))
+    setup = TswSetup(problem, params, 0, partition_cells(problem.num_cells, 2)[0], clw_ranges, 17)
+    start = GlobalStart(
+        global_iteration=0,
+        solution=SolutionPayload.full_shipment(problem.random_solution(seed=3), 0),
+    )
+
+    def clw_result(clw_index):
+        return ClwResult(
+            clw_index=clw_index, round_id=1, pairs=(), cost_before=1.0, cost_after=1.0,
+            trials=0, interrupted=False,
+        )
+
+    kernel = ScriptedKernel(
+        [
+            (0, Tags.GLOBAL_START, start),
+            (100, Tags.CLW_RESULT, clw_result(0), 1.0),
+            (0, Tags.STOP, None, 1.5),
+            (101, Tags.CLW_RESULT, clw_result(1), 2.0),
+        ]
+    )
+    summary = kernel.run(tsw_process(ScriptedContext(), setup))
+    assert kernel.script == []
+    assert isinstance(summary, TswSummary)
+    assert (summary.global_iterations_done, summary.local_iterations_done) == (1, 1)
+    ends = [(send.tag, send.dst) for send in kernel.sent if send.tag in (Tags.TSW_RESULT, Tags.STOP)]
+    assert ends == [(Tags.TSW_RESULT, 0), (Tags.STOP, 100), (Tags.STOP, 101)]
+
+
+def test_a_stop_scooped_during_a_harvest_ends_the_tsw_after_its_reply(problem):
+    """The same STOP during the TSW's harvest: it replies with both CLWs'
+    states, then stops both CLWs and returns."""
+    params = fault_params()
+    clw_ranges = tuple(partition_cells(problem.num_cells, 2, scheme="strided"))
+    setup = TswSetup(problem, params, 0, partition_cells(problem.num_cells, 2)[0], clw_ranges, 17)
+    kernel = ScriptedKernel(
+        [
+            (0, Tags.STATE_REQUEST, None),
+            (100, Tags.STATE_REPLY, clw_state(0), 1.0),
+            (0, Tags.STOP, None, 1.5),
+            (101, Tags.STATE_REPLY, clw_state(1), 2.0),
+        ]
+    )
+    summary = kernel.run(tsw_process(ScriptedContext(), setup))
+    assert kernel.script == []
+    assert isinstance(summary, TswSummary)
+    ends = [(send.tag, send.dst) for send in kernel.sent if send.tag in (Tags.STATE_REPLY, Tags.STOP)]
+    assert ends == [(Tags.STATE_REPLY, 0), (Tags.STOP, 100), (Tags.STOP, 101)]
+    assert [state.clw_index for state in kernel.sent[2].payload.clw_states] == [0, 1]
 
 
 def test_the_master_harvest_gives_up_one_round_deadline_after_it_began(problem):

@@ -41,7 +41,7 @@ class TestAreaState:
         rng = np.random.default_rng(7)
         for _ in range(40):
             a, b = (int(x) for x in rng.integers(0, placement.num_cells, 2))
-            delta = state.delta_for_swap(a, b)
+            delta = state.deltas_for_swaps(np.array([a]), np.array([b]))[0]
             placement.swap_cells(a, b)
             expected = full_area(placement) - state.total
             placement.swap_cells(a, b)
@@ -62,7 +62,7 @@ class TestAreaState:
         rows = placement.cell_row()
         same_row = np.flatnonzero(rows == rows[0])
         if len(same_row) >= 2:
-            assert state.delta_for_swap(int(same_row[0]), int(same_row[1])) == 0.0
+            assert state.deltas_for_swaps(same_row[:1], same_row[1:2])[0] == 0.0
 
     def test_per_row_read_only(self, placement):
         state = AreaState(placement)

@@ -2,12 +2,12 @@
 
 The contract under test: for any batch of candidate pairs, the batched path
 (:meth:`CostEvaluator.evaluate_swaps_batch` and the per-objective
-``deltas_for_swaps`` kernels), the scalar path (``evaluate_swap`` /
-``delta_for_swap``) and a from-scratch recomputation (``full_hpwl`` /
-``full_area`` on a mutated copy) must all agree — including after arbitrary
-committed swap sequences, on bbox-edge cells, and on degenerate nets
-(minimum-degree two-pin nets and nets whose pins share coordinates, which
-exercise the edge-multiplicity bookkeeping).
+``deltas_for_swaps`` kernels), the same kernels called with one pair
+(``evaluate_swap`` is that call) and a from-scratch recomputation
+(``full_hpwl`` / ``full_area`` on a mutated copy) must all agree — including
+after arbitrary committed swap sequences, on bbox-edge cells, and on
+degenerate nets (minimum-degree two-pin nets and nets whose pins share
+coordinates, which exercise the edge-multiplicity bookkeeping).
 """
 
 from __future__ import annotations
@@ -71,14 +71,14 @@ def test_wirelength_batch_scalar_full_agree(layout_index):
     batch = state.deltas_for_swaps(pairs[:, 0], pairs[:, 1])
     for k, (a, b) in enumerate(pairs):
         a, b = int(a), int(b)
-        scalar = state.delta_for_swap(a, b)
+        scalar = state.deltas_for_swaps(np.array([a]), np.array([b]))[0]
         placement.swap_cells(a, b)
         _, swapped_total = full_hpwl(placement)
         placement.swap_cells(a, b)
         exact = swapped_total - state.total
         assert batch[k] == pytest.approx(exact, abs=ATOL)
         assert scalar == pytest.approx(exact, abs=ATOL)
-        assert scalar == batch[k]  # scalar routes through the batch kernel
+        assert scalar == batch[k]  # a pair's delta does not depend on its batch
 
 
 @pytest.mark.parametrize("layout_index", [0, 1, 2])
@@ -92,7 +92,7 @@ def test_area_batch_scalar_full_agree(layout_index):
     batch = state.deltas_for_swaps(pairs[:, 0], pairs[:, 1])
     for k, (a, b) in enumerate(pairs):
         a, b = int(a), int(b)
-        scalar = state.delta_for_swap(a, b)
+        scalar = state.deltas_for_swaps(np.array([a]), np.array([b]))[0]
         placement.swap_cells(a, b)
         exact = full_area(placement) - state.total
         placement.swap_cells(a, b)

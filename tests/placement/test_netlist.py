@@ -98,10 +98,13 @@ class TestNetlistAccessors:
         assert nets == {0, 1, 2}
 
     def test_nets_of_cells_union(self):
+        # one segment per cell, each that cell's nets; their union is
+        # every net touching either cell
         netlist = build_small()
-        nets = netlist.nets_of_cells([0, 1])
-        assert set(nets) == {0, 1}
-        assert len(nets) == len(set(nets))
+        nets, counts = netlist.nets_of_cells_flat(np.array([0, 1]))
+        assert counts.tolist() == [len(netlist.nets_of_cell(0)), len(netlist.nets_of_cell(1))]
+        assert nets[: counts[0]].tolist() == netlist.nets_of_cell(0).tolist()
+        assert set(nets.tolist()) == {0, 1}
 
     def test_fanin_fanout(self):
         netlist = build_small()

@@ -77,12 +77,15 @@ class TestSwap:
             placement.swap_cells(0, placement.num_cells + 5)
 
     def test_apply_and_undo_swaps(self, layout):
+        # a swap sequence is undone by the same swaps in reverse order
         placement = random_placement(layout, seed=3)
         before = placement.assignment_tuple()
         swaps = [(0, 1), (2, 3), (1, 3)]
-        placement.apply_swaps(swaps)
+        for a, b in swaps:
+            placement.swap_cells(a, b)
         assert placement.assignment_tuple() != before
-        placement.undo_swaps(swaps)
+        for a, b in reversed(swaps):
+            placement.swap_cells(a, b)
         assert placement.assignment_tuple() == before
 
 
@@ -127,7 +130,8 @@ class TestSwapProperties:
     def test_any_swap_sequence_preserves_validity(self, swaps):
         layout = Layout(load_benchmark("mini64"))
         placement = random_placement(layout, seed=11)
-        placement.apply_swaps(swaps)
+        for a, b in swaps:
+            placement.swap_cells(a, b)
         placement.validate()
         # every cell still occupies exactly one slot
         assert len(set(placement.assignment_tuple())) == placement.num_cells
@@ -138,6 +142,6 @@ class TestSwapProperties:
         layout = Layout(load_benchmark("mini64"))
         placement = random_placement(layout, seed=11)
         before = placement.assignment_tuple()
-        placement.apply_swaps(swaps)
-        placement.undo_swaps(swaps)
+        for a, b in swaps + swaps[::-1]:
+            placement.swap_cells(a, b)
         assert placement.assignment_tuple() == before

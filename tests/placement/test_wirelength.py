@@ -60,7 +60,7 @@ class TestIncrementalState:
         rng = np.random.default_rng(0)
         for _ in range(30):
             a, b = rng.integers(0, placement.num_cells, 2)
-            delta = state.delta_for_swap(int(a), int(b))
+            delta = state.deltas_for_swaps(np.array([a]), np.array([b]))[0]
             placement.swap_cells(int(a), int(b))
             _, new_total = full_hpwl(placement)
             placement.swap_cells(int(a), int(b))  # restore
@@ -78,7 +78,7 @@ class TestIncrementalState:
 
     def test_self_swap_has_zero_delta(self, placement):
         state = WirelengthState(placement)
-        assert state.delta_for_swap(5, 5) == 0.0
+        assert state.deltas_for_swaps(np.array([5]), np.array([5]))[0] == 0.0
 
     def test_per_net_view_read_only(self, placement):
         state = WirelengthState(placement)

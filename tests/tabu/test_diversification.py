@@ -51,9 +51,7 @@ class TestDiversify:
     def test_frequency_memory_guides_and_is_updated(self, evaluator, rng):
         memory = FrequencyMemory(64)
         # pre-load the memory so cells 0..4 look heavily used
-        for cell in range(5):
-            for _ in range(10):
-                memory.record_swap(cell, cell)
+        memory.record_swaps([(cell, cell) for cell in range(5)] * 10)
         cell_range = CellRange(cells=tuple(range(10)))
         result = diversify(
             evaluator, cell_range, depth=4, rng=rng, frequency=memory, partner_sample=4

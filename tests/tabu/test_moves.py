@@ -6,6 +6,8 @@ registered domains: a placement of ``mini64`` and the QAP ``rand32``.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.tabu import (
     CompoundMoveBuilder,
     SwapMove,
     full_range,
+    sample_candidate_pairs_array,
 )
 
 
@@ -64,7 +67,16 @@ def _finish(evaluator, rng, **kwargs):
     return builder.finalize()
 
 
-SEEDED_PAIRS = np.array([(0, 1), (2, 3), (4, 5), (6, 7)], dtype=np.int64)
+def _next_step(evaluator, rng, pairs_per_step):
+    """The pairs a whole-range builder's next step draws from ``rng``, and
+    their batch costs; drawn from a copy, so ``rng`` itself is untouched."""
+    pairs = sample_candidate_pairs_array(
+        full_range(evaluator.num_cells).as_array(),
+        evaluator.num_cells,
+        pairs_per_step,
+        copy.deepcopy(rng),
+    )
+    return pairs, evaluator.evaluate_swaps_batch(pairs)
 
 
 class TestFinishedBuilder:
@@ -130,35 +142,17 @@ class TestCompoundMoveBuilder:
         assert move.cost_after == pytest.approx(evaluator.cost())
 
     def test_step_commits_the_cheapest_seeded_pair(self, evaluator, rng):
-        costs = evaluator.evaluate_swaps_batch(SEEDED_PAIRS)
+        pairs, costs = _next_step(evaluator, rng, 4)
         builder = _builder(evaluator, pairs_per_step=4, depth=1)
-        builder.seed_step(SEEDED_PAIRS, costs)
         assert builder.step(rng) == 4
         move = builder.finalize()
         best = int(np.argmin(costs))
-        assert move.pairs() == [tuple(SEEDED_PAIRS[best].tolist())]
+        assert move.pairs() == [tuple(pairs[best].tolist())]
         assert move.swaps[0].cost_after == costs[best]
-
-    def test_seed_step_only_before_the_first_step(self, evaluator, rng):
-        costs = evaluator.evaluate_swaps_batch(SEEDED_PAIRS)
-        seeded = _builder(evaluator, pairs_per_step=4, depth=2)
-        seeded.seed_step(SEEDED_PAIRS, costs)
-        with pytest.raises(TabuSearchError, match="before the first step"):
-            seeded.seed_step(SEEDED_PAIRS, costs)
-        stepped = _builder(evaluator, pairs_per_step=4, depth=2)
-        stepped.step(rng)
-        with pytest.raises(TabuSearchError, match="before the first step"):
-            stepped.seed_step(SEEDED_PAIRS, costs)
-
-    def test_seeded_pairs_and_costs_must_match(self, evaluator):
-        costs = evaluator.evaluate_swaps_batch(SEEDED_PAIRS)
-        builder = _builder(evaluator, pairs_per_step=4, depth=1)
-        with pytest.raises(TabuSearchError, match="matching length"):
-            builder.seed_step(SEEDED_PAIRS, costs[:3])
 
     def test_admissible_hook_steers_the_choice(self, evaluator, rng):
         # forbid the cheapest pair: the step commits the cheapest of the rest
-        costs = evaluator.evaluate_swaps_batch(SEEDED_PAIRS)
+        pairs, costs = _next_step(evaluator, rng, 4)
         cheapest = int(np.argmin(costs))
         hook_calls = []
 
@@ -167,31 +161,29 @@ class TestCompoundMoveBuilder:
             return np.arange(len(scored)) != cheapest
 
         builder = _builder(evaluator, pairs_per_step=4, depth=1, admissible=admissible)
-        builder.seed_step(SEEDED_PAIRS, costs)
         builder.step(rng)
         move = builder.finalize()
         allowed = [k for k in range(len(costs)) if k != cheapest]
         chosen = min(allowed, key=lambda k: (costs[k], k))
-        assert move.pairs() == [tuple(SEEDED_PAIRS[chosen].tolist())]
-        # the hook scored exactly the seeded batch
+        assert move.pairs() == [tuple(pairs[chosen].tolist())]
+        # the hook scored exactly the step's own batch
         assert len(hook_calls) == 1
-        assert np.array_equal(hook_calls[0][0], SEEDED_PAIRS)
+        assert np.array_equal(hook_calls[0][0], pairs)
         assert np.array_equal(hook_calls[0][1], costs)
 
     def test_every_pair_masked_falls_back_to_the_cheapest(self, evaluator, rng):
         # the builder must always commit something; the driver's move-level
         # tabu check guards the final acceptance
-        costs = evaluator.evaluate_swaps_batch(SEEDED_PAIRS)
+        pairs, costs = _next_step(evaluator, rng, 4)
         builder = _builder(
             evaluator,
             pairs_per_step=4,
             depth=1,
             admissible=lambda pairs, scored: np.zeros(len(scored), dtype=bool),
         )
-        builder.seed_step(SEEDED_PAIRS, costs)
         builder.step(rng)
         move = builder.finalize()
-        assert move.pairs() == [tuple(SEEDED_PAIRS[int(np.argmin(costs))].tolist())]
+        assert move.pairs() == [tuple(pairs[int(np.argmin(costs))].tolist())]
 
     def test_finalize_twice_rejected(self, evaluator, rng):
         builder = _builder(evaluator, pairs_per_step=2, depth=1)

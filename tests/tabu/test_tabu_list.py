@@ -14,7 +14,7 @@ from repro.tabu import (
     MoveAttribute,
     pair_attribute_indices,
 )
-from repro.tabu.tabu_list import ARRAY_TABU_MAX_CELLS
+from repro.tabu.tabu_list import ARRAY_TABU_MAX_CELLS, least_moved_of
 
 
 class TestMoveAttribute:
@@ -324,8 +324,8 @@ class TestFrequencyMemory:
 
     def test_record_and_counts(self):
         memory = FrequencyMemory(10)
-        memory.record_swap(1, 2)
-        memory.record_swap(1, 5)
+        memory.record_swaps([(1, 2)])
+        memory.record_swaps([(1, 5)])
         assert memory.counts[1] == 2
         assert memory.counts[2] == 1
         assert memory.counts[0] == 0
@@ -333,34 +333,32 @@ class TestFrequencyMemory:
     def test_least_moved_prefers_untouched_cells(self):
         memory = FrequencyMemory(6)
         rng = np.random.default_rng(0)
-        for _ in range(5):
-            memory.record_swap(0, 1)
+        memory.record_swaps([(0, 1)] * 5)
         candidates = np.array([0, 1, 4])
-        assert memory.least_moved(candidates, rng) == 4
+        assert least_moved_of(memory.counts, candidates, rng) == 4
 
     def test_least_moved_empty_candidates_rejected(self):
         memory = FrequencyMemory(6)
         with pytest.raises(TabuSearchError):
-            memory.least_moved(np.array([], dtype=np.int64), np.random.default_rng(0))
+            least_moved_of(
+                memory.counts, np.array([], dtype=np.int64), np.random.default_rng(0)
+            )
 
     def test_record_swaps_bulk_matches_scalar(self):
+        # one bulk call counts a cell once per appearance, as one call per
+        # swap does
         bulk = FrequencyMemory(10)
         scalar = FrequencyMemory(10)
         pairs = np.array([[1, 2], [1, 5], [2, 5], [0, 9]])
         bulk.record_swaps(pairs)
-        for a, b in pairs.tolist():
-            scalar.record_swap(a, b)
+        for pair in pairs:
+            scalar.record_swaps(pair)
         assert np.array_equal(bulk.counts, scalar.counts)
+        assert bulk.counts.tolist() == [1, 2, 2, 0, 0, 2, 0, 0, 0, 1]
 
     def test_record_swaps_empty_is_noop(self):
         memory = FrequencyMemory(4)
         memory.record_swaps(np.zeros((0, 2), dtype=np.int64))
-        assert memory.counts.sum() == 0
-
-    def test_reset(self):
-        memory = FrequencyMemory(4)
-        memory.record_swap(0, 1)
-        memory.reset()
         assert memory.counts.sum() == 0
 
     def test_counts_read_only(self):
