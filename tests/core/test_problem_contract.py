@@ -18,7 +18,10 @@ exactly what the engine layers rely on:
 * **empty/degenerate inputs** — ``evaluate_swaps_batch([])`` and
   ``apply_swaps([])`` return/no-op consistently, self-pairs score the
   current cost and never count as work;
-* **snapshots** — ``save_state``/``restore_state`` round-trips;
+* **snapshots** — ``save_state``/``restore_state`` round-trips, and a
+  restore is the rewind of a trial move: it lands on the saved state's
+  assignment, cost and batch scores, counts no work, and one snapshot
+  rewinds several walks;
 * **seeded determinism** — identically-seeded runs (serial and parallel on
   the simulated backend) produce identical trajectories.
 
@@ -310,6 +313,59 @@ class TestSnapshots:
         assert np.array_equal(evaluator.snapshot(), target)
         assert installed == pytest.approx(
             problem.make_evaluator(target).cost(), abs=1e-9
+        )
+
+
+class TestSnapshotRewind:
+    """A snapshot restore is the one way a trial move is rewound."""
+
+    def test_rewind_restores_assignment_and_cost(self, problem):
+        evaluator = problem.make_evaluator(problem.random_solution(seed=6))
+        state = evaluator.save_state()
+        before = evaluator.snapshot()
+        cost_before = evaluator.cost()
+        rng = np.random.default_rng(61)
+        n = evaluator.num_cells
+        pairs = rng.integers(0, n, size=(9, 2))
+        evaluator.apply_swaps(pairs)
+        work_after_apply = evaluator.evaluations
+        evaluator.restore_state(state)
+        assert np.array_equal(evaluator.snapshot(), before)
+        assert evaluator.cost() == cost_before
+        # the rewind is bookkeeping, not search work
+        assert evaluator.evaluations == work_after_apply
+        evaluator.verify_consistency()
+
+    def test_rewind_without_moves_is_a_noop(self, evaluator):
+        # a CLW interrupted before its first step rewinds an empty move
+        pairs = np.random.default_rng(62).integers(0, evaluator.num_cells, size=(12, 2))
+        before = evaluator.snapshot()
+        cost = evaluator.cost()
+        scores = evaluator.evaluate_swaps_batch(pairs)
+        state = evaluator.save_state()
+        evaluator.apply_swaps([])
+        evaluator.restore_state(state)
+        assert np.array_equal(evaluator.snapshot(), before)
+        assert evaluator.cost() == cost
+        assert np.array_equal(evaluator.evaluate_swaps_batch(pairs), scores)
+
+    def test_rewind_after_sequential_commits(self, problem):
+        # the master's pattern: one snapshot rewinds several trial walks
+        evaluator = problem.make_evaluator(problem.random_solution(seed=7))
+        state = evaluator.save_state()
+        before = evaluator.snapshot()
+        for walk in ([(1, 5), (0, 3), (1, 2)], [(4, 9), (2, 7)]):
+            for a, b in walk:
+                evaluator.commit_swap(a, b)
+            evaluator.restore_state(state)
+            assert np.array_equal(evaluator.snapshot(), before)
+        # every incremental cache rewound too: the next scores are a fresh
+        # evaluator's, bit for bit
+        fresh = problem.make_evaluator(before)
+        pairs = np.random.default_rng(63).integers(0, evaluator.num_cells, size=(12, 2))
+        assert evaluator.cost() == fresh.cost()
+        assert np.array_equal(
+            evaluator.evaluate_swaps_batch(pairs), fresh.evaluate_swaps_batch(pairs)
         )
 
 

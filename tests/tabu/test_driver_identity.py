@@ -12,6 +12,7 @@ that keeps the fast driver honest.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from repro import (
     run_parallel_search,
 )
 from repro.core import get_domain
-from repro.tabu import partition_cells
+from repro.tabu import CompoundMoveBuilder, full_range, partition_cells
 
 
 @dataclass(frozen=True)
@@ -178,6 +179,40 @@ class TestRunIdentity:
         assert vec.best_cost == ref.best_cost
         assert vec.evaluations == ref.evaluations
         assert np.array_equal(vec.best_solution, ref.best_solution)
+
+
+class TestSerialBuildsLikeAClw:
+    def test_serial_candidate_is_a_bare_builder_move(self, problem):
+        """With no tabu hit the serial driver's candidate is the move a
+        CLW's builder makes from the same generator: same draws, same
+        scores, same work count, same end state."""
+        params = TabuSearchParams(pairs_per_step=5, move_depth=3, tabu_tenure=0)
+        search = TabuSearch(
+            problem.make_evaluator(problem.random_solution(seed=9)), params, seed=5
+        )
+        twin = problem.make_evaluator(problem.random_solution(seed=9))
+        twin_rng = copy.deepcopy(search.rng)
+        for _ in range(10):
+            builder = CompoundMoveBuilder(
+                twin,
+                full_range(problem.num_cells),
+                pairs_per_step=params.pairs_per_step,
+                depth=params.move_depth,
+                early_accept=params.early_accept,
+            )
+            while builder.wants_more_steps():
+                builder.step(twin_rng)
+            expected = builder.finalize()
+            move = search.step().move
+            assert move.pairs() == expected.pairs()
+            assert [s.cost_after for s in move.swaps] == [
+                s.cost_after for s in expected.swaps
+            ]
+            assert move.trials == expected.trials
+            assert search.evaluator.evaluations == twin.evaluations
+            assert search.rng.bit_generator.state == twin_rng.bit_generator.state
+            assert np.array_equal(search.evaluator.snapshot(), twin.snapshot())
+            assert search.current_cost == twin.cost()
 
 
 class TestSimulatedParallelIdentity:

@@ -141,6 +141,19 @@ class TestCompoundMoveBuilder:
         assert move.trials == 12
         assert move.cost_after == pytest.approx(evaluator.cost())
 
+    def test_first_step_draws_its_own_pairs(self, evaluator, rng):
+        # the builder samples every step itself, the first included: a step
+        # takes one sampler call's draws, scores that batch and commits once
+        expected = copy.deepcopy(rng)
+        sample_candidate_pairs_array(
+            full_range(evaluator.num_cells).as_array(), evaluator.num_cells, 4, expected
+        )
+        work = evaluator.evaluations
+        builder = _builder(evaluator, pairs_per_step=4, depth=2)
+        assert builder.step(rng) == 4
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert evaluator.evaluations - work == 4 + 1
+
     def test_step_commits_the_cheapest_seeded_pair(self, evaluator, rng):
         pairs, costs = _next_step(evaluator, rng, 4)
         builder = _builder(evaluator, pairs_per_step=4, depth=1)
