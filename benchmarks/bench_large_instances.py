@@ -63,7 +63,7 @@ from repro import (
 )
 from repro.core import get_domain
 from repro.parallel import build_problem
-from repro.placement import Layout, random_placement
+from repro.placement import Layout, SwapBatch, random_placement
 from repro.placement.wirelength import WirelengthState
 from repro.tabu.tabu_list import ARRAY_TABU_MAX_CELLS
 
@@ -115,12 +115,13 @@ def _csr_dense_kernel_ratio() -> dict:
     rng = np.random.default_rng(7)
     a = rng.integers(0, placement.num_cells, PAIRS_PER_STEP).astype(np.int64)
     b = rng.integers(0, placement.num_cells, PAIRS_PER_STEP).astype(np.int64)
+    pairs = np.column_stack((a, b))
     dense = WirelengthState(placement, incidence="dense")
     csr = WirelengthState(placement, incidence="csr")
     samples = alternate(
         {
-            "dense": timed(lambda: dense.deltas_for_swaps(a, b)),
-            "csr": timed(lambda: csr.deltas_for_swaps(a, b)),
+            "dense": timed(lambda: dense.deltas_for_swaps(SwapBatch(placement, pairs))),
+            "csr": timed(lambda: csr.deltas_for_swaps(SwapBatch(placement, pairs))),
         },
         CSR_ROUNDS,
         warmup=20,

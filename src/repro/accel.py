@@ -142,25 +142,21 @@ def shared_net_mask(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarr
 class HpwlArrays:
     """The :class:`WirelengthState` cache arrays the HPWL kernel reads.
 
-    Exactly one of ``incidence`` (dense boolean cell×net matrix) and
-    ``csr_keys`` (sorted ``cell * num_nets + net`` incidence keys, with
-    ``csr_bits``, each cell's 64-bit net signature: bit ``net & 63`` set
-    for each of its nets) is set, mirroring the state's shared-net
-    detection mode.  Every field is the state's live array.
+    Exactly one of ``incidence`` (the dense boolean cell×net matrix,
+    flattened: entry ``cell * num_nets + net``) and ``csr_keys`` (sorted
+    ``cell * num_nets + net`` incidence keys, with ``csr_bits``, each cell's
+    64-bit net signature: bit ``net & 63`` set for each of its nets) is set,
+    mirroring the state's shared-net detection mode.  ``bbox`` is the
+    state's ``(8, num_nets)`` block of bbox edges and their next-inner
+    values (``x_min, x_max, y_min, y_max``, then the same four inner rows).
+    Every field is the state's live array.
     """
 
     num_nets: int
     incidence: Optional[np.ndarray]
     csr_keys: Optional[np.ndarray]
     csr_bits: Optional[np.ndarray]
-    x_min: np.ndarray
-    x_max: np.ndarray
-    y_min: np.ndarray
-    y_max: np.ndarray
-    inner_x_min: np.ndarray
-    inner_x_max: np.ndarray
-    inner_y_min: np.ndarray
-    inner_y_max: np.ndarray
+    bbox: np.ndarray
     per_net: np.ndarray
     net_weights: np.ndarray
 
@@ -168,63 +164,58 @@ class HpwlArrays:
 def hpwl_batch_deltas(
     arrays: HpwlArrays,
     *,
-    num_pairs: int,
-    pair: np.ndarray,
+    ends: np.ndarray,
+    xy: np.ndarray,
+    end: np.ndarray,
     net: np.ndarray,
-    other: np.ndarray,
-    from_x: np.ndarray,
-    from_y: np.ndarray,
-    to_x: np.ndarray,
-    to_y: np.ndarray,
-    active: np.ndarray,
 ) -> np.ndarray:
     """Weighted-HPWL deltas of a flat-expanded candidate batch.
 
-    The caller (``WirelengthState.deltas_for_swaps``) has already expanded
-    the pairs to flat ``(pair, net)`` items: each item moves one pin of
-    ``net`` from ``(from_x, from_y)`` to ``(to_x, to_y)``, and ``other`` is
-    the swap partner.  Steps here:
+    ``ends`` are the batch's endpoints interleaved ``a0, b0, a1, b1, ...``
+    and ``xy`` their ``(2, len(ends))`` coordinates.  The caller
+    (``WirelengthState.deltas_for_swaps``) has already expanded the
+    endpoints to flat items: item ``i`` moves the pin of endpoint
+    ``end[i]`` on ``net[i]`` to the position of its partner ``end[i] ^ 1``,
+    and each pair's items run a's nets, then b's.  Steps here:
 
-    1. neutralise items whose swap partner shares the net (one dense
-       incidence gather, or a binary search of the sorted CSR keys for the
-       items whose partner's net signature has the net's bit);
-    2. exact O(1) bbox-edge updates: a pin leaving an edge exposes the
-       edge's cached next-inner value, so the new minimum is
-       ``min(inner if frm == edge else edge, to)`` (mirrored for maxima),
-       so no item re-reduces its net's members (66% of a 256-pair batch's
-       items move the only pin on some edge of their net);
+    1. neutralise items whose swap partner shares the net (one gather of
+       the flattened dense incidence, or a binary search of the sorted CSR
+       keys for the items whose partner's net signature has the net's bit).
+       A self-pair's partner is the cell itself, which sits on every net of
+       its items, so self-pairs need no mask of their own;
+    2. exact O(1) bbox-edge updates, all four edges at once: a pin leaving
+       an edge exposes the edge's cached next-inner value, so the new
+       minimum is ``min(inner if frm == edge else edge, to)`` (mirrored for
+       maxima), and no item re-reduces its net's members;
     3. weighted per-item deltas folded per pair with ``bincount``.
 
-    ``active`` is updated in place.  Returns a float64 array of per-pair
-    deltas.
+    Returns a float64 array of per-pair deltas.
     """
-    out = np.zeros(num_pairs, dtype=np.float64)
+    partner = end ^ 1
+    other = ends.take(partner)
 
     # --- shared-net / self-swap neutralisation ------------------------- #
     if arrays.incidence is not None:
-        active &= ~arrays.incidence[other, net]
+        active = ~arrays.incidence.take(other * np.int64(arrays.num_nets) + net)
     else:
+        active = np.ones(net.size, dtype=bool)
         maybe = np.flatnonzero(
-            (arrays.csr_bits[other] >> (net & 63).astype(np.uint64)) & np.uint64(1)
+            (arrays.csr_bits.take(other) >> (net & 63).astype(np.uint64)) & np.uint64(1)
         )
-        keys = other[maybe] * np.int64(arrays.num_nets) + net[maybe]
-        active[maybe] &= ~shared_net_mask(arrays.csr_keys, keys)
-    if not bool(active.any()):
-        return out
+        keys = other.take(maybe) * np.int64(arrays.num_nets) + net.take(maybe)
+        active[maybe] = ~shared_net_mask(arrays.csr_keys, keys)
 
     # --- exact O(1) bbox-edge updates from the cache ------------------- #
-    x_min = arrays.x_min[net]
-    new_x_min = np.minimum(np.where(from_x == x_min, arrays.inner_x_min[net], x_min), to_x)
-    x_max = arrays.x_max[net]
-    new_x_max = np.maximum(np.where(from_x == x_max, arrays.inner_x_max[net], x_max), to_x)
-    y_min = arrays.y_min[net]
-    new_y_min = np.minimum(np.where(from_y == y_min, arrays.inner_y_min[net], y_min), to_y)
-    y_max = arrays.y_max[net]
-    new_y_max = np.maximum(np.where(from_y == y_max, arrays.inner_y_max[net], y_max), to_y)
+    # [[x_min, x_max], [y_min, y_max]] per item, and their next-inner values
+    bbox = arrays.bbox.take(net, axis=1)
+    edges = bbox[:4].reshape(2, 2, -1)
+    moved = np.where(edges == xy.take(end, axis=1)[:, None], bbox[4:].reshape(2, 2, -1), edges)
+    to = xy.take(partner, axis=1)
+    span = np.maximum(moved[:, 1], to)
+    span -= np.minimum(moved[:, 0], to)
 
     # --- weighted per-item deltas, folded per pair --------------------- #
-    new_hpwl = (new_x_max - new_x_min) + (new_y_max - new_y_min)
-    per_item = arrays.net_weights[net] * (new_hpwl - arrays.per_net[net])
+    new_hpwl = span[0] + span[1]
+    per_item = arrays.net_weights.take(net) * (new_hpwl - arrays.per_net.take(net))
     per_item *= active  # zero the contributions of masked items
-    out[:] = np.bincount(pair, weights=per_item, minlength=num_pairs)
-    return out
+    return np.bincount(end >> 1, weights=per_item, minlength=ends.size >> 1)

@@ -101,16 +101,13 @@ class FuzzyGoalAggregator:
             raise CostModelError(f"beta must be in [0, 1], got {beta}")
         self._goals: Tuple[FuzzyGoal, ...] = tuple(goals)
         self._beta = beta
-        # Hot-path constants for membership_batch: per-goal linear bounds and
-        # weights, precomputed once so the batched swap-evaluation kernel
-        # pays no per-call object construction or np.average bookkeeping.
-        self._bounds: Tuple[Tuple[float, float], ...] = tuple(
-            (g.goal, g.upper) for g in self._goals
-        )
-        self._weights: Tuple[float, ...] = tuple(g.weight for g in self._goals)
-        self._weight_sum = float(
-            np.add.reduce(np.array(self._weights, dtype=np.float64))
-        )
+        # Hot-path constants for cost_block, one row per goal: each goal's
+        # upper value, its goal-to-upper span and its weight, precomputed
+        # once so a batch pays no per-goal Python work.
+        self._upper = np.array([[g.upper] for g in self._goals], dtype=np.float64)
+        self._span = np.array([[g.upper - g.goal] for g in self._goals], dtype=np.float64)
+        self._weight = np.array([[g.weight] for g in self._goals], dtype=np.float64)
+        self._weight_sum = float(np.add.reduce(self._weight[:, 0]))
 
     @property
     def goals(self) -> Tuple[FuzzyGoal, ...]:
@@ -146,37 +143,31 @@ class FuzzyGoalAggregator:
         weighted_mean = float(np.average(raw, weights=weights))
         return float(beta * raw.min() + (1.0 - beta) * weighted_mean)
 
-    def membership_batch(self, values: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Aggregate membership of a whole batch of objective vectors at once.
-
-        ``values`` maps each goal name to an equal-length array of crisp
-        values; the result is the aggregate membership per batch entry,
-        numerically identical to calling :meth:`membership` per entry (same
-        operations, applied along an axis).
-        """
-        missing = [g.name for g in self._goals if g.name not in values]
-        if missing:
-            raise CostModelError(f"missing objective values for goals: {missing}")
-        # Same arithmetic as the stack/np.average formulation (sequential
-        # left-to-right reductions, division by the weight sum), fused into
-        # a handful of array ops so results stay bit-identical while the
-        # per-call dict/stack churn disappears.
-        beta = self._beta
-        weighted = None
-        lowest = None
-        for goal, (low, high), weight in zip(self._goals, self._bounds, self._weights):
-            scaled = (high - np.asarray(values[goal.name], dtype=np.float64)) / (high - low)
-            mu = np.clip(scaled, 0.0, 1.0)
-            term = mu * weight
-            weighted = term if weighted is None else weighted + term
-            lowest = mu if lowest is None else np.minimum(lowest, mu)
-        weighted = weighted / self._weight_sum
-        return beta * lowest + (1.0 - beta) * weighted
-
     def cost(self, values: Mapping[str, float]) -> float:
         """Scalar cost in ``[0, 1]``: ``1 - membership`` (lower is better)."""
         return 1.0 - self.membership(values)
 
-    def cost_batch(self, values: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Batched scalar cost: ``1 - membership`` per batch entry."""
-        return 1.0 - self.membership_batch(values)
+    def cost_block(self, values: np.ndarray) -> np.ndarray:
+        """Scalar costs of a batch of objective vectors, one per column.
+
+        ``values`` is a ``(goals, n)`` float64 block with one row per goal,
+        in :attr:`names` order; it is overwritten.  Each column's cost is
+        bit-identical to :meth:`cost` of that column: per goal
+        ``(upper - v) / (upper - goal)`` clipped to ``[0, 1]`` (``clip``,
+        as the scalar membership does, not ``minimum``/``maximum``, which
+        may differ on a signed zero), the weighted memberships summed goal
+        by goal in row order (an axis-0 reduce adds rows left to right) and
+        divided by the weight sum, then ``1 - (beta * min + (1 - beta) *
+        mean)``.
+        """
+        mu = np.subtract(self._upper, values, out=values)
+        mu /= self._span
+        mu.clip(0.0, 1.0, out=mu)
+        lowest = np.minimum.reduce(mu, axis=0)
+        mu *= self._weight
+        weighted = np.add.reduce(mu, axis=0)
+        weighted /= self._weight_sum
+        lowest *= self._beta
+        weighted *= 1.0 - self._beta
+        lowest += weighted
+        return np.subtract(1.0, lowest, out=lowest)

@@ -28,7 +28,7 @@ from .iscas import (
 )
 from .layout import Layout, LayoutSpec
 from .netlist import Netlist, NetlistBuilder, NetlistStats
-from .solution import Placement, random_placement
+from .solution import Placement, SwapBatch, random_placement
 from .timing import TimingAnalyzer, TimingModel, TimingResult, TimingState
 from .wirelength import WirelengthState, full_hpwl, net_bboxes, net_hpwl
 
@@ -56,6 +56,7 @@ __all__ = [
     "Layout",
     "LayoutSpec",
     "Placement",
+    "SwapBatch",
     "random_placement",
     "WirelengthState",
     "full_hpwl",

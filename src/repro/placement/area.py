@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .solution import Placement
+from .solution import Placement, SwapBatch
 
 __all__ = ["row_widths", "full_area", "AreaState"]
 
@@ -80,54 +80,38 @@ class AreaState:
         cts = self._placement.cell_to_slot
         return int(slot_row[cts[cell_a]]), int(slot_row[cts[cell_b]])
 
-    def deltas_for_swaps(self, cells_a, cells_b) -> np.ndarray:
-        """Area change of every candidate swap ``(a_i, b_i)`` in one batch.
+    def deltas_for_swaps(self, batch: SwapBatch, out: np.ndarray | None = None) -> np.ndarray:
+        """Area change of every candidate swap of ``batch``.
 
-        A swap only changes the area when the two cells sit in different rows
-        and the widest row changes.  Instead of rebuilding the per-row sums
-        per trial, the kernel precomputes the three widest rows once; for any
-        pair at most two rows change, so the new maximum is
-        ``max(new_row_a, new_row_b, widest untouched row)`` and the widest
-        untouched row is always among the top three.
+        Written into ``out`` (every entry; a new array when omitted) and
+        returned.  A swap only changes the area when the two cells sit in
+        different rows (a self-swap never does) and the widest row changes.
+        At most two rows change, so the new maximum is ``max(new_row_a,
+        new_row_b, widest untouched row)``.  The widest untouched row is the
+        widest row, or the runner-up when the swap touches the widest.  When
+        it touches the runner-up too, the runner-up is still no wider than
+        the wider of the two new rows (one of them gains what the other
+        loses, and the sums round monotonically), so it cannot change the
+        maximum.  Every pair is priced; pairs within one row are zeroed by
+        a multiply.
         """
-        a = np.atleast_1d(np.asarray(cells_a, dtype=np.int64))
-        b = np.atleast_1d(np.asarray(cells_b, dtype=np.int64))
-        num_pairs = int(a.size)
-        out = np.zeros(num_pairs, dtype=np.float64)
-        if num_pairs == 0:
-            return out
-        slot_row = self._layout.slot_row
-        cts = self._placement.cell_to_slot
-        rows_a = slot_row[cts[a]]
-        rows_b = slot_row[cts[b]]
-        active = (a != b) & (rows_a != rows_b)
-        if not active.any():
-            return out
+        if out is None:
+            out = np.empty(batch.size, dtype=np.float64)
         rw = self._row_widths
-        cur_max = float(rw.max())
-        # top-3 rows by width, padded so two excluded rows always leave a value
-        k = min(3, rw.size)
-        top = np.argpartition(rw, rw.size - k)[rw.size - k:]
-        top = top[np.argsort(rw[top])[::-1]]
-        top_rows = np.full(3, -1, dtype=np.int64)
-        top_vals = np.full(3, -np.inf, dtype=np.float64)
-        top_rows[:k] = top
-        top_vals[:k] = rw[top]
-
-        ra = rows_a[active]
-        rb = rows_b[active]
-        shift = self._widths[b[active]] - self._widths[a[active]]
-        new_a = rw[ra] + shift
-        new_b = rw[rb] - shift
-        untouched = np.where(
-            (top_rows[0] != ra) & (top_rows[0] != rb),
-            top_vals[0],
-            np.where((top_rows[1] != ra) & (top_rows[1] != rb), top_vals[1], top_vals[2]),
-        )
-        new_max = np.maximum(np.maximum(new_a, new_b), untouched)
-        scale = self._layout.num_rows * self._layout.spec.row_height
-        out[active] = (new_max - cur_max) * scale
-        return out
+        order = np.argsort(rw)
+        widest = rw[order[-1]]
+        runner_up = rw[order[-2]] if rw.size > 1 else -np.inf
+        rows = batch.rows
+        on_widest = rows == order[-1]
+        untouched = np.where(on_widest[0::2] | on_widest[1::2], runner_up, widest)
+        widths = self._widths.take(batch.ends)
+        shift = widths[1::2] - widths[0::2]
+        row_width = rw.take(rows)
+        new_max = np.maximum(row_width[0::2] + shift, row_width[1::2] - shift)
+        np.maximum(new_max, untouched, out=new_max)
+        new_max -= widest
+        new_max *= self._layout.num_rows * self._layout.spec.row_height
+        return np.multiply(new_max, rows[0::2] != rows[1::2], out=out)
 
     def apply_moved_cells(self, cells: np.ndarray, old_rows: np.ndarray) -> None:
         """Update row sums after a whole swap sequence moved ``cells``.

@@ -8,9 +8,11 @@ engine: :class:`CostEvaluator`.
 The evaluator owns a :class:`~repro.placement.solution.Placement` together
 with the incremental state of every objective, so that
 
-* ``evaluate_swap(a, b)`` returns the *scalar cost* the solution would have if
-  cells ``a`` and ``b`` exchanged slots (in time proportional to the nets
-  touching the two cells), and
+* ``evaluate_swaps_batch(pairs)`` returns the *scalar cost* the solution
+  would have under each candidate swap of a batch, in one pass: the pairs'
+  context is gathered once (:class:`~repro.placement.solution.SwapBatch`),
+  each objective writes its delta row into one ``(3, n)`` block, and one
+  fused fuzzy (or weighted-sum) step aggregates the block, and
 * ``commit_swap(a, b)`` actually applies the swap and keeps all caches
   consistent.
 
@@ -30,7 +32,7 @@ from ..errors import CostModelError
 from ..fuzzy import FuzzyGoal, FuzzyGoalAggregator
 from .area import AreaState
 from .layout import Layout
-from .solution import Placement
+from .solution import Placement, SwapBatch
 from .timing import TimingAnalyzer, TimingModel, TimingState
 from .wirelength import WirelengthState
 
@@ -183,6 +185,17 @@ class CostEvaluator:
         self._goal_weights = tuple(g.weight for g in goals)
         self._goal_weight_sum = float(np.add.reduce(np.array(self._goal_weights)))
         self._beta = float(self._aggregator.beta)
+        # Weighted-sum ablation, one row per objective: weight and
+        # normalising reference, as aggregate() divides them.
+        p = self._params
+        ref = self._reference
+        self._sum_weights = np.array(
+            [[p.wire_weight], [p.delay_weight], [p.area_weight]], dtype=np.float64
+        )
+        self._sum_norms = np.array(
+            [[max(ref.wirelength, 1e-9)], [max(ref.delay, 1e-9)], [max(ref.area, 1e-9)]],
+            dtype=np.float64,
+        )
         #: Number of swap evaluations performed (trials + commits).  The
         #: simulated cluster uses this as the "work units" a process consumed.
         self.evaluations: int = 0
@@ -273,22 +286,21 @@ class CostEvaluator:
             / total_weight
         )
 
-    def aggregate_batch(
-        self, wirelength: np.ndarray, delay: np.ndarray, area: np.ndarray
-    ) -> np.ndarray:
-        """Scalar costs of a whole batch of objective vectors at once."""
+    def _aggregate_block(self, values: np.ndarray) -> np.ndarray:
+        """Scalar costs of a ``(3, n)`` block of objective vectors (rows:
+        wirelength, delay, area), overwriting the block.
+
+        The fused form of :meth:`aggregate`: the same operations per column
+        in the same order, so each cost is bit-identical to the scalar one.
+        """
         if self._params.aggregation == "fuzzy":
-            return self._aggregator.cost_batch(
-                {WIRELENGTH: wirelength, DELAY: delay, AREA: area}
-            )
+            return self._aggregator.cost_block(values)
         p = self._params
-        ref = self._reference
-        total_weight = p.wire_weight + p.delay_weight + p.area_weight
-        return (
-            p.wire_weight * np.asarray(wirelength, dtype=np.float64) / max(ref.wirelength, 1e-9)
-            + p.delay_weight * np.asarray(delay, dtype=np.float64) / max(ref.delay, 1e-9)
-            + p.area_weight * np.asarray(area, dtype=np.float64) / max(ref.area, 1e-9)
-        ) / total_weight
+        values *= self._sum_weights
+        values /= self._sum_norms
+        total = np.add.reduce(values, axis=0)
+        total /= p.wire_weight + p.delay_weight + p.area_weight
+        return total
 
     def cost(self) -> float:
         """Scalar cost of the current placement (cached between mutations)."""
@@ -335,25 +347,27 @@ class CostEvaluator:
 
         ``pairs`` is any ``(n, 2)`` array-like of cell pairs (or a sequence of
         2-tuples).  Each pair is scored independently against the *current*
-        solution — semantically ``n`` calls to :meth:`evaluate_swap`, but the
-        wirelength/area/timing deltas and the fuzzy aggregation are each
-        computed once for the whole batch in vectorised NumPy.  Nothing is
+        solution — semantically ``n`` calls to :meth:`evaluate_swap` — in
+        one pass: the pairs' context is gathered once into a
+        :class:`~repro.placement.solution.SwapBatch`, the wirelength, timing
+        and area objectives each write their delta row into one ``(3, n)``
+        block, the current objective values are added, and one fused step
+        aggregates the block.  Self-pairs score :meth:`cost`.  Nothing is
         mutated.
         """
-        arr = np.asarray(pairs, dtype=np.int64)
-        if arr.size == 0:
+        batch = SwapBatch(self._placement, pairs)
+        if batch.size == 0:
             return np.zeros(0, dtype=np.float64)
-        arr = arr.reshape(-1, 2)
-        cells_a = arr[:, 0]
-        cells_b = arr[:, 1]
-        distinct = cells_a != cells_b
+        distinct = batch.distinct
         self.evaluations += int(np.count_nonzero(distinct))
-        current = self.objectives()
-        costs = self.aggregate_batch(
-            current.wirelength + self._wirelength.deltas_for_swaps(cells_a, cells_b),
-            current.delay + self._timing.deltas_for_swaps(cells_a, cells_b),
-            current.area + self._area.deltas_for_swaps(cells_a, cells_b),
+        block = np.empty((3, batch.size), dtype=np.float64)
+        self._wirelength.deltas_for_swaps(batch, block[0])
+        self._timing.deltas_for_swaps(batch, block[1])
+        self._area.deltas_for_swaps(batch, block[2])
+        block += np.array(
+            [[self._wirelength.total], [self._timing.critical_delay], [self._area.total]]
         )
+        costs = self._aggregate_block(block)
         if not distinct.all():
             costs[~distinct] = self.cost()
         return costs

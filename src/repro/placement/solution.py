@@ -24,7 +24,7 @@ from .._rng import make_rng
 from ..errors import PlacementError
 from .layout import Layout
 
-__all__ = ["Placement", "random_placement"]
+__all__ = ["Placement", "SwapBatch", "random_placement"]
 
 #: Sentinel stored in ``slot_to_cell`` for an empty slot.
 EMPTY_SLOT: int = -1
@@ -210,6 +210,42 @@ class Placement:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Placement(circuit={self.netlist.name!r}, cells={self.num_cells})"
+
+
+class SwapBatch:
+    """A batch of candidate swaps with the context all three objectives read.
+
+    Gathered once per batch against the placement as it stands, so the
+    wirelength, timing and area kernels each start from the same arrays
+    instead of converting and gathering the pairs again:
+
+    * ``ends`` — the ``2 * size`` endpoints interleaved ``a0, b0, a1, b1,
+      ...``: endpoint ``e`` belongs to pair ``e >> 1`` and its swap partner
+      is endpoint ``e ^ 1`` (the reshape of an ``(n, 2)`` pair array, so no
+      copy);
+    * ``distinct`` — ``a != b`` per pair (self-pairs change nothing);
+    * ``xy`` — the endpoints' slot coordinates, x in row 0 and y in row 1;
+    * ``rows`` — the endpoints' layout rows.
+
+    A batch only describes trial swaps: nothing is mutated.
+    """
+
+    __slots__ = ("size", "ends", "distinct", "xy", "rows")
+
+    def __init__(self, placement: Placement, pairs) -> None:
+        ends = np.asarray(pairs, dtype=np.int64).reshape(-1)
+        if ends.size % 2:
+            raise PlacementError(f"a swap batch needs (n, 2) pairs, got {ends.size} cells")
+        layout = placement.layout
+        slots = placement._cell_to_slot.take(ends)
+        xy = np.empty((2, ends.size), dtype=np.float64)
+        np.take(layout.slot_x, slots, out=xy[0])
+        np.take(layout.slot_y, slots, out=xy[1])
+        self.size = ends.size >> 1
+        self.ends = ends
+        self.distinct = ends[0::2] != ends[1::2]
+        self.xy = xy
+        self.rows = layout.slot_row.take(slots)
 
 
 def random_placement(layout: Layout, seed: int = 0) -> Placement:

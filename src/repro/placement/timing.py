@@ -42,7 +42,7 @@ import numpy as np
 from ..errors import CostModelError
 from .cell import CellKind
 from .netlist import Netlist, csr_group, csr_lists, csr_rows
-from .solution import Placement
+from .solution import Placement, SwapBatch
 
 __all__ = [
     "TimingModel", "TimingResult", "TimingGraph", "timing_graph", "TimingAnalyzer",
@@ -538,6 +538,12 @@ class TimingState:
         self._analyzer = analyzer
         self._refresh_interval = refresh_interval
         self._commits_since_refresh = 0
+        # Every cell's column in a batch's coordinate block (1 + its path
+        # position, 0 off the path), derived from the path array it was
+        # built for on first use after a refresh or a restore; never part
+        # of a snapshot.
+        self._columns_of: np.ndarray | None = None
+        self._columns: np.ndarray | None = None
         self.refresh()
 
     @property
@@ -624,46 +630,69 @@ class TimingState:
         return self._path_intrinsic + wire
 
     # ------------------------------------------------------------------ #
-    def deltas_for_swaps(self, cells_a, cells_b) -> np.ndarray:
-        """Estimated critical-delay change of every candidate swap in a batch.
+    def _path_columns(self) -> np.ndarray:
+        """Every cell's column in a :meth:`deltas_for_swaps` block: one
+        plus its position on the cached path, 0 off it.
 
-        Pairs touching the cached critical path re-price the whole path with
-        the two positions exchanged; all other pairs (self-swaps included)
-        score 0.  All touching pairs are priced together as one
-        ``(pairs × path)`` broadcast.
+        Cached by the identity of the path array: a restore that brings
+        back the path a snapshot shares with the live state reuses it.
         """
-        a = np.atleast_1d(np.asarray(cells_a, dtype=np.int64))
-        b = np.atleast_1d(np.asarray(cells_b, dtype=np.int64))
-        num_pairs = int(a.size)
-        out = np.zeros(num_pairs, dtype=np.float64)
         path = self._path_array
-        if num_pairs == 0 or path.size < 2:
+        if self._columns_of is not path:
+            columns = np.zeros(self._placement.num_cells, dtype=np.int64)
+            columns[path] = np.arange(1, path.size + 1, dtype=np.int64)
+            self._columns_of = path
+            self._columns = columns
+        return self._columns
+
+    def deltas_for_swaps(self, batch: SwapBatch, out: np.ndarray | None = None) -> np.ndarray:
+        """Estimated critical-delay change of every candidate swap of ``batch``.
+
+        Written into ``out`` (every entry; a new array when omitted) and
+        returned.  Pairs touching the cached critical path re-price the
+        whole path with the two positions exchanged; all other pairs
+        (self-swaps included) score 0.  The ``k`` touching pairs are priced
+        together as one ``(2, k, 1 + path)`` coordinate block: x and y of
+        the path's cells under the current placement, each pair's endpoints
+        written over their path positions, and a spare column 0 that takes
+        the write of an endpoint off the path.  Each pair's wire length
+        sums its row of ``|dx| + |dy|`` steps, a C-contiguous ``(k, path -
+        1)`` block reduced along axis 1, as ``batch_reference`` in
+        ``tests/oracles/kernels.py`` reduces it, so the bits match.
+        """
+        if out is None:
+            out = np.empty(batch.size, dtype=np.float64)
+        out.fill(0.0)
+        path = self._path_array
+        if path.size < 2:
             return out
-        touch = (self._on_path[a] | self._on_path[b]) & (a != b)
-        if not touch.any():
+        columns = self._path_columns().take(batch.ends)
+        on_path = columns > 0
+        touch = np.flatnonzero((on_path[0::2] | on_path[1::2]) & batch.distinct)
+        if touch.size == 0:
             return out
-        ai = a[touch]
-        bi = b[touch]
-        cts = self._placement.cell_to_slot
-        slot_x = self._placement.layout.slot_x
-        slot_y = self._placement.layout.slot_y
-        # Only path cells and touched endpoints need coordinates — no
-        # O(num_cells) gather.
-        px = slot_x[cts[path]]
-        py = slot_y[cts[path]]
-        path_row = path[None, :]
-        mask_a = path_row == ai[:, None]
-        mask_b = path_row == bi[:, None]
-        nx = np.where(
-            mask_a, slot_x[cts[bi]][:, None],
-            np.where(mask_b, slot_x[cts[ai]][:, None], px[None, :]),
-        )
-        ny = np.where(
-            mask_a, slot_y[cts[bi]][:, None],
-            np.where(mask_b, slot_y[cts[ai]][:, None], py[None, :]),
-        )
-        wpu = self._analyzer.model.wire_delay_per_unit
-        wire = wpu * np.sum(np.abs(np.diff(nx, axis=1)) + np.abs(np.diff(ny, axis=1)), axis=1)
+        size = path.size + 1
+        layout = self._placement.layout
+        slots = self._placement.cell_to_slot.take(path)
+        path_xy = np.zeros((2, size), dtype=np.float64)
+        np.take(layout.slot_x, slots, out=path_xy[0, 1:])
+        np.take(layout.slot_y, slots, out=path_xy[1, 1:])
+        block = np.repeat(path_xy[:, None, :], touch.size, axis=1)
+        # each endpoint takes its partner's coordinates
+        pair_columns = columns.reshape(-1, 2).take(touch, axis=0)
+        pair_xy = batch.xy.reshape(2, -1, 2).take(touch, axis=1)
+        pair = np.arange(touch.size)
+        block[:, pair, pair_columns[:, 0]] = pair_xy[:, :, 1]
+        block[:, pair, pair_columns[:, 1]] = pair_xy[:, :, 0]
+        # |dx| and |dy| of every step in one flat pass; the steps that
+        # cross a row boundary or leave the spare column are never read
+        flat = block.reshape(-1)
+        steps = np.empty_like(flat)
+        np.subtract(flat[1:], flat[:-1], out=steps[:-1])
+        np.abs(steps, out=steps)
+        steps = steps.reshape(block.shape)
+        wire = np.add.reduce(np.add(steps[0, :, 1:-1], steps[1, :, 1:-1]), axis=1)
+        wire *= self._analyzer.model.wire_delay_per_unit
         out[touch] = (self._path_intrinsic + wire) - self._cached_delay
         return out
 

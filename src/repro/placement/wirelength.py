@@ -15,8 +15,9 @@ Three access patterns are provided:
   candidate swap exactly with O(affected nets) arithmetic and no member
   re-gather;
 * :meth:`WirelengthState.deltas_for_swaps` — the batched kernel: it scores an
-  entire candidate neighbourhood in a handful of NumPy operations (one flat
-  CSR cell→net expansion, no per-trial ``union1d``, no segment reduce).
+  entire :class:`~repro.placement.solution.SwapBatch` in a handful of NumPy
+  operations (one flat CSR cell→net expansion, no per-trial ``union1d``, no
+  segment reduce).
 
 The tabu-search inner loop only ever uses deltas, so this module is the
 hottest code path of the whole reproduction: every CLW trial swap lands here.
@@ -31,7 +32,7 @@ import numpy as np
 
 from .. import accel
 from .netlist import csr_lists
-from .solution import Placement
+from .solution import Placement, SwapBatch
 
 __all__ = [
     "BBOX_ROWS",
@@ -215,6 +216,10 @@ class WirelengthState:
         self._incidence: np.ndarray | None = None
         self._csr_keys: np.ndarray | None = None
         self._csr_bits: np.ndarray | None = None
+        # The batch kernel's CSR cell→net expansion reads these views.
+        self._cell_nets = self._netlist.cell_net_flat
+        self._net_starts = self._netlist.cell_net_ptr[:-1]
+        self._net_stops = self._netlist.cell_net_ptr[1:]
         flat_nets, counts = self._netlist.nets_of_cells_flat(
             np.arange(num_cells, dtype=np.int64)
         )
@@ -270,39 +275,32 @@ class WirelengthState:
         view.flags.writeable = False
         return view
 
-    def _bind(self, bbox: np.ndarray) -> None:
-        """Adopt an ``(8, num_nets)`` :func:`net_bboxes` block as the cache."""
+    def _bind(self, bbox: np.ndarray, per_net: np.ndarray) -> None:
+        """Adopt an ``(8, num_nets)`` :func:`net_bboxes` block and the
+        per-net HPWL as the cache, and pack them for the batch kernel (the
+        commit paths update both in place, so the pack stays live)."""
         self._bbox = bbox
         (
             self._x_min, self._x_max, self._y_min, self._y_max,
             self._inner_x_min, self._inner_x_max, self._inner_y_min, self._inner_y_max,
         ) = bbox
+        self._per_net = per_net
+        self._arrays = accel.HpwlArrays(
+            num_nets=self._netlist.num_nets,
+            incidence=None if self._incidence is None else self._incidence.reshape(-1),
+            csr_keys=self._csr_keys,
+            csr_bits=self._csr_bits,
+            bbox=bbox,
+            per_net=per_net,
+            net_weights=self._netlist.net_weights,
+        )
 
     def rebuild(self) -> None:
         """Recompute the cache from scratch (used after bulk solution changes)."""
-        self._bind(net_bboxes(self._placement))
-        self._per_net = (self._x_max - self._x_min) + (self._y_max - self._y_min)
+        bbox = net_bboxes(self._placement)
+        self._bind(bbox, (bbox[1] - bbox[0]) + (bbox[3] - bbox[2]))
         weights = self._netlist.net_weights
         self._total = float(np.dot(self._per_net, weights)) if self._per_net.size else 0.0
-
-    def _hpwl_arrays(self) -> accel.HpwlArrays:
-        """The live cache arrays as an :class:`~repro.accel.HpwlArrays` pack.
-
-        Built on every call, so rebinds by ``rebuild``/``restore_state`` are
-        always picked up.
-        """
-        return accel.HpwlArrays(
-            num_nets=self._netlist.num_nets,
-            incidence=self._incidence,
-            csr_keys=self._csr_keys,
-            csr_bits=self._csr_bits,
-            x_min=self._x_min, x_max=self._x_max,
-            y_min=self._y_min, y_max=self._y_max,
-            inner_x_min=self._inner_x_min, inner_x_max=self._inner_x_max,
-            inner_y_min=self._inner_y_min, inner_y_max=self._inner_y_max,
-            per_net=self._per_net,
-            net_weights=self._netlist.net_weights,
-        )
 
     # ------------------------------------------------------------------ #
     # snapshot / restore (used by the search loop to try candidates cheaply)
@@ -315,24 +313,23 @@ class WirelengthState:
     def restore_state(self, state: tuple) -> None:
         """Restore a cache snapshot (the placement must be restored separately)."""
         per_net, total, *rows = state
-        self._per_net = per_net.copy()
         self._total = total
-        self._bind(np.array(rows))
+        self._bind(np.array(rows), per_net.copy())
 
     # ------------------------------------------------------------------ #
     # batched trial evaluation — the hot kernel
     # ------------------------------------------------------------------ #
-    def deltas_for_swaps(self, cells_a, cells_b) -> np.ndarray:
-        """Weighted-HPWL change of every candidate swap ``(a_i, b_i)``.
+    def deltas_for_swaps(self, batch: SwapBatch, out: np.ndarray | None = None) -> np.ndarray:
+        """Weighted-HPWL change of every candidate swap of ``batch``.
 
-        Both arguments are integer arrays of equal length; the result is a
-        float array of per-pair deltas (negative = improvement).  Every pair
-        is evaluated independently against the *current* placement (a pair's
-        delta is bit-identical whether it is scored alone or in a larger
-        batch), and the whole batch is computed with vectorised NumPy:
+        Written into ``out`` (every entry; a new array when omitted) and
+        returned; negative is an improvement.  Every pair is evaluated
+        independently against the *current* placement (a pair's delta is
+        bit-identical whether it is scored alone or in a larger batch):
 
-        1. expand both endpoints of every pair to flat ``(pair, net)`` items
-           via the CSR cell→net incidence;
+        1. expand every endpoint of the batch to flat ``(endpoint, net)``
+           items via the CSR cell→net incidence — plain 1-D gathers, one
+           pass for both endpoints of every pair;
         2. drop items of nets containing *both* endpoints (a swap permutes
            their pins, so their bbox is unchanged) — one dense incidence
            gather when the matrix fits :attr:`INCIDENCE_BUDGET`, otherwise a
@@ -341,63 +338,32 @@ class WirelengthState:
         3. update each item's four bbox edges exactly in O(1) from the
            cached edges and their next-inner values.
 
-        Step 1 (the CSR expansion) runs here; steps 2–3 are
-        :func:`repro.accel.hpwl_batch_deltas`, pinned bit-identical against
-        its frozen copy, ``wirelength_reference`` in
-        ``tests/oracles/kernels.py``.  Nets average ~3 pins, so a moved pin
-        is usually the only pin on some edge of its net's bbox (66% of a
-        256-pair batch's items on c532 and on big10k): per-edge pin counts
-        would send those items to a re-reduction of their net's members,
-        where the next-inner values answer them in O(1).
+        Step 1 runs here; steps 2–3 are :func:`repro.accel.hpwl_batch_deltas`,
+        called through the module once per batch and pinned bit-identical
+        against its frozen copy, ``wirelength_reference`` in
+        ``tests/oracles/kernels.py``.  Nets average ~3 pins, so
+        a moved pin is usually the only pin on some edge of its net's bbox
+        (66% of a 256-pair batch's items on c532 and on big10k): per-edge pin
+        counts would send those items to a re-reduction of their net's
+        members, where the next-inner values answer them in O(1).
         """
-        a = np.atleast_1d(np.asarray(cells_a, dtype=np.int64))
-        b = np.atleast_1d(np.asarray(cells_b, dtype=np.int64))
-        if a.shape != b.shape:
-            raise ValueError(f"cells_a and cells_b must match, got {a.shape} vs {b.shape}")
-        num_pairs = int(a.size)
-        out = np.zeros(num_pairs, dtype=np.float64)
-        if num_pairs == 0 or self._netlist.num_nets == 0:
-            return out
-
-        # --- step 1: flat (endpoint, net) items ---------------------------- #
-        # The endpoints interleave as [a0, b0, a1, b1, ...]: an item's pair is
-        # ``end >> 1`` and its swap partner ``end ^ 1``, and each pair's items
-        # stay in a's-nets-then-b's-nets order, the order the per-pair sums
-        # below are folded in.
-        ends = np.empty(2 * num_pairs, dtype=np.int64)
-        ends[0::2] = a
-        ends[1::2] = b
-        net, degrees = self._netlist.nets_of_cells_flat(ends)
-        if net.size == 0:
-            return out
-        end = np.repeat(np.arange(2 * num_pairs, dtype=np.int64), degrees)
-        partner = end ^ 1
-        end_slots = self._placement.cell_to_slot[ends]
-        end_x = self._layout.slot_x[end_slots]
-        end_y = self._layout.slot_y[end_slots]
-
-        # --- steps 2-3: the batch kernel ----------------------------------- #
-        # An item is inactive when the pair is a self-swap or when the swap
-        # partner sits on the same net (the swap permutes that net's pins).
-        # Inactive items are *not* filtered out — they flow through the O(1)
-        # edge updates and are zeroed in the final per-item reduction, which
-        # is far cheaper than re-gathering six arrays through a boolean mask
-        # and needs no sort to find the duplicates.
-        pair = end >> 1
+        if out is None:
+            out = np.empty(batch.size, dtype=np.float64)
+        ends = batch.ends
+        # Item i is (end[i], net[i]).  The endpoints interleave as
+        # [a0, b0, a1, b1, ...], so each pair's items run a's nets, then b's
+        # — the order the kernel's per-pair sums are folded in.
+        starts = self._net_starts.take(ends)
+        counts = self._net_stops.take(ends) - starts
+        end = np.repeat(np.arange(ends.size, dtype=np.int64), counts)
+        # an item's CSR index: its endpoint's segment start plus its offset
+        # within the segment (item number minus the endpoint's first item)
+        starts -= np.cumsum(counts) - counts
+        net = self._cell_nets.take(np.arange(end.size, dtype=np.int64) + starts.take(end))
         # called through the module so that a patched attribute (perfbench's
         # layer tracer) sees every call
-        return accel.hpwl_batch_deltas(
-            self._hpwl_arrays(),
-            num_pairs=num_pairs,
-            pair=pair,
-            net=net,
-            other=ends[partner],
-            from_x=end_x[end],
-            from_y=end_y[end],
-            to_x=end_x[partner],
-            to_y=end_y[partner],
-            active=(a != b)[pair],
-        )
+        out[:] = accel.hpwl_batch_deltas(self._arrays, ends=ends, xy=batch.xy, end=end, net=net)
+        return out
 
     # ------------------------------------------------------------------ #
     # committed updates

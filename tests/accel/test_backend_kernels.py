@@ -14,7 +14,7 @@ import pytest
 
 from oracles.kernels import qap_reference, wirelength_reference
 from repro.accel import fuse_admissible, masked_argmin
-from repro.placement import Layout, load_benchmark, random_placement
+from repro.placement import Layout, SwapBatch, load_benchmark, random_placement
 from repro.placement.wirelength import WirelengthState
 from repro.problems.qap.evaluator import QAPEvaluator
 from repro.problems.qap.instance import QAPInstance
@@ -104,7 +104,7 @@ class TestWirelengthKernelParity:
         both shared-net detection paths."""
         state, a, b = self._state_and_pairs(incidence)
         assert state.incidence_mode == incidence
-        shipped = state.deltas_for_swaps(a, b)
+        shipped = state.deltas_for_swaps(SwapBatch(state._placement, np.column_stack((a, b))))
         oracle = wirelength_reference(state, a, b)
         assert np.array_equal(shipped, oracle)
         assert np.all(shipped[a == b] == 0.0)
@@ -117,6 +117,6 @@ class TestWirelengthKernelParity:
             i, j = (int(x) for x in rng.integers(0, placement.num_cells, 2))
             placement.swap_cells(i, j)
             state.commit_swap(i, j)
-        shipped = state.deltas_for_swaps(a, b)
+        shipped = state.deltas_for_swaps(SwapBatch(placement, np.column_stack((a, b))))
         oracle = wirelength_reference(state, a, b)
         assert np.array_equal(shipped, oracle)

@@ -27,10 +27,14 @@ exactly what the engine layers rely on:
 
 The whole battery is additionally parameterized over the batch kernel:
 
-* ``numpy-direct`` — the shipped evaluator with the frozen reference kernel
-  from ``tests/oracles/kernels.py`` injected (the oracle);
-* ``xp-numpy`` — the shipped evaluator calling the :mod:`repro.accel`
-  kernels, which must be bit-identical to the oracle.
+* ``numpy-direct`` — the shipped evaluator with a frozen reference from
+  ``tests/oracles/kernels.py`` injected (the oracle): the QAP delta kernel,
+  and for placement the whole batch path before it became one pass
+  (:func:`~oracles.kernels.batch_reference`: the three objectives' deltas
+  and the fuzzy aggregation);
+* ``xp-numpy`` — the shipped evaluator, calling the :mod:`repro.accel`
+  kernels and the one-pass batch, which must be bit-identical to the
+  oracle.
 
 Because both run the identical battery, any behavioural drift in the
 shipped kernels fails twice over — once against the frozen kernel's
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from oracles.kernels import qap_reference, wirelength_reference
+from oracles.kernels import batch_reference, qap_reference
 from repro import (
     ParallelSearchParams,
     TabuSearch,
@@ -102,12 +106,11 @@ BACKENDS = ["numpy-direct", "xp-numpy"]
 
 
 def _inject_reference_kernel(evaluator, domain: str) -> None:
-    """Route the evaluator's batch deltas through the frozen direct kernel."""
+    """Route the evaluator's batch scoring through the frozen reference."""
     if domain == "qap":
         evaluator.deltas_for_swaps = lambda a, b: qap_reference(evaluator, a, b)
     else:
-        state = evaluator._wirelength
-        state.deltas_for_swaps = lambda a, b: wirelength_reference(state, a, b)
+        evaluator.evaluate_swaps_batch = lambda pairs: batch_reference(evaluator, pairs)
 
 
 def make_backend_evaluator(problem, domain: str, backend: str, *, seed: int = 3):
@@ -454,7 +457,8 @@ class TestMaskAwareBatchContract:
 
 
 class TestBackendKernelParity:
-    """The shipped :mod:`repro.accel` kernels against the frozen direct kernels."""
+    """The shipped batch against the frozen references: the QAP kernel, and
+    for placement the whole batch path (deltas and aggregation)."""
 
     def _pairs(self, n: int, count: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)

@@ -111,8 +111,8 @@ class TestAggregator:
             aggregator.membership({name: float(values[k]) for name, values in batch.items()})
             for k in range(4)
         ]
-        assert aggregator.membership_batch(batch).tolist() == scalar
-        assert aggregator.cost_batch(batch).tolist() == [1.0 - mu for mu in scalar]
+        block = np.array([batch[name] for name in aggregator.names])
+        assert aggregator.cost_block(block).tolist() == [1.0 - mu for mu in scalar]
 
     def test_names_property(self):
         assert make_aggregator().names == ("wirelength", "delay", "area")

@@ -9,6 +9,12 @@ verbatim so the parity suites can pin the shipped kernel against it:
   edge-multiplicity caches and segment-reduce fallback
   (:func:`fallback_bbox_reduce`) it had before the next-inner caches
   replaced them;
+* :func:`batch_reference` — the whole placement batch,
+  :meth:`~repro.placement.cost.CostEvaluator.evaluate_swaps_batch`, as it
+  shipped before it became one pass: each objective's own
+  ``deltas_for_swaps(cells_a, cells_b)`` body (the HPWL kernel included)
+  and the per-goal fuzzy or weighted-sum aggregation, reading the
+  evaluator's live caches;
 * :func:`qap_reference` — the batched QAP swap-delta kernel of
   :meth:`~repro.problems.qap.evaluator.QAPEvaluator.deltas_for_swaps`
   before it moved into :func:`repro.accel.qap_swap_deltas`;
@@ -18,7 +24,8 @@ verbatim so the parity suites can pin the shipped kernel against it:
   (:mod:`oracles.timing_graph`).
 
 ``benchmarks/bench_kernels.py`` times the shipped kernels against the
-two delta oracles: the dispatch tax of calling through :mod:`repro.accel`.
+delta oracles: the dispatch tax of calling through :mod:`repro.accel`, and
+the one-pass batch against :func:`batch_reference`.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ __all__ = [
     "reference_caches",
     "fallback_bbox_reduce",
     "wirelength_reference",
+    "batch_reference",
     "qap_reference",
     "sta_reference",
 ]
@@ -213,6 +221,206 @@ def wirelength_reference(
     per_item *= active  # zero the contributions of masked items
     out[:] = np.bincount(pair, weights=per_item, minlength=num_pairs)
     return out
+
+
+# ---------------------------------------------------------------------- #
+# the placement batch before it became one pass
+# ---------------------------------------------------------------------- #
+def _reference_wirelength_deltas(state: WirelengthState, cells_a, cells_b) -> np.ndarray:
+    """``WirelengthState.deltas_for_swaps`` with the HPWL kernel inlined."""
+    a = np.atleast_1d(np.asarray(cells_a, dtype=np.int64))
+    b = np.atleast_1d(np.asarray(cells_b, dtype=np.int64))
+    num_pairs = int(a.size)
+    out = np.zeros(num_pairs, dtype=np.float64)
+    netlist = state._netlist
+    if num_pairs == 0 or netlist.num_nets == 0:
+        return out
+
+    # step 1: flat (endpoint, net) items, endpoints interleaved a0, b0, ...
+    ends = np.empty(2 * num_pairs, dtype=np.int64)
+    ends[0::2] = a
+    ends[1::2] = b
+    net, degrees = netlist.nets_of_cells_flat(ends)
+    if net.size == 0:
+        return out
+    end = np.repeat(np.arange(2 * num_pairs, dtype=np.int64), degrees)
+    partner = end ^ 1
+    end_slots = state._placement.cell_to_slot[ends]
+    end_x = state._layout.slot_x[end_slots]
+    end_y = state._layout.slot_y[end_slots]
+    pair = end >> 1
+    other = ends[partner]
+    from_x = end_x[end]
+    from_y = end_y[end]
+    to_x = end_x[partner]
+    to_y = end_y[partner]
+    active = (a != b)[pair]
+
+    # steps 2-3: the kernel as it shipped in repro.accel
+    (
+        x_min_all, x_max_all, y_min_all, y_max_all,
+        inner_x_min, inner_x_max, inner_y_min, inner_y_max,
+    ) = state._bbox
+    if state._incidence is not None:
+        active &= ~state._incidence[other, net]
+    else:
+        maybe = np.flatnonzero(
+            (state._csr_bits[other] >> (net & 63).astype(np.uint64)) & np.uint64(1)
+        )
+        keys = other[maybe] * np.int64(netlist.num_nets) + net[maybe]
+        active[maybe] &= ~shared_net_mask(state._csr_keys, keys)
+    if not bool(active.any()):
+        return out
+    x_min = x_min_all[net]
+    new_x_min = np.minimum(np.where(from_x == x_min, inner_x_min[net], x_min), to_x)
+    x_max = x_max_all[net]
+    new_x_max = np.maximum(np.where(from_x == x_max, inner_x_max[net], x_max), to_x)
+    y_min = y_min_all[net]
+    new_y_min = np.minimum(np.where(from_y == y_min, inner_y_min[net], y_min), to_y)
+    y_max = y_max_all[net]
+    new_y_max = np.maximum(np.where(from_y == y_max, inner_y_max[net], y_max), to_y)
+    new_hpwl = (new_x_max - new_x_min) + (new_y_max - new_y_min)
+    per_item = netlist.net_weights[net] * (new_hpwl - state._per_net[net])
+    per_item *= active
+    out[:] = np.bincount(pair, weights=per_item, minlength=num_pairs)
+    return out
+
+
+def _reference_timing_deltas(timing, cells_a, cells_b) -> np.ndarray:
+    """``TimingState.deltas_for_swaps``: one ``(pairs × path)`` broadcast."""
+    a = np.atleast_1d(np.asarray(cells_a, dtype=np.int64))
+    b = np.atleast_1d(np.asarray(cells_b, dtype=np.int64))
+    num_pairs = int(a.size)
+    out = np.zeros(num_pairs, dtype=np.float64)
+    path = timing._path_array
+    if num_pairs == 0 or path.size < 2:
+        return out
+    touch = (timing._on_path[a] | timing._on_path[b]) & (a != b)
+    if not touch.any():
+        return out
+    ai = a[touch]
+    bi = b[touch]
+    cts = timing._placement.cell_to_slot
+    slot_x = timing._placement.layout.slot_x
+    slot_y = timing._placement.layout.slot_y
+    px = slot_x[cts[path]]
+    py = slot_y[cts[path]]
+    path_row = path[None, :]
+    mask_a = path_row == ai[:, None]
+    mask_b = path_row == bi[:, None]
+    nx = np.where(
+        mask_a, slot_x[cts[bi]][:, None],
+        np.where(mask_b, slot_x[cts[ai]][:, None], px[None, :]),
+    )
+    ny = np.where(
+        mask_a, slot_y[cts[bi]][:, None],
+        np.where(mask_b, slot_y[cts[ai]][:, None], py[None, :]),
+    )
+    wpu = timing._analyzer.model.wire_delay_per_unit
+    wire = wpu * np.sum(np.abs(np.diff(nx, axis=1)) + np.abs(np.diff(ny, axis=1)), axis=1)
+    out[touch] = (timing._path_intrinsic + wire) - timing._cached_delay
+    return out
+
+
+def _reference_area_deltas(area, cells_a, cells_b) -> np.ndarray:
+    """``AreaState.deltas_for_swaps``: the top-three-rows kernel."""
+    a = np.atleast_1d(np.asarray(cells_a, dtype=np.int64))
+    b = np.atleast_1d(np.asarray(cells_b, dtype=np.int64))
+    num_pairs = int(a.size)
+    out = np.zeros(num_pairs, dtype=np.float64)
+    if num_pairs == 0:
+        return out
+    slot_row = area._layout.slot_row
+    cts = area._placement.cell_to_slot
+    rows_a = slot_row[cts[a]]
+    rows_b = slot_row[cts[b]]
+    active = (a != b) & (rows_a != rows_b)
+    if not active.any():
+        return out
+    rw = area._row_widths
+    cur_max = float(rw.max())
+    k = min(3, rw.size)
+    top = np.argpartition(rw, rw.size - k)[rw.size - k:]
+    top = top[np.argsort(rw[top])[::-1]]
+    top_rows = np.full(3, -1, dtype=np.int64)
+    top_vals = np.full(3, -np.inf, dtype=np.float64)
+    top_rows[:k] = top
+    top_vals[:k] = rw[top]
+    ra = rows_a[active]
+    rb = rows_b[active]
+    shift = area._widths[b[active]] - area._widths[a[active]]
+    new_a = rw[ra] + shift
+    new_b = rw[rb] - shift
+    untouched = np.where(
+        (top_rows[0] != ra) & (top_rows[0] != rb),
+        top_vals[0],
+        np.where((top_rows[1] != ra) & (top_rows[1] != rb), top_vals[1], top_vals[2]),
+    )
+    new_max = np.maximum(np.maximum(new_a, new_b), untouched)
+    scale = area._layout.num_rows * area._layout.spec.row_height
+    out[active] = (new_max - cur_max) * scale
+    return out
+
+
+def _reference_aggregate(evaluator, wirelength, delay, area) -> np.ndarray:
+    """``CostEvaluator.aggregate_batch`` with ``membership_batch`` inlined."""
+    params = evaluator.params
+    if params.aggregation == "fuzzy":
+        aggregator = evaluator.aggregator
+        weights = tuple(g.weight for g in aggregator.goals)
+        weight_sum = float(np.add.reduce(np.array(weights, dtype=np.float64)))
+        values = {"wirelength": wirelength, "delay": delay, "area": area}
+        beta = aggregator.beta
+        weighted = None
+        lowest = None
+        for goal, weight in zip(aggregator.goals, weights):
+            low, high = goal.goal, goal.upper
+            scaled = (high - np.asarray(values[goal.name], dtype=np.float64)) / (high - low)
+            mu = np.clip(scaled, 0.0, 1.0)
+            term = mu * weight
+            weighted = term if weighted is None else weighted + term
+            lowest = mu if lowest is None else np.minimum(lowest, mu)
+        weighted = weighted / weight_sum
+        return 1.0 - (beta * lowest + (1.0 - beta) * weighted)
+    ref = evaluator.reference
+    total_weight = params.wire_weight + params.delay_weight + params.area_weight
+    return (
+        params.wire_weight * np.asarray(wirelength, dtype=np.float64) / max(ref.wirelength, 1e-9)
+        + params.delay_weight * np.asarray(delay, dtype=np.float64) / max(ref.delay, 1e-9)
+        + params.area_weight * np.asarray(area, dtype=np.float64) / max(ref.area, 1e-9)
+    ) / total_weight
+
+
+def batch_reference(evaluator, pairs) -> np.ndarray:
+    """The placement batch path, frozen verbatim before it became one pass.
+
+    ``CostEvaluator.evaluate_swaps_batch`` as it shipped when each objective
+    converted and gathered its own inputs: the wirelength, timing and area
+    ``deltas_for_swaps(cells_a, cells_b)`` bodies (the HPWL kernel inlined)
+    and the per-goal fuzzy aggregation, or the weighted sum.  It reads the
+    evaluator's live caches, counts distinct pairs into ``evaluations`` as
+    the shipped method does, and calls no kernel of :mod:`repro.accel` but
+    the CSR shared-net test.
+    """
+    arr = np.asarray(pairs, dtype=np.int64)
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.float64)
+    arr = arr.reshape(-1, 2)
+    cells_a = arr[:, 0]
+    cells_b = arr[:, 1]
+    distinct = cells_a != cells_b
+    evaluator.evaluations += int(np.count_nonzero(distinct))
+    current = evaluator.objectives()
+    costs = _reference_aggregate(
+        evaluator,
+        current.wirelength
+        + _reference_wirelength_deltas(evaluator._wirelength, cells_a, cells_b),
+        current.delay + _reference_timing_deltas(evaluator._timing, cells_a, cells_b),
+        current.area + _reference_area_deltas(evaluator._area, cells_a, cells_b),
+    )
+    if not distinct.all():
+        costs[~distinct] = evaluator.cost()
+    return costs
 
 
 def qap_reference(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.placement import Layout, load_benchmark, random_placement
+from repro.placement import Layout, SwapBatch, load_benchmark, random_placement
 from repro.placement.area import AreaState, full_area, row_widths
 
 
@@ -41,7 +41,7 @@ class TestAreaState:
         rng = np.random.default_rng(7)
         for _ in range(40):
             a, b = (int(x) for x in rng.integers(0, placement.num_cells, 2))
-            delta = state.deltas_for_swaps(np.array([a]), np.array([b]))[0]
+            delta = state.deltas_for_swaps(SwapBatch(placement, [(a, b)]))[0]
             placement.swap_cells(a, b)
             expected = full_area(placement) - state.total
             placement.swap_cells(a, b)
@@ -62,7 +62,7 @@ class TestAreaState:
         rows = placement.cell_row()
         same_row = np.flatnonzero(rows == rows[0])
         if len(same_row) >= 2:
-            assert state.deltas_for_swaps(same_row[:1], same_row[1:2])[0] == 0.0
+            assert state.deltas_for_swaps(SwapBatch(placement, [same_row[:2]]))[0] == 0.0
 
     def test_per_row_read_only(self, placement):
         state = AreaState(placement)

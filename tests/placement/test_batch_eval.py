@@ -2,7 +2,8 @@
 
 The contract under test: for any batch of candidate pairs, the batched path
 (:meth:`CostEvaluator.evaluate_swaps_batch` and the per-objective
-``deltas_for_swaps`` kernels), the same kernels called with one pair
+``deltas_for_swaps`` kernels over a :class:`SwapBatch`), the same kernels
+called with one pair
 (``evaluate_swap`` is that call) and a from-scratch recomputation
 (``full_hpwl`` / ``full_area`` on a mutated copy) must all agree — including
 after arbitrary committed swap sequences, on bbox-edge cells, and on
@@ -20,6 +21,7 @@ from repro.placement import (
     CostEvaluator,
     Layout,
     NetlistBuilder,
+    SwapBatch,
     load_benchmark,
     random_placement,
 )
@@ -68,10 +70,10 @@ def test_wirelength_batch_scalar_full_agree(layout_index):
     rng = np.random.default_rng(layout_index + 10)
     n = placement.num_cells
     pairs = rng.integers(0, n, size=(300, 2))
-    batch = state.deltas_for_swaps(pairs[:, 0], pairs[:, 1])
+    batch = state.deltas_for_swaps(SwapBatch(placement, pairs))
     for k, (a, b) in enumerate(pairs):
         a, b = int(a), int(b)
-        scalar = state.deltas_for_swaps(np.array([a]), np.array([b]))[0]
+        scalar = state.deltas_for_swaps(SwapBatch(placement, [(a, b)]))[0]
         placement.swap_cells(a, b)
         _, swapped_total = full_hpwl(placement)
         placement.swap_cells(a, b)
@@ -89,10 +91,10 @@ def test_area_batch_scalar_full_agree(layout_index):
     rng = np.random.default_rng(layout_index + 20)
     n = placement.num_cells
     pairs = rng.integers(0, n, size=(300, 2))
-    batch = state.deltas_for_swaps(pairs[:, 0], pairs[:, 1])
+    batch = state.deltas_for_swaps(SwapBatch(placement, pairs))
     for k, (a, b) in enumerate(pairs):
         a, b = int(a), int(b)
-        scalar = state.deltas_for_swaps(np.array([a]), np.array([b]))[0]
+        scalar = state.deltas_for_swaps(SwapBatch(placement, [(a, b)]))[0]
         placement.swap_cells(a, b)
         exact = full_area(placement) - state.total
         placement.swap_cells(a, b)
@@ -139,8 +141,9 @@ def test_batch_agrees_after_committed_walk(layout_index):
             _, exact_wl = full_hpwl(evaluator.placement)
             exact_area = full_area(evaluator.placement)
             evaluator.placement.swap_cells(a, b)
-            wl_delta = evaluator._wirelength.deltas_for_swaps([a], [b])[0]
-            area_delta = evaluator._area.deltas_for_swaps([a], [b])[0]
+            trial = SwapBatch(evaluator.placement, [(a, b)])
+            wl_delta = evaluator._wirelength.deltas_for_swaps(trial)[0]
+            area_delta = evaluator._area.deltas_for_swaps(trial)[0]
             assert evaluator._wirelength.total + wl_delta == pytest.approx(exact_wl, abs=ATOL)
             assert evaluator._area.total + area_delta == pytest.approx(exact_area, abs=ATOL)
 

@@ -17,6 +17,7 @@ from repro.placement import (
     CellKind,
     Layout,
     NetlistBuilder,
+    SwapBatch,
     build_chain_netlist,
     load_benchmark,
     random_placement,
@@ -131,7 +132,7 @@ class TestTimingState:
     def test_delta_zero_for_cells_off_critical_path(self, state):
         placement, timing = state
         off_path = [c for c in range(placement.num_cells) if c not in timing.critical_path]
-        assert timing.deltas_for_swaps(off_path[:1], off_path[1:2])[0] == 0.0
+        assert timing.deltas_for_swaps(SwapBatch(placement, [off_path[:2]]))[0] == 0.0
 
     def test_delta_nonzero_when_path_touched(self, state):
         placement, timing = state
@@ -139,7 +140,7 @@ class TestTimingState:
         off_path = [c for c in range(placement.num_cells) if c not in path]
         # moving a path cell far away usually changes the path delay estimate
         others = off_path[:10]
-        deltas = timing.deltas_for_swaps([path[1]] * len(others), others)
+        deltas = timing.deltas_for_swaps(SwapBatch(placement, [(path[1], c) for c in others]))
         assert np.any(deltas != 0)
 
     def test_refresh_interval_keeps_surrogate_bounded(self, state):

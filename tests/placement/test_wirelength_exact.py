@@ -24,6 +24,7 @@ from repro.placement import (
     LayoutSpec,
     NetlistBuilder,
     Placement,
+    SwapBatch,
     load_benchmark,
     random_placement,
 )
@@ -84,7 +85,8 @@ def _ops(num_cells: int):
 def _assert_exact(evaluator: CostEvaluator, rng: np.random.Generator) -> None:
     state = evaluator._wirelength
     a, b = _batch(evaluator.placement.netlist, rng)
-    assert np.array_equal(state.deltas_for_swaps(a, b), wirelength_reference(state, a, b))
+    batch = SwapBatch(evaluator.placement, np.column_stack((a, b)))
+    assert np.array_equal(state.deltas_for_swaps(batch), wirelength_reference(state, a, b))
     evaluator.verify_consistency()
 
 
@@ -136,7 +138,7 @@ def _check_trials(placement: Placement, pairs) -> None:
     state = WirelengthState(placement)
     a = np.array([p[0] for p in pairs], dtype=np.int64)
     b = np.array([p[1] for p in pairs], dtype=np.int64)
-    deltas = state.deltas_for_swaps(a, b)
+    deltas = state.deltas_for_swaps(SwapBatch(placement, np.column_stack((a, b))))
     assert np.array_equal(deltas, wirelength_reference(state, a, b))
     for (cell_a, cell_b), delta in zip(pairs, deltas):
         placement.swap_cells(cell_a, cell_b)

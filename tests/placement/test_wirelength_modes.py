@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.placement import CostEvaluator, Layout, load_benchmark, random_placement
+from repro.placement import CostEvaluator, Layout, SwapBatch, load_benchmark, random_placement
 from repro.placement.wirelength import WirelengthState, full_hpwl
 
 
@@ -62,7 +62,8 @@ class TestCsrDenseParity:
         csr = WirelengthState(big2k_placement, incidence="csr")
         rng = np.random.default_rng(0)
         a, b = _random_pairs(rng, big2k_placement.num_cells, 256)
-        assert np.array_equal(dense.deltas_for_swaps(a, b), csr.deltas_for_swaps(a, b))
+        batch = SwapBatch(big2k_placement, np.column_stack((a, b)))
+        assert np.array_equal(dense.deltas_for_swaps(batch), csr.deltas_for_swaps(batch))
 
     def test_self_pairs_and_shared_net_pairs(self, big2k_placement):
         dense = WirelengthState(big2k_placement, incidence="dense")
@@ -72,8 +73,9 @@ class TestCsrDenseParity:
         members = netlist.nets[0].members
         a = np.array([members[0], members[0], 5], dtype=np.int64)
         b = np.array([members[1], members[0], 5], dtype=np.int64)
-        got_dense = dense.deltas_for_swaps(a, b)
-        got_csr = csr.deltas_for_swaps(a, b)
+        batch = SwapBatch(big2k_placement, np.column_stack((a, b)))
+        got_dense = dense.deltas_for_swaps(batch)
+        got_csr = csr.deltas_for_swaps(batch)
         assert np.array_equal(got_dense, got_csr)
         assert got_dense[1] == 0.0 and got_dense[2] == 0.0
 
@@ -82,7 +84,7 @@ class TestCsrDenseParity:
         assert state.incidence_mode == "csr"
         rng = np.random.default_rng(3)
         a, b = _random_pairs(rng, big10k_placement.num_cells, 4)
-        deltas = state.deltas_for_swaps(a, b)
+        deltas = state.deltas_for_swaps(SwapBatch(big10k_placement, np.column_stack((a, b))))
         for pair_a, pair_b, delta in zip(a.tolist(), b.tolist(), deltas.tolist()):
             big10k_placement.swap_cells(pair_a, pair_b)
             _, swapped_total = full_hpwl(big10k_placement)
