@@ -50,6 +50,7 @@ import os
 import resource
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 
@@ -110,14 +111,17 @@ def _incidence_mode(problem) -> str:
 
 
 def _csr_dense_kernel_ratio() -> dict:
-    """Batched wirelength kernel on c532: forced CSR vs forced dense."""
+    """Batched wirelength kernel on c532: its default dense path vs the CSR
+    path, taken with the incidence budget patched to 0."""
     placement = random_placement(Layout(load_benchmark("c532")), seed=SEED)
     rng = np.random.default_rng(7)
     a = rng.integers(0, placement.num_cells, PAIRS_PER_STEP).astype(np.int64)
     b = rng.integers(0, placement.num_cells, PAIRS_PER_STEP).astype(np.int64)
     pairs = np.column_stack((a, b))
-    dense = WirelengthState(placement, incidence="dense")
-    csr = WirelengthState(placement, incidence="csr")
+    dense = WirelengthState(placement)
+    with patch.object(WirelengthState, "INCIDENCE_BUDGET", 0):
+        csr = WirelengthState(placement)
+    assert (dense.incidence_mode, csr.incidence_mode) == ("dense", "csr")
     samples = alternate(
         {
             "dense": timed(lambda: dense.deltas_for_swaps(SwapBatch(placement, pairs))),

@@ -14,7 +14,10 @@ byte and event counts, and the fault events.  A ``serial`` line hashes
 serial :class:`~repro.tabu.search.TabuSearch` runs (tiny16 and rand32, two
 seeds, early accept on and off), each continued through an
 ``export_serial_state``/``restore_serial_search`` round trip, since no
-session scenario runs the serial driver.  A last ``checkpoint-bytes`` line
+session scenario runs the serial driver.  A ``weighted-sum`` line hashes
+one homogeneous session and one serial search under the cost model's
+weighted-sum ablation (``CostModelParams(aggregation="weighted_sum")``),
+which every other scenario leaves out.  A last ``checkpoint-bytes`` line
 hashes the checkpoint artifacts of two sessions paused after one round
 (tiny16 and rand32, the ones ``tests/session/fixtures/`` commits), so a
 change that alters what a checkpoint writes shows too.
@@ -39,6 +42,7 @@ import sys
 import numpy as np
 
 from repro import (
+    CostModelParams,
     DrainWorker,
     FaultPlan,
     FaultPolicy,
@@ -291,6 +295,23 @@ def serial_digest() -> str:
     return hasher.hexdigest()[:16]
 
 
+def weighted_sum_digest() -> str:
+    """sha256 over a homogeneous session and a serial search on tiny16, both
+    scored by the weighted-sum ablation instead of the fuzzy goals."""
+    problem = get_domain("placement").build_problem(
+        "tiny16", cost_params=CostModelParams(aggregation="weighted_sum"), reference_seed=7
+    )
+    hasher = hashlib.sha256()
+    hasher.update(repr(_result_fields(_run(problem, _params()))).encode())
+    params = TabuSearchParams(tabu_tenure=5, pairs_per_step=6, move_depth=3)
+    search = TabuSearch(problem.make_evaluator(problem.random_solution(1)), params, seed=1)
+    result = search.run(TerminationCriteria(max_iterations=24))
+    fields = (float(result.best_cost), result.iterations, result.evaluations, result.trace)
+    hasher.update(repr(fields).encode())
+    hasher.update(np.asarray(result.best_solution, np.int64).tobytes())
+    return hasher.hexdigest()[:16]
+
+
 def checkpoint_digest() -> str:
     """sha256 over the artifacts of tiny16 and rand32 paused after ``step(1)``."""
     hasher = hashlib.sha256()
@@ -307,6 +328,7 @@ def main() -> int:
     for name, thunk in scenarios():
         print(f"{name} {_digest(*thunk())}", flush=True)
     print(f"serial {serial_digest()}", flush=True)
+    print(f"weighted-sum {weighted_sum_digest()}", flush=True)
     print(f"checkpoint-bytes {checkpoint_digest()}", flush=True)
     return 0
 

@@ -55,8 +55,6 @@ class ExperimentScale:
     move_depth: int
     #: Circuits included when an experiment sweeps "all paper circuits".
     circuits: Tuple[str, ...]
-    #: Cap on cells for the largest circuit included (None = no cap).
-    max_cells: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.global_iterations < 1 or self.local_iterations < 1:
@@ -105,11 +103,7 @@ def circuits_for_scale(
     scale: ExperimentScale, circuits: Optional[Sequence[str]] = None
 ) -> Tuple[str, ...]:
     """Circuit names an experiment should sweep at the given scale."""
-    names = tuple(circuits) if circuits is not None else scale.circuits
-    if scale.max_cells is None:
-        return names
-    kept = tuple(n for n in names if load_benchmark(n).num_cells <= scale.max_cells)
-    return kept or names[:1]
+    return tuple(circuits) if circuits is not None else scale.circuits
 
 
 def params_for_circuit(

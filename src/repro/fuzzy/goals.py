@@ -3,8 +3,9 @@
 A :class:`FuzzyGoal` wraps one crisp minimisation objective with a *goal*
 value (the target the designer hopes to reach) and an *upper* value (beyond
 which the solution is considered worthless for that objective).  The
-membership of a crisp value is 1 at or below the goal and falls linearly to 0
-at the upper value.
+membership of a crisp value ``v`` is 1 at or below the goal and falls
+linearly to 0 at the upper value: ``(upper - v) / (upper - goal)`` clipped
+to ``[0, 1]``.
 
 A :class:`FuzzyGoalAggregator` evaluates a vector of objective values against
 its goals and combines the memberships with Sait & Youssef's "fuzzy and-like"
@@ -22,12 +23,11 @@ so that lower is better, as the tabu-search machinery expects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..errors import CostModelError
-from .membership import DecreasingLinear
 
 __all__ = ["FuzzyGoal", "FuzzyGoalAggregator"]
 
@@ -61,10 +61,6 @@ class FuzzyGoal:
         if self.weight <= 0:
             raise CostModelError(f"goal {self.name!r}: weight must be positive, got {self.weight}")
 
-    def membership(self, value: float) -> float:
-        """Membership of ``value`` in the fuzzy set 'meets this goal'."""
-        return DecreasingLinear(self.goal, self.upper).grade(value)
-
     @classmethod
     def from_reference(
         cls, name: str, reference: float, *, goal_factor: float, upper_factor: float, weight: float = 1.0
@@ -89,7 +85,14 @@ class FuzzyGoal:
 
 
 class FuzzyGoalAggregator:
-    """Combine several :class:`FuzzyGoal` memberships into one scalar cost."""
+    """Combine several :class:`FuzzyGoal` memberships into one scalar cost.
+
+    The aggregation has two forms over one set of constants: :meth:`cost`
+    scores one objective vector and :meth:`cost_block` a block of them, one
+    per column.  Both take the values in goal order and run the same
+    operations in the same order, so a column's block cost is bit-identical
+    to the scalar cost of that column.
+    """
 
     def __init__(self, goals: Sequence[FuzzyGoal], *, beta: float = 0.7) -> None:
         if not goals:
@@ -100,10 +103,12 @@ class FuzzyGoalAggregator:
         if not (0.0 <= beta <= 1.0):
             raise CostModelError(f"beta must be in [0, 1], got {beta}")
         self._goals: Tuple[FuzzyGoal, ...] = tuple(goals)
-        self._beta = beta
-        # Hot-path constants for cost_block, one row per goal: each goal's
-        # upper value, its goal-to-upper span and its weight, precomputed
-        # once so a batch pays no per-goal Python work.
+        self._beta = float(beta)
+        # Constants of both forms, built once: each goal's (goal, upper)
+        # bounds and weight for the scalar form, and as one row per goal
+        # its upper value, goal-to-upper span and weight for the block form.
+        self._bounds = tuple((g.goal, g.upper) for g in self._goals)
+        self._weights = tuple(g.weight for g in self._goals)
         self._upper = np.array([[g.upper] for g in self._goals], dtype=np.float64)
         self._span = np.array([[g.upper - g.goal] for g in self._goals], dtype=np.float64)
         self._weight = np.array([[g.weight] for g in self._goals], dtype=np.float64)
@@ -124,28 +129,39 @@ class FuzzyGoalAggregator:
         """OWA and-likeness parameter."""
         return self._beta
 
-    def memberships(self, values: Mapping[str, float]) -> Dict[str, float]:
-        """Per-objective memberships for a dict of crisp values."""
-        missing = [g.name for g in self._goals if g.name not in values]
-        if missing:
-            raise CostModelError(f"missing objective values for goals: {missing}")
-        return {g.name: g.membership(float(values[g.name])) for g in self._goals}
+    def _check(self, values: Sequence[float]) -> None:
+        if len(values) != len(self._bounds):
+            raise CostModelError(
+                f"expected {len(self._bounds)} objective values, one per goal, got {len(values)}"
+            )
 
-    def membership(self, values: Mapping[str, float]) -> float:
-        """Aggregate membership (1 = all goals met) of a crisp objective vector."""
-        mus = self.memberships(values)
-        weights = np.array([g.weight for g in self._goals], dtype=np.float64)
-        raw = np.array([mus[g.name] for g in self._goals], dtype=np.float64)
-        # weight by repeating each membership proportionally in the mean term:
-        # OWA over the weighted memberships' expansion is approximated by a
-        # weighted mean in the compensatory term while min stays unweighted.
+    def memberships(self, values: Sequence[float]) -> Tuple[float, ...]:
+        """Per-goal memberships of one objective vector, in goal order."""
+        self._check(values)
+        return tuple(
+            min(1.0, max(0.0, (upper - value) / (upper - goal)))
+            for value, (goal, upper) in zip(values, self._bounds)
+        )
+
+    def cost(self, values: Sequence[float]) -> float:
+        """Scalar cost in ``[0, 1]`` of one objective vector in goal order:
+        ``1 - (beta * min + (1 - beta) * weighted mean)`` of its
+        memberships, lower is better.
+
+        The weighted memberships are added goal by goal, left to right, as
+        :meth:`cost_block`'s axis-0 reduce adds its rows.
+        """
+        self._check(values)
+        mus = []
+        weighted = 0.0
+        for value, (goal, upper), weight in zip(values, self._bounds, self._weights):
+            scaled = (upper - value) / (upper - goal)
+            mu = min(1.0, max(0.0, scaled))
+            mus.append(mu)
+            weighted += mu * weight
+        weighted /= self._weight_sum
         beta = self._beta
-        weighted_mean = float(np.average(raw, weights=weights))
-        return float(beta * raw.min() + (1.0 - beta) * weighted_mean)
-
-    def cost(self, values: Mapping[str, float]) -> float:
-        """Scalar cost in ``[0, 1]``: ``1 - membership`` (lower is better)."""
-        return 1.0 - self.membership(values)
+        return 1.0 - (beta * min(mus) + (1.0 - beta) * weighted)
 
     def cost_block(self, values: np.ndarray) -> np.ndarray:
         """Scalar costs of a batch of objective vectors, one per column.
@@ -153,12 +169,12 @@ class FuzzyGoalAggregator:
         ``values`` is a ``(goals, n)`` float64 block with one row per goal,
         in :attr:`names` order; it is overwritten.  Each column's cost is
         bit-identical to :meth:`cost` of that column: per goal
-        ``(upper - v) / (upper - goal)`` clipped to ``[0, 1]`` (``clip``,
-        as the scalar membership does, not ``minimum``/``maximum``, which
-        may differ on a signed zero), the weighted memberships summed goal
-        by goal in row order (an axis-0 reduce adds rows left to right) and
-        divided by the weight sum, then ``1 - (beta * min + (1 - beta) *
-        mean)``.
+        ``(upper - v) / (upper - goal)`` clipped to ``[0, 1]`` (``clip`` and
+        the scalar ``min``/``max`` differ at most in the sign of a zero
+        membership, which no cost depends on), the weighted memberships
+        summed goal by goal in row order (an axis-0 reduce adds rows left to
+        right) and divided by the weight sum, then ``1 - (beta * min + (1 -
+        beta) * mean)``.
         """
         mu = np.subtract(self._upper, values, out=values)
         mu /= self._span

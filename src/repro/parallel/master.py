@@ -299,29 +299,20 @@ def master_process(
         yield from launch(index, loops[slot] if slot < len(loops) else None)
     yield from coord.await_acks()
 
-    # ---- global iterations --------------------------------------------------
-    stop_round = params.global_iterations
-    if max_rounds is not None:
-        stop_round = min(stop_round, start_round + max(0, int(max_rounds)))
-    next_round = start_round
-    cancelled = False
-    all_dead = False
-    for global_iteration in range(start_round, stop_round):
-        # CANCEL, ADMIT and DRAIN scooped by the coordinator's untagged
-        # receives are honoured here, at the boundary, like the probes
+    def honour_requests():
+        """Drain and admit what was requested since the last boundary.
+
+        Requests arrive asynchronously (a seeded SpawnWorker/DrainWorker
+        replay, or WorkerPool.grow/drain on a live backend): scooped into
+        ``coord.inbox`` by the coordinator's untagged receives, or still in
+        the mailbox.  They are only *processed* at a boundary — the top of a
+        global iteration or a pause, after its harvest — where every worker
+        is idle and its last report is already folded in; that is what makes
+        the grown topology deterministic under the simulator.
+        """
+        nonlocal next_worker_index
         scooped = coord.inbox
         coord.inbox = []
-        cancel = yield ctx.probe(tag=Tags.CANCEL)
-        if cancel is not None or any(m.tag == Tags.CANCEL for m in scooped):
-            cancelled = True
-            break
-
-        # ---- elasticity boundary: drains, admissions, one re-partition ----
-        # Requests arrive asynchronously (a seeded SpawnWorker/DrainWorker
-        # replay, or WorkerPool.grow/drain on a live backend) but are only
-        # *processed* here, at the global-iteration boundary, where every
-        # worker is idle and its last report is already folded in — that is
-        # what makes the grown topology deterministic under the simulator.
         drains = [m.payload for m in scooped if m.tag == Tags.DRAIN]
         admits = [m.payload for m in scooped if m.tag == Tags.ADMIT]
         for tag, requests in ((Tags.DRAIN, drains), (Tags.ADMIT, admits)):
@@ -330,45 +321,63 @@ def master_process(
                 if request is None:
                     break
                 requests.append(request.payload)
-        if drains or admits:
-            boundary_at = yield ctx.now()
-            for spec in drains:
-                # Graceful retirement: the worker's current range is finished
-                # (boundary semantics — its report for the previous round is
-                # already adopted), so harvest is complete; no strike.
-                for index in coord.live_indices():
-                    if f"tsw{index}" == spec.name:
-                        yield from coord.drain(index, boundary_at)
-            # (index, pool loop pid or None, machine pin)
-            new_workers: List[Tuple[int, Optional[int], Optional[int]]] = []
-            for spec in admits:
-                if spec.pids:
-                    for loop_pid in spec.pids:
-                        new_workers.append((next_worker_index, loop_pid, None))
-                        next_worker_index += 1
-                else:
-                    for _ in range(max(1, spec.count)):
-                        new_workers.append((next_worker_index, None, spec.machine))
-                        next_worker_index += 1
-            if coord.ledger is not None:
-                for index, _loop_pid, _machine in new_workers:
-                    coord.ledger.add_worker(index)
-            # One re-partition over the final roster (survivors + admitted).
-            # Admitted workers have no throughput observations yet, so the
-            # weighted split only kicks in once everyone has reported.
-            roster = coord.live_indices() + [entry[0] for entry in new_workers]
-            if roster:
-                coord.repartition(roster)
-                coord.note(
-                    "range-reassigned",
-                    -1,
-                    f"ranges re-partitioned over {len(roster)} worker(s)",
-                    boundary_at,
-                )
-            for index, loop_pid, machine in new_workers:
-                yield from launch(index, loop_pid, machine)
-                coord.note("worker-admitted", index, "admitted mid-run", boundary_at)
-            yield from coord.await_acks()
+        if not (drains or admits):
+            return
+        boundary_at = yield ctx.now()
+        for spec in drains:
+            # Graceful retirement: the worker's current range is finished
+            # (boundary semantics — its report for the previous round is
+            # already adopted), so harvest is complete; no strike.
+            for index in coord.live_indices():
+                if f"tsw{index}" == spec.name:
+                    yield from coord.drain(index, boundary_at)
+        # (index, pool loop pid or None, machine pin)
+        new_workers: List[Tuple[int, Optional[int], Optional[int]]] = []
+        for spec in admits:
+            if spec.pids:
+                for loop_pid in spec.pids:
+                    new_workers.append((next_worker_index, loop_pid, None))
+                    next_worker_index += 1
+            else:
+                for _ in range(max(1, spec.count)):
+                    new_workers.append((next_worker_index, None, spec.machine))
+                    next_worker_index += 1
+        if coord.ledger is not None:
+            for index, _loop_pid, _machine in new_workers:
+                coord.ledger.add_worker(index)
+        # One re-partition over the final roster (survivors + admitted).
+        # Admitted workers have no throughput observations yet, so the
+        # weighted split only kicks in once everyone has reported.
+        roster = coord.live_indices() + [entry[0] for entry in new_workers]
+        if roster:
+            coord.repartition(roster)
+            coord.note(
+                "range-reassigned",
+                -1,
+                f"ranges re-partitioned over {len(roster)} worker(s)",
+                boundary_at,
+            )
+        for index, loop_pid, machine in new_workers:
+            yield from launch(index, loop_pid, machine)
+            coord.note("worker-admitted", index, "admitted mid-run", boundary_at)
+        yield from coord.await_acks()
+
+    # ---- global iterations --------------------------------------------------
+    stop_round = params.global_iterations
+    if max_rounds is not None:
+        stop_round = min(stop_round, start_round + max(0, int(max_rounds)))
+    next_round = start_round
+    cancelled = False
+    all_dead = False
+    for global_iteration in range(start_round, stop_round):
+        # a CANCEL scooped by the coordinator's untagged receives is
+        # honoured here, at the boundary, like the probe; the inbox is left
+        # as it is, so the pause that follows still honours its requests
+        cancel = yield ctx.probe(tag=Tags.CANCEL)
+        if cancel is not None or any(m.tag == Tags.CANCEL for m in coord.inbox):
+            cancelled = True
+            break
+        yield from honour_requests()
 
         if not coord.live():
             now = yield ctx.now()
@@ -490,6 +499,9 @@ def master_process(
     if not complete:
         # ---- harvest the worker subtree before stopping anyone ------------
         harvested = yield from coord.harvest()
+        # a pause is a boundary too: a drain or admission requested in the
+        # last round or during the harvest joins the roster it records
+        yield from honour_requests()
         pause_time = yield ctx.now()
         evaluator_assignment, evaluator_state, _ = capture_evaluator(evaluator)
         run_state = MasterRunState(
@@ -505,7 +517,7 @@ def master_process(
             worker_points=list(worker_points),
             global_records=list(global_records),
             total_tsw_evaluations=int(total_tsw_evaluations),
-            worker_states=tuple(harvested[i] for i in sorted(harvested)),
+            worker_states=tuple(harvested[i] for i in sorted(harvested) if i not in coord.drained),
             clock_base=float(pause_time) + time_offset,
             health=(coord.ledger.export_state() if coord.ledger is not None else None),
             fault_events=list(coord.events),

@@ -12,9 +12,11 @@ with the incremental state of every objective, so that
   would have under each candidate swap of a batch, in one pass: the pairs'
   context is gathered once (:class:`~repro.placement.solution.SwapBatch`),
   each objective writes its delta row into one ``(3, n)`` block, and one
-  fused fuzzy (or weighted-sum) step aggregates the block, and
+  fused fuzzy (or weighted-sum) step aggregates the block,
 * ``commit_swap(a, b)`` actually applies the swap and keeps all caches
-  consistent.
+  consistent, and
+* ``cost()`` scores the current objective values with the same
+  aggregation's scalar form, chosen once per evaluator.
 
 Because the fuzzy aggregation is non-linear, deltas of the scalar cost are
 always computed by aggregating the hypothetical objective vector, never by
@@ -24,7 +26,7 @@ adding per-objective deltas directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Literal, Mapping, Optional
+from typing import Dict, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -53,7 +55,7 @@ class ObjectiveVector:
     area: float
 
     def as_dict(self) -> Dict[str, float]:
-        """Mapping from objective name to value (for the fuzzy aggregator)."""
+        """Mapping from objective name to value."""
         return {WIRELENGTH: self.wirelength, DELAY: self.delay, AREA: self.area}
 
     def dominates(self, other: "ObjectiveVector") -> bool:
@@ -140,6 +142,40 @@ class EvaluatorState:
     cached_cost: Optional[float]
 
 
+class _WeightedSum:
+    """The weighted-sum ablation, ``Σ w·v/r / Σ w``, in a scalar and a block form.
+
+    Each objective value ``v`` is normalised by its reference ``r`` (floored
+    at ``1e-9``).  Both forms take the values in goal order (wirelength,
+    delay, area) and add the weighted terms left to right, so a column's
+    block cost is bit-identical to the scalar cost of that column.
+    """
+
+    def __init__(self, params: CostModelParams, reference: ObjectiveVector) -> None:
+        self._weights = (params.wire_weight, params.delay_weight, params.area_weight)
+        self._norms = tuple(
+            max(value, 1e-9) for value in (reference.wirelength, reference.delay, reference.area)
+        )
+        self._weight_sum = params.wire_weight + params.delay_weight + params.area_weight
+        self._weight_rows = np.array([[w] for w in self._weights], dtype=np.float64)
+        self._norm_rows = np.array([[r] for r in self._norms], dtype=np.float64)
+
+    def cost(self, values: Sequence[float]) -> float:
+        """Cost of one objective vector."""
+        total = 0.0
+        for value, weight, norm in zip(values, self._weights, self._norms):
+            total += weight * value / norm
+        return float(total / self._weight_sum)
+
+    def cost_block(self, values: np.ndarray) -> np.ndarray:
+        """Costs of a ``(3, n)`` block, one per column; ``values`` is overwritten."""
+        values *= self._weight_rows
+        values /= self._norm_rows
+        total = np.add.reduce(values, axis=0)
+        total /= self._weight_sum
+        return total
+
+
 class CostEvaluator:
     """Scalar cost of a placement, with incremental swap evaluation.
 
@@ -176,25 +212,12 @@ class CostEvaluator:
         self._area = AreaState(placement)
         self._reference = reference or self.objectives()
         self._aggregator = self._build_aggregator(self._reference)
-        # Constants for the scalar fast path of cost(): identical arithmetic
-        # to FuzzyGoalAggregator.cost (same operation order, so bit-identical
-        # results) without the per-call dict/array churn — cost() runs after
-        # every committed swap.
-        goals = self._aggregator.goals
-        self._goal_bounds = tuple((g.goal, g.upper) for g in goals)
-        self._goal_weights = tuple(g.weight for g in goals)
-        self._goal_weight_sum = float(np.add.reduce(np.array(self._goal_weights)))
-        self._beta = float(self._aggregator.beta)
-        # Weighted-sum ablation, one row per objective: weight and
-        # normalising reference, as aggregate() divides them.
-        p = self._params
-        ref = self._reference
-        self._sum_weights = np.array(
-            [[p.wire_weight], [p.delay_weight], [p.area_weight]], dtype=np.float64
-        )
-        self._sum_norms = np.array(
-            [[max(ref.wirelength, 1e-9)], [max(ref.delay, 1e-9)], [max(ref.area, 1e-9)]],
-            dtype=np.float64,
+        # The one aggregation of this evaluator: cost() uses its scalar form
+        # and evaluate_swaps_batch its block form.
+        self._scorer = (
+            self._aggregator
+            if self._params.aggregation == "fuzzy"
+            else _WeightedSum(self._params, self._reference)
         )
         #: Number of swap evaluations performed (trials + commits).  The
         #: simulated cluster uses this as the "work units" a process consumed.
@@ -258,7 +281,7 @@ class CostEvaluator:
 
     @property
     def aggregator(self) -> FuzzyGoalAggregator:
-        """The fuzzy goal aggregator (also used in weighted-sum mode for goals)."""
+        """The fuzzy goal aggregator (built in weighted-sum mode too, for its goals)."""
         return self._aggregator
 
     def objectives(self) -> ObjectiveVector:
@@ -269,64 +292,12 @@ class CostEvaluator:
             area=self._area.total,
         )
 
-    def aggregate(self, objectives: ObjectiveVector) -> float:
-        """Scalar cost (lower is better) of an arbitrary objective vector."""
-        if self._params.aggregation == "fuzzy":
-            return self._aggregator.cost(objectives.as_dict())
-        # normalised weighted sum
-        p = self._params
-        ref = self._reference
-        total_weight = p.wire_weight + p.delay_weight + p.area_weight
-        return float(
-            (
-                p.wire_weight * objectives.wirelength / max(ref.wirelength, 1e-9)
-                + p.delay_weight * objectives.delay / max(ref.delay, 1e-9)
-                + p.area_weight * objectives.area / max(ref.area, 1e-9)
-            )
-            / total_weight
-        )
-
-    def _aggregate_block(self, values: np.ndarray) -> np.ndarray:
-        """Scalar costs of a ``(3, n)`` block of objective vectors (rows:
-        wirelength, delay, area), overwriting the block.
-
-        The fused form of :meth:`aggregate`: the same operations per column
-        in the same order, so each cost is bit-identical to the scalar one.
-        """
-        if self._params.aggregation == "fuzzy":
-            return self._aggregator.cost_block(values)
-        p = self._params
-        values *= self._sum_weights
-        values /= self._sum_norms
-        total = np.add.reduce(values, axis=0)
-        total /= p.wire_weight + p.delay_weight + p.area_weight
-        return total
-
     def cost(self) -> float:
         """Scalar cost of the current placement (cached between mutations)."""
         if self._cached_cost is None:
-            if self._params.aggregation == "fuzzy":
-                values = (
-                    self._wirelength.total,
-                    self._timing.critical_delay,
-                    self._area.total,
-                )
-                mus = []
-                weighted = 0.0
-                for value, (goal, upper), weight in zip(
-                    values, self._goal_bounds, self._goal_weights
-                ):
-                    scaled = (upper - value) / (upper - goal)
-                    mu = min(1.0, max(0.0, scaled))
-                    mus.append(mu)
-                    # left-to-right accumulation matches np.average's
-                    # sequential reduce, keeping the result bit-identical
-                    weighted += mu * weight
-                weighted /= self._goal_weight_sum
-                beta = self._beta
-                self._cached_cost = 1.0 - (beta * min(mus) + (1.0 - beta) * weighted)
-            else:
-                self._cached_cost = self.aggregate(self.objectives())
+            self._cached_cost = self._scorer.cost(
+                (self._wirelength.total, self._timing.critical_delay, self._area.total)
+            )
         return self._cached_cost
 
     def exact_cost(self) -> float:
@@ -337,7 +308,13 @@ class CostEvaluator:
 
     def memberships(self) -> Dict[str, float]:
         """Per-objective fuzzy memberships of the current placement."""
-        return self._aggregator.memberships(self.objectives().as_dict())
+        values = self.objectives()
+        return dict(
+            zip(
+                self._aggregator.names,
+                self._aggregator.memberships((values.wirelength, values.delay, values.area)),
+            )
+        )
 
     # ------------------------------------------------------------------ #
     # swap evaluation / mutation
@@ -352,14 +329,13 @@ class CostEvaluator:
         :class:`~repro.placement.solution.SwapBatch`, the wirelength, timing
         and area objectives each write their delta row into one ``(3, n)``
         block, the current objective values are added, and one fused step
-        aggregates the block.  Self-pairs score :meth:`cost`.  Nothing is
-        mutated.
+        aggregates the block.  A self-pair's deltas are exactly zero, so it
+        scores :meth:`cost`.  Nothing is mutated.
         """
         batch = SwapBatch(self._placement, pairs)
         if batch.size == 0:
             return np.zeros(0, dtype=np.float64)
-        distinct = batch.distinct
-        self.evaluations += int(np.count_nonzero(distinct))
+        self.evaluations += int(np.count_nonzero(batch.distinct))
         block = np.empty((3, batch.size), dtype=np.float64)
         self._wirelength.deltas_for_swaps(batch, block[0])
         self._timing.deltas_for_swaps(batch, block[1])
@@ -367,10 +343,7 @@ class CostEvaluator:
         block += np.array(
             [[self._wirelength.total], [self._timing.critical_delay], [self._area.total]]
         )
-        costs = self._aggregate_block(block)
-        if not distinct.all():
-            costs[~distinct] = self.cost()
-        return costs
+        return self._scorer.cost_block(block)
 
     def evaluate_swap(self, cell_a: int, cell_b: int) -> float:
         """Cost the solution would have if ``cell_a`` and ``cell_b`` swapped.

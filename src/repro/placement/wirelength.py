@@ -188,12 +188,7 @@ class WirelengthState:
     #: the selection is logged once per mode per process, not per instance.
     _logged_modes: set = set()
 
-    def __init__(
-        self,
-        placement: Placement,
-        *,
-        incidence: str | None = None,
-    ) -> None:
+    def __init__(self, placement: Placement) -> None:
         self._placement = placement
         self._netlist = placement.netlist
         self._layout = placement.layout
@@ -205,13 +200,7 @@ class WirelengthState:
         self._commit_lists: tuple | None = None
         num_cells = placement.num_cells
         num_nets = self._netlist.num_nets
-        mode = "auto" if incidence is None else incidence
-        if mode not in ("auto", "dense", "csr"):
-            raise ValueError(
-                f"incidence mode must be 'auto', 'dense' or 'csr', got {mode!r}"
-            )
-        if mode == "auto":
-            mode = "dense" if 0 < num_cells * num_nets <= self.INCIDENCE_BUDGET else "csr"
+        mode = "dense" if 0 < num_cells * num_nets <= self.INCIDENCE_BUDGET else "csr"
         self._incidence_mode = mode
         self._incidence: np.ndarray | None = None
         self._csr_keys: np.ndarray | None = None

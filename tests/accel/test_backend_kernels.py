@@ -92,7 +92,10 @@ class TestWirelengthKernelParity:
     def _state_and_pairs(self, incidence: str):
         layout = Layout(load_benchmark("mini64"))
         placement = random_placement(layout, seed=3)
-        state = WirelengthState(placement, incidence=incidence)
+        with pytest.MonkeyPatch.context() as patch:
+            if incidence == "csr":
+                patch.setattr(WirelengthState, "INCIDENCE_BUDGET", 0)
+            state = WirelengthState(placement)
         n = placement.num_cells
         a, b = np.meshgrid(np.arange(n), np.arange(n))
         return state, a.ravel().astype(np.int64), b.ravel().astype(np.int64)

@@ -57,13 +57,6 @@ class TestScales:
         assert circuits_for_scale(QUICK_SCALE, ["c532"]) == ("c532",)
         assert circuits_for_scale(QUICK_SCALE) == QUICK_SCALE.circuits
 
-    def test_circuits_for_scale_max_cells_filter(self):
-        capped = ExperimentScale(
-            name="tiny", global_iterations=1, local_iterations=1, pairs_per_step=1,
-            move_depth=1, circuits=("highway", "c3540"), max_cells=100,
-        )
-        assert circuits_for_scale(capped) == ("highway",)
-
 
 class TestParamsForCircuit:
     def test_params_follow_scale(self):

@@ -5,12 +5,16 @@ and each TSW asks its CLWs first.  With a fault policy both tiers wait
 through the same bounded receive loop as their acks and collects: the
 deadline is fixed when the wait starts, a death notice goes through the
 coordinator's obituary, and a message of another tag is kept in its
-``inbox`` — where a TSW still finds the master's ``STOP``.  A
+``inbox`` — where a TSW still finds the master's ``STOP``, and the master
+a drain requested in the epoch's last round or during its harvest, which
+it honours before it records the pause.  A
 :class:`~scripted_kernel.ScriptedKernel` serves each body a fixed
 interleaving, so no test depends on where a simulated kill lands.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from repro.parallel.messages import (
     DrainWorker,
     GlobalStart,
     Tags,
+    TswResult,
     TswSetup,
     TswSummary,
     WorkerDown,
@@ -204,3 +209,47 @@ def test_a_message_of_another_tag_during_a_harvest_lands_in_the_inbox():
     assert kernel.run(parent()) == {0: "tsw0 state", 1: "tsw1 state"}
     assert kernel.script == []
     assert [(m.tag, m.payload) for m in coord.inbox] == [(Tags.DRAIN, drain)]
+
+
+def tsw_result(problem, index: int) -> TswResult:
+    """A round-0 report no better than the master's start: nothing adopted."""
+    return TswResult(
+        tsw_index=index, global_iteration=0,
+        best_solution=SolutionPayload.full_shipment(problem.random_solution(seed=3), 0),
+        best_cost=float("inf"), local_iterations_done=1, interrupted=False, evaluations=0,
+    )
+
+
+@pytest.mark.parametrize("phase", ["last round", "harvest"])
+def test_a_drain_in_an_epochs_last_round_or_harvest_is_honoured_at_the_pause(problem, phase):
+    """A DRAIN scooped while the master collects its epoch's last round, or
+    while it harvests, is honoured at the pause: the paused roster retires
+    the worker, and the resumed run starts without it."""
+    params = fault_params(clws_per_tsw=1)
+    states = [SimpleNamespace(tsw_index=index) for index in range(2)]
+    script = [
+        (100, Tags.TSW_RESULT, tsw_result(problem, 0), 1.0),
+        (101, Tags.TSW_RESULT, tsw_result(problem, 1), 2.0),
+        (100, Tags.STATE_REPLY, states[0], 3.0),
+        (101, Tags.STATE_REPLY, states[1], 4.0),
+    ]
+    # between the two TSW results, or between the two state replies
+    position, at = {"last round": (1, 1.5), "harvest": (3, 3.5)}[phase]
+    script.insert(position, (0, Tags.DRAIN, DrainWorker(at, "tsw1"), at))
+    kernel = ScriptedKernel(script)
+    result = kernel.run(master_process(ScriptedContext(), problem, params, max_rounds=1))
+    assert kernel.script == []
+    run_state = result.run_state
+    assert run_state.drained_workers == (1,)
+    assert [e.worker for e in result.fault_events if e.kind == "worker-drained"] == ["tsw1"]
+    assert 1 not in run_state.assigned_ranges
+    assert run_state.worker_states == (states[0],)
+    # tsw1 gets one STOP, its drain's
+    assert [send.dst for send in kernel.sent if send.tag == Tags.STOP] == [101, 100]
+
+    resumed = ScriptedKernel([(100, Tags.STATE_REPLY, states[0], 1.0)])
+    paused_again = resumed.run(
+        master_process(ScriptedContext(), problem, params, resume_state=run_state, max_rounds=0)
+    )
+    assert [spawn.name for spawn in resumed.spawned] == ["tsw0"]
+    assert paused_again.run_state.drained_workers == (1,)

@@ -19,7 +19,13 @@ import numpy as np
 import pytest
 
 from oracles.kernels import sta_reference
-from repro.placement import CostEvaluator, Layout, load_benchmark, random_placement
+from repro.placement import (
+    CostEvaluator,
+    CostModelParams,
+    Layout,
+    load_benchmark,
+    random_placement,
+)
 from repro.placement.timing import TimingAnalyzer
 
 CIRCUITS = ("mini64", "c532", "c1355")
@@ -158,16 +164,28 @@ def test_vectorized_sta_matches_reference(circuit):
         analyzer._use_scalar_propagation = original_mode
 
 
+@pytest.mark.parametrize("aggregation", ("fuzzy", "weighted_sum"))
 @pytest.mark.parametrize("circuit", CIRCUITS)
-def test_fast_scalar_cost_matches_aggregator(circuit):
-    """The commit-path fast cost is bit-identical to the fuzzy aggregator."""
-    evaluator = make_evaluator(circuit)
+def test_block_prices_self_pairs_at_the_scalar_cost(circuit, aggregation):
+    """Along a commit walk, the batch's block form scores each self-pair —
+    alone or among distinct pairs — bit for bit at the scalar cost(), and
+    counts only the distinct pairs as evaluations."""
+    layout = Layout(load_benchmark(circuit))
+    evaluator = CostEvaluator(
+        random_placement(layout, seed=1), CostModelParams(aggregation=aggregation)
+    )
     rng = np.random.default_rng(3)
     n = evaluator.placement.num_cells
     for _ in range(60):
         cell_a, cell_b = (int(v) for v in rng.integers(0, n, size=2))
         evaluator.commit_swap(cell_a, cell_b)
-        assert evaluator.cost() == evaluator.aggregate(evaluator.objectives())
+        cells = rng.integers(0, n, size=4)
+        pairs = np.concatenate([np.stack([cells, cells], axis=1), rng.integers(0, n, size=(8, 2))])
+        distinct = pairs[:, 0] != pairs[:, 1]
+        before = evaluator.evaluations
+        costs = evaluator.evaluate_swaps_batch(pairs)
+        assert evaluator.evaluations - before == int(np.count_nonzero(distinct))
+        assert costs[~distinct].tolist() == [evaluator.cost()] * int(np.count_nonzero(~distinct))
 
 
 def test_area_apply_moved_cells_matches_rebuild():

@@ -29,6 +29,17 @@ def big10k_placement():
     return random_placement(layout, seed=7)
 
 
+def state_on(placement, mode: str) -> WirelengthState:
+    """A state on the dense path (both circuits' default below the budget)
+    or, with ``INCIDENCE_BUDGET`` patched to 0, on the CSR path."""
+    with pytest.MonkeyPatch.context() as patch:
+        if mode == "csr":
+            patch.setattr(WirelengthState, "INCIDENCE_BUDGET", 0)
+        state = WirelengthState(placement)
+    assert state.incidence_mode == mode
+    return state
+
+
 def _random_pairs(rng, num_cells, count):
     a = rng.integers(0, num_cells, count).astype(np.int64)
     b = rng.integers(0, num_cells, count).astype(np.int64)
@@ -47,27 +58,24 @@ class TestModeSelection:
         state = WirelengthState(big10k_placement)
         assert state.incidence_mode == "csr"
 
-    def test_forced_modes(self, big2k_placement):
-        assert WirelengthState(big2k_placement, incidence="dense").incidence_mode == "dense"
-        assert WirelengthState(big2k_placement, incidence="csr").incidence_mode == "csr"
-
-    def test_invalid_mode_rejected(self, big2k_placement):
-        with pytest.raises(ValueError):
-            WirelengthState(big2k_placement, incidence="sparse")
+    def test_forced_modes(self, big2k_placement, monkeypatch):
+        assert WirelengthState(big2k_placement).incidence_mode == "dense"
+        monkeypatch.setattr(WirelengthState, "INCIDENCE_BUDGET", 0)
+        assert WirelengthState(big2k_placement).incidence_mode == "csr"
 
 
 class TestCsrDenseParity:
     def test_batch_deltas_bit_identical(self, big2k_placement):
-        dense = WirelengthState(big2k_placement, incidence="dense")
-        csr = WirelengthState(big2k_placement, incidence="csr")
+        dense = state_on(big2k_placement, "dense")
+        csr = state_on(big2k_placement, "csr")
         rng = np.random.default_rng(0)
         a, b = _random_pairs(rng, big2k_placement.num_cells, 256)
         batch = SwapBatch(big2k_placement, np.column_stack((a, b)))
         assert np.array_equal(dense.deltas_for_swaps(batch), csr.deltas_for_swaps(batch))
 
     def test_self_pairs_and_shared_net_pairs(self, big2k_placement):
-        dense = WirelengthState(big2k_placement, incidence="dense")
-        csr = WirelengthState(big2k_placement, incidence="csr")
+        dense = state_on(big2k_placement, "dense")
+        csr = state_on(big2k_placement, "csr")
         netlist = big2k_placement.netlist
         # pairs sharing a net are exactly the case the incidence test gates
         members = netlist.nets[0].members
@@ -94,8 +102,8 @@ class TestCsrDenseParity:
 
 class TestCommitPathParity:
     def test_vectorized_commit_matches_scalar(self, big2k_placement):
-        scalar = WirelengthState(big2k_placement, incidence="csr")
-        vectorized = WirelengthState(big2k_placement, incidence="csr")
+        scalar = state_on(big2k_placement, "csr")
+        vectorized = state_on(big2k_placement, "csr")
         # instance-level override forces the vectorised recompute route
         vectorized.SCALAR_COMMIT_MAX_PINS = 0
         rng = np.random.default_rng(5)
