@@ -10,9 +10,10 @@ machine the processes run should finish its (N times larger) total search
 workload in far less than N times the simulated-equivalent serial time; see
 ``benchmarks/bench_wallclock_parallel.py`` for the measured speedup curve.
 
-Every worker process, forked from the ``multiprocessing`` fork server or
-spawned, re-imports this module, so everything must live under the
-``__main__`` guard.
+The ``multiprocessing`` fork server imports this module once, as
+``__mp_main__``, and every worker forked from it inherits that import (a
+spawned worker imports it itself), so everything but the imports must
+live under the ``__main__`` guard.
 
 Run it with::
 

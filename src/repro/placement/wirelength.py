@@ -26,11 +26,14 @@ hottest code path of the whole reproduction: every CLW trial swap lands here.
 from __future__ import annotations
 
 import logging
+import threading
+import weakref
 from typing import Iterable, Tuple
 
 import numpy as np
 
 from .. import accel
+from .layout import Layout
 from .netlist import csr_lists
 from .solution import Placement, SwapBatch
 
@@ -40,9 +43,41 @@ __all__ = [
     "net_hpwl",
     "net_bboxes",
     "WirelengthState",
+    "scalar_commit_lists",
 ]
 
 logger = logging.getLogger(__name__)
+
+#: Layout object → its scalar commit lists.  Weak keys: an entry dies with
+#: its layout, and nothing is stored on the layout, so no list rides in a
+#: pickle of it.
+_COMMIT_LISTS: "weakref.WeakKeyDictionary[Layout, tuple]" = weakref.WeakKeyDictionary()
+_COMMIT_LISTS_LOCK = threading.Lock()
+
+
+def scalar_commit_lists(layout: Layout) -> tuple:
+    """The static structure :meth:`WirelengthState.commit_swap`'s scalar scan
+    reads, as tuples (plain Python sequences: no per-item ndarray boxing, so
+    the per-commit net scan beats small-array NumPy several times over):
+    slot x and y, each net's member cells, each cell's nets, net weights.
+
+    Built once per layout object for the life of the process, under the
+    cache lock, and read-only: a warm worker builds a new evaluator on its
+    problem every run, and on the threads backend and the simulator every
+    process's evaluator shares one problem.
+    """
+    with _COMMIT_LISTS_LOCK:
+        lists = _COMMIT_LISTS.get(layout)
+        if lists is None:
+            netlist = layout.netlist
+            lists = _COMMIT_LISTS[layout] = (
+                tuple(layout.slot_x.tolist()),
+                tuple(layout.slot_y.tolist()),
+                tuple(map(tuple, csr_lists(netlist.flat_members, netlist.net_ptr))),
+                tuple(map(tuple, csr_lists(netlist.cell_net_flat, netlist.cell_net_ptr))),
+                tuple(netlist.net_weights.tolist()),
+            )
+        return lists
 
 
 def net_hpwl(placement: Placement, net_index: int) -> float:
@@ -192,11 +227,10 @@ class WirelengthState:
         self._placement = placement
         self._netlist = placement.netlist
         self._layout = placement.layout
-        # Static structure for the scalar commit path (plain Python lists:
-        # no per-item ndarray boxing, so the per-commit net scan beats
-        # small-array NumPy several times over).  Built lazily on the first
-        # committed swap — batch-only consumers (CLW trial scoring) never
-        # pay the O(pins) list construction or hold the boxed copies.
+        # Static structure for the scalar commit path, shared by every state
+        # on the layout (:func:`scalar_commit_lists`) and fetched on the
+        # first committed swap — batch-only consumers (CLW trial scoring)
+        # never make the layout pay the O(pins) build.
         self._commit_lists: tuple | None = None
         num_cells = placement.num_cells
         num_nets = self._netlist.num_nets
@@ -358,16 +392,10 @@ class WirelengthState:
     # committed updates
     # ------------------------------------------------------------------ #
     def _scalar_commit_lists(self) -> tuple:
-        """Python-list caches backing the scalar commit path (built lazily)."""
+        """The layout's :func:`scalar_commit_lists`, fetched at this state's
+        first scalar commit."""
         if self._commit_lists is None:
-            netlist = self._netlist
-            self._commit_lists = (
-                self._layout.slot_x.tolist(),
-                self._layout.slot_y.tolist(),
-                csr_lists(netlist.flat_members, netlist.net_ptr),
-                csr_lists(netlist.cell_net_flat, netlist.cell_net_ptr),
-                netlist.net_weights.tolist(),
-            )
+            self._commit_lists = scalar_commit_lists(self._layout)
         return self._commit_lists
 
     def commit_swap(self, cell_a: int, cell_b: int) -> None:

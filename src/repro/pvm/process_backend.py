@@ -16,13 +16,20 @@ Execution model
   machine spec, process function and arguments) when it is spawned and
   never again: steady-state messages carry only solutions.
 * Workers fork from the driver's ``multiprocessing`` fork server, one helper
-  process that imports the worker modules (:data:`_PRELOAD`) once and lives
-  until the driver exits; every kernel of the driver shares it.  A worker
-  therefore starts in tens of milliseconds instead of paying a fresh
-  interpreter and ``import repro``.  Where the platform has no fork server,
-  workers start with ``spawn``.  Like a spawned one, a forked worker runs the
-  driver's ``__main__`` module again (as ``__mp_main__``), so scripts keep
-  their ``if __name__ == "__main__"`` guard.
+  process that imports everything a worker needs (:data:`_PRELOAD`) once
+  and lives until the driver exits; every kernel of the driver shares it.
+  A worker therefore starts in a few milliseconds, with nothing left to
+  import, instead of paying a fresh interpreter and ``import repro``.
+  Where the platform has no fork server, workers start with ``spawn``.
+* A driver started as a script (``python driver.py``) has that script
+  imported once, as ``__mp_main__``, in the fork server, with the driver's
+  ``sys.argv``, ``sys.path`` and working directory; its forked workers
+  inherit the module and do not run it again.  Scripts keep their
+  ``if __name__ == "__main__"`` guard, and their module level runs once
+  per fork server, not once per worker: threads it starts do not survive
+  the fork, and a module level that raises (or starts a process) leaves
+  the server without it, so each worker runs the script again, as a
+  spawned one does.  A ``-m`` main is never imported in the server.
 * A worker gets the driver's environment as of its spawn, not the server's.
 * :meth:`ProcessKernel.spawn_local` runs a process on a thread of the
   kernel process instead, through the same syscall interpreter and join
@@ -80,12 +87,14 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import json
 import os
 import pickle
 import queue as queue_module
 import select
 import socket
 import struct
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -93,6 +102,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import multiprocessing
+import multiprocessing.spawn
 from multiprocessing.connection import Connection, wait
 
 from ..errors import ProcessError
@@ -118,19 +128,28 @@ __all__ = ["ProcessKernel", "ThreadKernel"]
 _Call = Tuple[ProcessFunction, Tuple[Any, ...], Dict[str, Any]]
 
 #: Modules the fork server imports once for all its workers: the worker
-#: bodies and the domains' shared-memory restore functions.
+#: bodies, the domains' shared-memory restore functions, the NumPy
+#: submodules a worker's first task would import lazily (``np.unique``
+#: imports ``numpy.ma``; ``default_rng``, ``numpy.random``) and, last, the
+#: driver's main script (:func:`_import_driver_main`).
 _PRELOAD = [
     "repro.parallel.worker_loop",
     "repro.problems.placement",
     "repro.problems.qap.evaluator",
+    "numpy.ma",
+    "numpy.random",
+    "repro.pvm._preload_main",
 ]
+#: The environment variable that hands the driver's main script to a
+#: starting fork server; the server removes it before it forks a worker.
+_MAIN_HANDOFF = "_REPRO_FORK_SERVER_MAIN"
 #: Once any worker has finished with an error, how many seconds ``join_all``
 #: keeps waiting for the rest before aborting — a dead worker usually means
 #: the survivors are blocked on messages that will never arrive, and burning
 #: the whole deadline (an hour by default in the runner) just delays the
 #: real diagnosis.
 FAILURE_GRACE = 10.0
-#: Serialises fork-server starts: their ``PYTHONPATH`` edit is process-wide.
+#: Serialises fork-server starts: their environment edit is process-wide.
 _FORK_SERVER_LOCK = threading.Lock()
 
 #: :class:`~multiprocessing.connection.Connection`'s frame header, a signed
@@ -157,16 +176,68 @@ def _worker_context() -> multiprocessing.context.BaseContext:
         # so a ``repro`` found only through a runtime sys.path insert would
         # fail to preload, silently; its import root goes on the PYTHONPATH.
         import_root = str(Path(__file__).resolve().parents[2])
-        saved = os.environ.get("PYTHONPATH")
-        os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (import_root, saved)))
+        python_path = filter(None, (import_root, os.environ.get("PYTHONPATH")))
+        edits = {"PYTHONPATH": os.pathsep.join(python_path), **_main_handoff()}
+        saved = {name: os.environ.get(name) for name in edits}
+        os.environ.update(edits)
         try:
             forkserver.ensure_running()
         finally:
-            if saved is None:
-                del os.environ["PYTHONPATH"]
-            else:
-                os.environ["PYTHONPATH"] = saved
+            for name, value in saved.items():
+                if value is None:
+                    del os.environ[name]
+                else:
+                    os.environ[name] = value
     return context
+
+
+def _main_handoff() -> Dict[str, str]:
+    """The environment edit that hands a starting fork server the driver's
+    main script, with the ``sys.argv``, ``sys.path`` and working directory
+    a worker's ``spawn.prepare`` would give it; empty unless the main is a
+    script path.
+
+    CPython 3.11's fork server means to import the main script itself, but
+    asks the preparation data for a ``main_path`` key that it names
+    ``init_main_from_path``, so it never does.
+    """
+    data = multiprocessing.spawn.get_preparation_data("")
+    if "init_main_from_path" not in data:
+        return {}
+    handoff = {
+        "main_path": data["init_main_from_path"],
+        "sys_argv": data["sys_argv"],
+        # imports skip a non-string entry, which JSON could not encode
+        "sys_path": [entry for entry in data["sys_path"] if isinstance(entry, str)],
+        "dir": data["dir"],
+    }
+    return {_MAIN_HANDOFF: json.dumps(handoff)}
+
+
+def _import_driver_main() -> None:
+    """In the fork server: import the main script :func:`_main_handoff`
+    handed over, as ``__mp_main__``, once for every worker.
+
+    It runs as ``multiprocessing.spawn.prepare`` would run it in a worker,
+    and marked as inheriting, so a main that starts a process at import
+    raises.  An error or exit the import raises is dropped, since it would
+    end the server: each worker then imports the script itself, and meets
+    the same error there unless only the server raised it.
+    """
+    handoff = os.environ.pop(_MAIN_HANDOFF, None)
+    if handoff is None:
+        return
+    process = multiprocessing.current_process()
+    process._inheriting = True
+    try:
+        data = json.loads(handoff)
+        sys.argv, sys.path = data["sys_argv"], data["sys_path"]
+        os.chdir(data["dir"])
+        multiprocessing.spawn.import_main_path(data["main_path"])
+    except (Exception, SystemExit):  # noqa: BLE001 - the workers' own import reports it
+        pass
+    finally:
+        del process._inheriting
 
 
 def _check_generator_function(func: ProcessFunction) -> None:

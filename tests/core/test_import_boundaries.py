@@ -137,3 +137,87 @@ def test_dependency_scan_sees_the_declared_dependencies():
     kernels = SRC_ROOT / "repro" / "accel.py"
     assert "numpy" in {module.split(".")[0] for module in resolved_imports(kernels)}
     assert "numpy" not in set(undeclared_imports(kernels))
+
+
+#: The ``numpy.random`` names ``src/`` may use: the Generator API.  Every
+#: other one (``rand``, ``seed``, ``shuffle``, ``RandomState``, ...) draws
+#: from or builds NumPy's legacy global state, which the fork server
+#: imports once and forks, unchanged, into every worker.
+GENERATOR_API = frozenset(
+    {
+        "default_rng",
+        "Generator",
+        "SeedSequence",
+        "BitGenerator",
+        "MT19937",
+        "PCG64",
+        "PCG64DXSM",
+        "Philox",
+        "SFC64",
+    }
+)
+
+
+def numpy_random_names(path: Path):
+    """The ``numpy.random`` names ``path`` uses: ``np.random.<name>`` through
+    any alias of ``numpy`` or ``numpy.random``, and ``from numpy.random
+    import <name>``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {}  # local name -> "numpy" or "numpy.random"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in ("numpy", "numpy.random"):
+                    if alias.asname is None:
+                        aliases["numpy"] = "numpy"
+                    else:
+                        aliases[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                if node.module == "numpy.random":
+                    yield alias.name
+                elif node.module == "numpy" and alias.name == "random":
+                    aliases[alias.asname or "random"] = "numpy.random"
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        if isinstance(node, ast.Attribute):
+            owner = dotted(node.value)
+            return None if owner is None else f"{owner}.{node.attr}"
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and dotted(node.value) == "numpy.random":
+            yield node.attr
+
+
+@pytest.mark.parametrize(
+    "path", list(all_repro_modules()), ids=lambda p: str(p.relative_to(SRC_ROOT))
+)
+def test_module_draws_from_no_global_numpy_rng(path):
+    legacy = sorted(set(numpy_random_names(path)) - GENERATOR_API)
+    assert not legacy, (
+        f"{path.relative_to(SRC_ROOT)} uses numpy.random's {legacy}: the legacy "
+        "global RNG is forked with one state into every worker; draw from a "
+        "Generator (repro._rng.make_rng)"
+    )
+
+
+def test_random_scan_sees_every_spelling(tmp_path):
+    """Guard against a vacuous scan: each way to reach the legacy RNG is
+    found, and the package's own Generator use is seen and allowed."""
+    module = tmp_path / "legacy.py"
+    module.write_text(
+        "import numpy as np\n"
+        "import numpy.random as npr\n"
+        "from numpy import random as nr\n"
+        "from numpy.random import seed, default_rng\n"
+        "np.random.rand()\n"
+        "npr.shuffle([1])\n"
+        "nr.RandomState(1)\n"
+        "np.random.default_rng(1)\n"
+    )
+    found = set(numpy_random_names(module))
+    assert found - GENERATOR_API == {"rand", "shuffle", "RandomState", "seed"}
+    assert "default_rng" in set(numpy_random_names(SRC_ROOT / "repro" / "_rng.py"))

@@ -10,10 +10,15 @@ must land in the same cache state.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.core.registry import get_domain
 from repro.placement import CostEvaluator, Layout, SwapBatch, load_benchmark, random_placement
+from repro.placement import wirelength
 from repro.placement.wirelength import WirelengthState, full_hpwl
 
 
@@ -130,6 +135,36 @@ class TestCommitPathParity:
         big10k_placement.swap_cells(10, 9990)
         state.commit_swap(10, 9990)
         state.verify_consistency()
+
+
+class TestSharedCommitLists:
+    """The scalar commit path's static lists are built once per layout."""
+
+    def test_two_evaluators_on_one_problem_share_the_lists(self):
+        problem = get_domain("placement").build_problem("c532", reference_seed=7)
+        states = []
+        for seed in (3, 4):
+            evaluator = problem.make_evaluator(problem.random_solution(seed=seed))
+            evaluator.commit_swap(5, 9)
+            states.append(evaluator._wirelength)
+        first, second = (state._commit_lists for state in states)
+        assert first is second is wirelength.scalar_commit_lists(problem.layout)
+        assert all(isinstance(part, tuple) for part in first)  # read-only
+        for state in states:
+            state.verify_consistency()
+
+    def test_the_entry_dies_with_its_layout(self):
+        layout = Layout(load_benchmark("c532", use_cache=False))
+        state = WirelengthState(random_placement(layout, seed=2))
+        state._placement.swap_cells(1, 2)
+        state.commit_swap(1, 2)
+        assert layout in wirelength._COMMIT_LISTS
+        alive = weakref.ref(layout)
+        entries = len(wirelength._COMMIT_LISTS)
+        del layout, state
+        gc.collect()
+        assert alive() is None
+        assert len(wirelength._COMMIT_LISTS) == entries - 1
 
 
 class TestLargeApplyUndoRoundtrip:

@@ -32,6 +32,14 @@ from repro.pvm.process_backend import _WorkerPort
 from repro.session import SearchSession, WorkerPool
 from repro.tabu import TabuSearchParams
 
+from boot_probe import first_task_imports
+
+
+needs_fork_server = pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="needs a multiprocessing fork server",
+)
+
 
 def socket_buffer_bytes() -> int:
     """``SO_SNDBUF`` of a fresh socket pair: what one write can leave in
@@ -456,10 +464,7 @@ class TestTransport:
             r.received_costs for r in uninterrupted.global_records
         ]
 
-    @pytest.mark.skipif(
-        "forkserver" not in multiprocessing.get_all_start_methods(),
-        reason="needs a multiprocessing fork server",
-    )
+    @needs_fork_server
     def test_a_processes_run_makes_no_multiprocessing_queue(self, tmp_path):
         src = str(Path(repro.__file__).resolve().parents[1])
         script = tmp_path / "processes_run.py"
@@ -569,6 +574,98 @@ class TestForkServer:
             pid = kernel.spawn(environ_proc, "PVM_TEST_SPAWN_ENV")
             kernel.join(pid, timeout=60.0)
             assert kernel.result_of(pid) == "set-after-server-start"
+
+    @needs_fork_server
+    def test_a_cold_worker_imports_nothing_in_its_first_task(self):
+        """A CLW's first task on both domains — evaluator build, RNG, one
+        builder step, an exact adopt — finds every module it needs in the
+        fork server's preload (``np.unique`` and ``default_rng`` import
+        NumPy submodules lazily)."""
+        tasks = []
+        for domain, instance in (("placement", "c532"), ("qap", "rand32")):
+            problem = get_domain(domain).build_problem(instance, reference_seed=7)
+            tasks.append((problem, problem.random_solution(seed=3)))
+        with make_kernel() as kernel:
+            pid = kernel.spawn(first_task_imports, tasks)
+            kernel.join(pid, timeout=60.0)
+            assert kernel.result_of(pid) == []
+
+    @needs_fork_server
+    def test_the_main_script_runs_once_per_fork_server(self, tmp_path):
+        """The server imports a fresh driver's main script, with its argv
+        (the script reads ``sys.argv[1]`` at module level); no worker runs
+        it again."""
+        lines, driver = run_logging_main(tmp_path, in_server="pass")
+        assert [line for line in lines if line[0] == "__main__"] == [
+            ("__main__", "MainProcess", driver)
+        ]
+        imports = [line for line in lines if line[0] == "__mp_main__"]
+        assert len(imports) == 1, lines
+        assert imports[0][1] == "MainProcess" and imports[0][2] != driver
+
+    @needs_fork_server
+    @pytest.mark.parametrize(
+        "failure",
+        ['raise RuntimeError("this module level fails in the fork server")', "sys.exit(3)"],
+        ids=["raises", "exits"],
+    )
+    def test_a_main_that_fails_in_the_server_runs_in_each_worker(self, tmp_path, failure):
+        lines, driver = run_logging_main(tmp_path, in_server=failure)
+        imports = [line for line in lines if line[0] == "__mp_main__"]
+        server = [line for line in imports if line[1] == "MainProcess"]
+        workers = [line for line in imports if line[1] != "MainProcess"]
+        assert len(server) == 1 and server[0][2] != driver
+        # a 2x1 tree: two TSWs and their CLWs, each importing the script
+        assert len(workers) == 4, lines
+        assert len({pid for _, _, pid in workers}) == 4
+
+
+#: A driver script whose module level logs ``__name__``, the process name
+#: and the pid to the file named by ``sys.argv[1]`` wherever it runs, then
+#: runs the statement ``in_server`` when the fork server imports it.
+LOGGING_MAIN = """\
+import multiprocessing, os, sys
+sys.path.insert(0, {src!r})
+
+with open(sys.argv[1], "a") as log:
+    log.write(f"{{__name__}} {{multiprocessing.current_process().name}} {{os.getpid()}}\\n")
+if __name__ == "__mp_main__" and multiprocessing.current_process().name == "MainProcess":
+    {in_server}
+
+from repro import (
+    ParallelSearchParams, TabuSearchParams, homogeneous_cluster, load_benchmark,
+    run_parallel_search,
+)
+
+if __name__ == "__main__":
+    params = ParallelSearchParams(
+        num_tsws=2, clws_per_tsw=1, global_iterations=2, sync_mode="homogeneous",
+        tabu=TabuSearchParams(local_iterations=3), seed=3,
+    )
+    result = run_parallel_search(
+        load_benchmark("tiny16"), params, backend="processes", cluster=homogeneous_cluster(5)
+    )
+    print(os.getpid(), result.best_cost <= result.initial_cost)
+"""
+
+
+def run_logging_main(tmp_path: Path, *, in_server: str):
+    """Run :data:`LOGGING_MAIN` in a fresh interpreter; its log lines as
+    ``(name, process name, pid)`` and the driver's pid."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    script = tmp_path / "logging_main.py"
+    script.write_text(LOGGING_MAIN.format(src=src, in_server=in_server))
+    log = tmp_path / "imports.log"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(script), str(log)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    driver, improved = done.stdout.split()
+    assert improved == "True"
+    lines = [tuple(line.split()) for line in log.read_text().splitlines()]
+    return lines, driver
 
 
 FRESH_THREADS_RUN = """\
